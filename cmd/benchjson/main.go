@@ -124,15 +124,13 @@ func headline(bs map[string]Benchmark) map[string]float64 {
 	pick("ingest_telemetry_off_eps", "BenchmarkTelemetryOverhead/telemetry=off", "events/sec")
 	pick("ingest_telemetry_on_eps", "BenchmarkTelemetryOverhead/telemetry=on", "events/sec")
 	// Wire-speed ingest: events/sec through the whole UDP socket path
-	// (recvmmsg + zero-alloc parse + pipeline), the byte parser's cost
-	// and its zero-allocation claim, and the chan-vs-spsc queue pair.
+	// (recvmmsg + zero-alloc parse + pipeline), and the byte parser's
+	// cost and its zero-allocation claim.
 	pick("udp_socket_eps", "BenchmarkUDPIngest", "events/sec")
 	pick("parse_event_bytes_ns", "BenchmarkParseEventBytes", "")
 	if b, ok := bs["BenchmarkParseEventBytes"]; ok {
 		h["parse_event_bytes_allocs"] = b.AllocsPerOp
 	}
-	pick("ingest_queue_chan_eps", "BenchmarkIngestQueue/queue=chan", "events/sec")
-	pick("ingest_queue_spsc_eps", "BenchmarkIngestQueue/queue=spsc", "events/sec")
 	// Tiered corpus (internal/pager) and the delta-chain checkpoints:
 	// delta write bandwidth against the full-snapshot baseline, the cold
 	// point-lookup pair (a filter miss answers without I/O; a filter hit

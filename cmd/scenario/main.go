@@ -5,9 +5,9 @@
 //	scenario list [-json]
 //	scenario describe <profile> [-json]
 //	scenario run [-json] [-full] [-profiles a,b | -all] [-shards 1,16]
-//	             [-queues chan,spsc] [-seeds 1,2] [-scale 0.02] [-days 8]
+//	             [-seeds 1,2] [-scale 0.02] [-days 8]
 //
-// run executes every selected (profile, shards, queue, seed) cell
+// run executes every selected (profile, shards, seed) cell
 // through the real ingest pipeline and asserts the determinism
 // invariant: byte-identical canonical corpus checksums and scenario
 // reports per (profile, seed), including the checkpoint-mid-stream →
@@ -66,8 +66,7 @@ run flags:
   -full           the nightly matrix ({1,4,16} shards, 3 seeds)
                   instead of the reduced per-PR slice ({1,16}, 2 seeds)
   -json           emit the full matrix result as JSON
-  -shards LIST    comma-separated shard counts (e.g. 1,16)
-  -queues LIST    comma-separated queue kinds out of chan,spsc
+  -shards LIST    comma-separated shard counts, each >= 1 (e.g. 1,16)
   -seeds LIST     comma-separated seeds (e.g. 1,2,3)
   -scale F        simnet site-scale multiplier (default 0.02)
   -days N         study window length in days (default 8)
@@ -159,7 +158,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	all := fs.Bool("all", false, "run every profile")
 	full := fs.Bool("full", false, "nightly matrix instead of the reduced slice")
 	shardsFlag := fs.String("shards", "", "comma-separated shard counts")
-	queuesFlag := fs.String("queues", "", "comma-separated queue kinds (chan,spsc)")
 	seedsFlag := fs.String("seeds", "", "comma-separated seeds")
 	scale := fs.Float64("scale", 0, "simnet site-scale multiplier")
 	days := fs.Int("days", 0, "study window length in days")
@@ -184,9 +182,15 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "scenario run: -shards:", err)
 			return 2
 		}
-	}
-	if *queuesFlag != "" {
-		opts.Queues = strings.Split(*queuesFlag, ",")
+		for _, n := range opts.Shards {
+			// 0 would mean "one per CPU" to the pipeline: a cell whose
+			// shape depends on the machine, under a label that hides it.
+			if n < 1 {
+				fmt.Fprintf(stderr, "scenario run: -shards: %d is not a shard count (need >= 1)\n", n)
+				usage(stderr)
+				return 2
+			}
+		}
 	}
 	if *seedsFlag != "" {
 		if opts.Seeds, err = parseInt64s(*seedsFlag); err != nil {

@@ -57,10 +57,10 @@ func TestUnknownCommand(t *testing.T) {
 }
 
 // TestRunSingleCell drives the CLI end to end over the smallest slice:
-// one profile, one shard count, one queue, one seed.
+// one profile, one shard count, one seed.
 func TestRunSingleCell(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"run", "-shards", "2", "-queues", "chan", "-seeds", "7", "paper"}, &out, &errb)
+	code := run([]string{"run", "-shards", "2", "-seeds", "7", "paper"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errb.String())
 	}
@@ -89,9 +89,27 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
+// TestRunFlagConflict: argument errors exit 2 with a message on stderr
+// and never reach the matrix.
 func TestRunFlagConflict(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"run", "-all", "paper"}, &out, &errb); code != 2 {
-		t.Fatalf("-all with explicit profiles exited %d, want 2", code)
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		stderr string
+	}{
+		{"-all with explicit profiles", []string{"run", "-all", "paper"}, "mutually exclusive"},
+		{"zero shard count", []string{"run", "-shards", "0", "paper"}, "usage:"},
+		{"negative shard count", []string{"run", "-shards", "1,-4", "paper"}, "usage:"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%s: exited %d, want 2", tc.name, code)
+		}
+		if !strings.Contains(errb.String(), tc.stderr) {
+			t.Errorf("%s: stderr lacks %q:\n%s", tc.name, tc.stderr, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote to stdout:\n%s", tc.name, out.String())
+		}
 	}
 }

@@ -7,11 +7,12 @@ import (
 	"hitlist6/internal/addr"
 )
 
-// The Absorb tests pin the chunk-level merge to the Scalable-
+// The Absorb tests pin the ownership-taking merge to the Scalable-
 // Commutativity bar the record-by-record Merge already meets: for any
 // split of one observation stream into donor and destination — key
-// ranges colliding or not — Absorb's result must be byte-equivalent
-// (canonical Checksum) to Merge's and to a serial single-collector run.
+// ranges colliding or not, either side empty or not — Absorb's result
+// must be byte-equivalent (canonical Checksum) to Merge's and to a
+// serial single-collector run.
 
 // buildFromStream folds a slice of the golden stream into a fresh
 // collector.
@@ -48,7 +49,7 @@ func absorbCase(t *testing.T, name string, mkDst, mkDonor func() *Collector, ser
 
 		// The absorbed collector must stay fully writable: replay the
 		// donor's events again and compare against the serial double-count.
-		// (Covers index-table consistency after bulk adoption.)
+		// (Covers index-table consistency after the steal.)
 		probe := mkDonor()
 		probe.Addrs(func(a addr.Addr, r AddrRecord) bool {
 			viaAbsorb.ObserveUnix(a, r.First, 0)
@@ -87,8 +88,8 @@ func TestAbsorbEquivalence(t *testing.T) {
 
 	// Address-hash partitioning, the ingest shard shape: addresses never
 	// collide across parts, but IIDs may (the golden stream's shared
-	// 0xdeadbeef IID spans /64s in both halves), so this exercises the
-	// collision fallback behind the disjointness probe.
+	// 0xdeadbeef IID spans /64s in both halves) — exactly why Absorb has
+	// no shortcut for address-disjoint donors.
 	hashFilter := func(want uint64) func() *Collector {
 		return func() *Collector {
 			c := New()
@@ -104,7 +105,7 @@ func TestAbsorbEquivalence(t *testing.T) {
 
 	// IID-parity partitioning: an address's shard is a function of its
 	// IID, so both the address and IID key ranges are disjoint by
-	// construction — the chunk-adoption fast path end to end.
+	// construction: Merge with every donor key new to the destination.
 	iidFilter := func(want uint64) func() *Collector {
 		return func() *Collector {
 			c := New()
@@ -145,8 +146,8 @@ func TestAbsorbChainsManyDonors(t *testing.T) {
 	}
 
 	// First wave partitions by IID value, so every Absorb in the chain
-	// is fully disjoint and takes the chunk-adoption path across slab
-	// chunk boundaries.
+	// is fully disjoint: one steal, then Merges that only insert, growing
+	// the slabs across chunk boundaries.
 	const shards = 7
 	merged := New()
 	for s := 0; s < shards; s++ {
@@ -228,55 +229,5 @@ func TestMergeSlotOrderPathology(t *testing.T) {
 	}
 	if dst.Checksum() != serial.Checksum() {
 		t.Fatal("order-decorrelated merge changed the result")
-	}
-}
-
-// TestSlabAdoptAll exercises the chunk mover directly across alignment
-// cases: empty destination, misaligned tails, chunk-aligned adoption,
-// partial donor heads.
-func TestSlabAdoptAll(t *testing.T) {
-	fill := func(n int) *slab[uint64] {
-		s := &slab[uint64]{}
-		for i := 0; i < n; i++ {
-			idx := s.alloc()
-			*s.at(idx) = uint64(i) | uint64(n)<<32
-		}
-		return s
-	}
-	check := func(t *testing.T, s *slab[uint64], dstN, donorN int) {
-		t.Helper()
-		if int(s.n) != dstN+donorN {
-			t.Fatalf("adopted slab holds %d, want %d", s.n, dstN+donorN)
-		}
-		for i := 0; i < dstN; i++ {
-			if got := *s.at(uint32(i)); got != uint64(i)|uint64(dstN)<<32 {
-				t.Fatalf("dst record %d corrupted: %x", i, got)
-			}
-		}
-		for i := 0; i < donorN; i++ {
-			if got := *s.at(uint32(dstN + i)); got != uint64(i)|uint64(donorN)<<32 {
-				t.Fatalf("donor record %d landed wrong: %x", i, got)
-			}
-		}
-		// The adopted slab must keep allocating contiguously.
-		idx := s.alloc()
-		if int(idx) != dstN+donorN {
-			t.Fatalf("post-adopt alloc returned %d, want %d", idx, dstN+donorN)
-		}
-	}
-	cases := []struct{ dst, donor int }{
-		{0, 5},
-		{0, chunkSize + 3},
-		{5, 7},
-		{chunkSize, 100},               // aligned, partial donor head
-		{chunkSize, chunkSize},         // aligned, full donor head
-		{chunkSize, 2*chunkSize + 17},  // aligned, multi-chunk donor
-		{chunkSize + 3, chunkSize + 9}, // misaligned, crossing boundaries
-		{2 * chunkSize, 0},
-	}
-	for _, tc := range cases {
-		s := fill(tc.dst)
-		s.adoptAll(fill(tc.donor))
-		check(t, s, tc.dst, tc.donor)
 	}
 }

@@ -130,69 +130,6 @@ func (s *slab[T]) at(i uint32) *T {
 	return &s.chunks[j>>chunkBits][j&chunkMask]
 }
 
-// adoptAll moves every record of a donor slab onto the end of s,
-// working in whole chunks. When s ends exactly on a chunk boundary the
-// donor's chunks are adopted by reference — O(1) per chunk, no record
-// copies; the donor owned them exclusively and hands them over. A
-// misaligned tail (or a donor head chunk that could still grow and
-// therefore move) is copied in chunk-sized runs instead. Donor record i
-// lands at index s.n+i either way. The donor slab must not be used
-// afterwards.
-func (s *slab[T]) adoptAll(o *slab[T]) {
-	if o.n == 0 {
-		return
-	}
-	if s.n >= chunkSize && s.n&chunkMask == 0 && int((s.n-chunkSize)>>chunkBits) == len(s.chunks) {
-		// Chunk-aligned: adopt the donor's chunk backbone by reference.
-		// The donor head is only safe to alias when full — a partial head
-		// adopted as s's growing tail chunk could be forced to reallocate
-		// (and move) by a later append if its capacity is short, breaking
-		// the "later chunks never move" contract — so a partial head is
-		// recopied into a full-capacity chunk.
-		head := o.head
-		if uint32(len(head)) < chunkSize {
-			head = append(make([]T, 0, chunkSize), o.head...)
-		}
-		s.chunks = append(s.chunks, head)
-		s.chunks = append(s.chunks, o.chunks...)
-		s.n += o.n
-		*o = slab[T]{}
-		return
-	}
-	// Misaligned: copy records through in runs, one donor chunk at a
-	// time — still whole-chunk memmoves, just not pointer adoptions.
-	copyRun := func(run []T) {
-		for len(run) > 0 {
-			i := s.n
-			var dst []T
-			var room uint32
-			if i < chunkSize {
-				// Grow the head to its final size in one step.
-				need := min(uint32(len(run)), chunkSize-i)
-				s.head = append(s.head, run[:need]...)
-				s.n += need
-				run = run[need:]
-				continue
-			}
-			ci := int((i - chunkSize) >> chunkBits)
-			if ci == len(s.chunks) {
-				s.chunks = append(s.chunks, make([]T, 0, chunkSize))
-			}
-			dst = s.chunks[ci]
-			room = chunkSize - uint32(len(dst))
-			n := min(uint32(len(run)), room)
-			s.chunks[ci] = append(dst, run[:n]...)
-			s.n += n
-			run = run[n:]
-		}
-	}
-	copyRun(o.head)
-	for _, ch := range o.chunks {
-		copyRun(ch)
-	}
-	*o = slab[T]{}
-}
-
 // bytes returns the slab's resident size.
 func (s *slab[T]) bytes() uint64 {
 	var zero T
@@ -979,25 +916,27 @@ func (c *Collector) mergeIIDPromoted(o *Collector, or *iidEntry) {
 }
 
 // Absorb folds another collector's observations into c like Merge, but
-// takes ownership of o — the donor must not be used afterwards — which
-// unlocks the chunk-level fast paths record-by-record merging cannot
-// have:
+// takes ownership of o — the donor must not be used afterwards. Three
+// cases:
 //
+//   - An empty donor contributes only its observation total.
 //   - Into an empty c, the donor's slabs, tables and prefix sets move
-//     over wholesale: O(1), no record is touched.
-//   - When the key ranges do not collide (no donor address or IID
-//     already present in c — the common case for cross-shard merges,
-//     whose address-hash partitioning makes shards disjoint by
-//     construction), the donor's slab chunks are adopted whole: records
-//     land by chunk move with their span chains and singleton
-//     references rebased in bulk, and only the index tables see
-//     per-record work. None of the merge machinery — record compare,
-//     promotion, span-chain walking — runs.
-//   - Colliding corpora fall back to Merge's record-by-record path.
+//     over wholesale: O(1), no record is touched. Restore-on-start and
+//     the first shard snapshot into a fresh store land here.
+//   - Otherwise Merge runs record by record and the donor is zeroed.
+//
+// There is deliberately no "disjoint donor" shortcut between the last
+// two. Pipeline shards partition by address hash, but IIDs recur across
+// prefixes (EUI-64 interfaces that move, low-byte ::1 routers), so two
+// shards with no address in common still share IID state, and a shard's
+// later epochs re-sight its own earlier addresses: on the benchmark's
+// stream no snapshot was ever disjoint from a non-empty store, and
+// testing for it cost up to a probe per donor record before Merge ran
+// anyway (branch counts in ARCHITECTURE.md).
 //
 // The result is observation-identical to Merge in every case (pinned by
-// the chunk-vs-record equivalence tests); only the cost differs. This
-// is what Store.ApplyShard runs on every shard snapshot.
+// the absorb-vs-merge equivalence tests). This is what Store.ApplyShard
+// runs on every shard snapshot.
 func (c *Collector) Absorb(o *Collector) {
 	if o == nil {
 		return
@@ -1019,104 +958,7 @@ func (c *Collector) Absorb(o *Collector) {
 		*o = Collector{}
 		return
 	}
-	if !c.disjointFrom(o) {
-		c.Merge(o)
-		*o = Collector{}
-		return
-	}
-	c.adoptDisjoint(o)
-}
-
-// disjointFrom reports whether none of o's addresses or IIDs already
-// exist in c: the precondition for chunk adoption. Pure probes — O(n)
-// hash lookups, no allocation — bailing at the first collision.
-func (c *Collector) disjointFrom(o *Collector) bool {
-	for i := uint32(0); i < o.addrRecs.n; i++ {
-		if _, _, ok := c.findAddr(o.addrRecs.at(i).key); ok {
-			return false
-		}
-	}
-	for _, v := range o.iidIdx {
-		if v == 0 {
-			continue
-		}
-		if _, _, ok := c.findIID(o.iidKeyOf(v - 1)); ok {
-			return false
-		}
-	}
-	return true
-}
-
-// adoptDisjoint implements Absorb's non-colliding fast path: whole-chunk
-// slab adoption with bulk index rebasing. Donor record i lands at
-// base+i in each slab, so intra-donor references — span chain nexts,
-// IID span heads, singleton address references — stay valid under a
-// constant offset.
-func (c *Collector) adoptDisjoint(o *Collector) {
-	addrBase := c.addrRecs.n
-	iidBase := c.iidRecs.n
-	spanBase := c.spans.n
-
-	c.addrRecs.adoptAll(&o.addrRecs)
-	c.iidRecs.adoptAll(&o.iidRecs)
-	c.spans.adoptAll(&o.spans)
-
-	// Rebase the adopted IID entries' span heads and the adopted span
-	// nodes' chain links by the slab offsets.
-	for i := iidBase; i < c.iidRecs.n; i++ {
-		if e := c.iidRecs.at(i); e.spans != spanNone {
-			e.spans += spanBase
-		}
-	}
-	for i := spanBase; i < c.spans.n; i++ {
-		if n := c.spans.at(i); n.next != spanNone {
-			n.next += spanBase
-		}
-	}
-
-	// Index the adopted records. Presize both tables once for the final
-	// counts so adoption never rehashes mid-insert.
-	if need := tableSizeFor(uint64(c.addrRecs.n)); need > len(c.addrIdx) {
-		c.resizeAddrIdx(need)
-	}
-	mask := uint64(len(c.addrIdx) - 1)
-	for i := addrBase; i < c.addrRecs.n; i++ {
-		e := c.addrRecs.at(i)
-		pos := e.key.Hash64() & mask
-		for c.addrIdx[pos] != 0 {
-			pos = (pos + 1) & mask
-		}
-		c.addrIdx[pos] = i + 1
-		c.p48s.insert(uint64(e.key.P48()))
-		c.p64s.insert(uint64(e.key.P64()))
-	}
-
-	if need := tableSizeFor(uint64(c.iidUsed) + uint64(o.iidUsed)); need > len(c.iidIdx) {
-		c.resizeIIDIdx(need)
-	}
-	mask = uint64(len(c.iidIdx) - 1)
-	insert := func(ref uint32, iid addr.IID) {
-		pos := mix64(uint64(iid)) & mask
-		for c.iidIdx[pos] != 0 {
-			pos = (pos + 1) & mask
-		}
-		c.iidIdx[pos] = ref + 1
-		c.iidUsed++
-	}
-	// Slab order for promoted entries, ref order for singletons: like
-	// Merge, never insert in the donor table's slot (= ascending hash)
-	// order — see the Merge comment for the probe-run pathology. The
-	// adopted promoted entries are iidBase..n of c's slab now (adoptAll
-	// emptied o's).
-	for ri := iidBase; ri < c.iidRecs.n; ri++ {
-		insert(ri|promotedTag, c.iidRecs.at(ri).key)
-	}
-	for _, ref := range o.singletonRefs() {
-		ai := ref + addrBase
-		insert(ai, c.addrRecs.at(ai).key.IID())
-	}
-
-	c.total += o.total
+	c.Merge(o)
 	*o = Collector{}
 }
 

@@ -159,8 +159,8 @@ func TestDeltaAfterMergeAndAbsorb(t *testing.T) {
 	}
 	c.MarkCheckpointedFull()
 
-	// A colliding shard (same key universe) forces the Merge record path;
-	// a disjoint shard takes Absorb's chunk adoption.
+	// A colliding shard (same key universe) updates existing records in
+	// place; a disjoint one only appends new records.
 	shard := New()
 	feedGolden(shard, addrs, times, servers, 1000, 3500)
 	c.Absorb(shard)

@@ -168,55 +168,3 @@ func BenchmarkRestore(b *testing.B) {
 		b.ReportMetric(float64(uniques)*float64(b.N)/b.Elapsed().Seconds(), "addrs/sec")
 	})
 }
-
-// BenchmarkAbsorb compares the chunk-adopting merge against the
-// deep-copying record merge across the shapes ApplyShard sees.
-// shape=disjoint partitions the stream by IID value, so donor and
-// destination share no address or IID and Absorb adopts whole chunks;
-// shape=colliding partitions by address hash, where cross-/64 EUI-64
-// IIDs collide and Absorb pays its disjointness probe before falling
-// back to record merging — the honest overhead number.
-func BenchmarkAbsorb(b *testing.B) {
-	events, _ := collectorBenchStream()
-	builders := map[string]func(part uint64) *Collector{
-		"disjoint": func(part uint64) *Collector {
-			c := New()
-			for _, ev := range events {
-				if uint64(ev.a.IID())%2 == part {
-					c.ObserveUnix(ev.a, ev.ts, ev.server)
-				}
-			}
-			return c
-		},
-		"colliding": func(part uint64) *Collector {
-			c := New()
-			for _, ev := range events {
-				if ev.a.Hash64()%2 == part {
-					c.ObserveUnix(ev.a, ev.ts, ev.server)
-				}
-			}
-			return c
-		},
-	}
-	for _, shape := range []string{"disjoint", "colliding"} {
-		build := builders[shape]
-		b.Run("shape="+shape+"/path=absorb", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dst, donor := build(0), build(1)
-				b.StartTimer()
-				dst.Absorb(donor)
-			}
-		})
-		b.Run("shape="+shape+"/path=merge", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dst, donor := build(0), build(1)
-				b.StartTimer()
-				dst.Merge(donor)
-			}
-		})
-	}
-}

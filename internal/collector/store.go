@@ -29,10 +29,12 @@ func NewStore() *Store {
 // ApplyShard folds one shard snapshot into the merged view. The store
 // takes ownership: the snapshot must not be used again by its shard
 // afterwards (shards swap in a fresh Collector before handing one
-// over), which lets the merge adopt whole slab chunks from the donor
-// instead of re-inserting record by record (see Collector.Absorb) —
-// shards partition the address space by hash, so cross-shard snapshots
-// never collide and almost every ApplyShard takes the chunk path.
+// over). Into an empty store — a restored seed, or the first snapshot
+// of a run — the snapshot's state is stolen whole in O(1); every later
+// call is a record-by-record Merge, because shards partition addresses
+// by hash but IIDs recur across prefixes, so snapshots collide with the
+// store on IID state (and on the shard's own earlier addresses) even
+// though no two shards share an address (see Collector.Absorb).
 func (s *Store) ApplyShard(part *Collector) {
 	if part == nil {
 		return

@@ -151,34 +151,6 @@ func BenchmarkParseEventBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestQueue compares the two shard-queue implementations
-// under the single-producer shape they both support — the honest
-// apples-to-apples read on what the spsc ring buys over a buffered
-// channel (the worker loops differ only in queue mechanics).
-func BenchmarkIngestQueue(b *testing.B) {
-	events := benchEvents(b)
-	for _, queue := range []string{"chan", "spsc"} {
-		b.Run("queue="+queue, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(4)
-				cfg.ShardQueue = queue
-				p, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				feedConcurrently(p, events, 1)
-				merged := p.Close()
-				if merged.TotalObservations() != uint64(len(events)) {
-					b.Fatalf("lost events: %d != %d",
-						merged.TotalObservations(), len(events))
-				}
-			}
-			b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
-}
-
 func feedConcurrently(p *Pipeline, events []Event, producers int) {
 	var wg sync.WaitGroup
 	chunk := (len(events) + producers - 1) / producers

@@ -2,11 +2,13 @@ package ingest
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"syscall"
 	"time"
 
 	"hitlist6/internal/collector"
@@ -16,7 +18,8 @@ import (
 // the merged corpus's snapshot (see collector.Snapshot) after a full
 // Quiesce, so the artifact provably contains every event flushed before
 // the call; CheckpointFile adds the crash-safe file protocol (write to
-// a temp file in the same directory, fsync, rename) so a torn write
+// a temp file in the same directory, fsync, rename, fsync the
+// directory) so a torn write
 // can never shadow the previous good checkpoint; RestoreFile is the
 // other half, feeding Config.Seed on the next start.
 
@@ -33,10 +36,14 @@ func (p *Pipeline) Checkpoint(w *bufio.Writer) error {
 // AtomicWriteFile writes a file via the crash-safe protocol every
 // durable artifact in this codebase shares: a temp file in the target's
 // directory (so the rename is same-filesystem and atomic), buffered
-// writes, flush, fsync, close, then rename. On any error the previous
-// file at path — the last good checkpoint — is untouched. Returns the
-// bytes written. Study checkpoints reuse this; keep crash-safety fixes
-// here, in the one copy.
+// writes, flush, fsync, close, rename, then fsync of the directory —
+// without the last step the rename itself can be lost with the power,
+// taking a checkpoint already reported durable with it. On an error up
+// to and including the rename the previous file at path — the last good
+// checkpoint — is untouched; on a directory-sync error the new file is
+// complete and in place but not yet known durable. Returns the bytes
+// written. Study checkpoints reuse this; keep crash-safety fixes here,
+// in the one copy.
 func AtomicWriteFile(path string, write func(w io.Writer) error) (int64, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -65,7 +72,27 @@ func AtomicWriteFile(path string, write func(w io.Writer) error) (int64, error) 
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, err
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return 0, fmt.Errorf("sync directory: %w", err)
+	}
 	return size, nil
+}
+
+// syncDir fsyncs a directory, making renames inside it durable. A
+// variable so tests can count the call and inject a failure.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // opened read-only: Close has nothing to report
+	err = d.Sync()
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		// This filesystem cannot sync a directory handle; the rename is
+		// as durable as it will get.
+		return nil
+	}
+	return err
 }
 
 // CheckpointFile checkpoints to path atomically (see AtomicWriteFile)

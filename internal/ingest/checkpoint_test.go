@@ -3,9 +3,10 @@ package ingest
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,15 +14,11 @@ import (
 )
 
 // TestCheckpointRestoreEquivalence is the durable-path extension of the
-// 1/4/16-shard equivalence suite (run with -race): ingest half a stream,
-// checkpoint mid-ingest, restore the checkpoint into a fresh pipeline,
-// finish the stream there — and the final corpus must be byte-identical
-// (canonical Checksum) to an uninterrupted serial run of the whole
-// stream. Both queue kinds take this path: the chan legs feed with
-// concurrent producers, the spsc legs with the single producer that
-// queue admits — plus PinCPUs, so the restore path is also proven under
-// the wire-speed worker setup (on kernels that refuse affinity it
-// degrades to a counted no-op, which must not disturb equivalence).
+// 1/4/16-shard equivalence suite (run with -race): ingest half a stream
+// from three concurrent producers, checkpoint mid-ingest, restore the
+// checkpoint into a fresh pipeline, finish the stream there — and the
+// final corpus must be byte-identical (canonical Checksum) to an
+// uninterrupted serial run of the whole stream.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	events := testEvents(t, 0.03, 12)
 	serial := collector.New()
@@ -30,82 +27,45 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 	want := serial.Checksum()
 
-	feed := func(p *Pipeline, part []Event, producers int) {
-		var wg sync.WaitGroup
-		chunk := (len(part) + producers - 1) / producers
-		for pi := 0; pi < producers; pi++ {
-			lo := pi * chunk
-			hi := min(lo+chunk, len(part))
-			if lo >= hi {
-				continue
+	// One subtest, under the id this leg has always reported as.
+	t.Run("queue=chan", func(t *testing.T) {
+		for _, shards := range []int{1, 4, 16} {
+			cfg := DefaultConfig(shards)
+			cfg.BatchSize = 32
+			first, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			wg.Add(1)
-			go func(sub []Event) {
-				defer wg.Done()
-				b := p.NewBatcher()
-				for _, ev := range sub {
-					b.Add(ev)
-				}
-				b.Flush()
-			}(part[lo:hi])
+			feedConcurrently(first, events[:len(events)/2], 3)
+
+			var ckpt bytes.Buffer
+			bw := bufio.NewWriter(&ckpt)
+			if err := first.Checkpoint(bw); err != nil {
+				t.Fatalf("shards=%d: checkpoint: %v", shards, err)
+			}
+			first.Close() // the interrupted process
+
+			restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
+			if err != nil {
+				t.Fatalf("shards=%d: restore: %v", shards, err)
+			}
+			cfg.Seed = restored
+			second, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedConcurrently(second, events[len(events)/2:], 3)
+			merged := second.Close()
+
+			if got := merged.Checksum(); got != want {
+				t.Errorf("shards=%d: checkpoint/restore corpus differs from serial run", shards)
+			}
+			if merged.TotalObservations() != uint64(len(events)) {
+				t.Errorf("shards=%d: %d observations, want %d", shards,
+					merged.TotalObservations(), len(events))
+			}
 		}
-		wg.Wait()
-	}
-
-	cases := []struct {
-		queue     string
-		producers int
-		pin       bool
-	}{
-		{queue: "chan", producers: 3},
-		{queue: "spsc", producers: 1, pin: true}, // spsc admits at most one producer
-	}
-	for _, tc := range cases {
-		t.Run("queue="+tc.queue, func(t *testing.T) {
-			for _, shards := range []int{1, 4, 16} {
-				mkcfg := func() Config {
-					cfg := DefaultConfig(shards)
-					cfg.BatchSize = 32
-					cfg.ShardQueue = tc.queue
-					cfg.PinCPUs = tc.pin
-					return cfg
-				}
-				first, err := New(mkcfg())
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed(first, events[:len(events)/2], tc.producers)
-
-				var ckpt bytes.Buffer
-				bw := bufio.NewWriter(&ckpt)
-				if err := first.Checkpoint(bw); err != nil {
-					t.Fatalf("shards=%d: checkpoint: %v", shards, err)
-				}
-				first.Close() // the interrupted process
-
-				restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
-				if err != nil {
-					t.Fatalf("shards=%d: restore: %v", shards, err)
-				}
-				cfg2 := mkcfg()
-				cfg2.Seed = restored
-				second, err := New(cfg2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed(second, events[len(events)/2:], tc.producers)
-				merged := second.Close()
-
-				if got := merged.Checksum(); got != want {
-					t.Errorf("shards=%d: checkpoint/restore corpus differs from serial run", shards)
-				}
-				if merged.TotalObservations() != uint64(len(events)) {
-					t.Errorf("shards=%d: %d observations, want %d", shards,
-						merged.TotalObservations(), len(events))
-				}
-			}
-		})
-	}
+	})
 }
 
 // TestCheckpointCoversFlushed: Quiesce-backed checkpoints must contain
@@ -194,6 +154,45 @@ func TestCheckpointFileAtomicAndRestore(t *testing.T) {
 	}
 	if c, err := RestoreFile(path); err == nil {
 		t.Fatalf("corrupt checkpoint restored: %v", c)
+	}
+}
+
+// TestAtomicWriteFileSyncsDir: the rename is followed by exactly one
+// fsync of the target's directory, and a failure of that fsync reaches
+// the caller — the checkpoint may not be reported durable — while the
+// renamed file itself is whole.
+func TestAtomicWriteFileSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "corpus.snap")
+	write := func(w io.Writer) error {
+		_, err := w.Write([]byte("payload"))
+		return err
+	}
+
+	realSync := syncDir
+	defer func() { syncDir = realSync }()
+	var synced []string
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return realSync(d)
+	}
+	if _, err := AtomicWriteFile(path, write); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("directory syncs = %v, want exactly [%s]", synced, dir)
+	}
+
+	injected := errors.New("injected directory fsync failure")
+	syncDir = func(string) error { return injected }
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AtomicWriteFile(path, write); !errors.Is(err, injected) {
+		t.Fatalf("AtomicWriteFile error = %v, want the injected sync failure", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "payload" {
+		t.Fatalf("renamed file after a failed directory sync = %q, %v", got, err)
 	}
 }
 

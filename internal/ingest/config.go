@@ -3,10 +3,14 @@
 // observation store. Events fan out to N collector shards by address
 // hash — per-address updates commute, so same-address sightings always
 // land on the same shard and every shard runs lock-free on private
-// state. Batched channels amortize synchronization, an admission policy
-// provides backpressure (block) or load-shedding (drop), pluggable
-// enrichment stages run inline on each shard, and shard snapshots merge
-// into a single-writer collector.Store that readers can query live.
+// state. Batched channels — the one shard queue — amortize
+// synchronization, an admission policy provides backpressure (block) or
+// load-shedding (drop), pluggable enrichment stages run inline on each
+// shard, and shard snapshots merge into a single-writer collector.Store
+// that readers can query live. The merge is real work, not a handover:
+// shards are disjoint by address but IIDs recur across prefixes, so
+// every snapshot after the first into an empty store shares IID state
+// with it and is folded in record by record (collector.Absorb).
 //
 // The paper's deployment is 27 vantage servers each feeding one stream;
 // this pipeline is what one high-volume vantage (or a central
@@ -40,23 +44,6 @@ type Config struct {
 	// true sheds the batch and counts it in Metrics.Dropped, which is
 	// what a live UDP collector wants instead of kernel buffer bloat.
 	DropOnFull bool
-	// ShardQueue selects the producer→worker queue implementation:
-	// "chan" (the default) is a buffered channel and supports any number
-	// of concurrent producers; "spsc" is a lock-free single-producer
-	// ring (see spscRing) whose fast path is two atomic operations
-	// instead of a channel send — the wire-speed choice for a daemon
-	// whose sources are single reader loops. "spsc" REQUIRES that at
-	// most one goroutine feeds the pipeline (one Batcher, or serialized
-	// Ingest calls); concurrent producers on an spsc pipeline are a data
-	// race. Both queues preserve the pipeline's result exactly — the
-	// shard-equivalence suite runs under each.
-	ShardQueue string
-	// PinCPUs pins each shard worker's OS thread to a CPU (round-robin
-	// over the machine's CPUs) for cache locality at sustained line
-	// rate. Linux-only; elsewhere, and on kernels that refuse the
-	// affinity call, it degrades to a no-op counted in
-	// ingest_pin_errors_total.
-	PinCPUs bool
 	// SnapshotInterval is how often shard snapshots are merged into the
 	// live Store view. 0 disables periodic snapshots: the store is then
 	// only populated by SnapshotNow and Close. Replay-style batch runs
@@ -142,13 +129,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("ingest: QueueDepth %d negative", c.QueueDepth)
-	}
-	switch c.ShardQueue {
-	case "":
-		c.ShardQueue = "chan"
-	case "chan", "spsc":
-	default:
-		return fmt.Errorf("ingest: ShardQueue %q not one of chan, spsc", c.ShardQueue)
 	}
 	if c.ServerCap == 0 {
 		c.ServerCap = collector.MaxServers

@@ -25,11 +25,8 @@ type Metrics struct {
 	checkpointErrors    *telemetry.Counter
 	lastCheckpointUnix  *telemetry.Gauge
 	lastCheckpointBytes *telemetry.Gauge
-	// pinErrors counts shard workers that asked for CPU affinity and
-	// didn't get it (non-Linux platform, restrictive cgroup).
-	pinErrors *telemetry.Counter
-	start     time.Time
-	recent    telemetry.RateWindow
+	start               time.Time
+	recent              telemetry.RateWindow
 }
 
 // pipelineTelemetry is the per-shard/per-stage instrumentation beyond
@@ -71,7 +68,6 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	m.checkpointErrors = reg.Counter("ingest_checkpoint_errors_total", "Failed checkpoint attempts.")
 	m.lastCheckpointUnix = reg.Gauge("ingest_last_checkpoint_unix", "Unix time of the newest good checkpoint.")
 	m.lastCheckpointBytes = reg.Gauge("ingest_last_checkpoint_bytes", "Size of the newest good checkpoint.")
-	m.pinErrors = reg.Counter("ingest_pin_errors_total", "Shard workers whose CPU-affinity request failed.")
 
 	t := &p.tel
 	t.enabled = !p.cfg.noHotPathTelemetry
@@ -98,7 +94,7 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 		sh := s
 		reg.GaugeFunc("ingest_queue_depth",
 			"Current queue depth in batches, per shard.",
-			func() float64 { return float64(sh.queueDepth()) }, shard)
+			func() float64 { return float64(len(sh.in)) }, shard)
 	}
 
 	t.stageSeconds = make([]*telemetry.Histogram, len(p.mergedStages))
@@ -160,7 +156,7 @@ type MetricsSnapshot struct {
 func (p *Pipeline) Metrics() MetricsSnapshot {
 	depth := 0
 	for _, s := range p.shards {
-		depth += s.queueDepth()
+		depth += len(s.in)
 	}
 	now := time.Now()
 	processed := p.metrics.processed.Value()

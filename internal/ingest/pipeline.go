@@ -58,49 +58,15 @@ type Pipeline struct {
 	free chan []Event
 }
 
-// shard is one worker's private world: its inbound batch queue (a
-// buffered channel or an spsc ring, per Config.ShardQueue), a snapshot
-// doorbell, and the lock-free state it owns. idx is the shard's index,
-// the label its telemetry series carry.
+// shard is one worker's private world: its inbound batch queue, a
+// snapshot doorbell, and the lock-free state it owns. idx is the
+// shard's index, the label its telemetry series carry.
 type shard struct {
 	idx    int
-	in     chan []Event // ShardQueue "chan"; nil when ring is set
-	ring   *spscRing    // ShardQueue "spsc"; nil when in is set
+	in     chan []Event
 	snap   chan chan struct{}
 	col    *collector.Collector
 	stages []Stage
-}
-
-// queueDepth reports the shard queue's current depth in batches,
-// whichever queue kind backs it.
-func (s *shard) queueDepth() int {
-	if s.ring != nil {
-		return s.ring.len()
-	}
-	return len(s.in)
-}
-
-// enqueue hands a batch to the shard with blocking admission.
-func (s *shard) enqueue(batch []Event) {
-	if s.ring != nil {
-		s.ring.push(batch)
-		return
-	}
-	s.in <- batch
-}
-
-// tryEnqueue hands a batch to the shard without blocking; reports
-// whether the queue accepted it.
-func (s *shard) tryEnqueue(batch []Event) bool {
-	if s.ring != nil {
-		return s.ring.tryPush(batch)
-	}
-	select {
-	case s.in <- batch:
-		return true
-	default:
-		return false
-	}
 }
 
 // shardSnapshot is the unit handed to the merger goroutine. A non-nil
@@ -136,27 +102,16 @@ func New(cfg Config) (*Pipeline, error) {
 	// Enough recycled batches for every queue slot plus one in flight on
 	// each side; beyond that, putBatch lets extras go to the GC.
 	p.free = make(chan []Event, cfg.Shards*(cfg.QueueDepth+2))
-	p.mergedStages = make([]Stage, len(cfg.Stages))
-	for i, f := range cfg.Stages {
-		p.mergedStages[i] = f()
-	}
+	p.mergedStages = newStages(cfg.Stages)
 	p.shards = make([]*shard, cfg.Shards)
 	for i := range p.shards {
-		s := &shard{
-			idx:  i,
-			snap: make(chan chan struct{}, 1),
-			col:  collector.New(),
+		p.shards[i] = &shard{
+			idx:    i,
+			in:     make(chan []Event, cfg.QueueDepth),
+			snap:   make(chan chan struct{}, 1),
+			col:    collector.New(),
+			stages: newStages(cfg.Stages),
 		}
-		if cfg.ShardQueue == "spsc" {
-			s.ring = newSPSCRing(cfg.QueueDepth)
-		} else {
-			s.in = make(chan []Event, cfg.QueueDepth)
-		}
-		s.stages = make([]Stage, len(cfg.Stages))
-		for j, f := range cfg.Stages {
-			s.stages[j] = f()
-		}
-		p.shards[i] = s
 	}
 	p.registry = cfg.Registry
 	if p.registry == nil {
@@ -193,124 +148,62 @@ func (p *Pipeline) Registry() *telemetry.Registry { return p.registry }
 func (p *Pipeline) NumShards() int { return len(p.shards) }
 
 // runShard is one worker loop: drain batches, fold events, answer
-// snapshot doorbells. The channel and ring queues get separate loops —
-// the channel loop is a plain select, the ring loop implements the
-// sleep/wake protocol — so the chan-vs-spsc benchmark compares queue
-// mechanics, not loop rewrites.
+// snapshot doorbells.
 func (p *Pipeline) runShard(s *shard) {
 	defer p.workersWG.Done()
-	if p.cfg.PinCPUs {
-		if err := pinToCPU(s.idx); err != nil {
-			p.metrics.pinErrors.Add(1)
-		}
-	}
-	if s.ring != nil {
-		p.runShardRing(s)
-		return
-	}
 	for {
 		select {
 		case batch, ok := <-s.in:
 			if !ok {
-				// Producer side closed: push the final state and exit.
-				p.merge <- shardSnapshot{col: s.col, stages: s.stages}
-				s.col, s.stages = nil, nil
+				p.handOff(s, false)
 				return
 			}
 			p.processBatch(s, batch)
 		case done := <-s.snap:
 			// Drain already-queued batches first so everything flushed
 			// before SnapshotNow was called is part of the handoff.
+			open := true
 		drain:
-			for {
+			for open {
 				select {
 				case batch, ok := <-s.in:
-					if !ok {
-						close(done)
-						p.merge <- shardSnapshot{col: s.col, stages: s.stages}
-						s.col, s.stages = nil, nil
-						return
+					if ok {
+						p.processBatch(s, batch)
 					}
-					p.processBatch(s, batch)
+					open = ok
 				default:
 					break drain
 				}
 			}
-			p.merge <- shardSnapshot{col: s.col, stages: s.stages}
-			s.col = collector.New()
-			s.stages = make([]Stage, len(p.cfg.Stages))
-			for j, f := range p.cfg.Stages {
-				s.stages[j] = f()
-			}
+			p.handOff(s, open)
 			close(done)
-		}
-	}
-}
-
-// runShardRing is the worker loop over an spsc ring. Fast path: spin
-// tryPop and fold. Empty: answer any pending snapshot doorbell, then
-// park under the ring's sleep/wake protocol — publish sleep intent,
-// re-check for work that raced the declaration, and only then block on
-// the doorbells. Shutdown mirrors the channel loop: once the ring is
-// closed and drained, push the final state and exit.
-func (p *Pipeline) runShardRing(s *shard) {
-	r := s.ring
-	for {
-		if batch, ok := r.tryPop(); ok {
-			p.processBatch(s, batch)
-			continue
-		}
-		select {
-		case done := <-s.snap:
-			p.snapshotShard(s, done)
-			continue
-		default:
-		}
-		if r.closed.Load() {
-			if batch, ok := r.tryPop(); ok {
-				// A push slipped in between the empty tryPop and the
-				// closed check; fold it before finishing.
-				p.processBatch(s, batch)
-				continue
+			if !open {
+				return
 			}
-			p.merge <- shardSnapshot{col: s.col, stages: s.stages}
-			s.col, s.stages = nil, nil
-			return
-		}
-		r.sleeping.Store(true)
-		if r.len() != 0 || r.closed.Load() {
-			// Work (or shutdown) raced our sleep declaration: take the
-			// flag back and go around.
-			r.sleeping.Store(false)
-			continue
-		}
-		select {
-		case <-r.notify:
-			// wake() already cleared sleeping when it sent the token.
-		case done := <-s.snap:
-			r.sleeping.Store(false)
-			p.snapshotShard(s, done)
 		}
 	}
 }
 
-// snapshotShard drains the ring, hands the shard's state to the merger,
-// and resets for the next epoch — the ring loop's half of SnapshotNow.
-func (p *Pipeline) snapshotShard(s *shard, done chan struct{}) {
-	for {
-		batch, ok := s.ring.tryPop()
-		if !ok {
-			break
-		}
-		p.processBatch(s, batch)
-	}
+// handOff pushes the shard's accumulated state to the merger. While the
+// queue is still open the shard starts its next epoch on fresh state;
+// once the producer side has closed this was the final handoff and the
+// shard keeps nothing.
+func (p *Pipeline) handOff(s *shard, open bool) {
 	p.merge <- shardSnapshot{col: s.col, stages: s.stages}
-	s.col = collector.New()
-	s.stages = make([]Stage, len(p.cfg.Stages))
-	for j, f := range p.cfg.Stages {
-		s.stages[j] = f()
+	s.col, s.stages = nil, nil
+	if open {
+		s.col = collector.New()
+		s.stages = newStages(p.cfg.Stages)
 	}
-	close(done)
+}
+
+// newStages instantiates one private instance of every configured stage.
+func newStages(factories []StageFactory) []Stage {
+	stages := make([]Stage, len(factories))
+	for i, f := range factories {
+		stages[i] = f()
+	}
+	return stages
 }
 
 // processBatch folds one batch into the shard's collector and stages.
@@ -521,11 +414,7 @@ func (p *Pipeline) Close() *collector.Collector {
 		close(p.stopTick)
 		p.tickerWG.Wait()
 		for _, s := range p.shards {
-			if s.ring != nil {
-				s.ring.close()
-			} else {
-				close(s.in)
-			}
+			close(s.in)
 		}
 		p.workersWG.Wait()
 		close(p.merge)
@@ -583,13 +472,15 @@ func (b *Batcher) Flush() {
 func (p *Pipeline) submit(sh int, batch []Event) {
 	s := p.shards[sh]
 	if p.cfg.DropOnFull {
-		if !s.tryEnqueue(batch) {
+		select {
+		case s.in <- batch:
+		default:
 			p.metrics.dropped.Add(uint64(len(batch)))
 			p.putBatch(batch)
 			return
 		}
 	} else {
-		s.enqueue(batch)
+		s.in <- batch
 	}
 	p.metrics.enqueued.Add(uint64(len(batch)))
 	p.metrics.batches.Add(1)
@@ -597,7 +488,7 @@ func (p *Pipeline) submit(sh int, batch []Event) {
 		// The post-send depth is the backpressure high-water signal: a
 		// queue that keeps brushing QueueDepth is a pipeline one burst
 		// away from blocking (or shedding) producers.
-		p.tel.queueHighWater[sh].SetMax(int64(s.queueDepth()))
+		p.tel.queueHighWater[sh].SetMax(int64(len(s.in)))
 	}
 }
 

@@ -11,12 +11,11 @@ import (
 
 // TestShardMergeEquivalence is the concurrency correctness contract of
 // the pipeline (run it with -race): the same event stream, ingested
-// into 1, 4 and 16 shards over each queue implementation, must merge
+// into 1, 4 and 16 shards by several concurrent producers, must merge
 // into byte-identical stores — and match the serial single-collector
 // corpus. Per-address updates commute, so neither the shard count, the
-// queue kind, the producer interleaving, nor the snapshot schedule may
-// leave a trace in the result. The "chan" runs use several concurrent
-// producers; "spsc" uses the one producer its contract allows.
+// producer interleaving, nor the snapshot schedule may leave a trace in
+// the result.
 func TestShardMergeEquivalence(t *testing.T) {
 	events := testEvents(t, 0.03, 12)
 	var serial bytes.Buffer
@@ -30,55 +29,64 @@ func TestShardMergeEquivalence(t *testing.T) {
 		}
 	}()
 
-	for _, queue := range []string{"chan", "spsc"} {
-		producers := 4
-		if queue == "spsc" {
-			producers = 1
+	for _, shards := range []int{1, 4, 16} {
+		cfg := DefaultConfig(shards)
+		cfg.BatchSize = 32 // small batches: more queue traffic under -race
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4, 16} {
-			cfg := DefaultConfig(shards)
-			cfg.BatchSize = 32 // small batches: more queue traffic under -race
-			cfg.ShardQueue = queue
-			p, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var wg sync.WaitGroup
-			chunk := (len(events) + producers - 1) / producers
-			for pi := 0; pi < producers; pi++ {
-				lo := pi * chunk
-				hi := min(lo+chunk, len(events))
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(part []Event) {
-					defer wg.Done()
-					b := p.NewBatcher()
-					for _, ev := range part {
-						b.Add(ev)
-					}
-					b.Flush()
-				}(events[lo:hi])
-			}
-			wg.Wait()
-			// Fold a mid-run snapshot into the mix for shards=4 so the
-			// snapshot/merge path is also covered by the equivalence claim.
-			if shards == 4 {
-				p.SnapshotNow()
-			}
-			merged := p.Close()
-
-			var got bytes.Buffer
-			if err := merged.WriteCanonical(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), serial.Bytes()) {
-				t.Errorf("queue=%s shards=%d: canonical encoding differs from serial (%d vs %d bytes)",
-					queue, shards, got.Len(), serial.Len())
-			}
+		feedConcurrently(p, events, 4)
+		// Fold a mid-run snapshot into the mix for shards=4 so the
+		// snapshot/merge path is also covered by the equivalence claim.
+		if shards == 4 {
+			p.SnapshotNow()
 		}
+		merged := p.Close()
+
+		var got bytes.Buffer
+		if err := merged.WriteCanonical(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), serial.Bytes()) {
+			t.Errorf("shards=%d: canonical encoding differs from serial (%d vs %d bytes)",
+				shards, got.Len(), serial.Len())
+		}
+	}
+}
+
+// TestSnapshotDuringIngest rings the snapshot doorbell repeatedly while
+// three producers are still feeding the pipeline: the mid-stream
+// handoffs — each one a drain racing live enqueues, then a merge into a
+// store that already holds the shard's earlier epochs — must not lose,
+// duplicate or stall events, and must leave the serial collector's exact
+// corpus (run with -race).
+func TestSnapshotDuringIngest(t *testing.T) {
+	events := testEvents(t, 0.02, 6)
+	serial := collector.New()
+	for _, ev := range events {
+		serial.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
+	}
+
+	cfg := DefaultConfig(4)
+	cfg.BatchSize = 16
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		feedConcurrently(p, events, 3)
+	}()
+	for i := 0; i < 8; i++ {
+		p.SnapshotNow()
+	}
+	<-fed
+	merged := p.Close()
+	if merged.Checksum() != serial.Checksum() {
+		t.Errorf("corpus differs from the serial collector's (%d observations, want %d)",
+			merged.TotalObservations(), len(events))
 	}
 }
 

@@ -397,8 +397,9 @@ func (s *DaySliceStage) Process(ev Event) {
 }
 
 // Merge implements Stage. Stage merges own their operand (the contract
-// leaves other unused afterwards), so the collector's chunk-adopting
-// Absorb applies rather than the deep-copying Merge.
+// leaves other unused afterwards), so Absorb applies: the first slice
+// merged into the empty pipeline-level instance is stolen in O(1), the
+// rest are record Merges that leave the donor zeroed.
 func (s *DaySliceStage) Merge(other Stage) {
 	s.Col.Absorb(other.(*DaySliceStage).Col)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkScenario runs each profile's designated cell (4 shards,
-// chan queue, seed 1) through the real pipeline and reports the
+// seed 1) through the real pipeline and reports the
 // per-scenario headline numbers cmd/benchjson tracks: events/sec
 // through the cell, live bytes per address, the probe-run p99/max of
 // the final index layout, and (for drop-hinted profiles) the events
@@ -28,7 +28,7 @@ func BenchmarkScenario(b *testing.B) {
 			b.ResetTimer()
 			var out *cellOutcome
 			for i := 0; i < b.N; i++ {
-				out, err = runCell(p, st, 4, "chan", mode)
+				out, err = runCell(p, st, 4, mode)
 				if err != nil {
 					b.Fatal(err)
 				}

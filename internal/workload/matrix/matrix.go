@@ -1,7 +1,7 @@
 // Package matrix executes workload scenarios through the real ingest
-// pipeline across the determinism axes — shard count × queue kind ×
-// seed, plus a checkpoint-mid-stream → restore split for durable
-// profiles — and asserts the repo's standing invariant cell by cell:
+// pipeline across the determinism axes — shard count × seed, plus a
+// checkpoint-mid-stream → restore split for durable profiles — and
+// asserts the repo's standing invariant cell by cell:
 // every cell of one (profile, seed) must produce the byte-identical
 // canonical corpus checksum and the byte-identical scenario report.
 //
@@ -28,12 +28,11 @@ import (
 )
 
 // Options selects the matrix slice to run. Zero-value fields take the
-// full-matrix defaults (all profiles, {1,4,16} shards, both queue
-// kinds, seeds 1–3, workload.SizeSmall).
+// full-matrix defaults (all profiles, {1,4,16} shards, seeds 1–3,
+// workload.SizeSmall).
 type Options struct {
 	Profiles []string
 	Shards   []int
-	Queues   []string
 	Seeds    []int64
 	Size     workload.Size
 	// SkipDurable disables the checkpoint/restore leg durable profiles
@@ -50,14 +49,13 @@ func Default() Options {
 	return Options{
 		Profiles: workload.Names(),
 		Shards:   []int{1, 4, 16},
-		Queues:   []string{"chan", "spsc"},
 		Seeds:    []int64{1, 2, 3},
 		Size:     workload.SizeSmall,
 	}
 }
 
 // Reduced returns the per-PR CI slice: every profile, the shard-count
-// extremes, both queue kinds, two seeds.
+// extremes, two seeds.
 func Reduced() Options {
 	o := Default()
 	o.Shards = []int{1, 16}
@@ -73,9 +71,6 @@ func (o *Options) fillDefaults() {
 	if len(o.Shards) == 0 {
 		o.Shards = d.Shards
 	}
-	if len(o.Queues) == 0 {
-		o.Queues = d.Queues
-	}
 	if len(o.Seeds) == 0 {
 		o.Seeds = d.Seeds
 	}
@@ -88,7 +83,6 @@ func (o *Options) fillDefaults() {
 type Cell struct {
 	Profile string `json:"profile"`
 	Shards  int    `json:"shards"`
-	Queue   string `json:"queue"`
 	Seed    int64  `json:"seed"`
 	// Mode is "stream" (straight run), "restore" (checkpoint-mid-stream
 	// → restore → finish), or "drop" (DropOnFull load-shedding; excluded
@@ -125,7 +119,7 @@ type Scenario struct {
 
 // Headline is the per-scenario block the bench trajectory tracks. The
 // throughput/probe numbers come from the designated cell (first seed,
-// max shard count, chan queue); drops from that seed's drop cell.
+// max shard count); drops from that seed's drop cell.
 type Headline struct {
 	Events       int     `json:"events"`
 	Addrs        int     `json:"addrs"`
@@ -196,7 +190,6 @@ func runScenario(p *workload.Profile, opts Options) (*Scenario, error) {
 				if seed == opts.Seeds[0] {
 					sc.Report = string(out.report)
 				}
-				return
 			}
 		}
 		check := func(c Cell, out *cellOutcome) error {
@@ -214,45 +207,29 @@ func runScenario(p *workload.Profile, opts Options) (*Scenario, error) {
 			return nil
 		}
 
+		type leg struct {
+			shards int
+			mode   string
+		}
+		var legs []leg
 		for _, shards := range opts.Shards {
-			for _, queue := range opts.Queues {
-				out, err := runCell(p, st, shards, queue, "stream")
-				if err != nil {
-					return nil, err
-				}
-				if err := check(out.cell, out); err != nil {
-					return nil, err
-				}
-				record(out.cell, out)
-			}
+			legs = append(legs, leg{shards, "stream"})
 		}
 		if p.Durable && !opts.SkipDurable {
-			for _, queue := range opts.Queues {
-				out, err := runCell(p, st, maxShards, queue, "restore")
-				if err != nil {
-					return nil, err
-				}
-				if err := check(out.cell, out); err != nil {
-					return nil, err
-				}
-				record(out.cell, out)
-			}
+			legs = append(legs, leg{maxShards, "restore"})
 		}
 		if p.Tiered && !opts.SkipDurable {
-			for _, queue := range opts.Queues {
-				out, err := runCell(p, st, maxShards, queue, "delta-restore")
-				if err != nil {
-					return nil, err
-				}
-				if err := check(out.cell, out); err != nil {
-					return nil, err
-				}
-				record(out.cell, out)
-			}
+			legs = append(legs, leg{maxShards, "delta-restore"})
 		}
 		if p.Hints.DropRun && !opts.SkipDrop {
-			out, err := runCell(p, st, maxShards, "chan", "drop")
+			legs = append(legs, leg{maxShards, "drop"})
+		}
+		for _, l := range legs {
+			out, err := runCell(p, st, l.shards, l.mode)
 			if err != nil {
+				return nil, err
+			}
+			if err := check(out.cell, out); err != nil {
 				return nil, err
 			}
 			record(out.cell, out)
@@ -286,11 +263,11 @@ func runScenario(p *workload.Profile, opts Options) (*Scenario, error) {
 }
 
 // headline picks the designated cell's numbers: first seed, max shard
-// count, chan queue, stream mode — plus the drop cell's shed count.
+// count, stream mode — plus the drop cell's shed count.
 func headline(sc *Scenario, maxShards int, firstSeed int64) Headline {
 	var h Headline
 	for _, c := range sc.Cells {
-		if c.Seed == firstSeed && c.Shards == maxShards && c.Queue == "chan" && c.Mode == "stream" {
+		if c.Seed == firstSeed && c.Shards == maxShards && c.Mode == "stream" {
 			h.Events = c.Events
 			h.Addrs = c.Addrs
 			h.EventsPerSec = c.EventsPerSec
@@ -307,7 +284,7 @@ func headline(sc *Scenario, maxShards int, firstSeed int64) Headline {
 }
 
 func cellID(c Cell) string {
-	return fmt.Sprintf("%s/shards=%d/queue=%s/seed=%d/%s", c.Profile, c.Shards, c.Queue, c.Seed, c.Mode)
+	return fmt.Sprintf("%s/shards=%d/seed=%d/%s", c.Profile, c.Shards, c.Seed, c.Mode)
 }
 
 // cellOutcome carries one cell's full result between assertion and
@@ -320,16 +297,14 @@ type cellOutcome struct {
 }
 
 // cellConfig builds the pipeline config for one cell.
-func cellConfig(p *workload.Profile, st *workload.Stream, shards int, queue string, drop bool) ingest.Config {
-	cfg := ingest.Config{
+func cellConfig(p *workload.Profile, st *workload.Stream, shards int, drop bool) ingest.Config {
+	return ingest.Config{
 		Shards:     shards,
-		ShardQueue: queue,
 		BatchSize:  p.Hints.BatchSize,
 		QueueDepth: p.Hints.QueueDepth,
 		DropOnFull: drop,
 		Stages:     stages(st),
 	}
-	return cfg
 }
 
 // stages builds the enrichment-stage set a scenario report covers.
@@ -350,13 +325,12 @@ func stages(st *workload.Stream) []ingest.StageFactory {
 
 // runCell executes one matrix cell through the real pipeline.
 //
-// All modes feed through Pipeline.Ingest on the calling goroutine: a
-// single producer, which is what the spsc queue requires (the
-// multi-producer chan legs live in the ingest package's own equivalence
-// suite).
-func runCell(p *workload.Profile, st *workload.Stream, shards int, queue, mode string) (*cellOutcome, error) {
+// All modes feed through Pipeline.Ingest on the calling goroutine, a
+// single producer (the multi-producer legs live in the ingest package's
+// own equivalence suite).
+func runCell(p *workload.Profile, st *workload.Stream, shards int, mode string) (*cellOutcome, error) {
 	cell := Cell{
-		Profile: p.Name, Shards: shards, Queue: queue, Seed: st.Seed,
+		Profile: p.Name, Shards: shards, Seed: st.Seed,
 		Mode: mode, Events: len(st.Events),
 	}
 	start := time.Now()
@@ -364,20 +338,20 @@ func runCell(p *workload.Profile, st *workload.Stream, shards int, queue, mode s
 	var final *ingest.Pipeline
 	switch mode {
 	case "stream", "drop":
-		pl, err := ingest.New(cellConfig(p, st, shards, queue, mode == "drop"))
+		pl, err := ingest.New(cellConfig(p, st, shards, mode == "drop"))
 		if err != nil {
 			return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 		}
 		pl.Ingest(st.Events)
 		final = pl
 	case "restore":
-		pl, err := restoreCell(p, st, shards, queue)
+		pl, err := restoreCell(p, st, shards)
 		if err != nil {
 			return nil, err
 		}
 		final = pl
 	case "delta-restore":
-		pl, err := deltaRestoreCell(p, st, shards, queue)
+		pl, err := deltaRestoreCell(p, st, shards)
 		if err != nil {
 			return nil, err
 		}
@@ -429,11 +403,11 @@ func runCell(p *workload.Profile, st *workload.Stream, shards int, queue, mode s
 // into a fresh pipeline (corpus via Config.Seed, stages via SeedStage),
 // feed the rest, and hand the second pipeline back for closing. Its
 // result must be byte-identical to the straight run's.
-func restoreCell(p *workload.Profile, st *workload.Stream, shards int, queue string) (*ingest.Pipeline, error) {
-	cell := Cell{Profile: p.Name, Shards: shards, Queue: queue, Seed: st.Seed, Mode: "restore"}
+func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.Pipeline, error) {
+	cell := Cell{Profile: p.Name, Shards: shards, Seed: st.Seed, Mode: "restore"}
 	half := len(st.Events) / 2
 
-	first, err := ingest.New(cellConfig(p, st, shards, queue, false))
+	first, err := ingest.New(cellConfig(p, st, shards, false))
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
@@ -454,7 +428,7 @@ func restoreCell(p *workload.Profile, st *workload.Stream, shards int, queue str
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: restore: %w", cellID(cell), err)
 	}
-	cfg := cellConfig(p, st, shards, queue, false)
+	cfg := cellConfig(p, st, shards, false)
 	cfg.Seed = restored
 	second, err := ingest.New(cfg)
 	if err != nil {

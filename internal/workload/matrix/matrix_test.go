@@ -7,8 +7,8 @@ import (
 	"hitlist6/internal/workload"
 )
 
-// testOptions is the in-repo slice of the matrix: every profile, both
-// queue kinds, the shard-count extremes, two seeds. CI's
+// testOptions is the in-repo slice of the matrix: every profile, the
+// shard-count extremes, two seeds. CI's
 // scenario-matrix job runs the same slice through cmd/scenario with
 // -race; the nightly trigger runs Default().
 func testOptions() Options {
@@ -22,8 +22,8 @@ func testOptions() Options {
 
 // TestMatrixReduced is the tentpole assertion: the reduced matrix runs
 // clean — every (profile, seed) produces byte-identical corpus
-// checksums and scenario reports across shard counts, queue kinds, and
-// the checkpoint/restore split.
+// checksums and scenario reports across shard counts and the
+// checkpoint/restore split.
 func TestMatrixReduced(t *testing.T) {
 	res, err := Run(testOptions())
 	if err != nil {
@@ -73,7 +73,6 @@ func TestMatrixCollisionSkew(t *testing.T) {
 	opts := Options{
 		Profiles:    []string{"paper", "collision"},
 		Shards:      []int{4},
-		Queues:      []string{"chan"},
 		Seeds:       []int64{1},
 		SkipDurable: true,
 	}
@@ -105,7 +104,6 @@ func TestMatrixStormDetects(t *testing.T) {
 	opts := Options{
 		Profiles: []string{"outage-storm"},
 		Shards:   []int{4},
-		Queues:   []string{"chan"},
 		Seeds:    []int64{1},
 	}
 	res, err := Run(opts)

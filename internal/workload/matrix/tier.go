@@ -27,12 +27,12 @@ import (
 // dirtied blocks, restore base+delta into a fresh pipeline (stages via
 // SeedStage, exactly like restoreCell), and feed the rest. Its corpus
 // and report must be byte-identical to the straight run's.
-func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int, queue string) (*ingest.Pipeline, error) {
-	cell := Cell{Profile: p.Name, Shards: shards, Queue: queue, Seed: st.Seed, Mode: "delta-restore"}
+func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.Pipeline, error) {
+	cell := Cell{Profile: p.Name, Shards: shards, Seed: st.Seed, Mode: "delta-restore"}
 	half := len(st.Events) / 2
 	threeQ := half + len(st.Events)/4
 
-	first, err := ingest.New(cellConfig(p, st, shards, queue, false))
+	first, err := ingest.New(cellConfig(p, st, shards, false))
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
@@ -69,7 +69,7 @@ func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int, queu
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: chain restore: %w", cellID(cell), err)
 	}
-	cfg := cellConfig(p, st, shards, queue, false)
+	cfg := cellConfig(p, st, shards, false)
 	cfg.Seed = restored
 	second, err := ingest.New(cfg)
 	if err != nil {
@@ -163,7 +163,7 @@ func tierLegs(st *workload.Stream, want *cellOutcome) ([]Cell, error) {
 			}
 		}
 		cells = append(cells, Cell{
-			Profile: st.Profile, Queue: "-", Seed: st.Seed, Mode: leg.mode,
+			Profile: st.Profile, Seed: st.Seed, Mode: leg.mode,
 			Checksum: want.cell.Checksum, Events: len(st.Events), Addrs: tc.NumAddrs(),
 		})
 		tc.Close()

@@ -9,9 +9,9 @@
 // backed profiles delegate to simnet (itself deterministic in its
 // seed); synthetic profiles (collision) derive every address and
 // timestamp from seeded counters. That purity is what lets the matrix
-// runner assert byte-identical results across shard counts, queue
-// kinds, and checkpoint/restore splits — any divergence is a pipeline
-// bug, never generator noise.
+// runner assert byte-identical results across shard counts and
+// checkpoint/restore splits — any divergence is a pipeline bug, never
+// generator noise.
 //
 // The profile catalog (see Profiles) covers the regimes the ingest,
 // durable-corpus and analysis layers were each built under pressure
@@ -29,7 +29,7 @@
 //     slots and shard-hash residues — worst-case probe runs and
 //     maximal shard skew.
 //   - backpressure: arrival far above drain rate at tiny queue depths,
-//     exercising both ShardQueue kinds and both admission policies.
+//     exercising both admission policies (block and drop-on-full).
 package workload
 
 import (
