@@ -140,6 +140,9 @@ func headline(bs map[string]Benchmark) map[string]float64 {
 	pick("cold_contains_ns", "BenchmarkColdContains/filter=miss", "")
 	pick("cold_contains_hit_ns", "BenchmarkColdContains/filter=hit", "")
 	pick("streaming_report_eps", "BenchmarkStreamingReport", "addrs/sec")
+	// One whole tier rewrite, and the canonical address order inside it.
+	pick("tier_write_ns", "BenchmarkWriteTier", "")
+	pick("canonical_order_addr_ns", "BenchmarkCanonicalOrder/addr", "")
 	// The scenario matrix (internal/workload/matrix): one headline pair
 	// per named profile, so each workload regime's trajectory is tracked
 	// on its own instead of only in aggregate. The adversarial profiles

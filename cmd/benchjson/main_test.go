@@ -114,3 +114,18 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("regression not flagged:\n%s", out2.String())
 	}
 }
+
+// TestTierHeadline pins the tier-rewrite headline keys to their rows.
+func TestTierHeadline(t *testing.T) {
+	rep, err := Parse(strings.NewReader(`goos: linux
+BenchmarkCanonicalOrder/addr-2         	      20	  23911749 ns/op	12501000 B/op	       3 allocs/op
+BenchmarkCanonicalOrder/iid-2          	      20	  25579917 ns/op	11141127 B/op	       2 allocs/op
+BenchmarkWriteTier-2   	      20	  52977541 ns/op	 324.05 MB/s	30113048 B/op	     167 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Headline["tier_write_ns"] != 52977541 || rep.Headline["canonical_order_addr_ns"] != 23911749 {
+		t.Fatalf("tier headline wrong: %v", rep.Headline)
+	}
+}

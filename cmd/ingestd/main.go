@@ -89,14 +89,19 @@ type daemon struct {
 	snapPath  string // "": durable snapshots disabled
 	deltaMode bool   // -snapshot.delta: checkpoints run the chain protocol
 
-	// Tiered corpus (-corpus.rambudget; see tier.go). tierMu serializes
-	// every access to tier, including swapping it for a fresh file after a
-	// checkpoint.
-	ramBudget int64  // 0: tiering disabled
-	tierPath  string // "": tiering disabled
-	pagerMet  *pager.Metrics
-	tierMu    sync.Mutex
-	tier      *pager.Corpus // nil until the first tier file exists
+	// Tiered corpus (-corpus.rambudget; see tier.go). tierMu guards the
+	// tier pointer, not the corpus behind it (pager.Corpus serializes
+	// itself): /probe and /stats read through it on the read side, and
+	// only swapTier takes the write side, for the pointer trade alone.
+	// refreshMu admits one tier rewrite at a time and is taken before
+	// tierMu, never while holding it.
+	ramBudget   int64  // 0: tiering disabled
+	tierPath    string // "": tiering disabled
+	pagerMet    *pager.Metrics
+	tierRefresh [len(tierPhases)]*telemetry.Histogram
+	refreshMu   sync.Mutex
+	tierMu      sync.RWMutex
+	tier        *pager.Corpus // nil until the first tier file exists
 
 	badLines      atomic.Uint64
 	latestOutages atomic.Pointer[outagesReply]
@@ -168,13 +173,13 @@ func (d *daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	size, err := d.checkpointNow()
+	size, phases, err := d.checkpointNow()
 	if err != nil {
 		d.log.Error("snapshot failed", "path", d.snapPath, "error", err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	d.log.Info("snapshot written", "path", d.snapPath, "bytes", size)
+	d.log.Info("snapshot written", append([]any{"path", d.snapPath, "bytes", size}, phases...)...)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(snapshotReply{
 		Path:   d.snapPath,
@@ -190,24 +195,24 @@ func (d *daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // otherwise a plain full snapshot — and, when the tiered corpus is
 // enabled, refreshes the tier file to match. A tier refresh failure is
 // logged but does not fail the checkpoint: the durable corpus is the
-// artifact that matters; the tier is a rebuildable query index.
-func (d *daemon) checkpointNow() (int64, error) {
-	var size int64
-	var err error
+// artifact that matters; the tier is a rebuildable query index. A
+// refresh's phase durations come back as log attributes.
+func (d *daemon) checkpointNow() (size int64, phases []any, err error) {
 	if d.deltaMode {
 		size, err = d.pipe.CheckpointChain(d.snapPath)
 	} else {
 		size, err = d.pipe.CheckpointFile(d.snapPath)
 	}
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if d.tierPath != "" {
-		if terr := d.refreshTier(); terr != nil {
+		var terr error
+		if phases, terr = d.refreshTier(); terr != nil {
 			d.log.Error("tier refresh failed", "path", d.tierPath, "error", terr)
 		}
 	}
-	return size, nil
+	return size, phases, nil
 }
 
 // shutdown drains the daemon in dependency order: flip readiness off
@@ -228,7 +233,7 @@ func (d *daemon) shutdown(srv *http.Server) {
 	}
 	d.pipe.Quiesce()
 	if d.snapPath != "" {
-		if size, err := d.checkpointNow(); err != nil {
+		if size, _, err := d.checkpointNow(); err != nil {
 			d.log.Error("final checkpoint failed", "path", d.snapPath, "error", err)
 		} else {
 			d.log.Info("final checkpoint", "path", d.snapPath, "bytes", size)
@@ -409,10 +414,7 @@ func main() {
 		deltaMode: *snapDelta,
 	}
 	if *ramBudget > 0 {
-		d.ramBudget = *ramBudget
-		d.tierPath = tierPath(*snapDir)
-		d.pagerMet = pager.NewMetrics(reg)
-		d.openTierAtStart()
+		d.enableTier(*snapDir, *ramBudget)
 		logger.Info("tiered corpus enabled",
 			"path", d.tierPath, "budget_bytes", d.ramBudget)
 	}
@@ -562,14 +564,16 @@ type statsReply struct {
 
 func buildStats(pipe *ingest.Pipeline, udp *udpSource) statsReply {
 	reply := statsReply{
-		Shards:       pipe.NumShards(),
-		Metrics:      pipe.Metrics(),
-		UDP:          udp.statsReply(),
-		UniqueAddrs:  pipe.Store().NumAddrs(),
-		UniqueIIDs:   pipe.Store().NumIIDs(),
-		Observations: pipe.Store().TotalObservations(),
-		Categories:   make(map[string]uint64),
+		Shards:     pipe.NumShards(),
+		Metrics:    pipe.Metrics(),
+		UDP:        udp.statsReply(),
+		Categories: make(map[string]uint64),
 	}
+	// One View, one lock hold: read apart, a shard merge can land between
+	// the three and the reply describes no corpus that ever existed.
+	pipe.Store().View(func(c *collector.Collector) {
+		reply.UniqueAddrs, reply.UniqueIIDs, reply.Observations = c.NumAddrs(), c.NumIIDs(), c.TotalObservations()
+	})
 	pipe.StageView(func(stages []ingest.Stage) {
 		for _, st := range stages {
 			switch s := st.(type) {

@@ -11,50 +11,100 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"time"
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/ingest"
 	"hitlist6/internal/pager"
+	"hitlist6/internal/telemetry"
 )
 
-// refreshTier rewrites the tier file from the live corpus (atomically,
-// like every durable artifact) and swaps the daemon's pager onto the
-// new file. Serialized with every tier read via tierMu, so the old
-// corpus is never closed under an in-flight probe.
-//
-//lint:durable-path the tier file must survive a crash mid-rewrite
-func (d *daemon) refreshTier() error {
-	d.tierMu.Lock()
-	defer d.tierMu.Unlock()
-	if _, err := ingest.AtomicWriteFile(d.tierPath, func(w io.Writer) error {
-		var inner error
-		d.pipe.Store().View(func(c *collector.Collector) {
-			inner = pager.WriteTier(c, w)
-		})
-		return inner
-	}); err != nil {
-		return err
-	}
-	return d.openTierLocked()
-}
+// tierPhases are the consecutive phases of one tier refresh, the phase
+// label of ingestd_tier_refresh_seconds: "order" runs until the first
+// byte is written (both canonical sorts, the directory and the IID
+// bytes — pager.WriteTier writes nothing before they exist), "encode"
+// streams the sections into the temp file's buffer, "sync" is flush,
+// fsync, rename and directory fsync, "swap" opens the new file and
+// trades readers.
+var tierPhases = [...]string{"order", "encode", "sync", "swap"}
 
-// openTierAtStart picks up a tier file left by a previous run, so
-// /probe serves immediately after a restart. A missing or unreadable
-// file is not fatal — the next checkpoint rewrites it.
-func (d *daemon) openTierAtStart() {
-	d.tierMu.Lock()
-	defer d.tierMu.Unlock()
+// enableTier switches the tiered corpus on: the tier file lives in dir
+// beside the checkpoint, and one left there by a previous run is opened
+// so /probe serves immediately after a restart (a missing or unreadable
+// file is not fatal — the next checkpoint rewrites it).
+func (d *daemon) enableTier(dir string, budget int64) {
+	d.ramBudget = budget
+	d.tierPath = tierPath(dir)
+	d.pagerMet = pager.NewMetrics(d.reg)
+	for i, phase := range tierPhases {
+		d.tierRefresh[i] = d.reg.Histogram("ingestd_tier_refresh_seconds",
+			"Wall time of one tier refresh by phase: order, encode, sync, swap.",
+			telemetry.DurationBuckets(), telemetry.L("phase", phase))
+	}
 	if _, err := os.Stat(d.tierPath); err != nil {
 		return
 	}
-	if err := d.openTierLocked(); err != nil {
+	if err := d.swapTier(); err != nil {
 		d.log.Warn("stale tier file unreadable; will rewrite at next checkpoint",
 			"path", d.tierPath, "error", err)
 	}
 }
 
-func (d *daemon) openTierLocked() error {
+// stampWriter notes when its first byte arrives.
+type stampWriter struct {
+	io.Writer
+	first time.Time
+}
+
+func (s *stampWriter) Write(p []byte) (int, error) {
+	if s.first.IsZero() {
+		s.first = time.Now()
+	}
+	return s.Writer.Write(p)
+}
+
+// refreshTier rewrites the tier file from the live corpus (atomically,
+// like every durable artifact) and swaps the daemon's pager onto the
+// new file. The rewrite holds refreshMu — one refresh at a time — and
+// the store's read lock while it encodes, but not tierMu: probes keep
+// answering off the sealed old file until swapTier trades the pointer.
+// It returns the phase durations as log attributes (tier_order_s, ...).
+//
+//lint:durable-path the tier file must survive a crash mid-rewrite
+func (d *daemon) refreshTier() (phases []any, err error) {
+	d.refreshMu.Lock()
+	defer d.refreshMu.Unlock()
+	start := time.Now()
+	var first, encoded time.Time
+	if _, err = ingest.AtomicWriteFile(d.tierPath, func(w io.Writer) error {
+		sw := &stampWriter{Writer: w}
+		var inner error
+		d.pipe.Store().View(func(c *collector.Collector) {
+			inner = pager.WriteTier(c, sw)
+		})
+		first, encoded = sw.first, time.Now()
+		return inner
+	}); err != nil {
+		return nil, err
+	}
+	synced := time.Now()
+	if err = d.swapTier(); err != nil {
+		return nil, err
+	}
+	for i, dur := range [...]time.Duration{first.Sub(start), encoded.Sub(first), synced.Sub(encoded), time.Since(synced)} {
+		d.tierRefresh[i].ObserveDuration(dur)
+		phases = append(phases, "tier_"+tierPhases[i]+"_s", dur.Seconds())
+	}
+	return phases, nil
+}
+
+// swapTier opens the tier file and makes it the one /probe reads. The
+// write side of tierMu is held for the pointer trade alone: acquiring
+// it waits out the in-flight reads of the old file, after which nobody
+// can reach it and it is closed outside the lock. Callers hold
+// refreshMu (or run before the daemon serves).
+func (d *daemon) swapTier() error {
 	nc, err := pager.Open(d.tierPath, pager.Options{
 		RAMBudget: d.ramBudget,
 		Metrics:   d.pagerMet,
@@ -62,12 +112,15 @@ func (d *daemon) openTierLocked() error {
 	if err != nil {
 		return err
 	}
-	if d.tier != nil {
-		if cerr := d.tier.Close(); cerr != nil {
+	d.tierMu.Lock()
+	old := d.tier
+	d.tier = nc
+	d.tierMu.Unlock()
+	if old != nil {
+		if cerr := old.Close(); cerr != nil {
 			d.log.Warn("closing previous tier reader", "path", d.tierPath, "error", cerr)
 		}
 	}
-	d.tier = nc
 	return nil
 }
 
@@ -83,7 +136,9 @@ type probeReply struct {
 
 // handleProbe serves point lookups off the tiered corpus — the cold
 // -probe path: fence search, bloom filter, and at most one chunk pread,
-// never touching the live store or its locks.
+// never touching the live store or its locks. It holds the read side of
+// tierMu for the lookup, so probes run beside each other and beside a
+// tier rewrite; only the pointer trade in swapTier excludes them.
 func (d *daemon) handleProbe(w http.ResponseWriter, r *http.Request) {
 	if d.tierPath == "" {
 		http.Error(w, "tiered corpus disabled (-corpus.rambudget 0)", http.StatusNotFound)
@@ -94,8 +149,8 @@ func (d *daemon) handleProbe(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "probe needs ?addr=<ipv6>: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	d.tierMu.Lock()
-	defer d.tierMu.Unlock()
+	d.tierMu.RLock()
+	defer d.tierMu.RUnlock()
 	if d.tier == nil {
 		http.Error(w, "tier not yet written (POST /snapshot)", http.StatusServiceUnavailable)
 		return
@@ -135,8 +190,8 @@ func (d *daemon) tierStats() *tierStatsReply {
 	if d.tierPath == "" {
 		return nil
 	}
-	d.tierMu.Lock()
-	defer d.tierMu.Unlock()
+	d.tierMu.RLock()
+	defer d.tierMu.RUnlock()
 	if d.tier == nil {
 		return nil
 	}

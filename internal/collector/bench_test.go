@@ -232,3 +232,34 @@ func TestFlatLayoutAllocWin(t *testing.T) {
 		t.Errorf("flat layout allocs %.0f vs seed %.0f: want >= 2x fewer", flat, seed)
 	}
 }
+
+// BenchmarkCanonicalOrder measures the canonical-order kernel alone —
+// key extraction plus the radix sort — on a paper-shaped corpus of
+// >= 200k addresses: the cost every Checksum, AddrsCanonical walk and
+// tier rewrite pays once.
+func BenchmarkCanonicalOrder(b *testing.B) {
+	events, _ := collectorBenchStream()
+	c := New()
+	for _, ev := range events[:300_000] {
+		c.ObserveUnix(ev.a, ev.ts, ev.server)
+	}
+	if c.NumAddrs() < 200_000 {
+		b.Fatalf("corpus holds %d addrs, want >= 200k", c.NumAddrs())
+	}
+	b.Run("addr", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := c.sortedAddrIdx(); len(got) != c.NumAddrs() {
+				b.Fatalf("ordered %d of %d addrs", len(got), c.NumAddrs())
+			}
+		}
+	})
+	b.Run("iid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := c.sortedIIDRefs(); len(got) != c.NumIIDs() {
+				b.Fatalf("ordered %d of %d IIDs", len(got), c.NumIIDs())
+			}
+		}
+	})
+}

@@ -1,48 +1,114 @@
 package collector
 
 import (
-	"bufio"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
-	"sort"
+	"iter"
+	"slices"
 
 	"hitlist6/internal/addr"
 )
 
+// canonKey is one extracted sort key: the 128-bit value a record orders
+// by (IIDs leave hi zero) and the slab reference it stands for. Keys are
+// pulled out of the slabs once, so the sort never chases a slab pointer.
+type canonKey struct {
+	hi, lo uint64
+	ref    uint32
+}
+
+// sortCanonKeys orders keys ascending by (hi, lo): a byte-wise LSD radix
+// sort — one sweep histograms all 16 digits, then each digit that
+// actually varies gets one stable scatter between keys and tmp (same
+// length). Digits every key shares (an IID's zero hi, a corpus's common
+// prefix bytes) cost nothing. The result is whichever of the two slices
+// the last scatter landed in.
+func sortCanonKeys(keys, tmp []canonKey) []canonKey {
+	var hist [16][256]uint32
+	for i := range keys {
+		k := &keys[i]
+		for b := 0; b < 8; b++ {
+			hist[b][byte(k.lo>>(8*b))]++
+			hist[8+b][byte(k.hi>>(8*b))]++
+		}
+	}
+	n := uint32(len(keys))
+	for d := range hist {
+		h := &hist[d]
+		if slices.Contains(h[:], n) {
+			continue // one bucket holds every key
+		}
+		sum := uint32(0)
+		for v, cnt := range h {
+			h[v], sum = sum, sum+cnt
+		}
+		shift := 8 * uint(d&7)
+		for _, k := range keys {
+			w := k.lo
+			if d >= 8 {
+				w = k.hi
+			}
+			v := byte(w >> shift)
+			tmp[h[v]] = k
+			h[v]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
 // sortedAddrIdx returns the address slab indices in canonical order
 // (ascending by the 128-bit address value).
 func (c *Collector) sortedAddrIdx() []uint32 {
-	idx := make([]uint32, c.addrRecs.n)
-	for i := range idx {
-		idx[i] = uint32(i)
+	n := c.addrRecs.n
+	keys := make([]canonKey, n)
+	for i := range keys {
+		a := &c.addrRecs.at(uint32(i)).key
+		keys[i] = canonKey{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:]), uint32(i)}
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		return c.addrRecs.at(idx[i]).key.Less(c.addrRecs.at(idx[j]).key)
-	})
+	keys = sortCanonKeys(keys, make([]canonKey, n))
+	idx := make([]uint32, n)
+	for i, k := range keys {
+		idx[i] = k.ref
+	}
 	return idx
 }
 
-// iidRefPair couples an IID with its table reference for sorting.
-type iidRefPair struct {
-	key addr.IID
-	ref uint32
-}
-
-// sortedIIDRefs returns every IID (promoted and singleton) with its
-// reference, in ascending IID order.
-func (c *Collector) sortedIIDRefs() []iidRefPair {
-	out := make([]iidRefPair, 0, c.iidUsed)
+// sortedIIDRefs returns every IID (promoted and singleton) as a key
+// whose lo is the IID and whose ref is its table reference, in
+// ascending IID order.
+func (c *Collector) sortedIIDRefs() []canonKey {
+	keys := make([]canonKey, 0, c.iidUsed)
 	for _, v := range c.iidIdx {
 		if v == 0 {
 			continue
 		}
-		ref := v - 1
-		out = append(out, iidRefPair{key: c.iidKeyOf(ref), ref: ref})
+		keys = append(keys, canonKey{lo: uint64(c.iidKeyOf(v - 1)), ref: v - 1})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
+	return sortCanonKeys(keys, make([]canonKey, len(keys)))
 }
+
+// CanonicalOrder computes the canonical address order (ascending by
+// address value) once and returns a walk over it that can run any
+// number of times — the tier writer's directory and chunk passes share
+// one. The walk reads the collector's slab: valid until the next write.
+func (c *Collector) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
+	idx := c.sortedAddrIdx()
+	return func(yield func(addr.Addr, AddrRecord) bool) {
+		for _, i := range idx {
+			if e := c.addrRecs.at(i); !yield(e.key, e.rec) {
+				return
+			}
+		}
+	}
+}
+
+// canonFlush is how many encoded bytes WriteCanonical gathers between
+// writes: large enough that the writer (a hash, a file) sees long runs,
+// small enough that a checksum never holds the corpus twice.
+const canonFlush = 1 << 16
 
 // WriteCanonical writes a deterministic binary encoding of the corpus:
 // every (address, record) pair sorted by address, then every (IID,
@@ -52,67 +118,81 @@ func (c *Collector) sortedIIDRefs() []iidRefPair {
 // count, merge schedule or storage layout (the encoding predates the
 // flat-slab engine and is pinned by a golden-checksum test). This is the
 // ground truth the sharded-ingest equivalence tests assert on.
-func (c *Collector) WriteCanonical(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		bw.Write(scratch[:])
-	}
-
-	putU64(c.total)
+func (c *Collector) WriteCanonical(w io.Writer) (err error) {
+	buf := make([]byte, 0, canonFlush+1024)
+	buf = binary.BigEndian.AppendUint64(buf, c.total)
 
 	addrIdx := c.sortedAddrIdx()
-	putU64(uint64(len(addrIdx)))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(addrIdx)))
 	for _, ri := range addrIdx {
 		e := c.addrRecs.at(ri)
-		bw.Write(e.key[:])
-		putU64(uint64(e.rec.First))
-		putU64(uint64(e.rec.Last))
-		putU64(uint64(e.rec.Count))
-		putU64(uint64(e.rec.Servers))
+		buf = append(buf, e.key[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.First))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.Last))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.Count))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.Servers))
+		if buf, err = spill(buf, w); err != nil {
+			return err
+		}
 	}
 
-	if err := c.writeCanonicalIIDsTo(bw); err != nil {
+	if buf, err = c.appendCanonicalIIDs(buf, w); err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err = w.Write(buf)
+	return err
 }
 
-// WriteCanonicalIIDs writes only the IID half of the canonical encoding
+// spill hands buf to w once it holds canonFlush bytes and starts it
+// again; a nil writer keeps everything in buf.
+func spill(buf []byte, w io.Writer) ([]byte, error) {
+	if w == nil || len(buf) < canonFlush {
+		return buf, nil
+	}
+	_, err := w.Write(buf)
+	return buf[:0], err
+}
+
+// CanonicalIIDs returns only the IID half of the canonical encoding
 // (IID count, then every IID record in ascending order with sorted
-// spans). The tiered corpus format embeds exactly these bytes as its
-// resident IID tier so a pager-backed checksum can splice them in
-// without holding the collector.
-func (c *Collector) WriteCanonicalIIDs(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := c.writeCanonicalIIDsTo(bw); err != nil {
-		return err
+// spans) in one buffer allocated at its exact size. The tiered corpus
+// format embeds exactly these bytes as its resident IID tier so a
+// pager-backed checksum can splice them in without holding the
+// collector.
+func (c *Collector) CanonicalIIDs() []byte {
+	// Per IID: key, first, last, count, span count (or the untracked
+	// marker); per span of a tracked IID: prefix, first, last.
+	size := 8 + 40*int(c.iidUsed)
+	for i := uint32(0); i < c.iidRecs.n; i++ {
+		if e := c.iidRecs.at(i); e.spans != spanNone {
+			size += 24 * int(e.p64n)
+		}
 	}
-	return bw.Flush()
+	buf, _ := c.appendCanonicalIIDs(make([]byte, 0, size), nil)
+	return buf
 }
 
-func (c *Collector) writeCanonicalIIDsTo(bw *bufio.Writer) error {
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		bw.Write(scratch[:])
-	}
-
+// appendCanonicalIIDs encodes the IID half onto buf, spilling into w as
+// it goes (see spill) and returning the unwritten tail; with a nil
+// writer it only appends and cannot fail.
+func (c *Collector) appendCanonicalIIDs(buf []byte, w io.Writer) (_ []byte, err error) {
 	iids := c.sortedIIDRefs()
-	putU64(uint64(len(iids)))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(iids)))
 	var p64s []spanNode // scratch, reused across IIDs
 	for _, p := range iids {
+		if buf, err = spill(buf, w); err != nil {
+			return nil, err
+		}
 		v := IIDView{c: c, ref: p.ref}
 		first, last, count := v.summary()
-		putU64(uint64(p.key))
-		putU64(uint64(first))
-		putU64(uint64(last))
-		putU64(uint64(count))
+		buf = binary.BigEndian.AppendUint64(buf, p.lo)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(first))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(last))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(count))
 		r := v.promoted()
 		if r == nil || r.spans == spanNone {
 			// Untracked IIDs encode as the seed layout's nil span map.
-			putU64(0xffffffffffffffff)
+			buf = binary.BigEndian.AppendUint64(buf, 0xffffffffffffffff)
 			continue
 		}
 		p64s = p64s[:0]
@@ -121,15 +201,15 @@ func (c *Collector) writeCanonicalIIDsTo(bw *bufio.Writer) error {
 			p64s = append(p64s, *n)
 			i = n.next
 		}
-		sort.Slice(p64s, func(i, j int) bool { return uint64(p64s[i].p64) < uint64(p64s[j].p64) })
-		putU64(uint64(len(p64s)))
+		slices.SortFunc(p64s, func(a, b spanNode) int { return cmp.Compare(a.p64, b.p64) })
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(p64s)))
 		for _, n := range p64s {
-			putU64(uint64(n.p64))
-			putU64(uint64(n.first))
-			putU64(uint64(n.last))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(n.p64))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(n.first))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(n.last))
 		}
 	}
-	return nil
+	return buf, nil
 }
 
 // Checksum returns the SHA-256 of the canonical encoding: a compact

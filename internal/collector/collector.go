@@ -696,12 +696,7 @@ func (c *Collector) Addrs(fn func(a addr.Addr, r AddrRecord) bool) {
 // so consumers that need run-to-run determinism share one definition of
 // "sorted corpus".
 func (c *Collector) AddrsCanonical(fn func(a addr.Addr, r AddrRecord) bool) {
-	for _, i := range c.sortedAddrIdx() {
-		e := c.addrRecs.at(i)
-		if !fn(e.key, e.rec) {
-			return
-		}
-	}
+	c.CanonicalOrder()(fn)
 }
 
 // IIDs iterates every (IID, view) pair in unspecified order.

@@ -19,6 +19,7 @@ var deterministicPkgs = map[string]bool{
 	"hitlist6/internal/outage":    true,
 	"hitlist6/internal/tracking":  true,
 	"hitlist6/internal/scan":      true,
+	"hitlist6/internal/wigle":     true,
 	// The scenario harness asserts byte-identical reports per seed — its
 	// own generation and rendering must hold the invariant it checks.
 	"hitlist6/internal/workload":        true,

@@ -6,6 +6,7 @@ import (
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
+	"hitlist6/internal/workload"
 )
 
 // countWriter measures a snapshot's size without holding it.
@@ -139,4 +140,36 @@ func BenchmarkStreamingReport(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "addrs/sec")
+}
+
+// BenchmarkWriteTier measures one whole tier rewrite — both canonical
+// orders, the directory with its blooms, the IID bytes and every chunk
+// section — over the paper profile at the repository benchmark's size
+// (>= 200k addresses). MB/s is tier-file bytes produced; the daemon
+// pays this once per checkpoint under -corpus.rambudget.
+func BenchmarkWriteTier(b *testing.B) {
+	p, _ := workload.Lookup("paper")
+	st, err := p.Stream(1, workload.Size{Scale: 0.5, Days: 218})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := collector.New()
+	for _, ev := range st.Events {
+		c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
+	}
+	if c.NumAddrs() < 200_000 {
+		b.Fatalf("corpus holds %d addrs, want >= 200k", c.NumAddrs())
+	}
+	var w countWriter
+	if err := WriteTier(c, &w); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(w.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteTier(c, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

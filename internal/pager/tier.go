@@ -21,7 +21,6 @@
 package pager
 
 import (
-	"bytes"
 	"encoding/binary"
 	"io"
 
@@ -62,15 +61,15 @@ const (
 
 // WriteTier serializes c as a tier file. Chunks are cut from the
 // canonical address order, so chunk key ranges are disjoint and sorted
-// — the property the directory fence search relies on. Two passes over
-// the sorted corpus: the first builds the directory (counts, fences,
-// blooms), the second streams the chunk payloads, so nothing but the
-// directory is buffered.
+// — the property the directory fence search relies on. The order is
+// computed once and walked twice: the first walk builds the directory
+// (counts, fences, blooms), the second streams the chunk payloads, so
+// nothing but the order, the directory and the IID bytes is buffered.
+// All three exist before the first byte reaches w — a caller timing its
+// first Write has timed the ordering.
 func WriteTier(c *collector.Collector, w io.Writer) error {
-	var iidBuf bytes.Buffer
-	if err := c.WriteCanonicalIIDs(&iidBuf); err != nil {
-		return err
-	}
+	iidBuf := c.CanonicalIIDs()
+	order := c.CanonicalOrder()
 	n := c.NumAddrs()
 	chunks := (n + TierChunkRecs - 1) / TierChunkRecs
 
@@ -81,7 +80,7 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 	}
 	dir := make([]dirEnt, chunks)
 	i := 0
-	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+	order(func(a addr.Addr, _ collector.AddrRecord) bool {
 		d := &dir[i/TierChunkRecs]
 		if d.n == 0 {
 			d.min = a
@@ -107,7 +106,7 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 	binary.BigEndian.PutUint64(meta[8:], uint64(n))
 	binary.BigEndian.PutUint32(meta[16:], TierChunkRecs)
 	binary.BigEndian.PutUint32(meta[20:], uint32(chunks))
-	binary.BigEndian.PutUint64(meta[24:], uint64(iidBuf.Len()))
+	binary.BigEndian.PutUint64(meta[24:], uint64(len(iidBuf)))
 	if _, err := sw.Write(meta[:]); err != nil {
 		return err
 	}
@@ -140,17 +139,17 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 		return err
 	}
 
-	if err := sw.Begin(secTierIIDs, uint64(iidBuf.Len())); err != nil {
+	if err := sw.Begin(secTierIIDs, uint64(len(iidBuf))); err != nil {
 		return err
 	}
-	if _, err := sw.Write(iidBuf.Bytes()); err != nil {
+	if _, err := sw.Write(iidBuf); err != nil {
 		return err
 	}
 	if err := sw.End(); err != nil {
 		return err
 	}
 
-	// Second pass: the chunk payloads, one section per chunk.
+	// Second walk: the chunk payloads, one section per chunk.
 	var (
 		buf      []byte
 		ci       = -1
@@ -169,7 +168,7 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 		writeErr = sw.End()
 	}
 	i = 0
-	c.AddrsCanonical(func(a addr.Addr, r collector.AddrRecord) bool {
+	order(func(a addr.Addr, r collector.AddrRecord) bool {
 		if i/TierChunkRecs != ci {
 			flushChunk()
 			ci = i / TierChunkRecs

@@ -8,7 +8,10 @@
 package wigle
 
 import (
+	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hitlist6/internal/addr"
@@ -112,6 +115,7 @@ var countryCentroids = map[string]Location{
 func NearestCountry(l Location) string {
 	best, bestD := "??", 0.0
 	first := true
+	//lint:ordered a minimum under a total order (distance, then code) does not depend on visit order
 	for cc, c := range countryCentroids {
 		d := (l.Lat-c.Lat)*(l.Lat-c.Lat) + (l.Lon-c.Lon)*(l.Lon-c.Lon)
 		if first || d < bestD || (d == bestD && cc < best) {
@@ -169,7 +173,10 @@ func Build(w *simnet.World, cfg BuildConfig) *DB {
 	}
 
 	// Noise: wardriven APs whose wired twin never queried our servers.
-	for o := range coveredOUIs {
+	// The OUIs go in sorted order: each draws from rng, so map order here
+	// would make the database differ between runs at one seed.
+	ouis := slices.SortedFunc(maps.Keys(coveredOUIs), func(a, b addr.OUI) int { return bytes.Compare(a[:], b[:]) })
+	for _, o := range ouis {
 		for i := 0; i < cfg.Noise; i++ {
 			var m addr.MAC
 			m[0], m[1], m[2] = o[0], o[1], o[2]

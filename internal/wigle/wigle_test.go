@@ -1,6 +1,7 @@
 package wigle
 
 import (
+	"maps"
 	"testing"
 
 	"hitlist6/internal/addr"
@@ -125,5 +126,27 @@ func TestBuildCoverage(t *testing.T) {
 	again := Build(w, BuildConfig{Coverage: 1.0, IoTAPShare: 0, Noise: 10, Seed: 1})
 	if again.Len() != noisy.Len() {
 		t.Error("build not deterministic")
+	}
+}
+
+// TestBuildIsAFunctionOfItsSeed pins the database — every BSSID and
+// coordinate, noise included — to (world, config): the noise loop draws
+// from the rng per covered OUI, so visiting the OUIs in map order made
+// one seed yield different databases (and §5.3 counts) run to run.
+func TestBuildIsAFunctionOfItsSeed(t *testing.T) {
+	cfg := simnet.DefaultConfig(10, 0.1)
+	cfg.Days = 5
+	w, err := simnet.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Build(w, DefaultBuildConfig(10))
+	if want.Len() == 0 {
+		t.Fatal("empty database")
+	}
+	for i := 1; i < 20; i++ {
+		if got := Build(w, DefaultBuildConfig(10)); !maps.Equal(got.locs, want.locs) {
+			t.Fatalf("build %d differs from build 0 at the same seed (%d vs %d entries)", i, got.Len(), want.Len())
+		}
 	}
 }
