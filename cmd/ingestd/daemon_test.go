@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -279,4 +280,51 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Error("HTTP listener still accepting after shutdown")
 	}
 	d.pipe.Close()
+}
+
+// TestCheckpointTicker: -snapshot.every drives the same checkpointNow as
+// POST /snapshot, so with the tiered corpus on a periodic checkpoint
+// also rewrites the tier — an address fed after start-up becomes
+// visible to /probe with nobody posting — and shutdown stops the ticker
+// before its final checkpoint, so nothing checkpoints once it returns.
+func TestCheckpointTicker(t *testing.T) {
+	dir := t.TempDir()
+	d := newTestDaemon(t, dir)
+	defer d.pipe.Close()
+	d.enableTier(dir, 1<<20)
+	srv := httptest.NewServer(d.newMux())
+	defer srv.Close()
+	const cadence = 20 * time.Millisecond
+	d.startCheckpointTicker(cadence)
+
+	feed(t, d)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		status, _, body := get(t, srv.URL, "/probe?addr=2001:db8::1")
+		if status == http.StatusOK && strings.Contains(body, `"found":true`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/probe never saw the fed address: status %d, %s", status, body)
+		}
+		time.Sleep(cadence / 4)
+	}
+	if _, err := os.Stat(d.snapPath); err != nil {
+		t.Fatalf("periodic checkpoint left no file: %v", err)
+	}
+
+	// Exactly one checkpoint — the final one — runs between the ticker
+	// stopping and shutdown returning, and none after.
+	stop := d.stopTicker
+	var atStop uint64
+	d.stopTicker = func() { stop(); atStop = d.pipe.Metrics().Checkpoints }
+	d.shutdown(nil)
+	atReturn := d.pipe.Metrics().Checkpoints
+	if atReturn != atStop+1 {
+		t.Errorf("%d checkpoints between ticker stop and shutdown's return, want the final one only", atReturn-atStop)
+	}
+	time.Sleep(5 * cadence)
+	if now := d.pipe.Metrics().Checkpoints; now != atReturn {
+		t.Errorf("%d checkpoints started after shutdown returned", now-atReturn)
+	}
 }

@@ -112,6 +112,11 @@ type daemon struct {
 	// goroutine exits.
 	stopSource func()
 	sourceDone chan struct{}
+
+	// stopTicker halts the -snapshot.every ticker and returns once its
+	// goroutine has exited, so no periodic checkpoint is in flight or can
+	// start afterwards; nil when there is no ticker. shutdown calls it.
+	stopTicker func()
 }
 
 // newMux wires the daemon's full HTTP surface (see the package comment
@@ -173,13 +178,11 @@ func (d *daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	size, phases, err := d.checkpointNow()
+	size, err := d.checkpointNow()
 	if err != nil {
-		d.log.Error("snapshot failed", "path", d.snapPath, "error", err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	d.log.Info("snapshot written", append([]any{"path", d.snapPath, "bytes", size}, phases...)...)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(snapshotReply{
 		Path:   d.snapPath,
@@ -190,34 +193,60 @@ func (d *daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// checkpointNow writes one durable checkpoint through whichever
-// protocol the daemon runs — the delta chain under -snapshot.delta,
-// otherwise a plain full snapshot — and, when the tiered corpus is
-// enabled, refreshes the tier file to match. A tier refresh failure is
+// checkpointNow is the daemon's one checkpoint driver — POST /snapshot,
+// the -snapshot.every ticker and shutdown all call it. It writes one
+// durable checkpoint through whichever protocol the daemon runs — the
+// delta chain under -snapshot.delta, otherwise a plain full snapshot —
+// and, when the tiered corpus is enabled, refreshes the tier file to
+// match, logging the outcome either way. A tier refresh failure is
 // logged but does not fail the checkpoint: the durable corpus is the
-// artifact that matters; the tier is a rebuildable query index. A
-// refresh's phase durations come back as log attributes.
-func (d *daemon) checkpointNow() (size int64, phases []any, err error) {
+// artifact that matters; the tier is a rebuildable query index.
+func (d *daemon) checkpointNow() (size int64, err error) {
 	if d.deltaMode {
 		size, err = d.pipe.CheckpointChain(d.snapPath)
 	} else {
 		size, err = d.pipe.CheckpointFile(d.snapPath)
 	}
 	if err != nil {
-		return 0, nil, err
+		d.log.Error("snapshot failed", "path", d.snapPath, "error", err)
+		return 0, err
 	}
+	var phases []any
 	if d.tierPath != "" {
 		var terr error
 		if phases, terr = d.refreshTier(); terr != nil {
 			d.log.Error("tier refresh failed", "path", d.tierPath, "error", terr)
 		}
 	}
-	return size, phases, nil
+	d.log.Info("snapshot written", append([]any{"path", d.snapPath, "bytes", size}, phases...)...)
+	return size, nil
+}
+
+// startCheckpointTicker runs checkpointNow every interval
+// (-snapshot.every) until d.stopTicker is called. A failed attempt is
+// logged and counted by checkpointNow and retried at the next tick.
+func (d *daemon) startCheckpointTicker(every time.Duration) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				_, _ = d.checkpointNow() // already logged and counted; the next tick retries
+			case <-stop:
+				return
+			}
+		}
+	}()
+	d.stopTicker = func() { close(stop); <-done }
 }
 
 // shutdown drains the daemon in dependency order: flip readiness off
 // (load balancers stop routing), stop the event source and wait for it
-// when it is interruptible, fence in-flight events with a quiesce,
+// when it is interruptible, stop the checkpoint ticker and wait out a
+// periodic checkpoint in flight, fence in-flight events with a quiesce,
 // write the final durable checkpoint — everything since the last
 // periodic tick would otherwise be lost to a clean exit — and close the
 // HTTP listener. srv may be nil (tests exercising the drain alone).
@@ -231,13 +260,12 @@ func (d *daemon) shutdown(srv *http.Server) {
 			d.log.Warn("event source did not stop; checkpointing anyway")
 		}
 	}
+	if d.stopTicker != nil {
+		d.stopTicker()
+	}
 	d.pipe.Quiesce()
 	if d.snapPath != "" {
-		if size, _, err := d.checkpointNow(); err != nil {
-			d.log.Error("final checkpoint failed", "path", d.snapPath, "error", err)
-		} else {
-			d.log.Info("final checkpoint", "path", d.snapPath, "bytes", size)
-		}
+		_, _ = d.checkpointNow() // already logged and counted; there is no later attempt
 	}
 	if srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -394,9 +422,6 @@ func main() {
 			}
 		})
 		restoreSeconds.ObserveDuration(time.Since(start))
-		cfg.CheckpointPath = snapPath
-		cfg.CheckpointInterval = *snapEvery
-		cfg.DeltaCheckpoints = *snapDelta
 		cfg.CompactEvery = *snapCompact
 	}
 	if routes != nil {
@@ -417,6 +442,9 @@ func main() {
 		d.enableTier(*snapDir, *ramBudget)
 		logger.Info("tiered corpus enabled",
 			"path", d.tierPath, "budget_bytes", d.ramBudget)
+	}
+	if *snapEvery > 0 {
+		d.startCheckpointTicker(*snapEvery)
 	}
 	reg.GaugeFunc("ingestd_malformed_lines",
 		"Input lines that failed to parse since start.",
@@ -520,8 +548,7 @@ func tierPath(dir string) string {
 // daemon must come up even when its checkpoint is damaged — losing the
 // corpus and re-accumulating beats refusing to collect — so missing
 // files start empty silently and unreadable/corrupt files start empty
-// with a logged warning. (Batch/study runs make the opposite choice:
-// see hitlist6.Config.CheckpointPath.)
+// with a logged warning.
 func restoreOrEmpty(path string, delta bool, logf func(format string, args ...any)) *collector.Collector {
 	var c *collector.Collector
 	var err error

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"hitlist6/internal/addr"
 	"hitlist6/internal/snapfmt"
 )
 
@@ -88,40 +87,26 @@ func (c *Collector) SnapshotDelta(w io.Writer) error {
 		return err
 	}
 
-	buf := make([]byte, 0, wireBatch*addrEntryWire)
+	buf := make([]byte, 0, wireBatch*AddrRecordWire)
 
 	addrBlocks := deltaBlocks(c.ckpt.addrBase, c.addrRecs.n, &c.ckpt.dirtyAddr)
-	if err := writeDeltaSection(sw, secDeltaAddrs, addrBlocks, addrEntryWire, &buf, func(i uint32, b []byte) []byte {
+	if err := writeDeltaSection(sw, secDeltaAddrs, addrBlocks, AddrRecordWire, &buf, func(i uint32, b []byte) []byte {
 		e := c.addrRecs.at(i)
-		b = append(b, e.key[:]...)
-		b = binary.BigEndian.AppendUint64(b, uint64(e.rec.First))
-		b = binary.BigEndian.AppendUint64(b, uint64(e.rec.Last))
-		b = binary.BigEndian.AppendUint32(b, e.rec.Count)
-		return binary.BigEndian.AppendUint32(b, e.rec.Servers)
+		return AppendAddrRecord(b, e.key, e.rec)
 	}); err != nil {
 		return err
 	}
 
 	iidBlocks := deltaBlocks(c.ckpt.iidBase, c.iidRecs.n, &c.ckpt.dirtyIID)
 	if err := writeDeltaSection(sw, secDeltaIIDs, iidBlocks, iidEntryWire, &buf, func(i uint32, b []byte) []byte {
-		e := c.iidRecs.at(i)
-		b = binary.BigEndian.AppendUint64(b, uint64(e.key))
-		b = binary.BigEndian.AppendUint64(b, uint64(e.first))
-		b = binary.BigEndian.AppendUint64(b, uint64(e.last))
-		b = binary.BigEndian.AppendUint32(b, e.count)
-		b = binary.BigEndian.AppendUint32(b, e.spans)
-		return binary.BigEndian.AppendUint32(b, e.p64n)
+		return appendIIDEntry(b, c.iidRecs.at(i))
 	}); err != nil {
 		return err
 	}
 
 	spanBlocks := deltaBlocks(c.ckpt.spanBase, c.spans.n, &c.ckpt.dirtySpan)
 	if err := writeDeltaSection(sw, secDeltaSpans, spanBlocks, spanEntryWire, &buf, func(i uint32, b []byte) []byte {
-		n := c.spans.at(i)
-		b = binary.BigEndian.AppendUint64(b, uint64(n.p64))
-		b = binary.BigEndian.AppendUint64(b, uint64(n.first))
-		b = binary.BigEndian.AppendUint64(b, uint64(n.last))
-		return binary.BigEndian.AppendUint32(b, n.next)
+		return appendSpanNode(b, c.spans.at(i))
 	}); err != nil {
 		return err
 	}
@@ -172,8 +157,8 @@ func (c *Collector) ApplyDelta(r io.Reader) error {
 		return fmt.Errorf("collector: delta version %d unsupported (have %d)", v, deltaVersion)
 	}
 
-	if err := expectSection(sr, secDeltaMeta, deltaMetaWire); err != nil {
-		return err
+	if _, err := sr.Expect(secDeltaMeta, deltaMetaWire); err != nil {
+		return fmt.Errorf("collector: delta: %w", err)
 	}
 	var meta [deltaMetaWire]byte
 	if _, err := io.ReadFull(sr, meta[:]); err != nil {
@@ -211,26 +196,18 @@ func (c *Collector) ApplyDelta(r io.Reader) error {
 		return fmt.Errorf("collector: delta shrinks the corpus")
 	}
 
-	buf := make([]byte, wireBatch*addrEntryWire)
+	buf := make([]byte, wireBatch*AddrRecordWire)
 
-	if err := applyDeltaSection(sr, secDeltaAddrs, buf, baseAddrN, addrN, addrEntryWire,
+	if err := applyDeltaSection(sr, secDeltaAddrs, buf, baseAddrN, addrN, AddrRecordWire,
 		func() uint32 { return c.addrRecs.n },
 		func(i uint32, b []byte) error {
-			existing := i < uint32(baseAddrN)
-			var e *addrEntry
-			if existing {
-				e = c.addrRecs.at(i)
-				if string(e.key[:]) != string(b[0:16]) {
-					return fmt.Errorf("block rewrites address key at %d", i)
-				}
-			} else {
-				e = c.addrRecs.at(c.addrRecs.alloc())
-				copy(e.key[:], b[0:16])
+			key, rec := DecodeAddrRecord(b)
+			if i >= uint32(baseAddrN) {
+				i = c.addrRecs.alloc()
+			} else if c.addrRecs.at(i).key != key {
+				return fmt.Errorf("block rewrites address key at %d", i)
 			}
-			e.rec.First = int64(binary.BigEndian.Uint64(b[16:]))
-			e.rec.Last = int64(binary.BigEndian.Uint64(b[24:]))
-			e.rec.Count = binary.BigEndian.Uint32(b[32:])
-			e.rec.Servers = binary.BigEndian.Uint32(b[36:])
+			*c.addrRecs.at(i) = addrEntry{key: key, rec: rec}
 			return nil
 		}); err != nil {
 		return fmt.Errorf("collector: delta addrs: %w", err)
@@ -242,25 +219,16 @@ func (c *Collector) ApplyDelta(r io.Reader) error {
 	if err := applyDeltaSection(sr, secDeltaIIDs, buf, baseIIDN, iidN, iidEntryWire,
 		func() uint32 { return c.iidRecs.n },
 		func(i uint32, b []byte) error {
-			key := binary.BigEndian.Uint64(b[0:])
-			var e *iidEntry
-			if i < uint32(baseIIDN) {
-				e = c.iidRecs.at(i)
-				if uint64(e.key) != key {
-					return fmt.Errorf("block rewrites IID key at %d", i)
-				}
-			} else {
-				e = c.iidRecs.at(c.iidRecs.alloc())
-				e.key = addr.IID(key)
+			e, err := decodeIIDEntry(b, spanN)
+			if err != nil {
+				return fmt.Errorf("IID %d %w", i, err)
 			}
-			e.first = int64(binary.BigEndian.Uint64(b[8:]))
-			e.last = int64(binary.BigEndian.Uint64(b[16:]))
-			e.count = binary.BigEndian.Uint32(b[24:])
-			e.spans = binary.BigEndian.Uint32(b[28:])
-			e.p64n = binary.BigEndian.Uint32(b[32:])
-			if e.spans != spanNone && uint64(e.spans) >= spanN {
-				return fmt.Errorf("IID %d span head %d out of %d", i, e.spans, spanN)
+			if i >= uint32(baseIIDN) {
+				i = c.iidRecs.alloc()
+			} else if c.iidRecs.at(i).key != e.key {
+				return fmt.Errorf("block rewrites IID key at %d", i)
 			}
+			*c.iidRecs.at(i) = e
 			return nil
 		}); err != nil {
 		return fmt.Errorf("collector: delta iids: %w", err)
@@ -272,25 +240,18 @@ func (c *Collector) ApplyDelta(r io.Reader) error {
 	if err := applyDeltaSection(sr, secDeltaSpans, buf, baseSpanN, spanN, spanEntryWire,
 		func() uint32 { return c.spans.n },
 		func(i uint32, b []byte) error {
-			p64 := binary.BigEndian.Uint64(b[0:])
-			var n *spanNode
-			if i < uint32(baseSpanN) {
-				n = c.spans.at(i)
-				if uint64(n.p64) != p64 {
-					// A span node's /64 is fixed at allocation; only its
-					// window and chain link ever change.
-					return fmt.Errorf("block rewrites span %d's /64", i)
-				}
-			} else {
-				n = c.spans.at(c.spans.alloc())
-				n.p64 = addr.Prefix64(p64)
+			n, err := decodeSpanNode(b, spanN)
+			if err != nil {
+				return fmt.Errorf("span %d %w", i, err)
 			}
-			n.first = int64(binary.BigEndian.Uint64(b[8:]))
-			n.last = int64(binary.BigEndian.Uint64(b[16:]))
-			n.next = binary.BigEndian.Uint32(b[24:])
-			if n.next != spanNone && uint64(n.next) >= spanN {
-				return fmt.Errorf("span %d chains to %d out of %d", i, n.next, spanN)
+			if i >= uint32(baseSpanN) {
+				i = c.spans.alloc()
+			} else if c.spans.at(i).p64 != n.p64 {
+				// A span node's /64 is fixed at allocation; only its
+				// window and chain link ever change.
+				return fmt.Errorf("block rewrites span %d's /64", i)
 			}
+			*c.spans.at(i) = n
 			return nil
 		}); err != nil {
 		return fmt.Errorf("collector: delta spans: %w", err)
@@ -324,15 +285,9 @@ func (c *Collector) ApplyDelta(r io.Reader) error {
 func applyDeltaSection(sr *snapfmt.Reader, id uint32, scratch []byte, baseN, newN uint64, entry int,
 	slabLen func() uint32, apply func(i uint32, b []byte) error) error {
 
-	gotID, size, err := sr.Next()
+	size, err := sr.Expect(id, snapfmt.AnySize)
 	if err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("delta ends before section %d", id)
-		}
 		return err
-	}
-	if gotID != id {
-		return fmt.Errorf("section %d where %d expected", gotID, id)
 	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(sr, hdr[:]); err != nil {

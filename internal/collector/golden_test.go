@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
@@ -81,5 +82,21 @@ func TestCanonicalChecksumGolden(t *testing.T) {
 	sum := c.Checksum()
 	if got := hex.EncodeToString(sum[:]); got != goldenChecksum {
 		t.Fatalf("canonical checksum drifted:\n got  %s\n want %s", got, goldenChecksum)
+	}
+}
+
+// goldenDeltaSum is the SHA-256 of the delta a serial collector cuts
+// from goldenStream() — full checkpoint at half the stream, delta at
+// the end (deltaFixture) — computed at the commit before the entry
+// layouts moved into wire.go. With testdata/golden.snap and
+// TestTierFileGolden it makes "byte-identical" a test for all three
+// on-disk formats.
+const goldenDeltaSum = "6581a3bbc9cf86da8d96aee8fc065b3bb30f4be6939a6c913826a941541f7462"
+
+func TestDeltaGolden(t *testing.T) {
+	_, delta, _ := deltaFixture(t)
+	sum := sha256.Sum256(delta)
+	if got := hex.EncodeToString(sum[:]); got != goldenDeltaSum {
+		t.Fatalf("delta bytes drifted:\n got  %s\n want %s", got, goldenDeltaSum)
 	}
 }

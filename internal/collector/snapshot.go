@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"hitlist6/internal/addr"
 	"hitlist6/internal/snapfmt"
 )
 
@@ -46,10 +45,8 @@ const (
 	secP48s       = 6
 	secP64s       = 7
 
+	// Sizes of what is not a slab entry (those are wire.go's).
 	metaWire      = 40 // total, addrN, iidN, spanN, singletonN
-	addrEntryWire = 40 // key[16], first, last i64, count, servers u32
-	iidEntryWire  = 36 // key u64, first, last i64, count, spans, p64n u32
-	spanEntryWire = 28 // p64 u64, first, last i64, next u32
 	singletonWire = 4  // address-slab index u32
 	prefixWire    = 8  // prefix u64, strictly ascending
 
@@ -66,8 +63,8 @@ const wireBatch = 1024
 
 // Snapshot writes the collector's durable encoding. The stream is
 // self-delimiting: it can be embedded back to back with other streams
-// on one writer (study checkpoints do). Snapshot does not buffer — hand
-// it a *bufio.Writer (or equivalent) when writing to a raw file.
+// on one writer. Snapshot does not buffer — hand it a *bufio.Writer (or
+// equivalent) when writing to a raw file.
 func (c *Collector) Snapshot(w io.Writer) error {
 	sw, err := snapfmt.NewWriter(w, snapMagic, snapVersion)
 	if err != nil {
@@ -92,18 +89,14 @@ func (c *Collector) Snapshot(w io.Writer) error {
 		return err
 	}
 
-	buf := make([]byte, 0, wireBatch*addrEntryWire)
+	buf := make([]byte, 0, wireBatch*AddrRecordWire)
 
-	if err := sw.Begin(secAddrs, uint64(c.addrRecs.n)*addrEntryWire); err != nil {
+	if err := sw.Begin(secAddrs, uint64(c.addrRecs.n)*AddrRecordWire); err != nil {
 		return err
 	}
 	for i := uint32(0); i < c.addrRecs.n; i++ {
 		e := c.addrRecs.at(i)
-		buf = append(buf, e.key[:]...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.First))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.Last))
-		buf = binary.BigEndian.AppendUint32(buf, e.rec.Count)
-		buf = binary.BigEndian.AppendUint32(buf, e.rec.Servers)
+		buf = AppendAddrRecord(buf, e.key, e.rec)
 		if buf = flushBatch(sw, buf, &err); err != nil {
 			return err
 		}
@@ -117,13 +110,7 @@ func (c *Collector) Snapshot(w io.Writer) error {
 		return err
 	}
 	for i := uint32(0); i < c.iidRecs.n; i++ {
-		e := c.iidRecs.at(i)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.key))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.first))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.last))
-		buf = binary.BigEndian.AppendUint32(buf, e.count)
-		buf = binary.BigEndian.AppendUint32(buf, e.spans)
-		buf = binary.BigEndian.AppendUint32(buf, e.p64n)
+		buf = appendIIDEntry(buf, c.iidRecs.at(i))
 		if buf = flushBatch(sw, buf, &err); err != nil {
 			return err
 		}
@@ -137,11 +124,7 @@ func (c *Collector) Snapshot(w io.Writer) error {
 		return err
 	}
 	for i := uint32(0); i < c.spans.n; i++ {
-		n := c.spans.at(i)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(n.p64))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(n.first))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(n.last))
-		buf = binary.BigEndian.AppendUint32(buf, n.next)
+		buf = appendSpanNode(buf, c.spans.at(i))
 		if buf = flushBatch(sw, buf, &err); err != nil {
 			return err
 		}
@@ -187,7 +170,7 @@ func writePrefixSet(sw *snapfmt.Writer, id uint32, s *u64set) error {
 	if err := sw.Begin(id, uint64(len(vals))*prefixWire); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, wireBatch*addrEntryWire)
+	buf := make([]byte, 0, wireBatch*AddrRecordWire)
 	var err error
 	for _, v := range vals {
 		buf = binary.BigEndian.AppendUint64(buf, v)
@@ -202,7 +185,7 @@ func writePrefixSet(sw *snapfmt.Writer, id uint32, s *u64set) error {
 // returning the (possibly reset) buffer; on error it parks the error in
 // *errp for the caller's guard clause.
 func flushBatch(sw *snapfmt.Writer, buf []byte, errp *error) []byte {
-	if len(buf) < wireBatch*addrEntryWire/2 {
+	if len(buf) < wireBatch*AddrRecordWire/2 {
 		return buf
 	}
 	if _, err := sw.Write(buf); err != nil {
@@ -240,8 +223,8 @@ func OpenSnapshot(r io.Reader) (*Collector, error) {
 	}
 
 	// meta
-	if err := expectSection(sr, secMeta, metaWire); err != nil {
-		return nil, err
+	if _, err := sr.Expect(secMeta, metaWire); err != nil {
+		return nil, fmt.Errorf("collector: snapshot: %w", err)
 	}
 	var meta [metaWire]byte
 	if _, err := io.ReadFull(sr, meta[:]); err != nil {
@@ -267,66 +250,51 @@ func OpenSnapshot(r io.Reader) (*Collector, error) {
 
 	// addrs: bulk slab load. Reading batch-by-batch bounds allocation by
 	// the bytes actually present, no matter what the section size claims.
-	if err := expectSection(sr, secAddrs, addrN*addrEntryWire); err != nil {
-		return nil, err
+	if _, err := sr.Expect(secAddrs, addrN*AddrRecordWire); err != nil {
+		return nil, fmt.Errorf("collector: snapshot: %w", err)
 	}
-	buf := make([]byte, wireBatch*addrEntryWire)
-	if err := readEntries(sr, buf, addrN, addrEntryWire, func(b []byte) error {
-		i := c.addrRecs.alloc()
-		e := c.addrRecs.at(i)
-		copy(e.key[:], b[0:16])
-		e.rec.First = int64(binary.BigEndian.Uint64(b[16:]))
-		e.rec.Last = int64(binary.BigEndian.Uint64(b[24:]))
-		e.rec.Count = binary.BigEndian.Uint32(b[32:])
-		e.rec.Servers = binary.BigEndian.Uint32(b[36:])
+	buf := make([]byte, wireBatch*AddrRecordWire)
+	if err := readEntries(sr, buf, addrN, AddrRecordWire, func(b []byte) error {
+		e := c.addrRecs.at(c.addrRecs.alloc())
+		e.key, e.rec = DecodeAddrRecord(b)
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("collector: snapshot addrs: %w", err)
 	}
 
 	// promoted IIDs
-	if err := expectSection(sr, secIIDs, iidN*iidEntryWire); err != nil {
-		return nil, err
+	if _, err := sr.Expect(secIIDs, iidN*iidEntryWire); err != nil {
+		return nil, fmt.Errorf("collector: snapshot: %w", err)
 	}
 	if err := readEntries(sr, buf, iidN, iidEntryWire, func(b []byte) error {
-		i := c.iidRecs.alloc()
-		e := c.iidRecs.at(i)
-		e.key = addr.IID(binary.BigEndian.Uint64(b[0:]))
-		e.first = int64(binary.BigEndian.Uint64(b[8:]))
-		e.last = int64(binary.BigEndian.Uint64(b[16:]))
-		e.count = binary.BigEndian.Uint32(b[24:])
-		e.spans = binary.BigEndian.Uint32(b[28:])
-		e.p64n = binary.BigEndian.Uint32(b[32:])
-		if e.spans != spanNone && uint64(e.spans) >= spanN {
-			return fmt.Errorf("IID %d span head %d out of %d", i, e.spans, spanN)
+		e, err := decodeIIDEntry(b, spanN)
+		if err != nil {
+			return fmt.Errorf("IID %d %w", c.iidRecs.n, err)
 		}
+		*c.iidRecs.at(c.iidRecs.alloc()) = e
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("collector: snapshot iids: %w", err)
 	}
 
 	// span slab
-	if err := expectSection(sr, secSpans, spanN*spanEntryWire); err != nil {
-		return nil, err
+	if _, err := sr.Expect(secSpans, spanN*spanEntryWire); err != nil {
+		return nil, fmt.Errorf("collector: snapshot: %w", err)
 	}
 	if err := readEntries(sr, buf, spanN, spanEntryWire, func(b []byte) error {
-		i := c.spans.alloc()
-		n := c.spans.at(i)
-		n.p64 = addr.Prefix64(binary.BigEndian.Uint64(b[0:]))
-		n.first = int64(binary.BigEndian.Uint64(b[8:]))
-		n.last = int64(binary.BigEndian.Uint64(b[16:]))
-		n.next = binary.BigEndian.Uint32(b[24:])
-		if n.next != spanNone && uint64(n.next) >= spanN {
-			return fmt.Errorf("span %d chains to %d out of %d", i, n.next, spanN)
+		n, err := decodeSpanNode(b, spanN)
+		if err != nil {
+			return fmt.Errorf("span %d %w", c.spans.n, err)
 		}
+		*c.spans.at(c.spans.alloc()) = n
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("collector: snapshot spans: %w", err)
 	}
 
 	// singleton references
-	if err := expectSection(sr, secSingletons, singleN*singletonWire); err != nil {
-		return nil, err
+	if _, err := sr.Expect(secSingletons, singleN*singletonWire); err != nil {
+		return nil, fmt.Errorf("collector: snapshot: %w", err)
 	}
 	singles := make([]uint32, 0, min(singleN, wireBatch))
 	if err := readEntries(sr, buf, singleN, singletonWire, func(b []byte) error {
@@ -366,15 +334,9 @@ func OpenSnapshot(r io.Reader) (*Collector, error) {
 // readPrefixSet loads one strictly-ascending prefix list into a fresh
 // set.
 func readPrefixSet(sr *snapfmt.Reader, scratch []byte, id uint32, s *u64set) error {
-	gotID, size, err := sr.Next()
+	size, err := sr.Expect(id, snapfmt.AnySize)
 	if err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("snapshot ends before section %d", id)
-		}
 		return err
-	}
-	if gotID != id {
-		return fmt.Errorf("section %d where %d expected", gotID, id)
 	}
 	if size%prefixWire != 0 {
 		return fmt.Errorf("section size %d not a multiple of %d", size, prefixWire)
@@ -390,26 +352,6 @@ func readPrefixSet(sr *snapfmt.Reader, scratch []byte, id uint32, s *u64set) err
 		s.insert(v)
 		return nil
 	})
-}
-
-// expectSection asserts the next section's id and exact size: version 1
-// streams have a fixed section order, and a size that disagrees with
-// the meta counts is structural damage.
-func expectSection(sr *snapfmt.Reader, id uint32, size uint64) error {
-	gotID, gotSize, err := sr.Next()
-	if err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("collector: snapshot ends before section %d", id)
-		}
-		return fmt.Errorf("collector: snapshot section %d: %w", id, err)
-	}
-	if gotID != id {
-		return fmt.Errorf("collector: snapshot section %d where %d expected", gotID, id)
-	}
-	if gotSize != size {
-		return fmt.Errorf("collector: snapshot section %d is %d bytes, want %d", id, gotSize, size)
-	}
-	return nil
 }
 
 // readEntries streams n fixed-size entries through fn in batches using

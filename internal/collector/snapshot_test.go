@@ -87,7 +87,7 @@ func TestSnapshotRoundTripEmpty(t *testing.T) {
 
 // TestSnapshotComposes verifies the stream is self-delimiting: two
 // snapshots written back to back on one writer restore independently
-// from one reader — the property study checkpoints build on.
+// from one reader — OpenSnapshot reads exactly the stream's own bytes.
 func TestSnapshotComposes(t *testing.T) {
 	c1 := goldenCollector(t)
 	c2 := New()
@@ -116,11 +116,13 @@ func TestSnapshotComposes(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoldenFixture pins the version-1 format: the checked-in
-// fixture must keep restoring to the golden checksum regardless of any
-// future reader or layout change. (The fixture's exact bytes are not
-// pinned — snapshots encode slab order — but its readability and
-// restored meaning are.)
+// TestSnapshotGoldenFixture pins the version-1 format from both sides:
+// the checked-in fixture must keep restoring to the golden checksum
+// regardless of any future reader or layout change, and a serial
+// collector fed the golden stream must keep writing exactly the
+// fixture's bytes. (Snapshots encode slab order, so the bytes are a
+// function of the observation order — fixed here — not of the corpus
+// alone.)
 func TestSnapshotGoldenFixture(t *testing.T) {
 	if *updateGolden {
 		c := goldenCollector(t)
@@ -147,6 +149,13 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	sum := c.Checksum()
 	if got := hex.EncodeToString(sum[:]); got != goldenChecksum {
 		t.Fatalf("golden fixture restores to checksum %s, want %s", got, goldenChecksum)
+	}
+	var fresh bytes.Buffer
+	if err := goldenCollector(t).Snapshot(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.Bytes(), raw) {
+		t.Fatalf("snapshot of the golden stream is no longer the fixture's bytes (%d vs %d)", fresh.Len(), len(raw))
 	}
 }
 
@@ -291,7 +300,7 @@ func TestOpenSnapshotHugeCountsNoAlloc(t *testing.T) {
 	crc := crc32Castagnoli(buf.Bytes()[start:])
 	binary.Write(&buf, binary.BigEndian, crc)
 	binary.Write(&buf, binary.BigEndian, uint32(secAddrs))
-	binary.Write(&buf, binary.BigEndian, uint64(1<<30)*addrEntryWire)
+	binary.Write(&buf, binary.BigEndian, uint64(1<<30)*AddrRecordWire)
 	// ...and no payload.
 
 	done := make(chan error, 1)
@@ -399,7 +408,7 @@ func TestSnapshotCorruptStructure(t *testing.T) {
 	corrupt("duplicate address", func(b []byte) {
 		ad := secs[secAddrs]
 		// Overwrite the second address entry's key with the first's.
-		copy(b[ad.payload+addrEntryWire:ad.payload+addrEntryWire+16], b[ad.payload:ad.payload+16])
+		copy(b[ad.payload+AddrRecordWire:ad.payload+AddrRecordWire+16], b[ad.payload:ad.payload+16])
 	})
 }
 

@@ -26,8 +26,6 @@ func TestCheckpointChain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.snap")
 
 	cfg := DefaultConfig(4)
-	cfg.CheckpointPath = path
-	cfg.DeltaCheckpoints = true
 	cfg.CompactEvery = 3
 	p, err := New(cfg)
 	if err != nil {
@@ -174,8 +172,6 @@ func TestCheckpointChainDeltaSize(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "corpus.snap")
 	cfg := DefaultConfig(1)
-	cfg.CheckpointPath = path
-	cfg.DeltaCheckpoints = true
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

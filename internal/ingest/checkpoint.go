@@ -19,9 +19,12 @@ import (
 // Quiesce, so the artifact provably contains every event flushed before
 // the call; CheckpointFile adds the crash-safe file protocol (write to
 // a temp file in the same directory, fsync, rename, fsync the
-// directory) so a torn write
-// can never shadow the previous good checkpoint; RestoreFile is the
-// other half, feeding Config.Seed on the next start.
+// directory) so a torn write can never shadow the previous good
+// checkpoint; RestoreFile is the other half, feeding Config.Seed on the
+// next start. When to checkpoint is the caller's decision — the
+// pipeline runs no checkpoint clock (cmd/ingestd owns the
+// -snapshot.every ticker, because a checkpoint there also refreshes the
+// tier file the pipeline knows nothing of).
 
 // Checkpoint quiesces the pipeline and writes the merged corpus
 // snapshot to w. Must not race with Close.
@@ -42,8 +45,8 @@ func (p *Pipeline) Checkpoint(w *bufio.Writer) error {
 // to and including the rename the previous file at path — the last good
 // checkpoint — is untouched; on a directory-sync error the new file is
 // complete and in place but not yet known durable. Returns the bytes
-// written. Study checkpoints reuse this; keep crash-safety fixes here,
-// in the one copy.
+// written. The daemon's tier file goes through it too; keep
+// crash-safety fixes here, in the one copy.
 func AtomicWriteFile(path string, write func(w io.Writer) error) (int64, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -96,18 +99,26 @@ var syncDir = func(dir string) error {
 }
 
 // CheckpointFile checkpoints to path atomically (see AtomicWriteFile)
-// and returns the snapshot's size in bytes. Successful checkpoints
-// feed the duration and bytes histograms — the distributions an
-// operator watches to size the checkpoint cadence against the write
-// stall it buys.
+// and returns the snapshot's size in bytes.
 func (p *Pipeline) CheckpointFile(path string) (int64, error) {
 	start := time.Now()
 	size, err := AtomicWriteFile(path, func(w io.Writer) error {
 		p.Quiesce()
 		return p.store.Snapshot(w)
 	})
+	return p.recordCheckpoint(start, path, size, err)
+}
+
+// recordCheckpoint is the bookkeeping both checkpoint protocols end
+// with. A failure is counted — whoever drove the attempt, so a full
+// disk shows on the stats endpoint — and wrapped with the file it was
+// for; a success feeds the duration and bytes histograms, the
+// distributions an operator watches to size the checkpoint cadence
+// against the write stall it buys.
+func (p *Pipeline) recordCheckpoint(start time.Time, target string, size int64, err error) (int64, error) {
 	if err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint %s: %w", path, err)
+		p.metrics.checkpointErrors.Add(1)
+		return 0, fmt.Errorf("ingest: checkpoint %s: %w", target, err)
 	}
 	p.metrics.checkpoints.Add(1)
 	p.metrics.lastCheckpointUnix.Set(time.Now().Unix())
@@ -163,24 +174,18 @@ func (p *Pipeline) CheckpointChain(path string) (int64, error) {
 		target = deltaPath(path, seq+1)
 	}
 	size, err := AtomicWriteFile(target, write)
-	if err != nil {
+	switch {
+	case err != nil:
 		if marked {
 			p.chainBroken = true
 		}
-		return 0, fmt.Errorf("ingest: checkpoint %s: %w", target, err)
-	}
-	if full {
+	case full:
 		p.chainBroken = false
 		removeChainDeltas(path)
-	} else {
+	default:
 		p.metrics.deltaCheckpoints.Add(1)
 	}
-	p.metrics.checkpoints.Add(1)
-	p.metrics.lastCheckpointUnix.Set(time.Now().Unix())
-	p.metrics.lastCheckpointBytes.Set(size)
-	p.tel.checkpointTime.ObserveDuration(time.Since(start))
-	p.tel.checkpointVolume.Observe(float64(size))
-	return size, nil
+	return p.recordCheckpoint(start, target, size, err)
 }
 
 // chainDeltaFiles maps delta sequence numbers to their files. Names

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"hitlist6/internal/collector"
 )
@@ -196,43 +195,58 @@ func TestAtomicWriteFileSyncsDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointTicker: a pipeline configured with CheckpointInterval
-// writes checkpoints on its own.
-func TestCheckpointTicker(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "corpus.snap")
-	cfg := DefaultConfig(2)
-	cfg.CheckpointPath = path
-	cfg.CheckpointInterval = 10 * time.Millisecond
-	p, err := New(cfg)
+// TestCheckpointErrorsCounted: a failed checkpoint is counted whoever
+// called it, in both protocols — the counter behind /stats
+// checkpoint_errors and ingest_checkpoint_errors_total. The failure is
+// a directory fsync error, which lands after the corpus watermark has
+// advanced, so the chain half also checks that the next chain
+// checkpoint re-anchors with a full base instead of cutting a delta
+// against a state the disk may not hold.
+func TestCheckpointErrorsCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	p, err := New(DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Ingest(testEvents(t, 0.02, 4))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if m := p.Metrics(); m.Checkpoints > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no periodic checkpoint within 5s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	defer p.Close()
+	events := testEvents(t, 0.02, 4)
+	p.Ingest(events[:len(events)/2])
+	if _, err := p.CheckpointChain(path); err != nil {
+		t.Fatal(err)
 	}
-	merged := p.Close()
-	restored, err := RestoreFile(path)
+
+	realSync := syncDir
+	defer func() { syncDir = realSync }()
+	injected := errors.New("injected directory fsync failure")
+	syncDir = func(string) error { return injected }
+	p.Ingest(events[len(events)/2:])
+	for i, checkpoint := range []func(string) (int64, error){p.CheckpointFile, p.CheckpointChain} {
+		if _, err := checkpoint(path); !errors.Is(err, injected) {
+			t.Fatalf("call %d: error = %v, want the injected sync failure", i, err)
+		}
+		if m := p.Metrics(); m.CheckpointErrors != uint64(i+1) || m.Checkpoints != 1 {
+			t.Fatalf("call %d: %d errors, %d checkpoints; want %d and 1", i, m.CheckpointErrors, m.Checkpoints, i+1)
+		}
+	}
+	syncDir = realSync
+
+	// The failed chain attempt was a delta whose watermark advanced: the
+	// next one must be a full base at chain position 0, deltas removed.
+	if _, err := p.CheckpointChain(path); err != nil {
+		t.Fatal(err)
+	}
+	if m := p.Metrics(); m.ChainSeq != 0 || m.DeltaCheckpoints != 0 || m.Checkpoints != 2 || m.CheckpointErrors != 2 {
+		t.Fatalf("after the failure the chain did not re-anchor: %+v", m)
+	}
+	if left := chainDeltaFiles(path); len(left) != 0 {
+		t.Fatalf("re-anchored chain kept delta files: %v", left)
+	}
+	restored, err := RestoreChainFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored == nil {
-		t.Fatal("ticker reported a checkpoint but no file restores")
-	}
-	// The ticker may have fired before the final events flushed; the
-	// checkpoint must be a prefix-consistent corpus, not necessarily the
-	// final one.
-	if restored.TotalObservations() > merged.TotalObservations() {
-		t.Fatalf("checkpoint holds more observations (%d) than the corpus (%d)",
-			restored.TotalObservations(), merged.TotalObservations())
+	if restored.Checksum() != p.Store().Checksum() {
+		t.Fatal("re-anchored chain restores to a different corpus")
 	}
 }
 

@@ -64,26 +64,10 @@ type Config struct {
 	// any event flows), so the merged corpus is the seed plus everything
 	// ingested, exactly as if the seed's observations had streamed first.
 	Seed *collector.Collector
-	// CheckpointPath, when non-empty, is the file the pipeline writes
-	// durable corpus snapshots to (atomically: temp file + rename), every
-	// CheckpointInterval. Restore-on-start is the caller's half: load the
-	// file with RestoreFile and pass the corpus as Seed.
-	CheckpointPath string
-	// CheckpointInterval is how often the pipeline checkpoints to
-	// CheckpointPath. 0 with a non-empty path means on-demand only
-	// (CheckpointFile / Checkpoint).
-	CheckpointInterval time.Duration
-	// DeltaCheckpoints switches periodic checkpoints to the delta-chain
-	// protocol: a full snapshot anchors the chain at CheckpointPath, and
-	// each later checkpoint writes only the record blocks dirtied since
-	// the previous one to CheckpointPath.delta.NNNNNN — on a lightly
-	// -churned corpus an order of magnitude smaller and faster than a
-	// full snapshot. Restore-on-start uses RestoreChainFiles.
-	DeltaCheckpoints bool
 	// CompactEvery bounds the delta chain: after this many deltas the
 	// next checkpoint is a full one, folding the chain into a fresh base
-	// and deleting the delta files. 0 means the default (16); compaction
-	// only applies when DeltaCheckpoints is set.
+	// and deleting the delta files. 0 means the default (16); only
+	// CheckpointChain reads it.
 	CompactEvery int
 	// Registry, when non-nil, is the telemetry registry the pipeline
 	// registers its metric families in — per-shard queue gauges, batch
@@ -136,12 +120,6 @@ func (c *Config) fillDefaults() error {
 	if c.ServerCap < 1 || c.ServerCap > collector.MaxServers {
 		return fmt.Errorf("ingest: ServerCap %d out of [1,%d]",
 			c.ServerCap, collector.MaxServers)
-	}
-	if c.CheckpointInterval < 0 {
-		return fmt.Errorf("ingest: CheckpointInterval %v negative", c.CheckpointInterval)
-	}
-	if c.CheckpointInterval > 0 && c.CheckpointPath == "" {
-		return fmt.Errorf("ingest: CheckpointInterval without CheckpointPath")
 	}
 	if c.CompactEvery < 0 {
 		return fmt.Errorf("ingest: CompactEvery %d negative", c.CompactEvery)

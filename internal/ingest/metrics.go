@@ -18,8 +18,7 @@ type Metrics struct {
 	processed *telemetry.Counter // events folded into shard state
 	batches   *telemetry.Counter // batches handed to shard queues
 	snapshots *telemetry.Counter // shard snapshots merged into the store
-	// Durable-checkpoint telemetry (CheckpointFile and the periodic
-	// checkpoint ticker).
+	// Durable-checkpoint telemetry (CheckpointFile and CheckpointChain).
 	checkpoints         *telemetry.Counter
 	deltaCheckpoints    *telemetry.Counter
 	checkpointErrors    *telemetry.Counter
@@ -138,7 +137,7 @@ type MetricsSnapshot struct {
 	// "how much would a crash lose right now" gauge.
 	Checkpoints uint64 `json:"checkpoints"`
 	// DeltaCheckpoints is the subset of Checkpoints written as chain
-	// deltas (Config.DeltaCheckpoints); ChainSeq is the corpus's position
+	// deltas (CheckpointChain); ChainSeq is the corpus's position
 	// in the current chain — 0 right after a full checkpoint, N after N
 	// deltas on that base.
 	DeltaCheckpoints    uint64 `json:"delta_checkpoints,omitempty"`

@@ -42,8 +42,8 @@ type Pipeline struct {
 	closeOnce sync.Once
 	result    *collector.Collector
 
-	// ckptMu serializes delta-chain checkpoints (the ticker plus any on
-	// -demand CheckpointChain calls); chainBroken forces the next chain
+	// ckptMu serializes delta-chain checkpoints (CheckpointChain may be
+	// called from several goroutines); chainBroken forces the next chain
 	// checkpoint to be full after a write advanced the corpus's watermark
 	// without landing durably on disk.
 	ckptMu      sync.Mutex
@@ -127,10 +127,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.SnapshotInterval > 0 {
 		p.tickerWG.Add(1)
 		go p.runTicker(cfg.SnapshotInterval)
-	}
-	if cfg.CheckpointInterval > 0 {
-		p.tickerWG.Add(1)
-		go p.runCheckpointTicker(cfg.CheckpointInterval)
 	}
 	return p, nil
 }
@@ -336,32 +332,6 @@ func (p *Pipeline) Quiesce() {
 	barrier := make(chan struct{})
 	p.merge <- shardSnapshot{barrier: barrier}
 	<-barrier
-}
-
-// runCheckpointTicker periodically persists the corpus to the
-// configured checkpoint path. Failures are counted in Metrics (a
-// daemon's stats endpoint is where a full disk shows up) and retried
-// next tick.
-func (p *Pipeline) runCheckpointTicker(every time.Duration) {
-	defer p.tickerWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			var err error
-			if p.cfg.DeltaCheckpoints {
-				_, err = p.CheckpointChain(p.cfg.CheckpointPath)
-			} else {
-				_, err = p.CheckpointFile(p.cfg.CheckpointPath)
-			}
-			if err != nil {
-				p.metrics.checkpointErrors.Add(1)
-			}
-		case <-p.stopTick:
-			return
-		}
-	}
 }
 
 // SeedStage folds a restored stage state into the pipeline-level merged

@@ -290,50 +290,6 @@ func (s *OutageSeriesStage) Merge(other Stage) {
 	}
 }
 
-// AddSeries folds a previously materialized Series back into the
-// stage: the restore half of study checkpointing, inverse to Series().
-// The stage must share the series' bin width, and in window mode its
-// origin; counts add, so seeding an empty stage reproduces the
-// checkpointed state exactly and stage merges afterwards keep
-// commuting.
-func (s *OutageSeriesStage) AddSeries(sr *outage.Series) error {
-	if sr == nil || sr.Bins == 0 {
-		return nil
-	}
-	if int64(sr.Bin/time.Second) != s.binSec || sr.Bin%time.Second != 0 {
-		return fmt.Errorf("ingest: series bin %v does not match stage bin %ds", sr.Bin, s.binSec)
-	}
-	origin := sr.Origin.Unix()
-	if !s.anchored {
-		s.anchor(origin)
-	} else if origin != s.origin {
-		return fmt.Errorf("ingest: series origin %d does not match stage origin %d", origin, s.origin)
-	}
-	if s.bins > 0 && sr.Bins > s.bins {
-		return fmt.Errorf("ingest: series spans %d bins, stage window holds %d", sr.Bins, s.bins)
-	}
-	for asn, bins := range sr.ByAS {
-		// Trim the trailing zeros Series() padded on, keeping the ragged
-		// shape live accumulation produces.
-		n := len(bins)
-		for n > 0 && bins[n-1] == 0 {
-			n--
-		}
-		if n == 0 {
-			continue
-		}
-		mine := s.counts[asn]
-		if len(mine) < n {
-			mine = append(mine, make([]int, n-len(mine))...)
-		}
-		for i, v := range bins[:n] {
-			mine[i] += v
-		}
-		s.counts[asn] = mine
-	}
-	return nil
-}
-
 // Series materializes the accumulated bins as an outage.Series, deep-
 // copied so callers may keep it while the pipeline merges further
 // snapshots. In window mode the result equals outage.BuildSeries over

@@ -17,45 +17,10 @@ import (
 // until the final snapshots merge — derive it from the merged
 // collector after Close (NumAddrs), as Study.CollectPassive does.
 func RunIngest(w *simnet.World, p *Pool, pipe *ingest.Pipeline) RunStats {
-	stats, _ := RunIngestProgress(w, p, pipe, IngestProgress{})
-	return stats
-}
-
-// IngestProgress parameterizes RunIngestProgress: the resume offset and
-// the checkpoint cadence of a replay.
-type IngestProgress struct {
-	// Skip suppresses feeding the first Skip events into the pipeline —
-	// they are assumed present already, via a restored checkpoint passed
-	// as ingest.Config.Seed. The full producer loop still runs for the
-	// skipped prefix (vantage selection is stateful round-robin, and the
-	// stats cover the whole window), so a resumed run is byte-identical
-	// to an uninterrupted one.
-	Skip uint64
-	// CheckpointEvery invokes Checkpoint after every CheckpointEvery
-	// events fed (not counting skipped ones). 0 disables.
-	CheckpointEvery uint64
-	// Checkpoint runs with the producer paused and its batcher flushed:
-	// events is the exact count folded into the pipeline so far (skipped
-	// prefix included), which is precisely the Skip a later resume of
-	// this checkpoint needs. The callback should Quiesce the pipeline
-	// before serializing (Pipeline.Checkpoint and the study checkpointer
-	// both do). A checkpoint error stops further checkpointing — the
-	// replay itself continues — and surfaces in the return.
-	Checkpoint func(events uint64) error
-}
-
-// RunIngestProgress is RunIngest with resume and periodic-checkpoint
-// hooks. The producer pauses at each checkpoint boundary, so the set of
-// events the pipeline has folded is always an exact prefix of the
-// deterministic replay stream — the property that makes Skip-based
-// resume sound.
-func RunIngestProgress(w *simnet.World, p *Pool, pipe *ingest.Pipeline, prog IngestProgress) (RunStats, error) {
 	stats := RunStats{
 		PerVantage: make([]uint64, len(p.vantages)),
 		PerZone:    make(map[string]uint64),
 	}
-	var ckptErr error
-	var fed, sinceCkpt uint64
 	b := pipe.NewBatcher()
 	w.GenerateQueries(func(q simnet.Query) {
 		country := w.Geo.Country(q.Addr)
@@ -63,21 +28,10 @@ func RunIngestProgress(w *simnet.World, p *Pool, pipe *ingest.Pipeline, prog Ing
 		stats.Queries++
 		stats.PerVantage[v.ID]++
 		stats.PerZone[VendorZone(q.Device.Kind)]++
-		if stats.Queries <= prog.Skip {
-			return
-		}
 		b.Add(ingest.Event{Addr: q.Addr, Time: q.Time.Unix(), Server: int32(v.ID)})
-		fed++
-		sinceCkpt++
-		if prog.CheckpointEvery > 0 && sinceCkpt >= prog.CheckpointEvery &&
-			prog.Checkpoint != nil && ckptErr == nil {
-			sinceCkpt = 0
-			b.Flush()
-			ckptErr = prog.Checkpoint(prog.Skip + fed)
-		}
 	})
 	b.Flush()
-	return stats, ckptErr
+	return stats
 }
 
 // MaterializeEvents replays the world once and returns the fully

@@ -156,8 +156,8 @@ func open(f *os.File, o Options) (*Corpus, error) {
 		return nil, fmt.Errorf("pager: tier version %d unsupported (have %d)", v, tierVersion)
 	}
 
-	if err := expectSection(sr, secTierMeta, tierMetaWire); err != nil {
-		return nil, err
+	if _, err := sr.Expect(secTierMeta, tierMetaWire); err != nil {
+		return nil, fmt.Errorf("pager: tier: %w", err)
 	}
 	var meta [tierMetaWire]byte
 	if _, err := io.ReadFull(sr, meta[:]); err != nil {
@@ -190,12 +190,8 @@ func open(f *os.File, o Options) (*Corpus, error) {
 	// fences must be internally ordered and disjoint ascending across
 	// chunks, every chunk but the last exactly full (the global index ->
 	// chunk mapping is pure arithmetic).
-	gotID, _, err := sr.Next()
-	if err != nil {
+	if _, err := sr.Expect(secTierDir, snapfmt.AnySize); err != nil {
 		return nil, fmt.Errorf("pager: tier directory: %w", err)
-	}
-	if gotID != secTierDir {
-		return nil, fmt.Errorf("pager: tier section %d where directory expected", gotID)
 	}
 	dir := make([]dirEntry, 0, min(int(chunkCount), 1<<16))
 	var fixed [tierDirFixed]byte
@@ -241,8 +237,8 @@ func open(f *os.File, o Options) (*Corpus, error) {
 		return nil, fmt.Errorf("pager: tier directory counts sum to %d, meta declares %d", sum, addrN)
 	}
 
-	if err := expectSection(sr, secTierIIDs, iidBytes); err != nil {
-		return nil, err
+	if _, err := sr.Expect(secTierIIDs, iidBytes); err != nil {
+		return nil, fmt.Errorf("pager: tier: %w", err)
 	}
 	iid := make([]byte, iidBytes)
 	if _, err := io.ReadFull(sr, iid); err != nil {
@@ -290,25 +286,6 @@ func open(f *os.File, o Options) (*Corpus, error) {
 	}
 	c.setGauges()
 	return c, nil
-}
-
-// expectSection mirrors the collector snapshot reader's fixed-order
-// section check.
-func expectSection(sr *snapfmt.Reader, id uint32, size uint64) error {
-	gotID, gotSize, err := sr.Next()
-	if err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("pager: tier ends before section %d", id)
-		}
-		return fmt.Errorf("pager: tier section %d: %w", id, err)
-	}
-	if gotID != id {
-		return fmt.Errorf("pager: tier section %d where %d expected", gotID, id)
-	}
-	if gotSize != size {
-		return fmt.Errorf("pager: tier section %d is %d bytes, want %d", id, gotSize, size)
-	}
-	return nil
 }
 
 // Close releases the tier file. Outstanding readers must be done.
@@ -484,7 +461,7 @@ func (c *Corpus) Get(a addr.Addr) (collector.AddrRecord, bool, error) {
 	if j == n || !bytes.Equal(p[j*tierRecWire:j*tierRecWire+16], a[:]) {
 		return collector.AddrRecord{}, false, nil
 	}
-	_, rec := decodeRec(p[j*tierRecWire : (j+1)*tierRecWire])
+	_, rec := collector.DecodeAddrRecord(p[j*tierRecWire : (j+1)*tierRecWire])
 	return rec, true, nil
 }
 
@@ -547,7 +524,7 @@ func (c *Corpus) AddrsRangeErr(lo, hi int, fn func(a addr.Addr, r collector.Addr
 		end := min(hi, base+int(c.dir[ci].n))
 		for ; g < end; g++ {
 			j := g - base
-			a, rec := decodeRec(p[j*tierRecWire : (j+1)*tierRecWire])
+			a, rec := collector.DecodeAddrRecord(p[j*tierRecWire : (j+1)*tierRecWire])
 			if !fn(a, rec) {
 				return nil
 			}
@@ -575,7 +552,7 @@ func (c *Corpus) StreamAddrs(fn func(a addr.Addr, r collector.AddrRecord) bool) 
 		},
 		func(ci int, p []byte) error {
 			for j := 0; j < int(c.dir[ci].n); j++ {
-				a, rec := decodeRec(p[j*tierRecWire : (j+1)*tierRecWire])
+				a, rec := collector.DecodeAddrRecord(p[j*tierRecWire : (j+1)*tierRecWire])
 				if !fn(a, rec) {
 					return errStopScan
 				}

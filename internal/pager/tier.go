@@ -41,10 +41,10 @@ const (
 	// tierMetaWire: total u64, addrN u64, chunkRecs u32, chunkCount u32,
 	// iidBytes u64.
 	tierMetaWire = 32
-	// tierRecWire is one address record on the wire: key[16], first u64,
-	// last u64, count u32, servers u32 — the snapshot layout, reused so a
-	// chunk is pure fixed-stride records.
-	tierRecWire = 40
+	// tierRecWire is one address record on the wire — the snapshot's
+	// entry, so a chunk is pure fixed-stride records that start with
+	// their 16-byte key.
+	tierRecWire = collector.AddrRecordWire
 	// tierDirFixed is a directory entry minus its bloom words: n u32,
 	// minKey[16], maxKey[16], bloomWords u32.
 	tierDirFixed = 40
@@ -174,11 +174,7 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 			ci = i / TierChunkRecs
 			buf = buf[:0]
 		}
-		buf = append(buf, a[:]...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.First))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Last))
-		buf = binary.BigEndian.AppendUint32(buf, r.Count)
-		buf = binary.BigEndian.AppendUint32(buf, r.Servers)
+		buf = collector.AppendAddrRecord(buf, a, r)
 		i++
 		return writeErr == nil
 	})
@@ -187,18 +183,6 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 		return writeErr
 	}
 	return sw.Close()
-}
-
-// decodeRec unpacks one tierRecWire record.
-func decodeRec(b []byte) (addr.Addr, collector.AddrRecord) {
-	var a addr.Addr
-	copy(a[:], b[0:16])
-	return a, collector.AddrRecord{
-		First:   int64(binary.BigEndian.Uint64(b[16:])),
-		Last:    int64(binary.BigEndian.Uint64(b[24:])),
-		Count:   binary.BigEndian.Uint32(b[32:]),
-		Servers: binary.BigEndian.Uint32(b[36:]),
-	}
 }
 
 // chunkPayloadSize returns the payload bytes of a chunk holding n

@@ -1,7 +1,7 @@
 // Package snapfmt implements the shared on-disk framing of the durable
-// corpus artifacts: collector snapshots and study checkpoints. A stream
-// is a fixed 8-byte magic, a version word, a sequence of sections, and
-// an end marker:
+// corpus artifacts: collector snapshots, delta snapshots and the pager's
+// tier file. A stream is a fixed 8-byte magic, a version word, a
+// sequence of sections, and an end marker:
 //
 //	stream  = magic[8] version(u32) section* end
 //	section = id(u32) size(u64) payload[size] crc32c(u32)   id != 0
@@ -12,8 +12,7 @@
 // boundary — even between complete sections — is detectable. The framing
 // reads and writes exactly its own bytes (no internal buffering or
 // read-ahead), so multiple streams compose back to back on one
-// io.Reader/io.Writer: a study checkpoint is framing metadata followed
-// by embedded collector snapshots on the same stream.
+// io.Reader/io.Writer.
 //
 // Readers must treat every decoded value as hostile until validated:
 // the contract is that arbitrary, truncated or bit-flipped input yields
@@ -197,6 +196,34 @@ func (sr *Reader) Next() (id uint32, size uint64, err error) {
 	sr.remaining = size
 	sr.crc = crc32.New(crcTable)
 	return id, size, nil
+}
+
+// AnySize is the size Expect takes for a section whose length the
+// caller learns from the header: the payload is read to its end and End
+// verifies nothing is left.
+const AnySize = ^uint64(0)
+
+// Expect opens the next section and requires it to be section id of
+// exactly size payload bytes (AnySize: of whatever size the header
+// declares, which is returned). The formats built on this framing have
+// a fixed section order and sizes that follow from their meta section,
+// so anything else — another id, a size that disagrees, the end marker
+// — is structural damage and an error, never io.EOF.
+func (sr *Reader) Expect(id uint32, size uint64) (uint64, error) {
+	gotID, gotSize, err := sr.Next()
+	if err != nil {
+		if err == io.EOF {
+			return 0, fmt.Errorf("snapfmt: stream ends before section %d", id)
+		}
+		return 0, err
+	}
+	if gotID != id {
+		return 0, fmt.Errorf("snapfmt: section %d where %d expected", gotID, id)
+	}
+	if size != AnySize && gotSize != size {
+		return 0, fmt.Errorf("snapfmt: section %d is %d bytes, want %d", id, gotSize, size)
+	}
+	return gotSize, nil
 }
 
 // Read consumes payload bytes of the open section, returning io.EOF at

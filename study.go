@@ -64,20 +64,6 @@ type Config struct {
 	// of it. It must be a positive whole number of seconds. 0 selects
 	// one hour.
 	OutageBin time.Duration
-	// CheckpointPath, when non-empty, makes CollectPassive durable: if
-	// the file exists it is loaded and the replay resumes after the
-	// checkpointed position (results stay byte-identical to an
-	// uninterrupted run — the corpus, day slice and outage series are
-	// all restored, and the skipped replay prefix still drives vantage
-	// selection), and during the replay fresh checkpoints are written
-	// there every CheckpointEvery events (atomic temp-file + rename). A
-	// checkpoint recorded under a different Seed/Scale/Days/SliceDay/
-	// OutageBin is rejected, and a corrupt checkpoint file is an error —
-	// delete it to restart from scratch.
-	CheckpointPath string
-	// CheckpointEvery is the checkpoint cadence in replay events. 0
-	// with a CheckpointPath means restore-only (no new checkpoints).
-	CheckpointEvery int
 	// AnalysisWorkers is the per-fold worker count of the parallel
 	// analysis engine: every figure, Table 1, the strategy inference,
 	// tracking and Report's section orchestration each fan out across
@@ -158,12 +144,6 @@ func NewStudy(cfg Config) (*Study, error) {
 	if cfg.IngestShards < 0 {
 		return nil, fmt.Errorf("hitlist6: IngestShards must be >= 0")
 	}
-	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("hitlist6: CheckpointEvery must be >= 0")
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
-		return nil, fmt.Errorf("hitlist6: CheckpointEvery without CheckpointPath")
-	}
 	if cfg.AnalysisWorkers < 0 {
 		return nil, fmt.Errorf("hitlist6: AnalysisWorkers must be >= 0")
 	}
@@ -231,63 +211,12 @@ func (s *Study) CollectPassive() error {
 		ingest.OutageSeries(s.World.ASDB, s.World.Origin, s.World.End, bin),
 	}
 
-	// Resume: a checkpoint restores the corpus (as the pipeline seed),
-	// the day slice and the outage series, and tells the replay how many
-	// leading events those already contain.
-	var skip uint64
-	var resume *studyCheckpoint
-	if s.Config.CheckpointPath != "" {
-		ck, err := readCheckpointFile(s.Config.CheckpointPath)
-		if err != nil {
-			return fmt.Errorf("hitlist6: resume from %s: %w", s.Config.CheckpointPath, err)
-		}
-		if ck != nil {
-			if err := ck.meta.matches(metaFor(s.Config, bin, 0)); err != nil {
-				return err
-			}
-			cfg.Seed = ck.corpus
-			skip = ck.meta.events
-			resume = ck
-		}
-	}
-
 	pipe, err := ingest.New(cfg)
 	if err != nil {
 		return fmt.Errorf("hitlist6: ingest pipeline: %w", err)
 	}
-	if resume != nil {
-		// On any seeding failure the pipeline's shard and merger
-		// goroutines are already running: close them down before
-		// surfacing the error, or every failed resume leaks a pipeline.
-		fail := func(err error) error {
-			pipe.Close()
-			return err
-		}
-		if err := pipe.SeedStage("dayslice", &ingest.DaySliceStage{Col: resume.day}); err != nil {
-			return fail(err)
-		}
-		seedOutage := ingest.OutageSeries(s.World.ASDB, s.World.Origin, s.World.End, bin)().(*ingest.OutageSeriesStage)
-		if err := seedOutage.AddSeries(resume.series); err != nil {
-			return fail(fmt.Errorf("hitlist6: resume outage series: %w", err))
-		}
-		if err := pipe.SeedStage("outage", seedOutage); err != nil {
-			return fail(err)
-		}
-	}
-
-	prog := ntppool.IngestProgress{Skip: skip}
-	if s.Config.CheckpointPath != "" && s.Config.CheckpointEvery > 0 {
-		prog.CheckpointEvery = uint64(s.Config.CheckpointEvery)
-		prog.Checkpoint = func(events uint64) error {
-			return s.writeCheckpoint(pipe, bin, events)
-		}
-	}
-	stats, ckptErr := ntppool.RunIngestProgress(s.World, s.Pool, pipe, prog)
-	s.RunStats = stats
+	s.RunStats = ntppool.RunIngest(s.World, s.Pool, pipe)
 	s.Collector = pipe.Close()
-	if ckptErr != nil {
-		return fmt.Errorf("hitlist6: checkpoint during replay: %w", ckptErr)
-	}
 	day, ok := pipe.Stage("dayslice").(*ingest.DaySliceStage)
 	if !ok {
 		return fmt.Errorf("hitlist6: ingest pipeline returned no day-slice stage")
