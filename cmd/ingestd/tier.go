@@ -1,16 +1,20 @@
 // The daemon's tiered-corpus surface (-corpus.rambudget): alongside
-// each durable checkpoint the daemon writes a tier file — the corpus as
-// fixed-size canonical chunks with per-chunk filters (internal/pager) —
-// and serves point lookups off it at /probe with a bounded RAM budget,
-// instead of holding a second full corpus for queries. /stats grows a
-// tier block and the pager's gauges/counters land on /metrics.
+// each durable checkpoint the daemon writes a tier file — the corpus's
+// address records as fixed-size canonical chunks with per-chunk filters
+// (internal/pager) — and serves point lookups off it at /probe with a
+// bounded RAM budget, instead of holding a second full corpus for
+// queries. The tier is a probe index, rewritten from the corpus by
+// every checkpoint and at start-up when it is missing or unreadable;
+// the checkpoint is the durable copy. /stats grows a tier block and the
+// pager's gauges/counters land on /metrics.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
-	"os"
 	"time"
 
 	"hitlist6/internal/addr"
@@ -22,17 +26,20 @@ import (
 
 // tierPhases are the consecutive phases of one tier refresh, the phase
 // label of ingestd_tier_refresh_seconds: "order" runs until the first
-// byte is written (both canonical sorts, the directory and the IID
-// bytes — pager.WriteTier writes nothing before they exist), "encode"
-// streams the sections into the temp file's buffer, "sync" is flush,
-// fsync, rename and directory fsync, "swap" opens the new file and
-// trades readers.
+// byte is written (the canonical sort and the directory —
+// pager.WriteTier writes nothing before they exist), "encode" streams
+// the sections into the temp file's buffer, "sync" is flush, fsync,
+// rename and directory fsync, "swap" opens the new file and trades
+// readers.
 var tierPhases = [...]string{"order", "encode", "sync", "swap"}
 
 // enableTier switches the tiered corpus on: the tier file lives in dir
 // beside the checkpoint, and one left there by a previous run is opened
-// so /probe serves immediately after a restart (a missing or unreadable
-// file is not fatal — the next checkpoint rewrites it).
+// so /probe serves immediately after a restart. When there is none, or
+// it does not open (an older format version, damage), and a corpus was
+// restored, the file is rebuilt from that corpus here — before the
+// daemon reports ready — rather than leaving /probe at 503 until the
+// first checkpoint. An empty store writes nothing.
 func (d *daemon) enableTier(dir string, budget int64) {
 	d.ramBudget = budget
 	d.tierPath = tierPath(dir)
@@ -42,13 +49,24 @@ func (d *daemon) enableTier(dir string, budget int64) {
 			"Wall time of one tier refresh by phase: order, encode, sync, swap.",
 			telemetry.DurationBuckets(), telemetry.L("phase", phase))
 	}
-	if _, err := os.Stat(d.tierPath); err != nil {
+	err := d.swapTier()
+	if err == nil {
 		return
 	}
-	if err := d.swapTier(); err != nil {
-		d.log.Warn("stale tier file unreadable; will rewrite at next checkpoint",
+	if !errors.Is(err, fs.ErrNotExist) {
+		d.log.Warn("stale tier file unreadable; rewriting from the corpus",
 			"path", d.tierPath, "error", err)
 	}
+	if d.pipe.Store().NumAddrs() == 0 {
+		return
+	}
+	phases, err := d.refreshTier()
+	if err != nil {
+		d.log.Error("tier rebuild failed; /probe waits for the next checkpoint",
+			"path", d.tierPath, "error", err)
+		return
+	}
+	d.log.Info("tier rebuilt from the restored corpus", append([]any{"path", d.tierPath}, phases...)...)
 }
 
 // stampWriter notes when its first byte arrives.

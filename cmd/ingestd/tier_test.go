@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -183,4 +186,64 @@ func TestProbeDuringTierRefresh(t *testing.T) {
 			t.Errorf("/debug/events: snapshot lines lack %s", want)
 		}
 	}
+}
+
+// TestTierRebuiltOnRestart: a daemon that restores a corpus and finds
+// no tier file it can open — none at all, one stamped format version 1
+// (what every upgrade across the version bump finds), plain garbage —
+// rebuilds the tier from the restored corpus inside enableTier, so the
+// first /probe answers 200 instead of 503 until somebody checkpoints. A
+// daemon with nothing restored writes no tier and answers 503 as before.
+func TestTierRebuiltOnRestart(t *testing.T) {
+	for name, stale := range map[string][]byte{
+		"missing":   nil,
+		"version-1": []byte("h6tier01\x00\x00\x00\x01left by an older build"),
+		"garbage":   []byte("not a tier file"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			first := newTestDaemon(t, dir)
+			feed(t, first)
+			if _, err := first.checkpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			first.pipe.Close()
+			if stale != nil {
+				if err := os.WriteFile(tierPath(dir), stale, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The restart, as main runs it: restore the checkpoint, seed
+			// the store, then enable the tier.
+			d := newTestDaemon(t, dir)
+			defer d.pipe.Close()
+			restored := restoreOrEmpty(d.snapPath, false, t.Logf)
+			if restored == nil {
+				t.Fatal("checkpoint did not restore")
+			}
+			d.pipe.Store().ApplyShard(restored)
+			d.enableTier(dir, 1<<20)
+			srv := httptest.NewServer(d.newMux())
+			defer srv.Close()
+			if status, _, body := get(t, srv.URL, "/probe?addr=2001:db8::1"); status != http.StatusOK || !strings.Contains(body, `"found":true`) {
+				t.Fatalf("first /probe after the restart: status %d, %s", status, body)
+			}
+		})
+	}
+
+	t.Run("nothing-restored", func(t *testing.T) {
+		dir := t.TempDir()
+		d := newTestDaemon(t, dir)
+		defer d.pipe.Close()
+		d.enableTier(dir, 1<<20)
+		if _, err := os.Stat(tierPath(dir)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("an empty store wrote a tier file (stat: %v)", err)
+		}
+		srv := httptest.NewServer(d.newMux())
+		defer srv.Close()
+		if status, _, body := get(t, srv.URL, "/probe?addr=2001:db8::1"); status != http.StatusServiceUnavailable {
+			t.Fatalf("/probe with no tier: status %d, %s", status, body)
+		}
+	})
 }

@@ -19,21 +19,10 @@ var LifetimeMarks = []time.Duration{
 // range order reproduces the serial scan's sample sequence exactly.
 func appendFloats(dst, src []float64) []float64 { return append(dst, src...) }
 
-// AddrSource is the address-record half of a corpus: everything the
-// address-level folds need, satisfied by a live *collector.Collector
-// and by a tier-paged *pager.Corpus alike. The folds only require that
-// concurrent AddrsRange calls over disjoint ranges are safe and that
-// every index in [0, NumAddrs) yields exactly one record — they are
-// insensitive to which order the implementation stores records in.
-type AddrSource interface {
-	NumAddrs() int
-	AddrsRange(lo, hi int, fn func(a addr.Addr, r collector.AddrRecord) bool)
-}
-
 // AddressLifetimes builds the distribution of observed address lifetimes
 // in seconds (Figure 2a's CCDF input) as a parallel fold over the
 // corpus's address records.
-func AddressLifetimes(c AddrSource, workers int) *stats.Distribution {
+func AddressLifetimes(c *collector.Collector, workers int) *stats.Distribution {
 	samples := fold.Map(c.NumAddrs(), workers,
 		func(lo, hi int) []float64 {
 			part := make([]float64, 0, hi-lo)
@@ -58,13 +47,13 @@ type Figure2a struct {
 	WeekOrLonger, MonthOrLonger, SixMonthsOrLonger float64
 }
 
-// ComputeFigure2a evaluates Figure 2a from an address source.
-func ComputeFigure2a(c AddrSource) *Figure2a {
+// ComputeFigure2a evaluates Figure 2a from a collector.
+func ComputeFigure2a(c *collector.Collector) *Figure2a {
 	return ComputeFigure2aWorkers(c, 1)
 }
 
 // ComputeFigure2aWorkers is ComputeFigure2a on the given worker count.
-func ComputeFigure2aWorkers(c AddrSource, workers int) *Figure2a {
+func ComputeFigure2aWorkers(c *collector.Collector, workers int) *Figure2a {
 	dist := AddressLifetimes(c, workers)
 	marks := make([]float64, len(LifetimeMarks))
 	for i, m := range LifetimeMarks {

@@ -144,37 +144,17 @@ func (c *Collector) WriteCanonical(w io.Writer) (err error) {
 }
 
 // spill hands buf to w once it holds canonFlush bytes and starts it
-// again; a nil writer keeps everything in buf.
+// again.
 func spill(buf []byte, w io.Writer) ([]byte, error) {
-	if w == nil || len(buf) < canonFlush {
+	if len(buf) < canonFlush {
 		return buf, nil
 	}
 	_, err := w.Write(buf)
 	return buf[:0], err
 }
 
-// CanonicalIIDs returns only the IID half of the canonical encoding
-// (IID count, then every IID record in ascending order with sorted
-// spans) in one buffer allocated at its exact size. The tiered corpus
-// format embeds exactly these bytes as its resident IID tier so a
-// pager-backed checksum can splice them in without holding the
-// collector.
-func (c *Collector) CanonicalIIDs() []byte {
-	// Per IID: key, first, last, count, span count (or the untracked
-	// marker); per span of a tracked IID: prefix, first, last.
-	size := 8 + 40*int(c.iidUsed)
-	for i := uint32(0); i < c.iidRecs.n; i++ {
-		if e := c.iidRecs.at(i); e.spans != spanNone {
-			size += 24 * int(e.p64n)
-		}
-	}
-	buf, _ := c.appendCanonicalIIDs(make([]byte, 0, size), nil)
-	return buf
-}
-
 // appendCanonicalIIDs encodes the IID half onto buf, spilling into w as
-// it goes (see spill) and returning the unwritten tail; with a nil
-// writer it only appends and cannot fail.
+// it goes (see spill) and returning the unwritten tail.
 func (c *Collector) appendCanonicalIIDs(buf []byte, w io.Writer) (_ []byte, err error) {
 	iids := c.sortedIIDRefs()
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(iids)))

@@ -10,11 +10,15 @@ import (
 )
 
 // goldenTierSum is the SHA-256 of pager.WriteTier over goldenStream()'s
-// corpus (4,997 addresses: two chunks), computed at the commit before
-// the canonical-order kernel replaced the reflection sorts. It makes
-// "byte-identical tier file" a test: the order, the directory, the IID
-// bytes and the chunk payloads all feed it.
-const goldenTierSum = "c67efc6beb5e4c75a5dd70b93036e4a968f77d18fc5950365cc2793f8f0e9ab5"
+// corpus (4,997 addresses: two chunks, a 210,312-byte version-2 file).
+// It makes "byte-identical tier file" a test: the order, the directory
+// and the chunk payloads all feed it. Pinned at the change to version 2
+// on this evidence: the version-1 file at the parent commit hashed to
+// the previous pin (c67efc6b…), and its directory section and both
+// chunk sections — header, payload and CRC, extracted by offset — are
+// byte-identical to this file's; the two differ by the version word,
+// the meta's dropped length field and the dropped IID section.
+const goldenTierSum = "24f5ed2a729cf453b55fde75e99d2f7c6ebdacb3f18d55a8e26e06d9fb18f375"
 
 func TestTierFileGolden(t *testing.T) {
 	addrs, times, servers := collector.GoldenStream()

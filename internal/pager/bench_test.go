@@ -89,7 +89,7 @@ func BenchmarkColdContains(b *testing.B) {
 		pc := openOrDie(b, path, Options{RAMBudget: chunkBytes})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ok, err := pc.Contains(absent[i&4095])
+			_, ok, err := pc.Get(absent[i&4095])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func BenchmarkColdContains(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			a := present[int(tmix(uint64(i))%uint64(len(present)))]
-			ok, err := pc.Contains(a)
+			_, ok, err := pc.Get(a)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -114,39 +114,11 @@ func BenchmarkColdContains(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamingReport measures the streaming fold rate off an all
-// -cold corpus: every address record walked in canonical order with
-// bounded readahead, the access pattern Report() and the figure folds
-// use when the corpus does not fit the budget.
-func BenchmarkStreamingReport(b *testing.B) {
-	c := collector.New()
-	feedEvents(c, 0, 200000)
-	path := writeTierFile(b, c)
-	pc := openOrDie(b, path, Options{RAMBudget: chunkBytes})
-	n := pc.NumAddrs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var obs uint64
-		err := pc.StreamAddrs(func(_ addr.Addr, r collector.AddrRecord) bool {
-			obs += uint64(r.Count)
-			return true
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if obs != pc.TotalObservations() {
-			b.Fatalf("fold saw %d observations of %d", obs, pc.TotalObservations())
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "addrs/sec")
-}
-
-// BenchmarkWriteTier measures one whole tier rewrite — both canonical
-// orders, the directory with its blooms, the IID bytes and every chunk
-// section — over the paper profile at the repository benchmark's size
-// (>= 200k addresses). MB/s is tier-file bytes produced; the daemon
-// pays this once per checkpoint under -corpus.rambudget.
+// BenchmarkWriteTier measures one whole tier rewrite — the canonical
+// order, the directory with its blooms and every chunk section — over
+// the paper profile at the repository benchmark's size (>= 200k
+// addresses). MB/s is tier-file bytes produced; the daemon pays this
+// once per checkpoint under -corpus.rambudget.
 func BenchmarkWriteTier(b *testing.B) {
 	p, _ := workload.Lookup("paper")
 	st, err := p.Stream(1, workload.Size{Scale: 0.5, Days: 218})

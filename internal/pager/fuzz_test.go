@@ -19,6 +19,7 @@ func FuzzTier(f *testing.F) {
 	f.Add(tierBytes(f, 600))
 	f.Add([]byte("h6tier01"))
 	f.Add([]byte("h6tier01\x00\x00\x00\x01"))
+	f.Add([]byte("h6tier01\x00\x00\x00\x02"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -31,20 +32,19 @@ func FuzzTier(f *testing.F) {
 			return // rejected cleanly
 		}
 		defer pc.Close()
-		// An accepted tier must read deterministically: two canonical
-		// walks agree (or both fail — chunk CRCs are checked lazily), and
-		// point lookups over whatever it holds never panic.
-		sum1, err1 := pc.Checksum()
-		sum2, err2 := pc.Checksum()
+		// An accepted tier must read deterministically: two range walks
+		// agree (or both fail — chunk CRCs are checked lazily), and every
+		// key a walk hands out is one a point lookup finds.
+		sum1, err1 := walkSum(pc)
+		sum2, err2 := walkSum(pc)
 		if (err1 == nil) != (err2 == nil) || (err1 == nil && sum1 != sum2) {
 			t.Fatalf("accepted tier reads nondeterministically: %v / %v", err1, err2)
 		}
 		pc.AddrsRange(0, pc.NumAddrs(), func(a addr.Addr, r collector.AddrRecord) bool {
-			pc.Get(a)
+			if got, ok, err := pc.Get(a); err != nil || !ok || got != r {
+				t.Fatalf("walked %v %+v, Get returned %+v, %v, %v", a, r, got, ok, err)
+			}
 			return true
 		})
-		if _, err := pc.Restore(); err != nil {
-			return // hostile-but-framed content is allowed to fail restore
-		}
 	})
 }

@@ -3,7 +3,6 @@ package pager
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,7 +14,6 @@ import (
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
-	"hitlist6/internal/fold"
 	"hitlist6/internal/snapfmt"
 	"hitlist6/internal/telemetry"
 )
@@ -59,9 +57,6 @@ type Options struct {
 	//-water mark for the cache: one chunk may transiently exceed it
 	// during a load, and the most recently used chunk is never evicted.
 	RAMBudget int64
-	// Readahead is the chunk readahead window of streaming scans
-	// (WriteCanonical, Restore, StreamAddrs); default 2.
-	Readahead int
 	// Metrics receives the pager's instrumentation; nil means unregistered
 	// (a private throwaway registry).
 	Metrics *Metrics
@@ -85,10 +80,8 @@ type Corpus struct {
 	total     uint64
 	addrN     int
 	chunkRecs int
-	iid       []byte
 	dir       []dirEntry
 	budget    int64
-	readahead int
 	met       *Metrics
 
 	mu            sync.Mutex
@@ -99,7 +92,6 @@ type Corpus struct {
 	lruTail       int32
 	residentBytes int64
 	inflight      map[int]*inflightLoad
-	firstErr      error
 }
 
 type inflightLoad struct {
@@ -123,8 +115,8 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Open opens a tier file. Only the resident sections — meta, directory,
-// IID bytes — are read; chunk offsets are derived from the directory's
+// Open opens a tier file. Only the resident sections — meta and
+// directory — are read; chunk offsets are derived from the directory's
 // record counts, so opening a corpus far larger than RAM touches none
 // of its chunk data.
 func Open(path string, o Options) (*Corpus, error) {
@@ -170,7 +162,6 @@ func open(f *os.File, o Options) (*Corpus, error) {
 	addrN := binary.BigEndian.Uint64(meta[8:])
 	chunkRecs := binary.BigEndian.Uint32(meta[16:])
 	chunkCount := binary.BigEndian.Uint32(meta[20:])
-	iidBytes := binary.BigEndian.Uint64(meta[24:])
 
 	if chunkRecs == 0 {
 		return nil, fmt.Errorf("pager: tier declares zero-record chunks")
@@ -178,8 +169,8 @@ func open(f *os.File, o Options) (*Corpus, error) {
 	// Every record costs at least tierRecWire bytes on the file; a meta
 	// that declares more than the file could hold is damage, and bounding
 	// here bounds every allocation below.
-	if addrN > uint64(fileSize)/tierRecWire || iidBytes > uint64(fileSize) {
-		return nil, fmt.Errorf("pager: tier declares %d records / %d IID bytes in a %d-byte file", addrN, iidBytes, fileSize)
+	if addrN > uint64(fileSize)/tierRecWire {
+		return nil, fmt.Errorf("pager: tier declares %d records in a %d-byte file", addrN, fileSize)
 	}
 	wantChunks := (addrN + uint64(chunkRecs) - 1) / uint64(chunkRecs)
 	if uint64(chunkCount) != wantChunks {
@@ -237,17 +228,6 @@ func open(f *os.File, o Options) (*Corpus, error) {
 		return nil, fmt.Errorf("pager: tier directory counts sum to %d, meta declares %d", sum, addrN)
 	}
 
-	if _, err := sr.Expect(secTierIIDs, iidBytes); err != nil {
-		return nil, fmt.Errorf("pager: tier: %w", err)
-	}
-	iid := make([]byte, iidBytes)
-	if _, err := io.ReadFull(sr, iid); err != nil {
-		return nil, fmt.Errorf("pager: tier iids: %w", err)
-	}
-	if err := sr.End(); err != nil {
-		return nil, fmt.Errorf("pager: tier iids: %w", err)
-	}
-
 	// Chunk offsets are arithmetic from here; the end marker must land
 	// exactly at the end of the file.
 	off := cr.n
@@ -263,19 +243,13 @@ func open(f *os.File, o Options) (*Corpus, error) {
 	if met == nil {
 		met = NewMetrics(telemetry.NewRegistry())
 	}
-	readahead := o.Readahead
-	if readahead <= 0 {
-		readahead = 2
-	}
 	c := &Corpus{
 		f:         f,
 		total:     total,
 		addrN:     int(addrN),
 		chunkRecs: int(chunkRecs),
-		iid:       iid,
 		dir:       dir,
 		budget:    o.RAMBudget,
-		readahead: readahead,
 		met:       met,
 		res:       make(map[int][]byte),
 		lruPrev:   make([]int32, len(dir)),
@@ -465,49 +439,13 @@ func (c *Corpus) Get(a addr.Addr) (collector.AddrRecord, bool, error) {
 	return rec, true, nil
 }
 
-// Contains reports whether the corpus holds a.
-func (c *Corpus) Contains(a addr.Addr) (bool, error) {
-	_, ok, err := c.Get(a)
-	return ok, err
-}
-
 // ---- range scans ----
 
 // AddrsRange iterates the records with canonical-order indices in
-// [lo, hi), loading chunks through the cache. It satisfies the analysis
-// layer's AddrSource contract like Collector.AddrsRange does — the
-// iteration order here is canonical (sorted), which every fold is
-// insensitive to.
-func (c *Corpus) AddrsRange(lo, hi int, fn func(a addr.Addr, r collector.AddrRecord) bool) {
-	if err := c.AddrsRangeErr(lo, hi, fn); err != nil {
-		// The interface has no error channel: the scan ends short and the
-		// error goes sticky for Err(). Callers needing per-call errors use
-		// AddrsRangeErr.
-		c.noteErr(err)
-	}
-}
-
-// noteErr records the first I/O or damage error an errorless interface
-// path swallowed.
-func (c *Corpus) noteErr(err error) {
-	c.mu.Lock()
-	if c.firstErr == nil {
-		c.firstErr = err
-	}
-	c.mu.Unlock()
-}
-
-// Err returns the first error an AddrsRange scan swallowed, if any.
-// Fold pipelines over the errorless AddrSource interface check it once
-// at the end instead of per record.
-func (c *Corpus) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.firstErr
-}
-
-// AddrsRangeErr is AddrsRange with chunk-load errors surfaced.
-func (c *Corpus) AddrsRangeErr(lo, hi int, fn func(a addr.Addr, r collector.AddrRecord) bool) error {
+// [lo, hi), loading chunks through the cache like Get does; fn returning
+// false ends the walk. A chunk that fails to load ends it with the
+// error, after every record before that chunk has been delivered.
+func (c *Corpus) AddrsRange(lo, hi int, fn func(a addr.Addr, r collector.AddrRecord) bool) error {
 	if lo < 0 {
 		lo = 0
 	}
@@ -529,167 +467,6 @@ func (c *Corpus) AddrsRangeErr(lo, hi int, fn func(a addr.Addr, r collector.Addr
 				return nil
 			}
 		}
-	}
-	return nil
-}
-
-var errStopScan = fmt.Errorf("pager: scan stopped")
-
-// StreamAddrs walks every record in canonical order with bounded chunk
-// readahead, bypassing the LRU cache: a full scan must not evict the
-// working set, and its memory high-water mark is readahead+1 chunks
-// regardless of corpus size.
-func (c *Corpus) StreamAddrs(fn func(a addr.Addr, r collector.AddrRecord) bool) error {
-	err := fold.Stream(len(c.dir), c.readahead,
-		func(ci int) ([]byte, error) {
-			c.mu.Lock()
-			p, ok := c.res[ci]
-			c.mu.Unlock()
-			if ok {
-				return p, nil
-			}
-			return c.readChunk(ci)
-		},
-		func(ci int, p []byte) error {
-			for j := 0; j < int(c.dir[ci].n); j++ {
-				a, rec := collector.DecodeAddrRecord(p[j*tierRecWire : (j+1)*tierRecWire])
-				if !fn(a, rec) {
-					return errStopScan
-				}
-			}
-			return nil
-		})
-	if err == errStopScan {
-		return nil
-	}
-	return err
-}
-
-// ---- canonical encoding ----
-
-// WriteCanonical streams the corpus's canonical encoding: byte-for-byte
-// what collector.WriteCanonical produces for the same observations,
-// whether the chunks are fully resident, partially resident or entirely
-// cold — the address half re-expands off the chunk walk, the IID half
-// is the tier file's resident bytes verbatim.
-func (c *Corpus) WriteCanonical(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		bw.Write(scratch[:])
-	}
-	putU64(c.total)
-	putU64(uint64(c.addrN))
-	err := c.StreamAddrs(func(a addr.Addr, r collector.AddrRecord) bool {
-		bw.Write(a[:])
-		putU64(uint64(r.First))
-		putU64(uint64(r.Last))
-		putU64(uint64(r.Count))
-		putU64(uint64(r.Servers))
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := bw.Write(c.iid); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Checksum returns the SHA-256 of the canonical encoding — comparable
-// directly against collector.Checksum. The error surfaces chunk damage
-// (the collector-side method has no I/O to fail).
-func (c *Corpus) Checksum() ([32]byte, error) {
-	h := sha256.New()
-	var out [32]byte
-	if err := c.WriteCanonical(h); err != nil {
-		return out, err
-	}
-	copy(out[:], h.Sum(nil))
-	return out, nil
-}
-
-// ---- full restore ----
-
-// Restore rebuilds a live Collector from the tier: the full-fidelity
-// path for analyses that need more than address scans (IID views, span
-// chains, merging). Memory returns to O(corpus); the streaming walk
-// keeps the rebuild itself at readahead+1 chunks over the collector's
-// own footprint.
-func (c *Corpus) Restore() (*collector.Collector, error) {
-	b := collector.NewBuilder()
-	var addErr error
-	err := c.StreamAddrs(func(a addr.Addr, r collector.AddrRecord) bool {
-		addErr = b.AddAddr(a, r)
-		return addErr == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if addErr != nil {
-		return nil, addErr
-	}
-	if err := parseCanonicalIIDs(c.iid, b); err != nil {
-		return nil, err
-	}
-	return b.Finish(c.total)
-}
-
-// parseCanonicalIIDs feeds the canonical IID encoding into a builder.
-// The bytes are CRC-covered on the file, but the parse still treats
-// every length and count as hostile: damage is an error, never a panic
-// or an over-allocation.
-func parseCanonicalIIDs(b []byte, bld *collector.Builder) error {
-	u64 := func() (uint64, bool) {
-		if len(b) < 8 {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		return v, true
-	}
-	count, ok := u64()
-	if !ok || count > uint64(len(b))/32 {
-		return fmt.Errorf("pager: tier IID section declares %d records in %d bytes", count, len(b))
-	}
-	var spans []collector.SpanWindow
-	for i := uint64(0); i < count; i++ {
-		key, ok1 := u64()
-		first, ok2 := u64()
-		last, ok3 := u64()
-		cnt, ok4 := u64()
-		sn, ok5 := u64()
-		if !(ok1 && ok2 && ok3 && ok4 && ok5) {
-			return fmt.Errorf("pager: tier IID section truncated at record %d", i)
-		}
-		if cnt > uint64(^uint32(0)) {
-			return fmt.Errorf("pager: tier IID record %d count %d overflows", i, cnt)
-		}
-		spans = spans[:0]
-		if sn != 0xffffffffffffffff {
-			if sn > uint64(len(b))/24 {
-				return fmt.Errorf("pager: tier IID record %d declares %d spans in %d bytes", i, sn, len(b))
-			}
-			for s := uint64(0); s < sn; s++ {
-				p64, okA := u64()
-				sf, okB := u64()
-				sl, okC := u64()
-				if !(okA && okB && okC) {
-					return fmt.Errorf("pager: tier IID record %d span truncated", i)
-				}
-				spans = append(spans, collector.SpanWindow{
-					P64: addr.Prefix64(p64), First: int64(sf), Last: int64(sl),
-				})
-			}
-		}
-		if err := bld.AddIID(addr.IID(key), int64(first), int64(last), uint32(cnt), spans); err != nil {
-			return err
-		}
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("pager: tier IID section carries %d trailing bytes", len(b))
 	}
 	return nil
 }

@@ -2,9 +2,13 @@ package pager
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,6 +92,41 @@ func openOrDie(tb testing.TB, path string, o Options) *Corpus {
 
 const chunkBytes = int64(TierChunkRecs) * tierRecWire
 
+// The pager's integrity bar, held by the tests rather than by library
+// code: a tier must hand back exactly the records of the collector it
+// was written from, in canonical order. recDigest hashes one such walk;
+// walkSum takes it over the tier's range walk, corpusSum over the
+// collector's own canonical walk.
+type recDigest struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newRecDigest() *recDigest { return &recDigest{h: sha256.New()} }
+
+func (d *recDigest) add(a addr.Addr, r collector.AddrRecord) bool {
+	d.buf = collector.AppendAddrRecord(d.buf[:0], a, r)
+	d.h.Write(d.buf)
+	return true
+}
+
+func (d *recDigest) sum() (out [32]byte) {
+	copy(out[:], d.h.Sum(nil))
+	return out
+}
+
+func walkSum(pc *Corpus) ([32]byte, error) {
+	d := newRecDigest()
+	err := pc.AddrsRange(0, pc.NumAddrs(), d.add)
+	return d.sum(), err
+}
+
+func corpusSum(c *collector.Collector) [32]byte {
+	d := newRecDigest()
+	c.AddrsCanonical(d.add)
+	return d.sum()
+}
+
 func TestTierRoundTrip(t *testing.T) {
 	c := buildCorpus(t, 30000)
 	path := writeTierFile(t, c)
@@ -102,12 +141,12 @@ func TestTierRoundTrip(t *testing.T) {
 	if pc.NumChunks() != (c.NumAddrs()+TierChunkRecs-1)/TierChunkRecs {
 		t.Fatalf("tier cut %d chunks for %d addrs", pc.NumChunks(), c.NumAddrs())
 	}
-	sum, err := pc.Checksum()
+	sum, err := walkSum(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum != c.Checksum() {
-		t.Fatalf("tier checksum diverges from collector")
+	if sum != corpusSum(c) {
+		t.Fatalf("tier walk diverges from collector")
 	}
 
 	// Every record, both point-looked-up and range-scanned, must match.
@@ -129,14 +168,11 @@ func TestTierRoundTrip(t *testing.T) {
 
 	for i := 0; i < 2000; i++ {
 		a := addr.FromParts(0x30010db8<<32|tmix(uint64(i))%97<<4, tmix(uint64(i)+1))
-		if ok, err := pc.Contains(a); err != nil {
+		if _, ok, err := pc.Get(a); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			t.Fatalf("tier claims to hold absent %v", a)
 		}
-	}
-	if err := pc.Err(); err != nil {
-		t.Fatalf("sticky error after clean reads: %v", err)
 	}
 }
 
@@ -147,25 +183,24 @@ func TestTierEmptyCorpus(t *testing.T) {
 	if pc.NumAddrs() != 0 || pc.NumChunks() != 0 {
 		t.Fatalf("empty tier reports %d addrs, %d chunks", pc.NumAddrs(), pc.NumChunks())
 	}
-	if ok, err := pc.Contains(addr.FromParts(1, 2)); err != nil || ok {
-		t.Fatalf("empty tier Contains = %v, %v", ok, err)
+	if _, ok, err := pc.Get(addr.FromParts(1, 2)); err != nil || ok {
+		t.Fatalf("empty tier Get = %v, %v", ok, err)
 	}
-	sum, err := pc.Checksum()
+	sum, err := walkSum(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum != c.Checksum() {
-		t.Fatalf("empty tier checksum diverges")
+	if sum != corpusSum(c) {
+		t.Fatalf("empty tier walk diverges")
 	}
 }
 
-// TestTierEquivalenceAcrossBudgets is the tentpole acceptance bar: the
-// canonical encoding must be byte-identical whether the corpus is fully
-// resident, budget-constrained, or effectively all-cold — and a full
-// Restore must reproduce the original collector exactly.
+// TestTierEquivalenceAcrossBudgets: the range walk must hand back the
+// collector's records whether the corpus is fully resident, budget
+// -constrained, or effectively all-cold.
 func TestTierEquivalenceAcrossBudgets(t *testing.T) {
 	c := buildCorpus(t, 30000)
-	want := c.Checksum()
+	want := corpusSum(c)
 	path := writeTierFile(t, c)
 
 	budgets := map[string]int64{
@@ -176,40 +211,20 @@ func TestTierEquivalenceAcrossBudgets(t *testing.T) {
 	for name, budget := range budgets {
 		t.Run(name, func(t *testing.T) {
 			pc := openOrDie(t, path, Options{RAMBudget: budget})
-			sum, err := pc.Checksum()
+			sum, err := walkSum(pc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sum != want {
-				t.Fatalf("checksum diverges at budget %d", budget)
+				t.Fatalf("walk diverges at budget %d", budget)
 			}
-			// Checksum twice: the second pass may find some chunks resident.
-			again, err := pc.Checksum()
+			// Walk twice: the second pass finds some chunks resident.
+			again, err := walkSum(pc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if again != want {
-				t.Fatalf("second checksum diverges at budget %d", budget)
-			}
-
-			restored, err := pc.Restore()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Checksum() != want {
-				t.Fatalf("restored collector diverges at budget %d", budget)
-			}
-			if restored.NumAddrs() != c.NumAddrs() || restored.NumIIDs() != c.NumIIDs() {
-				t.Fatalf("restored counts %d/%d, want %d/%d",
-					restored.NumAddrs(), restored.NumIIDs(), c.NumAddrs(), c.NumIIDs())
-			}
-			// The restored collector must be live: it accepts further
-			// observations and snapshots cleanly.
-			feedEvents(restored, 30000, 31000)
-			live := collector.New()
-			feedEvents(live, 0, 31000)
-			if restored.Checksum() != live.Checksum() {
-				t.Fatalf("restored collector diverges after further observations")
+				t.Fatalf("second walk diverges at budget %d", budget)
 			}
 		})
 	}
@@ -256,9 +271,13 @@ func TestTierBudgetHolds(t *testing.T) {
 		t.Fatalf("histogram saw %d loads, counter %d", met.LoadSeconds.Count(), met.Loads.Value())
 	}
 
-	// Cached range scans page chunks through the same budget.
+	// Range scans page chunks through the same cache and the same
+	// budget, which must hold at every chunk the walk crosses.
 	n := 0
-	if err := pc.AddrsRangeErr(0, pc.NumAddrs(), func(addr.Addr, collector.AddrRecord) bool {
+	if err := pc.AddrsRange(0, pc.NumAddrs(), func(addr.Addr, collector.AddrRecord) bool {
+		if n%TierChunkRecs == 0 {
+			checkBudget(fmt.Sprintf("scan at record %d", n))
+		}
 		n++
 		return true
 	}); err != nil {
@@ -268,16 +287,6 @@ func TestTierBudgetHolds(t *testing.T) {
 		t.Fatalf("range scan saw %d of %d", n, pc.NumAddrs())
 	}
 	checkBudget("scan")
-
-	// Streaming scans bypass the cache entirely: residency must not grow.
-	before := pc.ResidentChunks()
-	if err := pc.StreamAddrs(func(addr.Addr, collector.AddrRecord) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if after := pc.ResidentChunks(); after != before {
-		t.Fatalf("streaming scan changed residency %d -> %d", before, after)
-	}
-	checkBudget("stream")
 }
 
 // TestTierFilterSkips is the satellite acceptance bar: point probes for
@@ -304,7 +313,7 @@ func TestTierFilterSkips(t *testing.T) {
 		if _, exists := c.Get(a); exists {
 			continue
 		}
-		ok, err := pc.Contains(a)
+		_, ok, err := pc.Get(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +337,7 @@ func TestTierFilterSkips(t *testing.T) {
 
 func TestTierConcurrentReads(t *testing.T) {
 	c := buildCorpus(t, 30000)
-	want := c.Checksum()
+	want := corpusSum(c)
 	path := writeTierFile(t, c)
 	pc := openOrDie(t, path, Options{RAMBudget: 2 * chunkBytes})
 
@@ -356,35 +365,20 @@ func TestTierConcurrentReads(t *testing.T) {
 			}
 		}(uint64(g) * 977)
 	}
-	for g := 0; g < 2; g++ {
+	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sum, err := pc.Checksum()
+			sum, err := walkSum(pc)
 			if err != nil {
 				errs <- err
 				return
 			}
 			if sum != want {
-				errs <- fmt.Errorf("checksum diverged under concurrency")
+				errs <- fmt.Errorf("walk diverged under concurrency")
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		n := 0
-		if err := pc.AddrsRangeErr(0, pc.NumAddrs(), func(addr.Addr, collector.AddrRecord) bool {
-			n++
-			return true
-		}); err != nil {
-			errs <- err
-			return
-		}
-		if n != pc.NumAddrs() {
-			errs <- fmt.Errorf("concurrent scan saw %d of %d", n, pc.NumAddrs())
-		}
-	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -431,15 +425,20 @@ func TestTierTruncationTorture(t *testing.T) {
 
 // TestTierBitFlipTorture: a flipped bit must surface as an error at
 // Open or on chunk load — or, if it lands in dead framing (the end
-// marker), leave the canonical output byte-identical. Silent record
+// marker), leave the walked records byte-identical. Silent record
 // corruption is the one forbidden outcome.
 func TestTierBitFlipTorture(t *testing.T) {
 	raw := tierBytes(t, 6000)
 	orig := append([]byte(nil), raw...)
 	path := filepath.Join(t.TempDir(), "flip.tier")
 
-	pc0, want := openTierChecksum(t, path, orig)
-	pc0.Close()
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := walkSum(openOrDie(t, path, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	step := len(raw)/197 + 1
 	for off := 0; off < len(raw); off += step {
@@ -450,7 +449,7 @@ func TestTierBitFlipTorture(t *testing.T) {
 			}
 			pc, err := Open(path, Options{RAMBudget: chunkBytes})
 			if err == nil {
-				sum, cerr := pc.Checksum()
+				sum, cerr := walkSum(pc)
 				if cerr == nil && sum != want {
 					t.Fatalf("flip at %d bit %d silently changed the corpus", off, bit)
 				}
@@ -461,18 +460,25 @@ func TestTierBitFlipTorture(t *testing.T) {
 	}
 }
 
-func openTierChecksum(tb testing.TB, path string, raw []byte) (*Corpus, [32]byte) {
-	tb.Helper()
+// TestTierRejectsVersion1: a file from before the format dropped its
+// embedded IID table fails Open on the version word, before any of its
+// sections is read — the daemon rewrites it from the corpus.
+func TestTierRejectsVersion1(t *testing.T) {
+	raw := tierBytes(t, 600)
+	if got := binary.BigEndian.Uint32(raw[len(tierMagic):]); got != tierVersion {
+		t.Fatalf("version word reads %d, want %d", got, tierVersion)
+	}
+	binary.BigEndian.PutUint32(raw[len(tierMagic):], 1)
+	path := filepath.Join(t.TempDir(), "v1.tier")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	pc, err := Open(path, Options{})
-	if err != nil {
-		tb.Fatal(err)
+	if err == nil {
+		pc.Close()
+		t.Fatal("version-1 tier opened")
 	}
-	sum, err := pc.Checksum()
-	if err != nil {
-		tb.Fatal(err)
+	if !strings.Contains(err.Error(), "tier version 1 unsupported") {
+		t.Fatalf("version-1 tier rejected with %q, want the version error", err)
 	}
-	return pc, sum
 }

@@ -1,21 +1,28 @@
-// Package pager implements the tiered corpus: a sealed collector
-// serialized as fixed-size canonical-order chunks that can live
-// resident in RAM or cold on the snapshot file, paged in on demand
-// under a configurable budget. The tier file "h6tier01" is a snapfmt
-// stream:
+// Package pager implements the tiered corpus's probe index: a sealed
+// collector's address records serialized as fixed-size canonical-order
+// chunks that live resident in RAM or cold on the tier file, paged in
+// on demand under a configurable budget. The tier file "h6tier01",
+// version 2, is a snapfmt stream:
 //
-//	meta      — total, address count, chunk geometry, IID byte length
+//	meta      — total, address count, chunk geometry
 //	directory — per chunk: record count, key-range fence, bloom filter
-//	iids      — the canonical IID encoding, verbatim (resident tier)
 //	chunk*    — per chunk: the address records in canonical order
 //	end
 //
-// Address records dominate the corpus (the IID tier is a small
-// fraction), so only chunks are paged; the directory and IID bytes stay
-// resident. Chunk payload offsets are not stored — they are arithmetic
-// over the directory's record counts, so Open reads only the resident
-// sections and never touches chunk data. Each chunk section carries its
-// own CRC, verified on every cold load.
+// That is all its reader reads. The file holds no derived state: every
+// per-IID figure is a fold of the address records, and the durable copy
+// of the corpus is the checkpoint chain — a tier file is rebuilt from
+// the corpus by every checkpoint, so a reader that rejects one (an
+// older version, damage) costs a rewrite, never data. Version 1 also
+// embedded the canonical IID table, 48.1 % of the file on the
+// benchmark's corpus and read by nothing in production; it is rejected
+// by the version check.
+//
+// Only chunks are paged; the directory stays resident. Chunk payload
+// offsets are not stored — they are arithmetic over the directory's
+// record counts, so Open reads only meta and directory and never
+// touches chunk data. Each chunk section carries its own CRC, verified
+// on every cold load.
 //
 //lint:durable-path the tier file is the cold half of the corpus
 package pager
@@ -31,16 +38,16 @@ import (
 
 const (
 	tierMagic   = "h6tier01"
-	tierVersion = 1
+	tierVersion = 2
 
+	// Section ids; 3 was version 1's embedded table and stays retired so
+	// a chunk section is the same bytes in both versions.
 	secTierMeta  = 1
 	secTierDir   = 2
-	secTierIIDs  = 3
 	secTierChunk = 4
 
-	// tierMetaWire: total u64, addrN u64, chunkRecs u32, chunkCount u32,
-	// iidBytes u64.
-	tierMetaWire = 32
+	// tierMetaWire: total u64, addrN u64, chunkRecs u32, chunkCount u32.
+	tierMetaWire = 24
 	// tierRecWire is one address record on the wire — the snapshot's
 	// entry, so a chunk is pure fixed-stride records that start with
 	// their 16-byte key.
@@ -51,7 +58,7 @@ const (
 
 	// TierChunkRecs is the number of address records per chunk: small
 	// enough that a cold point lookup reads ~160KB, large enough that a
-	// streaming scan is a handful of sequential preads per MB.
+	// range walk is a handful of sequential preads per MB.
 	TierChunkRecs = 4096
 
 	// tierSectionOverhead frames every chunk section: 12-byte header plus
@@ -64,11 +71,10 @@ const (
 // — the property the directory fence search relies on. The order is
 // computed once and walked twice: the first walk builds the directory
 // (counts, fences, blooms), the second streams the chunk payloads, so
-// nothing but the order, the directory and the IID bytes is buffered.
-// All three exist before the first byte reaches w — a caller timing its
-// first Write has timed the ordering.
+// nothing but the order and the directory is buffered. Both exist
+// before the first byte reaches w — a caller timing its first Write has
+// timed the ordering.
 func WriteTier(c *collector.Collector, w io.Writer) error {
-	iidBuf := c.CanonicalIIDs()
 	order := c.CanonicalOrder()
 	n := c.NumAddrs()
 	chunks := (n + TierChunkRecs - 1) / TierChunkRecs
@@ -106,7 +112,6 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 	binary.BigEndian.PutUint64(meta[8:], uint64(n))
 	binary.BigEndian.PutUint32(meta[16:], TierChunkRecs)
 	binary.BigEndian.PutUint32(meta[20:], uint32(chunks))
-	binary.BigEndian.PutUint64(meta[24:], uint64(len(iidBuf)))
 	if _, err := sw.Write(meta[:]); err != nil {
 		return err
 	}
@@ -134,16 +139,6 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 		if _, err := sw.Write(ds); err != nil {
 			return err
 		}
-	}
-	if err := sw.End(); err != nil {
-		return err
-	}
-
-	if err := sw.Begin(secTierIIDs, uint64(len(iidBuf))); err != nil {
-		return err
-	}
-	if _, err := sw.Write(iidBuf); err != nil {
-		return err
 	}
 	if err := sw.End(); err != nil {
 		return err

@@ -7,11 +7,10 @@ import (
 )
 
 // BenchmarkScenario runs each profile's designated cell (4 shards,
-// seed 1) through the real pipeline and reports the
-// per-scenario headline numbers cmd/benchjson tracks: events/sec
-// through the cell, live bytes per address, the probe-run p99/max of
-// the final index layout, and (for drop-hinted profiles) the events
-// shed by the load-shedding cell. One row per profile keeps the
+// seed 1) through the real pipeline and reports the per-scenario
+// headline numbers: events/sec through the cell, live bytes per
+// address, the probe-run p99/max of the final index layout, and (for
+// drop-hinted profiles) the events shed by the load-shedding cell. One row per profile keeps the
 // trajectory readable per scenario instead of only in aggregate.
 func BenchmarkScenario(b *testing.B) {
 	for _, p := range workload.Profiles() {

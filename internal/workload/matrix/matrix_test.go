@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hitlist6/internal/pager"
 	"hitlist6/internal/workload"
 )
 
@@ -64,6 +65,37 @@ func TestMatrixReduced(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMatrixTierLegsCrossChunks runs the tiered profile at a size whose
+// corpus cuts several tier chunks. At SizeSmall it fits in one, and a
+// one-chunk tier sits on the cache's one-chunk floor whatever the
+// budget, so the residency assertion the tier legs make during their
+// walk can only fail — an eviction that stopped working, a walk that
+// stopped going through the cache — here.
+func TestMatrixTierLegsCrossChunks(t *testing.T) {
+	res, err := Run(Options{
+		Profiles: []string{"cold-replay"},
+		Shards:   []int{4},
+		Seeds:    []int64{1},
+		Size:     workload.Size{Scale: 0.5, Days: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs := 0
+	for _, c := range res.Scenarios[0].Cells {
+		if !strings.HasPrefix(c.Mode, "tier-") {
+			continue
+		}
+		legs++
+		if c.Addrs <= 2*pager.TierChunkRecs {
+			t.Fatalf("%s walked %d addresses: not past two chunks of %d", c.Mode, c.Addrs, pager.TierChunkRecs)
+		}
+	}
+	if legs != 3 {
+		t.Fatalf("ran %d tier legs, want 3", legs)
 	}
 }
 

@@ -3,7 +3,8 @@
 // checkpoint-mid-stream split through the determinism assertion, and
 // the tier legs re-read the asserted corpus through internal/pager —
 // fully resident, budget-constrained, and all-cold — requiring the
-// byte-identical canonical checksum from every residency mode plus the
+// collector's records, pairwise and in canonical order, from every
+// residency mode, the RAM budget held throughout the walk, plus the
 // cold path's filter-skip bar.
 package matrix
 
@@ -11,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 
@@ -90,10 +92,12 @@ func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*in
 
 // tierLegs writes the asserted cell's corpus as a tier file and re-reads
 // it through internal/pager at three residency regimes. Each leg must
-// reproduce the byte-identical canonical checksum — the on-disk walk is
-// the same corpus, however little of it is in RAM — and the all-cold
-// leg must additionally skip at least 90% of absent probes on its
-// per-chunk filters without chunk I/O.
+// walk exactly the collector's address records in canonical order —
+// the on-disk walk is the same corpus, however little of it is in RAM —
+// loading every chunk through the cache and never holding more than the
+// budget (or the one-chunk floor) while it does, and the all-cold leg
+// must additionally skip at least 90% of absent probes on its per-chunk
+// filters without chunk I/O.
 func tierLegs(st *workload.Stream, want *cellOutcome) ([]Cell, error) {
 	col := want.col
 	dir, err := os.MkdirTemp("", "matrix-tier-*")
@@ -121,7 +125,7 @@ func tierLegs(st *workload.Stream, want *cellOutcome) ([]Cell, error) {
 		return nil, err
 	}
 
-	wantSum := col.Checksum()
+	order := col.CanonicalOrder()
 	legs := []struct {
 		mode   string
 		budget int64 // 0 = unlimited; 1 byte = LRU floor of one chunk
@@ -132,43 +136,73 @@ func tierLegs(st *workload.Stream, want *cellOutcome) ([]Cell, error) {
 	}
 	var cells []Cell
 	for _, leg := range legs {
-		met := pager.NewMetrics(telemetry.NewRegistry())
-		tc, err := pager.Open(path, pager.Options{RAMBudget: leg.budget, Metrics: met})
-		if err != nil {
+		if err := tierLeg(path, col, order, leg.mode, leg.budget); err != nil {
 			return nil, fmt.Errorf("matrix: %s seed %d: %s: %w", st.Profile, st.Seed, leg.mode, err)
-		}
-		sum, err := tc.Checksum()
-		if err != nil {
-			tc.Close()
-			return nil, fmt.Errorf("matrix: %s seed %d: %s checksum: %w", st.Profile, st.Seed, leg.mode, err)
-		}
-		if sum != wantSum {
-			tc.Close()
-			return nil, fmt.Errorf("matrix: %s seed %d: %s corpus diverged from the asserted cell", st.Profile, st.Seed, leg.mode)
-		}
-		if tc.NumAddrs() != col.NumAddrs() || tc.TotalObservations() != col.TotalObservations() {
-			tc.Close()
-			return nil, fmt.Errorf("matrix: %s seed %d: %s counts diverged: %d/%d addrs, %d/%d observations",
-				st.Profile, st.Seed, leg.mode, tc.NumAddrs(), col.NumAddrs(), tc.TotalObservations(), col.TotalObservations())
-		}
-		if leg.budget > 0 && tc.ResidentChunks() > 1 && tc.ResidentBytes() > leg.budget {
-			tc.Close()
-			return nil, fmt.Errorf("matrix: %s seed %d: %s resident %d bytes over the %d budget",
-				st.Profile, st.Seed, leg.mode, tc.ResidentBytes(), leg.budget)
-		}
-		if leg.mode == "tier-cold" {
-			if err := probeAbsent(tc, col, met); err != nil {
-				tc.Close()
-				return nil, fmt.Errorf("matrix: %s seed %d: %w", st.Profile, st.Seed, err)
-			}
 		}
 		cells = append(cells, Cell{
 			Profile: st.Profile, Seed: st.Seed, Mode: leg.mode,
-			Checksum: want.cell.Checksum, Events: len(st.Events), Addrs: tc.NumAddrs(),
+			Checksum: want.cell.Checksum, Events: len(st.Events), Addrs: col.NumAddrs(),
 		})
-		tc.Close()
 	}
 	return cells, nil
+}
+
+// tierLeg opens the tier file under one budget and holds it to the
+// asserted cell's collector: counts, the record walk, every chunk
+// loaded through the cache, and on the all-cold leg the filter-skip bar.
+func tierLeg(path string, col *collector.Collector, order iter.Seq2[addr.Addr, collector.AddrRecord], mode string, budget int64) error {
+	met := pager.NewMetrics(telemetry.NewRegistry())
+	tc, err := pager.Open(path, pager.Options{RAMBudget: budget, Metrics: met})
+	if err != nil {
+		return err
+	}
+	defer tc.Close()
+	if tc.NumAddrs() != col.NumAddrs() || tc.TotalObservations() != col.TotalObservations() {
+		return fmt.Errorf("counts diverged: %d/%d addrs, %d/%d observations",
+			tc.NumAddrs(), col.NumAddrs(), tc.TotalObservations(), col.TotalObservations())
+	}
+	if err := walkTier(tc, order, budget); err != nil {
+		return err
+	}
+	if loads := met.Loads.Value(); loads < uint64(tc.NumChunks()) {
+		return fmt.Errorf("walked %d chunks on %d loads; the walk bypassed the cache", tc.NumChunks(), loads)
+	}
+	if mode == "tier-cold" {
+		return probeAbsent(tc, col, met)
+	}
+	return nil
+}
+
+// walkTier range-walks the whole tier beside the collector's canonical
+// order and requires the same (address, record) at every index. At each
+// chunk boundary — the moment a load and its eviction pass have just
+// run — residency must be within budget, or down to the one chunk the
+// cache never evicts.
+func walkTier(tc *pager.Corpus, order iter.Seq2[addr.Addr, collector.AddrRecord], budget int64) error {
+	next, stop := iter.Pull2(order)
+	defer stop()
+	var (
+		i       int
+		walkErr error
+	)
+	err := tc.AddrsRange(0, tc.NumAddrs(), func(a addr.Addr, r collector.AddrRecord) bool {
+		wantA, wantR, ok := next()
+		if !ok || a != wantA || r != wantR {
+			walkErr = fmt.Errorf("record %d is %v %+v, the asserted cell holds %v %+v", i, a, r, wantA, wantR)
+			return false
+		}
+		if budget > 0 && i%pager.TierChunkRecs == 0 && tc.ResidentChunks() > 1 && tc.ResidentBytes() > budget {
+			walkErr = fmt.Errorf("resident %d bytes in %d chunks over the %d budget at record %d",
+				tc.ResidentBytes(), tc.ResidentChunks(), budget, i)
+			return false
+		}
+		i++
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("walk: %w", err)
+	}
+	return walkErr
 }
 
 // probeAbsent drives the cold corpus with absent keys manufactured to
