@@ -41,7 +41,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -679,52 +678,63 @@ func detectOutages(pipe *ingest.Pipeline, windowBins int) *outagesReply {
 
 // ingestStream replays newline-framed event lines from in until EOF (or
 // a read error — which is also how a graceful shutdown interrupts a
-// file replay, by closing the underlying file).
+// file replay, by closing the underlying file). It reads in 64 KiB
+// stretches and hands ingestDatagram the whole lines of each; a line
+// that does not fit in one is malformed, counted once and skipped
+// through its newline, and the replay carries on behind it.
 func ingestStream(pipe *ingest.Pipeline, in io.Reader, badLines *atomic.Uint64) error {
 	b := pipe.NewBatcher()
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 1<<16), 1<<16)
-	for sc.Scan() {
-		ingestLine(b, sc.Bytes(), badLines)
+	buf := make([]byte, 1<<16)
+	held := 0         // bytes of an unfinished line at the front of buf
+	overlong := false // inside a line that overflowed buf: drop to its newline
+	var err error
+	for err == nil {
+		var n int
+		n, err = in.Read(buf[held:])
+		data := buf[:held+n]
+		if overlong {
+			nl := bytes.IndexByte(data, '\n')
+			if nl < 0 {
+				held = 0
+				continue
+			}
+			data, overlong = data[nl+1:], false
+		}
+		whole := bytes.LastIndexByte(data, '\n') + 1
+		if err != nil {
+			whole = len(data) // the stream's last line needs no newline
+		}
+		ingestDatagram(b, data[:whole], badLines)
+		if held = copy(buf, data[whole:]); held == len(buf) {
+			badLines.Add(1)
+			held, overlong = 0, true
+		}
 	}
 	b.Flush()
 	pipe.SnapshotNow()
-	return sc.Err()
+	if err == io.EOF {
+		return nil
+	}
+	return err
 }
 
-// ingestLine parses one event line into the batcher, tolerating blank
-// lines, surrounding whitespace (including the \r of CRLF framing) and
-// # comments; only genuinely malformed lines count as bad.
-func ingestLine(b *ingest.Batcher, line []byte, badLines *atomic.Uint64) bool {
-	line = bytes.TrimSpace(line)
-	if len(line) == 0 || line[0] == '#' {
-		return false
-	}
-	ev, err := ingest.ParseEventBytes(line)
-	if err != nil {
-		badLines.Add(1)
-		return false
-	}
-	b.Add(ev)
-	return true
-}
-
-// ingestDatagram splits one UDP payload into event lines, walking
-// newlines in place — bytes.Split would allocate a fragment slice per
-// datagram, which at wire rate is a fragment slice per syscall. A
-// newline-terminated datagram's empty trailing fragment must not count
-// as a parse error — ingestLine skips blanks.
+// ingestDatagram feeds the batcher every event line of one UDP payload
+// (or one stretch of a file) and returns how many it added. The decoder
+// walks the bytes in place, one pass, line after line; blank lines,
+// surrounding whitespace (including the \r of CRLF framing) and
+// # comments are benign, only genuinely malformed lines count as bad.
 func ingestDatagram(b *ingest.Batcher, buf []byte, badLines *atomic.Uint64) int {
 	added := 0
 	for len(buf) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(buf, '\n'); nl < 0 {
-			line, buf = buf, nil
-		} else {
-			line, buf = buf[:nl], buf[nl+1:]
-		}
-		if ingestLine(b, line, badLines) {
+		ev, n, err := ingest.DecodeLine(buf)
+		buf = buf[n:]
+		switch err {
+		case nil:
+			b.Add(ev)
 			added++
+		case ingest.ErrNoEvent:
+		default:
+			badLines.Add(1)
 		}
 	}
 	return added

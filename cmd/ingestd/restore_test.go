@@ -43,7 +43,7 @@ func TestRestoreOrEmpty(t *testing.T) {
 	b := pipe.NewBatcher()
 	var bad atomic.Uint64
 	for i := 0; i < 100; i++ {
-		ingestLine(b, []byte(fmt.Sprintf("164367%04d 2001:db8::%x %d", i, i+1, i%27)), &bad)
+		ingestDatagram(b, []byte(fmt.Sprintf("164367%04d 2001:db8::%x %d", i, i+1, i%27)), &bad)
 	}
 	b.Flush()
 	if _, err := pipe.CheckpointFile(path); err != nil {
@@ -138,7 +138,7 @@ func FuzzIngestDatagram(f *testing.F) {
 			if trimmed == "" || trimmed[0] == '#' {
 				continue
 			}
-			if _, err := ingest.ParseEvent(trimmed); err != nil {
+			if _, err := ingest.ParseEventBytes([]byte(trimmed)); err != nil {
 				wantBad++
 			} else {
 				wantAdded++

@@ -107,7 +107,7 @@ func TestIngestUDPLoopback(t *testing.T) {
 	payloads, lines := testPayloads(40)
 	serial := collector.New()
 	for _, line := range lines {
-		ev, err := ingest.ParseEvent(line)
+		ev, err := ingest.ParseEventBytes([]byte(line))
 		if err != nil {
 			t.Fatal(err)
 		}

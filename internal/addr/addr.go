@@ -11,7 +11,6 @@
 package addr
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -23,104 +22,10 @@ type Addr [16]byte
 type MAC [6]byte
 
 // Parse parses an IPv6 address in any RFC 4291 textual form (full,
-// compressed with "::", embedded IPv4 dotted-quad suffix).
+// compressed with "::", embedded IPv4 dotted-quad suffix). The grammar
+// is Scan's; this is ParseBytes for a caller that holds a string.
 func Parse(s string) (Addr, error) {
-	var a Addr
-	if s == "" {
-		return a, fmt.Errorf("addr: empty address")
-	}
-	// Handle the optional zone (rejected) and surrounding brackets.
-	if strings.ContainsAny(s, "%[]") {
-		return a, fmt.Errorf("addr: zones/brackets not supported: %q", s)
-	}
-	// Split on "::" (at most one allowed).
-	var headStr, tailStr string
-	switch parts := strings.Split(s, "::"); len(parts) {
-	case 1:
-		headStr = parts[0]
-	case 2:
-		headStr, tailStr = parts[0], parts[1]
-	default:
-		return a, fmt.Errorf("addr: multiple '::' in %q", s)
-	}
-	hasGap := strings.Contains(s, "::")
-
-	parseGroups := func(str string, allowV4 bool) ([]uint16, error) {
-		if str == "" {
-			return nil, nil
-		}
-		fields := strings.Split(str, ":")
-		out := make([]uint16, 0, len(fields)+1)
-		for i, f := range fields {
-			if strings.Contains(f, ".") {
-				// Embedded IPv4: must be the final field of the address.
-				if !allowV4 || i != len(fields)-1 {
-					return nil, fmt.Errorf("addr: misplaced IPv4 in %q", s)
-				}
-				v4, err := parseIPv4(f)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, uint16(v4>>16), uint16(v4&0xffff))
-				continue
-			}
-			if f == "" {
-				return nil, fmt.Errorf("addr: empty group in %q", s)
-			}
-			if len(f) > 4 {
-				return nil, fmt.Errorf("addr: group too long in %q", s)
-			}
-			v, err := strconv.ParseUint(f, 16, 16)
-			if err != nil {
-				return nil, fmt.Errorf("addr: bad group %q in %q", f, s)
-			}
-			out = append(out, uint16(v))
-		}
-		return out, nil
-	}
-
-	head, err := parseGroups(headStr, !hasGap)
-	if err != nil {
-		return a, err
-	}
-	tail, err := parseGroups(tailStr, true)
-	if err != nil {
-		return a, err
-	}
-	total := len(head) + len(tail)
-	if hasGap {
-		if total >= 8 {
-			return a, fmt.Errorf("addr: '::' with full groups in %q", s)
-		}
-	} else if total != 8 {
-		return a, fmt.Errorf("addr: need 8 groups, got %d in %q", total, s)
-	}
-	for i, g := range head {
-		a[2*i] = byte(g >> 8)
-		a[2*i+1] = byte(g)
-	}
-	for i, g := range tail {
-		pos := 8 - len(tail) + i
-		a[2*pos] = byte(g >> 8)
-		a[2*pos+1] = byte(g)
-	}
-	return a, nil
-}
-
-func parseIPv4(s string) (uint32, error) {
-	octets := strings.Split(s, ".")
-	if len(octets) != 4 {
-		return 0, fmt.Errorf("addr: bad IPv4 %q", s)
-	}
-	var v uint32
-	for _, o := range octets {
-		n, err := strconv.ParseUint(o, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("addr: bad IPv4 octet %q", o)
-		}
-		v = v<<8 | uint32(n)
-	}
-	return v, nil
+	return ParseBytes([]byte(s))
 }
 
 // MustParse is Parse that panics on error; for tests and literals.

@@ -1,8 +1,8 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -30,152 +30,182 @@ func shardOf(a addr.Addr, shards int) int {
 	return int(a.Hash64() % uint64(shards))
 }
 
-// Reject-path sentinels for the strict decimal parser. Allocated once:
-// the wire parser must not allocate even when fed garbage at line rate.
+// What a line can be besides an event. Sentinels, not formatted
+// messages: a hostile datagram is all rejects, so rejecting a line must
+// cost no more than accepting one — no allocation, no echo of input.
 var (
-	errNotDecimal   = errors.New("not a decimal integer")
-	errNegativeZero = errors.New("negative zero")
-	errOutOfRange   = errors.New("value out of range")
+	// ErrNoEvent is a blank line or a '#' comment: nothing to ingest and
+	// nothing wrong.
+	ErrNoEvent = errors.New("ingest: blank line or comment")
+
+	errFields    = errors.New("ingest: want 'ts addr [server]'")
+	errTimestamp = errors.New("ingest: bad timestamp")
+	errServer    = errors.New("ingest: bad server index")
 )
 
-// strictIntBytes parses a decimal integer the way the codec writes one:
-// an optional leading '-', then digits, nothing else, value in the
-// signed bitSize range. strconv.ParseInt is deliberately not used — it
-// also accepts a leading '+' and an explicit "-0", neither of which
-// AppendText ever emits, and a wire codec that accepts what it never
-// writes invites silent producer drift (found by FuzzParseEvent's
-// round-trip property). Allocation-free on every path.
-func strictIntBytes(s []byte, bitSize int) (int64, error) {
-	neg := len(s) > 0 && s[0] == '-'
-	digits := s
+// Byte classes of the line framing. Fields are separated the way
+// strings.Fields separates them — runs of Unicode whitespace — and the
+// two framings differ in one byte: a datagram or file is many lines, so
+// there '\n' ends the line; ParseEventBytes is handed one line, so there
+// it is whitespace like the rest.
+const (
+	clsSpace = 1 + iota // separates fields
+	clsEOL              // ends the line
+)
+
+var (
+	linesClass   = [256]uint8{'\t': clsSpace, '\v': clsSpace, '\f': clsSpace, '\r': clsSpace, ' ': clsSpace, '\n': clsEOL}
+	oneLineClass = [256]uint8{'\t': clsSpace, '\v': clsSpace, '\f': clsSpace, '\r': clsSpace, ' ': clsSpace, '\n': clsSpace}
+)
+
+// skipSpace returns the index of the first byte at or after i that is
+// not whitespace. Multi-byte runes go through unicode.IsSpace, the test
+// strings.Fields and bytes.TrimSpace use; no whitespace rune contains a
+// '\n' byte, so a line's end is never skipped.
+func skipSpace(b []byte, i int, cls *[256]uint8) int {
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if cls[c] != clsSpace {
+				break
+			}
+			i++
+		} else if r, w := utf8.DecodeRune(b[i:]); unicode.IsSpace(r) {
+			i += w
+		} else {
+			break
+		}
+	}
+	return i
+}
+
+// decimal reads the integer at b[i:] the way the codec writes one — an
+// optional '-', then digits, value in the signed bits-wide range — and
+// returns it with the index of the first byte after the digits.
+// strconv.ParseInt is deliberately not used: it also accepts a leading
+// '+' and an explicit "-0", neither of which AppendText ever emits, and
+// a wire codec that accepts what it never writes invites silent producer
+// drift (found by FuzzParseEvent's round-trip property).
+func decimal(b []byte, i int, bits uint) (v int64, end int, ok bool) {
+	neg := i < len(b) && b[i] == '-'
 	if neg {
-		digits = s[1:]
+		i++
 	}
-	if len(digits) == 0 {
-		return 0, errNotDecimal
-	}
-	// The magnitude limit: 2^(bitSize-1) for negative values, one less
-	// for positive — exactly ParseInt's range.
-	limit := uint64(1) << (bitSize - 1)
+	// The magnitude limit: 2^(bits-1) for negative values, one less for
+	// positive — exactly ParseInt's range.
+	limit := uint64(1) << (bits - 1)
 	if !neg {
 		limit--
 	}
-	var v uint64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, errNotDecimal
+	cut, rem := limit/10, limit%10
+	var u uint64
+	start := i
+	for ; i < len(b); i++ {
+		d := uint64(b[i] - '0')
+		if d > 9 {
+			break
 		}
-		d := uint64(c - '0')
-		if v > limit/10 || (v == limit/10 && d > limit%10) {
-			return 0, errOutOfRange
+		if u > cut || (u == cut && d > rem) {
+			return 0, i, false
 		}
-		v = v*10 + d
+		u = u*10 + d
+	}
+	// Negative zero is judged by value, not spelling: "-0", "-00" alike.
+	if i == start || (neg && u == 0) {
+		return 0, i, false
 	}
 	if neg {
-		// By value, not spelling: catches "-0", "-00", "-0000…" alike.
-		if v == 0 {
-			return 0, errNegativeZero
-		}
-		// -v is correct even at the 2^63 boundary, where int64(v) alone
+		// -u is correct even at the 2^63 boundary, where int64(u) alone
 		// would already be MinInt64.
-		return -int64(v), nil
+		return -int64(u), i, true
 	}
-	return int64(v), nil
+	return int64(u), i, true
 }
 
-// asciiSpace mirrors strings.Fields' ASCII whitespace set.
-var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
-
-// ParseEventBytes decodes the pipeline's text framing straight from
-// packet bytes, one event per line:
-//
-//	<unix-seconds> <ipv6-address> [<server-index>]
-//
-// A missing server index means no vantage attribution (-1). This is the
-// format `ingestd` accepts on files, stdin and UDP datagrams, and the
-// hot-path form of the parser: field splitting, strict decimal decoding
-// and address decoding all work on the input bytes in place, with zero
-// allocation on every accepted input (BenchmarkParseEventBytes pins 0
-// allocs/op). The parser is strict: exactly the bytes AppendText emits
-// round-trip, and every accepted line re-encodes to a line that parses
-// to the same event. Field separation follows strings.Fields (runs of
-// Unicode whitespace), so the byte parser and the historical string
-// parser agree on every input — FuzzParseEventBytes pins the
-// equivalence.
-func ParseEventBytes(line []byte) (Event, error) {
-	var ev Event
-	var fields [3][]byte
-	nf := 0
-	for i := 0; i < len(line); {
-		// Skip whitespace. ASCII bytes take the table; multi-byte runes
-		// go through the same unicode.IsSpace test strings.Fields uses.
-		if c := line[i]; c < utf8.RuneSelf {
-			if asciiSpace[c] == 1 {
-				i++
-				continue
-			}
-		} else if r, w := utf8.DecodeRune(line[i:]); unicode.IsSpace(r) {
-			i += w
-			continue
-		}
-		start := i
-		for i < len(line) {
-			if c := line[i]; c < utf8.RuneSelf {
-				if asciiSpace[c] == 1 {
-					break
-				}
-				i++
-				continue
-			}
-			r, w := utf8.DecodeRune(line[i:])
-			if unicode.IsSpace(r) {
-				break
-			}
-			i += w
-		}
-		if nf == len(fields) {
-			return ev, fmt.Errorf("ingest: want 'ts addr [server]', got %q", line)
-		}
-		fields[nf] = line[start:i]
-		nf++
+// decode reads one event from the front of b in a single forward pass —
+// leading whitespace, timestamp digits, the address (addr.Scan), the
+// optional server index, trailing whitespace through the end of the
+// line — and returns the index it stopped at. With an error that index
+// is at or before the line's end, never past it. The parser is strict:
+// exactly the bytes AppendText emits round-trip, and every accepted line
+// re-encodes to a line that parses to the same event.
+func decode(b []byte, cls *[256]uint8) (Event, int, error) {
+	i := skipSpace(b, 0, cls)
+	if i == len(b) || cls[b[i]] == clsEOL || b[i] == '#' {
+		return Event{}, i, ErrNoEvent
 	}
-	if nf < 2 {
-		return ev, fmt.Errorf("ingest: want 'ts addr [server]', got %q", line)
+	ts, i, ok := decimal(b, i, 64)
+	if !ok {
+		return Event{}, i, errTimestamp
 	}
-	ts, err := strictIntBytes(fields[0], 64)
+	// A field ends at whitespace and nowhere else: "12x" is one bad
+	// field, and a line that stops after the timestamp is one short.
+	j := skipSpace(b, i, cls)
+	if j == i || j == len(b) || cls[b[j]] == clsEOL {
+		return Event{}, i, errFields
+	}
+	a, n, err := addr.Scan(b[j:])
 	if err != nil {
-		return ev, fmt.Errorf("ingest: bad timestamp %q: %v", fields[0], err)
+		return Event{}, j, err
 	}
-	a, err := addr.ParseBytes(fields[1])
-	if err != nil {
-		return ev, err
-	}
+	i = j + n
 	server := int64(-1)
-	if nf == 3 {
-		server, err = strictIntBytes(fields[2], 32)
-		if err != nil {
-			return ev, fmt.Errorf("ingest: bad server %q: %v", fields[2], err)
+	if j = skipSpace(b, i, cls); j < len(b) && cls[b[j]] != clsEOL {
+		if j == i {
+			return Event{}, i, errFields
+		}
+		if server, i, ok = decimal(b, j, 32); !ok {
+			return Event{}, j, errServer
 		}
 		// -1 means "no vantage attribution"; anything else below zero is
 		// malformed, and indices at or past the collector's bitmask width
 		// would silently mis-attribute (saturate onto the top bit), so the
 		// codec rejects them instead.
 		if server < -1 || server >= collector.MaxServers {
-			return ev, fmt.Errorf("ingest: server index %d out of [-1,%d)", server, collector.MaxServers)
+			return Event{}, j, errServer
+		}
+		if j = skipSpace(b, i, cls); j < len(b) && cls[b[j]] != clsEOL {
+			return Event{}, i, errFields // junk on the index, or a fourth field
 		}
 	}
-	return Event{Addr: a, Time: ts, Server: int32(server)}, nil
+	if j < len(b) {
+		j++ // the newline
+	}
+	return Event{Addr: a, Time: ts, Server: int32(server)}, j, nil
 }
 
-// ParseEvent is ParseEventBytes for a string — a thin wrapper kept for
-// callers that already hold one. The hot ingest paths call
-// ParseEventBytes directly on the packet bytes and never pay this
-// conversion.
-func ParseEvent(line string) (Event, error) {
-	return ParseEventBytes([]byte(line))
+// ParseEventBytes decodes one event line of the pipeline's text framing
+// straight from packet bytes:
+//
+//	<unix-seconds> <ipv6-address> [<server-index>]
+//
+// A missing server index means no vantage attribution (-1). This is the
+// format `ingestd` accepts on files, stdin and UDP datagrams. Every byte
+// of line is the line, newlines included (they are whitespace here), and
+// a blank or comment line is an error: ErrNoEvent. No allocation on any
+// input, accepted or rejected.
+func ParseEventBytes(line []byte) (Event, error) {
+	ev, _, err := decode(line, &oneLineClass)
+	return ev, err
 }
 
-// AppendText appends the event in ParseEvent's line format (with
+// DecodeLine decodes the first line of buf, a datagram or a stretch of a
+// file, and returns how many bytes the line spans, its newline included,
+// so that buf[n:] is the next line. err is nil with an event,
+// ErrNoEvent for a blank line or '#' comment, and a reject reason for a
+// malformed line — which is skipped whole, up to its newline.
+func DecodeLine(buf []byte) (Event, int, error) {
+	ev, n, err := decode(buf, &linesClass)
+	if err != nil {
+		if nl := bytes.IndexByte(buf[n:], '\n'); nl >= 0 {
+			n += nl + 1
+		} else {
+			n = len(buf)
+		}
+	}
+	return ev, n, err
+}
+
+// AppendText appends the event in ParseEventBytes' line format (with
 // trailing newline) — the writer side of the stream codec.
 func (e Event) AppendText(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, e.Time, 10)

@@ -13,7 +13,7 @@ import (
 //   - never panic, on any input;
 //   - every accepted line satisfies the event invariants (server in
 //     [-1, MaxServers));
-//   - accepted events round-trip: AppendText(ParseEvent(line)) parses
+//   - accepted events round-trip: AppendText(ParseEventBytes(line)) parses
 //     back to the identical event — the codec accepts nothing it could
 //     not itself have written (modulo IPv6 textual aliases and
 //     whitespace, which must normalize, not drift).
@@ -37,9 +37,12 @@ func FuzzParseEvent(f *testing.F) {
 	f.Add("1643068800 ::ffff:192.0.2.1 1")
 	f.Add("-0 :: 0")
 	f.Add("1 2001:db8::1 +3")
+	for _, seed := range eventCorners {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, line string) {
-		ev, err := ParseEvent(line)
+		ev, err := ParseEventBytes([]byte(line))
 		if err != nil {
 			return
 		}
@@ -52,7 +55,7 @@ func FuzzParseEvent(f *testing.F) {
 		if !strings.HasSuffix(enc, "\n") {
 			t.Fatalf("AppendText emitted no newline for %q", line)
 		}
-		again, err := ParseEvent(strings.TrimSuffix(enc, "\n"))
+		again, err := ParseEventBytes([]byte(strings.TrimSuffix(enc, "\n")))
 		if err != nil {
 			t.Fatalf("re-encoding of accepted line %q does not parse: %q: %v", line, enc, err)
 		}
@@ -83,7 +86,7 @@ func TestParseEventStrict(t *testing.T) {
 		"99999999999999999999 2001:db8::1", // i64 overflow
 	}
 	for _, line := range bad {
-		if ev, err := ParseEvent(line); err == nil {
+		if ev, err := ParseEventBytes([]byte(line)); err == nil {
 			t.Errorf("ParseEvent(%q) accepted: %+v", line, ev)
 		}
 	}
@@ -97,13 +100,13 @@ func TestParseEventStrict(t *testing.T) {
 		" 1643068800\t2001:db8::1 ": {Addr: addr.MustParse("2001:db8::1"), Time: 1643068800, Server: -1},
 	}
 	for line, want := range good {
-		ev, err := ParseEvent(line)
+		ev, err := ParseEventBytes([]byte(line))
 		if err != nil {
-			t.Errorf("ParseEvent(%q): %v", line, err)
+			t.Errorf("ParseEventBytes(%q): %v", line, err)
 			continue
 		}
 		if ev != want {
-			t.Errorf("ParseEvent(%q) = %+v, want %+v", line, ev, want)
+			t.Errorf("ParseEventBytes(%q) = %+v, want %+v", line, ev, want)
 		}
 	}
 }

@@ -288,7 +288,7 @@ func TestParseEventRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		line := want.AppendText(nil)
-		got, err := ParseEvent(string(line[:len(line)-1]))
+		got, err := ParseEventBytes(line[:len(line)-1])
 		if err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
@@ -305,8 +305,8 @@ func TestParseEventRoundTrip(t *testing.T) {
 		"1234 2001:db8::1 32",
 		"1234 2001:db8::1 4096",
 	} {
-		if _, err := ParseEvent(bad); err == nil {
-			t.Errorf("ParseEvent(%q) should fail", bad)
+		if _, err := ParseEventBytes([]byte(bad)); err == nil {
+			t.Errorf("ParseEventBytes(%q) should fail", bad)
 		}
 	}
 }

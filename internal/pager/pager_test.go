@@ -482,3 +482,29 @@ func TestTierRejectsVersion1(t *testing.T) {
 		t.Fatalf("version-1 tier rejected with %q, want the version error", err)
 	}
 }
+
+// TestGetResidentZeroAlloc is the deterministic gate on the /probe path:
+// a lookup whose chunk is resident — present key, absent key inside the
+// fences, absent key outside them — allocates nothing.
+func TestGetResidentZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	c := buildCorpus(t, 5000)
+	pc := openOrDie(t, writeTierFile(t, c), Options{RAMBudget: 64 * chunkBytes})
+	present, _, _ := genEvent(42)
+	inside := present
+	inside[15] ^= 1
+	if _, exists := c.Get(inside); exists {
+		t.Fatal("perturbed address is in the corpus; pick another")
+	}
+	for _, a := range []addr.Addr{present, inside, {}} {
+		want := a == present
+		if _, ok, err := pc.Get(a); err != nil || ok != want { // also loads the chunk
+			t.Fatalf("Get(%v) = %v, %v; want found=%v", a, ok, err, want)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _, _, _ = pc.Get(a) }); avg != 0 {
+			t.Errorf("resident Get(%v): %.1f allocs/op, want 0", a, avg)
+		}
+	}
+}
