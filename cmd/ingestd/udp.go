@@ -25,6 +25,11 @@ const (
 	// the tail; when traffic trickles, the read deadline fires at this
 	// cadence and flushes whatever arrived.
 	udpFlushEvery = 50 * time.Millisecond
+	// udpIdleFlush is how long the socket may stay empty before pending
+	// partial batches are flushed without waiting for the cadence: the
+	// end of a burst reaches the workers at once. A socket with
+	// datagrams queued never waits this long, so never flushes early.
+	udpIdleFlush = time.Millisecond
 )
 
 // datagramReader is the socket-facing half of the UDP source: one
@@ -148,19 +153,26 @@ func (u *udpSource) statsReply() *udpStatsReply {
 // ingestUDP feeds datagrams into the pipeline until the socket closes
 // (a read error — the shutdown path closes the socket to get here).
 // Reads are batched (r decides how hard) and flushes are adaptive:
-// full batches flush themselves, and the read deadline fires every
-// udpFlushEvery to push the partial tail, so the live view lags the
-// wire by at most one flush interval no matter the traffic shape. The
-// final flush makes the last partial batch durable before sourceDone
-// releases the shutdown sequence to checkpoint.
+// full batches flush themselves, and the read deadline pushes the
+// partial tail — udpFlushEvery after the last flush while datagrams
+// keep coming, udpIdleFlush after the socket runs dry — so the live
+// view lags the wire by at most one flush interval under load and by a
+// millisecond at the end of a burst. The final flush makes the last
+// partial batch durable before sourceDone releases the shutdown
+// sequence to checkpoint.
 func ingestUDP(pipe *ingest.Pipeline, conn net.PacketConn, r datagramReader,
 	badLines *atomic.Uint64, log *slog.Logger, u *udpSource) {
 	b := pipe.NewBatcher()
 	defer b.Flush()
-	lastFlush := time.Now()
+	now := time.Now()
+	lastFlush := now
 	dirty := false
 	for {
-		if err := conn.SetReadDeadline(lastFlush.Add(udpFlushEvery)); err != nil {
+		deadline := lastFlush.Add(udpFlushEvery)
+		if idle := now.Add(udpIdleFlush); dirty && idle.Before(deadline) {
+			deadline = idle
+		}
+		if err := conn.SetReadDeadline(deadline); err != nil {
 			log.Info("udp source closed", "error", err)
 			return
 		}
@@ -172,7 +184,8 @@ func ingestUDP(pipe *ingest.Pipeline, conn net.PacketConn, r datagramReader,
 					b.Flush()
 					dirty = false
 				}
-				lastFlush = time.Now()
+				now = time.Now()
+				lastFlush = now
 				continue
 			}
 			log.Info("udp source closed", "error", err)
@@ -188,7 +201,7 @@ func ingestUDP(pipe *ingest.Pipeline, conn net.PacketConn, r datagramReader,
 			u.events.Add(uint64(added))
 			dirty = true
 		}
-		if now := time.Now(); now.Sub(lastFlush) >= udpFlushEvery {
+		if now = time.Now(); now.Sub(lastFlush) >= udpFlushEvery {
 			if dirty {
 				b.Flush()
 				dirty = false

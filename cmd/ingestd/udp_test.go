@@ -167,33 +167,13 @@ func TestUDPReaderEquivalence(t *testing.T) {
 // ticks — the old per-datagram-Flush behavior is gone, so only the
 // deadline-driven flush can publish it.
 func TestIngestUDPIdleFlush(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := ingest.DefaultConfig(1)
 	cfg.SnapshotInterval = 10 * time.Millisecond
-	pipe, err := ingest.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := newUDPSource(telemetry.NewRegistry())
-	var bad atomic.Uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ingestUDP(pipe, pc, newDatagramReader(pc), &bad, discardLogger(), u)
-	}()
-
-	sender, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe, sender, stop := startUDPIngest(t, cfg)
+	defer stop()
 	if _, err := sender.Write([]byte("1643068800 2001:db8::1 3\n")); err != nil {
 		t.Fatal(err)
 	}
-	sender.Close()
-
 	deadline := time.Now().Add(5 * time.Second)
 	for pipe.Store().NumAddrs() == 0 {
 		if time.Now().After(deadline) {
@@ -201,9 +181,99 @@ func TestIngestUDPIdleFlush(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	pc.Close()
-	<-done
-	pipe.Close()
+}
+
+// startUDPIngest runs ingestUDP over a fresh loopback socket into a
+// pipeline built from cfg and returns the pipeline, a connected sender
+// and a stop function.
+func startUDPIngest(t *testing.T, cfg ingest.Config) (*ingest.Pipeline, net.Conn, func()) {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := ingest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ingestUDP(pipe, pc, newDatagramReader(pc), &bad, discardLogger(), newUDPSource(telemetry.NewRegistry()))
+	}()
+	sender, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pipe, sender, func() {
+		sender.Close()
+		pc.Close()
+		<-done
+		pipe.Close()
+	}
+}
+
+// TestIngestUDPFlushesWhenSocketRunsDry: the tail of a burst does not
+// wait for the udpFlushEvery cadence. Each trial sends one datagram 5 ms
+// after a flush — 45 ms before the cadence would next fire — and times
+// it to a worker. The best of five must be well inside the cadence; on
+// the cadence alone every trial takes those 45 ms.
+func TestIngestUDPFlushesWhenSocketRunsDry(t *testing.T) {
+	pipe, sender, stop := startUDPIngest(t, ingest.DefaultConfig(1))
+	defer stop()
+	best := time.Hour
+	for trial := uint64(1); trial <= 5; trial++ {
+		time.Sleep(5 * time.Millisecond)
+		sent := time.Now()
+		if _, err := sender.Write([]byte("1643068800 2001:db8::1 3\n")); err != nil {
+			t.Fatal(err)
+		}
+		for pipe.Metrics().Processed < trial {
+			if time.Since(sent) > 5*time.Second {
+				t.Fatalf("datagram %d never reached a worker", trial)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if d := time.Since(sent); d < best {
+			best = d
+		}
+	}
+	if best > 10*time.Millisecond {
+		t.Errorf("one datagram into an idle socket reached a worker in %v at best, want under 10ms", best)
+	}
+}
+
+// TestIngestUDPTrickleKeepsCadence: a sender that never leaves the
+// socket empty for udpIdleFlush gets the udpFlushEvery cadence — events
+// reach a worker while it is still sending, in a handful of batches,
+// not one per datagram.
+func TestIngestUDPTrickleKeepsCadence(t *testing.T) {
+	pipe, sender, stop := startUDPIngest(t, ingest.DefaultConfig(1))
+	defer stop()
+	const span, gap = 160 * time.Millisecond, 100 * time.Microsecond
+	start := time.Now()
+	sent, seenMidway := 0, false
+	for next := start; time.Since(start) < span; next = next.Add(gap) {
+		for time.Now().Before(next) {
+			// Spin: a sleeping sender oversleeps udpIdleFlush.
+		}
+		if _, err := sender.Write([]byte("1643068800 2001:db8::1 3\n")); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+		if !seenMidway && time.Since(start) > span-20*time.Millisecond {
+			seenMidway = true
+			if pipe.Metrics().Processed == 0 {
+				t.Errorf("nothing reached a worker %v into a steady trickle", time.Since(start))
+			}
+		}
+	}
+	batches := pipe.Metrics().Batches
+	if limit := uint64(sent / 8); batches > limit {
+		t.Errorf("%d datagrams %v apart were flushed as %d batches, want at most %d: the idle flush fired under load",
+			sent, gap, batches, limit)
+	}
 }
 
 // BenchmarkUDPIngest measures events/sec through the whole socket path

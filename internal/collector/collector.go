@@ -83,7 +83,7 @@ type Span struct {
 // ---- chunked record slabs ----
 
 // Slab geometry: the first chunk grows by appending (so small collectors
-// — shard privates, day slices, tests — stay small), and once it reaches
+// — shard buffers, day slices, tests — stay small), and once it reaches
 // chunkSize further chunks are allocated at full capacity and never
 // moved. Growth therefore copies at most chunkSize records ever, and
 // cumulative allocation stays within a small constant of the final
@@ -304,14 +304,117 @@ func (s *u64set) len() int {
 
 func (s *u64set) bytes() uint64 { return uint64(len(s.slots)) * 8 }
 
+// addrTable is the address half of the engine: the (address, record)
+// slab and the open-addressing index over it. A Collector embeds one and
+// derives everything else it holds — IID index, promoted records, span
+// chains, prefix sets — from the records that land here; a Buffer is one
+// with nothing derived.
+type addrTable struct {
+	addrRecs slab[addrEntry]
+	addrIdx  []uint32 // open addressing; slot holds recIdx+1, 0 = empty
+}
+
+// findAddr returns the slab index of a's record, or with ok == false the
+// empty table slot where it belongs.
+func (t *addrTable) findAddr(a addr.Addr) (idx uint32, slot uint32, ok bool) {
+	if len(t.addrIdx) == 0 {
+		return 0, 0, false
+	}
+	mask := uint64(len(t.addrIdx) - 1)
+	pos := a.Hash64() & mask
+	for {
+		v := t.addrIdx[pos]
+		if v == 0 {
+			return 0, uint32(pos), false
+		}
+		if t.addrRecs.at(v-1).key == a {
+			return v - 1, uint32(pos), true
+		}
+		pos = (pos + 1) & mask
+	}
+}
+
+// insertAddr allocates a's record in the empty slot findAddr reported.
+func (t *addrTable) insertAddr(a addr.Addr, slot uint32) (uint32, *addrEntry) {
+	if growTable(uint64(t.addrRecs.n), len(t.addrIdx)) {
+		next := tableInit
+		if len(t.addrIdx) > 0 {
+			next = len(t.addrIdx) * 2
+		}
+		t.resizeAddrIdx(next)
+		_, slot, _ = t.findAddr(a)
+	}
+	i := t.addrRecs.alloc()
+	t.addrIdx[slot] = i + 1
+	e := t.addrRecs.at(i)
+	e.key = a
+	return i, e
+}
+
+// resizeAddrIdx rebuilds the address table at the given power-of-two
+// slot count.
+func (t *addrTable) resizeAddrIdx(slots int) {
+	old := t.addrIdx
+	t.addrIdx = make([]uint32, slots)
+	mask := uint64(slots - 1)
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		pos := t.addrRecs.at(v-1).key.Hash64() & mask
+		for t.addrIdx[pos] != 0 {
+			pos = (pos + 1) & mask
+		}
+		t.addrIdx[pos] = v
+	}
+}
+
+// foldAddr folds in — Count sightings of a over [First, Last] from
+// Servers — into a's record, creating it when a is new (fresh). The
+// write core takes a and in by pointer: it is three calls deep, and a
+// merge reads both straight out of the donor's slab.
+func (t *addrTable) foldAddr(a *addr.Addr, in *AddrRecord) (ai uint32, fresh bool) {
+	ai, slot, ok := t.findAddr(*a)
+	if !ok {
+		ai, e := t.insertAddr(*a, slot)
+		e.rec = *in
+		return ai, true
+	}
+	r := &t.addrRecs.at(ai).rec
+	if in.First < r.First {
+		r.First = in.First
+	}
+	if in.Last > r.Last {
+		r.Last = in.Last
+	}
+	r.Count += in.Count
+	r.Servers |= in.Servers
+	return ai, false
+}
+
+// Buffer is a write-only batch of address records: what an ingest shard
+// fills between two snapshots. It keeps no IID index, promoted records,
+// span chains or prefix sets — every one of those is a fold of address
+// records, and Collector.AbsorbBuffer runs that fold once, where the
+// corpus lives. The zero value is an empty buffer.
+type Buffer struct {
+	addrTable
+	total uint64
+}
+
+// ObserveUnix records one sighting, as Collector.ObserveUnix does.
+func (b *Buffer) ObserveUnix(a addr.Addr, ts int64, server int) {
+	b.total++
+	b.foldAddr(&a, &AddrRecord{First: ts, Last: ts, Count: 1, Servers: ServerBit(server)})
+}
+
 // Collector accumulates observations. Not safe for concurrent writes,
 // and reads must not run concurrently with writes (see Store for the
 // concurrency boundary). Slab indices are tagged uint32s: one collector
 // holds at most ~2.1 billion unique addresses/IIDs — beyond that, shard.
 type Collector struct {
-	addrRecs slab[addrEntry]
-	addrIdx  []uint32 // open addressing; slot holds recIdx+1, 0 = empty
-	iidRecs  slab[iidEntry]
+	addrTable
+	iidRecs slab[iidEntry]
 	// iidIdx slots hold ref+1 where ref is a promoted-slab index (with
 	// promotedTag) or the address-slab index of a singleton IID's only
 	// address; 0 = empty.
@@ -319,8 +422,7 @@ type Collector struct {
 	iidUsed uint32 // occupied iidIdx slots = unique IIDs
 	spans   slab[spanNode]
 	// p48s/p64s are the distinct-prefix sets behind Unique48s/Unique64s,
-	// maintained incrementally: inserting on new-address creation and
-	// unioning on Merge commutes exactly like the records themselves.
+	// extended whenever an address is new to the table.
 	p48s  u64set
 	p64s  u64set
 	total uint64
@@ -331,53 +433,9 @@ type Collector struct {
 }
 
 // New returns an empty collector. All storage grows on demand, so idle
-// collectors (fresh shards, day slices) cost almost nothing.
+// collectors (an empty store, day slices) cost almost nothing.
 func New() *Collector {
 	return &Collector{}
-}
-
-// growAddrIdx rebuilds the address index table at double capacity.
-func (c *Collector) growAddrIdx() {
-	next := tableInit
-	if len(c.addrIdx) > 0 {
-		next = len(c.addrIdx) * 2
-	}
-	c.resizeAddrIdx(next)
-}
-
-// findAddr returns the slab index of a's record, or with ok == false the
-// empty table slot where it belongs.
-func (c *Collector) findAddr(a addr.Addr) (idx uint32, slot uint32, ok bool) {
-	if len(c.addrIdx) == 0 {
-		return 0, 0, false
-	}
-	mask := uint64(len(c.addrIdx) - 1)
-	pos := a.Hash64() & mask
-	for {
-		v := c.addrIdx[pos]
-		if v == 0 {
-			return 0, uint32(pos), false
-		}
-		if c.addrRecs.at(v-1).key == a {
-			return v - 1, uint32(pos), true
-		}
-		pos = (pos + 1) & mask
-	}
-}
-
-// insertAddr allocates a's record in the empty slot findAddr reported.
-func (c *Collector) insertAddr(a addr.Addr, slot uint32) (uint32, *addrEntry) {
-	if growTable(uint64(c.addrRecs.n), len(c.addrIdx)) {
-		c.growAddrIdx()
-		_, slot, _ = c.findAddr(a)
-	}
-	i := c.addrRecs.alloc()
-	c.addrIdx[slot] = i + 1
-	e := c.addrRecs.at(i)
-	e.key = a
-	c.p48s.insert(uint64(a.P48()))
-	c.p64s.insert(uint64(a.P64()))
-	return i, e
 }
 
 // iidKeyOf resolves the IID a table reference stands for.
@@ -452,33 +510,38 @@ func (c *Collector) Observe(a addr.Addr, t time.Time, server int) {
 // form the ingest pipeline's Event carries, avoiding a time.Time round
 // trip per sighting on the hot path.
 func (c *Collector) ObserveUnix(a addr.Addr, ts int64, server int) {
-	serverBit := ServerBit(server)
 	c.total++
+	c.observe(&a, &AddrRecord{First: ts, Last: ts, Count: 1, Servers: ServerBit(server)})
+}
 
-	ai, slot, ok := c.findAddr(a)
-	if ok {
-		r := &c.addrRecs.at(ai).rec
-		if ts < r.First {
-			r.First = ts
-		}
-		if ts > r.Last {
-			r.Last = ts
-		}
-		r.Count++
-		r.Servers |= serverBit
+// observe is the one write core: fold in.Count sightings of a over
+// [in.First, in.Last] from in.Servers. A single sighting is the case
+// Count == 1, First == Last; Merge feeds it a donor's whole record.
+// Sightings commute, so the result depends only on what was folded,
+// never on the batching.
+func (c *Collector) observe(a *addr.Addr, in *AddrRecord) {
+	ai, fresh := c.foldAddr(a, in)
+	if !fresh {
 		c.markAddrDirty(ai)
-	} else {
-		var e *addrEntry
-		ai, e = c.insertAddr(a, slot)
-		e.rec = AddrRecord{First: ts, Last: ts, Count: 1, Servers: serverBit}
 	}
+	c.derive(a, ai, in, fresh)
+}
 
+// derive folds in, already folded into the address record at slab index
+// ai (fresh: that record was just created), into the state a collector
+// keeps beyond the address table: prefix sets, IID index, promoted
+// records and span chains.
+func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) {
+	if fresh {
+		c.p48s.insert(uint64(a.P48()))
+		c.p64s.insert(uint64(a.P64()))
+	}
 	iid := a.IID()
 	ref, slot, found := c.findIID(iid)
 	if !found {
 		if iid.IsEUI64() {
-			ri, e := c.allocPromoted(iid, ts, ts, 1)
-			c.widenSpan(ri, e, a.P64(), ts, ts)
+			ri, e := c.allocPromoted(iid, in.First, in.Last, in.Count)
+			c.widenSpan(ri, e, a.P64(), in.First, in.Last)
 			c.setIIDSlot(slot, ri|promotedTag, iid)
 			return
 		}
@@ -490,35 +553,37 @@ func (c *Collector) ObserveUnix(a addr.Addr, ts int64, server int) {
 	if ref&promotedTag != 0 {
 		ri := ref &^ promotedTag
 		r := c.iidRecs.at(ri)
-		if ts < r.first {
-			r.first = ts
+		if in.First < r.first {
+			r.first = in.First
 		}
-		if ts > r.last {
-			r.last = ts
+		if in.Last > r.last {
+			r.last = in.Last
 		}
-		r.count++
+		r.count += in.Count
 		c.markIIDDirty(ri)
 		if r.spans != spanNone {
-			c.widenSpan(ri, r, a.P64(), ts, ts)
+			c.widenSpan(ri, r, a.P64(), in.First, in.Last)
 		}
 		return
 	}
-	// Singleton reference. Same address: the address record update above
+	// Singleton reference. Same address: the address record update
 	// already IS the IID update. A second address sharing the IID (a
 	// random-IID collision across /64s) promotes the singleton; EUI-64
-	// IIDs are promoted at first sight, so no span handling is needed.
+	// IIDs are promoted at first sight, so no span handling is needed,
+	// and a is new here (an earlier sighting of it would have promoted),
+	// so its record is in.
 	if ref == ai {
 		return
 	}
 	base := c.addrRecs.at(ref).rec
 	first, last := base.First, base.Last
-	if ts < first {
-		first = ts
+	if in.First < first {
+		first = in.First
 	}
-	if ts > last {
-		last = ts
+	if in.Last > last {
+		last = in.Last
 	}
-	ri, _ := c.allocPromoted(iid, first, last, base.Count+1)
+	ri, _ := c.allocPromoted(iid, first, last, base.Count+in.Count)
 	c.iidIdx[slot] = (ri | promotedTag) + 1
 }
 
@@ -743,170 +808,22 @@ func (c *Collector) AddressList() []addr.Addr {
 // is how per-vantage (or per-shard) collectors combine into the study
 // corpus.
 //
-// Addresses merge first; the IID pass then resolves singleton references
-// against c's post-merge address table, so merged corpora keep the
-// singleton-IID memory optimization instead of promoting everything.
+// Everything o holds beyond its address records is a fold of them, so
+// Merge reads nothing else.
 func (c *Collector) Merge(o *Collector) {
-	for oi := uint32(0); oi < o.addrRecs.n; oi++ {
-		oe := o.addrRecs.at(oi)
-		if i, slot, ok := c.findAddr(oe.key); ok {
-			mine := &c.addrRecs.at(i).rec
-			if oe.rec.First < mine.First {
-				mine.First = oe.rec.First
-			}
-			if oe.rec.Last > mine.Last {
-				mine.Last = oe.rec.Last
-			}
-			mine.Count += oe.rec.Count
-			mine.Servers |= oe.rec.Servers
-			c.markAddrDirty(i)
-		} else {
-			_, e := c.insertAddr(oe.key, slot)
-			e.rec = oe.rec
-		}
-	}
-	// insertAddr already folded every new address's prefixes; unioning
-	// the sets directly as well costs nothing extra and keeps them right
-	// even if the invariants above ever loosen.
-	o.p48s.each(func(v uint64) { c.p48s.insert(v) })
-	o.p64s.each(func(v uint64) { c.p64s.insert(v) })
-
-	// The IID pass must NOT walk o.iidIdx in slot order: slot order is
-	// ascending hash order, and when both tables share a mask (shards of
-	// similar size always do) that means inserting into c in ascending
-	// home-position order. Near c's load threshold such a sweep sews
-	// every existing probe run into one — a third of the table can end
-	// up as a single occupied run mid-merge — and each lookup behind the
-	// sweep front degrades to O(table): a quadratic merge in practice
-	// (~100x slower at a million records). Promoted entries therefore
-	// merge in slab order and singletons in address-slab order, both
-	// uncorrelated with hash position (and sequential on the donor side,
-	// as a bonus). Merge results are order-independent, so only the cost
-	// changes.
-	for i := uint32(0); i < o.iidRecs.n; i++ {
-		c.mergeIIDPromoted(o, o.iidRecs.at(i))
-	}
-	for _, ref := range o.singletonRefs() {
-		oe := o.addrRecs.at(ref)
-		c.mergeIIDSingleton(oe.key, oe.rec)
-	}
+	c.mergeAddrs(&o.addrTable)
 	c.total += o.total
 }
 
-// singletonRefs returns every singleton IID's address-slab reference,
-// ref-sorted (address insertion order — deliberately uncorrelated with
-// IID hash order; see the Merge comment).
-func (c *Collector) singletonRefs() []uint32 {
-	singles := make([]uint32, 0, c.iidUsed-c.iidRecs.n)
-	for _, v := range c.iidIdx {
-		if v == 0 || (v-1)&promotedTag != 0 {
-			continue
-		}
-		singles = append(singles, v-1)
-	}
-	radixSortU32(singles)
-	return singles
-}
-
-// mergeIIDSingleton folds an IID that o saw under exactly one address
-// (bAddr, with o-side record bRec) into c.
-func (c *Collector) mergeIIDSingleton(bAddr addr.Addr, bRec AddrRecord) {
-	iid := bAddr.IID()
-	ref, slot, ok := c.findIID(iid)
-	if !ok {
-		// New to c as well: reference c's (post-merge) address record.
-		bi, _, found := c.findAddr(bAddr)
-		if !found {
-			// Unreachable: the address pass inserted every o address.
-			return
-		}
-		c.setIIDSlot(slot, bi, iid)
-		return
-	}
-	if ref&promotedTag != 0 {
-		// c already tracks multiple addresses for this IID; o's sightings
-		// of bAddr are disjoint from c's, so the count adds cleanly.
-		ri := ref &^ promotedTag
-		r := c.iidRecs.at(ri)
-		if bRec.First < r.first {
-			r.first = bRec.First
-		}
-		if bRec.Last > r.last {
-			r.last = bRec.Last
-		}
-		r.count += bRec.Count
-		c.markIIDDirty(ri)
-		return
-	}
-	mine := c.addrRecs.at(ref)
-	if mine.key == bAddr {
-		// Same singleton address on both sides: the address pass already
-		// merged the records, and the singleton reference reads it.
-		return
-	}
-	// Two distinct singleton addresses meet: promote. Neither side can
-	// have held the other's address (it would have promoted earlier), so
-	// both post-merge records are disjoint aggregates.
-	bi, _, found := c.findAddr(bAddr)
-	if !found {
-		return // unreachable, as above
-	}
-	other := c.addrRecs.at(bi).rec
-	first, last := mine.rec.First, mine.rec.Last
-	if other.First < first {
-		first = other.First
-	}
-	if other.Last > last {
-		last = other.Last
-	}
-	ri, _ := c.allocPromoted(iid, first, last, mine.rec.Count+other.Count)
-	c.iidIdx[slot] = (ri | promotedTag) + 1
-}
-
-// mergeIIDPromoted folds one of o's promoted IID records into c.
-func (c *Collector) mergeIIDPromoted(o *Collector, or *iidEntry) {
-	iid := or.key
-	ref, slot, ok := c.findIID(iid)
-	var r *iidEntry
-	var ri uint32
-	switch {
-	case !ok:
-		ri, r = c.allocPromoted(iid, or.first, or.last, or.count)
-		c.setIIDSlot(slot, ri|promotedTag, iid)
-	case ref&promotedTag != 0:
-		ri = ref &^ promotedTag
-		r = c.iidRecs.at(ri)
-		if or.first < r.first {
-			r.first = or.first
-		}
-		if or.last > r.last {
-			r.last = or.last
-		}
-		r.count += or.count
-		c.markIIDDirty(ri)
-	default:
-		// c holds a singleton whose address pass may already have folded
-		// o's sightings of that same address — which or.count includes
-		// too. Subtract o's copy of the overlap so it counts once.
-		mine := c.addrRecs.at(ref)
-		count := mine.rec.Count + or.count
-		if oxi, _, found := o.findAddr(mine.key); found {
-			count -= o.addrRecs.at(oxi).rec.Count
-		}
-		first, last := mine.rec.First, mine.rec.Last
-		if or.first < first {
-			first = or.first
-		}
-		if or.last > last {
-			last = or.last
-		}
-		ri, r = c.allocPromoted(iid, first, last, count)
-		c.iidIdx[slot] = (ri | promotedTag) + 1
-	}
-	for si := or.spans; si != spanNone; {
-		sn := o.spans.at(si)
-		c.widenSpan(ri, r, sn.p64, sn.first, sn.last)
-		si = sn.next
+// mergeAddrs runs every record of t through the write core. The walk is
+// in t's slab (insertion) order, which is uncorrelated with hash order:
+// walking an index in slot order instead would insert into c in
+// ascending home-slot order and, near c's load threshold, weld its
+// probe runs into one (TestMergeSlotOrderPathology).
+func (c *Collector) mergeAddrs(t *addrTable) {
+	for i := uint32(0); i < t.addrRecs.n; i++ {
+		e := t.addrRecs.at(i)
+		c.observe(&e.key, &e.rec)
 	}
 }
 
@@ -916,63 +833,56 @@ func (c *Collector) mergeIIDPromoted(o *Collector, or *iidEntry) {
 //
 //   - An empty donor contributes only its observation total.
 //   - Into an empty c, the donor's slabs, tables and prefix sets move
-//     over wholesale: O(1), no record is touched. Restore-on-start and
-//     the first shard snapshot into a fresh store land here.
-//   - Otherwise Merge runs record by record and the donor is zeroed.
-//
-// There is deliberately no "disjoint donor" shortcut between the last
-// two. Pipeline shards partition by address hash, but IIDs recur across
-// prefixes (EUI-64 interfaces that move, low-byte ::1 routers), so two
-// shards with no address in common still share IID state, and a shard's
-// later epochs re-sight its own earlier addresses: on the benchmark's
-// stream no snapshot was ever disjoint from a non-empty store, and
-// testing for it cost up to a probe per donor record before Merge ran
-// anyway (branch counts in ARCHITECTURE.md).
+//     over wholesale: O(1), no record is touched. Restore-on-start
+//     (ingest.Config.Seed) lands here.
+//   - Otherwise Merge runs record by record.
 //
 // The result is observation-identical to Merge in every case (pinned by
-// the absorb-vs-merge equivalence tests). This is what Store.ApplyShard
-// runs on every shard snapshot.
+// the absorb-vs-merge equivalence tests).
 func (c *Collector) Absorb(o *Collector) {
 	if o == nil {
 		return
 	}
-	if o.addrRecs.n == 0 && o.iidUsed == 0 {
+	switch {
+	case o.addrRecs.n == 0:
 		c.total += o.total
-		*o = Collector{}
-		return
-	}
-	if c.addrRecs.n == 0 && c.iidUsed == 0 && c.spans.n == 0 {
-		total := c.total
-		ck := c.ckpt
-		*c = *o
-		c.total += total
+	case c.addrRecs.n == 0 && c.iidUsed == 0:
 		// c keeps its own checkpoint lineage, not the donor's: c was
 		// empty, so its watermarks are zero and every adopted record
 		// counts as new against them.
-		c.ckpt = ck
-		*o = Collector{}
-		return
+		o.total += c.total
+		o.ckpt = c.ckpt
+		*c = *o
+	default:
+		c.Merge(o)
 	}
-	c.Merge(o)
 	*o = Collector{}
 }
 
-// resizeAddrIdx rebuilds the address table at the given power-of-two
-// slot count.
-func (c *Collector) resizeAddrIdx(slots int) {
-	old := c.addrIdx
-	c.addrIdx = make([]uint32, slots)
-	mask := uint64(slots - 1)
-	for _, v := range old {
-		if v == 0 {
-			continue
+// AbsorbBuffer folds a shard epoch into c and empties b: the same three
+// cases as Absorb. Into an empty c the buffer's slab and index are
+// adopted as they stand and one sequential pass over the slab derives
+// the rest; otherwise each record goes through the write core. Pipeline
+// shards partition addresses by hash, but an IID recurs across prefixes
+// (EUI-64 interfaces that move, low-byte ::1 routers) and a shard's
+// later epochs re-sight its own earlier addresses, so there is no
+// shortcut for an address-disjoint buffer: IID state is shared anyway.
+func (c *Collector) AbsorbBuffer(b *Buffer) {
+	switch {
+	case b.addrRecs.n == 0:
+	case c.addrRecs.n == 0 && c.iidUsed == 0:
+		c.addrTable = b.addrTable
+		// At most one IID per address: sized once, not regrown 14 times.
+		c.iidIdx = make([]uint32, tableSizeFor(uint64(c.addrRecs.n)))
+		for i := uint32(0); i < c.addrRecs.n; i++ {
+			e := c.addrRecs.at(i)
+			c.derive(&e.key, i, &e.rec, true)
 		}
-		pos := c.addrRecs.at(v-1).key.Hash64() & mask
-		for c.addrIdx[pos] != 0 {
-			pos = (pos + 1) & mask
-		}
-		c.addrIdx[pos] = v
+	default:
+		c.mergeAddrs(&b.addrTable)
 	}
+	c.total += b.total
+	*b = Buffer{}
 }
 
 // resizeIIDIdx rebuilds the IID table at the given power-of-two slot

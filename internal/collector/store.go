@@ -6,10 +6,11 @@ import (
 )
 
 // Store is the single-writer merged view of sharded collection: ingest
-// shards accumulate into private Collectors and periodically hand their
-// snapshots to one merger goroutine, which folds them in here under the
-// write lock. Readers (HTTP stat endpoints, analyses running mid-ingest)
-// take the read lock and see a consistent, slightly-stale corpus.
+// shards accumulate address records into private Buffers and
+// periodically hand them to one merger goroutine, which folds them in
+// here under the write lock. Readers (HTTP stat endpoints, analyses
+// running mid-ingest) take the read lock and see a consistent,
+// slightly-stale corpus.
 //
 // The Collector itself stays single-writer — Store adds the concurrency
 // boundary around it instead of pushing locks into the per-sighting hot
@@ -17,7 +18,8 @@ import (
 type Store struct {
 	mu sync.RWMutex
 	c  *Collector
-	// merges counts ApplyShard calls; useful for snapshot bookkeeping.
+	// merges counts ApplyShard and ApplyBuffer calls; useful for
+	// snapshot bookkeeping.
 	merges uint64
 }
 
@@ -26,21 +28,24 @@ func NewStore() *Store {
 	return &Store{c: New()}
 }
 
-// ApplyShard folds one shard snapshot into the merged view. The store
-// takes ownership: the snapshot must not be used again by its shard
-// afterwards (shards swap in a fresh Collector before handing one
-// over). Into an empty store — a restored seed, or the first snapshot
-// of a run — the snapshot's state is stolen whole in O(1); every later
-// call is a record-by-record Merge, because shards partition addresses
-// by hash but IIDs recur across prefixes, so snapshots collide with the
-// store on IID state (and on the shard's own earlier addresses) even
-// though no two shards share an address (see Collector.Absorb).
+// ApplyShard folds a whole collector — a restored seed, a corpus built
+// elsewhere — into the merged view. The store takes ownership: part
+// must not be used again (see Collector.Absorb for the cases).
 func (s *Store) ApplyShard(part *Collector) {
 	if part == nil {
 		return
 	}
 	s.mu.Lock()
 	s.c.Absorb(part)
+	s.merges++
+	s.mu.Unlock()
+}
+
+// ApplyBuffer folds one shard epoch into the merged view and empties
+// the buffer (see Collector.AbsorbBuffer).
+func (s *Store) ApplyBuffer(b *Buffer) {
+	s.mu.Lock()
+	s.c.AbsorbBuffer(b)
 	s.merges++
 	s.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -22,12 +23,18 @@ type Event struct {
 
 // shardOf maps an address to its shard via addr.Hash64. All sightings
 // of one address land on one shard, which is what makes per-shard state
-// lock-free and the merged result independent of the shard count.
+// lock-free and the merged result independent of the shard count. The
+// shard is the hash scaled into [0, shards) — its high bits. The shard's
+// address table picks home slots with the low bits of the same hash, so
+// taking the shard from the low end too (hash % shards) would leave a
+// shard at a power-of-two count holding keys that agree in exactly the
+// bits its table spreads by, and only one slot in `shards` a home slot.
 func shardOf(a addr.Addr, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	return int(a.Hash64() % uint64(shards))
+	hi, _ := bits.Mul64(a.Hash64(), uint64(shards))
+	return int(hi)
 }
 
 // What a line can be besides an event. Sentinels, not formatted

@@ -310,3 +310,43 @@ func TestParseEventRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestShardOfLeavesTableBitsAlone: the addresses one of 16 shards is
+// handed must probe its address table like any 100,000 addresses would.
+// With the shard taken from the hash's low bits (hash % 16) they shared
+// the four bits the table spreads by first, and the mean probe length
+// read 4.05 against 1.31.
+func TestShardOfLeavesTableBitsAlone(t *testing.T) {
+	const n, shards = 100_000, 16
+	state := uint64(0x5eed)
+	next := func() addr.Addr {
+		state += 0x9e3779b97f4a7c15
+		return addr.FromParts(0x2001_0db8_0000_0000|state>>40, state*0xbf58476d1ce4e5b9)
+	}
+	serial, shard := collector.New(), collector.New()
+	for serial.NumAddrs() < n {
+		serial.ObserveUnix(next(), 1643068800, 0)
+	}
+	perShard := make([]int, shards)
+	for shard.NumAddrs() < n {
+		a := next()
+		sh := shardOf(a, shards)
+		perShard[sh]++
+		if sh == 0 {
+			shard.ObserveUnix(a, 1643068800, 0)
+		}
+	}
+	want, got := serial.AddrIndexStats(), shard.AddrIndexStats()
+	if got.Slots != want.Slots {
+		t.Fatalf("tables differ in size: %d vs %d slots", got.Slots, want.Slots)
+	}
+	if got.MeanProbe > want.MeanProbe*1.10 {
+		t.Errorf("a 1-of-%d shard's table probes %.2f slots a key (p99 %d), any %d addresses' %.2f (p99 %d)",
+			shards, got.MeanProbe, got.P99Probe, n, want.MeanProbe, want.P99Probe)
+	}
+	for sh, k := range perShard {
+		if k < n*9/10 || k > n*11/10 {
+			t.Errorf("shard %d was handed %d addresses while shard 0 took %d: not an even split", sh, k, n)
+		}
+	}
+}

@@ -11,12 +11,13 @@ import (
 
 // Pipeline is the sharded ingestion engine. Producers obtain Batchers
 // and push Events; each event hashes to one of N shards, whose worker
-// goroutine folds it into a private collector plus the configured
-// enrichment stages, entirely lock-free. Snapshots (periodic, on
-// demand, and at Close) hand the private state to a single merger
-// goroutine that folds it into the Store — the one writer the
-// concurrency model allows — so readers always have a consistent,
-// slightly-stale corpus without ever touching the hot path.
+// goroutine folds it into a private address-record buffer plus the
+// configured enrichment stages, entirely lock-free. Snapshots
+// (periodic, on demand, and at Close) hand the private state to a
+// single merger goroutine that folds it into the Store — the one writer
+// the concurrency model allows, and the one place IID state is derived
+// — so readers always have a consistent, slightly-stale corpus without
+// ever touching the hot path.
 type Pipeline struct {
 	cfg   Config
 	store *collector.Store
@@ -65,7 +66,7 @@ type shard struct {
 	idx    int
 	in     chan []Event
 	snap   chan chan struct{}
-	col    *collector.Collector
+	buf    *collector.Buffer
 	stages []Stage
 }
 
@@ -74,7 +75,7 @@ type shard struct {
 // FIFO and the merger is the only consumer, so the barrier closing
 // proves every snapshot enqueued before it has been folded in.
 type shardSnapshot struct {
-	col     *collector.Collector
+	buf     *collector.Buffer
 	stages  []Stage
 	barrier chan struct{}
 }
@@ -109,7 +110,7 @@ func New(cfg Config) (*Pipeline, error) {
 			idx:    i,
 			in:     make(chan []Event, cfg.QueueDepth),
 			snap:   make(chan chan struct{}, 1),
-			col:    collector.New(),
+			buf:    new(collector.Buffer),
 			stages: newStages(cfg.Stages),
 		}
 	}
@@ -185,10 +186,10 @@ func (p *Pipeline) runShard(s *shard) {
 // once the producer side has closed this was the final handoff and the
 // shard keeps nothing.
 func (p *Pipeline) handOff(s *shard, open bool) {
-	p.merge <- shardSnapshot{col: s.col, stages: s.stages}
-	s.col, s.stages = nil, nil
+	p.merge <- shardSnapshot{buf: s.buf, stages: s.stages}
+	s.buf, s.stages = nil, nil
 	if open {
-		s.col = collector.New()
+		s.buf = new(collector.Buffer)
 		s.stages = newStages(p.cfg.Stages)
 	}
 }
@@ -202,7 +203,7 @@ func newStages(factories []StageFactory) []Stage {
 	return stages
 }
 
-// processBatch folds one batch into the shard's collector and stages.
+// processBatch folds one batch into the shard's buffer and stages.
 // The loop is structured stage-major (collector pass, then one pass
 // per stage) so each stage's wall time is measurable with two clock
 // reads per batch instead of two per event — the whole point of the
@@ -225,7 +226,7 @@ func (p *Pipeline) processBatch(s *shard, batch []Event) {
 			// would otherwise saturate at MaxServers-1 regardless).
 			ev.Server = cap32 - 1
 		}
-		s.col.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
+		s.buf.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 	}
 	for si, st := range s.stages {
 		var stageStart time.Time
@@ -276,9 +277,9 @@ func (p *Pipeline) runMerger() {
 			close(snap.barrier)
 			continue
 		}
-		if snap.col != nil {
+		if snap.buf != nil {
 			mergeStart := time.Now()
-			p.store.ApplyShard(snap.col)
+			p.store.ApplyBuffer(snap.buf)
 			p.tel.mergeSeconds.ObserveDuration(time.Since(mergeStart))
 		}
 		if len(snap.stages) > 0 {

@@ -203,6 +203,24 @@ func TestServerClientLoopback(t *testing.T) {
 	}
 }
 
+// TestServerCountsReplyBeforeClientHasIt: a client that holds reply i
+// reads Stats that already count it. Counting after the write lost this
+// race about once in forty queries; five hundred in a row make the old
+// order fail every run.
+func TestServerCountsReplyBeforeClientHasIt(t *testing.T) {
+	srv := newLoopbackServer(t, ServerConfig{})
+	defer srv.Close()
+	target := srv.LocalAddr().String()
+	for i := uint64(1); i <= 500; i++ {
+		if _, err := Query(target, 2*time.Second); err != nil {
+			t.Fatalf("Query %d: %v", i, err)
+		}
+		if reqs, replies, _ := srv.Stats(); reqs != i || replies != i {
+			t.Fatalf("after reply %d: stats say %d requests / %d replies", i, reqs, replies)
+		}
+	}
+}
+
 func TestServerIgnoresNonClientPackets(t *testing.T) {
 	srv := newLoopbackServer(t, ServerConfig{})
 	defer srv.Close()

@@ -134,9 +134,7 @@ func (s *Server) serve() {
 		if s.cfg.RateLimit != nil && !s.cfg.RateLimit.Allow(raddr.Addr(), recvAt) {
 			kod := NewKissOfDeath(&req)
 			if nn, err := kod.SerializeTo(out); err == nil {
-				if _, err := s.conn.WriteToUDPAddrPort(out[:nn], raddr); err == nil {
-					s.kods.Add(1)
-				}
+				s.send(&s.kods, out[:nn], raddr)
 			}
 			continue
 		}
@@ -146,12 +144,22 @@ func (s *Server) serve() {
 			s.logf("ntp: serialize: %v", err)
 			continue
 		}
-		if _, err := s.conn.WriteToUDPAddrPort(out[:nn], raddr); err != nil {
+		if err := s.send(&s.replies, out[:nn], raddr); err != nil {
 			s.logf("ntp: write: %v", err)
-			continue
 		}
-		s.replies.Add(1)
 	}
+}
+
+// send writes one response and counts it. The count moves before the
+// write and back if the write fails: a client holding its answer must
+// never read Stats that do not include it.
+func (s *Server) send(sent *atomic.Uint64, pkt []byte, to netip.AddrPort) error {
+	sent.Add(1)
+	_, err := s.conn.WriteToUDPAddrPort(pkt, to)
+	if err != nil {
+		sent.Add(^uint64(0))
+	}
+	return err
 }
 
 func (s *Server) logf(format string, args ...any) {
