@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hitlist6/internal/asdb"
+	"hitlist6/internal/collector"
 	"hitlist6/internal/ingest"
 	"hitlist6/internal/telemetry"
 )
@@ -20,10 +21,17 @@ import (
 // log discarded but still mirrored into the events ring. snapDir == ""
 // leaves durable snapshots disabled.
 func newTestDaemon(t *testing.T, snapDir string) *daemon {
+	return newSeededDaemon(t, snapDir, nil)
+}
+
+// newSeededDaemon is newTestDaemon started on a restored corpus, as
+// main does with restoreOrEmpty's.
+func newSeededDaemon(t *testing.T, snapDir string, seed *collector.Collector) *daemon {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	cfg := ingest.DefaultConfig(2)
 	cfg.Registry = reg
+	cfg.Seed = seed
 	pipe, err := ingest.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -412,7 +412,7 @@ func main() {
 			"Wall time restoring the corpus checkpoint at startup.",
 			telemetry.DurationBuckets())
 		start := time.Now()
-		cfg.Seed = restoreOrEmpty(snapPath, *snapDelta, func(format string, args ...any) {
+		cfg.Seed = restoreOrEmpty(snapPath, func(format string, args ...any) {
 			msg := fmt.Sprintf(format, args...)
 			if strings.Contains(msg, "WARNING") {
 				logger.Warn(msg)
@@ -542,23 +542,22 @@ func tierPath(dir string) string {
 	return filepath.Join(dir, "corpus.tier")
 }
 
-// restoreOrEmpty loads the corpus checkpoint for daemon startup — the
-// delta chain when -snapshot.delta, the plain file otherwise. A
-// daemon must come up even when its checkpoint is damaged — losing the
-// corpus and re-accumulating beats refusing to collect — so missing
-// files start empty silently and unreadable/corrupt files start empty
-// with a logged warning.
-func restoreOrEmpty(path string, delta bool, logf func(format string, args ...any)) *collector.Collector {
-	var c *collector.Collector
-	var err error
-	if delta {
-		c, err = ingest.RestoreChainFiles(path)
-	} else {
-		c, err = ingest.RestoreFile(path)
-	}
+// restoreOrEmpty loads the corpus checkpoint for daemon startup: the
+// base file and whatever delta chain sits next to it, however this run
+// will write (-snapshot.delta chooses the checkpoint protocol, not what
+// is on disk). A daemon must come up even when its checkpoint is
+// damaged — losing the corpus and re-accumulating beats refusing to
+// collect — so missing files start empty silently and unreadable/corrupt
+// files start empty with a logged warning.
+func restoreOrEmpty(path string, logf func(format string, args ...any)) *collector.Collector {
+	c, superseded, err := ingest.RestoreNewest(path)
 	if err != nil {
 		logf("ingestd: WARNING: checkpoint %s unusable, starting with an empty corpus: %v", path, err)
 		return nil
+	}
+	if len(superseded) > 0 {
+		logf("ingestd: WARNING: removed %d delta files of a superseded chain (a checkpoint was interrupted): %s",
+			len(superseded), strings.Join(superseded, " "))
 	}
 	if c == nil {
 		return nil

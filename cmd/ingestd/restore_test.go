@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,7 +30,7 @@ func TestRestoreOrEmpty(t *testing.T) {
 
 	// Missing: empty start, no warning.
 	logf, lines := logged()
-	if c := restoreOrEmpty(path, false, logf); c != nil {
+	if c := restoreOrEmpty(path, logf); c != nil {
 		t.Fatalf("missing checkpoint restored something: %v", c)
 	}
 	if len(*lines) != 0 {
@@ -53,7 +55,7 @@ func TestRestoreOrEmpty(t *testing.T) {
 
 	// Good: restores with an informational line.
 	logf, lines = logged()
-	c := restoreOrEmpty(path, false, logf)
+	c := restoreOrEmpty(path, logf)
 	if c == nil {
 		t.Fatal("good checkpoint did not restore")
 	}
@@ -89,12 +91,107 @@ func TestRestoreOrEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 		logf, lines = logged()
-		if c := restoreOrEmpty(path, false, logf); c != nil {
+		if c := restoreOrEmpty(path, logf); c != nil {
 			t.Errorf("%s: damaged checkpoint restored (%d addrs)", name, c.NumAddrs())
 		}
 		if len(*lines) != 1 || !strings.Contains((*lines)[0], "WARNING") {
 			t.Errorf("%s: expected one warning, got %v", name, *lines)
 		}
+	}
+}
+
+// TestRestartWithoutDeltaFlag: -snapshot.delta chooses how checkpoints
+// are written, not what a start reads. A daemon that wrote a chain and
+// comes back without the flag restores base and deltas — /stats shows
+// the whole stream — and its first plain checkpoint leaves no delta
+// file behind to be mistaken for part of a later chain.
+func TestRestartWithoutDeltaFlag(t *testing.T) {
+	dir := t.TempDir()
+	d := newTestDaemon(t, dir)
+	d.deltaMode = true
+	feed(t, d) // 2 addresses
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	b := d.pipe.NewBatcher()
+	for i := 0; i < 50; i++ {
+		ingestDatagram(b, []byte(fmt.Sprintf("164368%04d 2001:db8:1::%x %d", i, i+1, i%27)), &d.badLines)
+	}
+	b.Flush()
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	d.pipe.Close()
+	if deltas, _ := filepath.Glob(d.snapPath + ".delta.*"); len(deltas) != 1 {
+		t.Fatalf("setup: delta files %v", deltas)
+	}
+
+	d = newSeededDaemon(t, dir, restoreOrEmpty(snapshotPath(dir), t.Logf))
+	defer d.pipe.Close()
+	srv := httptest.NewServer(d.newMux())
+	defer srv.Close()
+	_, _, body := get(t, srv.URL, "/stats")
+	var reply statsReply
+	if err := json.Unmarshal([]byte(body), &reply); err != nil {
+		t.Fatalf("/stats not JSON: %v\n%s", err, body)
+	}
+	if reply.UniqueAddrs != 52 || reply.Observations != 52 {
+		t.Fatalf("restarted without -snapshot.delta: %d addrs / %d observations, want 52/52",
+			reply.UniqueAddrs, reply.Observations)
+	}
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if deltas, _ := filepath.Glob(d.snapPath + ".delta.*"); len(deltas) != 0 {
+		t.Fatalf("plain checkpoint left %v", deltas)
+	}
+	if c, err := ingest.RestoreFile(d.snapPath); err != nil || c.NumAddrs() != 52 {
+		t.Fatalf("plain checkpoint after the restart: %v", err)
+	}
+}
+
+// TestRestoreOrEmptyReportsSuperseded: delta files that do not chain
+// onto the base (a checkpoint was interrupted between writing the base
+// and removing them) cost a warning, not the corpus.
+func TestRestoreOrEmptyReportsSuperseded(t *testing.T) {
+	dir := t.TempDir()
+	d := newTestDaemon(t, dir)
+	d.deltaMode = true
+	feed(t, d)
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	b := d.pipe.NewBatcher()
+	ingestDatagram(b, []byte("1643673700 2001:db8::3 1\n"), &d.badLines)
+	b.Flush()
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := os.ReadFile(d.snapPath + ".delta.000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.deltaMode = false // a full base over the chain
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	d.pipe.Close()
+	if err := os.WriteFile(d.snapPath+".delta.000001", stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var lines []string
+	c := restoreOrEmpty(d.snapPath, func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	})
+	if c == nil || c.NumAddrs() != 3 {
+		t.Fatalf("restore beside a superseded delta: %v, log %v", c, lines)
+	}
+	if len(lines) != 2 || !strings.Contains(lines[0], "WARNING") || !strings.Contains(lines[0], "delta.000001") {
+		t.Fatalf("log = %v, want a warning naming the delta, then the restore line", lines)
+	}
+	if _, err := os.Stat(d.snapPath + ".delta.000001"); !os.IsNotExist(err) {
+		t.Fatalf("superseded delta still on disk (%v)", err)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestTierRebuiltOnRestart(t *testing.T) {
 			// the store, then enable the tier.
 			d := newTestDaemon(t, dir)
 			defer d.pipe.Close()
-			restored := restoreOrEmpty(d.snapPath, false, t.Logf)
+			restored := restoreOrEmpty(d.snapPath, t.Logf)
 			if restored == nil {
 				t.Fatal("checkpoint did not restore")
 			}

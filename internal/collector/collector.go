@@ -426,9 +426,9 @@ type Collector struct {
 	p48s  u64set
 	p64s  u64set
 	total uint64
-	// ckpt is the delta-checkpoint watermark (see dirty.go): which slab
-	// prefix the last checkpoint covered and which blocks of it have been
-	// mutated in place since.
+	// ckpt is the delta-checkpoint watermark (see dirty.go): which prefix
+	// of the address slab the last checkpoint covered and which blocks of
+	// it have been mutated in place since.
 	ckpt ckptState
 }
 
@@ -541,7 +541,7 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 	if !found {
 		if iid.IsEUI64() {
 			ri, e := c.allocPromoted(iid, in.First, in.Last, in.Count)
-			c.widenSpan(ri, e, a.P64(), in.First, in.Last)
+			c.widenSpan(e, a.P64(), in.First, in.Last)
 			c.setIIDSlot(slot, ri|promotedTag, iid)
 			return
 		}
@@ -551,8 +551,7 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 		return
 	}
 	if ref&promotedTag != 0 {
-		ri := ref &^ promotedTag
-		r := c.iidRecs.at(ri)
+		r := c.iidRecs.at(ref &^ promotedTag)
 		if in.First < r.first {
 			r.first = in.First
 		}
@@ -560,9 +559,8 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 			r.last = in.Last
 		}
 		r.count += in.Count
-		c.markIIDDirty(ri)
 		if r.spans != spanNone {
-			c.widenSpan(ri, r, a.P64(), in.First, in.Last)
+			c.widenSpan(r, a.P64(), in.First, in.Last)
 		}
 		return
 	}
@@ -591,10 +589,9 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 // the IID's chain and prepending a fresh node when the /64 is new. A
 // matched node moves to the chain head, so repeat sightings of an IID's
 // current /64 — the overwhelmingly common case — stay O(1) even for
-// identifiers spread across many /64s. r must point into the IID slab
-// at index ri (needed for dirty tracking of the chain head); appending
-// to the span slab never moves it.
-func (c *Collector) widenSpan(ri uint32, r *iidEntry, p addr.Prefix64, first, last int64) {
+// identifiers spread across many /64s. r points into the IID slab;
+// appending to the span slab never moves it.
+func (c *Collector) widenSpan(r *iidEntry, p addr.Prefix64, first, last int64) {
 	prev := spanNone
 	for i := r.spans; i != spanNone; {
 		n := c.spans.at(i)
@@ -605,13 +602,10 @@ func (c *Collector) widenSpan(ri uint32, r *iidEntry, p addr.Prefix64, first, la
 			if last > n.last {
 				n.last = last
 			}
-			c.markSpanDirty(i)
 			if prev != spanNone {
 				c.spans.at(prev).next = n.next
 				n.next = r.spans
 				r.spans = i
-				c.markSpanDirty(prev)
-				c.markIIDDirty(ri)
 			}
 			return
 		}
@@ -623,7 +617,6 @@ func (c *Collector) widenSpan(ri uint32, r *iidEntry, p addr.Prefix64, first, la
 	n.p64, n.first, n.last, n.next = p, first, last, r.spans
 	r.spans = i
 	r.p64n++
-	c.markIIDDirty(ri)
 }
 
 // NumAddrs returns the number of unique addresses observed.
@@ -871,18 +864,26 @@ func (c *Collector) AbsorbBuffer(b *Buffer) {
 	switch {
 	case b.addrRecs.n == 0:
 	case c.addrRecs.n == 0 && c.iidUsed == 0:
-		c.addrTable = b.addrTable
-		// At most one IID per address: sized once, not regrown 14 times.
-		c.iidIdx = make([]uint32, tableSizeFor(uint64(c.addrRecs.n)))
-		for i := uint32(0); i < c.addrRecs.n; i++ {
-			e := c.addrRecs.at(i)
-			c.derive(&e.key, i, &e.rec, true)
-		}
+		c.adopt(b.addrTable)
 	default:
 		c.mergeAddrs(&b.addrTable)
 	}
 	c.total += b.total
 	*b = Buffer{}
+}
+
+// adopt makes t the address table of c, which must hold no records, and
+// derives the rest of c's state from it in one sequential pass over the
+// slab. A shard epoch landing in an empty store and a checkpoint
+// restore both end here.
+func (c *Collector) adopt(t addrTable) {
+	c.addrTable = t
+	// At most one IID per address: sized once, not regrown 14 times.
+	c.iidIdx = make([]uint32, tableSizeFor(uint64(c.addrRecs.n)))
+	for i := uint32(0); i < c.addrRecs.n; i++ {
+		e := c.addrRecs.at(i)
+		c.derive(&e.key, i, &e.rec, true)
+	}
 }
 
 // resizeIIDIdx rebuilds the IID table at the given power-of-two slot
@@ -917,6 +918,5 @@ func (c *Collector) Unique64s() int { return c.p64s.len() }
 func (c *Collector) MemoryFootprint() uint64 {
 	return c.addrRecs.bytes() + c.iidRecs.bytes() + c.spans.bytes() +
 		uint64(len(c.addrIdx))*4 + uint64(len(c.iidIdx))*4 +
-		c.p48s.bytes() + c.p64s.bytes() +
-		c.ckpt.dirtyAddr.bytes() + c.ckpt.dirtyIID.bytes() + c.ckpt.dirtySpan.bytes()
+		c.p48s.bytes() + c.p64s.bytes() + c.ckpt.dirty.bytes()
 }

@@ -5,58 +5,57 @@ import (
 	"testing"
 )
 
-// FuzzDeltaSnapshot feeds arbitrary bytes to ApplyDelta against a real
-// restored base: the contract is an error or a faithful corpus — never
-// a panic, never a partially applied chain that escapes. Seeds start
-// inside the real format (a valid delta plus near-valid husks) so
-// coverage begins past the magic check. Run continuously with:
+// FuzzDeltaSnapshot feeds arbitrary bytes as the delta of a chain over
+// a real base: the contract is an error or a faithful corpus — never a
+// panic, never a partially applied chain that escapes. Seeds start
+// inside the real format, in both versions the reader accepts — the
+// base is the version-1 chain fixture's, the seeds its own version-1
+// delta and a version-2 delta cut against the same state, plus
+// near-valid husks — so coverage begins past the magic check. Run
+// continuously with:
 //
-//	go test ./internal/collector -run '^$' -fuzz '^FuzzDeltaSnapshot$' -fuzztime 30s
+//	go test ./internal/collector -run '^$' -fuzz '^FuzzDeltaSnapshot$' -fuzztime 30s -fuzzminimizetime 2s
 func FuzzDeltaSnapshot(f *testing.F) {
-	addrs, times, servers := goldenStream()
-	c := New()
-	feedGolden(c, addrs, times, servers, 0, 300)
-	var base bytes.Buffer
-	if err := c.Snapshot(&base); err != nil {
+	base, v1Delta := v1Chain(f)
+	c, err := OpenSnapshot(bytes.NewReader(base))
+	if err != nil {
 		f.Fatal(err)
 	}
-	c.MarkCheckpointedFull()
-	feedGolden(c, addrs, times, servers, 300, 600)
+	addrs, times, servers := goldenStream()
+	feedGolden(c, addrs, times, servers, 900, 1300)
 	var delta bytes.Buffer
 	if err := c.SnapshotDelta(&delta); err != nil {
 		f.Fatal(err)
 	}
 
 	f.Add(delta.Bytes())
+	f.Add(v1Delta)
 	f.Add([]byte("h6delta1"))
 	f.Add([]byte("h6delta1\x00\x00\x00\x01"))
+	f.Add([]byte("h6delta1\x00\x00\x00\x02"))
 	f.Add([]byte{})
 
-	baseRaw := base.Bytes()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		parent, err := OpenSnapshot(bytes.NewReader(baseRaw))
+		got, err := RestoreChain(bytes.NewReader(base), bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("base fixture no longer restores: %v", err)
-		}
-		if err := parent.ApplyDelta(bytes.NewReader(data)); err != nil {
-			return // rejected cleanly; the poisoned parent is discarded
+			if got != nil {
+				t.Fatalf("error return carries a non-nil collector")
+			}
+			return
 		}
 		// A delta that applies cleanly (structurally valid records with
 		// correct CRCs, whatever their values) must leave an internally
 		// consistent corpus: every walk terminates and a full snapshot
-		// round-trips to the same checksum — nothing corrupt was silently
+		// round-trips to the same corpus — nothing corrupt was silently
 		// accepted.
-		sum := parent.Checksum()
 		var buf bytes.Buffer
-		if err := parent.Snapshot(&buf); err != nil {
+		if err := got.Snapshot(&buf); err != nil {
 			t.Fatalf("post-delta collector cannot snapshot: %v", err)
 		}
 		again, err := OpenSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("post-delta snapshot does not restore: %v", err)
 		}
-		if again.Checksum() != sum {
-			t.Fatalf("post-delta corpus is not stable under re-snapshot")
-		}
+		sameCorpus(t, again, got)
 	})
 }

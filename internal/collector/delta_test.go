@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"hitlist6/internal/addr"
@@ -191,8 +192,10 @@ func TestDeltaWithoutBase(t *testing.T) {
 	}
 }
 
-// TestDeltaWrongBase: applying a delta to a collector that is not its
-// exact parent state fails fast.
+// TestDeltaWrongBase: a delta restores only onto the exact state it was
+// cut against. Anything else is refused as ErrStaleDelta — a leftover,
+// which the file layer may drop, not damage — and leaves the restore as
+// it was.
 func TestDeltaWrongBase(t *testing.T) {
 	addrs, times, servers := goldenStream()
 	c := New()
@@ -208,19 +211,50 @@ func TestDeltaWrongBase(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Parent drifted by one observation after restore.
+	// The base the chain was compacted into: one observation further on.
 	drifted, err := OpenSnapshot(bytes.NewReader(base.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	drifted.ObserveUnix(addr.MustParse("2001:db8::1"), 1700000000, 1)
-	if err := drifted.ApplyDelta(bytes.NewReader(delta.Bytes())); err == nil {
-		t.Fatalf("delta applied to drifted parent silently")
+	var newBase bytes.Buffer
+	if err := drifted.Snapshot(&newBase); err != nil {
+		t.Fatal(err)
+	}
+	var empty bytes.Buffer
+	if err := New().Snapshot(&empty); err != nil {
+		t.Fatal(err)
+	}
+	for name, wrong := range map[string][]byte{"drifted base": newBase.Bytes(), "empty base": empty.Bytes()} {
+		if _, err := RestoreChain(bytes.NewReader(wrong), bytes.NewReader(delta.Bytes())); !errors.Is(err, ErrStaleDelta) {
+			t.Fatalf("%s: RestoreChain error = %v, want ErrStaleDelta", name, err)
+		}
 	}
 
-	// A fresh collector is not a parent at all.
-	if err := New().ApplyDelta(bytes.NewReader(delta.Bytes())); err == nil {
-		t.Fatalf("delta applied to fresh collector silently")
+	rs, err := NewRestore(bytes.NewReader(newBase.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.ApplyDelta(bytes.NewReader(delta.Bytes())); !errors.Is(err, ErrStaleDelta) {
+		t.Fatalf("ApplyDelta error = %v, want ErrStaleDelta", err)
+	}
+	got, err := rs.Collector()
+	if err != nil {
+		t.Fatalf("restore after a stale delta: %v", err)
+	}
+	sameCorpus(t, got, drifted)
+
+	// Damage is not staleness: the restore is dead from then on.
+	rs, err = NewRestore(bytes.NewReader(base.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := delta.Bytes()[:delta.Len()/2]
+	if err := rs.ApplyDelta(bytes.NewReader(cut)); err == nil || errors.Is(err, ErrStaleDelta) {
+		t.Fatalf("truncated delta: %v", err)
+	}
+	if got, err := rs.Collector(); err == nil || got != nil {
+		t.Fatalf("restore that read a damaged delta yielded a collector (%v)", err)
 	}
 }
 
@@ -244,10 +278,23 @@ func deltaFixture(t *testing.T) (base, delta []byte, live *Collector) {
 	return b.Bytes(), d.Bytes(), c
 }
 
+// deltaFixtures returns one (base, delta) chain per format version the
+// reader accepts.
+func deltaFixtures(t *testing.T) map[string][2][]byte {
+	base, delta, _ := deltaFixture(t)
+	v1Base, v1Delta := v1Chain(t)
+	return map[string][2][]byte{"v2": {base, delta}, "v1": {v1Base, v1Delta}}
+}
+
 // TestDeltaTruncationTorture: a delta cut anywhere must fail the chain
 // restore with an error — never a panic, never a partial corpus.
 func TestDeltaTruncationTorture(t *testing.T) {
-	base, delta, _ := deltaFixture(t)
+	for name, chain := range deltaFixtures(t) {
+		t.Run(name, func(t *testing.T) { deltaTruncationTorture(t, chain[0], chain[1]) })
+	}
+}
+
+func deltaTruncationTorture(t *testing.T, base, delta []byte) {
 	cuts := sectionBoundaries(t, delta)
 	for _, b := range append([]int(nil), cuts...) {
 		if b > 0 {
@@ -277,14 +324,16 @@ func TestDeltaTruncationTorture(t *testing.T) {
 // TestDeltaBitFlipTorture: every single-bit flip across the delta
 // stream must surface as an error.
 func TestDeltaBitFlipTorture(t *testing.T) {
-	base, delta, _ := deltaFixture(t)
-	step := len(delta)/211 + 1
-	for off := 0; off < len(delta); off += step {
-		for _, bit := range []uint{0, 3, 7} {
-			flipped := append([]byte(nil), delta...)
-			flipped[off] ^= 1 << bit
-			if _, err := RestoreChain(bytes.NewReader(base), bytes.NewReader(flipped)); err == nil {
-				t.Fatalf("delta bit flip at byte %d bit %d restored silently", off, bit)
+	for name, chain := range deltaFixtures(t) {
+		base, delta := chain[0], chain[1]
+		step := len(delta)/211 + 1
+		for off := 0; off < len(delta); off += step {
+			for _, bit := range []uint{0, 3, 7} {
+				flipped := append([]byte(nil), delta...)
+				flipped[off] ^= 1 << bit
+				if _, err := RestoreChain(bytes.NewReader(base), bytes.NewReader(flipped)); err == nil {
+					t.Fatalf("%s: delta bit flip at byte %d bit %d restored silently", name, off, bit)
+				}
 			}
 		}
 	}

@@ -1,21 +1,21 @@
 package collector
 
-// Delta-checkpoint bookkeeping: the collector remembers, per slab, how
-// many records existed at the last checkpoint (the clean watermark) and
-// which fixed-size blocks below that watermark have been mutated in
-// place since. A delta snapshot then carries exactly the dirty blocks
-// plus everything past the watermarks — O(dirty + new) instead of
-// O(corpus) — and the write paths pay one bounds check and (rarely) one
-// bitset store per record mutation.
+// Delta-checkpoint bookkeeping: the collector remembers how many address
+// records existed at the last checkpoint (the clean watermark) and which
+// fixed-size blocks below that watermark have been mutated in place
+// since. A delta snapshot then carries exactly the dirty blocks plus
+// everything past the watermark — O(dirty + new) instead of O(corpus) —
+// and the write core pays one bounds check and (rarely) one bitset store
+// per re-sighting. Only the address slab is tracked: it is the only
+// thing a checkpoint holds.
 //
-// Blocks are deltaBlockSize records regardless of the slabs' chunk
+// Blocks are deltaBlockSize records regardless of the slab's chunk
 // geometry: fine enough that a lightly-dirtied corpus deltas at a small
-// fraction of a full snapshot, coarse enough that the bitsets cost one
+// fraction of a full snapshot, coarse enough that the bitset costs one
 // bit per 4096 records.
 const (
 	deltaBlockBits = 12
 	deltaBlockSize = 1 << deltaBlockBits
-	deltaBlockMask = deltaBlockSize - 1
 )
 
 // dirtySet tracks dirtied block indices as a growable bitset.
@@ -53,50 +53,32 @@ type ckptState struct {
 	// cannot be taken against nothing.
 	seq   uint64
 	based bool
-	// addrBase/iidBase/spanBase are the slab counts at the last
-	// checkpoint; records at or past them are new and need no dirty
-	// marking (the delta carries every block touching them anyway).
-	addrBase, iidBase, spanBase uint32
+	// addrBase is the address-slab count at the last checkpoint; records
+	// at or past it are new and need no dirty marking (the delta carries
+	// every block touching them anyway).
+	addrBase uint32
 	// baseTotal is the observation count at the last checkpoint; deltas
 	// embed it so a chain applied to the wrong base fails fast.
 	baseTotal uint64
 
-	dirtyAddr, dirtyIID, dirtySpan dirtySet
+	dirty dirtySet
 }
 
 // markAddrDirty records an in-place mutation of address record i.
 func (c *Collector) markAddrDirty(i uint32) {
 	if i < c.ckpt.addrBase {
-		c.ckpt.dirtyAddr.mark(i >> deltaBlockBits)
+		c.ckpt.dirty.mark(i >> deltaBlockBits)
 	}
 }
 
-// markIIDDirty records an in-place mutation of promoted IID record i.
-func (c *Collector) markIIDDirty(i uint32) {
-	if i < c.ckpt.iidBase {
-		c.ckpt.dirtyIID.mark(i >> deltaBlockBits)
-	}
-}
-
-// markSpanDirty records an in-place mutation of span node i.
-func (c *Collector) markSpanDirty(i uint32) {
-	if i < c.ckpt.spanBase {
-		c.ckpt.dirtySpan.mark(i >> deltaBlockBits)
-	}
-}
-
-// markClean resets the watermark to the current slab counts: everything
+// markClean resets the watermark to the current slab count: everything
 // resident is now covered by the checkpoint at seq.
 func (c *Collector) markClean(seq uint64) {
 	c.ckpt.seq = seq
 	c.ckpt.based = true
 	c.ckpt.addrBase = c.addrRecs.n
-	c.ckpt.iidBase = c.iidRecs.n
-	c.ckpt.spanBase = c.spans.n
 	c.ckpt.baseTotal = c.total
-	c.ckpt.dirtyAddr.reset()
-	c.ckpt.dirtyIID.reset()
-	c.ckpt.dirtySpan.reset()
+	c.ckpt.dirty.reset()
 }
 
 // CheckpointSeq returns the collector's checkpoint chain position (0 =
@@ -118,16 +100,16 @@ func (c *Collector) MarkCheckpointedFull() { c.markClean(0) }
 // MarkCheckpointedFull.
 func (c *Collector) MarkCheckpointedDelta() { c.markClean(c.ckpt.seq + 1) }
 
-// deltaBlock is one block's record range [lo, hi) within a slab.
+// deltaBlock is one block's record range [lo, hi) within the slab.
 type deltaBlock struct {
 	idx    uint32
 	lo, hi uint32
 }
 
-// deltaBlocks lists the blocks a delta must carry for one slab: every
-// dirty block below the watermark plus every block containing records
-// past it. Blocks come out in ascending index order with hi ==
-// min(n, (idx+1)*deltaBlockSize) — the shape ApplyDelta validates.
+// deltaBlocks lists the blocks a delta must carry: every dirty block
+// below the watermark plus every block containing records past it.
+// Blocks come out in ascending index order with hi ==
+// min(n, (idx+1)*deltaBlockSize) — the shape the reader validates.
 func deltaBlocks(base, n uint32, dirty *dirtySet) []deltaBlock {
 	if n == 0 {
 		return nil

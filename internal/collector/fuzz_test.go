@@ -12,13 +12,17 @@ import (
 // The fuzz layer pins the durable-corpus contract from both directions.
 // FuzzSnapshotRoundTrip drives arbitrary observe streams through
 // snapshot → restore and requires an equal Checksum; FuzzOpenSnapshot
-// feeds arbitrary bytes — seeded with the checked-in golden fixture so
+// feeds arbitrary bytes — seeded with files of both format versions, so
 // coverage starts inside the real format — to OpenSnapshot and requires
 // an error or a faithful corpus, never a panic. Run them continuously
 // with:
 //
 //	go test ./internal/collector -run '^$' -fuzz '^FuzzSnapshotRoundTrip$' -fuzztime 30s
-//	go test ./internal/collector -run '^$' -fuzz '^FuzzOpenSnapshot$' -fuzztime 30s
+//	go test ./internal/collector -run '^$' -fuzz '^FuzzOpenSnapshot$' -fuzztime 30s -fuzzminimizetime 2s
+//
+// (The second takes whole files: without a minimize limit the engine
+// spends a minute per worker failing to shrink the first damaged copy
+// of a seed file it finds interesting.)
 
 // decodeObserveStream turns fuzz bytes into an observe stream: each
 // 13-byte chunk is (hi-seed, lo-seed, ts-delta, server). The seeds go
@@ -83,22 +87,30 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("restore of a fresh snapshot failed: %v", err)
 		}
-		if got.Checksum() != c.Checksum() {
-			t.Fatalf("round-trip checksum drifted (%d events, %d addrs)", len(addrs), c.NumAddrs())
-		}
-		if got.NumAddrs() != c.NumAddrs() || got.NumIIDs() != c.NumIIDs() ||
-			got.TotalObservations() != c.TotalObservations() {
-			t.Fatalf("round-trip counts drifted")
-		}
+		sameCorpus(t, got, c)
 	})
 }
 
 func FuzzOpenSnapshot(f *testing.F) {
-	// Seed with the real format: the golden fixture, a fresh tiny
-	// snapshot, an empty snapshot, and a spread of near-valid husks.
-	if raw, err := os.ReadFile(goldenSnapshotPath); err == nil {
-		f.Add(raw)
+	// Seed with the real format in both versions — the version-1 chain
+	// fixture's base, a fresh version-2 snapshot of a few hundred events
+	// — plus a tiny snapshot, an empty one, and a spread of near-valid
+	// husks. The golden fixtures, pinned by TestSnapshotGoldenFixture,
+	// stay out: every execution and every minimization step costs the
+	// length of the input.
+	v1, err := os.ReadFile(v1ChainBase)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(v1)
+	addrs, times, servers := goldenStream()
+	some := New()
+	feedGolden(some, addrs, times, servers, 0, 300)
+	var v2 bytes.Buffer
+	if err := some.Snapshot(&v2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
 	var empty bytes.Buffer
 	if err := New().Snapshot(&empty); err == nil {
 		f.Add(empty.Bytes())
@@ -112,6 +124,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	f.Add([]byte("h6corps1"))
 	f.Add([]byte("h6corps1\x00\x00\x00\x01"))
+	f.Add([]byte("h6corps1\x00\x00\x00\x02"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -124,8 +137,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		}
 		// Whatever restored must be internally consistent: every read API
 		// walk must terminate, and a re-snapshot must round-trip to the
-		// same checksum (i.e. nothing corrupt was silently accepted).
-		sum := c.Checksum()
+		// same corpus (i.e. nothing corrupt was silently accepted).
 		var buf bytes.Buffer
 		if err := c.Snapshot(&buf); err != nil {
 			t.Fatalf("restored collector cannot re-snapshot: %v", err)
@@ -134,8 +146,6 @@ func FuzzOpenSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-snapshot of restored collector does not restore: %v", err)
 		}
-		if again.Checksum() != sum {
-			t.Fatalf("restored corpus is not stable under re-snapshot")
-		}
+		sameCorpus(t, again, c)
 	})
 }

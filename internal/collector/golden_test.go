@@ -85,13 +85,12 @@ func TestCanonicalChecksumGolden(t *testing.T) {
 	}
 }
 
-// goldenDeltaSum is the SHA-256 of the delta a serial collector cuts
-// from goldenStream() — full checkpoint at half the stream, delta at
-// the end (deltaFixture) — computed at the commit before the entry
-// layouts moved into wire.go. With testdata/golden.snap and
-// TestTierFileGolden it makes "byte-identical" a test for all three
+// goldenDeltaSum is the SHA-256 of the version-2 delta a serial
+// collector cuts from goldenStream() — full checkpoint at half the
+// stream, delta at the end (deltaFixture). With testdata/golden.v2.snap
+// and TestTierFileGolden it makes "byte-identical" a test for all three
 // on-disk formats.
-const goldenDeltaSum = "6581a3bbc9cf86da8d96aee8fc065b3bb30f4be6939a6c913826a941541f7462"
+const goldenDeltaSum = "0bb7fe6420af1d7cc391e7093e1dfc5e9e37735c25eea93e72160bd1be386f46"
 
 func TestDeltaGolden(t *testing.T) {
 	_, delta, _ := deltaFixture(t)

@@ -2,57 +2,53 @@ package collector
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"hitlist6/internal/snapfmt"
 )
 
-// The snapshot format is the collector's durable form: the record
-// arenas, the promoted-IID arena, the span slab and the singleton-IID
-// reference list, written as length-prefixed CRC-checked sections (see
-// internal/snapfmt). The slabs go out verbatim — same entries, same
-// indices — so restore is a bulk slab load plus an index-table rebuild,
-// not N re-inserts: span chains and singleton references stay valid
-// as written, and the open-addressing tables (which the snapshot omits;
-// that is the compaction) are rebuilt once, sized exactly for the
-// restored record counts. The invariant pinned by the golden fixture
+// The snapshot format is the collector's durable form, and it holds
+// address records only: a meta section (observation total, record
+// count) and the address slab verbatim, in slab order, as
+// length-prefixed CRC-checked sections (see internal/snapfmt).
+// Everything else a collector keeps — the IID index, promoted records,
+// span chains, prefix sets — is a fold of those records, and restore
+// runs that fold through the same write core the live path uses
+// (Collector.derive), so no derived structure is ever decoded, trusted
+// or validated from bytes. The invariant pinned by the golden fixtures
 // and the round-trip fuzz target: a restored collector's Checksum
 // equals the original's.
 //
 // Version history:
 //
-//	1: sections meta(1), addrs(2), iids(3), spans(4), singletons(5),
-//	   p48s(6), p64s(7).
+//	2: sections meta(1), addrs(2).
+//	1: a 40-byte meta whose first two fields are version 2's, addrs(2),
+//	   then five sections of derived state — iids(3), spans(4),
+//	   singletons(5), p48s(6), p64s(7). The reader still accepts it: it
+//	   loads meta and addrs and drains the rest through their CRCs.
+//	   Writers emit version 2 only, so a restored v1 corpus is rewritten
+//	   by the next checkpoint.
 //
 // Unknown versions and unknown/missing/reordered sections are errors —
-// a reader never guesses at a corpus. The prefix-set sections carry
-// derived data (recomputable from the address slab) purely as a
-// restore-speed trade: loading ~10^5 distinct prefixes beats
-// re-deriving them with two set inserts per address.
+// a reader never guesses at a corpus.
 //
 //lint:durable-path snapshots are the collector's crash-recovery state
 const (
 	snapMagic   = "h6corps1"
-	snapVersion = 1
+	snapVersion = 2
 
-	secMeta       = 1
-	secAddrs      = 2
-	secIIDs       = 3
-	secSpans      = 4
-	secSingletons = 5
-	secP48s       = 6
-	secP64s       = 7
+	secMeta  = 1
+	secAddrs = 2
 
-	// Sizes of what is not a slab entry (those are wire.go's).
-	metaWire      = 40 // total, addrN, iidN, spanN, singletonN
-	singletonWire = 4  // address-slab index u32
-	prefixWire    = 8  // prefix u64, strictly ascending
+	metaFields   = 2 // total, addrN — big-endian u64s
+	metaFieldsV1 = 5 // … then iidN, spanN, singletonN
+	snapLastV1   = 7 // v1's last section id; 3..7 are drained
 
-	// maxSlabIndex bounds every slab count a snapshot may declare:
-	// indices are uint32s with the top bit reserved for promotedTag and
-	// +1 biasing in the tables.
+	// maxSlabIndex bounds the slab count a snapshot may declare: indices
+	// are uint32s with the top bit reserved for promotedTag and +1
+	// biasing in the tables.
 	maxSlabIndex = promotedTag - 2
 )
 
@@ -70,129 +66,53 @@ func (c *Collector) Snapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	singletons := c.iidUsed - c.iidRecs.n
-
-	if err := sw.Begin(secMeta, metaWire); err != nil {
+	if err := writeMeta(sw, c.total, uint64(c.addrRecs.n)); err != nil {
 		return err
 	}
-	var meta [metaWire]byte
-	binary.BigEndian.PutUint64(meta[0:], c.total)
-	binary.BigEndian.PutUint64(meta[8:], uint64(c.addrRecs.n))
-	binary.BigEndian.PutUint64(meta[16:], uint64(c.iidRecs.n))
-	binary.BigEndian.PutUint64(meta[24:], uint64(c.spans.n))
-	binary.BigEndian.PutUint64(meta[32:], uint64(singletons))
-	if _, err := sw.Write(meta[:]); err != nil {
-		return err
-	}
-	if err := sw.End(); err != nil {
-		return err
-	}
-
-	buf := make([]byte, 0, wireBatch*AddrRecordWire)
-
 	if err := sw.Begin(secAddrs, uint64(c.addrRecs.n)*AddrRecordWire); err != nil {
 		return err
 	}
-	for i := uint32(0); i < c.addrRecs.n; i++ {
-		e := c.addrRecs.at(i)
-		buf = AppendAddrRecord(buf, e.key, e.rec)
-		if buf = flushBatch(sw, buf, &err); err != nil {
-			return err
-		}
+	buf := make([]byte, 0, wireBatch*AddrRecordWire)
+	if buf, err = c.writeAddrs(sw, buf, 0, c.addrRecs.n); err != nil {
+		return err
 	}
 	if err := endSection(sw, buf); err != nil {
 		return err
 	}
-
-	buf = buf[:0]
-	if err := sw.Begin(secIIDs, uint64(c.iidRecs.n)*iidEntryWire); err != nil {
-		return err
-	}
-	for i := uint32(0); i < c.iidRecs.n; i++ {
-		buf = appendIIDEntry(buf, c.iidRecs.at(i))
-		if buf = flushBatch(sw, buf, &err); err != nil {
-			return err
-		}
-	}
-	if err := endSection(sw, buf); err != nil {
-		return err
-	}
-
-	buf = buf[:0]
-	if err := sw.Begin(secSpans, uint64(c.spans.n)*spanEntryWire); err != nil {
-		return err
-	}
-	for i := uint32(0); i < c.spans.n; i++ {
-		buf = appendSpanNode(buf, c.spans.at(i))
-		if buf = flushBatch(sw, buf, &err); err != nil {
-			return err
-		}
-	}
-	if err := endSection(sw, buf); err != nil {
-		return err
-	}
-
-	buf = buf[:0]
-	if err := sw.Begin(secSingletons, uint64(singletons)*singletonWire); err != nil {
-		return err
-	}
-	for _, v := range c.iidIdx {
-		if v == 0 || (v-1)&promotedTag != 0 {
-			continue
-		}
-		buf = binary.BigEndian.AppendUint32(buf, v-1)
-		if buf = flushBatch(sw, buf, &err); err != nil {
-			return err
-		}
-	}
-	if err := endSection(sw, buf); err != nil {
-		return err
-	}
-
-	if err := writePrefixSet(sw, secP48s, &c.p48s); err != nil {
-		return err
-	}
-	if err := writePrefixSet(sw, secP64s, &c.p64s); err != nil {
-		return err
-	}
-
 	return sw.Close()
 }
 
-// writePrefixSet encodes one distinct-prefix set as a strictly
-// ascending u64 list (sorted for determinism and so the reader can
-// reject duplicates by ordering alone).
-func writePrefixSet(sw *snapfmt.Writer, id uint32, s *u64set) error {
-	vals := make([]uint64, 0, s.len())
-	s.each(func(v uint64) { vals = append(vals, v) })
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	if err := sw.Begin(id, uint64(len(vals))*prefixWire); err != nil {
+// writeMeta writes the meta section: the given fields as big-endian
+// u64s.
+func writeMeta(sw *snapfmt.Writer, fields ...uint64) error {
+	if err := sw.Begin(secMeta, uint64(len(fields))*8); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, wireBatch*AddrRecordWire)
-	var err error
-	for _, v := range vals {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-		if buf = flushBatch(sw, buf, &err); err != nil {
-			return err
-		}
+	meta := make([]byte, 0, len(fields)*8)
+	for _, f := range fields {
+		meta = binary.BigEndian.AppendUint64(meta, f)
 	}
-	return endSection(sw, buf)
+	if _, err := sw.Write(meta); err != nil {
+		return err
+	}
+	return sw.End()
 }
 
-// flushBatch writes buf through when it reaches the batch size,
-// returning the (possibly reset) buffer; on error it parks the error in
-// *errp for the caller's guard clause.
-func flushBatch(sw *snapfmt.Writer, buf []byte, errp *error) []byte {
-	if len(buf) < wireBatch*AddrRecordWire/2 {
-		return buf
+// writeAddrs marshals address records [lo, hi) into the open section
+// through buf, writing it out whenever a batch has gathered; it returns
+// the unwritten tail for the next run or endSection.
+func (c *Collector) writeAddrs(sw *snapfmt.Writer, buf []byte, lo, hi uint32) ([]byte, error) {
+	for i := lo; i < hi; i++ {
+		e := c.addrRecs.at(i)
+		buf = AppendAddrRecord(buf, e.key, e.rec)
+		if len(buf) >= wireBatch*AddrRecordWire/2 {
+			if _, err := sw.Write(buf); err != nil {
+				return buf, err
+			}
+			buf = buf[:0]
+		}
 	}
-	if _, err := sw.Write(buf); err != nil {
-		*errp = err
-		return buf
-	}
-	return buf[:0]
+	return buf, nil
 }
 
 // endSection drains the final partial batch and closes the section.
@@ -207,203 +127,197 @@ func endSection(sw *snapfmt.Writer, buf []byte) error {
 
 // OpenSnapshot restores a collector from a Snapshot stream. It reads
 // exactly the stream's bytes, so further streams may follow on the same
-// reader. Damage of any kind — truncation, bit flips, structural lies —
-// yields an error, never a panic and never a silently corrupt corpus:
-// every section is CRC-checked, every slab reference is bounds-checked,
-// span chains are walked for exact node accounting, and duplicate keys
-// are rejected during the index rebuild. OpenSnapshot does not buffer —
-// hand it a *bufio.Reader when reading a raw file.
+// reader. Damage of any kind — truncation, bit flips, a duplicated
+// address — yields an error, never a panic and never a silently corrupt
+// corpus: every section is CRC-checked and duplicate keys are rejected
+// during the index rebuild; nothing else in the file can disagree with
+// the records, because nothing else is in the file. OpenSnapshot does
+// not buffer — hand it a *bufio.Reader when reading a raw file.
 func OpenSnapshot(r io.Reader) (*Collector, error) {
-	sr, err := snapfmt.NewReader(r, snapMagic)
-	if err != nil {
-		return nil, fmt.Errorf("collector: snapshot: %w", err)
-	}
-	if v := sr.Version(); v != snapVersion {
-		return nil, fmt.Errorf("collector: snapshot version %d unsupported (have %d)", v, snapVersion)
-	}
-
-	// meta
-	if _, err := sr.Expect(secMeta, metaWire); err != nil {
-		return nil, fmt.Errorf("collector: snapshot: %w", err)
-	}
-	var meta [metaWire]byte
-	if _, err := io.ReadFull(sr, meta[:]); err != nil {
-		return nil, fmt.Errorf("collector: snapshot meta: %w", err)
-	}
-	if err := sr.End(); err != nil {
-		return nil, fmt.Errorf("collector: snapshot meta: %w", err)
-	}
-	total := binary.BigEndian.Uint64(meta[0:])
-	addrN := binary.BigEndian.Uint64(meta[8:])
-	iidN := binary.BigEndian.Uint64(meta[16:])
-	spanN := binary.BigEndian.Uint64(meta[24:])
-	singleN := binary.BigEndian.Uint64(meta[32:])
-	if addrN > uint64(maxSlabIndex) || iidN > uint64(maxSlabIndex) || spanN > uint64(maxSlabIndex) {
-		return nil, fmt.Errorf("collector: snapshot counts %d/%d/%d exceed slab addressing", addrN, iidN, spanN)
-	}
-	if singleN > addrN {
-		return nil, fmt.Errorf("collector: snapshot declares %d singleton IIDs over %d addresses", singleN, addrN)
-	}
-
-	c := New()
-	c.total = total
-
-	// addrs: bulk slab load. Reading batch-by-batch bounds allocation by
-	// the bytes actually present, no matter what the section size claims.
-	if _, err := sr.Expect(secAddrs, addrN*AddrRecordWire); err != nil {
-		return nil, fmt.Errorf("collector: snapshot: %w", err)
-	}
-	buf := make([]byte, wireBatch*AddrRecordWire)
-	if err := readEntries(sr, buf, addrN, AddrRecordWire, func(b []byte) error {
-		e := c.addrRecs.at(c.addrRecs.alloc())
-		e.key, e.rec = DecodeAddrRecord(b)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("collector: snapshot addrs: %w", err)
-	}
-
-	// promoted IIDs
-	if _, err := sr.Expect(secIIDs, iidN*iidEntryWire); err != nil {
-		return nil, fmt.Errorf("collector: snapshot: %w", err)
-	}
-	if err := readEntries(sr, buf, iidN, iidEntryWire, func(b []byte) error {
-		e, err := decodeIIDEntry(b, spanN)
-		if err != nil {
-			return fmt.Errorf("IID %d %w", c.iidRecs.n, err)
-		}
-		*c.iidRecs.at(c.iidRecs.alloc()) = e
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("collector: snapshot iids: %w", err)
-	}
-
-	// span slab
-	if _, err := sr.Expect(secSpans, spanN*spanEntryWire); err != nil {
-		return nil, fmt.Errorf("collector: snapshot: %w", err)
-	}
-	if err := readEntries(sr, buf, spanN, spanEntryWire, func(b []byte) error {
-		n, err := decodeSpanNode(b, spanN)
-		if err != nil {
-			return fmt.Errorf("span %d %w", c.spans.n, err)
-		}
-		*c.spans.at(c.spans.alloc()) = n
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("collector: snapshot spans: %w", err)
-	}
-
-	// singleton references
-	if _, err := sr.Expect(secSingletons, singleN*singletonWire); err != nil {
-		return nil, fmt.Errorf("collector: snapshot: %w", err)
-	}
-	singles := make([]uint32, 0, min(singleN, wireBatch))
-	if err := readEntries(sr, buf, singleN, singletonWire, func(b []byte) error {
-		ref := binary.BigEndian.Uint32(b)
-		if uint64(ref) >= addrN {
-			return fmt.Errorf("singleton reference %d out of %d addresses", ref, addrN)
-		}
-		singles = append(singles, ref)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("collector: snapshot singletons: %w", err)
-	}
-
-	if err := readPrefixSet(sr, buf, secP48s, &c.p48s); err != nil {
-		return nil, fmt.Errorf("collector: snapshot p48s: %w", err)
-	}
-	if err := readPrefixSet(sr, buf, secP64s, &c.p64s); err != nil {
-		return nil, fmt.Errorf("collector: snapshot p64s: %w", err)
-	}
-
-	if _, _, err := sr.Next(); err != io.EOF {
-		if err == nil {
-			return nil, fmt.Errorf("collector: snapshot carries trailing sections")
-		}
-		return nil, fmt.Errorf("collector: snapshot end: %w", err)
-	}
-
-	if err := c.rebuildIndexes(singles); err != nil {
-		return nil, fmt.Errorf("collector: snapshot: %w", err)
-	}
-	// The restored state IS the checkpoint at chain position 0: deltas
-	// written from here chain onto the snapshot just read.
-	c.markClean(0)
-	return c, nil
+	return RestoreChain(r)
 }
 
-// readPrefixSet loads one strictly-ascending prefix list into a fresh
-// set.
-func readPrefixSet(sr *snapfmt.Reader, scratch []byte, id uint32, s *u64set) error {
-	size, err := sr.Expect(id, snapfmt.AnySize)
+// RestoreChain restores a checkpoint chain: a full snapshot stream
+// followed by its deltas in sequence order. Any failure — damage, wrong
+// order, wrong base — returns an error and no collector; a partially
+// applied chain never escapes.
+func RestoreChain(base io.Reader, deltas ...io.Reader) (*Collector, error) {
+	rs, err := NewRestore(base)
 	if err != nil {
+		return nil, err
+	}
+	for i, d := range deltas {
+		if err := rs.ApplyDelta(d); err != nil {
+			return nil, fmt.Errorf("collector: chain delta %d: %w", i+1, err)
+		}
+	}
+	return rs.Collector()
+}
+
+// Restore is a checkpoint chain being read back: the address slab of
+// the base with each delta's blocks overlaid, and nothing else. However
+// long the chain, the index rebuild and the derive pass run once, in
+// Collector — so no collector exists, whole or partial, until every
+// file has been read and checked.
+type Restore struct {
+	addrTable // the slab; the index is built last, in Collector
+	total     uint64
+	seq       uint64 // chain position of the last file applied
+	buf       []byte // read scratch, wireBatch address records
+	err       error  // first damage seen; the restore is dead from then on
+}
+
+// ErrStaleDelta is ApplyDelta's error for a well-formed delta that was
+// cut against another state than the one restored so far (parent
+// sequence, observation total or record count disagree): the leftover
+// of a superseded chain, not damage. The restore is untouched and can
+// still be finished.
+var ErrStaleDelta = errors.New("delta does not extend the restored chain")
+
+// openStream validates a stream header against the one current version
+// of its format and version 1.
+func openStream(r io.Reader, magic string, current uint32, what string) (*snapfmt.Reader, error) {
+	sr, err := snapfmt.NewReader(r, magic)
+	if err != nil {
+		return nil, fmt.Errorf("collector: %s: %w", what, err)
+	}
+	if v := sr.Version(); v != current && v != 1 {
+		return nil, fmt.Errorf("collector: %s version %d unsupported (have %d)", what, v, current)
+	}
+	return sr, nil
+}
+
+// readMeta fills fields from the meta section. A version-1 meta is
+// v1Fields long and starts with the same fields; the rest counted
+// derived records and is skipped.
+func readMeta(sr *snapfmt.Reader, fields []uint64, v1Fields int) error {
+	n := len(fields)
+	if sr.Version() == 1 {
+		n = v1Fields
+	}
+	meta := make([]byte, n*8)
+	if _, err := sr.Expect(secMeta, uint64(len(meta))); err != nil {
 		return err
 	}
-	if size%prefixWire != 0 {
-		return fmt.Errorf("section size %d not a multiple of %d", size, prefixWire)
+	if _, err := io.ReadFull(sr, meta); err != nil {
+		return fmt.Errorf("meta: %w", err)
 	}
-	first := true
-	var prev uint64
-	return readEntries(sr, scratch, size/prefixWire, prefixWire, func(b []byte) error {
-		v := binary.BigEndian.Uint64(b)
-		if !first && v <= prev {
-			return fmt.Errorf("prefixes not strictly ascending (%d after %d)", v, prev)
-		}
-		first, prev = false, v
-		s.insert(v)
-		return nil
-	})
+	if err := sr.End(); err != nil {
+		return fmt.Errorf("meta: %w", err)
+	}
+	for i := range fields {
+		fields[i] = binary.BigEndian.Uint64(meta[i*8:])
+	}
+	return nil
 }
 
-// readEntries streams n fixed-size entries through fn in batches using
-// scratch (sized for wireBatch addr entries) as the read buffer.
-func readEntries(sr *snapfmt.Reader, scratch []byte, n uint64, entry int, fn func(b []byte) error) error {
-	per := uint64(len(scratch)) / uint64(entry)
-	for done := uint64(0); done < n; {
-		batch := min(n-done, per)
-		b := scratch[:batch*uint64(entry)]
+// endStream requires the end marker next. In a version-1 stream the
+// derived-state sections up to id lastV1 come first: each is read to
+// its end so its CRC is checked — a damaged file stays an error — and
+// its payload dropped.
+func endStream(sr *snapfmt.Reader, lastV1 uint32) error {
+	if sr.Version() == 1 {
+		for id := uint32(secAddrs + 1); id <= lastV1; id++ {
+			if _, err := sr.Expect(id, snapfmt.AnySize); err != nil {
+				return err
+			}
+			if _, err := io.Copy(io.Discard, sr); err != nil {
+				return err
+			}
+			if err := sr.End(); err != nil {
+				return fmt.Errorf("section %d: %w", id, err)
+			}
+		}
+	}
+	if _, _, err := sr.Next(); err != io.EOF {
+		if err == nil {
+			return fmt.Errorf("trailing sections")
+		}
+		return err
+	}
+	return nil
+}
+
+// NewRestore starts a chain restore by reading its base, a Snapshot
+// stream.
+func NewRestore(base io.Reader) (*Restore, error) {
+	sr, err := openStream(base, snapMagic, snapVersion, "snapshot")
+	if err != nil {
+		return nil, err
+	}
+	rs := &Restore{buf: make([]byte, wireBatch*AddrRecordWire)}
+	if err := rs.readSnapshot(sr); err != nil {
+		return nil, fmt.Errorf("collector: snapshot: %w", err)
+	}
+	return rs, nil
+}
+
+func (rs *Restore) readSnapshot(sr *snapfmt.Reader) error {
+	var meta [metaFields]uint64
+	if err := readMeta(sr, meta[:], metaFieldsV1); err != nil {
+		return err
+	}
+	total, addrN := meta[0], meta[1]
+	if addrN > uint64(maxSlabIndex) {
+		return fmt.Errorf("count %d exceeds slab addressing", addrN)
+	}
+	// Bulk slab load. Reading batch by batch bounds allocation by the
+	// bytes actually present, no matter what the section size claims.
+	if _, err := sr.Expect(secAddrs, addrN*AddrRecordWire); err != nil {
+		return err
+	}
+	if err := rs.readAddrs(sr, 0, addrN); err != nil {
+		return fmt.Errorf("addrs: %w", err)
+	}
+	if err := sr.End(); err != nil {
+		return fmt.Errorf("addrs: %w", err)
+	}
+	rs.total = total
+	return endStream(sr, snapLastV1)
+}
+
+// readAddrs reads address records [lo, hi) from the open section into
+// the slab, lo at most the slab's length. Records past the slab's end
+// are appended; one the chain already holds is overwritten and must
+// carry the same key, because a record never changes address.
+func (rs *Restore) readAddrs(sr *snapfmt.Reader, lo, hi uint64) error {
+	for lo < hi {
+		b := rs.buf[:min(hi-lo, wireBatch)*AddrRecordWire]
 		if _, err := io.ReadFull(sr, b); err != nil {
 			return err
 		}
-		for k := uint64(0); k < batch; k++ {
-			if err := fn(b[k*uint64(entry) : (k+1)*uint64(entry)]); err != nil {
-				return err
+		for ; len(b) > 0; b, lo = b[AddrRecordWire:], lo+1 {
+			key, rec := DecodeAddrRecord(b)
+			i := uint32(lo)
+			if lo >= uint64(rs.addrRecs.n) {
+				i = rs.addrRecs.alloc()
+			} else if rs.addrRecs.at(i).key != key {
+				return fmt.Errorf("block rewrites address key at %d", lo)
 			}
+			*rs.addrRecs.at(i) = addrEntry{key: key, rec: rec}
 		}
-		done += batch
 	}
-	return sr.End()
+	return nil
 }
 
-// radixSortU32 sorts in place by two 16-bit digit passes: O(n) where
-// sort.Slice's comparison sort would rival the whole index rebuild at
-// corpus scale.
-func radixSortU32(v []uint32) {
-	if len(v) < 64 {
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-		return
+// Collector finishes the restore: it indexes the slab, rejecting a
+// duplicated address, and derives everything else a collector holds
+// from the records, one derive per record whatever the chain length.
+// The collector sits at the chain position of the last file applied, so
+// deltas cut from it extend the chain just read.
+func (rs *Restore) Collector() (*Collector, error) {
+	if rs.err != nil {
+		return nil, rs.err
 	}
-	tmp := make([]uint32, len(v))
-	var count [1 << 16]uint32
-	for shift := 0; shift <= 16; shift += 16 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, x := range v {
-			count[(x>>shift)&0xffff]++
-		}
-		pos := uint32(0)
-		for i, n := range count {
-			count[i] = pos
-			pos += n
-		}
-		for _, x := range v {
-			d := (x >> shift) & 0xffff
-			tmp[count[d]] = x
-			count[d]++
-		}
-		v, tmp = tmp, v
+	rs.err = errors.New("collector: restore already finished")
+	if err := rs.rebuildIndex(); err != nil {
+		return nil, fmt.Errorf("collector: snapshot: %w", err)
 	}
-	// Two swaps: the sorted data is back in the caller's slice.
+	c := New()
+	c.adopt(rs.addrTable)
+	c.total = rs.total
+	c.markClean(rs.seq)
+	return c, nil
 }
 
 // tableSizeFor returns the power-of-two slot count that holds n entries
@@ -416,140 +330,41 @@ func tableSizeFor(n uint64) int {
 	return size
 }
 
-// rebuildIndexes reconstructs everything the snapshot omits from the
-// loaded slabs: the address and IID open-addressing tables (sized once
-// for the final counts — the compaction restore buys over a live,
-// grown-in-place table), the prefix sets, and iidUsed. It also performs
-// the structural validation that CRCs cannot: duplicate keys and span
-// chains that share, cycle or leak nodes are all rejected.
+// rebuildIndex builds the open-addressing table over a loaded slab,
+// sized once for the final count — the compaction restore buys over a
+// live, grown-in-place table — and performs the one structural check a
+// CRC cannot: a duplicated key is rejected.
 //
-// The rebuild is the bulk of restore time, so its memory behaviour is
-// deliberate: one sequential pass streams every key's hashes into flat
-// scratch arrays (L3-resident even for tens of millions of records),
-// and the insert loops then resolve probe collisions by comparing
-// those hashes instead of the colliding records' keys — the slabs,
-// which dwarf every cache, are only touched again on a full 64-bit
-// hash match (a genuine duplicate, or a one-in-2^64 coincidence).
-// Without this, every probe collision is a cold random read into the
-// record slab and the rebuild runs several times slower.
-func (c *Collector) rebuildIndexes(singles []uint32) error {
-	addrN := c.addrRecs.n
-	// Sequential hash pass. The prefix sets arrived in their own
-	// sections (derived data, traded for restore speed); a strided
-	// sample of addresses — every address in small corpora — is checked
-	// against them so a snapshot whose sets disagree with its own
-	// records is rejected.
-	sampleStep := uint32(1)
-	if addrN > 4096 {
-		sampleStep = addrN / 4096
+// One sequential pass streams every key's hash into a flat scratch
+// array (L3-resident even for tens of millions of records), and the
+// insert loop then resolves probe collisions by comparing those hashes
+// instead of the colliding records' keys — the slab, which dwarfs every
+// cache, is only touched again on a full 64-bit hash match (a genuine
+// duplicate, or a one-in-2^64 coincidence). Without this, every probe
+// collision is a cold random read into the slab and the rebuild runs
+// several times slower.
+func (t *addrTable) rebuildIndex() error {
+	n := t.addrRecs.n
+	hashes := make([]uint64, n)
+	for i := uint32(0); i < n; i++ {
+		hashes[i] = t.addrRecs.at(i).key.Hash64()
 	}
-	addrHash := make([]uint64, addrN)
-	addrIIDHash := make([]uint64, addrN) // mix64 of each address's IID
-	for i := uint32(0); i < addrN; i++ {
-		key := c.addrRecs.at(i).key
-		addrHash[i] = key.Hash64()
-		addrIIDHash[i] = mix64(uint64(key.IID()))
-		if i%sampleStep == 0 {
-			if !c.p48s.contains(uint64(key.P48())) || !c.p64s.contains(uint64(key.P64())) {
-				return fmt.Errorf("prefix sets omit address %d's prefixes", i)
-			}
-		}
-	}
-
-	c.addrIdx = make([]uint32, tableSizeFor(uint64(addrN)))
-	mask := uint64(len(c.addrIdx) - 1)
-	for i := uint32(0); i < addrN; i++ {
-		h := addrHash[i]
+	t.addrIdx = make([]uint32, tableSizeFor(uint64(n)))
+	mask := uint64(len(t.addrIdx) - 1)
+	for i := uint32(0); i < n; i++ {
+		h := hashes[i]
 		pos := h & mask
 		for {
-			v := c.addrIdx[pos]
+			v := t.addrIdx[pos]
 			if v == 0 {
-				c.addrIdx[pos] = i + 1
+				t.addrIdx[pos] = i + 1
 				break
 			}
-			if addrHash[v-1] == h && c.addrRecs.at(v-1).key == c.addrRecs.at(i).key {
+			if hashes[v-1] == h && t.addrRecs.at(v-1).key == t.addrRecs.at(i).key {
 				return fmt.Errorf("duplicate address at slab %d and %d", v-1, i)
 			}
 			pos = (pos + 1) & mask
 		}
-	}
-
-	iidHash := make([]uint64, c.iidRecs.n)
-	for i := uint32(0); i < c.iidRecs.n; i++ {
-		iidHash[i] = mix64(uint64(c.iidRecs.at(i).key))
-	}
-	hashOfRef := func(ref uint32) uint64 {
-		if ref&promotedTag != 0 {
-			return iidHash[ref&^promotedTag]
-		}
-		return addrIIDHash[ref]
-	}
-
-	c.iidIdx = make([]uint32, tableSizeFor(uint64(c.iidRecs.n)+uint64(len(singles))))
-	mask = uint64(len(c.iidIdx) - 1)
-	insertIID := func(ref uint32, h uint64) error {
-		pos := h & mask
-		for {
-			v := c.iidIdx[pos]
-			if v == 0 {
-				c.iidIdx[pos] = ref + 1
-				c.iidUsed++
-				return nil
-			}
-			if hashOfRef(v-1) == h && c.iidKeyOf(v-1) == c.iidKeyOf(ref) {
-				return fmt.Errorf("duplicate IID %016x", uint64(c.iidKeyOf(ref)))
-			}
-			pos = (pos + 1) & mask
-		}
-	}
-	for i := uint32(0); i < c.iidRecs.n; i++ {
-		if err := insertIID(i|promotedTag, iidHash[i]); err != nil {
-			return err
-		}
-	}
-	// Singletons arrive in table-slot order — effectively random — so
-	// their addrIIDHash reads would be scattered; ref-sorting them makes
-	// that array access a forward stream. Insert order cannot change the
-	// outcome (duplicates are errors either way).
-	radixSortU32(singles)
-	for _, ref := range singles {
-		if err := insertIID(ref, addrIIDHash[ref]); err != nil {
-			return err
-		}
-	}
-
-	return c.validateSpans()
-}
-
-// validateSpans performs the span-chain accounting restore paths rely
-// on: every span node belongs to exactly one promoted IID's chain,
-// every chain is acyclic and in-bounds, and each entry's p64n matches
-// its chain length. Together with per-entry bounds checks at load time
-// this makes every reachable spans.at call safe. Shared by the full
-// snapshot rebuild and the delta apply path.
-func (c *Collector) validateSpans() error {
-	visited := make([]bool, c.spans.n)
-	accounted := uint32(0)
-	for i := uint32(0); i < c.iidRecs.n; i++ {
-		e := c.iidRecs.at(i)
-		length := uint32(0)
-		for si := e.spans; si != spanNone; si = c.spans.at(si).next {
-			if si >= c.spans.n {
-				return fmt.Errorf("IID %016x chains span %d out of %d", uint64(e.key), si, c.spans.n)
-			}
-			if visited[si] {
-				return fmt.Errorf("span %d shared or cyclic in IID %016x's chain", si, uint64(e.key))
-			}
-			visited[si] = true
-			length++
-		}
-		if length != e.p64n {
-			return fmt.Errorf("IID %016x chains %d spans but declares %d", uint64(e.key), length, e.p64n)
-		}
-		accounted += length
-	}
-	if accounted != c.spans.n {
-		return fmt.Errorf("%d span nodes unreachable from any IID", c.spans.n-accounted)
 	}
 	return nil
 }

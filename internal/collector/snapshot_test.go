@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -15,15 +16,37 @@ import (
 	"hitlist6/internal/addr"
 )
 
-// updateGolden regenerates testdata/golden.snap from the golden stream:
+// updateGolden regenerates testdata/golden.v2.snap from the golden
+// stream:
 //
 //	go test ./internal/collector -run TestSnapshotGoldenFixture -update
 //
-// Only legitimate when the snapshot format version is bumped — the
-// fixture pins version 1's exact bytes as readable forever.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.snap")
+// Only legitimate when the snapshot format version is bumped, and then
+// under a new name: a fixture pins its version's exact bytes as
+// readable forever. testdata/golden.snap and testdata/v1chain are
+// version 1, written by the last commit whose writers emitted it;
+// nothing can regenerate them.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.v2.snap")
 
-const goldenSnapshotPath = "testdata/golden.snap"
+const (
+	goldenSnapshotPath   = "testdata/golden.v2.snap"
+	goldenSnapshotPathV1 = "testdata/golden.snap"
+)
+
+// snapshotFixtures returns one snapshot of the golden stream per format
+// version the reader accepts.
+func snapshotFixtures(t testing.TB) map[string][]byte {
+	t.Helper()
+	var v2 bytes.Buffer
+	if err := goldenCollector(t).Snapshot(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(goldenSnapshotPathV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{"v2": v2.Bytes(), "v1": v1}
+}
 
 // goldenCollector builds the collector behind the golden checksum.
 func goldenCollector(t testing.TB) *Collector {
@@ -36,9 +59,10 @@ func goldenCollector(t testing.TB) *Collector {
 	return c
 }
 
-// TestSnapshotRoundTrip is the tentpole invariant: snapshot → restore
+// TestSnapshotRoundTrip is the format's invariant: snapshot → restore
 // reproduces the canonical encoding byte for byte, along with every
-// count and the exact slab layout the restored indexes hang off.
+// count and every per-IID view, all of it derived from the address
+// records the snapshot holds.
 func TestSnapshotRoundTrip(t *testing.T) {
 	c := goldenCollector(t)
 	var buf bytes.Buffer
@@ -49,16 +73,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
-	if got.Checksum() != c.Checksum() {
-		t.Fatalf("restored checksum differs from original")
-	}
-	if got.NumAddrs() != c.NumAddrs() || got.NumIIDs() != c.NumIIDs() ||
-		got.TotalObservations() != c.TotalObservations() ||
-		got.Unique48s() != c.Unique48s() || got.Unique64s() != c.Unique64s() {
-		t.Fatalf("restored counts differ: addrs %d/%d iids %d/%d total %d/%d",
-			got.NumAddrs(), c.NumAddrs(), got.NumIIDs(), c.NumIIDs(),
-			got.TotalObservations(), c.TotalObservations())
-	}
+	sameCorpus(t, got, c)
 	// A restored collector must keep accepting observations and merges.
 	a := addr.MustParse("2001:db8::1234")
 	got.ObserveUnix(a, 1700000000, 3)
@@ -116,13 +131,14 @@ func TestSnapshotComposes(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoldenFixture pins the version-1 format from both sides:
-// the checked-in fixture must keep restoring to the golden checksum
-// regardless of any future reader or layout change, and a serial
-// collector fed the golden stream must keep writing exactly the
-// fixture's bytes. (Snapshots encode slab order, so the bytes are a
-// function of the observation order — fixed here — not of the corpus
-// alone.)
+// TestSnapshotGoldenFixture pins the format from both sides: the
+// checked-in fixtures — version 2, and version 1 with the derived
+// sections the reader now drains — must keep restoring to the golden
+// checksum regardless of any future reader or layout change, and a
+// serial collector fed the golden stream must keep writing exactly the
+// version-2 fixture's bytes. (Snapshots encode slab order, so the bytes
+// are a function of the observation order — fixed here — not of the
+// corpus alone.)
 func TestSnapshotGoldenFixture(t *testing.T) {
 	if *updateGolden {
 		c := goldenCollector(t)
@@ -138,17 +154,24 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 		}
 		t.Logf("rewrote %s (%d bytes)", goldenSnapshotPath, buf.Len())
 	}
-	raw, err := os.ReadFile(goldenSnapshotPath)
-	if err != nil {
-		t.Fatalf("golden fixture missing (regenerate with -update): %v", err)
-	}
-	c, err := OpenSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("golden fixture no longer restores: %v", err)
-	}
-	sum := c.Checksum()
-	if got := hex.EncodeToString(sum[:]); got != goldenChecksum {
-		t.Fatalf("golden fixture restores to checksum %s, want %s", got, goldenChecksum)
+	var raw []byte
+	for _, path := range []string{goldenSnapshotPathV1, goldenSnapshotPath} {
+		var err error
+		if raw, err = os.ReadFile(path); err != nil {
+			t.Fatalf("golden fixture missing: %v", err)
+		}
+		if v := binary.BigEndian.Uint32(raw[8:]); (v == snapVersion) != (path == goldenSnapshotPath) {
+			t.Fatalf("%s is version %d", path, v)
+		}
+		c, err := OpenSnapshot(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s no longer restores: %v", path, err)
+		}
+		sum := c.Checksum()
+		if got := hex.EncodeToString(sum[:]); got != goldenChecksum {
+			t.Fatalf("%s restores to checksum %s, want %s", path, got, goldenChecksum)
+		}
+		sameCorpus(t, c, goldenCollector(t))
 	}
 	var fresh bytes.Buffer
 	if err := goldenCollector(t).Snapshot(&fresh); err != nil {
@@ -192,13 +215,12 @@ func sectionBoundaries(t *testing.T, raw []byte) []int {
 // mid-section offsets — must fail restore with an error, never panic,
 // never return a partial corpus.
 func TestSnapshotTruncationTorture(t *testing.T) {
-	c := goldenCollector(t)
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	for name, raw := range snapshotFixtures(t) {
+		t.Run(name, func(t *testing.T) { truncationTorture(t, raw) })
 	}
-	raw := buf.Bytes()
+}
 
+func truncationTorture(t *testing.T, raw []byte) {
 	cuts := sectionBoundaries(t, raw)
 	// A sample of mid-section offsets, including off-by-one around each
 	// boundary and a sweep through the payload interiors.
@@ -230,22 +252,19 @@ func TestSnapshotTruncationTorture(t *testing.T) {
 
 // TestSnapshotBitFlipTorture flips bits across the stream — header,
 // counts, payloads, CRCs — and requires every flip to surface as an
-// error. CRC-32C catches all single-bit payload damage; the framing
-// checks catch the rest.
+// error, in the sections a version-1 file carries only to be drained as
+// much as in those that are loaded. CRC-32C catches all single-bit
+// payload damage; the framing checks catch the rest.
 func TestSnapshotBitFlipTorture(t *testing.T) {
-	c := goldenCollector(t)
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	step := len(raw)/211 + 1
-	for off := 0; off < len(raw); off += step {
-		for _, bit := range []uint{0, 3, 7} {
-			flipped := append([]byte(nil), raw...)
-			flipped[off] ^= 1 << bit
-			if _, err := OpenSnapshot(bytes.NewReader(flipped)); err == nil {
-				t.Fatalf("bit flip at byte %d bit %d restored silently", off, bit)
+	for name, raw := range snapshotFixtures(t) {
+		step := len(raw)/211 + 1
+		for off := 0; off < len(raw); off += step {
+			for _, bit := range []uint{0, 3, 7} {
+				flipped := append([]byte(nil), raw...)
+				flipped[off] ^= 1 << bit
+				if _, err := OpenSnapshot(bytes.NewReader(flipped)); err == nil {
+					t.Fatalf("%s: bit flip at byte %d bit %d restored silently", name, off, bit)
+				}
 			}
 		}
 	}
@@ -263,15 +282,14 @@ func TestOpenSnapshotGarbage(t *testing.T) {
 	// Version from the future.
 	future := []byte("h6corps1\xff\xff\xff\xff")
 	cases["future version"] = future
-	// Meta section lying about counts far past the payload.
-	lying := []byte("h6corps1\x00\x00\x00\x01")
-	lying = append(lying, 0, 0, 0, 1 /* id */, 0, 0, 0, 0, 0, 0, 0, 40)
-	huge := make([]byte, 40)
-	for i := range huge {
-		huge[i] = 0xfe
+	// Meta section lying about counts far past the payload, in both
+	// versions' meta sizes.
+	for version, size := range map[byte]byte{1: metaFieldsV1 * 8, snapVersion: metaFields * 8} {
+		lying := []byte{'h', '6', 'c', 'o', 'r', 'p', 's', '1', 0, 0, 0, version}
+		lying = append(lying, 0, 0, 0, secMeta, 0, 0, 0, 0, 0, 0, 0, size)
+		lying = append(lying, bytes.Repeat([]byte{0xfe}, int(size))...)
+		cases[fmt.Sprintf("lying meta v%d", version)] = lying
 	}
-	lying = append(lying, huge...)
-	cases["lying meta"] = lying
 
 	for name, raw := range cases {
 		if _, err := OpenSnapshot(bytes.NewReader(raw)); err == nil {
@@ -288,15 +306,12 @@ func TestOpenSnapshotHugeCountsNoAlloc(t *testing.T) {
 	// Hand-frame: valid header + valid meta section claiming 2^30 addrs,
 	// then EOF.
 	buf.WriteString("h6corps1")
-	binary.Write(&buf, binary.BigEndian, uint32(1))
+	binary.Write(&buf, binary.BigEndian, uint32(snapVersion))
 	binary.Write(&buf, binary.BigEndian, uint32(secMeta))
-	binary.Write(&buf, binary.BigEndian, uint64(metaWire))
+	binary.Write(&buf, binary.BigEndian, uint64(metaFields*8))
 	start := buf.Len()
 	binary.Write(&buf, binary.BigEndian, uint64(5))     // total
 	binary.Write(&buf, binary.BigEndian, uint64(1<<30)) // addrN
-	binary.Write(&buf, binary.BigEndian, uint64(0))     // iidN
-	binary.Write(&buf, binary.BigEndian, uint64(0))     // spanN
-	binary.Write(&buf, binary.BigEndian, uint64(0))     // singleN
 	crc := crc32Castagnoli(buf.Bytes()[start:])
 	binary.Write(&buf, binary.BigEndian, crc)
 	binary.Write(&buf, binary.BigEndian, uint32(secAddrs))
@@ -341,74 +356,65 @@ func (w *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSnapshotCorruptStructure hand-corrupts structural fields the CRC
-// does protect — by recomputing the CRC after the edit — to prove the
-// semantic validation catches what checksums alone cannot.
-func TestSnapshotCorruptStructure(t *testing.T) {
-	// A tiny corpus with one EUI-64 (promoted, spanned) IID and one
-	// singleton.
-	c := New()
-	mac := addr.MAC{0x00, 0x11, 0x22, 0x33, 0x44, 0x55}
-	c.ObserveUnix(addr.EUI64Addr(addr.MustParse("2001:db8:1::").P64(), mac), 1650000000, 1)
-	c.ObserveUnix(addr.MustParse("2001:db8:2::1111"), 1650000100, 2)
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+// wireSections locates a stream's sections by id: header offset,
+// payload start and payload end (where the CRC sits).
+type wireSection struct{ hdr, payload, end int }
 
-	// Locate sections.
-	type section struct{ hdr, payload, end int }
-	secs := map[uint32]section{}
-	off := 12
-	for {
+func wireSections(raw []byte) map[uint32]wireSection {
+	secs := map[uint32]wireSection{}
+	for off := 12; ; {
 		id := binary.BigEndian.Uint32(raw[off:])
 		size := int(binary.BigEndian.Uint64(raw[off+4:]))
 		if id == 0 {
-			break
+			return secs
 		}
-		secs[id] = section{hdr: off, payload: off + 12, end: off + 12 + size}
+		secs[id] = wireSection{hdr: off, payload: off + 12, end: off + 12 + size}
 		off += 12 + size + 4
 	}
+}
 
-	corrupt := func(name string, mutate func(b []byte)) {
-		t.Run(name, func(t *testing.T) {
-			mutated := append([]byte(nil), raw...)
-			mutate(mutated)
-			// Recompute every section CRC so only the structural check can
-			// reject.
-			for _, s := range secs {
-				crc := crc32Castagnoli(mutated[s.payload:s.end])
-				binary.BigEndian.PutUint32(mutated[s.end:], crc)
-			}
-			if _, err := OpenSnapshot(bytes.NewReader(mutated)); err == nil {
-				t.Fatalf("structurally corrupt snapshot restored silently")
-			}
-		})
-	}
-
-	corrupt("span head out of range", func(b []byte) {
-		iid := secs[secIIDs]
-		// spans field at offset 28 of the first IID entry.
-		binary.BigEndian.PutUint32(b[iid.payload+28:], 12345)
-	})
-	corrupt("span chain cycle", func(b []byte) {
-		sp := secs[secSpans]
-		// next field at offset 24: point the only span node at itself.
-		binary.BigEndian.PutUint32(b[sp.payload+24:], 0)
-	})
-	corrupt("p64n mismatch", func(b []byte) {
-		iid := secs[secIIDs]
-		binary.BigEndian.PutUint32(b[iid.payload+32:], 7)
-	})
-	corrupt("singleton out of range", func(b []byte) {
-		sg := secs[secSingletons]
-		binary.BigEndian.PutUint32(b[sg.payload:], 99)
-	})
-	corrupt("duplicate address", func(b []byte) {
-		ad := secs[secAddrs]
+// TestSnapshotCorruptStructure covers what a file can say that its CRCs
+// do not catch, and what they must keep catching. A snapshot holds
+// address records and nothing derived from them, so the one structural
+// lie left is a duplicated address — hand-made here by recomputing the
+// CRC after the edit. A version-1 file still carries derived sections:
+// the reader drops their payload, but not before checking it arrived
+// intact.
+func TestSnapshotCorruptStructure(t *testing.T) {
+	t.Run("duplicate address", func(t *testing.T) {
+		c := New()
+		c.ObserveUnix(addr.MustParse("2001:db8:1::1"), 1650000000, 1)
+		c.ObserveUnix(addr.MustParse("2001:db8:2::1111"), 1650000100, 2)
+		var buf bytes.Buffer
+		if err := c.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		ad := wireSections(raw)[secAddrs]
 		// Overwrite the second address entry's key with the first's.
-		copy(b[ad.payload+AddrRecordWire:ad.payload+AddrRecordWire+16], b[ad.payload:ad.payload+16])
+		copy(raw[ad.payload+AddrRecordWire:][:16], raw[ad.payload:][:16])
+		binary.BigEndian.PutUint32(raw[ad.end:], crc32Castagnoli(raw[ad.payload:ad.end]))
+		if _, err := OpenSnapshot(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "duplicate address") {
+			t.Fatalf("snapshot with a duplicated address: %v", err)
+		}
+	})
+	t.Run("v1 derived section with a bad CRC is still an error", func(t *testing.T) {
+		raw, err := os.ReadFile(goldenSnapshotPathV1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs := wireSections(raw)
+		for id := uint32(secAddrs + 1); id <= snapLastV1; id++ {
+			sec, ok := secs[id]
+			if !ok || sec.end == sec.payload {
+				t.Fatalf("v1 fixture has no section %d to damage", id)
+			}
+			bad := append([]byte(nil), raw...)
+			bad[(sec.payload+sec.end)/2] ^= 0x04
+			if _, err := OpenSnapshot(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "crc") {
+				t.Fatalf("v1 snapshot with section %d damaged: %v", id, err)
+			}
+		}
 	})
 }
 

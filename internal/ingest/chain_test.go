@@ -153,6 +153,117 @@ func TestCheckpointChain(t *testing.T) {
 	}
 }
 
+// TestRestoreDropsSupersededChain is the crash window between a
+// compaction's base rename and the removal of the deltas it supersedes:
+// the new base is on disk next to the old chain's delta files. Those
+// deltas were cut against a state the base has left behind; restore
+// must come back with the new base's corpus, name the leftovers and
+// remove them — not fail, which would start the daemon empty and let
+// its next checkpoint overwrite the good base.
+func TestRestoreDropsSupersededChain(t *testing.T) {
+	events := testEvents(t, 0.03, 12)
+	third := len(events) / 3
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	cfg := DefaultConfig(2)
+	cfg.CompactEvery = 2
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// Base, deltas 1 and 2, then the compaction that folds them in.
+	checkpoint := func(part []Event) {
+		t.Helper()
+		feedSlice(t, p, part)
+		if _, err := p.CheckpointChain(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint(events[:third])
+	checkpoint(events[third : third+100])
+	checkpoint(events[third+100 : third+200])
+	old := map[string][]byte{}
+	for _, d := range chainDeltaFiles(path) {
+		if old[d.path], err = os.ReadFile(d.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint(events[third+200:])
+	if len(old) != 2 || len(chainDeltaFiles(path)) != 0 {
+		t.Fatalf("setup: %d old deltas saved, %d left after compaction", len(old), len(chainDeltaFiles(path)))
+	}
+	want := p.Store().Checksum()
+
+	// The crash: the base made it, the removal did not.
+	for name, body := range old {
+		if err := os.WriteFile(name, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, superseded, err := RestoreNewest(path)
+	if err != nil {
+		t.Fatalf("restore over a superseded chain: %v", err)
+	}
+	if c.Checksum() != want {
+		t.Fatal("restore over a superseded chain diverges from the compacted corpus")
+	}
+	if len(superseded) != 2 || len(chainDeltaFiles(path)) != 0 {
+		t.Fatalf("superseded = %v, %d delta files left", superseded, len(chainDeltaFiles(path)))
+	}
+
+	// With the leftovers gone the next restore has nothing to report.
+	c, superseded, err = RestoreNewest(path)
+	if err != nil || len(superseded) != 0 || c.Checksum() != want {
+		t.Fatalf("second restore: %v, superseded %v", err, superseded)
+	}
+}
+
+// TestCheckpointFileSupersedesChain: a plain checkpoint over a chain's
+// base leaves no delta behind, and a pipeline that goes back to the
+// chain protocol re-anchors instead of cutting a delta against the base
+// it replaced.
+func TestCheckpointFileSupersedesChain(t *testing.T) {
+	events := testEvents(t, 0.02, 6)
+	half := len(events) / 2
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	p, err := New(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, part := range [][]Event{events[:half], events[half : half+50]} {
+		feedSlice(t, p, part)
+		if _, err := p.CheckpointChain(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(chainDeltaFiles(path)) != 1 {
+		t.Fatal("setup: no delta written")
+	}
+	feedSlice(t, p, events[half+50:half+100])
+	if _, err := p.CheckpointFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if left := chainDeltaFiles(path); len(left) != 0 {
+		t.Fatalf("plain checkpoint left delta files: %v", left)
+	}
+	feedSlice(t, p, events[half+100:])
+	if _, err := p.CheckpointChain(path); err != nil {
+		t.Fatal(err)
+	}
+	if m := p.Metrics(); m.ChainSeq != 0 || len(chainDeltaFiles(path)) != 0 {
+		t.Fatalf("chain checkpoint after a plain one did not re-anchor: seq %d", m.ChainSeq)
+	}
+	c, superseded, err := RestoreNewest(path)
+	if err != nil || len(superseded) != 0 {
+		t.Fatalf("restore: %v, superseded %v", err, superseded)
+	}
+	if c.Checksum() != p.Store().Checksum() {
+		t.Fatal("restore diverges from the live corpus")
+	}
+}
+
 // TestCheckpointChainDeltaSize is the size-ratio acceptance bar at the
 // pipeline level: on a corpus spanning many dirty-tracking blocks, a
 // checkpoint after touching a small contiguous slice of it must be at

@@ -2,11 +2,14 @@ package ingest
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"syscall"
 	"time"
@@ -99,13 +102,22 @@ var syncDir = func(dir string) error {
 }
 
 // CheckpointFile checkpoints to path atomically (see AtomicWriteFile)
-// and returns the snapshot's size in bytes.
+// and returns the snapshot's size in bytes. The new file is the whole
+// corpus, so delta files next to it (a chain an earlier run wrote) are
+// superseded and removed, and a chain this pipeline was extending must
+// re-anchor: its deltas were cut against the base just replaced.
 func (p *Pipeline) CheckpointFile(path string) (int64, error) {
+	p.ckptMu.Lock()
+	defer p.ckptMu.Unlock()
 	start := time.Now()
 	size, err := AtomicWriteFile(path, func(w io.Writer) error {
 		p.Quiesce()
 		return p.store.Snapshot(w)
 	})
+	if err == nil {
+		p.chainBroken = true
+		removeChainDeltas(path)
+	}
 	return p.recordCheckpoint(start, path, size, err)
 }
 
@@ -140,7 +152,8 @@ func deltaPath(base string, seq uint64) string {
 // record blocks dirtied since the last checkpoint, to
 // path.delta.NNNNNN. Every file goes through AtomicWriteFile, so a torn
 // write never shadows an earlier good one; a full checkpoint deletes
-// the previous chain's delta files, which its base supersedes.
+// the previous chain's delta files, which its base supersedes (a crash
+// before that is RestoreNewest's to clean up).
 //
 //lint:durable-path the chain protocol is what a crashed daemon restarts from
 func (p *Pipeline) CheckpointChain(path string) (int64, error) {
@@ -188,90 +201,125 @@ func (p *Pipeline) CheckpointChain(path string) (int64, error) {
 	return p.recordCheckpoint(start, target, size, err)
 }
 
-// chainDeltaFiles maps delta sequence numbers to their files. Names
-// that don't parse as a sequence (AtomicWriteFile temp litter from a
-// crash) are not part of the chain and are ignored.
-func chainDeltaFiles(path string) map[uint64]string {
+// chainDeltaFiles lists the chain's delta files in sequence order.
+// Names that don't parse as a sequence (AtomicWriteFile temp litter from
+// a crash) are not part of the chain and are ignored.
+func chainDeltaFiles(path string) []chainDelta {
 	matches, _ := filepath.Glob(path + ".delta.*")
-	files := make(map[uint64]string, len(matches))
+	files := make([]chainDelta, 0, len(matches))
 	for _, m := range matches {
 		suffix := m[len(path)+len(".delta."):]
 		seq, err := strconv.ParseUint(suffix, 10, 64)
 		if err != nil || seq == 0 {
 			continue
 		}
-		files[seq] = m
+		files = append(files, chainDelta{seq: seq, path: m})
 	}
+	slices.SortFunc(files, func(a, b chainDelta) int { return cmp.Compare(a.seq, b.seq) })
 	return files
 }
 
+type chainDelta struct {
+	seq  uint64
+	path string
+}
+
 // removeChainDeltas best-effort deletes a superseded chain's delta
-// files. A leftover is harmless: restore validates every delta against
-// its parent, and a stale one fails that check instead of applying.
+// files, last first, so a crash part-way leaves a chain without a gap.
+// Whatever is left fails its linkage check against the new base and is
+// dropped by the next restore (RestoreNewest).
 func removeChainDeltas(path string) {
-	for _, f := range chainDeltaFiles(path) {
-		os.Remove(f)
+	removeDeltas(chainDeltaFiles(path))
+}
+
+func removeDeltas(files []chainDelta) (removed []string) {
+	for _, f := range slices.Backward(files) {
+		os.Remove(f.path)
+		removed = append(removed, f.path)
 	}
+	return removed
 }
 
 // RestoreChainFiles loads a base checkpoint plus its delta chain: the
-// restore half of CheckpointChain. Like RestoreFile, a missing base
-// with no deltas is the empty start (nil, nil); deltas without a base,
-// a gap in the sequence, or a delta that fails validation are errors —
-// the chain is not trustworthy and the caller decides whether to start
-// empty.
+// restore half of CheckpointChain and, a chain of no deltas being a
+// plain file, of CheckpointFile. See RestoreNewest, whose list of
+// superseded files it drops.
 func RestoreChainFiles(path string) (*collector.Collector, error) {
-	deltas := chainDeltaFiles(path)
-	c, err := RestoreFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if c == nil {
-		if len(deltas) > 0 {
-			return nil, fmt.Errorf("ingest: restore %s: %d delta files but no base checkpoint", path, len(deltas))
-		}
-		return nil, nil
-	}
-	maxSeq := uint64(0)
-	for seq := range deltas {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	for seq := uint64(1); seq <= maxSeq; seq++ {
-		dp, ok := deltas[seq]
-		if !ok {
-			return nil, fmt.Errorf("ingest: restore %s: delta %06d missing from a chain of %d", path, seq, maxSeq)
-		}
-		f, err := os.Open(dp)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: restore %s: %w", dp, err)
-		}
-		err = c.ApplyDelta(bufio.NewReaderSize(f, 1<<20))
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("ingest: restore %s: %w", dp, err)
-		}
-	}
-	return c, nil
+	c, _, err := RestoreNewest(path)
+	return c, err
 }
 
-// RestoreFile loads a checkpoint written by CheckpointFile. A missing
-// file is not an error — it returns (nil, nil), the empty-start case —
-// while an unreadable or corrupt checkpoint returns the error for the
-// caller to decide on (daemons log and start empty; batch runs abort).
+// RestoreNewest restores the newest corpus the files at path hold: the
+// base checkpoint with every delta that chains onto it. A missing base
+// with no deltas is the empty start (nil, nil, nil). Deltas without a
+// base, a gap in the sequence, or a delta that is damaged are errors —
+// the chain is not trustworthy and the caller decides whether to start
+// empty.
+//
+// A well-formed delta that was not cut against the state restored so
+// far is neither: it is what a crash between a base's rename and the
+// removal of the deltas it supersedes leaves behind. The restore stops
+// there with everything that did chain, and that delta and those after
+// it are removed — left in place, one of them could line up with a
+// later chain's sequence numbers — and returned as superseded for the
+// caller to log.
+func RestoreNewest(path string) (c *collector.Collector, superseded []string, err error) {
+	return restoreChain(path, chainDeltaFiles(path))
+}
+
+// RestoreFile loads the checkpoint at path alone, whatever delta files
+// sit next to it: what CheckpointFile wrote. A missing file is not an
+// error — it returns (nil, nil), the empty-start case — while an
+// unreadable or corrupt checkpoint returns the error for the caller to
+// decide on (daemons log and start empty; batch runs abort).
 func RestoreFile(path string) (*collector.Collector, error) {
+	c, _, err := restoreChain(path, nil)
+	return c, err
+}
+
+func restoreChain(path string, deltas []chainDelta) (c *collector.Collector, superseded []string, err error) {
+	fail := func(file string, err error) (*collector.Collector, []string, error) {
+		return nil, nil, fmt.Errorf("ingest: restore %s: %w", file, err)
+	}
+	var rs *collector.Restore
+	err = readFile(path, func(r io.Reader) (err error) {
+		rs, err = collector.NewRestore(r)
+		return err
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		if len(deltas) == 0 {
+			return nil, nil, nil
+		}
+		err = fmt.Errorf("%d delta files but no base checkpoint", len(deltas))
+	}
+	if err != nil {
+		return fail(path, err)
+	}
+	for i, d := range deltas {
+		if d.seq != uint64(i+1) {
+			return fail(path, fmt.Errorf("delta %06d missing from a chain of %d", i+1, deltas[len(deltas)-1].seq))
+		}
+		err := readFile(d.path, rs.ApplyDelta)
+		if errors.Is(err, collector.ErrStaleDelta) {
+			superseded = removeDeltas(deltas[i:])
+			break
+		}
+		if err != nil {
+			return fail(d.path, err)
+		}
+	}
+	if c, err = rs.Collector(); err != nil {
+		return fail(path, err)
+	}
+	return c, superseded, nil
+}
+
+// readFile runs read over a buffered reader of the file at path.
+func readFile(path string, read func(io.Reader) error) error {
 	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
 	if err != nil {
-		return nil, fmt.Errorf("ingest: restore %s: %w", path, err)
+		return err
 	}
-	defer f.Close()
-	c, err := collector.OpenSnapshot(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return nil, fmt.Errorf("ingest: restore %s: %w", path, err)
-	}
-	return c, nil
+	defer f.Close() // opened read-only: Close has nothing to report
+	return read(bufio.NewReaderSize(f, 1<<20))
 }

@@ -43,10 +43,11 @@ type Pipeline struct {
 	closeOnce sync.Once
 	result    *collector.Collector
 
-	// ckptMu serializes delta-chain checkpoints (CheckpointChain may be
-	// called from several goroutines); chainBroken forces the next chain
-	// checkpoint to be full after a write advanced the corpus's watermark
-	// without landing durably on disk.
+	// ckptMu serializes file checkpoints (CheckpointChain may be called
+	// from several goroutines); chainBroken forces the next chain
+	// checkpoint to be full: a write advanced the corpus's watermark
+	// without landing durably on disk, or CheckpointFile replaced the
+	// base the chain was cut against.
 	ckptMu      sync.Mutex
 	chainBroken bool
 
