@@ -1,9 +1,9 @@
 // Command ingestd runs the sharded ingest pipeline as a daemon: it
 // consumes an NTP query-event stream — a file (or stdin), a UDP socket,
-// or a simulated replay — fans it out across collector shards with
-// inline enrichment (addressing categories, HyperLogLog cardinality,
-// the per-AS outage series), and serves live summaries over HTTP. It is
-// the single-vantage deployment shape of the paper's 27-server passive
+// or a simulated replay — fans it out across collector shards (the
+// per-AS outage series the one inline enrichment), and serves live
+// summaries over HTTP, read from the merged corpus. It is the
+// single-vantage deployment shape of the paper's 27-server passive
 // collection: one ingestd per pool server, snapshots merging into the
 // live store that the stat endpoints read.
 //
@@ -61,7 +61,9 @@ import (
 	"time"
 
 	"hitlist6/internal/addr"
+	"hitlist6/internal/analysis"
 	"hitlist6/internal/asdb"
+	"hitlist6/internal/cardinality"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/ingest"
 	"hitlist6/internal/ntppool"
@@ -104,6 +106,7 @@ type daemon struct {
 
 	badLines      atomic.Uint64
 	latestOutages atomic.Pointer[outagesReply]
+	tally         corpusTally
 
 	// stopSource interrupts the active event source (close the UDP
 	// socket, close the replay file); nil when the source cannot be
@@ -141,8 +144,7 @@ func (d *daemon) newMux() *http.ServeMux {
 }
 
 func (d *daemon) handleStats(w http.ResponseWriter, _ *http.Request) {
-	reply := buildStats(d.pipe, d.udp)
-	reply.Tier = d.tierStats()
+	reply := d.buildStats()
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(reply); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -295,7 +297,6 @@ func main() {
 		queue       = flag.Int("queue", 0, "per-shard queue depth in batches (0 = default)")
 		drop        = flag.Bool("drop", false, "shed events when a shard queue is full instead of blocking")
 		snapshot    = flag.Duration("snapshot", 2*time.Second, "live-view snapshot interval")
-		hllPrec     = flag.Uint("hll", 14, "HyperLogLog precision (4-16)")
 		serverCp    = flag.Int("servers", collector.MaxServers, "vantage-server attribution cap")
 		outBin      = flag.Duration("outage.bin", time.Hour, "outage series bin width (whole seconds; 0 disables the outage consumer)")
 		outEvery    = flag.Duration("outage.every", 30*time.Second, "how often the live outage detector rescans the series")
@@ -329,10 +330,6 @@ func main() {
 	if sources != 1 {
 		fmt.Fprintln(os.Stderr, "ingestd: exactly one of -file, -udp, -sim required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *hllPrec < 4 || *hllPrec > 16 {
-		fmt.Fprintf(os.Stderr, "ingestd: -hll %d out of [4,16]\n", *hllPrec)
 		os.Exit(2)
 	}
 	if *outBin < 0 || *outBin%time.Second != 0 {
@@ -396,10 +393,7 @@ func main() {
 		SnapshotInterval: *snapshot,
 		ServerCap:        *serverCp,
 		Registry:         reg,
-		Stages: []ingest.StageFactory{
-			ingest.Categories(),
-			ingest.Cardinality(uint8(*hllPrec)),
-		},
+		Stages:           daemonStages(routes, *outBin),
 	}
 	snapPath := ""
 	if *snapDir != "" {
@@ -422,9 +416,6 @@ func main() {
 		})
 		restoreSeconds.ObserveDuration(time.Since(start))
 		cfg.CompactEvery = *snapCompact
-	}
-	if routes != nil {
-		cfg.Stages = append(cfg.Stages, ingest.OutageSeriesLive(routes, *outBin))
 	}
 	pipe, err := ingest.New(cfg)
 	if err != nil {
@@ -531,6 +522,16 @@ func main() {
 	d.shutdown(srv)
 }
 
+// daemonStages is the daemon's whole stage set: the live outage series,
+// which bins by the event's time, when detection is on (routes != nil).
+// Everything else the daemon reports is read from the corpus.
+func daemonStages(routes *asdb.DB, bin time.Duration) []ingest.StageFactory {
+	if routes == nil {
+		return nil
+	}
+	return []ingest.StageFactory{ingest.OutageSeriesLive(routes, bin)}
+}
+
 // snapshotPath is where the durable corpus lives inside -snapshot.dir.
 func snapshotPath(dir string) string {
 	return filepath.Join(dir, "corpus.snap")
@@ -587,33 +588,62 @@ type statsReply struct {
 	Categories   map[string]uint64      `json:"categories"`
 }
 
-func buildStats(pipe *ingest.Pipeline, udp *udpSource) statsReply {
+// buildStats assembles one /stats reply. One View, one lock hold: the
+// counters are read and the tally brought up to the same corpus inside
+// it, so no shard merge lands between them and the reply describes a
+// corpus that existed — its categories sum to its unique_addrs.
+func (d *daemon) buildStats() statsReply {
 	reply := statsReply{
-		Shards:     pipe.NumShards(),
-		Metrics:    pipe.Metrics(),
-		UDP:        udp.statsReply(),
+		Shards:     d.pipe.NumShards(),
+		Metrics:    d.pipe.Metrics(),
+		UDP:        d.udp.statsReply(),
+		Tier:       d.tierStats(),
 		Categories: make(map[string]uint64),
 	}
-	// One View, one lock hold: read apart, a shard merge can land between
-	// the three and the reply describes no corpus that ever existed.
-	pipe.Store().View(func(c *collector.Collector) {
+	var cats [addr.NumCategories]uint64
+	d.pipe.Store().View(func(c *collector.Collector) {
 		reply.UniqueAddrs, reply.UniqueIIDs, reply.Observations = c.NumAddrs(), c.NumIIDs(), c.TotalObservations()
+		cats, reply.HLLEstimate = d.tally.fold(c)
 	})
-	pipe.StageView(func(stages []ingest.Stage) {
-		for _, st := range stages {
-			switch s := st.(type) {
-			case *ingest.HLLStage:
-				reply.HLLEstimate = s.H.Estimate()
-			case *ingest.CategoryStage:
-				for c, n := range s.Counts {
-					if n > 0 {
-						reply.Categories[addr.Category(c).String()] = n
-					}
-				}
-			}
+	for c, n := range cats {
+		if n > 0 {
+			reply.Categories[addr.Category(c).String()] = n
 		}
-	})
+	}
 	return reply
+}
+
+// corpusTally is what /stats reports of the corpus beyond the Store's
+// own counters — addresses per Figure-5 structural category and the
+// HyperLogLog sketch of the address set — as a fold over the address
+// slab that resumes where it stopped. Both are functions of the set of
+// addresses and the slab only appends, so a reply folds the addresses
+// new since the last: none, or once after a restart the restored slab.
+type corpusTally struct {
+	mu     sync.Mutex
+	folded int // slab positions [0, folded) are in sketch and cats
+	sketch *cardinality.HLL
+	cats   [addr.NumCategories]uint64
+}
+
+// fold brings the tally up to c and returns the category counts and the
+// sketch's estimate. It runs inside the Store.View whose counters the
+// reply carries. A store holding fewer addresses than were folded is
+// another corpus (Store.Detach): the tally starts over.
+func (t *corpusTally) fold(c *collector.Collector) ([addr.NumCategories]uint64, float64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := c.NumAddrs()
+	if n < t.folded {
+		t.folded, t.sketch, t.cats = 0, nil, [addr.NumCategories]uint64{}
+	}
+	t.sketch = analysis.AddressSketch(t.sketch, c, t.folded, n, 1)
+	c.AddrsRange(t.folded, n, func(a addr.Addr, _ collector.AddrRecord) bool {
+		t.cats[a.IID().StructuralCategory()]++
+		return true
+	})
+	t.folded = n
+	return t.cats, t.sketch.Estimate()
 }
 
 // outagesReply is the /outages JSON shape.

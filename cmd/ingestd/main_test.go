@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
-	"time"
 
 	"hitlist6/internal/ingest"
 )
@@ -164,24 +163,10 @@ func TestIngestDatagramZeroAlloc(t *testing.T) {
 // events land in the merged store, the embedded metrics must expose the
 // memory telemetry of the flat corpus layout alongside the rates.
 func TestStatsCarriesCorpusTelemetry(t *testing.T) {
-	pipe, err := ingest.New(ingest.DefaultConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := pipe.NewBatcher()
-	var bad atomic.Uint64
-	ingestDatagram(b, []byte("1643673600 2001:db8::1 3\n1643673601 2001:db8::2 4\n"), &bad)
-	b.Flush()
-	pipe.SnapshotNow()
-	// The merge completes asynchronously after the shard handoff.
-	deadline := time.Now().Add(5 * time.Second)
-	for pipe.Store().NumAddrs() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("store never saw the ingested events")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	reply := buildStats(pipe, nil)
+	d := newTestDaemon(t, "")
+	defer d.pipe.Close()
+	feed(t, d)
+	reply := d.buildStats()
 	if reply.UniqueAddrs != 2 {
 		t.Fatalf("unique addrs %d, want 2", reply.UniqueAddrs)
 	}
@@ -191,7 +176,6 @@ func TestStatsCarriesCorpusTelemetry(t *testing.T) {
 	if reply.UDP != nil {
 		t.Errorf("udp block %+v on a daemon with no socket source", reply.UDP)
 	}
-	pipe.Close()
 }
 
 // TestDetectOutagesEndpointShape exercises the /outages reply builder

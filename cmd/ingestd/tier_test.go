@@ -23,7 +23,9 @@ import (
 // merge. Every address is distinct, seen once and has its own IID, so
 // any corpus that ever existed has observations == unique_addrs ==
 // unique_iids; a reply assembled from separately locked reads breaks the
-// equality whenever a merge lands between them. The issue's form of the
+// equality whenever a merge lands between them, and so does a category
+// tally folded from another view than the counters: the categories of
+// every reply sum to its unique_addrs. The issue's form of the
 // assertion — observations == fed implies unique_addrs == want — is the
 // last iteration.
 func TestStatsIsOneView(t *testing.T) {
@@ -52,10 +54,10 @@ func TestStatsIsOneView(t *testing.T) {
 	}()
 	deadline := time.Now().Add(60 * time.Second)
 	for replies := 1; ; replies++ {
-		r := buildStats(d.pipe, nil)
-		if r.Observations != uint64(r.UniqueAddrs) || r.UniqueIIDs != r.UniqueAddrs {
-			t.Fatalf("reply %d is no single view of the corpus: observations %d, unique_addrs %d, unique_iids %d",
-				replies, r.Observations, r.UniqueAddrs, r.UniqueIIDs)
+		r := d.buildStats()
+		if r.Observations != uint64(r.UniqueAddrs) || r.UniqueIIDs != r.UniqueAddrs || sumCategories(r) != uint64(r.UniqueAddrs) {
+			t.Fatalf("reply %d is no single view of the corpus: observations %d, unique_addrs %d, unique_iids %d, categories sum to %d",
+				replies, r.Observations, r.UniqueAddrs, r.UniqueIIDs, sumCategories(r))
 		}
 		if r.Observations == n {
 			return

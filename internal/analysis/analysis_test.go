@@ -56,7 +56,7 @@ func TestComputeFigure1(t *testing.T) {
 	ntp := mkDataset("ntp", "2001:db8::aaaa:bbbb:cccc:dddd", "2001:db8::1")
 	hl := mkDataset("hl", "2001:db8::1", "2001:db8::2")
 	caida := mkDataset("caida", "2001:db8::1")
-	f := ComputeFigure1(ntp, hl, caida)
+	f := ComputeFigure1Sidecar(BuildSidecar(ntp, nil, 1), BuildSidecar(hl, nil, 1), BuildSidecar(caida, nil, 1), 1)
 	if f.NTP.N() != 2 || f.Hitlist.N() != 2 || f.CAIDA.N() != 1 {
 		t.Error("curve sizes wrong")
 	}
@@ -101,7 +101,7 @@ func TestTopASEntropy(t *testing.T) {
 	d.Add(addr.MustParse("2400:300::1"))
 	d.Add(addr.MustParse("3fff::1"))
 
-	top := TopASEntropy(d, db, 2)
+	top := TopASEntropySidecar(BuildSidecar(d, db, 1), db, 2, 1)
 	if len(top) != 2 {
 		t.Fatalf("top: %d", len(top))
 	}
@@ -119,7 +119,7 @@ func TestTopASEntropy(t *testing.T) {
 		t.Error("entropy ordering wrong")
 	}
 	// topN=0 returns all ASes.
-	if got := TopASEntropy(d, db, 0); len(got) != 3 {
+	if got := TopASEntropySidecar(BuildSidecar(d, db, 1), db, 0, 1); len(got) != 3 {
 		t.Errorf("all ASes: %d", len(got))
 	}
 }
@@ -131,7 +131,7 @@ func TestASTypeShare(t *testing.T) {
 		"2400:200::1", // isp
 		"3fff::1",     // unrouted, excluded
 	)
-	share := ASTypeShare(d, db)
+	share := ASTypeShareSidecar(BuildSidecar(d, db, 1), 1)
 	if got := share[asdb.TypePhoneProvider]; got < 0.66 || got > 0.67 {
 		t.Errorf("phone share: %v", got)
 	}
@@ -141,7 +141,7 @@ func TestASTypeShare(t *testing.T) {
 	if share[asdb.TypeHosting] != 0 {
 		t.Errorf("hosting share: %v", share[asdb.TypeHosting])
 	}
-	if got := ASTypeShare(hitlist.NewDataset("empty"), db); len(got) != 0 {
+	if got := ASTypeShareSidecar(BuildSidecar(hitlist.NewDataset("empty"), db, 1), 1); len(got) != 0 {
 		t.Errorf("empty dataset share: %v", got)
 	}
 }
@@ -166,7 +166,7 @@ func TestComputeFigure2a(t *testing.T) {
 	obsAt(c, "2001:db8::103", t0)
 	obsAt(c, "2001:db8::103", t0.Add(200*24*time.Hour))
 
-	f := ComputeFigure2a(c)
+	f := ComputeFigure2aWorkers(c, 1)
 	if f.ObservedOnce != 0.6 {
 		t.Errorf("observed once: %v want 0.6", f.ObservedOnce)
 	}
@@ -198,7 +198,7 @@ func TestComputeFigure2b(t *testing.T) {
 	obsAt(c, "2001:db8::1", t0.Add(30*24*time.Hour))
 	obsAt(c, "2001:db8::abcd:ef01:2345:6789", t0)
 
-	f := ComputeFigure2b(c)
+	f := ComputeFigure2bWorkers(c, 1)
 	low := f.ByClass[addr.LowEntropy]
 	if low == nil || low.N() != 1 {
 		t.Fatalf("low class: %+v", low)
@@ -219,7 +219,7 @@ func TestCategorizeDataset(t *testing.T) {
 	d.Add(addr.MustParse("2400:200::1:0"))                 // low 2 bytes? 0x10000 -> no: 3 bytes
 	d.Add(addr.MustParse("2400:200::abc"))                 // low 2 bytes? 0xabc -> yes (2 bytes)
 	d.Add(addr.MustParse("2400:100::1234:5678:9abc:def1")) // high entropy
-	b := CategorizeDataset(d, db)
+	b := CategorizeSidecar(BuildSidecar(d, db, 1), 1)
 	if b.Total != 5 {
 		t.Fatalf("total: %d", b.Total)
 	}
@@ -252,7 +252,7 @@ func TestCategorizeV4Corroboration(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Add(addr.FromParts(0x2400_0200_0000_0000, uint64(0xc0a80000+i)))
 	}
-	b := CategorizeDataset(d, db)
+	b := CategorizeSidecar(BuildSidecar(d, db, 1), 1)
 	if b.Counts[addr.CatV4Mapped] != 10 {
 		t.Errorf("v4-mapped: %d want 10 (%v)", b.Counts[addr.CatV4Mapped], b.Counts)
 	}
@@ -263,7 +263,7 @@ func TestCategorizeV4Corroboration(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d2.Add(addr.FromParts(0x2400_0200_0000_0000, uint64(0x123456789a000000)+uint64(i)<<8|0xb1))
 	}
-	b2 := CategorizeDataset(d2, db)
+	b2 := CategorizeSidecar(BuildSidecar(d2, db, 1), 1)
 	if b2.Counts[addr.CatV4Mapped] != 0 {
 		t.Errorf("lone candidate accepted: %v", b2.Counts)
 	}
@@ -273,7 +273,7 @@ func TestComputeFigure5(t *testing.T) {
 	db := testDB(t)
 	ntp := mkDataset("ntp", "2400:100::1234:5678:9abc:def1")
 	hl := mkDataset("hl", "2400:200::1")
-	f := ComputeFigure5(ntp, hl, db)
+	f := ComputeFigure5Sidecar(BuildSidecar(ntp, db, 1), BuildSidecar(hl, db, 1), 1)
 	if f.NTP.Counts[addr.CatHighEntropy] != 1 {
 		t.Error("NTP day breakdown wrong")
 	}
@@ -287,7 +287,7 @@ func TestTable1Render(t *testing.T) {
 	ntp := mkDataset("NTP", "2400:100::a:b:c:d", "2400:100::1:2:3:4", "2400:200::5")
 	hl := mkDataset("Hitlist", "2400:200::5", "2400:200::1")
 	caida := mkDataset("CAIDA", "2400:300::1")
-	t1 := ComputeTable1(ntp, hl, caida, db)
+	t1 := ComputeTable1Sidecar(BuildSidecar(ntp, db, 1), BuildSidecar(hl, db, 1), BuildSidecar(caida, db, 1), 1)
 	if t1.NTP.Addrs != 3 || t1.Hitlist.CommonAddrs != 1 || t1.CAIDA.CommonAddrs != 0 {
 		t.Errorf("table: %+v", t1)
 	}

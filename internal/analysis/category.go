@@ -4,7 +4,6 @@ import (
 	"hitlist6/internal/addr"
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/fold"
-	"hitlist6/internal/hitlist"
 )
 
 // CategoryBreakdown is one dataset's Figure 5 bar set: the fraction of
@@ -38,11 +37,6 @@ func scaledRule(n int) v4Rule {
 		}
 	}
 	return rule
-}
-
-// CategorizeDataset computes the Figure 5 breakdown for a dataset.
-func CategorizeDataset(d *hitlist.Dataset, db *asdb.DB) *CategoryBreakdown {
-	return CategorizeSidecar(BuildSidecar(d, db, 1), 1)
 }
 
 // CategorizeSidecar computes the Figure 5 breakdown from a sidecar's
@@ -143,15 +137,8 @@ type Figure5 struct {
 	NTP, Hitlist *CategoryBreakdown
 }
 
-// ComputeFigure5 builds Figure 5 from the two single-day datasets.
-func ComputeFigure5(ntpDay, hitlistDay *hitlist.Dataset, db *asdb.DB) *Figure5 {
-	return ComputeFigure5Sidecar(
-		BuildSidecar(ntpDay, db, 1),
-		BuildSidecar(hitlistDay, db, 1), 1)
-}
-
-// ComputeFigure5Sidecar builds Figure 5 from prebuilt sidecars, the two
-// breakdowns in parallel.
+// ComputeFigure5Sidecar builds Figure 5 from the sidecars of the two
+// single-day datasets, the two breakdowns in parallel.
 func ComputeFigure5Sidecar(ntpDay, hitlistDay *Sidecar, workers int) *Figure5 {
 	f := &Figure5{}
 	fold.Each(workers,

@@ -10,6 +10,7 @@ import (
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/asdb"
+	"hitlist6/internal/cardinality"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/hitlist"
 )
@@ -147,24 +148,6 @@ func TestEngineWorkerEquivalence(t *testing.T) {
 			t.Errorf("workers=%d: engine results diverge from serial", workers)
 		}
 	}
-
-	// The sidecar paths must also agree with the legacy one-shot
-	// entry points.
-	if !reflect.DeepEqual(base.T1, ComputeTable1(ntp, hl, caida, db)) {
-		t.Error("ComputeTable1Sidecar != ComputeTable1")
-	}
-	if !reflect.DeepEqual(base.F5, ComputeFigure5(ntp, hl, db)) {
-		t.Error("ComputeFigure5Sidecar != ComputeFigure5")
-	}
-	if !reflect.DeepEqual(base.Top, TopASEntropy(ntp, db, 5)) {
-		t.Error("TopASEntropySidecar != TopASEntropy")
-	}
-	if !reflect.DeepEqual(base.Strat, InferStrategies(ntp, db, 6)) {
-		t.Error("InferStrategiesSidecar != InferStrategies")
-	}
-	if !reflect.DeepEqual(base.Share, ASTypeShare(ntp, db)) {
-		t.Error("ASTypeShareSidecar != ASTypeShare")
-	}
 }
 
 // TestFigure2WorkerEquivalence folds the collector-side figures across
@@ -197,5 +180,43 @@ func TestFigure2WorkerEquivalence(t *testing.T) {
 	}
 	if f2aBase.ObservedOnce <= 0 || math.IsNaN(f2aBase.ObservedOnce) {
 		t.Error("degenerate Figure 2a")
+	}
+}
+
+// TestAddressSketchIsTheSetsSketch pins AddressSketch's contract: the
+// registers are those of a serial per-address fill, at every worker
+// count, and however [0, NumAddrs()) is cut into calls whose results
+// are merged — what lets a reader resume the fold where it stopped.
+func TestAddressSketchIsTheSetsSketch(t *testing.T) {
+	c := collector.New()
+	want, err := cardinality.NewHLL(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20000; i++ {
+		a := addr.FromParts(0x20010db8_00000000|uint64(rng.Intn(4096))<<16, rng.Uint64())
+		c.ObserveUnix(a, 1643673600, 0)
+		want.AddAddr(a)
+	}
+	n := c.NumAddrs()
+	for _, workers := range []int{1, 4, 16} {
+		if got := AddressSketch(nil, c, 0, n, workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: sketch differs from the serial fill", workers)
+		}
+	}
+	resumed := AddressSketch(nil, c, 0, 0, 1)
+	if resumed.Estimate() != 0 {
+		t.Errorf("empty range estimates %v", resumed.Estimate())
+	}
+	at := 0
+	for _, cut := range []int{1, 2047, 2048, 9000, 9000, n} {
+		if got := AddressSketch(resumed, c, at, cut, 4); got != resumed {
+			t.Fatal("a resumed fold returned another sketch than it was given")
+		}
+		at = cut
+	}
+	if !reflect.DeepEqual(resumed, want) {
+		t.Error("sketch resumed over six cuts differs from the serial fill")
 	}
 }

@@ -70,15 +70,7 @@ type Figure1 struct {
 	NTPxHitlist, NTPxCAIDA *stats.Distribution
 }
 
-// ComputeFigure1 builds every Figure 1 curve.
-func ComputeFigure1(ntp, hl, caida *hitlist.Dataset) *Figure1 {
-	return ComputeFigure1Sidecar(
-		BuildSidecar(ntp, nil, 1),
-		BuildSidecar(hl, nil, 1),
-		BuildSidecar(caida, nil, 1), 1)
-}
-
-// ComputeFigure1Sidecar builds the Figure 1 curves from prebuilt
+// ComputeFigure1Sidecar builds every Figure 1 curve from prebuilt
 // sidecars, the five curves in parallel.
 func ComputeFigure1Sidecar(ntp, hl, caida *Sidecar, workers int) *Figure1 {
 	f := &Figure1{}
@@ -100,16 +92,11 @@ type ASEntropy struct {
 	Dist  *stats.Distribution
 }
 
-// TopASEntropy groups a dataset by origin AS and returns the entropy
-// distributions of the topN most-observed ASes, descending by address
-// count (Figures 4a and 4b).
-func TopASEntropy(d *hitlist.Dataset, db *asdb.DB, topN int) []ASEntropy {
-	return TopASEntropySidecar(BuildSidecar(d, db, 1), db, topN, 1)
-}
-
-// TopASEntropySidecar is TopASEntropy over a prebuilt sidecar: the AS
-// grouping is shared (ByAS) and the per-AS distributions reuse the
-// entropy column, built in parallel across ASes.
+// TopASEntropySidecar groups a dataset by origin AS and returns the
+// entropy distributions of the topN most-observed ASes, descending by
+// address count (Figures 4a and 4b). The AS grouping is the sidecar's
+// shared one (ByAS) and the per-AS distributions reuse its entropy
+// column, built in parallel across ASes.
 func TopASEntropySidecar(sc *Sidecar, db *asdb.DB, topN int, workers int) []ASEntropy {
 	byAS := sc.ByAS(workers)
 	out := make([]ASEntropy, 0, len(byAS))
@@ -149,20 +136,15 @@ func TopASEntropySidecar(sc *Sidecar, db *asdb.DB, topN int, workers int) []ASEn
 	return out
 }
 
-// ASTypeShare tallies the fraction of a dataset's addresses per ASdb
-// type (§4.1's "Phone Provider" comparison).
-func ASTypeShare(d *hitlist.Dataset, db *asdb.DB) map[asdb.ASType]float64 {
-	return ASTypeShareSidecar(BuildSidecar(d, db, 1), 1)
-}
-
-// asTypeCounts is the ASTypeShare fold accumulator.
+// asTypeCounts is the ASTypeShareSidecar fold accumulator.
 type asTypeCounts struct {
 	counts [asdb.NumASTypes]int
 	total  int
 }
 
-// ASTypeShareSidecar is ASTypeShare as a parallel fold over the sidecar's
-// type column.
+// ASTypeShareSidecar tallies the fraction of a dataset's addresses per
+// ASdb type (§4.1's "Phone Provider" comparison) as a parallel fold over
+// the sidecar's type column.
 func ASTypeShareSidecar(sc *Sidecar, workers int) map[asdb.ASType]float64 {
 	acc := fold.Map(sc.Len(), workers,
 		func(lo, hi int) asTypeCounts {

@@ -47,12 +47,8 @@ type Figure2a struct {
 	WeekOrLonger, MonthOrLonger, SixMonthsOrLonger float64
 }
 
-// ComputeFigure2a evaluates Figure 2a from a collector.
-func ComputeFigure2a(c *collector.Collector) *Figure2a {
-	return ComputeFigure2aWorkers(c, 1)
-}
-
-// ComputeFigure2aWorkers is ComputeFigure2a on the given worker count.
+// ComputeFigure2aWorkers evaluates Figure 2a from a collector on the
+// given worker count.
 func ComputeFigure2aWorkers(c *collector.Collector, workers int) *Figure2a {
 	dist := AddressLifetimes(c, workers)
 	marks := make([]float64, len(LifetimeMarks))
@@ -86,13 +82,8 @@ type Figure2b struct {
 // High).
 const numEntropyClasses = int(addr.HighEntropy) + 1
 
-// ComputeFigure2b evaluates Figure 2b from the collector.
-func ComputeFigure2b(c *collector.Collector) *Figure2b {
-	return ComputeFigure2bWorkers(c, 1)
-}
-
-// ComputeFigure2bWorkers is ComputeFigure2b as a parallel fold over the
-// collector's IID table.
+// ComputeFigure2bWorkers evaluates Figure 2b as a parallel fold over
+// the collector's IID table.
 func ComputeFigure2bWorkers(c *collector.Collector, workers int) *Figure2b {
 	samples := fold.Map(c.NumIIDSlots(), workers,
 		func(lo, hi int) *[numEntropyClasses][]float64 {

@@ -8,7 +8,6 @@ import (
 	"hitlist6/internal/addr"
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/fold"
-	"hitlist6/internal/hitlist"
 	"hitlist6/internal/stats"
 )
 
@@ -42,14 +41,10 @@ type StrategyProfile struct {
 // call a distribution bimodal.
 const bimodalGap = 0.18
 
-// InferStrategies profiles the topN most-observed ASes of a dataset.
-func InferStrategies(d *hitlist.Dataset, db *asdb.DB, topN int) []StrategyProfile {
-	return InferStrategiesSidecar(BuildSidecar(d, db, 1), db, topN, 1)
-}
-
-// InferStrategiesSidecar is InferStrategies over a prebuilt sidecar: the
-// per-AS grouping is shared (ByAS), the entropy column replaces the
-// per-IID recomputation, and the per-AS profiles build in parallel.
+// InferStrategiesSidecar profiles the topN most-observed ASes of a
+// dataset: the per-AS grouping is the sidecar's shared one (ByAS), its
+// entropy column replaces the per-IID recomputation, and the per-AS
+// profiles build in parallel.
 func InferStrategiesSidecar(sc *Sidecar, db *asdb.DB, topN int, workers int) []StrategyProfile {
 	byAS := sc.ByAS(workers)
 	profiles := make([]StrategyProfile, 0, len(byAS))

@@ -77,7 +77,7 @@ func TestInferStrategiesJioSignature(t *testing.T) {
 		d.Add(addr.FromParts(0x2400_0200_0000_0000|uint64(i), uint64(1+i%5)))
 	}
 
-	profiles := InferStrategies(d, db, 0)
+	profiles := InferStrategiesSidecar(BuildSidecar(d, db, 1), db, 0, 1)
 	if len(profiles) != 2 {
 		t.Fatalf("profiles: %d", len(profiles))
 	}
@@ -110,7 +110,7 @@ func TestInferStrategiesEUI64(t *testing.T) {
 		m := addr.MAC{0xc8, 0x0e, 0x14, byte(i), 1, 2}
 		d.Add(addr.EUI64Addr(addr.FromParts(0x2400_0300_0000_0000, 0).P64(), m))
 	}
-	profiles := InferStrategies(d, db, 1)
+	profiles := InferStrategiesSidecar(BuildSidecar(d, db, 1), db, 1, 1)
 	if len(profiles) != 1 {
 		t.Fatalf("profiles: %d", len(profiles))
 	}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"hitlist6/internal/asdb"
 	"hitlist6/internal/fold"
 	"hitlist6/internal/hitlist"
 	"hitlist6/internal/stats"
@@ -15,15 +14,8 @@ type Table1 struct {
 	NTP, Hitlist, CAIDA hitlist.Stats
 }
 
-// ComputeTable1 derives the dataset-comparison table.
-func ComputeTable1(ntp, hl, caida *hitlist.Dataset, db *asdb.DB) *Table1 {
-	return ComputeTable1Sidecar(
-		BuildSidecar(ntp, db, 1),
-		BuildSidecar(hl, db, 1),
-		BuildSidecar(caida, db, 1), 1)
-}
-
-// ComputeTable1Sidecar derives Table 1 from prebuilt sidecars: the AS
+// ComputeTable1Sidecar derives the dataset-comparison table from
+// prebuilt sidecars: the AS
 // column replaces the per-address trie walks, the /48 columns fall out
 // of linear passes over the sorted slabs, and the address intersections
 // are sorted merges. The three rows compute in parallel.

@@ -56,7 +56,8 @@ type Config struct {
 	ServerCap int
 	// Stages are enrichment-stage factories; each shard gets a private
 	// instance of every stage, and snapshots merge them into the
-	// pipeline-level results readable via StageView.
+	// pipeline-level results readable via StageView. Each is one more
+	// pass over every batch: for what needs the event's time (see Stage).
 	Stages []StageFactory
 	// Seed, when non-nil, is a corpus the pipeline starts from — the
 	// restore half of checkpointing, typically collector.OpenSnapshot's

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hitlist6/internal/addr"
-	"hitlist6/internal/asdb"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/simnet"
 )
@@ -161,36 +160,6 @@ func TestStages(t *testing.T) {
 
 	if p.Stage("no-such-stage") != nil {
 		t.Error("unknown stage name should return nil")
-	}
-}
-
-func TestASNStage(t *testing.T) {
-	db := asdb.NewDB()
-	if err := db.AddAS(asdb.AS{ASN: 64500, Name: "Test Net", Prefixes: []addr.Prefix{
-		addr.MustPrefix(addr.MustParse("2001:db8::"), 32),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := DefaultConfig(4)
-	cfg.Stages = []StageFactory{ASNs(db)}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Ingest([]Event{
-		{Addr: addr.MustParse("2001:db8::1"), Time: 1000, Server: 0},
-		{Addr: addr.MustParse("2001:db8:1::2"), Time: 1001, Server: 1},
-		{Addr: addr.MustParse("2a02::1"), Time: 1002, Server: 2}, // unrouted
-	})
-	p.Close()
-
-	asns := p.Stage("asns").(*ASNStage)
-	if asns.Counts[64500] != 2 {
-		t.Errorf("AS64500 count %d, want 2", asns.Counts[64500])
-	}
-	if asns.Counts[0] != 1 {
-		t.Errorf("unrouted count %d, want 1", asns.Counts[0])
 	}
 }
 

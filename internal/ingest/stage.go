@@ -17,6 +17,10 @@ import (
 // this one when snapshots land on the pipeline-level view. Merge must
 // be commutative and associative so results are shard-count independent,
 // and must leave the other instance unused afterwards.
+//
+// A stage is for what needs the event's time, which the corpus does not
+// keep: the outage series bins by it, the day slice filters on it. A
+// function of (address, record) is a fold over the corpus at its reader.
 type Stage interface {
 	Name() string
 	Process(ev Event)
@@ -29,10 +33,10 @@ type StageFactory func() Stage
 
 // ---- Category stage ----
 
-// CategoryStage tallies sightings per Figure-5 structural category: a
-// live view of the addressing-strategy mix flowing past a vantage.
-// Counts are per sighting, not per unique address (the latter needs the
-// merged store).
+// CategoryStage tallies sightings per Figure-5 structural category:
+// Σ rec.Count over a corpus's addresses grouped by category, which is
+// how this module's readers get it. The stage stays as the per-event
+// oracle of those folds' tests and because bench/layers links it.
 type CategoryStage struct {
 	Counts [addr.NumCategories]uint64
 }
@@ -58,44 +62,12 @@ func (s *CategoryStage) Merge(other Stage) {
 	}
 }
 
-// ---- ASN stage ----
-
-// ASNStage tallies sightings per origin AS, resolved against a routing
-// table snapshot. Unrouted addresses count under ASN 0.
-type ASNStage struct {
-	db     *asdb.DB
-	Counts map[asdb.ASN]uint64
-}
-
-// ASNs returns an ASNStage factory over the given routing DB.
-func ASNs(db *asdb.DB) StageFactory {
-	return func() Stage {
-		return &ASNStage{db: db, Counts: make(map[asdb.ASN]uint64)}
-	}
-}
-
-// Name implements Stage.
-func (s *ASNStage) Name() string { return "asns" }
-
-// Process implements Stage.
-func (s *ASNStage) Process(ev Event) {
-	asn, _ := s.db.OriginASN(ev.Addr)
-	s.Counts[asn]++
-}
-
-// Merge implements Stage.
-func (s *ASNStage) Merge(other Stage) {
-	for asn, n := range other.(*ASNStage).Counts {
-		s.Counts[asn] += n
-	}
-}
-
 // ---- Cardinality stage ----
 
-// HLLStage sketches unique-address cardinality per shard. At the
-// paper's full scale (7.9 B uniques) the HLL union is the only
-// affordable global unique count, since no single machine holds the
-// exact address set.
+// HLLStage sketches unique-address cardinality per shard. This module's
+// readers sketch the corpus's address set instead (same addresses, same
+// registers: analysis.AddressSketch); like CategoryStage it stays as
+// that fold's per-event oracle and for bench/layers.
 type HLLStage struct {
 	H *cardinality.HLL
 }

@@ -20,6 +20,8 @@ import (
 	"sort"
 	"time"
 
+	"hitlist6/internal/addr"
+	"hitlist6/internal/analysis"
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/ingest"
@@ -296,31 +298,30 @@ type cellOutcome struct {
 	col    *collector.Collector
 }
 
-// cellConfig builds the pipeline config for one cell.
+// cellConfig builds the pipeline config for one cell. Its one stage is
+// the outage series, the part of a scenario report that needs the
+// events' times; synthetic streams without a routing DB have none.
 func cellConfig(p *workload.Profile, st *workload.Stream, shards int, drop bool) ingest.Config {
-	return ingest.Config{
+	cfg := ingest.Config{
 		Shards:     shards,
 		BatchSize:  p.Hints.BatchSize,
 		QueueDepth: p.Hints.QueueDepth,
 		DropOnFull: drop,
-		Stages:     stages(st),
-	}
-}
-
-// stages builds the enrichment-stage set a scenario report covers.
-// Synthetic streams without a routing DB skip the AS-resolving stages.
-func stages(st *workload.Stream) []ingest.StageFactory {
-	out := []ingest.StageFactory{
-		ingest.Categories(),
-		ingest.Cardinality(14),
 	}
 	if st.ASDB != nil {
-		out = append(out,
-			ingest.ASNs(st.ASDB),
-			ingest.OutageSeries(st.ASDB, st.Origin, st.End, st.Bin),
-		)
+		cfg.Stages = []ingest.StageFactory{ingest.OutageSeries(st.ASDB, st.Origin, st.End, st.Bin)}
 	}
-	return out
+	return cfg
+}
+
+// carryOutage seeds second's outage stage with first's merged one: the
+// stage half of a restore leg. first is closed, so the stage is complete.
+func carryOutage(first, second *ingest.Pipeline) error {
+	stg := first.Stage("outage")
+	if stg == nil {
+		return nil
+	}
+	return second.SeedStage("outage", stg)
 }
 
 // runCell executes one matrix cell through the real pipeline.
@@ -400,9 +401,9 @@ func runCell(p *workload.Profile, st *workload.Stream, shards int, mode string) 
 
 // restoreCell is the durable leg: feed half the stream, checkpoint
 // through the real Quiesce + snapshot protocol, restore the checkpoint
-// into a fresh pipeline (corpus via Config.Seed, stages via SeedStage),
-// feed the rest, and hand the second pipeline back for closing. Its
-// result must be byte-identical to the straight run's.
+// into a fresh pipeline (corpus via Config.Seed, the outage series via
+// SeedStage), feed the rest, and hand the second pipeline back for
+// closing. Its result must be byte-identical to the straight run's.
 func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.Pipeline, error) {
 	cell := Cell{Profile: p.Name, Shards: shards, Seed: st.Seed, Mode: "restore"}
 	half := len(st.Events) / 2
@@ -434,14 +435,8 @@ func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
-	for _, name := range []string{"categories", "cardinality", "asns", "outage"} {
-		stg := first.Stage(name)
-		if stg == nil {
-			continue
-		}
-		if err := second.SeedStage(name, stg); err != nil {
-			return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-		}
+	if err := carryOutage(first, second); err != nil {
+		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
 	second.Ingest(st.Events[half:])
 	return second, nil
@@ -461,25 +456,33 @@ func renderReport(st *workload.Stream, col *collector.Collector, pl *ingest.Pipe
 		col.NumAddrs(), col.NumIIDs(), col.TotalObservations())
 	fmt.Fprintf(&b, "corpus %s\n", cell.Checksum)
 
-	if cat, ok := pl.Stage("categories").(*ingest.CategoryStage); ok && cat != nil {
-		b.WriteString("categories")
-		for i, n := range cat.Counts {
-			fmt.Fprintf(&b, " %d=%d", i, n)
+	// Sightings per structural category and per origin AS are Σ rec.Count
+	// over the closed corpus; the sketch is of its address set.
+	var cats [addr.NumCategories]uint64
+	asns := make(map[asdb.ASN]uint64)
+	col.Addrs(func(a addr.Addr, r collector.AddrRecord) bool {
+		cats[a.IID().StructuralCategory()] += uint64(r.Count)
+		if st.ASDB != nil {
+			asn, _ := st.ASDB.OriginASN(a)
+			asns[asn] += uint64(r.Count)
 		}
-		b.WriteByte('\n')
+		return true
+	})
+	b.WriteString("categories")
+	for i, n := range cats {
+		fmt.Fprintf(&b, " %d=%d", i, n)
 	}
-	if hll, ok := pl.Stage("cardinality").(*ingest.HLLStage); ok && hll != nil {
-		fmt.Fprintf(&b, "cardinality %.1f\n", hll.H.Estimate())
-	}
-	if asns, ok := pl.Stage("asns").(*ingest.ASNStage); ok && asns != nil {
-		keys := make([]asdb.ASN, 0, len(asns.Counts))
-		for asn := range asns.Counts {
+	b.WriteByte('\n')
+	fmt.Fprintf(&b, "cardinality %.1f\n", analysis.AddressSketch(nil, col, 0, col.NumAddrs(), 1).Estimate())
+	if st.ASDB != nil {
+		keys := make([]asdb.ASN, 0, len(asns))
+		for asn := range asns {
 			keys = append(keys, asn)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		b.WriteString("asns")
 		for _, asn := range keys {
-			fmt.Fprintf(&b, " AS%d=%d", asn, asns.Counts[asn])
+			fmt.Fprintf(&b, " AS%d=%d", asn, asns[asn])
 		}
 		b.WriteByte('\n')
 	}

@@ -1,9 +1,16 @@
 package matrix
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"hitlist6/internal/analysis"
+	"hitlist6/internal/asdb"
+	"hitlist6/internal/ingest"
 	"hitlist6/internal/pager"
 	"hitlist6/internal/workload"
 )
@@ -155,6 +162,69 @@ func TestMatrixStormDetects(t *testing.T) {
 	}
 	if !strings.Contains(sc.Report, "detected") {
 		t.Fatalf("report missing detection block:\n%s", sc.Report)
+	}
+}
+
+// TestFingerprintFoldsMatchPerEventStages holds the report's categories,
+// cardinality and asns lines — folds over the closed corpus — to
+// per-event oracles fed the same events: the retained CategoryStage and
+// HLLStage running inline beside the cell's own stages, and an origin-AS
+// tally taken straight off the stream. The sketch must be the stage's
+// register for register.
+func TestFingerprintFoldsMatchPerEventStages(t *testing.T) {
+	for _, name := range []string{"paper", "collision", "churn"} {
+		p, _ := workload.Lookup(name)
+		st, err := p.Stream(1, workload.SizeSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			cfg := cellConfig(p, st, shards, false)
+			cfg.Stages = append(cfg.Stages, ingest.Categories(), ingest.Cardinality(14))
+			pl, err := ingest.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.Ingest(st.Events)
+			col := pl.Close()
+			id := fmt.Sprintf("%s/shards=%d", name, shards)
+
+			var want bytes.Buffer
+			want.WriteString("categories")
+			for i, n := range pl.Stage("categories").(*ingest.CategoryStage).Counts {
+				fmt.Fprintf(&want, " %d=%d", i, n)
+			}
+			sketch := pl.Stage("cardinality").(*ingest.HLLStage).H
+			fmt.Fprintf(&want, "\ncardinality %.1f\n", sketch.Estimate())
+			if st.ASDB != nil {
+				perAS := make(map[asdb.ASN]uint64)
+				for _, ev := range st.Events {
+					asn, _ := st.ASDB.OriginASN(ev.Addr)
+					perAS[asn]++
+				}
+				keys := make([]asdb.ASN, 0, len(perAS))
+				for asn := range perAS {
+					keys = append(keys, asn)
+				}
+				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+				want.WriteString("asns")
+				for _, asn := range keys {
+					fmt.Fprintf(&want, " AS%d=%d", asn, perAS[asn])
+				}
+				want.WriteByte('\n')
+			}
+			report := renderReport(st, col, pl, &Cell{})
+			if !bytes.Contains(report, want.Bytes()) {
+				t.Errorf("%s: report lacks the per-event stages' lines\n--- want\n%s--- report\n%s", id, want.Bytes(), report)
+			}
+			if hasASNs := bytes.Contains(report, []byte("\nasns ")); hasASNs != (st.ASDB != nil) {
+				t.Errorf("%s: asns line present = %v, routing DB present = %v", id, hasASNs, st.ASDB != nil)
+			}
+			if got := analysis.AddressSketch(nil, col, 0, col.NumAddrs(), 1); !reflect.DeepEqual(got, sketch) {
+				t.Errorf("%s: corpus sketch is not the per-event sketch: estimates %.1f vs %.1f",
+					id, got.Estimate(), sketch.Estimate())
+			}
+		}
 	}
 }
 

@@ -26,9 +26,9 @@ import (
 
 // deltaRestoreCell is the chain-protocol leg: feed half the stream,
 // write a full checkpoint, feed to three quarters, write a delta of the
-// dirtied blocks, restore base+delta into a fresh pipeline (stages via
-// SeedStage, exactly like restoreCell), and feed the rest. Its corpus
-// and report must be byte-identical to the straight run's.
+// dirtied blocks, restore base+delta into a fresh pipeline (the outage
+// series carried over exactly like restoreCell), and feed the rest. Its
+// corpus and report must be byte-identical to the straight run's.
 func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.Pipeline, error) {
 	cell := Cell{Profile: p.Name, Shards: shards, Seed: st.Seed, Mode: "delta-restore"}
 	half := len(st.Events) / 2
@@ -59,8 +59,8 @@ func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*in
 	if err := dw.Flush(); err != nil {
 		return nil, err
 	}
-	// Close after the delta: the first pipeline's merged stage state is
-	// exactly the restore point's, so SeedStage below hands the second
+	// Close after the delta: the first pipeline's merged outage series is
+	// exactly the restore point's, so carryOutage below hands the second
 	// pipeline what a crash recovery would rebuild.
 	first.Close()
 	if delta.Len() == 0 {
@@ -77,14 +77,8 @@ func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*in
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
-	for _, name := range []string{"categories", "cardinality", "asns", "outage"} {
-		stg := first.Stage(name)
-		if stg == nil {
-			continue
-		}
-		if err := second.SeedStage(name, stg); err != nil {
-			return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-		}
+	if err := carryOutage(first, second); err != nil {
+		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
 	second.Ingest(st.Events[threeQ:])
 	return second, nil

@@ -9,8 +9,6 @@ import (
 	"hitlist6/internal/addr"
 	"hitlist6/internal/analysis"
 	"hitlist6/internal/asdb"
-	"hitlist6/internal/cardinality"
-	"hitlist6/internal/collector"
 	"hitlist6/internal/fold"
 	"hitlist6/internal/geodb"
 	"hitlist6/internal/oui"
@@ -230,9 +228,7 @@ func (s *Study) Report() (string, error) {
 // observation counts and the HyperLogLog estimate. At the paper's 7.9B
 // scale exact sets do not fit in memory; the constant-space estimator a
 // full deployment would use is shown next to the exact count this
-// simulation can afford. The sketch fills as a parallel fold — per-range
-// sketches merge by register-wise max, which is exactly what serial
-// insertion computes.
+// simulation can afford.
 func (s *Study) reportHeader(workers int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "IPv6 Hitlists at Scale — reproduction report (seed=%d scale=%g days=%d)\n",
@@ -241,39 +237,10 @@ func (s *Study) reportHeader(workers int) string {
 		stats.Comma(int64(s.RunStats.Queries)),
 		stats.Comma(int64(s.Collector.NumAddrs())),
 		stats.Comma(int64(s.Collector.NumIIDs())))
-	sketch := fold.Map(s.Collector.NumAddrs(), workers,
-		func(lo, hi int) *cardinality.HLL {
-			part, err := cardinality.NewHLL(14)
-			if err != nil {
-				return nil
-			}
-			s.Collector.AddrsRange(lo, hi, func(a addr.Addr, _ collector.AddrRecord) bool {
-				part.AddAddr(a)
-				return true
-			})
-			return part
-		},
-		func(dst, src *cardinality.HLL) *cardinality.HLL {
-			if dst == nil {
-				return src
-			}
-			if src != nil {
-				if err := dst.Merge(src); err != nil {
-					return dst
-				}
-			}
-			return dst
-		})
-	if sketch == nil {
-		// Empty corpus: the fold had nothing to fold; report the empty
-		// sketch exactly as a serial fill would.
-		sketch, _ = cardinality.NewHLL(14)
-	}
-	if sketch != nil {
-		fmt.Fprintf(&b, "HyperLogLog estimate: %s unique addresses from a %d-byte sketch (±%.1f%%)\n",
-			stats.Comma(int64(sketch.Estimate())), sketch.SizeBytes(),
-			100*sketch.RelativeError())
-	}
+	sketch := analysis.AddressSketch(nil, s.Collector, 0, s.Collector.NumAddrs(), workers)
+	fmt.Fprintf(&b, "HyperLogLog estimate: %s unique addresses from a %d-byte sketch (±%.1f%%)\n",
+		stats.Comma(int64(sketch.Estimate())), sketch.SizeBytes(),
+		100*sketch.RelativeError())
 	return b.String()
 }
 
