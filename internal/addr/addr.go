@@ -11,6 +11,7 @@
 package addr
 
 import (
+	"encoding/binary"
 	"strconv"
 	"strings"
 )
@@ -81,22 +82,10 @@ func (a Addr) String() string {
 }
 
 // Hi returns the upper 64 bits (the network portion).
-func (a Addr) Hi() uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(a[i])
-	}
-	return v
-}
+func (a Addr) Hi() uint64 { return binary.BigEndian.Uint64(a[:8]) }
 
 // Lo returns the lower 64 bits (the Interface Identifier).
-func (a Addr) Lo() uint64 {
-	var v uint64
-	for i := 8; i < 16; i++ {
-		v = v<<8 | uint64(a[i])
-	}
-	return v
-}
+func (a Addr) Lo() uint64 { return binary.BigEndian.Uint64(a[8:]) }
 
 // FromParts builds an address from 64-bit network and IID halves.
 func FromParts(hi, lo uint64) Addr {

@@ -233,6 +233,76 @@ func TestFlatLayoutAllocWin(t *testing.T) {
 	}
 }
 
+// shardEpochs splits the head of collectorBenchStream that holds as many
+// addresses as the repository benchmark's stream (≈212 k) the way a
+// two-shard pipeline does — by the top bit of addr.Hash64, which is what
+// ingest's shardOf picks at two shards — into shard 0's events and shard
+// 1's. At the daemon's default snapshot interval a stream of this size
+// is one epoch per shard.
+func shardEpochs() (own, other []benchEvent) {
+	events, _ := collectorBenchStream()
+	for _, ev := range events[:265_000] {
+		if ev.a.Hash64()>>63 == 0 {
+			own = append(own, ev)
+		} else {
+			other = append(other, ev)
+		}
+	}
+	return own, other
+}
+
+func fillBuffer(events []benchEvent) *Buffer {
+	b := &Buffer{}
+	for _, ev := range events {
+		b.ObserveUnix(ev.a, ev.ts, ev.server)
+	}
+	return b
+}
+
+var bufferSink *Buffer
+
+// BenchmarkBufferFill times a shard worker's share of an event: one
+// shard's epoch of collectorBenchStream into a fresh Buffer, index
+// growth included.
+func BenchmarkBufferFill(b *testing.B) {
+	own, _ := shardEpochs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bufferSink = fillBuffer(own)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(own)), "ns/event")
+}
+
+// BenchmarkApplyBuffer times the merger's share of a record: shard 0's
+// epoch, as a filled Buffer, folded into a Store that holds — empty:
+// nothing (the buffer's table is adopted and the IID state derived);
+// grow: shard 1's epoch (every record new, the tables growing under
+// it); collide: both epochs (every record a re-sighting).
+func BenchmarkApplyBuffer(b *testing.B) {
+	own, other := shardEpochs()
+	for _, tc := range []struct {
+		name   string
+		before [][]benchEvent
+	}{{"empty", nil}, {"grow", [][]benchEvent{other}}, {"collide", [][]benchEvent{own, other}}} {
+		b.Run(tc.name, func(b *testing.B) {
+			records := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := NewStore()
+				for _, evs := range tc.before {
+					s.ApplyBuffer(fillBuffer(evs))
+				}
+				buf := fillBuffer(own)
+				records += int(buf.addrRecs.n)
+				b.StartTimer()
+				s.ApplyBuffer(buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
+	}
+}
+
 // BenchmarkCanonicalOrder measures the canonical-order kernel alone —
 // key extraction plus the radix sort — on a paper-shaped corpus of
 // >= 200k addresses: the cost every Checksum, AddrsCanonical walk and

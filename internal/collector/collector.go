@@ -6,14 +6,16 @@
 //
 // The store is deliberately compact: a bespoke storage engine rather
 // than maps of pointers. Records live inline — key and value together —
-// in growable chunked slabs, indexed by open-addressing tables of uint32
-// slab offsets, so the hot path performs no per-record heap allocation.
+// in growable chunked slabs, indexed by open-addressing tables that keep
+// a uint32 slab offset and a one-byte hash tag per slot: a probe walks
+// the tags and reads the slab only where one matches, and the hot path
+// performs no per-record heap allocation.
 // Two observations about the corpus shape pay for most of the bytes:
 //
 //   - Nearly every IID appears under exactly one address (random IIDs
 //     collide across /64s only by chance), and such an IID's aggregate
 //     — first/last/count — is definitionally identical to its address's
-//     record. Singleton IIDs therefore cost one 4-byte table slot
+//     record. Singleton IIDs therefore cost one 5-byte table slot
 //     pointing at the address entry; a real IID record is materialized
 //     ("promoted") only when a second address shares the IID or the IID
 //     is EUI-64 and needs /64 tracking.
@@ -151,6 +153,25 @@ const tableInit = 16
 // 64-bit so tables past 2^32 slots keep comparing correctly.
 func growTable(used uint64, slots int) bool {
 	return slots == 0 || used >= uint64(slots)-uint64(slots)/4
+}
+
+// hashTag is the byte an index table keeps per slot beside the slab
+// reference: 0 marks an empty slot, any other value is 0x80 | bits 32..38
+// of the key's hash — bits that neither the home slot (the low bits, on
+// tables under 2^32 slots) nor ingest's shard choice (the high bits)
+// spends, so keys sharing a home slot and a shard still differ in the
+// tag 127 times in 128.
+func hashTag(h uint64) uint8 { return 0x80 | uint8(h>>32) }
+
+// freeSlot returns the first empty slot on h's probe path: where a key
+// known to be absent goes.
+func freeSlot(tags []uint8, h uint64) uint32 {
+	mask := uint64(len(tags) - 1)
+	pos := h & mask
+	for tags[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	return uint32(pos)
 }
 
 // mix64 is the SplitMix64 finalizer: the hash behind the IID table and
@@ -311,61 +332,56 @@ func (s *u64set) bytes() uint64 { return uint64(len(s.slots)) * 8 }
 // with nothing derived.
 type addrTable struct {
 	addrRecs slab[addrEntry]
-	addrIdx  []uint32 // open addressing; slot holds recIdx+1, 0 = empty
+	// addrTag and addrIdx are the index, slot for slot: the hashTag of
+	// the slot's address (0 = empty) and the slab index of its record.
+	addrTag []uint8
+	addrIdx []uint32
 }
 
 // findAddr returns the slab index of a's record, or with ok == false the
-// empty table slot where it belongs.
-func (t *addrTable) findAddr(a addr.Addr) (idx uint32, slot uint32, ok bool) {
-	if len(t.addrIdx) == 0 {
+// empty table slot where it belongs; h is a.Hash64().
+func (t *addrTable) findAddr(a addr.Addr, h uint64) (idx uint32, slot uint32, ok bool) {
+	if len(t.addrTag) == 0 {
 		return 0, 0, false
 	}
-	mask := uint64(len(t.addrIdx) - 1)
-	pos := a.Hash64() & mask
-	for {
-		v := t.addrIdx[pos]
-		if v == 0 {
+	mask := uint64(len(t.addrTag) - 1)
+	tag := hashTag(h)
+	for pos := h & mask; ; pos = (pos + 1) & mask {
+		switch t.addrTag[pos] {
+		case 0:
 			return 0, uint32(pos), false
+		case tag:
+			if i := t.addrIdx[pos]; t.addrRecs.at(i).key == a {
+				return i, uint32(pos), true
+			}
 		}
-		if t.addrRecs.at(v-1).key == a {
-			return v - 1, uint32(pos), true
-		}
-		pos = (pos + 1) & mask
 	}
 }
 
-// insertAddr allocates a's record in the empty slot findAddr reported.
-func (t *addrTable) insertAddr(a addr.Addr, slot uint32) (uint32, *addrEntry) {
-	if growTable(uint64(t.addrRecs.n), len(t.addrIdx)) {
-		next := tableInit
-		if len(t.addrIdx) > 0 {
-			next = len(t.addrIdx) * 2
-		}
-		t.resizeAddrIdx(next)
-		_, slot, _ = t.findAddr(a)
+// insertAddr allocates the record of a, whose hash is h, in the empty
+// slot findAddr reported.
+func (t *addrTable) insertAddr(a addr.Addr, h uint64, slot uint32) (uint32, *addrEntry) {
+	if growTable(uint64(t.addrRecs.n), len(t.addrTag)) {
+		t.resizeAddrIdx(max(tableInit, 2*len(t.addrTag)))
+		slot = freeSlot(t.addrTag, h)
 	}
 	i := t.addrRecs.alloc()
-	t.addrIdx[slot] = i + 1
+	t.addrTag[slot], t.addrIdx[slot] = hashTag(h), i
 	e := t.addrRecs.at(i)
 	e.key = a
 	return i, e
 }
 
 // resizeAddrIdx rebuilds the address table at the given power-of-two
-// slot count.
+// slot count, rehashing the keys in slab order: one sequential pass over
+// the slab instead of a random read per occupied slot.
 func (t *addrTable) resizeAddrIdx(slots int) {
-	old := t.addrIdx
+	t.addrTag = make([]uint8, slots)
 	t.addrIdx = make([]uint32, slots)
-	mask := uint64(slots - 1)
-	for _, v := range old {
-		if v == 0 {
-			continue
-		}
-		pos := t.addrRecs.at(v-1).key.Hash64() & mask
-		for t.addrIdx[pos] != 0 {
-			pos = (pos + 1) & mask
-		}
-		t.addrIdx[pos] = v
+	for i := uint32(0); i < t.addrRecs.n; i++ {
+		h := t.addrRecs.at(i).key.Hash64()
+		pos := freeSlot(t.addrTag, h)
+		t.addrTag[pos], t.addrIdx[pos] = hashTag(h), i
 	}
 }
 
@@ -374,9 +390,10 @@ func (t *addrTable) resizeAddrIdx(slots int) {
 // write core takes a and in by pointer: it is three calls deep, and a
 // merge reads both straight out of the donor's slab.
 func (t *addrTable) foldAddr(a *addr.Addr, in *AddrRecord) (ai uint32, fresh bool) {
-	ai, slot, ok := t.findAddr(*a)
+	h := a.Hash64()
+	ai, slot, ok := t.findAddr(*a, h)
 	if !ok {
-		ai, e := t.insertAddr(*a, slot)
+		ai, e := t.insertAddr(*a, h, slot)
 		e.rec = *in
 		return ai, true
 	}
@@ -415,11 +432,13 @@ func (b *Buffer) ObserveUnix(a addr.Addr, ts int64, server int) {
 type Collector struct {
 	addrTable
 	iidRecs slab[iidEntry]
-	// iidIdx slots hold ref+1 where ref is a promoted-slab index (with
-	// promotedTag) or the address-slab index of a singleton IID's only
-	// address; 0 = empty.
+	// iidTag and iidIdx are the IID index, slot for slot: the hashTag of
+	// the slot's IID (0 = empty), and ref+1 where ref is a promoted-slab
+	// index (with promotedTag) or the address-slab index of a singleton
+	// IID's only address (0 = empty, so readers may skip the tags).
+	iidTag  []uint8
 	iidIdx  []uint32
-	iidUsed uint32 // occupied iidIdx slots = unique IIDs
+	iidUsed uint32 // occupied slots = unique IIDs
 	spans   slab[spanNode]
 	// p48s/p64s are the distinct-prefix sets behind Unique48s/Unique64s,
 	// extended whenever an address is new to the table.
@@ -456,33 +475,34 @@ func (c *Collector) growIIDIdx() {
 }
 
 // findIID returns iid's table reference, or with ok == false the empty
-// slot where it belongs.
-func (c *Collector) findIID(iid addr.IID) (ref uint32, slot uint32, ok bool) {
-	if len(c.iidIdx) == 0 {
+// slot where it belongs; h is mix64(iid).
+func (c *Collector) findIID(iid addr.IID, h uint64) (ref uint32, slot uint32, ok bool) {
+	if len(c.iidTag) == 0 {
 		return 0, 0, false
 	}
-	mask := uint64(len(c.iidIdx) - 1)
-	pos := mix64(uint64(iid)) & mask
-	for {
-		v := c.iidIdx[pos]
-		if v == 0 {
+	mask := uint64(len(c.iidTag) - 1)
+	tag := hashTag(h)
+	for pos := h & mask; ; pos = (pos + 1) & mask {
+		switch c.iidTag[pos] {
+		case 0:
 			return 0, uint32(pos), false
+		case tag:
+			if ref := c.iidIdx[pos] - 1; c.iidKeyOf(ref) == iid {
+				return ref, uint32(pos), true
+			}
 		}
-		if c.iidKeyOf(v-1) == iid {
-			return v - 1, uint32(pos), true
-		}
-		pos = (pos + 1) & mask
 	}
 }
 
 // setIIDSlot stores a new IID reference in the empty slot findIID
-// reported, growing the table first when needed.
-func (c *Collector) setIIDSlot(slot uint32, ref uint32, iid addr.IID) {
-	if growTable(uint64(c.iidUsed), len(c.iidIdx)) {
+// reported for the IID hashing to h, growing the table first when
+// needed.
+func (c *Collector) setIIDSlot(slot uint32, ref uint32, h uint64) {
+	if growTable(uint64(c.iidUsed), len(c.iidTag)) {
 		c.growIIDIdx()
-		_, slot, _ = c.findIID(iid)
+		slot = freeSlot(c.iidTag, h)
 	}
-	c.iidIdx[slot] = ref + 1
+	c.iidTag[slot], c.iidIdx[slot] = hashTag(h), ref+1
 	c.iidUsed++
 }
 
@@ -537,17 +557,18 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 		c.p64s.insert(uint64(a.P64()))
 	}
 	iid := a.IID()
-	ref, slot, found := c.findIID(iid)
+	h := mix64(uint64(iid))
+	ref, slot, found := c.findIID(iid, h)
 	if !found {
 		if iid.IsEUI64() {
 			ri, e := c.allocPromoted(iid, in.First, in.Last, in.Count)
 			c.widenSpan(e, a.P64(), in.First, in.Last)
-			c.setIIDSlot(slot, ri|promotedTag, iid)
+			c.setIIDSlot(slot, ri|promotedTag, h)
 			return
 		}
 		// Singleton IID: its record is the address record; one table
 		// slot is the whole cost.
-		c.setIIDSlot(slot, ai, iid)
+		c.setIIDSlot(slot, ai, h)
 		return
 	}
 	if ref&promotedTag != 0 {
@@ -582,7 +603,7 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 		last = in.Last
 	}
 	ri, _ := c.allocPromoted(iid, first, last, base.Count+in.Count)
-	c.iidIdx[slot] = (ri | promotedTag) + 1
+	c.iidIdx[slot] = (ri | promotedTag) + 1 // same IID: the tag stands
 }
 
 // widenSpan folds the window [first, last] into r's span for p, walking
@@ -631,7 +652,7 @@ func (c *Collector) TotalObservations() uint64 { return c.total }
 // Get returns a copy of the record for an address; ok is false when the
 // address was never observed.
 func (c *Collector) Get(a addr.Addr) (AddrRecord, bool) {
-	i, _, ok := c.findAddr(a)
+	i, _, ok := c.findAddr(a, a.Hash64())
 	if !ok {
 		return AddrRecord{}, false
 	}
@@ -729,7 +750,7 @@ func (v IIDView) Span(p addr.Prefix64) (Span, bool) {
 // GetIID returns a view of the record for an IID; ok is false when the
 // IID was never observed.
 func (c *Collector) GetIID(iid addr.IID) (IIDView, bool) {
-	ref, _, ok := c.findIID(iid)
+	ref, _, ok := c.findIID(iid, mix64(uint64(iid)))
 	if !ok {
 		return IIDView{}, false
 	}
@@ -879,7 +900,8 @@ func (c *Collector) AbsorbBuffer(b *Buffer) {
 func (c *Collector) adopt(t addrTable) {
 	c.addrTable = t
 	// At most one IID per address: sized once, not regrown 14 times.
-	c.iidIdx = make([]uint32, tableSizeFor(uint64(c.addrRecs.n)))
+	slots := tableSizeFor(uint64(c.addrRecs.n))
+	c.iidTag, c.iidIdx = make([]uint8, slots), make([]uint32, slots)
 	for i := uint32(0); i < c.addrRecs.n; i++ {
 		e := c.addrRecs.at(i)
 		c.derive(&e.key, i, &e.rec, true)
@@ -887,20 +909,18 @@ func (c *Collector) adopt(t addrTable) {
 }
 
 // resizeIIDIdx rebuilds the IID table at the given power-of-two slot
-// count.
+// count. It walks the old slots in order, which fixes where every IID
+// lands and so the order IIDs and IIDSlotsRange visit them in.
 func (c *Collector) resizeIIDIdx(slots int) {
 	old := c.iidIdx
-	c.iidIdx = make([]uint32, slots)
-	mask := uint64(slots - 1)
+	c.iidTag, c.iidIdx = make([]uint8, slots), make([]uint32, slots)
 	for _, v := range old {
 		if v == 0 {
 			continue
 		}
-		pos := mix64(uint64(c.iidKeyOf(v-1))) & mask
-		for c.iidIdx[pos] != 0 {
-			pos = (pos + 1) & mask
-		}
-		c.iidIdx[pos] = v
+		h := mix64(uint64(c.iidKeyOf(v - 1)))
+		pos := freeSlot(c.iidTag, h)
+		c.iidTag[pos], c.iidIdx[pos] = hashTag(h), v
 	}
 }
 
@@ -912,11 +932,13 @@ func (c *Collector) Unique48s() int { return c.p48s.len() }
 func (c *Collector) Unique64s() int { return c.p64s.len() }
 
 // MemoryFootprint returns the corpus's resident bytes: record and span
-// slabs, index tables and prefix sets. Unlike a map-based store the
-// engine owns every allocation, so the figure is exact (modulo slice
-// headers) — it is what daemons export as corpus_bytes telemetry.
+// slabs, index tables with their tags, prefix sets and the dirty-block
+// set. Unlike a map-based store the engine owns every allocation, so the
+// figure is exact (modulo slice headers) — it is what daemons export as
+// corpus_bytes telemetry.
 func (c *Collector) MemoryFootprint() uint64 {
 	return c.addrRecs.bytes() + c.iidRecs.bytes() + c.spans.bytes() +
-		uint64(len(c.addrIdx))*4 + uint64(len(c.iidIdx))*4 +
+		uint64(len(c.addrIdx))*4 + uint64(len(c.addrTag)) +
+		uint64(len(c.iidIdx))*4 + uint64(len(c.iidTag)) +
 		c.p48s.bytes() + c.p64s.bytes() + c.ckpt.dirty.bytes()
 }

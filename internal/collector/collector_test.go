@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -293,4 +295,72 @@ func TestMemoryFootprintGrows(t *testing.T) {
 	if perAddr := after / 1000; perAddr > 400 {
 		t.Errorf("footprint %d bytes/addr implausibly high", perAddr)
 	}
+}
+
+// TestMemoryFootprintExact holds MemoryFootprint to the "exact" its doc
+// comment promises. The expected figure is computed without the
+// engine's accounting: every slice reachable through the collector's
+// fields, slabs, tables, tags, prefix sets and dirty set alike, counted
+// at cap × element size. Collectors are built every way one can be.
+func TestMemoryFootprintExact(t *testing.T) {
+	addrs, times, servers := goldenStream()
+	serial := New()
+	feedGolden(serial, addrs, times, servers, 0, len(addrs))
+
+	var b Buffer
+	for i := range addrs {
+		b.ObserveUnix(addrs[i], times[i], servers[i])
+	}
+	adopted := New()
+	adopted.AbsorbBuffer(&b)
+	folded := New()
+	for half := 0; half < 2; half++ {
+		for i := half * len(addrs) / 2; i < (half+1)*len(addrs)/2; i++ {
+			b.ObserveUnix(addrs[i], times[i], servers[i])
+		}
+		folded.AbsorbBuffer(&b)
+	}
+
+	var snap bytes.Buffer
+	if err := serial.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenSnapshot(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedGolden(restored, addrs, times, servers, 0, 100) // dirties blocks
+
+	for _, tc := range []struct {
+		name string
+		c    *Collector
+	}{{"empty", New()}, {"serial", serial}, {"adopted", adopted}, {"folded", folded}, {"restored+dirty", restored}} {
+		if got, want := tc.c.MemoryFootprint(), ownedBytes(reflect.ValueOf(tc.c).Elem()); got != want {
+			t.Errorf("%s: MemoryFootprint %d, owned bytes %d", tc.name, got, want)
+		}
+	}
+}
+
+// ownedBytes sums cap × element size over every slice reachable through
+// v's fields. A slice of slices (a slab's chunk list) counts its
+// elements' arrays, not its own array of slice headers.
+func ownedBytes(v reflect.Value) uint64 {
+	switch v.Kind() {
+	case reflect.Struct:
+		var n uint64
+		for i := 0; i < v.NumField(); i++ {
+			n += ownedBytes(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		if v.Type().Elem().Kind() != reflect.Slice {
+			return uint64(v.Cap()) * uint64(v.Type().Elem().Size())
+		}
+		var n uint64
+		for i := 0; i < v.Len(); i++ {
+			n += ownedBytes(v.Index(i))
+		}
+		return n
+	}
+	return 0
 }

@@ -2,7 +2,9 @@ package collector
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/fnv"
 	"testing"
 
 	"hitlist6/internal/addr"
@@ -82,6 +84,40 @@ func TestCanonicalChecksumGolden(t *testing.T) {
 	sum := c.Checksum()
 	if got := hex.EncodeToString(sum[:]); got != goldenChecksum {
 		t.Fatalf("canonical checksum drifted:\n got  %s\n want %s", got, goldenChecksum)
+	}
+}
+
+// iidSlotOrderSum is the FNV-64a sum of the IID values, big-endian, in
+// IIDs() order over collectorBenchStream, and the same for a collector
+// fed one sighting at a time as for one fed the stream's two halves as
+// two Buffers (the first adopted into the empty collector, the second
+// folded in). The report's parallel folds partition the IID table by
+// slot, so its slot order is output-visible; the address table's is
+// not, and is not pinned.
+const iidSlotOrderSum = 0x6be35a9f01617192
+
+func TestIIDSlotOrderGolden(t *testing.T) {
+	events, _ := collectorBenchStream()
+	serial, buffered := New(), New()
+	var b Buffer
+	for i, ev := range events {
+		serial.ObserveUnix(ev.a, ev.ts, ev.server)
+		b.ObserveUnix(ev.a, ev.ts, ev.server)
+		if i == len(events)/2 || i == len(events)-1 {
+			buffered.AbsorbBuffer(&b)
+		}
+	}
+	for i, c := range []*Collector{serial, buffered} {
+		h := fnv.New64a()
+		var w [8]byte
+		c.IIDs(func(iid addr.IID, _ IIDView) bool {
+			binary.BigEndian.PutUint64(w[:], uint64(iid))
+			h.Write(w[:])
+			return true
+		})
+		if got := h.Sum64(); got != iidSlotOrderSum {
+			t.Errorf("build %d: IID slot order sum %#x, want %#x", i, got, uint64(iidSlotOrderSum))
+		}
 	}
 }
 

@@ -3,7 +3,10 @@ package collector
 import "sort"
 
 // AddrIndexStats describes the physical layout of the open-addressing
-// address index: how far lookups actually walk from their home slot.
+// address index: how far lookups actually walk from their home slot. A
+// probe walks the slots' one-byte tags and reads a record only where a
+// tag matches its key's, so a probe length counts tag bytes walked, not
+// slab reads.
 // The scenario matrix reads it under the adversarial collision profile,
 // where every cluster address shares a home slot and probe runs grow
 // with the cluster instead of staying O(1).
@@ -30,18 +33,18 @@ type AddrIndexStats struct {
 // distribution by walking every occupied slot back to its key's home
 // position.
 func (c *Collector) AddrIndexStats() AddrIndexStats {
-	st := AddrIndexStats{Slots: len(c.addrIdx)}
-	if len(c.addrIdx) == 0 {
+	st := AddrIndexStats{Slots: len(c.addrTag)}
+	if len(c.addrTag) == 0 {
 		return st
 	}
-	mask := uint64(len(c.addrIdx) - 1)
+	mask := uint64(len(c.addrTag) - 1)
 	lengths := make([]int, 0, c.addrRecs.n)
 	var sum uint64
-	for pos, v := range c.addrIdx {
-		if v == 0 {
+	for pos, tag := range c.addrTag {
+		if tag == 0 {
 			continue
 		}
-		home := c.addrRecs.at(v-1).key.Hash64() & mask
+		home := c.addrRecs.at(c.addrIdx[pos]).key.Hash64() & mask
 		// Linear probing with wraparound: the probe length is the
 		// distance from home to the resting slot, inclusive.
 		dist := int((uint64(pos)-home)&mask) + 1

@@ -335,36 +335,22 @@ func tableSizeFor(n uint64) int {
 // live, grown-in-place table — and performs the one structural check a
 // CRC cannot: a duplicated key is rejected.
 //
-// One sequential pass streams every key's hash into a flat scratch
-// array (L3-resident even for tens of millions of records), and the
-// insert loop then resolves probe collisions by comparing those hashes
-// instead of the colliding records' keys — the slab, which dwarfs every
-// cache, is only touched again on a full 64-bit hash match (a genuine
-// duplicate, or a one-in-2^64 coincidence). Without this, every probe
-// collision is a cold random read into the slab and the rebuild runs
-// several times slower.
+// The keys go in in slab order, so the slab is read sequentially; a
+// probe compares slot tags first and reads a colliding record only on a
+// tag match — a genuine duplicate, or by chance one in 128 of the
+// slots it passes.
 func (t *addrTable) rebuildIndex() error {
 	n := t.addrRecs.n
-	hashes := make([]uint64, n)
+	slots := tableSizeFor(uint64(n))
+	t.addrTag, t.addrIdx = make([]uint8, slots), make([]uint32, slots)
 	for i := uint32(0); i < n; i++ {
-		hashes[i] = t.addrRecs.at(i).key.Hash64()
-	}
-	t.addrIdx = make([]uint32, tableSizeFor(uint64(n)))
-	mask := uint64(len(t.addrIdx) - 1)
-	for i := uint32(0); i < n; i++ {
-		h := hashes[i]
-		pos := h & mask
-		for {
-			v := t.addrIdx[pos]
-			if v == 0 {
-				t.addrIdx[pos] = i + 1
-				break
-			}
-			if hashes[v-1] == h && t.addrRecs.at(v-1).key == t.addrRecs.at(i).key {
-				return fmt.Errorf("duplicate address at slab %d and %d", v-1, i)
-			}
-			pos = (pos + 1) & mask
+		key := t.addrRecs.at(i).key
+		h := key.Hash64()
+		j, slot, dup := t.findAddr(key, h)
+		if dup {
+			return fmt.Errorf("duplicate address at slab %d and %d", j, i)
 		}
+		t.addrTag[slot], t.addrIdx[slot] = hashTag(h), i
 	}
 	return nil
 }

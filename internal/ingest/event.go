@@ -29,6 +29,8 @@ type Event struct {
 // taking the shard from the low end too (hash % shards) would leave a
 // shard at a power-of-two count holding keys that agree in exactly the
 // bits its table spreads by, and only one slot in `shards` a home slot.
+// The table's one-byte slot tags take bits 32..38, which neither end
+// uses.
 func shardOf(a addr.Addr, shards int) int {
 	if shards <= 1 {
 		return 0
