@@ -282,7 +282,7 @@ func BenchmarkFigure6aEUI64Lifetime(b *testing.B) {
 	b.ResetTimer()
 	var d *stats.Distribution
 	for i := 0; i < b.N; i++ {
-		d = tracking.Figure6a(s.Collector)
+		d = tracking.Figure6a(s.IIDs)
 	}
 	b.ReportMetric(float64(d.N()), "eui64_iids")
 }
@@ -292,7 +292,7 @@ func BenchmarkFigure6bPrefixSpread(b *testing.B) {
 	b.ResetTimer()
 	var d *stats.Distribution
 	for i := 0; i < b.N; i++ {
-		d = tracking.Figure6b(s.Collector)
+		d = tracking.Figure6b(s.IIDs)
 	}
 	b.ReportMetric(d.Max(), "max_p64s_per_iid")
 }
@@ -696,6 +696,7 @@ var (
 	benchEngine     struct {
 		db    *asdb.DB
 		col   *collector.Collector
+		iids  *collector.IIDTable
 		ntp   *hitlistpkg.Dataset
 		day   *hitlistpkg.Dataset
 		hl    *hitlistpkg.Dataset
@@ -753,6 +754,7 @@ func engineFixture(b *testing.B) {
 			}
 		}
 		benchEngine.col = col
+		benchEngine.iids = col.IIDTable()
 		benchEngine.ntp = hitlistpkg.FromCollector("NTP (bench)", col)
 
 		day := hitlistpkg.NewDataset("NTP day (bench)")
@@ -803,13 +805,13 @@ func BenchmarkReport(b *testing.B) {
 					t1 := analysis.ComputeTable1Sidecar(scNTP, scHL, scCAIDA, workers)
 					f1 := analysis.ComputeFigure1Sidecar(scNTP, scHL, scCAIDA, workers)
 					f2a := analysis.ComputeFigure2aWorkers(benchEngine.col, workers)
-					f2b := analysis.ComputeFigure2bWorkers(benchEngine.col, workers)
+					f2b := analysis.ComputeFigure2bWorkers(benchEngine.iids, workers)
 					f4a := analysis.TopASEntropySidecar(scNTP, benchEngine.db, 5, workers)
 					f4b := analysis.TopASEntropySidecar(scDay, benchEngine.db, 5, workers)
 					strat := analysis.InferStrategiesSidecar(scNTP, benchEngine.db, 6, workers)
 					f5 := analysis.ComputeFigure5Sidecar(scDay, scHL, workers)
 					share := analysis.ASTypeShareSidecar(scNTP, workers)
-					tr := tracking.AnalyzeWorkers(benchEngine.col, benchEngine.db, geo, reg, workers)
+					tr := tracking.AnalyzeWorkers(benchEngine.iids, benchEngine.db, geo, reg, workers)
 					if t1.NTP.Addrs == 0 || f1.NTP.N() == 0 || f2a.ObservedOnce == 0 ||
 						len(f2b.ByClass) == 0 || len(f4a) == 0 || len(f4b) == 0 ||
 						len(strat) == 0 || f5.NTP.Total == 0 || len(share) == 0 ||

@@ -602,8 +602,8 @@ func (d *daemon) buildStats() statsReply {
 	}
 	var cats [addr.NumCategories]uint64
 	d.pipe.Store().View(func(c *collector.Collector) {
-		reply.UniqueAddrs, reply.UniqueIIDs, reply.Observations = c.NumAddrs(), c.NumIIDs(), c.TotalObservations()
-		cats, reply.HLLEstimate = d.tally.fold(c)
+		reply.UniqueAddrs, reply.Observations = c.NumAddrs(), c.TotalObservations()
+		cats, reply.UniqueIIDs, reply.HLLEstimate = d.tally.fold(c)
 	})
 	for c, n := range cats {
 		if n > 0 {
@@ -614,36 +614,40 @@ func (d *daemon) buildStats() statsReply {
 }
 
 // corpusTally is what /stats reports of the corpus beyond the Store's
-// own counters — addresses per Figure-5 structural category and the
-// HyperLogLog sketch of the address set — as a fold over the address
-// slab that resumes where it stopped. Both are functions of the set of
-// addresses and the slab only appends, so a reply folds the addresses
-// new since the last: none, or once after a restart the restored slab.
+// own counters — addresses per Figure-5 structural category, the exact
+// distinct-IID count and the HyperLogLog sketch of the address set — as
+// a fold over the address slab that resumes where it stopped. All three
+// are functions of the set of addresses and the slab only appends, so a
+// reply folds the addresses new since the last: none, or once after a
+// restart the restored slab.
 type corpusTally struct {
 	mu     sync.Mutex
-	folded int // slab positions [0, folded) are in sketch and cats
+	folded int // slab positions [0, folded) are in sketch, cats and iids
 	sketch *cardinality.HLL
 	cats   [addr.NumCategories]uint64
+	iids   collector.IIDSet
 }
 
-// fold brings the tally up to c and returns the category counts and the
-// sketch's estimate. It runs inside the Store.View whose counters the
-// reply carries. A store holding fewer addresses than were folded is
-// another corpus (Store.Detach): the tally starts over.
-func (t *corpusTally) fold(c *collector.Collector) ([addr.NumCategories]uint64, float64) {
+// fold brings the tally up to c and returns the category counts, the
+// distinct-IID count and the sketch's estimate. It runs inside the
+// Store.View whose counters the reply carries. A store holding fewer
+// addresses than were folded is another corpus (Store.Detach): the
+// tally starts over.
+func (t *corpusTally) fold(c *collector.Collector) ([addr.NumCategories]uint64, int, float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := c.NumAddrs()
 	if n < t.folded {
-		t.folded, t.sketch, t.cats = 0, nil, [addr.NumCategories]uint64{}
+		t.folded, t.sketch, t.cats, t.iids = 0, nil, [addr.NumCategories]uint64{}, collector.IIDSet{}
 	}
 	t.sketch = analysis.AddressSketch(t.sketch, c, t.folded, n, 1)
 	c.AddrsRange(t.folded, n, func(a addr.Addr, _ collector.AddrRecord) bool {
 		t.cats[a.IID().StructuralCategory()]++
 		return true
 	})
+	t.iids.AddRange(c, t.folded, n)
 	t.folded = n
-	return t.cats, t.sketch.Estimate()
+	return t.cats, t.iids.Len(), t.sketch.Estimate()
 }
 
 // outagesReply is the /outages JSON shape.

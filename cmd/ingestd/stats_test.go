@@ -57,7 +57,8 @@ func distinctEvents(first, n int) []ingest.Event {
 // TestStatsDescribesRestoredCorpus: what /stats says of the corpus is
 // read from the corpus, so a daemon restarted on its -snapshot.dir
 // describes the restored addresses on its first reply — before any new
-// event — and keeps describing the whole corpus as more arrive. Held
+// event, unique_iids included — and keeps describing the whole corpus
+// as more arrive. Held
 // per event, in stages no checkpoint carried, the same keys read
 // hll_estimate 0 and no categories after a restart.
 func TestStatsDescribesRestoredCorpus(t *testing.T) {
@@ -70,10 +71,15 @@ func TestStatsDescribesRestoredCorpus(t *testing.T) {
 	checkDescribesCorpus(t, "before the restart", d.buildStats(), 5000)
 	d.pipe.Close()
 
-	d = newSeededDaemon(t, dir, restoreOrEmpty(snapshotPath(dir), t.Logf))
+	restored := restoreOrEmpty(snapshotPath(dir), t.Logf)
+	wantIIDs := restored.IIDTable().NumIIDs()
+	d = newSeededDaemon(t, dir, restored)
 	defer d.pipe.Close()
 	first := d.buildStats()
 	checkDescribesCorpus(t, "first reply after the restart", first, 5000)
+	if first.UniqueIIDs != wantIIDs {
+		t.Errorf("first reply after the restart: unique_iids %d, the restored corpus's IID table holds %d", first.UniqueIIDs, wantIIDs)
+	}
 	if len(first.Categories) < 2 {
 		t.Errorf("restored corpus shows categories %v, fed low-byte and high-entropy IIDs", first.Categories)
 	}
@@ -101,9 +107,9 @@ func TestStatsDescribesRestoredCorpus(t *testing.T) {
 // shards, with merges landing every few batches and one checkpoint →
 // restore split mid-stream, a tally brought up to the store after every
 // merge request holds exactly what one fold over [0, NumAddrs()) of the
-// same view yields — same watermark, same counts, same registers — and
-// never re-reads what it has folded. A store holding less than was
-// folded starts it over.
+// same view yields — same watermark, same counts, same registers, and
+// the IID count an IIDTable of the view holds — and never re-reads what
+// it has folded. A store holding less than was folded starts it over.
 func TestTallyResumesTheFold(t *testing.T) {
 	for _, name := range []string{"paper", "collision", "churn"} {
 		p, _ := workload.Lookup(name)
@@ -133,6 +139,10 @@ func TestTallyResumesTheFold(t *testing.T) {
 					if tally.folded != c.NumAddrs() || tally.cats != scratch.cats || !reflect.DeepEqual(tally.sketch, scratch.sketch) {
 						t.Fatalf("%s/shards=%d %s: resumed tally (folded %d, %v) is not the fold from scratch (folded %d, %v)",
 							name, shards, when, tally.folded, tally.cats, scratch.folded, scratch.cats)
+					}
+					if n := c.IIDTable().NumIIDs(); tally.iids.Len() != n || scratch.iids.Len() != n {
+						t.Fatalf("%s/shards=%d %s: resumed tally counts %d IIDs, from scratch %d, the IID table %d",
+							name, shards, when, tally.iids.Len(), scratch.iids.Len(), n)
 					}
 				})
 			}
@@ -169,7 +179,7 @@ func TestTallyResumesTheFold(t *testing.T) {
 			tally.fold(small)
 			scratch := new(corpusTally)
 			scratch.fold(small)
-			if tally.folded != 1 || tally.cats != scratch.cats || !reflect.DeepEqual(tally.sketch, scratch.sketch) {
+			if tally.folded != 1 || tally.cats != scratch.cats || !reflect.DeepEqual(tally.sketch, scratch.sketch) || tally.iids.Len() != 1 {
 				t.Errorf("%s/shards=%d: a smaller store left the tally at folded %d, %v", name, shards, tally.folded, tally.cats)
 			}
 			pipe.Close()

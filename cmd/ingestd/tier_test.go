@@ -27,7 +27,9 @@ import (
 // tally folded from another view than the counters: the categories of
 // every reply sum to its unique_addrs. The issue's form of the
 // assertion — observations == fed implies unique_addrs == want — is the
-// last iteration.
+// last iteration. Then the store shrinks (Detach) and takes a smaller
+// corpus over the same IIDs: the tally must start over, or unique_iids
+// still counts the old corpus's.
 func TestStatsIsOneView(t *testing.T) {
 	d := newTestDaemon(t, "")
 	defer d.pipe.Close()
@@ -52,19 +54,32 @@ func TestStatsIsOneView(t *testing.T) {
 		b.Flush()
 		d.pipe.SnapshotNow()
 	}()
-	deadline := time.Now().Add(60 * time.Second)
-	for replies := 1; ; replies++ {
+	singleView := func(replies int) statsReply {
+		t.Helper()
 		r := d.buildStats()
 		if r.Observations != uint64(r.UniqueAddrs) || r.UniqueIIDs != r.UniqueAddrs || sumCategories(r) != uint64(r.UniqueAddrs) {
 			t.Fatalf("reply %d is no single view of the corpus: observations %d, unique_addrs %d, unique_iids %d, categories sum to %d",
 				replies, r.Observations, r.UniqueAddrs, r.UniqueIIDs, sumCategories(r))
 		}
-		if r.Observations == n {
-			return
-		}
+		return r
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for replies := 1; singleView(replies).Observations != n; replies++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("store stuck at %d of %d observations", r.Observations, n)
+			t.Fatalf("store stuck short of %d observations", n)
 		}
+	}
+
+	<-done // the feeder's last SnapshotNow has returned
+	d.pipe.Store().Detach()
+	small := make([]ingest.Event, 100)
+	for i := range small {
+		small[i] = ingest.Event{Addr: addr.FromParts(0x20010db9_00000000, uint64(i)+1), Time: 1643673600}
+	}
+	d.pipe.Ingest(small)
+	d.pipe.Quiesce()
+	if r := singleView(0); r.UniqueAddrs != len(small) {
+		t.Fatalf("after the store shrank: unique_addrs %d, want %d", r.UniqueAddrs, len(small))
 	}
 }
 

@@ -198,7 +198,7 @@ func TestComputeFigure2b(t *testing.T) {
 	obsAt(c, "2001:db8::1", t0.Add(30*24*time.Hour))
 	obsAt(c, "2001:db8::abcd:ef01:2345:6789", t0)
 
-	f := ComputeFigure2bWorkers(c, 1)
+	f := ComputeFigure2bWorkers(c.IIDTable(), 1)
 	low := f.ByClass[addr.LowEntropy]
 	if low == nil || low.N() != 1 {
 		t.Fatalf("low class: %+v", low)

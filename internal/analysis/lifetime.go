@@ -82,13 +82,14 @@ type Figure2b struct {
 // High).
 const numEntropyClasses = int(addr.HighEntropy) + 1
 
-// ComputeFigure2bWorkers evaluates Figure 2b as a parallel fold over
-// the collector's IID table.
-func ComputeFigure2bWorkers(c *collector.Collector, workers int) *Figure2b {
-	samples := fold.Map(c.NumIIDSlots(), workers,
+// ComputeFigure2bWorkers evaluates Figure 2b as a parallel fold over a
+// corpus's IID table. Each class's samples are sorted into a
+// distribution, so the table's slot order never reaches the result.
+func ComputeFigure2bWorkers(t *collector.IIDTable, workers int) *Figure2b {
+	samples := fold.Map(t.NumIIDSlots(), workers,
 		func(lo, hi int) *[numEntropyClasses][]float64 {
 			part := &[numEntropyClasses][]float64{}
-			c.IIDSlotsRange(lo, hi, func(iid addr.IID, r collector.IIDView) bool {
+			t.IIDSlotsRange(lo, hi, func(iid addr.IID, r collector.IIDView) bool {
 				cls := iid.EntropyClass()
 				part[cls] = append(part[cls], r.Lifetime().Seconds())
 				return true

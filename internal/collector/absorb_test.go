@@ -88,8 +88,8 @@ func TestAbsorbEquivalence(t *testing.T) {
 
 	// Address-hash partitioning, the ingest shard shape: addresses never
 	// collide across parts, but IIDs may (the golden stream's shared
-	// 0xdeadbeef IID spans /64s in both halves) — exactly why Absorb has
-	// no shortcut for address-disjoint donors.
+	// 0xdeadbeef IID spans /64s in both halves), and the checksum's IID
+	// half must fold them across the cut.
 	hashFilter := func(want uint64) func() *Collector {
 		return func() *Collector {
 			c := New()

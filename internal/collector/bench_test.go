@@ -251,35 +251,38 @@ func shardEpochs() (own, other []benchEvent) {
 	return own, other
 }
 
-func fillBuffer(events []benchEvent) *Buffer {
-	b := &Buffer{}
+func fillShard(events []benchEvent) *Collector {
+	c := New()
 	for _, ev := range events {
-		b.ObserveUnix(ev.a, ev.ts, ev.server)
+		c.ObserveUnix(ev.a, ev.ts, ev.server)
 	}
-	return b
+	return c
 }
 
-var bufferSink *Buffer
+var (
+	shardSink *Collector
+	tableSink *IIDTable
+)
 
 // BenchmarkBufferFill times a shard worker's share of an event: one
-// shard's epoch of collectorBenchStream into a fresh Buffer, index
+// shard's epoch of collectorBenchStream into a fresh Collector, index
 // growth included.
 func BenchmarkBufferFill(b *testing.B) {
 	own, _ := shardEpochs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bufferSink = fillBuffer(own)
+		shardSink = fillShard(own)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(own)), "ns/event")
 }
 
-// BenchmarkApplyBuffer times the merger's share of a record: shard 0's
-// epoch, as a filled Buffer, folded into a Store that holds — empty:
-// nothing (the buffer's table is adopted and the IID state derived);
-// grow: shard 1's epoch (every record new, the tables growing under
-// it); collide: both epochs (every record a re-sighting).
-func BenchmarkApplyBuffer(b *testing.B) {
+// BenchmarkApplyShard times the merger's share of a record: shard 0's
+// epoch, as a filled Collector, absorbed into a Store that holds —
+// empty: nothing (the shard's slab and index move over); grow: shard
+// 1's epoch (every record new, the index growing under it); collide:
+// both epochs (every record a re-sighting).
+func BenchmarkApplyShard(b *testing.B) {
 	own, other := shardEpochs()
 	for _, tc := range []struct {
 		name   string
@@ -291,16 +294,30 @@ func BenchmarkApplyBuffer(b *testing.B) {
 				b.StopTimer()
 				s := NewStore()
 				for _, evs := range tc.before {
-					s.ApplyBuffer(fillBuffer(evs))
+					s.ApplyShard(fillShard(evs))
 				}
-				buf := fillBuffer(own)
-				records += int(buf.addrRecs.n)
+				part := fillShard(own)
+				records += part.NumAddrs()
 				b.StartTimer()
-				s.ApplyBuffer(buf)
+				s.ApplyShard(part)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 		})
 	}
+}
+
+// BenchmarkIIDTable times the read-time IID fold: one IIDTable built
+// over the corpus of both shard epochs, the repository benchmark's
+// address count.
+func BenchmarkIIDTable(b *testing.B) {
+	own, other := shardEpochs()
+	c := fillShard(append(own, other...))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tableSink = c.IIDTable()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumAddrs()), "ns/addr")
 }
 
 // BenchmarkCanonicalOrder measures the canonical-order kernel alone —
@@ -325,10 +342,12 @@ func BenchmarkCanonicalOrder(b *testing.B) {
 		}
 	})
 	b.Run("iid", func(b *testing.B) {
+		t := c.IIDTable()
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := c.sortedIIDRefs(); len(got) != c.NumIIDs() {
-				b.Fatalf("ordered %d of %d IIDs", len(got), c.NumIIDs())
+			if got := t.sortedIIDRefs(); len(got) != t.NumIIDs() {
+				b.Fatalf("ordered %d of %d IIDs", len(got), t.NumIIDs())
 			}
 		}
 	})

@@ -79,13 +79,13 @@ func (c *Collector) sortedAddrIdx() []uint32 {
 // sortedIIDRefs returns every IID (promoted and singleton) as a key
 // whose lo is the IID and whose ref is its table reference, in
 // ascending IID order.
-func (c *Collector) sortedIIDRefs() []canonKey {
-	keys := make([]canonKey, 0, c.iidUsed)
-	for _, v := range c.iidIdx {
+func (t *IIDTable) sortedIIDRefs() []canonKey {
+	keys := make([]canonKey, 0, t.iidUsed)
+	for _, v := range t.iidIdx {
 		if v == 0 {
 			continue
 		}
-		keys = append(keys, canonKey{lo: uint64(c.iidKeyOf(v - 1)), ref: v - 1})
+		keys = append(keys, canonKey{lo: uint64(t.iidKeyOf(v - 1)), ref: v - 1})
 	}
 	return sortCanonKeys(keys, make([]canonKey, len(keys)))
 }
@@ -117,7 +117,8 @@ const canonFlush = 1 << 16
 // encodings are byte-identical — regardless of insertion order, shard
 // count, merge schedule or storage layout (the encoding predates the
 // flat-slab engine and is pinned by a golden-checksum test). This is the
-// ground truth the sharded-ingest equivalence tests assert on.
+// ground truth the sharded-ingest equivalence tests assert on. The IID
+// half is read from an IIDTable built for the call.
 func (c *Collector) WriteCanonical(w io.Writer) (err error) {
 	buf := make([]byte, 0, canonFlush+1024)
 	buf = binary.BigEndian.AppendUint64(buf, c.total)
@@ -136,7 +137,7 @@ func (c *Collector) WriteCanonical(w io.Writer) (err error) {
 		}
 	}
 
-	if buf, err = c.appendCanonicalIIDs(buf, w); err != nil {
+	if buf, err = c.IIDTable().appendCanonicalIIDs(buf, w); err != nil {
 		return err
 	}
 	_, err = w.Write(buf)
@@ -155,15 +156,15 @@ func spill(buf []byte, w io.Writer) ([]byte, error) {
 
 // appendCanonicalIIDs encodes the IID half onto buf, spilling into w as
 // it goes (see spill) and returning the unwritten tail.
-func (c *Collector) appendCanonicalIIDs(buf []byte, w io.Writer) (_ []byte, err error) {
-	iids := c.sortedIIDRefs()
+func (t *IIDTable) appendCanonicalIIDs(buf []byte, w io.Writer) (_ []byte, err error) {
+	iids := t.sortedIIDRefs()
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(iids)))
 	var p64s []spanNode // scratch, reused across IIDs
 	for _, p := range iids {
 		if buf, err = spill(buf, w); err != nil {
 			return nil, err
 		}
-		v := IIDView{c: c, ref: p.ref}
+		v := IIDView{t: t, ref: p.ref}
 		first, last, count := v.summary()
 		buf = binary.BigEndian.AppendUint64(buf, p.lo)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(first))
@@ -177,7 +178,7 @@ func (c *Collector) appendCanonicalIIDs(buf []byte, w io.Writer) (_ []byte, err 
 		}
 		p64s = p64s[:0]
 		for i := r.spans; i != spanNone; {
-			n := c.spans.at(i)
+			n := t.spans.at(i)
 			p64s = append(p64s, *n)
 			i = n.next
 		}

@@ -41,12 +41,13 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 		t.Fatalf("sortedAddrIdx over %d addrs diverges from sort by Addr.Less", len(wantAddrs))
 	}
 
+	tb := c.IIDTable()
 	var wantIIDs []addr.IID
-	c.IIDs(func(iid addr.IID, _ IIDView) bool { wantIIDs = append(wantIIDs, iid); return true })
+	tb.IIDs(func(iid addr.IID, _ IIDView) bool { wantIIDs = append(wantIIDs, iid); return true })
 	slices.Sort(wantIIDs)
 	var gotIIDs []addr.IID
-	for _, k := range c.sortedIIDRefs() {
-		if k.hi != 0 || c.iidKeyOf(k.ref) != addr.IID(k.lo) {
+	for _, k := range tb.sortedIIDRefs() {
+		if k.hi != 0 || tb.iidKeyOf(k.ref) != addr.IID(k.lo) {
 			t.Fatalf("IID key %+v does not match its reference", k)
 		}
 		gotIIDs = append(gotIIDs, addr.IID(k.lo))

@@ -4,13 +4,17 @@
 // servers that saw it; EUI-64 IIDs additionally carry their per-/64
 // sighting spans, which power the tracking analyses of §5.
 //
-// The store is deliberately compact: a bespoke storage engine rather
-// than maps of pointers. Records live inline — key and value together —
-// in growable chunked slabs, indexed by open-addressing tables that keep
-// a uint32 slab offset and a one-byte hash tag per slot: a probe walks
-// the tags and reads the slab only where one matches, and the hot path
-// performs no per-record heap allocation.
-// Two observations about the corpus shape pay for most of the bytes:
+// A Collector is the corpus as it is written: its address records and
+// nothing derived from them. Records live inline — key and value
+// together — in growable chunked slabs, indexed by an open-addressing
+// table that keeps a uint32 slab offset and a one-byte hash tag per
+// slot: a probe walks the tags and reads the slab only where one
+// matches, and the hot path performs no per-record heap allocation.
+//
+// Everything per IID is a fold of the address records, built when a
+// reader asks for it: Collector.IIDTable runs one pass over the slab
+// into an IIDTable. Two observations about the corpus shape keep that
+// table small:
 //
 //   - Nearly every IID appears under exactly one address (random IIDs
 //     collide across /64s only by chance), and such an IID's aggregate
@@ -27,8 +31,9 @@
 // No slab entry contains a pointer, which keeps the garbage collector
 // out of the picture entirely — the property that lets a single machine
 // hold hundreds of millions of records without GC pressure becoming the
-// throughput ceiling. The collector is written by a single goroutine
-// (the query replay) and read by many.
+// throughput ceiling. A collector has one writer at a time — a shard
+// worker, the Store's merger, a replay — and readers that do not run
+// concurrently with it (Store is that boundary for live ingest).
 package collector
 
 import (
@@ -85,7 +90,7 @@ type Span struct {
 // ---- chunked record slabs ----
 
 // Slab geometry: the first chunk grows by appending (so small collectors
-// — shard buffers, day slices, tests — stay small), and once it reaches
+// — shard epochs, day slices, tests — stay small), and once it reaches
 // chunkSize further chunks are allocated at full capacity and never
 // moved. Growth therefore copies at most chunkSize records ever, and
 // cumulative allocation stays within a small constant of the final
@@ -175,7 +180,7 @@ func freeSlot(tags []uint8, h uint64) uint32 {
 }
 
 // mix64 is the SplitMix64 finalizer: the hash behind the IID table and
-// prefix sets (addresses use addr.Hash64, which mixes both halves).
+// IIDSet (addresses use addr.Hash64, which mixes both halves).
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -227,26 +232,22 @@ type spanNode struct {
 // IID whose record is its address's record).
 const promotedTag = uint32(1) << 31
 
-// u64set is an open-addressing set of uint64 keys (the distinct-/48 and
-// /64 prefix sets). Zero keys are tracked out of band so 0 can mark
-// empty slots.
+// u64set is an open-addressing set of uint64 keys. Zero keys are
+// tracked out of band so 0 can mark empty slots.
 type u64set struct {
 	slots   []uint64
 	used    int
 	hasZero bool
 }
 
-// insert adds v, reporting whether it was new.
-func (s *u64set) insert(v uint64) bool {
+// insert adds v.
+func (s *u64set) insert(v uint64) {
 	if v == 0 {
-		if s.hasZero {
-			return false
-		}
 		s.hasZero = true
-		return true
+		return
 	}
 	if growTable(uint64(s.used), len(s.slots)) {
-		s.grow()
+		s.resize(max(tableInit, 2*len(s.slots)))
 	}
 	mask := uint64(len(s.slots) - 1)
 	pos := mix64(v) & mask
@@ -255,19 +256,23 @@ func (s *u64set) insert(v uint64) bool {
 		case 0:
 			s.slots[pos] = v
 			s.used++
-			return true
+			return
 		case v:
-			return false
+			return
 		}
 		pos = (pos + 1) & mask
 	}
 }
 
-func (s *u64set) grow() {
-	next := tableInit
-	if len(s.slots) > 0 {
-		next = len(s.slots) * 2
+// reserve sizes the table so n more inserts cause no resize.
+func (s *u64set) reserve(n int) {
+	if next := tableSizeFor(uint64(s.used + n)); next > len(s.slots) {
+		s.resize(next)
 	}
+}
+
+// resize rebuilds the table at the given power-of-two slot count.
+func (s *u64set) resize(next int) {
 	old := s.slots
 	s.slots = make([]uint64, next)
 	mask := uint64(next - 1)
@@ -283,39 +288,6 @@ func (s *u64set) grow() {
 	}
 }
 
-// contains reports membership without inserting.
-func (s *u64set) contains(v uint64) bool {
-	if v == 0 {
-		return s.hasZero
-	}
-	if len(s.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(s.slots) - 1)
-	pos := mix64(v) & mask
-	for {
-		switch s.slots[pos] {
-		case 0:
-			return false
-		case v:
-			return true
-		}
-		pos = (pos + 1) & mask
-	}
-}
-
-// each visits every element (unspecified order).
-func (s *u64set) each(fn func(v uint64)) {
-	if s.hasZero {
-		fn(0)
-	}
-	for _, v := range s.slots {
-		if v != 0 {
-			fn(v)
-		}
-	}
-}
-
 func (s *u64set) len() int {
 	if s.hasZero {
 		return s.used + 1
@@ -323,13 +295,33 @@ func (s *u64set) len() int {
 	return s.used
 }
 
-func (s *u64set) bytes() uint64 { return uint64(len(s.slots)) * 8 }
+// IIDSet is the exact set of IIDs under a range of a collector's address
+// slab: what a reader that needs only the distinct-IID count keeps,
+// instead of an IIDTable, when it folds a growing slab a range at a
+// time. The zero value is empty.
+type IIDSet struct{ s u64set }
 
-// addrTable is the address half of the engine: the (address, record)
-// slab and the open-addressing index over it. A Collector embeds one and
-// derives everything else it holds — IID index, promoted records, span
-// chains, prefix sets — from the records that land here; a Buffer is one
-// with nothing derived.
+// AddRange adds the IIDs of c's address records at slab positions
+// [lo, hi), clamped to the slab as AddrsRange clamps. Each record adds
+// at most one IID, so the set is sized for them once, before the first
+// insert.
+func (s *IIDSet) AddRange(c *Collector, lo, hi int) {
+	lo, hi = max(lo, 0), min(hi, c.NumAddrs())
+	if lo >= hi {
+		return
+	}
+	s.s.reserve(hi - lo)
+	c.AddrsRange(lo, hi, func(a addr.Addr, _ AddrRecord) bool {
+		s.s.insert(uint64(a.IID()))
+		return true
+	})
+}
+
+// Len returns the number of distinct IIDs added.
+func (s *IIDSet) Len() int { return s.s.len() }
+
+// addrTable is the (address, record) slab and the open-addressing index
+// over it: a Collector's records, and a Restore's while a chain is read.
 type addrTable struct {
 	addrRecs slab[addrEntry]
 	// addrTag and addrIdx are the index, slot for slot: the hashTag of
@@ -409,41 +401,13 @@ func (t *addrTable) foldAddr(a *addr.Addr, in *AddrRecord) (ai uint32, fresh boo
 	return ai, false
 }
 
-// Buffer is a write-only batch of address records: what an ingest shard
-// fills between two snapshots. It keeps no IID index, promoted records,
-// span chains or prefix sets — every one of those is a fold of address
-// records, and Collector.AbsorbBuffer runs that fold once, where the
-// corpus lives. The zero value is an empty buffer.
-type Buffer struct {
-	addrTable
-	total uint64
-}
-
-// ObserveUnix records one sighting, as Collector.ObserveUnix does.
-func (b *Buffer) ObserveUnix(a addr.Addr, ts int64, server int) {
-	b.total++
-	b.foldAddr(&a, &AddrRecord{First: ts, Last: ts, Count: 1, Servers: ServerBit(server)})
-}
-
 // Collector accumulates observations. Not safe for concurrent writes,
 // and reads must not run concurrently with writes (see Store for the
-// concurrency boundary). Slab indices are tagged uint32s: one collector
-// holds at most ~2.1 billion unique addresses/IIDs — beyond that, shard.
+// concurrency boundary). Slab indices are uint32s whose top bit an
+// IIDTable reference reserves: one collector holds at most ~2.1 billion
+// unique addresses — beyond that, shard.
 type Collector struct {
 	addrTable
-	iidRecs slab[iidEntry]
-	// iidTag and iidIdx are the IID index, slot for slot: the hashTag of
-	// the slot's IID (0 = empty), and ref+1 where ref is a promoted-slab
-	// index (with promotedTag) or the address-slab index of a singleton
-	// IID's only address (0 = empty, so readers may skip the tags).
-	iidTag  []uint8
-	iidIdx  []uint32
-	iidUsed uint32 // occupied slots = unique IIDs
-	spans   slab[spanNode]
-	// p48s/p64s are the distinct-prefix sets behind Unique48s/Unique64s,
-	// extended whenever an address is new to the table.
-	p48s  u64set
-	p64s  u64set
 	total uint64
 	// ckpt is the delta-checkpoint watermark (see dirty.go): which prefix
 	// of the address slab the last checkpoint covered and which blocks of
@@ -457,37 +421,59 @@ func New() *Collector {
 	return &Collector{}
 }
 
-// iidKeyOf resolves the IID a table reference stands for.
-func (c *Collector) iidKeyOf(ref uint32) addr.IID {
-	if ref&promotedTag != 0 {
-		return c.iidRecs.at(ref &^ promotedTag).key
-	}
-	return c.addrRecs.at(ref).key.IID()
+// IIDTable is the IID half of a corpus, folded from its address records:
+// the IID index, promoted records and /64 span chains. It is built whole
+// by Collector.IIDTable and never written after, and it reads singleton
+// IIDs' aggregates straight from the collector's address slab, so it is
+// valid only until the next write to that collector.
+type IIDTable struct {
+	c       *Collector
+	iidRecs slab[iidEntry]
+	// iidTag and iidIdx are the IID index, slot for slot: the hashTag of
+	// the slot's IID (0 = empty), and ref+1 where ref is a promoted-slab
+	// index (with promotedTag) or the address-slab index of a singleton
+	// IID's only address (0 = empty, so readers may skip the tags).
+	iidTag  []uint8
+	iidIdx  []uint32
+	iidUsed uint32 // occupied slots = unique IIDs
+	spans   slab[spanNode]
 }
 
-// growIIDIdx rebuilds the IID index table at double capacity.
-func (c *Collector) growIIDIdx() {
-	next := tableInit
-	if len(c.iidIdx) > 0 {
-		next = len(c.iidIdx) * 2
+// IIDTable folds c's address records, in slab order, into its IID
+// table. The index is sized once for one IID per address — the most
+// there can be — so it never grows.
+func (c *Collector) IIDTable() *IIDTable {
+	slots := tableSizeFor(uint64(c.addrRecs.n))
+	t := &IIDTable{c: c, iidTag: make([]uint8, slots), iidIdx: make([]uint32, slots)}
+	for i := uint32(0); i < c.addrRecs.n; i++ {
+		e := c.addrRecs.at(i)
+		t.derive(&e.key, i, &e.rec)
 	}
-	c.resizeIIDIdx(next)
+	return t
+}
+
+// Collector returns the corpus t was folded from.
+func (t *IIDTable) Collector() *Collector { return t.c }
+
+// iidKeyOf resolves the IID a table reference stands for.
+func (t *IIDTable) iidKeyOf(ref uint32) addr.IID {
+	if ref&promotedTag != 0 {
+		return t.iidRecs.at(ref &^ promotedTag).key
+	}
+	return t.c.addrRecs.at(ref).key.IID()
 }
 
 // findIID returns iid's table reference, or with ok == false the empty
 // slot where it belongs; h is mix64(iid).
-func (c *Collector) findIID(iid addr.IID, h uint64) (ref uint32, slot uint32, ok bool) {
-	if len(c.iidTag) == 0 {
-		return 0, 0, false
-	}
-	mask := uint64(len(c.iidTag) - 1)
+func (t *IIDTable) findIID(iid addr.IID, h uint64) (ref uint32, slot uint32, ok bool) {
+	mask := uint64(len(t.iidTag) - 1)
 	tag := hashTag(h)
 	for pos := h & mask; ; pos = (pos + 1) & mask {
-		switch c.iidTag[pos] {
+		switch t.iidTag[pos] {
 		case 0:
 			return 0, uint32(pos), false
 		case tag:
-			if ref := c.iidIdx[pos] - 1; c.iidKeyOf(ref) == iid {
+			if ref := t.iidIdx[pos] - 1; t.iidKeyOf(ref) == iid {
 				return ref, uint32(pos), true
 			}
 		}
@@ -495,25 +481,19 @@ func (c *Collector) findIID(iid addr.IID, h uint64) (ref uint32, slot uint32, ok
 }
 
 // setIIDSlot stores a new IID reference in the empty slot findIID
-// reported for the IID hashing to h, growing the table first when
-// needed.
-func (c *Collector) setIIDSlot(slot uint32, ref uint32, h uint64) {
-	if growTable(uint64(c.iidUsed), len(c.iidTag)) {
-		c.growIIDIdx()
-		slot = freeSlot(c.iidTag, h)
-	}
-	c.iidTag[slot], c.iidIdx[slot] = hashTag(h), ref+1
-	c.iidUsed++
+// reported for the IID hashing to h.
+func (t *IIDTable) setIIDSlot(slot uint32, ref uint32, h uint64) {
+	t.iidTag[slot], t.iidIdx[slot] = hashTag(h), ref+1
+	t.iidUsed++
 }
 
 // allocPromoted materializes a promoted IID record seeded with the given
 // aggregate and returns its slab index and entry. The caller wires the
 // table slot: setIIDSlot for a new IID, or an in-place overwrite when
-// promoting an existing singleton (the IID count is unchanged there, so
-// no growth check is needed).
-func (c *Collector) allocPromoted(iid addr.IID, first, last int64, count uint32) (uint32, *iidEntry) {
-	ri := c.iidRecs.alloc()
-	e := c.iidRecs.at(ri)
+// promoting an existing singleton.
+func (t *IIDTable) allocPromoted(iid addr.IID, first, last int64, count uint32) (uint32, *iidEntry) {
+	ri := t.iidRecs.alloc()
+	e := t.iidRecs.at(ri)
 	e.key = iid
 	e.first, e.last, e.count = first, last, count
 	e.spans = spanNone
@@ -540,39 +520,33 @@ func (c *Collector) ObserveUnix(a addr.Addr, ts int64, server int) {
 // Sightings commute, so the result depends only on what was folded,
 // never on the batching.
 func (c *Collector) observe(a *addr.Addr, in *AddrRecord) {
-	ai, fresh := c.foldAddr(a, in)
-	if !fresh {
+	if ai, fresh := c.foldAddr(a, in); !fresh {
 		c.markAddrDirty(ai)
 	}
-	c.derive(a, ai, in, fresh)
 }
 
-// derive folds in, already folded into the address record at slab index
-// ai (fresh: that record was just created), into the state a collector
-// keeps beyond the address table: prefix sets, IID index, promoted
-// records and span chains.
-func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) {
-	if fresh {
-		c.p48s.insert(uint64(a.P48()))
-		c.p64s.insert(uint64(a.P64()))
-	}
+// derive folds in, the whole record of address a at slab index ai, into
+// the table: IID index, promoted records and span chains. Each address
+// is derived once, so a singleton reference found here is always
+// another address's.
+func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *AddrRecord) {
 	iid := a.IID()
 	h := mix64(uint64(iid))
-	ref, slot, found := c.findIID(iid, h)
+	ref, slot, found := t.findIID(iid, h)
 	if !found {
 		if iid.IsEUI64() {
-			ri, e := c.allocPromoted(iid, in.First, in.Last, in.Count)
-			c.widenSpan(e, a.P64(), in.First, in.Last)
-			c.setIIDSlot(slot, ri|promotedTag, h)
+			ri, e := t.allocPromoted(iid, in.First, in.Last, in.Count)
+			t.addSpan(e, a.P64(), in)
+			t.setIIDSlot(slot, ri|promotedTag, h)
 			return
 		}
 		// Singleton IID: its record is the address record; one table
 		// slot is the whole cost.
-		c.setIIDSlot(slot, ai, h)
+		t.setIIDSlot(slot, ai, h)
 		return
 	}
 	if ref&promotedTag != 0 {
-		r := c.iidRecs.at(ref &^ promotedTag)
+		r := t.iidRecs.at(ref &^ promotedTag)
 		if in.First < r.first {
 			r.first = in.First
 		}
@@ -581,20 +555,14 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 		}
 		r.count += in.Count
 		if r.spans != spanNone {
-			c.widenSpan(r, a.P64(), in.First, in.Last)
+			t.addSpan(r, a.P64(), in)
 		}
 		return
 	}
-	// Singleton reference. Same address: the address record update
-	// already IS the IID update. A second address sharing the IID (a
-	// random-IID collision across /64s) promotes the singleton; EUI-64
-	// IIDs are promoted at first sight, so no span handling is needed,
-	// and a is new here (an earlier sighting of it would have promoted),
-	// so its record is in.
-	if ref == ai {
-		return
-	}
-	base := c.addrRecs.at(ref).rec
+	// A second address sharing a singleton's IID (a random-IID collision
+	// across /64s) promotes it; EUI-64 IIDs are promoted at first sight,
+	// so no span handling is needed.
+	base := t.c.addrRecs.at(ref).rec
 	first, last := base.First, base.Last
 	if in.First < first {
 		first = in.First
@@ -602,40 +570,19 @@ func (c *Collector) derive(a *addr.Addr, ai uint32, in *AddrRecord, fresh bool) 
 	if in.Last > last {
 		last = in.Last
 	}
-	ri, _ := c.allocPromoted(iid, first, last, base.Count+in.Count)
-	c.iidIdx[slot] = (ri | promotedTag) + 1 // same IID: the tag stands
+	ri, _ := t.allocPromoted(iid, first, last, base.Count+in.Count)
+	t.iidIdx[slot] = (ri | promotedTag) + 1 // same IID: the tag stands
 }
 
-// widenSpan folds the window [first, last] into r's span for p, walking
-// the IID's chain and prepending a fresh node when the /64 is new. A
-// matched node moves to the chain head, so repeat sightings of an IID's
-// current /64 — the overwhelmingly common case — stay O(1) even for
-// identifiers spread across many /64s. r points into the IID slab;
-// appending to the span slab never moves it.
-func (c *Collector) widenSpan(r *iidEntry, p addr.Prefix64, first, last int64) {
-	prev := spanNone
-	for i := r.spans; i != spanNone; {
-		n := c.spans.at(i)
-		if n.p64 == p {
-			if first < n.first {
-				n.first = first
-			}
-			if last > n.last {
-				n.last = last
-			}
-			if prev != spanNone {
-				c.spans.at(prev).next = n.next
-				n.next = r.spans
-				r.spans = i
-			}
-			return
-		}
-		prev = i
-		i = n.next
-	}
-	i := c.spans.alloc()
-	n := c.spans.at(i)
-	n.p64, n.first, n.last, n.next = p, first, last, r.spans
+// addSpan prepends the window of in, the record of r's address under
+// p, to r's span chain. Two addresses sharing an IID differ in their
+// /64, and each address is derived once, so p is never on the chain
+// yet. r points into the IID slab; appending to the span slab never
+// moves it.
+func (t *IIDTable) addSpan(r *iidEntry, p addr.Prefix64, in *AddrRecord) {
+	i := t.spans.alloc()
+	n := t.spans.at(i)
+	n.p64, n.first, n.last, n.next = p, in.First, in.Last, r.spans
 	r.spans = i
 	r.p64n++
 }
@@ -644,7 +591,7 @@ func (c *Collector) widenSpan(r *iidEntry, p addr.Prefix64, first, last int64) {
 func (c *Collector) NumAddrs() int { return int(c.addrRecs.n) }
 
 // NumIIDs returns the number of unique IIDs observed.
-func (c *Collector) NumIIDs() int { return int(c.iidUsed) }
+func (t *IIDTable) NumIIDs() int { return int(t.iidUsed) }
 
 // TotalObservations returns the raw sighting count.
 func (c *Collector) TotalObservations() uint64 { return c.total }
@@ -661,10 +608,10 @@ func (c *Collector) Get(a addr.Addr) (AddrRecord, bool) {
 
 // IIDView is a read handle onto one IID's record (inline promoted record
 // or singleton address record) and span chain. It is a two-word value —
-// copying it is free — but it borrows the collector's slabs: a view is
-// valid only until the next write to the collector, like a map iterator.
+// copying it is free — but it borrows its table's slabs and the
+// collector's: a view is valid as long as its IIDTable is.
 type IIDView struct {
-	c   *Collector
+	t   *IIDTable
 	ref uint32
 }
 
@@ -673,7 +620,7 @@ func (v IIDView) promoted() *iidEntry {
 	if v.ref&promotedTag == 0 {
 		return nil
 	}
-	return v.c.iidRecs.at(v.ref &^ promotedTag)
+	return v.t.iidRecs.at(v.ref &^ promotedTag)
 }
 
 // summary returns the IID's (first, last, count) aggregate.
@@ -681,7 +628,7 @@ func (v IIDView) summary() (int64, int64, uint32) {
 	if r := v.promoted(); r != nil {
 		return r.first, r.last, r.count
 	}
-	rec := &v.c.addrRecs.at(v.ref).rec
+	rec := &v.t.c.addrRecs.at(v.ref).rec
 	return rec.First, rec.Last, rec.Count
 }
 
@@ -707,7 +654,7 @@ func (v IIDView) Tracked() bool {
 }
 
 // NumP64s returns the number of distinct /64s the IID appeared in
-// (0 for untracked IIDs). O(1): the count is maintained on write.
+// (0 for untracked IIDs). O(1): the count is kept as the table is built.
 func (v IIDView) NumP64s() int {
 	if r := v.promoted(); r != nil {
 		return int(r.p64n)
@@ -723,7 +670,7 @@ func (v IIDView) P64s(fn func(p addr.Prefix64, sp Span) bool) {
 		return
 	}
 	for i := r.spans; i != spanNone; {
-		n := v.c.spans.at(i)
+		n := v.t.spans.at(i)
 		if !fn(n.p64, Span{First: n.first, Last: n.last}) {
 			return
 		}
@@ -738,7 +685,7 @@ func (v IIDView) Span(p addr.Prefix64) (Span, bool) {
 		return Span{}, false
 	}
 	for i := r.spans; i != spanNone; {
-		n := v.c.spans.at(i)
+		n := v.t.spans.at(i)
 		if n.p64 == p {
 			return Span{First: n.first, Last: n.last}, true
 		}
@@ -749,12 +696,12 @@ func (v IIDView) Span(p addr.Prefix64) (Span, bool) {
 
 // GetIID returns a view of the record for an IID; ok is false when the
 // IID was never observed.
-func (c *Collector) GetIID(iid addr.IID) (IIDView, bool) {
-	ref, _, ok := c.findIID(iid, mix64(uint64(iid)))
+func (t *IIDTable) GetIID(iid addr.IID) (IIDView, bool) {
+	ref, _, ok := t.findIID(iid, mix64(uint64(iid)))
 	if !ok {
 		return IIDView{}, false
 	}
-	return IIDView{c: c, ref: ref}, true
+	return IIDView{t: t, ref: ref}, true
 }
 
 // Addrs iterates every (address, record) pair in slab (insertion) order;
@@ -779,30 +726,14 @@ func (c *Collector) AddrsCanonical(fn func(a addr.Addr, r AddrRecord) bool) {
 }
 
 // IIDs iterates every (IID, view) pair in unspecified order.
-func (c *Collector) IIDs(fn func(iid addr.IID, r IIDView) bool) {
-	for _, v := range c.iidIdx {
-		if v == 0 {
-			continue
-		}
-		ref := v - 1
-		if !fn(c.iidKeyOf(ref), IIDView{c: c, ref: ref}) {
-			return
-		}
-	}
+func (t *IIDTable) IIDs(fn func(iid addr.IID, r IIDView) bool) {
+	t.IIDSlotsRange(0, len(t.iidIdx), fn)
 }
 
 // EUI64IIDs iterates only EUI-64 IIDs (those with /64 tracking). EUI-64
 // IIDs are always promoted, so this walks the promoted slab directly.
-func (c *Collector) EUI64IIDs(fn func(iid addr.IID, r IIDView) bool) {
-	for i := uint32(0); i < c.iidRecs.n; i++ {
-		e := c.iidRecs.at(i)
-		if e.spans == spanNone {
-			continue
-		}
-		if !fn(e.key, IIDView{c: c, ref: i | promotedTag}) {
-			return
-		}
-	}
+func (t *IIDTable) EUI64IIDs(fn func(iid addr.IID, r IIDView) bool) {
+	t.EUI64IIDsRange(0, int(t.iidRecs.n), fn)
 }
 
 // AddressList materializes all observed addresses; prefer Addrs for large
@@ -817,28 +748,20 @@ func (c *Collector) AddressList() []addr.Addr {
 
 // Merge folds another collector's observations into c, as if every
 // sighting had been recorded here: first/last spans widen, counts add,
-// server masks union, and per-/64 spans merge. The copy is deep — c
-// never aliases o's slabs, so o may keep being written afterwards. This
-// is how per-vantage (or per-shard) collectors combine into the study
-// corpus.
+// server masks union. The copy is deep — c never aliases o's slabs, so
+// o may keep being written afterwards. This is how per-vantage (or
+// per-shard) collectors combine into the study corpus.
 //
-// Everything o holds beyond its address records is a fold of them, so
-// Merge reads nothing else.
-func (c *Collector) Merge(o *Collector) {
-	c.mergeAddrs(&o.addrTable)
-	c.total += o.total
-}
-
-// mergeAddrs runs every record of t through the write core. The walk is
-// in t's slab (insertion) order, which is uncorrelated with hash order:
-// walking an index in slot order instead would insert into c in
-// ascending home-slot order and, near c's load threshold, weld its
+// The walk is in o's slab (insertion) order, which is uncorrelated with
+// hash order: walking an index in slot order instead would insert into
+// c in ascending home-slot order and, near c's load threshold, weld its
 // probe runs into one (TestMergeSlotOrderPathology).
-func (c *Collector) mergeAddrs(t *addrTable) {
-	for i := uint32(0); i < t.addrRecs.n; i++ {
-		e := t.addrRecs.at(i)
+func (c *Collector) Merge(o *Collector) {
+	for i := uint32(0); i < o.addrRecs.n; i++ {
+		e := o.addrRecs.at(i)
 		c.observe(&e.key, &e.rec)
 	}
+	c.total += o.total
 }
 
 // Absorb folds another collector's observations into c like Merge, but
@@ -846,9 +769,9 @@ func (c *Collector) mergeAddrs(t *addrTable) {
 // cases:
 //
 //   - An empty donor contributes only its observation total.
-//   - Into an empty c, the donor's slabs, tables and prefix sets move
-//     over wholesale: O(1), no record is touched. Restore-on-start
-//     (ingest.Config.Seed) lands here.
+//   - Into an empty c, the donor's slab and index move over wholesale:
+//     O(1), no record is touched. Restore-on-start (ingest.Config.Seed)
+//     and a shard epoch landing in an empty store end here.
 //   - Otherwise Merge runs record by record.
 //
 // The result is observation-identical to Merge in every case (pinned by
@@ -860,7 +783,7 @@ func (c *Collector) Absorb(o *Collector) {
 	switch {
 	case o.addrRecs.n == 0:
 		c.total += o.total
-	case c.addrRecs.n == 0 && c.iidUsed == 0:
+	case c.addrRecs.n == 0:
 		// c keeps its own checkpoint lineage, not the donor's: c was
 		// empty, so its watermarks are zero and every adopted record
 		// counts as new against them.
@@ -873,72 +796,12 @@ func (c *Collector) Absorb(o *Collector) {
 	*o = Collector{}
 }
 
-// AbsorbBuffer folds a shard epoch into c and empties b: the same three
-// cases as Absorb. Into an empty c the buffer's slab and index are
-// adopted as they stand and one sequential pass over the slab derives
-// the rest; otherwise each record goes through the write core. Pipeline
-// shards partition addresses by hash, but an IID recurs across prefixes
-// (EUI-64 interfaces that move, low-byte ::1 routers) and a shard's
-// later epochs re-sight its own earlier addresses, so there is no
-// shortcut for an address-disjoint buffer: IID state is shared anyway.
-func (c *Collector) AbsorbBuffer(b *Buffer) {
-	switch {
-	case b.addrRecs.n == 0:
-	case c.addrRecs.n == 0 && c.iidUsed == 0:
-		c.adopt(b.addrTable)
-	default:
-		c.mergeAddrs(&b.addrTable)
-	}
-	c.total += b.total
-	*b = Buffer{}
-}
-
-// adopt makes t the address table of c, which must hold no records, and
-// derives the rest of c's state from it in one sequential pass over the
-// slab. A shard epoch landing in an empty store and a checkpoint
-// restore both end here.
-func (c *Collector) adopt(t addrTable) {
-	c.addrTable = t
-	// At most one IID per address: sized once, not regrown 14 times.
-	slots := tableSizeFor(uint64(c.addrRecs.n))
-	c.iidTag, c.iidIdx = make([]uint8, slots), make([]uint32, slots)
-	for i := uint32(0); i < c.addrRecs.n; i++ {
-		e := c.addrRecs.at(i)
-		c.derive(&e.key, i, &e.rec, true)
-	}
-}
-
-// resizeIIDIdx rebuilds the IID table at the given power-of-two slot
-// count. It walks the old slots in order, which fixes where every IID
-// lands and so the order IIDs and IIDSlotsRange visit them in.
-func (c *Collector) resizeIIDIdx(slots int) {
-	old := c.iidIdx
-	c.iidTag, c.iidIdx = make([]uint8, slots), make([]uint32, slots)
-	for _, v := range old {
-		if v == 0 {
-			continue
-		}
-		h := mix64(uint64(c.iidKeyOf(v - 1)))
-		pos := freeSlot(c.iidTag, h)
-		c.iidTag[pos], c.iidIdx[pos] = hashTag(h), v
-	}
-}
-
-// Unique48s returns the number of distinct /48 prefixes in the corpus
-// (Table 1 column). O(1): the set is maintained on Observe/Merge.
-func (c *Collector) Unique48s() int { return c.p48s.len() }
-
-// Unique64s returns the number of distinct /64 prefixes in the corpus.
-func (c *Collector) Unique64s() int { return c.p64s.len() }
-
-// MemoryFootprint returns the corpus's resident bytes: record and span
-// slabs, index tables with their tags, prefix sets and the dirty-block
-// set. Unlike a map-based store the engine owns every allocation, so the
-// figure is exact (modulo slice headers) — it is what daemons export as
+// MemoryFootprint returns the corpus's resident bytes: the record slab,
+// the index table with its tags and the dirty-block set. Unlike a
+// map-based store the engine owns every allocation, so the figure is
+// exact (modulo slice headers) — it is what daemons export as
 // corpus_bytes telemetry.
 func (c *Collector) MemoryFootprint() uint64 {
-	return c.addrRecs.bytes() + c.iidRecs.bytes() + c.spans.bytes() +
-		uint64(len(c.addrIdx))*4 + uint64(len(c.addrTag)) +
-		uint64(len(c.iidIdx))*4 + uint64(len(c.iidTag)) +
-		c.p48s.bytes() + c.p64s.bytes() + c.ckpt.dirty.bytes()
+	return c.addrRecs.bytes() + uint64(len(c.addrIdx))*4 + uint64(len(c.addrTag)) +
+		c.ckpt.dirty.bytes()
 }

@@ -72,7 +72,7 @@ func TestIIDAggregation(t *testing.T) {
 	c.Observe(a1, t0, 0)
 	c.Observe(a2, t0.Add(48*time.Hour), 0)
 
-	r, ok := c.GetIID(iid)
+	r, ok := c.IIDTable().GetIID(iid)
 	if !ok {
 		t.Fatal("IID record missing")
 	}
@@ -110,7 +110,7 @@ func TestNonEUI64IIDNoP64Tracking(t *testing.T) {
 	c := New()
 	a := addr.MustParse("2001:db8::dead:beef:1234:5678")
 	c.Observe(a, t0, 0)
-	r, ok := c.GetIID(a.IID())
+	r, ok := c.IIDTable().GetIID(a.IID())
 	if !ok {
 		t.Fatal("IID record missing")
 	}
@@ -133,7 +133,7 @@ func TestEUI64IIDsIteration(t *testing.T) {
 	c.Observe(plain, t0, 0)
 
 	n := 0
-	c.EUI64IIDs(func(iid addr.IID, r IIDView) bool {
+	c.IIDTable().EUI64IIDs(func(iid addr.IID, r IIDView) bool {
 		n++
 		if !iid.IsEUI64() {
 			t.Errorf("non-EUI-64 IID in EUI64IIDs iteration")
@@ -148,64 +148,87 @@ func TestEUI64IIDsIteration(t *testing.T) {
 	}
 }
 
-func TestUniquePrefixCounts(t *testing.T) {
-	c := New()
-	c.Observe(addr.MustParse("2001:db8:1:1::a"), t0, 0)
-	c.Observe(addr.MustParse("2001:db8:1:2::b"), t0, 0)
-	c.Observe(addr.MustParse("2001:db8:2:1::c"), t0, 0)
-	if got := c.Unique48s(); got != 2 {
-		t.Errorf("Unique48s: %d", got)
-	}
-	if got := c.Unique64s(); got != 3 {
-		t.Errorf("Unique64s: %d", got)
-	}
-	if got := len(c.AddressList()); got != 3 {
-		t.Errorf("AddressList: %d", got)
-	}
+// iidRef is one IID's state, recomputed from the address records with
+// throwaway maps: the reference for the read-time fold.
+type iidRef struct {
+	first, last int64
+	count       uint32
+	p64s        map[addr.Prefix64]Span
 }
 
-// recomputeUniques is the seed's throwaway-map path, kept as the
-// reference for the incremental counters.
-func recomputeUniques(c *Collector) (p48s, p64s int) {
-	s48 := make(map[addr.Prefix48]struct{})
-	s64 := make(map[addr.Prefix64]struct{})
-	c.Addrs(func(a addr.Addr, _ AddrRecord) bool {
-		s48[a.P48()] = struct{}{}
-		s64[a.P64()] = struct{}{}
+func recomputeIIDs(c *Collector) map[addr.IID]*iidRef {
+	out := make(map[addr.IID]*iidRef)
+	c.Addrs(func(a addr.Addr, r AddrRecord) bool {
+		e := out[a.IID()]
+		if e == nil {
+			e = &iidRef{first: r.First, last: r.Last, p64s: make(map[addr.Prefix64]Span)}
+			out[a.IID()] = e
+		}
+		e.first, e.last = min(e.first, r.First), max(e.last, r.Last)
+		e.count += r.Count
+		e.p64s[a.P64()] = Span{First: r.First, Last: r.Last}
 		return true
 	})
-	return len(s48), len(s64)
+	return out
 }
 
-// TestUniqueCountsMatchRecompute pins the incremental distinct-/48 and
-// /64 counters to the full recompute across observes, duplicate
-// sightings, and merges.
-func TestUniqueCountsMatchRecompute(t *testing.T) {
+// TestIIDCountsMatchRecompute pins the IID table built from a corpus to
+// the full recompute across observes, duplicate sightings, and merges.
+func TestIIDCountsMatchRecompute(t *testing.T) {
 	check := func(label string, c *Collector) {
 		t.Helper()
-		w48, w64 := recomputeUniques(c)
-		if c.Unique48s() != w48 || c.Unique64s() != w64 {
-			t.Errorf("%s: incremental (%d,%d) vs recompute (%d,%d)",
-				label, c.Unique48s(), c.Unique64s(), w48, w64)
+		want := recomputeIIDs(c)
+		tab := c.IIDTable()
+		if tab.NumIIDs() != len(want) {
+			t.Errorf("%s: NumIIDs %d, recompute %d", label, tab.NumIIDs(), len(want))
+		}
+		for iid, w := range want {
+			v, ok := tab.GetIID(iid)
+			if !ok {
+				t.Fatalf("%s: IID %x missing", label, uint64(iid))
+			}
+			if v.First() != w.first || v.Last() != w.last || v.Count() != w.count {
+				t.Fatalf("%s: IID %x is %d/%d/%d, recompute %d/%d/%d", label, uint64(iid),
+					v.First(), v.Last(), v.Count(), w.first, w.last, w.count)
+			}
+			if !iid.IsEUI64() {
+				continue
+			}
+			if v.NumP64s() != len(w.p64s) {
+				t.Fatalf("%s: IID %x in %d /64s, recompute %d", label, uint64(iid), v.NumP64s(), len(w.p64s))
+			}
+			for p, sp := range w.p64s {
+				if got, ok := v.Span(p); !ok || got != sp {
+					t.Fatalf("%s: IID %x span in %v is %+v (ok=%v), recompute %+v", label, uint64(iid), p, got, ok, sp)
+				}
+			}
 		}
 	}
 
-	a := New()
-	state := uint64(99)
-	for i := 0; i < 2000; i++ {
-		r := splitmix64(&state)
-		// Small pools of /48s and IIDs force heavy prefix sharing.
-		hi := 0x20010db8_00000000 | (r>>8)%64<<16 | r%8
-		a.ObserveUnix(addr.FromParts(hi, splitmix64(&state)%256), 1000+int64(i), int(r%32))
+	// Small pools of /64s and IIDs, a quarter of them EUI-64, force heavy
+	// IID sharing across prefixes.
+	macs := make([]addr.MAC, 16)
+	for i := range macs {
+		macs[i] = addr.MAC{0xf0, 0x02, 0x20, 7, 0, byte(i)}
 	}
+	state := uint64(99)
+	fill := func(c *Collector, t0 int64) {
+		for i := 0; i < 2000; i++ {
+			r := splitmix64(&state)
+			hi := 0x20010db8_00000000 | (r>>8)%64<<16 | r%8
+			lo := splitmix64(&state) % 256
+			if (r>>20)%4 == 0 {
+				lo = uint64(addr.EUI64FromMAC(macs[lo%uint64(len(macs))]))
+			}
+			c.ObserveUnix(addr.FromParts(hi, lo), t0+int64(i), int(r%32))
+		}
+	}
+	a := New()
+	fill(a, 1000)
 	check("after observes", a)
 
 	b := New()
-	for i := 0; i < 2000; i++ {
-		r := splitmix64(&state)
-		hi := 0x20010db8_00000000 | (r>>8)%64<<16 | r%8
-		b.ObserveUnix(addr.FromParts(hi, splitmix64(&state)%256), 5000+int64(i), int(r%32))
-	}
+	fill(b, 5000)
 	check("second collector", b)
 
 	a.Merge(b)
@@ -229,7 +252,7 @@ func TestIterationEarlyStop(t *testing.T) {
 		t.Errorf("Addrs early stop: %d", n)
 	}
 	n = 0
-	c.IIDs(func(addr.IID, IIDView) bool { n++; return false })
+	c.IIDTable().IIDs(func(addr.IID, IIDView) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("IIDs early stop: %d", n)
 	}
@@ -237,6 +260,9 @@ func TestIterationEarlyStop(t *testing.T) {
 	c.AddrsCanonical(func(addr.Addr, AddrRecord) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Errorf("AddrsCanonical early stop: %d", n)
+	}
+	if got := len(c.AddressList()); got != 10 {
+		t.Errorf("AddressList: %d", got)
 	}
 }
 
@@ -300,25 +326,22 @@ func TestMemoryFootprintGrows(t *testing.T) {
 // TestMemoryFootprintExact holds MemoryFootprint to the "exact" its doc
 // comment promises. The expected figure is computed without the
 // engine's accounting: every slice reachable through the collector's
-// fields, slabs, tables, tags, prefix sets and dirty set alike, counted
-// at cap × element size. Collectors are built every way one can be.
+// fields, slab, table, tags and dirty set alike, counted at cap ×
+// element size. Collectors are built every way one can be.
 func TestMemoryFootprintExact(t *testing.T) {
 	addrs, times, servers := goldenStream()
 	serial := New()
 	feedGolden(serial, addrs, times, servers, 0, len(addrs))
 
-	var b Buffer
-	for i := range addrs {
-		b.ObserveUnix(addrs[i], times[i], servers[i])
-	}
 	adopted := New()
-	adopted.AbsorbBuffer(&b)
+	part := New()
+	feedGolden(part, addrs, times, servers, 0, len(addrs))
+	adopted.Absorb(part)
 	folded := New()
 	for half := 0; half < 2; half++ {
-		for i := half * len(addrs) / 2; i < (half+1)*len(addrs)/2; i++ {
-			b.ObserveUnix(addrs[i], times[i], servers[i])
-		}
-		folded.AbsorbBuffer(&b)
+		part := New()
+		feedGolden(part, addrs, times, servers, half*len(addrs)/2, (half+1)*len(addrs)/2)
+		folded.Absorb(part)
 	}
 
 	var snap bytes.Buffer

@@ -18,8 +18,8 @@ import (
 // (compaction) is simply restoring it and writing Snapshot again.
 //
 // Like a snapshot, a delta holds address records and nothing derived
-// from them: restore overlays the blocks on the base's slab and derives
-// the rest once, at the end of the chain (Restore.Collector).
+// from them: restore overlays the blocks on the base's slab and indexes
+// it once, at the end of the chain (Restore.Collector).
 //
 // Chain linkage is by (parentSeq, base record count, base total): a
 // delta that was cut against another state than the one restored so far

@@ -9,11 +9,12 @@ import (
 )
 
 // Merge is a fold of the one write core over a donor's address records,
-// and a shard Buffer is nothing but those records. The property both
-// rest on: however a stream is cut into donors, whichever kind each
-// donor is, whatever order they land in and whatever the store already
-// held, the result is the serial collector's — and the dirty marks the
-// fold leaves are the ones a delta checkpoint needs.
+// and a restored snapshot is nothing but those records. The property
+// both rest on: however a stream is cut into donors, whether each donor
+// is live or arrives as snapshot bytes, whatever order they land in and
+// whatever the store already held, the result is the serial
+// collector's — and the dirty marks the fold leaves are the ones a
+// delta checkpoint needs.
 
 // foldStream is a seeded stream carrying every IID shape the fold has a
 // branch for: EUI-64 interfaces moving across /64s, ::1 under many
@@ -69,7 +70,7 @@ type foldPlan struct {
 	seeded int   // events [0, seeded) are in the store before any donor
 	cuts   []int // non-decreasing cut points in [seeded, n]: len(cuts)+1 donors, equal neighbours an empty one
 	order  []int // the order donors land in (a permutation)
-	bufs   uint  // bit d set: donor d is a Buffer, else a Collector
+	bufs   uint  // bit d set: donor d is snapshotted and restored before it lands, else it lands live
 	spread int   // > 0: donor d also re-sights every spread'th event of donor d-1
 }
 
@@ -114,36 +115,28 @@ func checkFold(t *testing.T, addrs []addr.Addr, times []int64, servers []int, pl
 		for _, i := range events {
 			feed(i)
 		}
-		if plan.bufs&(1<<uint(d)) != 0 {
-			b := new(Buffer)
-			for _, i := range events {
-				b.ObserveUnix(addrs[i], times[i], servers[i])
-			}
-			apply[d] = func() { st.ApplyBuffer(b) }
-		} else {
-			c := New()
-			for _, i := range events {
-				c.ObserveUnix(addrs[i], times[i], servers[i])
-			}
-			apply[d] = func() { st.ApplyShard(c) }
+		c := New()
+		for _, i := range events {
+			c.ObserveUnix(addrs[i], times[i], servers[i])
 		}
+		if plan.bufs&(1<<uint(d)) != 0 {
+			var snap bytes.Buffer
+			if err := c.Snapshot(&snap); err != nil {
+				t.Fatalf("plan %+v: donor %d snapshot: %v", plan, d, err)
+			}
+			r, err := RestoreChain(&snap)
+			if err != nil {
+				t.Fatalf("plan %+v: donor %d restore: %v", plan, d, err)
+			}
+			c = r
+		}
+		apply[d] = func() { st.ApplyShard(c) }
 	}
 	for _, d := range plan.order {
 		apply[d]()
 	}
 
-	var got *Collector
-	st.View(func(c *Collector) { got = c })
-	if got.Checksum() != serial.Checksum() {
-		t.Fatalf("plan %+v: merged checksum differs from serial", plan)
-	}
-	if got.NumAddrs() != serial.NumAddrs() || got.NumIIDs() != serial.NumIIDs() ||
-		got.Unique48s() != serial.Unique48s() || got.Unique64s() != serial.Unique64s() ||
-		got.TotalObservations() != serial.TotalObservations() {
-		t.Fatalf("plan %+v: counts %d/%d/%d/%d/%d, serial %d/%d/%d/%d/%d", plan,
-			got.NumAddrs(), got.NumIIDs(), got.Unique48s(), got.Unique64s(), got.TotalObservations(),
-			serial.NumAddrs(), serial.NumIIDs(), serial.Unique48s(), serial.Unique64s(), serial.TotalObservations())
-	}
+	st.View(func(got *Collector) { sameCorpus(t, got, serial) })
 
 	var delta bytes.Buffer
 	if err := st.CheckpointDelta(&delta); err != nil {
@@ -205,7 +198,8 @@ func TestMergeIsFold(t *testing.T) {
 
 // FuzzMergeFold is the same property with the stream, the cut points,
 // the donor kinds and the landing order all drawn from the input: a
-// six-byte header, then decodeObserveStream's records. Run with:
+// six-byte header,
+// then decodeObserveStream's records. Run with:
 //
 //	go test ./internal/collector -run '^$' -fuzz '^FuzzMergeFold$' -fuzztime 30s
 func FuzzMergeFold(f *testing.F) {

@@ -88,29 +88,33 @@ func TestCanonicalChecksumGolden(t *testing.T) {
 }
 
 // iidSlotOrderSum is the FNV-64a sum of the IID values, big-endian, in
-// IIDs() order over collectorBenchStream, and the same for a collector
-// fed one sighting at a time as for one fed the stream's two halves as
-// two Buffers (the first adopted into the empty collector, the second
-// folded in). The report's parallel folds partition the IID table by
-// slot, so its slot order is output-visible; the address table's is
-// not, and is not pinned.
-const iidSlotOrderSum = 0x6be35a9f01617192
+// IIDs() order of the IIDTable over collectorBenchStream, and the same
+// for a collector fed one sighting at a time as for one fed the
+// stream's two halves as two shards (the first moved into the empty
+// collector, the second folded in). Both give the collector the same
+// slab order, and the table is a function of slab order alone. Figure
+// 2b's fold partitions the table by slot but sorts its samples
+// (stats.TakeDistribution), so slot order cannot reach the report; the
+// sum pins that the table is deterministic. The address table's slot
+// order is not pinned.
+const iidSlotOrderSum = 0x3efda90b77a0b3fe
 
 func TestIIDSlotOrderGolden(t *testing.T) {
 	events, _ := collectorBenchStream()
-	serial, buffered := New(), New()
-	var b Buffer
+	serial, sharded := New(), New()
+	part := New()
 	for i, ev := range events {
 		serial.ObserveUnix(ev.a, ev.ts, ev.server)
-		b.ObserveUnix(ev.a, ev.ts, ev.server)
+		part.ObserveUnix(ev.a, ev.ts, ev.server)
 		if i == len(events)/2 || i == len(events)-1 {
-			buffered.AbsorbBuffer(&b)
+			sharded.Absorb(part)
+			part = New()
 		}
 	}
-	for i, c := range []*Collector{serial, buffered} {
+	for i, c := range []*Collector{serial, sharded} {
 		h := fnv.New64a()
 		var w [8]byte
-		c.IIDs(func(iid addr.IID, _ IIDView) bool {
+		c.IIDTable().IIDs(func(iid addr.IID, _ IIDView) bool {
 			binary.BigEndian.PutUint64(w[:], uint64(iid))
 			h.Write(w[:])
 			return true

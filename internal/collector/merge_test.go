@@ -40,9 +40,10 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 	}
 	a.Merge(b)
 
-	if a.NumAddrs() != sequential.NumAddrs() || a.NumIIDs() != sequential.NumIIDs() {
+	at, st := a.IIDTable(), sequential.IIDTable()
+	if a.NumAddrs() != sequential.NumAddrs() || at.NumIIDs() != st.NumIIDs() {
 		t.Fatalf("counts differ: %d/%d vs %d/%d",
-			a.NumAddrs(), a.NumIIDs(), sequential.NumAddrs(), sequential.NumIIDs())
+			a.NumAddrs(), at.NumIIDs(), sequential.NumAddrs(), st.NumIIDs())
 	}
 	if a.TotalObservations() != sequential.TotalObservations() {
 		t.Errorf("total: %d vs %d", a.TotalObservations(), sequential.TotalObservations())
@@ -55,8 +56,8 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 		return true
 	})
 	// EUI-64 /64 spans merged.
-	wantIID, _ := sequential.GetIID(eui)
-	gotIID, ok := a.GetIID(eui)
+	wantIID, _ := st.GetIID(eui)
+	gotIID, ok := at.GetIID(eui)
 	if !ok || gotIID.NumP64s() != wantIID.NumP64s() {
 		t.Fatalf("IID P64s: %d vs %d", gotIID.NumP64s(), wantIID.NumP64s())
 	}
@@ -109,7 +110,7 @@ func TestMergeDeepCopies(t *testing.T) {
 	dst.Merge(src)
 	sum := dst.Checksum()
 	wantAddr, _ := dst.Get(plain)
-	wantView, _ := dst.GetIID(eui)
+	wantView, _ := dst.IIDTable().GetIID(eui)
 	wantSpan, _ := wantView.Span(euiAddr.P64())
 
 	// Hammer the source: widen the existing records, stretch the EUI-64
@@ -125,16 +126,15 @@ func TestMergeDeepCopies(t *testing.T) {
 	if got, _ := dst.Get(plain); got != wantAddr {
 		t.Errorf("address record aliased: %+v vs %+v", got, wantAddr)
 	}
-	gotView, _ := dst.GetIID(eui)
+	gotView, _ := dst.IIDTable().GetIID(eui)
 	if gotView.NumP64s() != 1 {
 		t.Errorf("span chain aliased: %d /64s", gotView.NumP64s())
 	}
 	if got, _ := gotView.Span(euiAddr.P64()); got != wantSpan {
 		t.Errorf("span aliased: %+v vs %+v", got, wantSpan)
 	}
-	if dst.NumAddrs() != 2 || dst.Unique48s() != 2 {
-		t.Errorf("destination grew with the source: %d addrs, %d /48s",
-			dst.NumAddrs(), dst.Unique48s())
+	if dst.NumAddrs() != 2 {
+		t.Errorf("destination grew with the source: %d addrs", dst.NumAddrs())
 	}
 
 	// And the reverse direction: mutating the destination after the merge

@@ -13,7 +13,8 @@ import "hitlist6/internal/addr"
 //
 // All of them require the no-writer invariant that every read API here
 // already has: reads must not run concurrently with Observe/Merge/Absorb
-// (Store is the concurrency boundary for live ingest).
+// (Store is the concurrency boundary for live ingest), and an IIDTable's
+// only until its collector is next written.
 
 // AddrsRange iterates the (address, record) pairs with slab indices in
 // [lo, hi), in slab order; the callback returning false stops. The full
@@ -36,26 +37,26 @@ func (c *Collector) AddrsRange(lo, hi int, fn func(a addr.Addr, r AddrRecord) bo
 // NumIIDSlots returns the size of the IID index table: the iteration
 // space of IIDSlotsRange. Most slots are empty; the occupied ones are
 // exactly the NumIIDs unique IIDs.
-func (c *Collector) NumIIDSlots() int { return len(c.iidIdx) }
+func (t *IIDTable) NumIIDSlots() int { return len(t.iidIdx) }
 
 // IIDSlotsRange iterates the (IID, view) pairs whose index-table slots
 // fall in [lo, hi), in slot order; the callback returning false stops.
 // Covering [0, NumIIDSlots()) visits exactly what IIDs does, in the same
 // order.
-func (c *Collector) IIDSlotsRange(lo, hi int, fn func(iid addr.IID, r IIDView) bool) {
+func (t *IIDTable) IIDSlotsRange(lo, hi int, fn func(iid addr.IID, r IIDView) bool) {
 	if lo < 0 {
 		lo = 0
 	}
-	if n := len(c.iidIdx); hi > n {
+	if n := len(t.iidIdx); hi > n {
 		hi = n
 	}
 	for i := lo; i < hi; i++ {
-		v := c.iidIdx[i]
+		v := t.iidIdx[i]
 		if v == 0 {
 			continue
 		}
 		ref := v - 1
-		if !fn(c.iidKeyOf(ref), IIDView{c: c, ref: ref}) {
+		if !fn(t.iidKeyOf(ref), IIDView{t: t, ref: ref}) {
 			return
 		}
 	}
@@ -63,25 +64,25 @@ func (c *Collector) IIDSlotsRange(lo, hi int, fn func(iid addr.IID, r IIDView) b
 
 // NumPromotedIIDs returns the size of the promoted IID slab: the
 // iteration space of EUI64IIDsRange.
-func (c *Collector) NumPromotedIIDs() int { return int(c.iidRecs.n) }
+func (t *IIDTable) NumPromotedIIDs() int { return int(t.iidRecs.n) }
 
 // EUI64IIDsRange iterates the tracked (EUI-64) IIDs whose promoted-slab
 // indices fall in [lo, hi), in slab order; the callback returning false
 // stops. Covering [0, NumPromotedIIDs()) visits exactly what EUI64IIDs
 // does, in the same order.
-func (c *Collector) EUI64IIDsRange(lo, hi int, fn func(iid addr.IID, r IIDView) bool) {
+func (t *IIDTable) EUI64IIDsRange(lo, hi int, fn func(iid addr.IID, r IIDView) bool) {
 	if lo < 0 {
 		lo = 0
 	}
-	if n := int(c.iidRecs.n); hi > n {
+	if n := int(t.iidRecs.n); hi > n {
 		hi = n
 	}
 	for i := lo; i < hi; i++ {
-		e := c.iidRecs.at(uint32(i))
+		e := t.iidRecs.at(uint32(i))
 		if e.spans == spanNone {
 			continue
 		}
-		if !fn(e.key, IIDView{c: c, ref: uint32(i) | promotedTag}) {
+		if !fn(e.key, IIDView{t: t, ref: uint32(i) | promotedTag}) {
 			return
 		}
 	}

@@ -78,10 +78,11 @@ func TestRangeIteratorsCoverSerialOrder(t *testing.T) {
 	}
 
 	// IIDs (slot order).
+	tb := c.IIDTable()
 	var serialI, rangedI []addr.IID
-	c.IIDs(func(iid addr.IID, _ IIDView) bool { serialI = append(serialI, iid); return true })
-	for _, r := range splits(c.NumIIDSlots()) {
-		c.IIDSlotsRange(r[0], r[1], func(iid addr.IID, _ IIDView) bool {
+	tb.IIDs(func(iid addr.IID, _ IIDView) bool { serialI = append(serialI, iid); return true })
+	for _, r := range splits(tb.NumIIDSlots()) {
+		tb.IIDSlotsRange(r[0], r[1], func(iid addr.IID, _ IIDView) bool {
 			rangedI = append(rangedI, iid)
 			return true
 		})
@@ -102,12 +103,12 @@ func TestRangeIteratorsCoverSerialOrder(t *testing.T) {
 		spans int
 	}
 	var serialE, rangedE []euiRow
-	c.EUI64IIDs(func(iid addr.IID, r IIDView) bool {
+	tb.EUI64IIDs(func(iid addr.IID, r IIDView) bool {
 		serialE = append(serialE, euiRow{iid, r.NumP64s()})
 		return true
 	})
-	for _, r := range splits(c.NumPromotedIIDs()) {
-		c.EUI64IIDsRange(r[0], r[1], func(iid addr.IID, v IIDView) bool {
+	for _, r := range splits(tb.NumPromotedIIDs()) {
+		tb.EUI64IIDsRange(r[0], r[1], func(iid addr.IID, v IIDView) bool {
 			rangedE = append(rangedE, euiRow{iid, v.NumP64s()})
 			return true
 		})
@@ -135,18 +136,26 @@ func TestRangeIteratorsClamp(t *testing.T) {
 		t.Fatalf("clamped address range visited %d of %d", n, c.NumAddrs())
 	}
 	n = 0
-	c.IIDSlotsRange(-1, c.NumIIDSlots()+7, func(addr.IID, IIDView) bool { n++; return true })
-	if n != c.NumIIDs() {
-		t.Fatalf("clamped IID range visited %d of %d", n, c.NumIIDs())
+	tb := c.IIDTable()
+	tb.IIDSlotsRange(-1, tb.NumIIDSlots()+7, func(addr.IID, IIDView) bool { n++; return true })
+	if n != tb.NumIIDs() {
+		t.Fatalf("clamped IID range visited %d of %d", n, tb.NumIIDs())
 	}
 	n = 0
-	c.EUI64IIDsRange(-1, c.NumPromotedIIDs()+7, func(addr.IID, IIDView) bool { n++; return true })
+	tb.EUI64IIDsRange(-1, tb.NumPromotedIIDs()+7, func(addr.IID, IIDView) bool { n++; return true })
 	stop := 0
-	c.EUI64IIDsRange(0, c.NumPromotedIIDs(), func(addr.IID, IIDView) bool { stop++; return false })
+	tb.EUI64IIDsRange(0, tb.NumPromotedIIDs(), func(addr.IID, IIDView) bool { stop++; return false })
 	if stop != 1 {
 		t.Fatalf("early stop visited %d", stop)
 	}
 	if n == 0 {
 		t.Fatal("clamped EUI-64 range visited nothing")
+	}
+	var set IIDSet
+	set.AddRange(c, -3, 7)
+	set.AddRange(c, 7, c.NumAddrs()+9)
+	set.AddRange(c, 9, 2)
+	if set.Len() != tb.NumIIDs() {
+		t.Fatalf("IIDSet over clamped ranges holds %d of %d IIDs", set.Len(), tb.NumIIDs())
 	}
 }

@@ -12,9 +12,9 @@ import (
 // an argument that picks the sighting's time and server.
 const (
 	probeOpCollector   = iota // c.ObserveUnix
-	probeOpBuffer             // b.ObserveUnix
-	probeOpAbsorb             // c.AbsorbBuffer(b): adopt into an empty c, fold into a live one
-	probeOpAbsorbFresh        // b adopted by a fresh collector, checked, then absorbed into c
+	probeOpShard              // b.ObserveUnix
+	probeOpAbsorb             // c.Absorb(b): moved into an empty c, folded into a live one
+	probeOpAbsorbFresh        // b moved into a fresh collector, checked, then absorbed into c
 	probeOpRestore            // c replaced by OpenSnapshot of its snapshot
 	probeOpRebuild            // rebuildIndex over c's records, plus the key again if present
 	probeOps
@@ -102,11 +102,13 @@ func foldRef[K comparable](ref map[K]AddrRecord, k K, in AddrRecord) {
 }
 
 // FuzzProbeTable holds both index tables to map references through
-// every way a key reaches them — a Collector sighting, a Buffer
-// sighting, a Buffer adopted by an empty collector or folded into a
+// every way a key reaches them — a sighting in the corpus or in a shard
+// collector, a shard moved into an empty collector or folded into a
 // live one, a snapshot restore, an index rebuild — over a key pool in
 // which most keys share a home slot and a tag byte: the cases where a
-// probe has to fall through to the slab to tell keys apart. Run it
+// probe has to fall through to the slab to tell keys apart. The IID
+// table is built from the corpus after every op and held to the IID
+// aggregates and per-/64 spans the address reference implies. Run it
 // continuously with:
 //
 //	go test ./internal/collector -run '^$' -fuzz '^FuzzProbeTable$' -fuzztime 30s -fuzzminimizetime 2s
@@ -115,7 +117,7 @@ func FuzzProbeTable(f *testing.F) {
 	var seed []byte
 	op := func(o, k, arg int) { seed = append(seed, byte(o), byte(k), byte(arg)) }
 	for k := 0; k < 32; k++ {
-		op(probeOpBuffer, k, k)
+		op(probeOpShard, k, k)
 	}
 	op(probeOpAbsorb, 0, 0)
 	op(probeOpRebuild, 40, 0) // absent: keys 0..15 share home and tag, and all go in
@@ -124,7 +126,7 @@ func FuzzProbeTable(f *testing.F) {
 		op(probeOpCollector, k, 255-k)
 	}
 	for k := 0; k < 64; k += 2 {
-		op(probeOpBuffer, k, k*3)
+		op(probeOpShard, k, k*3)
 	}
 	op(probeOpAbsorbFresh, 0, 0)
 	op(probeOpRestore, 0, 0)
@@ -132,7 +134,7 @@ func FuzzProbeTable(f *testing.F) {
 		op(probeOpCollector, k, 7)
 	}
 	for k := 0; k < 16; k++ {
-		op(probeOpBuffer, k, 9)
+		op(probeOpShard, k, 9)
 	}
 	op(probeOpAbsorb, 0, 0)
 	f.Add(seed)
@@ -147,7 +149,7 @@ func FuzzProbeTable(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pool := probePool()
-		c, b := New(), &Buffer{}
+		c, b := New(), New()
 		ref, bufRef := map[addr.Addr]AddrRecord{}, map[addr.Addr]AddrRecord{}
 		var total, bufTotal uint64
 		absorbed := func() {
@@ -169,16 +171,16 @@ func FuzzProbeTable(f *testing.F) {
 				c.ObserveUnix(k, ts, server)
 				foldRef(ref, k, in)
 				total++
-			case probeOpBuffer:
+			case probeOpShard:
 				b.ObserveUnix(k, ts, server)
 				foldRef(bufRef, k, in)
 				bufTotal++
 			case probeOpAbsorb:
-				c.AbsorbBuffer(b)
+				c.Absorb(b)
 				absorbed()
 			case probeOpAbsorbFresh:
 				d := New()
-				d.AbsorbBuffer(b)
+				d.Absorb(b)
 				checkProbeCollector(t, d, bufRef, bufTotal, pool)
 				c.Absorb(d)
 				absorbed()
@@ -233,41 +235,91 @@ func checkProbeTable(t *testing.T, tb *addrTable, ref map[addr.Addr]AddrRecord, 
 	}
 }
 
+// probeIID is the reference for one IID: the fold of its addresses'
+// records, and for an EUI-64 IID the fold per /64.
+type probeIID struct {
+	rec   AddrRecord
+	spans map[addr.Prefix64]Span
+}
+
 // checkProbeCollector holds a collector to its address reference — Get
-// at every pool key — and to the IID aggregates that reference implies:
-// each IID's record is the fold of its addresses' records, GetIID finds
-// exactly the IIDs present, and IIDs visits each once.
+// at every pool key — and an IIDTable built from it to the IID state
+// that reference implies: each IID's record is the fold of its
+// addresses' records, an EUI-64 IID is tracked with one span per /64 it
+// appeared in, GetIID finds exactly the IIDs present, and IIDs visits
+// each once.
 func checkProbeCollector(t *testing.T, c *Collector, ref map[addr.Addr]AddrRecord, total uint64, pool []addr.Addr) {
 	t.Helper()
 	if c.NumAddrs() != len(ref) || c.TotalObservations() != total {
 		t.Fatalf("addrs/total %d/%d, reference %d/%d", c.NumAddrs(), c.TotalObservations(), len(ref), total)
 	}
-	iids := map[addr.IID]AddrRecord{}
+	iids := map[addr.IID]*probeIID{}
 	for _, a := range pool {
 		got, ok := c.Get(a)
 		want, wok := ref[a]
 		if ok != wok || got != want {
 			t.Fatalf("Get %v = %+v %v, want %+v %v", a, got, ok, want, wok)
 		}
-		if wok {
-			foldRef(iids, a.IID(), want)
+		if !wok {
+			continue
+		}
+		r := iids[a.IID()]
+		if r == nil {
+			r = &probeIID{rec: want}
+			if a.IID().IsEUI64() {
+				r.spans = map[addr.Prefix64]Span{}
+			}
+			iids[a.IID()] = r
+		} else {
+			r.rec.First, r.rec.Last = min(r.rec.First, want.First), max(r.rec.Last, want.Last)
+			r.rec.Count += want.Count
+		}
+		if r.spans != nil {
+			sp, seen := r.spans[a.P64()]
+			if !seen {
+				sp = Span{First: want.First, Last: want.Last}
+			}
+			r.spans[a.P64()] = Span{First: min(sp.First, want.First), Last: max(sp.Last, want.Last)}
 		}
 	}
-	if c.NumIIDs() != len(iids) {
-		t.Fatalf("NumIIDs %d, reference %d", c.NumIIDs(), len(iids))
+	tb := c.IIDTable()
+	if tb.NumIIDs() != len(iids) {
+		t.Fatalf("NumIIDs %d, reference %d", tb.NumIIDs(), len(iids))
 	}
 	for _, a := range pool {
-		v, ok := c.GetIID(a.IID())
+		v, ok := tb.GetIID(a.IID())
 		want, wok := iids[a.IID()]
-		if ok != wok || ok && (v.First() != want.First || v.Last() != want.Last || v.Count() != want.Count) {
-			t.Fatalf("GetIID %016x found %v, want %v %+v", uint64(a.IID()), ok, wok, want)
+		if ok != wok {
+			t.Fatalf("GetIID %016x found %v, want %v", uint64(a.IID()), ok, wok)
 		}
-		if ok && v.Tracked() != a.IID().IsEUI64() {
-			t.Fatalf("IID %016x tracked %v", uint64(a.IID()), v.Tracked())
+		if !ok {
+			continue
+		}
+		if v.First() != want.rec.First || v.Last() != want.rec.Last || v.Count() != want.rec.Count {
+			t.Fatalf("GetIID %016x = %d/%d/%d, want %+v", uint64(a.IID()), v.First(), v.Last(), v.Count(), want.rec)
+		}
+		if v.Tracked() != (want.spans != nil) || v.NumP64s() != len(want.spans) {
+			t.Fatalf("IID %016x tracked %v over %d /64s, want %v over %d",
+				uint64(a.IID()), v.Tracked(), v.NumP64s(), want.spans != nil, len(want.spans))
+		}
+		sp, ok := v.Span(a.P64())
+		if wsp, wok := want.spans[a.P64()]; ok != wok || sp != wsp {
+			t.Fatalf("IID %016x span in %v = %+v %v, want %+v %v", uint64(a.IID()), a.P64(), sp, ok, wsp, wok)
+		}
+		n := 0
+		v.P64s(func(p addr.Prefix64, sp Span) bool {
+			if want.spans[p] != sp {
+				t.Fatalf("IID %016x P64s visits %v %+v, want %+v", uint64(a.IID()), p, sp, want.spans[p])
+			}
+			n++
+			return true
+		})
+		if n != len(want.spans) {
+			t.Fatalf("IID %016x P64s visits %d of %d", uint64(a.IID()), n, len(want.spans))
 		}
 	}
 	seen := map[addr.IID]bool{}
-	c.IIDs(func(iid addr.IID, v IIDView) bool {
+	tb.IIDs(func(iid addr.IID, v IIDView) bool {
 		if _, ok := iids[iid]; !ok || seen[iid] {
 			t.Fatalf("IIDs visits %016x (in reference %v, seen before %v)", uint64(iid), ok, seen[iid])
 		}

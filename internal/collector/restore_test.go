@@ -12,10 +12,10 @@ import (
 	"hitlist6/internal/addr"
 )
 
-// A checkpoint holds address records and restore derives the rest, so
-// the property to pin is that deriving from the records a collector
-// ended with gives what it built one sighting at a time — for every
-// structure a reader can reach, not only the ones Checksum covers.
+// A checkpoint holds address records and nothing else, so the property
+// to pin is that a restored collector answers as the one that wrote it
+// did — for every structure a reader can reach, IID tables included,
+// not only the ones Checksum covers.
 
 type p64Span struct {
 	p  addr.Prefix64
@@ -24,19 +24,27 @@ type p64Span struct {
 
 // sameCorpus holds got to want in everything a collector answers: the
 // canonical checksum (every address record, every IID aggregate), the
-// counts, the promoted-record count, and each IID's view — first, last,
-// count, tracked or not, and its per-/64 spans.
+// counts, and through their IID tables the promoted-record count and
+// each IID's view — first, last, count, tracked or not, and its per-/64
+// spans.
 func sameCorpus(t testing.TB, got, want *Collector) {
 	t.Helper()
 	if got.Checksum() != want.Checksum() {
 		t.Fatalf("checksums differ")
 	}
-	if got.NumAddrs() != want.NumAddrs() || got.NumIIDs() != want.NumIIDs() ||
-		got.Unique48s() != want.Unique48s() || got.Unique64s() != want.Unique64s() ||
-		got.NumPromotedIIDs() != want.NumPromotedIIDs() || got.TotalObservations() != want.TotalObservations() {
-		t.Fatalf("addrs/IIDs/48s/64s/promoted/total %d/%d/%d/%d/%d/%d, want %d/%d/%d/%d/%d/%d",
-			got.NumAddrs(), got.NumIIDs(), got.Unique48s(), got.Unique64s(), got.NumPromotedIIDs(), got.TotalObservations(),
-			want.NumAddrs(), want.NumIIDs(), want.Unique48s(), want.Unique64s(), want.NumPromotedIIDs(), want.TotalObservations())
+	if got.NumAddrs() != want.NumAddrs() || got.TotalObservations() != want.TotalObservations() {
+		t.Fatalf("addrs/total %d/%d, want %d/%d",
+			got.NumAddrs(), got.TotalObservations(), want.NumAddrs(), want.TotalObservations())
+	}
+	sameIIDTables(t, got.IIDTable(), want.IIDTable())
+}
+
+// sameIIDTables holds got to want view for view.
+func sameIIDTables(t testing.TB, got, want *IIDTable) {
+	t.Helper()
+	if got.NumIIDs() != want.NumIIDs() || got.NumPromotedIIDs() != want.NumPromotedIIDs() {
+		t.Fatalf("IIDs/promoted %d/%d, want %d/%d",
+			got.NumIIDs(), got.NumPromotedIIDs(), want.NumIIDs(), want.NumPromotedIIDs())
 	}
 	spansOf := func(v IIDView) []p64Span {
 		var out []p64Span

@@ -13,13 +13,11 @@ import (
 // address records only: a meta section (observation total, record
 // count) and the address slab verbatim, in slab order, as
 // length-prefixed CRC-checked sections (see internal/snapfmt).
-// Everything else a collector keeps — the IID index, promoted records,
-// span chains, prefix sets — is a fold of those records, and restore
-// runs that fold through the same write core the live path uses
-// (Collector.derive), so no derived structure is ever decoded, trusted
-// or validated from bytes. The invariant pinned by the golden fixtures
-// and the round-trip fuzz target: a restored collector's Checksum
-// equals the original's.
+// A collector holds nothing else, and everything per IID is a fold of
+// those records that readers build when they need it (Collector.IIDTable),
+// so no derived structure is ever decoded, trusted or validated from
+// bytes. The invariant pinned by the golden fixtures and the round-trip
+// fuzz target: a restored collector's Checksum equals the original's.
 //
 // Version history:
 //
@@ -47,8 +45,8 @@ const (
 	snapLastV1   = 7 // v1's last section id; 3..7 are drained
 
 	// maxSlabIndex bounds the slab count a snapshot may declare: indices
-	// are uint32s with the top bit reserved for promotedTag and +1
-	// biasing in the tables.
+	// are uint32s with the top bit reserved for an IIDTable's promotedTag
+	// and +1 biasing in the tables.
 	maxSlabIndex = promotedTag - 2
 )
 
@@ -156,9 +154,9 @@ func RestoreChain(base io.Reader, deltas ...io.Reader) (*Collector, error) {
 
 // Restore is a checkpoint chain being read back: the address slab of
 // the base with each delta's blocks overlaid, and nothing else. However
-// long the chain, the index rebuild and the derive pass run once, in
-// Collector — so no collector exists, whole or partial, until every
-// file has been read and checked.
+// long the chain, the index is built once, in Collector — so no
+// collector exists, whole or partial, until every file has been read
+// and checked.
 type Restore struct {
 	addrTable // the slab; the index is built last, in Collector
 	total     uint64
@@ -301,9 +299,8 @@ func (rs *Restore) readAddrs(sr *snapfmt.Reader, lo, hi uint64) error {
 }
 
 // Collector finishes the restore: it indexes the slab, rejecting a
-// duplicated address, and derives everything else a collector holds
-// from the records, one derive per record whatever the chain length.
-// The collector sits at the chain position of the last file applied, so
+// duplicated address, and the slab and index become the collector. The
+// collector sits at the chain position of the last file applied, so
 // deltas cut from it extend the chain just read.
 func (rs *Restore) Collector() (*Collector, error) {
 	if rs.err != nil {
@@ -313,9 +310,7 @@ func (rs *Restore) Collector() (*Collector, error) {
 	if err := rs.rebuildIndex(); err != nil {
 		return nil, fmt.Errorf("collector: snapshot: %w", err)
 	}
-	c := New()
-	c.adopt(rs.addrTable)
-	c.total = rs.total
+	c := &Collector{addrTable: rs.addrTable, total: rs.total}
 	c.markClean(rs.seq)
 	return c, nil
 }

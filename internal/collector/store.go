@@ -6,11 +6,12 @@ import (
 )
 
 // Store is the single-writer merged view of sharded collection: ingest
-// shards accumulate address records into private Buffers and
-// periodically hand them to one merger goroutine, which folds them in
-// here under the write lock. Readers (HTTP stat endpoints, analyses
-// running mid-ingest) take the read lock and see a consistent,
-// slightly-stale corpus.
+// shards accumulate address records into private Collectors and
+// periodically hand them to one merger goroutine, which absorbs them
+// here under the write lock. Readers (HTTP stat endpoints, checkpoints,
+// the tier writer) take the read lock and see a consistent,
+// slightly-stale corpus of address records; a reader that needs IID
+// state builds a Collector.IIDTable inside View.
 //
 // The Collector itself stays single-writer — Store adds the concurrency
 // boundary around it instead of pushing locks into the per-sighting hot
@@ -18,9 +19,6 @@ import (
 type Store struct {
 	mu sync.RWMutex
 	c  *Collector
-	// merges counts ApplyShard and ApplyBuffer calls; useful for
-	// snapshot bookkeeping.
-	merges uint64
 }
 
 // NewStore returns an empty store.
@@ -28,25 +26,16 @@ func NewStore() *Store {
 	return &Store{c: New()}
 }
 
-// ApplyShard folds a whole collector — a restored seed, a corpus built
-// elsewhere — into the merged view. The store takes ownership: part
-// must not be used again (see Collector.Absorb for the cases).
+// ApplyShard folds a whole collector — a shard epoch, a restored seed,
+// a corpus built elsewhere — into the merged view. The store takes
+// ownership: part must not be used again (see Collector.Absorb for the
+// cases).
 func (s *Store) ApplyShard(part *Collector) {
 	if part == nil {
 		return
 	}
 	s.mu.Lock()
 	s.c.Absorb(part)
-	s.merges++
-	s.mu.Unlock()
-}
-
-// ApplyBuffer folds one shard epoch into the merged view and empties
-// the buffer (see Collector.AbsorbBuffer).
-func (s *Store) ApplyBuffer(b *Buffer) {
-	s.mu.Lock()
-	s.c.AbsorbBuffer(b)
-	s.merges++
 	s.mu.Unlock()
 }
 
@@ -65,27 +54,6 @@ func (s *Store) NumAddrs() int {
 	return s.c.NumAddrs()
 }
 
-// NumIIDs returns the merged unique-IID count.
-func (s *Store) NumIIDs() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.c.NumIIDs()
-}
-
-// TotalObservations returns the merged raw sighting count.
-func (s *Store) TotalObservations() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.c.TotalObservations()
-}
-
-// Merges returns how many shard snapshots have been applied.
-func (s *Store) Merges() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.merges
-}
-
 // MemoryFootprint estimates the merged corpus's resident bytes (see
 // Collector.MemoryFootprint): the number stat endpoints export as
 // corpus_bytes.
@@ -93,13 +61,6 @@ func (s *Store) MemoryFootprint() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.c.MemoryFootprint()
-}
-
-// Checksum returns the canonical checksum of the merged corpus.
-func (s *Store) Checksum() [32]byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.c.Checksum()
 }
 
 // Snapshot writes the merged corpus's durable encoding (see
@@ -165,6 +126,5 @@ func (s *Store) Detach() *Collector {
 	defer s.mu.Unlock()
 	c := s.c
 	s.c = New()
-	s.merges = 0
 	return c
 }

@@ -39,10 +39,22 @@ func TestServerBitSaturation(t *testing.T) {
 	}
 }
 
+// storeChecksum is the canonical checksum of a store's merged corpus.
+func storeChecksum(s *Store) (sum [32]byte) {
+	s.View(func(c *Collector) { sum = c.Checksum() })
+	return sum
+}
+
+// storeTotal is a store's merged sighting count.
+func storeTotal(s *Store) (n uint64) {
+	s.View(func(c *Collector) { n = c.TotalObservations() })
+	return n
+}
+
 func TestStoreMergesAndReads(t *testing.T) {
 	base := time.Date(2022, 2, 1, 0, 0, 0, 0, time.UTC).Unix()
 	s := NewStore()
-	if s.NumAddrs() != 0 || s.TotalObservations() != 0 {
+	if s.NumAddrs() != 0 || storeTotal(s) != 0 {
 		t.Fatal("new store not empty")
 	}
 
@@ -55,8 +67,8 @@ func TestStoreMergesAndReads(t *testing.T) {
 	s.ApplyShard(shard2)
 	s.ApplyShard(nil) // no-op
 
-	if s.NumAddrs() != 2 || s.TotalObservations() != 3 || s.Merges() != 2 {
-		t.Errorf("addrs=%d obs=%d merges=%d", s.NumAddrs(), s.TotalObservations(), s.Merges())
+	if s.NumAddrs() != 2 || storeTotal(s) != 3 {
+		t.Errorf("addrs=%d obs=%d", s.NumAddrs(), storeTotal(s))
 	}
 	s.View(func(c *Collector) {
 		r, ok := c.Get(addr.MustParse("2001:db8::1"))
@@ -69,7 +81,7 @@ func TestStoreMergesAndReads(t *testing.T) {
 	if detached.NumAddrs() != 2 {
 		t.Error("detached corpus incomplete")
 	}
-	if s.NumAddrs() != 0 || s.Merges() != 0 {
+	if s.NumAddrs() != 0 || storeTotal(s) != 0 {
 		t.Error("store not reset after Detach")
 	}
 }
@@ -99,9 +111,8 @@ func TestStoreReuseAfterDetach(t *testing.T) {
 	second := New()
 	second.ObserveUnix(addr.MustParse("2400:cb00::1"), base+2, 2)
 	s.ApplyShard(second)
-	if s.NumAddrs() != 1 || s.Merges() != 1 || s.TotalObservations() != 1 {
-		t.Errorf("post-detach store: addrs=%d merges=%d obs=%d",
-			s.NumAddrs(), s.Merges(), s.TotalObservations())
+	if s.NumAddrs() != 1 || storeTotal(s) != 1 {
+		t.Errorf("post-detach store: addrs=%d obs=%d", s.NumAddrs(), storeTotal(s))
 	}
 	s.View(func(c *Collector) {
 		if _, ok := c.Get(addr.MustParse("2001:db8::1")); ok {
@@ -114,9 +125,9 @@ func TestStoreReuseAfterDetach(t *testing.T) {
 
 	// Writes to the detached collector must never surface in the store
 	// (and vice versa): Detach is a handoff, not a shared view.
-	sum := s.Checksum()
+	sum := storeChecksum(s)
 	detached.ObserveUnix(addr.MustParse("2001:db8::3"), base+3, 3)
-	if s.Checksum() != sum {
+	if storeChecksum(s) != sum {
 		t.Error("detached collector aliases the store")
 	}
 
@@ -145,10 +156,9 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				default:
 				}
 				_ = s.NumAddrs()
-				_ = s.NumIIDs()
-				_ = s.TotalObservations()
 				s.View(func(c *Collector) {
 					c.Addrs(func(addr.Addr, AddrRecord) bool { return false })
+					_ = c.IIDTable().NumIIDs()
 				})
 			}
 		}()

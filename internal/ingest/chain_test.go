@@ -70,7 +70,7 @@ func TestCheckpointChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Checksum() != p.Store().Checksum() {
+	if restored.Checksum() != storeChecksum(p.Store()) {
 		t.Fatal("chain restore diverges from the live corpus")
 	}
 
@@ -94,7 +94,7 @@ func TestCheckpointChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Checksum() != p.Store().Checksum() {
+	if restored.Checksum() != storeChecksum(p.Store()) {
 		t.Fatal("post-compaction restore diverges from the live corpus")
 	}
 
@@ -193,7 +193,7 @@ func TestRestoreDropsSupersededChain(t *testing.T) {
 	if len(old) != 2 || len(chainDeltaFiles(path)) != 0 {
 		t.Fatalf("setup: %d old deltas saved, %d left after compaction", len(old), len(chainDeltaFiles(path)))
 	}
-	want := p.Store().Checksum()
+	want := storeChecksum(p.Store())
 
 	// The crash: the base made it, the removal did not.
 	for name, body := range old {
@@ -259,7 +259,7 @@ func TestCheckpointFileSupersedesChain(t *testing.T) {
 	if err != nil || len(superseded) != 0 {
 		t.Fatalf("restore: %v, superseded %v", err, superseded)
 	}
-	if c.Checksum() != p.Store().Checksum() {
+	if c.Checksum() != storeChecksum(p.Store()) {
 		t.Fatal("restore diverges from the live corpus")
 	}
 }
@@ -317,7 +317,7 @@ func TestCheckpointChainDeltaSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Checksum() != p.Store().Checksum() {
+	if restored.Checksum() != storeChecksum(p.Store()) {
 		t.Fatal("chain restore diverges from the live corpus")
 	}
 }

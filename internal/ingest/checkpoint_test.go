@@ -245,7 +245,7 @@ func TestCheckpointErrorsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Checksum() != p.Store().Checksum() {
+	if restored.Checksum() != storeChecksum(p.Store()) {
 		t.Fatal("re-anchored chain restores to a different corpus")
 	}
 }

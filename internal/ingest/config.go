@@ -7,10 +7,9 @@
 // synchronization, an admission policy provides backpressure (block) or
 // load-shedding (drop), pluggable enrichment stages run inline on each
 // shard, and shard snapshots merge into a single-writer collector.Store
-// that readers can query live. The merge is real work, not a handover:
-// shards are disjoint by address but IIDs recur across prefixes, so
-// every snapshot after the first into an empty store shares IID state
-// with it and is folded in record by record (collector.Absorb).
+// that readers can query live. Only the first snapshot into an empty
+// store is a handover; every later one is folded into the store's
+// address table record by record (collector.Absorb).
 //
 // The paper's deployment is 27 vantage servers each feeding one stream;
 // this pipeline is what one high-volume vantage (or a central

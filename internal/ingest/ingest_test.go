@@ -11,6 +11,18 @@ import (
 	"hitlist6/internal/simnet"
 )
 
+// storeChecksum is the canonical checksum of a store's merged corpus.
+func storeChecksum(s *collector.Store) (sum [32]byte) {
+	s.View(func(c *collector.Collector) { sum = c.Checksum() })
+	return sum
+}
+
+// storeTotal is a store's merged sighting count.
+func storeTotal(s *collector.Store) (n uint64) {
+	s.View(func(c *collector.Collector) { n = c.TotalObservations() })
+	return n
+}
+
 // testEvents materializes a small deterministic event stream with
 // vantage indices spread over [0, 27).
 func testEvents(t testing.TB, scale float64, days int) []Event {
@@ -88,10 +100,10 @@ func TestSnapshotNowLiveView(t *testing.T) {
 	p.SnapshotNow()
 	// The merge is asynchronous after the shard handoff; poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Store().TotalObservations() < uint64(len(events)/2) {
+	for storeTotal(p.Store()) < uint64(len(events)/2) {
 		if time.Now().After(deadline) {
 			t.Fatalf("live store stuck at %d/%d observations",
-				p.Store().TotalObservations(), len(events)/2)
+				storeTotal(p.Store()), len(events)/2)
 		}
 		time.Sleep(time.Millisecond)
 	}

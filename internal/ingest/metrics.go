@@ -44,7 +44,7 @@ type pipelineTelemetry struct {
 	stageSeconds []*telemetry.Histogram
 	// Global distributions.
 	batchEvents      *telemetry.Histogram // events per batch
-	mergeSeconds     *telemetry.Histogram // ApplyBuffer wall time in the merger
+	mergeSeconds     *telemetry.Histogram // ApplyShard wall time in the merger
 	checkpointTime   *telemetry.Histogram // CheckpointFile wall time
 	checkpointVolume *telemetry.Histogram // CheckpointFile bytes written
 }

@@ -11,13 +11,14 @@ import (
 
 // Pipeline is the sharded ingestion engine. Producers obtain Batchers
 // and push Events; each event hashes to one of N shards, whose worker
-// goroutine folds it into a private address-record buffer plus the
-// configured enrichment stages, entirely lock-free. Snapshots
-// (periodic, on demand, and at Close) hand the private state to a
-// single merger goroutine that folds it into the Store — the one writer
-// the concurrency model allows, and the one place IID state is derived
-// — so readers always have a consistent, slightly-stale corpus without
-// ever touching the hot path.
+// goroutine folds it into a private Collector plus the configured
+// enrichment stages, entirely lock-free. Snapshots (periodic, on
+// demand, and at Close) hand the private state to a single merger
+// goroutine that absorbs it into the Store — the one writer the
+// concurrency model allows — so readers always have a consistent,
+// slightly-stale corpus of address records without ever touching the
+// hot path. Nothing per IID is kept while ingesting: readers that need
+// it build a Collector.IIDTable.
 type Pipeline struct {
 	cfg   Config
 	store *collector.Store
@@ -67,7 +68,7 @@ type shard struct {
 	idx    int
 	in     chan []Event
 	snap   chan chan struct{}
-	buf    *collector.Buffer
+	buf    *collector.Collector
 	stages []Stage
 }
 
@@ -76,7 +77,7 @@ type shard struct {
 // FIFO and the merger is the only consumer, so the barrier closing
 // proves every snapshot enqueued before it has been folded in.
 type shardSnapshot struct {
-	buf     *collector.Buffer
+	buf     *collector.Collector
 	stages  []Stage
 	barrier chan struct{}
 }
@@ -111,7 +112,7 @@ func New(cfg Config) (*Pipeline, error) {
 			idx:    i,
 			in:     make(chan []Event, cfg.QueueDepth),
 			snap:   make(chan chan struct{}, 1),
-			buf:    new(collector.Buffer),
+			buf:    collector.New(),
 			stages: newStages(cfg.Stages),
 		}
 	}
@@ -190,7 +191,7 @@ func (p *Pipeline) handOff(s *shard, open bool) {
 	p.merge <- shardSnapshot{buf: s.buf, stages: s.stages}
 	s.buf, s.stages = nil, nil
 	if open {
-		s.buf = new(collector.Buffer)
+		s.buf = collector.New()
 		s.stages = newStages(p.cfg.Stages)
 	}
 }
@@ -204,7 +205,7 @@ func newStages(factories []StageFactory) []Stage {
 	return stages
 }
 
-// processBatch folds one batch into the shard's buffer and stages.
+// processBatch folds one batch into the shard's collector and stages.
 // The loop is structured stage-major (collector pass, then one pass
 // per stage) so each stage's wall time is measurable with two clock
 // reads per batch instead of two per event — the whole point of the
@@ -280,7 +281,7 @@ func (p *Pipeline) runMerger() {
 		}
 		if snap.buf != nil {
 			mergeStart := time.Now()
-			p.store.ApplyBuffer(snap.buf)
+			p.store.ApplyShard(snap.buf)
 			p.tel.mergeSeconds.ObserveDuration(time.Since(mergeStart))
 		}
 		if len(snap.stages) > 0 {

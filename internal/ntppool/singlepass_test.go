@@ -106,7 +106,7 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 	}
 	serial := collector.New()
 	Run(w, p, serial, nil, time.Time{})
-	want := tracking.Analyze(serial, w.ASDB, w.Geo, w.OUI)
+	want := tracking.Analyze(serial.IIDTable(), w.ASDB, w.Geo, w.OUI)
 	if len(want.MACs) == 0 {
 		t.Fatal("serial replay produced no EUI-64 MACs; the equivalence would be vacuous")
 	}
@@ -132,13 +132,16 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		live := tracking.AnalyzeStore(pipe.Store(), w.ASDB, w.Geo, w.OUI)
+		var live *tracking.Analysis
+		pipe.Store().View(func(c *collector.Collector) {
+			live = tracking.Analyze(c.IIDTable(), w.ASDB, w.Geo, w.OUI)
+		})
 		if !reflect.DeepEqual(want, live) {
 			t.Errorf("shards=%d: live store analysis differs from serial replay", shards)
 		}
 
 		// Closed read: the detached corpus must agree too.
-		closed := tracking.Analyze(pipe.Close(), w.ASDB, w.Geo, w.OUI)
+		closed := tracking.Analyze(pipe.Close().IIDTable(), w.ASDB, w.Geo, w.OUI)
 		if !reflect.DeepEqual(want, closed) {
 			t.Errorf("shards=%d: closed-corpus analysis differs from serial replay", shards)
 		}

@@ -33,12 +33,12 @@ func TestAnalyzeWorkerEquivalence(t *testing.T) {
 			base.AddDate(0, 0, rng.Intn(90)), rng.Intn(3))
 	}
 
-	want := Analyze(c, db, geo, reg)
+	want := Analyze(c.IIDTable(), db, geo, reg)
 	if len(want.MACs) == 0 || want.Trackable == 0 {
 		t.Fatal("degenerate fixture: no trackable MACs")
 	}
 	for _, workers := range []int{2, 4, 16} {
-		got := AnalyzeWorkers(c, db, geo, reg, workers)
+		got := AnalyzeWorkers(c.IIDTable(), db, geo, reg, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("AnalyzeWorkers(%d) diverges from serial Analyze", workers)
 		}

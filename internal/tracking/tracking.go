@@ -147,9 +147,10 @@ type Analysis struct {
 	VendorCounts map[string]int
 }
 
-// Analyze runs the full EUI-64 privacy analysis over a collector.
-func Analyze(c *collector.Collector, db *asdb.DB, geo *geodb.DB, reg *oui.Registry) *Analysis {
-	return AnalyzeWorkers(c, db, geo, reg, 1)
+// Analyze runs the full EUI-64 privacy analysis over a corpus's IID
+// table.
+func Analyze(t *collector.IIDTable, db *asdb.DB, geo *geodb.DB, reg *oui.Registry) *Analysis {
+	return AnalyzeWorkers(t, db, geo, reg, 1)
 }
 
 // AnalyzeWorkers is Analyze as two parallel folds: the EUI-64 address
@@ -158,8 +159,9 @@ func Analyze(c *collector.Collector, db *asdb.DB, geo *geodb.DB, reg *oui.Regist
 // and country attribution, classification) is independent, partials
 // merge by concatenation plus counter addition, and the final MAC sort
 // makes the result identical at every worker count.
-func AnalyzeWorkers(c *collector.Collector, db *asdb.DB, geo *geodb.DB, reg *oui.Registry, workers int) *Analysis {
+func AnalyzeWorkers(t *collector.IIDTable, db *asdb.DB, geo *geodb.DB, reg *oui.Registry, workers int) *Analysis {
 	a := &Analysis{VendorCounts: make(map[string]int)}
+	c := t.Collector()
 
 	// Count unique EUI-64 *addresses* for the prevalence headline.
 	a.EUI64Addresses = fold.Map(c.NumAddrs(), workers,
@@ -176,10 +178,10 @@ func AnalyzeWorkers(c *collector.Collector, db *asdb.DB, geo *geodb.DB, reg *oui
 		func(dst, src int) int { return dst + src })
 	a.ExpectedRandom = float64(c.NumAddrs()) / 65536
 
-	part := fold.Map(c.NumPromotedIIDs(), workers,
+	part := fold.Map(t.NumPromotedIIDs(), workers,
 		func(lo, hi int) *Analysis {
 			p := &Analysis{VendorCounts: make(map[string]int)}
-			c.EUI64IIDsRange(lo, hi, func(iid addr.IID, r collector.IIDView) bool {
+			t.EUI64IIDsRange(lo, hi, func(iid addr.IID, r collector.IIDView) bool {
 				mac, err := addr.MACFromEUI64(iid)
 				if err != nil {
 					return true
@@ -248,22 +250,6 @@ func AnalyzeWorkers(c *collector.Collector, db *asdb.DB, geo *geodb.DB, reg *oui
 	return a
 }
 
-// AnalyzeStore runs Analyze over the live merged view of a sharded
-// ingest run: the Store-reader form of the §5 analysis, usable while
-// collection is still in flight (the result reflects the snapshots
-// merged so far, and after Pipeline.Close it is the complete corpus).
-// Consuming the store instead of replaying the world is what makes
-// tracking a zero-extra-pass consumer of the single ingest pass; the
-// result for a finished run is identical to Analyze over a serial
-// replay's collector because shard merges are lossless.
-func AnalyzeStore(s *collector.Store, db *asdb.DB, geo *geodb.DB, reg *oui.Registry) *Analysis {
-	var a *Analysis
-	s.View(func(c *collector.Collector) {
-		a = Analyze(c, db, geo, reg)
-	})
-	return a
-}
-
 func macLess(x, y addr.MAC) bool {
 	for i := 0; i < 6; i++ {
 		if x[i] != y[i] {
@@ -314,9 +300,9 @@ func (a *Analysis) UnlistedShare() float64 {
 }
 
 // Figure6a builds the CDF of EUI-64 IID lifetimes.
-func Figure6a(c *collector.Collector) *stats.Distribution {
+func Figure6a(t *collector.IIDTable) *stats.Distribution {
 	var samples []float64
-	c.EUI64IIDs(func(_ addr.IID, r collector.IIDView) bool {
+	t.EUI64IIDs(func(_ addr.IID, r collector.IIDView) bool {
 		samples = append(samples, r.Lifetime().Seconds())
 		return true
 	})
@@ -325,9 +311,9 @@ func Figure6a(c *collector.Collector) *stats.Distribution {
 
 // Figure6b builds the distribution of the number of /64s each EUI-64 IID
 // appears in (the paper plots its CCDF).
-func Figure6b(c *collector.Collector) *stats.Distribution {
+func Figure6b(t *collector.IIDTable) *stats.Distribution {
 	var samples []float64
-	c.EUI64IIDs(func(_ addr.IID, r collector.IIDView) bool {
+	t.EUI64IIDs(func(_ addr.IID, r collector.IIDView) bool {
 		samples = append(samples, float64(r.NumP64s()))
 		return true
 	})

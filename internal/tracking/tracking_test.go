@@ -110,7 +110,7 @@ func TestAnalyzeClasses(t *testing.T) {
 	// A non-EUI-64 high-entropy client for contrast.
 	c.Observe(addr.MustParse("2400:100::1b2c:3d4e:5f60:7182"), base, 0)
 
-	a := Analyze(c, db, geo, reg)
+	a := Analyze(c.IIDTable(), db, geo, reg)
 
 	if a.EUI64Addresses == 0 {
 		t.Fatal("no EUI-64 addresses counted")
@@ -156,7 +156,7 @@ func TestTable2AndUnlisted(t *testing.T) {
 	observeEUI64(c, addr.MAC{0xf0, 0x02, 0x20, 9, 9, 4}, 0x2400_0100_0000_0004, 0)
 	observeEUI64(c, addr.MAC{0xf0, 0x02, 0x20, 9, 9, 5}, 0x2400_0100_0000_0005, 0)
 
-	a := Analyze(c, db, geo, reg)
+	a := Analyze(c.IIDTable(), db, geo, reg)
 	rows := a.Table2()
 	if len(rows) != 2 {
 		t.Fatalf("rows: %d", len(rows))
@@ -180,14 +180,14 @@ func TestFigure6(t *testing.T) {
 	m2 := addr.MAC{0x00, 0x3e, 0xe1, 1, 0, 2}
 	observeEUI64(c, m2, 0x2400_0100_0000_0003, 0)
 
-	f6a := Figure6a(c)
+	f6a := Figure6a(c.IIDTable())
 	if f6a.N() != 2 {
 		t.Fatalf("6a N: %d", f6a.N())
 	}
 	if f6a.Max() != (14 * 24 * time.Hour).Seconds() {
 		t.Errorf("6a max: %v", f6a.Max())
 	}
-	f6b := Figure6b(c)
+	f6b := Figure6b(c.IIDTable())
 	if f6b.N() != 2 || f6b.Max() != 2 || f6b.Min() != 1 {
 		t.Errorf("6b: n=%d min=%v max=%v", f6b.N(), f6b.Min(), f6b.Max())
 	}
@@ -201,7 +201,7 @@ func TestTimelineAndExemplar(t *testing.T) {
 	observeEUI64(c, m, 0x2400_0100_0000_0001, 5)
 	observeEUI64(c, m, 0x2400_0200_0000_0001, 40)
 
-	a := Analyze(c, db, geo, reg)
+	a := Analyze(c.IIDTable(), db, geo, reg)
 	ex := a.Exemplar(ProviderChange)
 	if ex == nil || ex.MAC != m {
 		t.Fatalf("exemplar: %+v", ex)

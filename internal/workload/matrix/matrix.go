@@ -453,7 +453,7 @@ func renderReport(st *workload.Stream, col *collector.Collector, pl *ingest.Pipe
 		st.Origin.UTC().Format(time.RFC3339), st.End.UTC().Format(time.RFC3339), st.Bin)
 	fmt.Fprintf(&b, "events %d\n", len(st.Events))
 	fmt.Fprintf(&b, "addrs %d iids %d observations %d\n",
-		col.NumAddrs(), col.NumIIDs(), col.TotalObservations())
+		col.NumAddrs(), col.IIDTable().NumIIDs(), col.TotalObservations())
 	fmt.Fprintf(&b, "corpus %s\n", cell.Checksum)
 
 	// Sightings per structural category and per origin AS are Σ rec.Count

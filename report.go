@@ -82,7 +82,7 @@ func (s *Study) Report() (string, error) {
 		input("sidecar_caida", func() { scCAIDA = analysis.BuildSidecar(s.CAIDA, db, workers) }),
 		input("sidecar_day", func() { scDay = analysis.BuildSidecar(s.NTPDay, db, workers) }),
 		input("tracking", func() {
-			tr = tracking.AnalyzeWorkers(s.Collector, db, s.World.Geo, s.World.OUI, workers)
+			tr = tracking.AnalyzeWorkers(s.IIDs, db, s.World.Geo, s.World.OUI, workers)
 		}),
 		input("backscan", func() { bs, bsErr = s.Backscan() }),
 	)
@@ -153,7 +153,7 @@ func (s *Study) Report() (string, error) {
 		}},
 
 		{"figure2b", func() string {
-			f2b := analysis.ComputeFigure2bWorkers(s.Collector, workers)
+			f2b := analysis.ComputeFigure2bWorkers(s.IIDs, workers)
 			f2bTable := stats.NewTable("", "Entropy class", "IIDs", "Observed once", ">= 1 week")
 			for _, cls := range []addr.EntropyClass{addr.LowEntropy, addr.MediumEntropy, addr.HighEntropy} {
 				d := f2b.ByClass[cls]
@@ -236,7 +236,7 @@ func (s *Study) reportHeader(workers int) string {
 	fmt.Fprintf(&b, "Observations: %s queries, %s unique addresses, %s unique IIDs\n",
 		stats.Comma(int64(s.RunStats.Queries)),
 		stats.Comma(int64(s.Collector.NumAddrs())),
-		stats.Comma(int64(s.Collector.NumIIDs())))
+		stats.Comma(int64(s.IIDs.NumIIDs())))
 	sketch := analysis.AddressSketch(nil, s.Collector, 0, s.Collector.NumAddrs(), workers)
 	fmt.Fprintf(&b, "HyperLogLog estimate: %s unique addresses from a %d-byte sketch (±%.1f%%)\n",
 		stats.Comma(int64(sketch.Estimate())), sketch.SizeBytes(),

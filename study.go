@@ -115,6 +115,10 @@ type Study struct {
 	DayStart     time.Time
 	RunStats     ntppool.RunStats
 
+	// IIDs is Collector's IID table, folded once after collection for
+	// every reader of per-IID state: Figure 2b, tracking, the report.
+	IIDs *collector.IIDTable
+
 	// NTP, Hitlist and CAIDA are the three Table 1 datasets. NTPDay is
 	// the single-day NTP slice used by Figures 4b and 5.
 	NTP     *hitlist.Dataset
@@ -228,6 +232,7 @@ func (s *Study) CollectPassive() error {
 	}
 	s.OutageSeries = series.Series()
 	s.RunStats.UniqueClients = s.Collector.NumAddrs()
+	s.IIDs = s.Collector.IIDTable()
 	s.NTP = hitlist.FromCollector("NTP Pool (passive)", s.Collector)
 	s.NTPDay = hitlist.FromCollector("NTP Pool (1-day slice)", s.DayCollector)
 	return nil
@@ -316,10 +321,10 @@ func (s *Study) Figure2a() (*analysis.Figure2a, error) {
 
 // Figure2b computes the IID-lifetime CDFs by entropy class.
 func (s *Study) Figure2b() (*analysis.Figure2b, error) {
-	if s.Collector == nil {
+	if s.IIDs == nil {
 		return nil, fmt.Errorf("hitlist6: passive collection has not run")
 	}
-	return analysis.ComputeFigure2bWorkers(s.Collector, s.analysisWorkers()), nil
+	return analysis.ComputeFigure2bWorkers(s.IIDs, s.analysisWorkers()), nil
 }
 
 // Figure4a computes the per-AS entropy curves over the full window.
@@ -419,10 +424,10 @@ func (s *Study) DetectOutages(bin time.Duration) ([]outage.Event, error) {
 // the merged output of the ingest pipeline, consumed directly with no
 // further pass over the world.
 func (s *Study) Tracking() (*tracking.Analysis, error) {
-	if s.Collector == nil {
+	if s.IIDs == nil {
 		return nil, fmt.Errorf("hitlist6: passive collection has not run")
 	}
-	return tracking.AnalyzeWorkers(s.Collector, s.World.ASDB, s.World.Geo, s.World.OUI,
+	return tracking.AnalyzeWorkers(s.IIDs, s.World.ASDB, s.World.Geo, s.World.OUI,
 		s.analysisWorkers()), nil
 }
 

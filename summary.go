@@ -83,7 +83,7 @@ func (s *Study) Summarize() (*Summary, error) {
 		Days:        s.Config.Days,
 		Queries:     s.RunStats.Queries,
 		UniqueAddrs: s.Collector.NumAddrs(),
-		UniqueIIDs:  s.Collector.NumIIDs(),
+		UniqueIIDs:  s.IIDs.NumIIDs(),
 	}
 
 	t1, err := s.Table1()
