@@ -28,10 +28,26 @@ func newTestDaemon(t *testing.T, snapDir string) *daemon {
 // main does with restoreOrEmpty's.
 func newSeededDaemon(t *testing.T, snapDir string, seed *collector.Collector) *daemon {
 	t.Helper()
+	return newConfiguredDaemon(t, snapDir, func(cfg *ingest.Config) { cfg.Seed = seed })
+}
+
+// newChainDaemon is newTestDaemon checkpointing through the delta chain
+// (-snapshot.delta), compacting every compact deltas.
+func newChainDaemon(t *testing.T, snapDir string, compact int) *daemon {
+	t.Helper()
+	d := newConfiguredDaemon(t, snapDir, func(cfg *ingest.Config) { cfg.CompactEvery = compact })
+	d.deltaMode = true
+	return d
+}
+
+// newConfiguredDaemon is newTestDaemon with set applied to the
+// pipeline's configuration.
+func newConfiguredDaemon(t *testing.T, snapDir string, set func(*ingest.Config)) *daemon {
+	t.Helper()
 	reg := telemetry.NewRegistry()
 	cfg := ingest.DefaultConfig(2)
 	cfg.Registry = reg
-	cfg.Seed = seed
+	set(&cfg)
 	pipe, err := ingest.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +140,19 @@ func TestEndpointContentTypes(t *testing.T) {
 }
 
 // TestStatsEndpointShape decodes /stats and checks the JSON keys the
-// dashboards rely on survived the registry-backed Metrics rewrite.
+// dashboards rely on survived the registry-backed Metrics rewrite, and
+// that the tier block counts its runs.
 func TestStatsEndpointShape(t *testing.T) {
-	d := newTestDaemon(t, "")
+	dir := t.TempDir()
+	d := newChainDaemon(t, dir, 0)
 	defer d.pipe.Close()
+	d.enableTier(dir, 1<<20)
 	feed(t, d)
+	for range 2 { // the base, then one run
+		if _, err := d.checkpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	srv := httptest.NewServer(d.newMux())
 	defer srv.Close()
 
@@ -143,6 +167,7 @@ func TestStatsEndpointShape(t *testing.T) {
 	for _, key := range []string{
 		`"enqueued"`, `"processed"`, `"events_per_sec"`, `"corpus_bytes"`,
 		`"checkpoints"`, `"queued_batches"`,
+		`"tier":{`, `"runs":1,`, `"chunks":`, `"resident_bytes":`, `"addrs":2,`, `"filter_probes":`,
 	} {
 		if !strings.Contains(body, key) {
 			t.Errorf("/stats lost key %s:\n%s", key, body)

@@ -90,17 +90,23 @@ type daemon struct {
 	snapPath  string // "": durable snapshots disabled
 	deltaMode bool   // -snapshot.delta: checkpoints run the chain protocol
 
+	// ckptMu admits one checkpointNow at a time, across the checkpoint
+	// and the tier refresh that publishes it, so a tier run always holds
+	// the blocks of the delta just written. It is taken before tierMu,
+	// never while holding it, and guards tierStale.
+	ckptMu sync.Mutex
+
 	// Tiered corpus (-corpus.rambudget; see tier.go). tierMu guards the
 	// tier pointer, not the corpus behind it (pager.Corpus serializes
-	// itself): /probe and /stats read through it on the read side, and
-	// only swapTier takes the write side, for the pointer trade alone.
-	// refreshMu admits one tier rewrite at a time and is taken before
-	// tierMu, never while holding it.
+	// itself and attaches runs under concurrent reads): /probe and /stats
+	// read through it on the read side, and only installBase takes the
+	// write side, for the pointer trade alone.
 	ramBudget   int64  // 0: tiering disabled
 	tierPath    string // "": tiering disabled
 	pagerMet    *pager.Metrics
-	tierRefresh [len(tierPhases)]*telemetry.Histogram
-	refreshMu   sync.Mutex
+	tierRefresh [len(tierKinds)][len(tierPhases)]*telemetry.Histogram
+	tierStale   bool         // a tier refresh failed: the next one rewrites the base
+	tierAddrs   atomic.Int64 // the corpus's address count at the last tier refresh
 	tierMu      sync.RWMutex
 	tier        *pager.Corpus // nil until the first tier file exists
 
@@ -198,11 +204,15 @@ func (d *daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // the -snapshot.every ticker and shutdown all call it. It writes one
 // durable checkpoint through whichever protocol the daemon runs — the
 // delta chain under -snapshot.delta, otherwise a plain full snapshot —
-// and, when the tiered corpus is enabled, refreshes the tier file to
-// match, logging the outcome either way. A tier refresh failure is
-// logged but does not fail the checkpoint: the durable corpus is the
-// artifact that matters; the tier is a rebuildable query index.
+// and, when the tiered corpus is enabled, publishes it to the tier: a
+// run for a delta, a base rewrite otherwise (refreshTier), logging the
+// outcome either way. A tier refresh failure is logged but does not
+// fail the checkpoint: the durable corpus is the artifact that matters;
+// the tier is a rebuildable query index. One checkpointNow runs at a
+// time (ckptMu).
 func (d *daemon) checkpointNow() (size int64, err error) {
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
 	if d.deltaMode {
 		size, err = d.pipe.CheckpointChain(d.snapPath)
 	} else {
@@ -212,14 +222,17 @@ func (d *daemon) checkpointNow() (size int64, err error) {
 		d.log.Error("snapshot failed", "path", d.snapPath, "error", err)
 		return 0, err
 	}
-	var phases []any
+	attrs := []any{"path", d.snapPath, "bytes", size}
 	if d.tierPath != "" {
-		var terr error
-		if phases, terr = d.refreshTier(); terr != nil {
-			d.log.Error("tier refresh failed", "path", d.tierPath, "error", terr)
+		kind := d.nextTierKind()
+		phases, terr := d.refreshTier(kind)
+		if terr != nil {
+			d.log.Error("tier refresh failed; the next checkpoint rewrites the base",
+				"path", d.tierPath, "kind", kind, "error", terr)
 		}
+		attrs = append(append(attrs, "kind", kind), phases...)
 	}
-	d.log.Info("snapshot written", append([]any{"path", d.snapPath, "bytes", size}, phases...)...)
+	d.log.Info("snapshot written", attrs...)
 	return size, nil
 }
 
@@ -537,8 +550,8 @@ func snapshotPath(dir string) string {
 	return filepath.Join(dir, "corpus.snap")
 }
 
-// tierPath is where the tiered-corpus query file lives, next to the
-// checkpoint it is derived from.
+// tierPath is where the tiered corpus's base file lives, next to the
+// checkpoint it is derived from; its runs sit beside it (tierRunPath).
 func tierPath(dir string) string {
 	return filepath.Join(dir, "corpus.tier")
 }

@@ -1,20 +1,26 @@
-// The daemon's tiered-corpus surface (-corpus.rambudget): alongside
-// each durable checkpoint the daemon writes a tier file — the corpus's
-// address records as fixed-size canonical chunks with per-chunk filters
+// The daemon's tiered-corpus surface (-corpus.rambudget): beside the
+// durable checkpoint the daemon keeps a tier — the corpus's address
+// records as fixed-size canonical chunks with per-chunk filters
 // (internal/pager) — and serves point lookups off it at /probe with a
 // bounded RAM budget, instead of holding a second full corpus for
-// queries. The tier is a probe index, rewritten from the corpus by
-// every checkpoint and at start-up when it is missing or unreadable;
-// the checkpoint is the durable copy. /stats grows a tier block and the
-// pager's gauges/counters land on /metrics.
+// queries. The tier is a base file, corpus.tier, rewritten whole by a
+// full checkpoint, plus one run, corpus.tier.NNNNNN, per delta
+// checkpoint since, holding the records that delta carried. It is a
+// probe index, rebuilt from the corpus whenever its files cannot be
+// trusted; the checkpoint is the durable copy. /stats grows a tier
+// block and the pager's gauges/counters land on /metrics.
 package main
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strconv"
 	"time"
 
 	"hitlist6/internal/addr"
@@ -26,47 +32,86 @@ import (
 
 // tierPhases are the consecutive phases of one tier refresh, the phase
 // label of ingestd_tier_refresh_seconds: "order" runs until the first
-// byte is written (the canonical sort and the directory —
-// pager.WriteTier writes nothing before they exist), "encode" streams
-// the sections into the temp file's buffer, "sync" is flush, fsync,
-// rename and directory fsync, "swap" opens the new file and trades
-// readers.
+// byte is written (the canonical sort and the directory — the pager's
+// writers write nothing before they exist), "encode" streams the
+// sections into the temp file's buffer, "sync" is flush, fsync, rename
+// and directory fsync, "swap" opens the new file and puts it in front
+// of the readers.
 var tierPhases = [...]string{"order", "encode", "sync", "swap"}
 
-// enableTier switches the tiered corpus on: the tier file lives in dir
-// beside the checkpoint, and one left there by a previous run is opened
-// so /probe serves immediately after a restart. When there is none, or
-// it does not open (an older format version, damage), and a corpus was
-// restored, the file is rebuilt from that corpus here — before the
-// daemon reports ready — rather than leaving /probe at 503 until the
-// first checkpoint. An empty store writes nothing.
+// tierKinds are what one refresh writes, the kind label of
+// ingestd_tier_refresh_seconds: a base rewrites the whole tier, a run
+// adds the records of one delta checkpoint.
+var tierKinds = [...]string{tierBase, tierRun}
+
+const (
+	tierBase = "base"
+	tierRun  = "run"
+)
+
+// enableTier switches the tiered corpus on: the tier lives in dir beside
+// the checkpoint. Its files are trusted at start-up only when they can
+// be nothing but the restored corpus — a base that opens, no run beside
+// it, and the base's observation total equal to the restored corpus's
+// (records only grow, so two states of one corpus with one total are
+// the same state). Anything else — no base, an older format version,
+// damage, a base written before or after the restored checkpoint, runs
+// a crash left — costs a rebuild from the restored corpus here, before
+// the daemon reports ready, rather than /probe serving records older
+// than the corpus or answering 503 until the first checkpoint. The
+// runs are deleted either way. An empty store writes nothing.
 func (d *daemon) enableTier(dir string, budget int64) {
 	d.ramBudget = budget
 	d.tierPath = tierPath(dir)
 	d.pagerMet = pager.NewMetrics(d.reg)
-	for i, phase := range tierPhases {
-		d.tierRefresh[i] = d.reg.Histogram("ingestd_tier_refresh_seconds",
-			"Wall time of one tier refresh by phase: order, encode, sync, swap.",
-			telemetry.DurationBuckets(), telemetry.L("phase", phase))
+	for k, kind := range tierKinds {
+		for i, phase := range tierPhases {
+			d.tierRefresh[k][i] = d.reg.Histogram("ingestd_tier_refresh_seconds",
+				"Wall time of one tier refresh by kind (base, run) and phase: order, encode, sync, swap.",
+				telemetry.DurationBuckets(), telemetry.L("kind", kind), telemetry.L("phase", phase))
+		}
 	}
-	err := d.swapTier()
-	if err == nil {
+	var total uint64
+	var addrs int
+	d.pipe.Store().View(func(c *collector.Collector) { total, addrs = c.TotalObservations(), c.NumAddrs() })
+
+	runs := tierRunFiles(d.tierPath)
+	base, err := d.openBase()
+	if err == nil && len(runs) == 0 && base.TotalObservations() == total {
+		d.installBase(base)
+		d.tierAddrs.Store(int64(addrs))
 		return
 	}
-	if !errors.Is(err, fs.ErrNotExist) {
+	switch {
+	case err == nil:
+		base.Close() //lint:durable opened read-only to be discarded: Close has nothing to report
+		d.log.Warn("tier files do not match the restored corpus; rewriting from the corpus",
+			"path", d.tierPath, "runs", len(runs), "tier_observations", base.TotalObservations(), "corpus_observations", total)
+	case !errors.Is(err, fs.ErrNotExist):
 		d.log.Warn("stale tier file unreadable; rewriting from the corpus",
 			"path", d.tierPath, "error", err)
 	}
-	if d.pipe.Store().NumAddrs() == 0 {
+	removeTierRuns(runs)
+	if addrs == 0 {
 		return
 	}
-	phases, err := d.refreshTier()
+	phases, err := d.refreshTier(tierBase)
 	if err != nil {
 		d.log.Error("tier rebuild failed; /probe waits for the next checkpoint",
 			"path", d.tierPath, "error", err)
 		return
 	}
 	d.log.Info("tier rebuilt from the restored corpus", append([]any{"path", d.tierPath}, phases...)...)
+}
+
+// nextTierKind is what the tier refresh after the checkpoint just
+// written is: a run when that checkpoint was a delta and the tier holds
+// every checkpoint before it, otherwise a base. Callers hold ckptMu.
+func (d *daemon) nextTierKind() string {
+	if seq, _ := d.pipe.Store().CheckpointSeq(); !d.deltaMode || seq == 0 || d.tier == nil || d.tierStale {
+		return tierBase
+	}
+	return tierRun
 }
 
 // stampWriter notes when its first byte arrives.
@@ -82,24 +127,42 @@ func (s *stampWriter) Write(p []byte) (int, error) {
 	return s.Writer.Write(p)
 }
 
-// refreshTier rewrites the tier file from the live corpus (atomically,
-// like every durable artifact) and swaps the daemon's pager onto the
-// new file. The rewrite holds refreshMu — one refresh at a time — and
-// the store's read lock while it encodes, but not tierMu: probes keep
-// answering off the sealed old file until swapTier trades the pointer.
-// It returns the phase durations as log attributes (tier_order_s, ...).
+// refreshTier publishes the checkpoint just written to the tier:
+// kind tierBase rewrites corpus.tier from the live corpus, trades the
+// readers onto it and deletes every run; kind tierRun writes the records
+// of the blocks the last delta carried as corpus.tier.NNNNNN (NNNNNN
+// the delta's sequence number) and attaches it in front of the base and
+// the runs before it — O(records the delta carried), and the base's
+// resident chunks stay warm. Either file goes through AtomicWriteFile
+// and is encoded under the store's read lock, not tierMu: probes keep
+// answering off the tier as it was until the new file is in place. A
+// failure marks the tier stale, so the next checkpoint rewrites the
+// base. Callers hold ckptMu, so a run always follows the checkpoint
+// whose blocks it holds. It returns the phase durations as log
+// attributes (tier_order_s, ...).
 //
 //lint:durable-path the tier file must survive a crash mid-rewrite
-func (d *daemon) refreshTier() (phases []any, err error) {
-	d.refreshMu.Lock()
-	defer d.refreshMu.Unlock()
+func (d *daemon) refreshTier(kind string) (phases []any, err error) {
+	path := d.tierPath
+	write, k := pager.WriteTier, 0
+	if kind == tierRun {
+		seq, _ := d.pipe.Store().CheckpointSeq()
+		path, write, k = tierRunPath(d.tierPath, seq), pager.WriteTierRun, 1
+	}
+	defer func() {
+		if err != nil {
+			d.tierStale = true
+		}
+	}()
 	start := time.Now()
 	var first, encoded time.Time
-	if _, err = ingest.AtomicWriteFile(d.tierPath, func(w io.Writer) error {
+	var addrs int
+	if _, err = ingest.AtomicWriteFile(path, func(w io.Writer) error {
 		sw := &stampWriter{Writer: w}
 		var inner error
 		d.pipe.Store().View(func(c *collector.Collector) {
-			inner = pager.WriteTier(c, sw)
+			addrs = c.NumAddrs()
+			inner = write(c, sw)
 		})
 		first, encoded = sw.first, time.Now()
 		return inner
@@ -107,29 +170,40 @@ func (d *daemon) refreshTier() (phases []any, err error) {
 		return nil, err
 	}
 	synced := time.Now()
-	if err = d.swapTier(); err != nil {
+	if kind == tierRun {
+		err = d.tier.AddRun(path)
+	} else {
+		var nc *pager.Corpus
+		if nc, err = d.openBase(); err == nil {
+			d.installBase(nc)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
+	d.tierAddrs.Store(int64(addrs))
+	if kind == tierBase {
+		d.tierStale = false
+		removeTierRuns(tierRunFiles(d.tierPath))
+	}
 	for i, dur := range [...]time.Duration{first.Sub(start), encoded.Sub(first), synced.Sub(encoded), time.Since(synced)} {
-		d.tierRefresh[i].ObserveDuration(dur)
+		d.tierRefresh[k][i].ObserveDuration(dur)
 		phases = append(phases, "tier_"+tierPhases[i]+"_s", dur.Seconds())
 	}
 	return phases, nil
 }
 
-// swapTier opens the tier file and makes it the one /probe reads. The
-// write side of tierMu is held for the pointer trade alone: acquiring
-// it waits out the in-flight reads of the old file, after which nobody
-// can reach it and it is closed outside the lock. Callers hold
-// refreshMu (or run before the daemon serves).
-func (d *daemon) swapTier() error {
-	nc, err := pager.Open(d.tierPath, pager.Options{
-		RAMBudget: d.ramBudget,
-		Metrics:   d.pagerMet,
-	})
-	if err != nil {
-		return err
-	}
+// openBase opens the base file at the daemon's budget and metrics.
+func (d *daemon) openBase() (*pager.Corpus, error) {
+	return pager.Open(d.tierPath, pager.Options{RAMBudget: d.ramBudget, Metrics: d.pagerMet})
+}
+
+// installBase makes nc, a base without runs, the tier /probe reads.
+// The write side of tierMu is held for the pointer trade alone:
+// acquiring it waits out the in-flight reads of the old corpus, after
+// which nobody can reach it and it is closed outside the lock. Callers
+// hold ckptMu (or run before the daemon serves).
+func (d *daemon) installBase(nc *pager.Corpus) {
 	d.tierMu.Lock()
 	old := d.tier
 	d.tier = nc
@@ -139,7 +213,34 @@ func (d *daemon) swapTier() error {
 			d.log.Warn("closing previous tier reader", "path", d.tierPath, "error", cerr)
 		}
 	}
-	return nil
+}
+
+// tierRunPath names the run carrying delta sequence seq.
+func tierRunPath(base string, seq uint64) string {
+	return fmt.Sprintf("%s.%06d", base, seq)
+}
+
+// tierRunFiles lists the run files beside base, and whatever squats on
+// a run's name. Names whose suffix is no sequence number
+// (AtomicWriteFile temp litter) are not runs.
+func tierRunFiles(base string) []string {
+	matches, _ := filepath.Glob(base + ".*")
+	var runs []string
+	for _, m := range matches {
+		if seq, err := strconv.ParseUint(m[len(base)+1:], 10, 64); err == nil && seq > 0 {
+			runs = append(runs, m)
+		}
+	}
+	return runs
+}
+
+// removeTierRuns best-effort deletes run files. A run left behind by a
+// failed removal is never trusted: a start-up that finds one rebuilds
+// the tier, and a running daemon only reads the runs it wrote.
+func removeTierRuns(runs []string) {
+	for _, r := range runs {
+		os.Remove(r)
+	}
 }
 
 // probeReply is the /probe JSON shape.
@@ -153,10 +254,12 @@ type probeReply struct {
 }
 
 // handleProbe serves point lookups off the tiered corpus — the cold
-// -probe path: fence search, bloom filter, and at most one chunk pread,
-// never touching the live store or its locks. It holds the read side of
-// tierMu for the lookup, so probes run beside each other and beside a
-// tier rewrite; only the pointer trade in swapTier excludes them.
+// -probe path: per file, runs newest first and then the base, a fence
+// search and a bloom filter, and at most one chunk pread in the file
+// that holds the address, never touching the live store or its locks.
+// It holds the read side of tierMu for the lookup, so probes run beside
+// each other, beside a tier rewrite and beside a run being attached;
+// only the pointer trade in installBase excludes them.
 func (d *daemon) handleProbe(w http.ResponseWriter, r *http.Request) {
 	if d.tierPath == "" {
 		http.Error(w, "tiered corpus disabled (-corpus.rambudget 0)", http.StatusNotFound)
@@ -189,10 +292,13 @@ func (d *daemon) handleProbe(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// tierStatsReply is the /stats tier block.
+// tierStatsReply is the /stats tier block. Chunks, residency and the
+// filter counters cover the base and every run; addrs is the corpus's
+// address count when the tier was last refreshed.
 type tierStatsReply struct {
 	Path          string `json:"path"`
 	Budget        int64  `json:"budget_bytes"`
+	Runs          int    `json:"runs"`
 	Chunks        int    `json:"chunks"`
 	Resident      int    `json:"resident_chunks"`
 	ResidentBytes int64  `json:"resident_bytes"`
@@ -216,10 +322,11 @@ func (d *daemon) tierStats() *tierStatsReply {
 	return &tierStatsReply{
 		Path:          d.tierPath,
 		Budget:        d.ramBudget,
+		Runs:          d.tier.NumRuns(),
 		Chunks:        d.tier.NumChunks(),
 		Resident:      d.tier.ResidentChunks(),
 		ResidentBytes: d.tier.ResidentBytes(),
-		Addrs:         d.tier.NumAddrs(),
+		Addrs:         int(d.tierAddrs.Load()),
 		FilterProbes:  d.pagerMet.Probes.Value(),
 		FilterSkips:   d.pagerMet.Skips.Value(),
 		ChunkLoads:    d.pagerMet.Loads.Value(),

@@ -3,11 +3,13 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,10 +193,13 @@ func TestProbeDuringTierRefresh(t *testing.T) {
 		t.Error("no probe was answered while a refresh was writing: the rewrite still excludes readers")
 	}
 
+	// Without -snapshot.delta every checkpoint rewrites the base.
 	_, _, metrics := get(t, srv.URL, "/metrics")
 	for _, phase := range tierPhases {
-		if want := `ingestd_tier_refresh_seconds_count{phase="` + phase + `"} 11`; !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
+		for kind, n := range map[string]int{tierBase: 11, tierRun: 0} {
+			if want := fmt.Sprintf(`ingestd_tier_refresh_seconds_count{kind="%s",phase="%s"} %d`, kind, phase, n); !strings.Contains(metrics, want) {
+				t.Errorf("/metrics missing %q", want)
+			}
 		}
 	}
 	_, _, events := get(t, srv.URL, "/debug/events")
@@ -211,6 +216,9 @@ func TestProbeDuringTierRefresh(t *testing.T) {
 // rebuilds the tier from the restored corpus inside enableTier, so the
 // first /probe answers 200 instead of 503 until somebody checkpoints. A
 // daemon with nothing restored writes no tier and answers 503 as before.
+// Runs are never trusted blindly: the cases after those cover runs a
+// stop left, a superseded run put back, a run that never got written
+// and a run write that failed.
 func TestTierRebuiltOnRestart(t *testing.T) {
 	for name, stale := range map[string][]byte{
 		"missing":   nil,
@@ -230,18 +238,8 @@ func TestTierRebuiltOnRestart(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-
-			// The restart, as main runs it: restore the checkpoint, seed
-			// the store, then enable the tier.
-			d := newTestDaemon(t, dir)
+			d, srv := restartTier(t, dir)
 			defer d.pipe.Close()
-			restored := restoreOrEmpty(d.snapPath, t.Logf)
-			if restored == nil {
-				t.Fatal("checkpoint did not restore")
-			}
-			d.pipe.Store().ApplyShard(restored)
-			d.enableTier(dir, 1<<20)
-			srv := httptest.NewServer(d.newMux())
 			defer srv.Close()
 			if status, _, body := get(t, srv.URL, "/probe?addr=2001:db8::1"); status != http.StatusOK || !strings.Contains(body, `"found":true`) {
 				t.Fatalf("first /probe after the restart: status %d, %s", status, body)
@@ -263,4 +261,251 @@ func TestTierRebuiltOnRestart(t *testing.T) {
 			t.Fatalf("/probe with no tier: status %d, %s", status, body)
 		}
 	})
+
+	// A delta-mode daemon stops after two delta checkpoints, leaving the
+	// base and two runs; an address only the last run held is answered,
+	// field by field, as the restored corpus holds it.
+	t.Run("runs-left", func(t *testing.T) {
+		dir := t.TempDir()
+		first := newChainDaemon(t, dir, 0)
+		first.enableTier(dir, 1<<20)
+		feed(t, first)
+		checkpoint(t, first) // the base
+		sight(t, first, "1643673700 2001:db8::10 5")
+		checkpoint(t, first) // run 1
+		sight(t, first, "1643673800 2001:db8::20 6", "1643673801 2001:db8::1 7")
+		checkpoint(t, first) // run 2: the only file holding ::20
+		first.pipe.Close()
+		if runs := tierRunFiles(tierPath(dir)); len(runs) != 2 {
+			t.Fatalf("setup: runs %v, want two", runs)
+		}
+
+		d, srv := restartTier(t, dir)
+		defer d.pipe.Close()
+		defer srv.Close()
+		for _, a := range []string{"2001:db8::20", "2001:db8::1"} {
+			wantRecord(t, d, srv.URL, a)
+		}
+		if runs := tierRunFiles(tierPath(dir)); len(runs) != 0 {
+			t.Fatalf("runs %v survived the rebuild", runs)
+		}
+	})
+
+	// A run copied aside, a full checkpoint over it, the run put back: it
+	// holds an older record of ::1 than the base, and neither the running
+	// daemon nor a restarted one serves it.
+	t.Run("superseded-run", func(t *testing.T) {
+		dir := t.TempDir()
+		d := newChainDaemon(t, dir, 0)
+		d.enableTier(dir, 1<<20)
+		feed(t, d)
+		checkpoint(t, d)
+		sight(t, d, "1643673700 2001:db8::1 5")
+		checkpoint(t, d) // run 1: ::1 seen twice
+		run := tierRunPath(tierPath(dir), 1)
+		aside, err := os.ReadFile(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sight(t, d, "1643673800 2001:db8::1 6")
+		d.deltaMode = false
+		checkpoint(t, d) // a full checkpoint: a new base, no runs
+		if _, err := os.Stat(run); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("a full checkpoint left run 1 (stat: %v)", err)
+		}
+		if err := os.WriteFile(run, aside, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(d.newMux())
+		if r := wantRecord(t, d, srv.URL, "2001:db8::1"); r.Count != 3 {
+			t.Fatalf("running daemon: ::1 seen %d times, want 3", r.Count)
+		}
+		srv.Close()
+		d.pipe.Close()
+
+		d, srv = restartTier(t, dir)
+		defer d.pipe.Close()
+		defer srv.Close()
+		if r := wantRecord(t, d, srv.URL, "2001:db8::1"); r.Count != 3 {
+			t.Fatalf("after the restart: ::1 seen %d times, want 3", r.Count)
+		}
+	})
+
+	// A crash after a delta's rename and before its run's leaves a base
+	// older than the restored chain and no run to say so: the observation
+	// totals disagree, and the tier is rebuilt.
+	t.Run("run-missing", func(t *testing.T) {
+		dir := t.TempDir()
+		first := newChainDaemon(t, dir, 0)
+		first.enableTier(dir, 1<<20)
+		feed(t, first)
+		checkpoint(t, first)
+		sight(t, first, "1643673700 2001:db8::1 5", "1643673701 2001:db8::30 5")
+		checkpoint(t, first)
+		first.pipe.Close()
+		if err := os.Remove(tierRunPath(tierPath(dir), 1)); err != nil {
+			t.Fatal(err)
+		}
+		d, srv := restartTier(t, dir)
+		defer d.pipe.Close()
+		defer srv.Close()
+		for _, a := range []string{"2001:db8::30", "2001:db8::1"} {
+			wantRecord(t, d, srv.URL, a)
+		}
+	})
+
+	// A directory squatting on the next run's name fails its rename. The
+	// checkpoint still succeeds and logs the tier error; the next one
+	// rewrites the base, which holds what the run would have.
+	t.Run("run-write-fails", func(t *testing.T) {
+		dir := t.TempDir()
+		d := newChainDaemon(t, dir, 0)
+		defer d.pipe.Close()
+		d.enableTier(dir, 1<<20)
+		srv := httptest.NewServer(d.newMux())
+		defer srv.Close()
+		feed(t, d)
+		checkpoint(t, d)
+		if err := os.Mkdir(tierRunPath(tierPath(dir), 1), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		sight(t, d, "1643673700 2001:db8::40 5", "1643673701 2001:db8::1 5")
+		before := statFile(t, tierPath(dir))
+		checkpoint(t, d)
+		if _, _, events := get(t, srv.URL, "/debug/events"); !strings.Contains(events, "tier refresh failed") {
+			t.Fatalf("no tier error logged:\n%s", events)
+		}
+		if !os.SameFile(before, statFile(t, tierPath(dir))) {
+			t.Fatal("the failed run rewrote the base")
+		}
+		checkpoint(t, d)
+		if os.SameFile(before, statFile(t, tierPath(dir))) {
+			t.Fatal("the checkpoint after a failed run did not rewrite the base")
+		}
+		for _, a := range []string{"2001:db8::40", "2001:db8::1"} {
+			wantRecord(t, d, srv.URL, a)
+		}
+	})
+}
+
+// TestTierRunPerDelta pins what each checkpoint writes in delta mode: a
+// delta checkpoint leaves corpus.tier as it was — same file, same mtime
+// — and adds exactly one run, named by its sequence number; a full
+// checkpoint (the first, and every compaction) rewrites corpus.tier and
+// leaves no run; the run count never exceeds CompactEvery. After every
+// checkpoint each address fed so far answers its live record.
+func TestTierRunPerDelta(t *testing.T) {
+	const compact = 3
+	dir := t.TempDir()
+	d := newChainDaemon(t, dir, compact)
+	defer d.pipe.Close()
+	d.enableTier(dir, 1<<20)
+	srv := httptest.NewServer(d.newMux())
+	defer srv.Close()
+
+	var fed []string
+	var base os.FileInfo
+	for i := 1; i <= 3*(compact+1)+1; i++ {
+		a := fmt.Sprintf("2001:db8:5::%x", i)
+		fed = append(fed, a)
+		sight(t, d, fmt.Sprintf("%d %s 1", 1643673600+i, a), fmt.Sprintf("%d %s 2", 1643673600+i, fed[i/2]))
+		checkpoint(t, d)
+		seq, _ := d.pipe.Store().CheckpointSeq()
+		now := statFile(t, tierPath(dir))
+		runs := tierRunFiles(tierPath(dir))
+		if seq == 0 {
+			if base != nil && os.SameFile(base, now) {
+				t.Fatalf("checkpoint %d was full and left corpus.tier as it was", i)
+			}
+			if len(runs) != 0 {
+				t.Fatalf("checkpoint %d was full and left runs %v", i, runs)
+			}
+		} else {
+			if !os.SameFile(base, now) || !base.ModTime().Equal(now.ModTime()) {
+				t.Fatalf("delta checkpoint %d rewrote corpus.tier", i)
+			}
+			if len(runs) != int(seq) || !slices.Contains(runs, tierRunPath(tierPath(dir), seq)) {
+				t.Fatalf("delta checkpoint %d (seq %d) left runs %v", i, seq, runs)
+			}
+		}
+		if len(runs) > compact {
+			t.Fatalf("%d runs, over CompactEvery %d", len(runs), compact)
+		}
+		if st := d.tierStats(); st.Runs != len(runs) || st.Addrs != d.pipe.Store().NumAddrs() {
+			t.Fatalf("checkpoint %d: /stats tier block says %d runs, %d addrs", i, st.Runs, st.Addrs)
+		}
+		base = now
+		for _, a := range fed {
+			wantRecord(t, d, srv.URL, a)
+		}
+	}
+}
+
+// restartTier restarts a daemon on dir as main does: restore the
+// checkpoint, seed the store, then enable the tier.
+func restartTier(t *testing.T, dir string) (*daemon, *httptest.Server) {
+	t.Helper()
+	restored := restoreOrEmpty(snapshotPath(dir), t.Logf)
+	if restored == nil {
+		t.Fatal("checkpoint did not restore")
+	}
+	d := newSeededDaemon(t, dir, restored)
+	d.enableTier(dir, 1<<20)
+	return d, httptest.NewServer(d.newMux())
+}
+
+// sight feeds event lines and waits until the store holds them.
+func sight(t *testing.T, d *daemon, lines ...string) {
+	t.Helper()
+	want := d.pipe.Metrics().Processed + uint64(len(lines))
+	b := d.pipe.NewBatcher()
+	for _, l := range lines {
+		ingestDatagram(b, []byte(l+"\n"), &d.badLines)
+	}
+	b.Flush()
+	d.pipe.Quiesce()
+	if got := d.pipe.Metrics().Processed; got != want {
+		t.Fatalf("processed %d events, want %d", got, want)
+	}
+}
+
+func checkpoint(t *testing.T, d *daemon) {
+	t.Helper()
+	if _, err := d.checkpointNow(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func statFile(t *testing.T, path string) os.FileInfo {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi
+}
+
+// wantRecord probes a and requires the reply to carry, field by field,
+// the record the daemon's live corpus holds for it.
+func wantRecord(t *testing.T, d *daemon, url, a string) probeReply {
+	t.Helper()
+	key, err := addr.Parse(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want collector.AddrRecord
+	var held bool
+	d.pipe.Store().View(func(c *collector.Collector) { want, held = c.Get(key) })
+	if !held {
+		t.Fatalf("the corpus does not hold %s", a)
+	}
+	status, _, body := get(t, url, "/probe?addr="+a)
+	var r probeReply
+	if err := json.Unmarshal([]byte(body), &r); status != http.StatusOK || err != nil {
+		t.Fatalf("/probe %s: status %d, %s", a, status, body)
+	}
+	if got := (collector.AddrRecord{First: r.First, Last: r.Last, Count: r.Count, Servers: r.Servers}); !r.Found || got != want {
+		t.Fatalf("/probe %s = %+v (found %v), the corpus holds %+v", a, got, r.Found, want)
+	}
+	return r
 }

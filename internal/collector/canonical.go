@@ -62,14 +62,24 @@ func sortCanonKeys(keys, tmp []canonKey) []canonKey {
 // sortedAddrIdx returns the address slab indices in canonical order
 // (ascending by the 128-bit address value).
 func (c *Collector) sortedAddrIdx() []uint32 {
-	n := c.addrRecs.n
-	keys := make([]canonKey, n)
-	for i := range keys {
-		a := &c.addrRecs.at(uint32(i)).key
-		keys[i] = canonKey{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:]), uint32(i)}
+	keys := make([]canonKey, 0, c.addrRecs.n)
+	return c.sortAddrKeys(c.appendAddrKeys(keys, 0, c.addrRecs.n))
+}
+
+// appendAddrKeys appends the sort keys of slab records [lo, hi).
+func (c *Collector) appendAddrKeys(keys []canonKey, lo, hi uint32) []canonKey {
+	for i := lo; i < hi; i++ {
+		a := &c.addrRecs.at(i).key
+		keys = append(keys, canonKey{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:]), i})
 	}
-	keys = sortCanonKeys(keys, make([]canonKey, n))
-	idx := make([]uint32, n)
+	return keys
+}
+
+// sortAddrKeys sorts address keys and returns their slab indices in
+// that order.
+func (c *Collector) sortAddrKeys(keys []canonKey) []uint32 {
+	keys = sortCanonKeys(keys, make([]canonKey, len(keys)))
+	idx := make([]uint32, len(keys))
 	for i, k := range keys {
 		idx[i] = k.ref
 	}
@@ -95,7 +105,26 @@ func (t *IIDTable) sortedIIDRefs() []canonKey {
 // number of times — the tier writer's directory and chunk passes share
 // one. The walk reads the collector's slab: valid until the next write.
 func (c *Collector) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
-	idx := c.sortedAddrIdx()
+	return c.walkIdx(c.sortedAddrIdx())
+}
+
+// LastDeltaOrder is CanonicalOrder restricted to the slab blocks the
+// last delta checkpoint carried (see MarkCheckpointedDelta), with the
+// number of records the walk yields: the content of one tier run. Each
+// block is read up to the slab count at that checkpoint, with the
+// values the records hold now — a record mutated since is dirty for the
+// next delta too, so a later run carries it again, never staler.
+func (c *Collector) LastDeltaOrder() (iter.Seq2[addr.Addr, AddrRecord], int) {
+	var keys []canonKey
+	for _, bl := range deltaBlocks(c.ckpt.lastBase, c.ckpt.lastN, &c.ckpt.lastDirty) {
+		keys = c.appendAddrKeys(keys, bl.lo, bl.hi)
+	}
+	idx := c.sortAddrKeys(keys)
+	return c.walkIdx(idx), len(idx)
+}
+
+// walkIdx walks the slab records at idx, in that order.
+func (c *Collector) walkIdx(idx []uint32) iter.Seq2[addr.Addr, AddrRecord] {
 	return func(yield func(addr.Addr, AddrRecord) bool) {
 		for _, i := range idx {
 			if e := c.addrRecs.at(i); !yield(e.key, e.rec) {

@@ -797,11 +797,11 @@ func (c *Collector) Absorb(o *Collector) {
 }
 
 // MemoryFootprint returns the corpus's resident bytes: the record slab,
-// the index table with its tags and the dirty-block set. Unlike a
+// the index table with its tags and the two dirty-block sets. Unlike a
 // map-based store the engine owns every allocation, so the figure is
 // exact (modulo slice headers) — it is what daemons export as
 // corpus_bytes telemetry.
 func (c *Collector) MemoryFootprint() uint64 {
 	return c.addrRecs.bytes() + uint64(len(c.addrIdx))*4 + uint64(len(c.addrTag)) +
-		c.ckpt.dirty.bytes()
+		c.ckpt.dirty.bytes() + c.ckpt.lastDirty.bytes()
 }

@@ -62,6 +62,13 @@ type ckptState struct {
 	baseTotal uint64
 
 	dirty dirtySet
+
+	// lastBase, lastN and lastDirty are the watermark, slab count and
+	// dirty set the last markClean retired: the blocks the last delta
+	// carried, which LastDeltaOrder walks. The two dirty sets trade places
+	// at every checkpoint, so keeping them costs no write-path work.
+	lastBase, lastN uint32
+	lastDirty       dirtySet
 }
 
 // markAddrDirty records an in-place mutation of address record i.
@@ -72,10 +79,13 @@ func (c *Collector) markAddrDirty(i uint32) {
 }
 
 // markClean resets the watermark to the current slab count: everything
-// resident is now covered by the checkpoint at seq.
+// resident is now covered by the checkpoint at seq. The outgoing
+// watermark and dirty set become the last delta's.
 func (c *Collector) markClean(seq uint64) {
 	c.ckpt.seq = seq
 	c.ckpt.based = true
+	c.ckpt.lastBase, c.ckpt.lastN = c.ckpt.addrBase, c.addrRecs.n
+	c.ckpt.dirty, c.ckpt.lastDirty = c.ckpt.lastDirty, c.ckpt.dirty
 	c.ckpt.addrBase = c.addrRecs.n
 	c.ckpt.baseTotal = c.total
 	c.ckpt.dirty.reset()

@@ -6,6 +6,7 @@ import (
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
+	"hitlist6/internal/ingest"
 	"hitlist6/internal/workload"
 )
 
@@ -114,21 +115,29 @@ func BenchmarkColdContains(b *testing.B) {
 	})
 }
 
-// BenchmarkWriteTier measures one whole tier rewrite — the canonical
-// order, the directory with its blooms and every chunk section — over
-// the paper profile at the repository benchmark's size (>= 200k
-// addresses). MB/s is tier-file bytes produced; the daemon pays this
-// once per checkpoint under -corpus.rambudget.
-func BenchmarkWriteTier(b *testing.B) {
+// paperCorpus is the paper profile at the repository benchmark's size
+// (>= 200k addresses), as a stream and its first cut events folded into
+// a collector.
+func paperCorpus(b *testing.B, cut float64) (*collector.Collector, []ingest.Event) {
 	p, _ := workload.Lookup("paper")
 	st, err := p.Stream(1, workload.Size{Scale: 0.5, Days: 218})
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := collector.New()
-	for _, ev := range st.Events {
+	for _, ev := range st.Events[:int(cut*float64(len(st.Events)))] {
 		c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 	}
+	return c, st.Events
+}
+
+// BenchmarkWriteTier measures one whole tier rewrite — the canonical
+// order, the directory with its blooms and every chunk section — over
+// the paper profile at the repository benchmark's size (>= 200k
+// addresses). MB/s is tier-file bytes produced; the daemon pays this on
+// every full checkpoint under -corpus.rambudget.
+func BenchmarkWriteTier(b *testing.B) {
+	c, _ := paperCorpus(b, 1)
 	if c.NumAddrs() < 200_000 {
 		b.Fatalf("corpus holds %d addrs, want >= 200k", c.NumAddrs())
 	}
@@ -144,4 +153,35 @@ func BenchmarkWriteTier(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWriteTierRun measures what a delta checkpoint publishes
+// instead of BenchmarkWriteTier's rewrite: one run over the same corpus,
+// holding the records of the blocks a delta carries. A serve-durable
+// cycle's delta carries about 12k records (its daemon's shards dirty
+// blocks all over the slab as their merges land); fed in stream order
+// to one collector, the slice from 80 % to 84.5 % of the stream dirties
+// and grows as many. The records metric is the run's size.
+func BenchmarkWriteTierRun(b *testing.B) {
+	const base, slice = 0.80, 0.045
+	c, evs := paperCorpus(b, base)
+	c.MarkCheckpointedFull()
+	for _, ev := range evs[int(base*float64(len(evs))):int((base+slice)*float64(len(evs)))] {
+		c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
+	}
+	c.MarkCheckpointedDelta()
+	_, n := c.LastDeltaOrder()
+	var w countWriter
+	if err := WriteTierRun(c, &w); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(w.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteTierRun(c, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n), "records")
 }

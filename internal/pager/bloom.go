@@ -47,11 +47,12 @@ func bloomAdd(f []uint64, a addr.Addr) {
 	}
 }
 
-func bloomHas(f []uint64, a addr.Addr) bool {
+// bloomHas reports whether f may hold the address whose Hash64 is h1:
+// the caller hashes once and probes every file's filter with it.
+func bloomHas(f []uint64, h1 uint64) bool {
 	if len(f) == 0 {
 		return false
 	}
-	h1 := a.Hash64()
 	h2 := bloomMix(h1) | 1
 	mask := uint64(len(f))*64 - 1
 	for i := 0; i < bloomK; i++ {

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hitlist6/internal/addr"
@@ -21,7 +23,8 @@ import (
 // Metrics is the pager's instrumentation, injectable so one registry
 // registration can be shared across corpus reopens (telemetry
 // registries reject re-registration with conflicting help text, and a
-// daemon reopens its corpus on every full checkpoint).
+// daemon reopens its corpus on every full checkpoint). Every file of a
+// corpus — base and runs — reports into the same series.
 type Metrics struct {
 	Resident    *telemetry.Gauge
 	Cold        *telemetry.Gauge
@@ -52,10 +55,11 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 
 // Options configures Open.
 type Options struct {
-	// RAMBudget bounds the resident chunk payload bytes; 0 or negative
-	// means unlimited (every loaded chunk stays). The budget is a high
-	//-water mark for the cache: one chunk may transiently exceed it
-	// during a load, and the most recently used chunk is never evicted.
+	// RAMBudget bounds the resident chunk payload bytes of every file of
+	// the corpus together; 0 or negative means unlimited (every loaded
+	// chunk stays). The budget is a high-water mark for the cache: one
+	// chunk may transiently exceed it during a load, and the most
+	// recently used chunk is never evicted.
 	RAMBudget int64
 	// Metrics receives the pager's instrumentation; nil means unregistered
 	// (a private throwaway registry).
@@ -72,19 +76,32 @@ type dirEntry struct {
 	off      int64
 }
 
-// Corpus is a tier file opened for reads: point lookups and range scans
-// over the address records, with chunks paged in on demand and held
-// under Options.RAMBudget. All methods are safe for concurrent use.
+// tierFile is one file of a corpus, the base or a run: its meta, its
+// resident directory, and the cache id of its first chunk (a corpus
+// numbers the chunks of all its files in one sequence).
+type tierFile struct {
+	f     *os.File
+	total uint64
+	addrN int
+	dir   []dirEntry
+	first int
+}
+
+// Corpus is a tier opened for point lookups: a base file and the runs
+// attached to it since, with chunks paged in on demand and held under
+// one Options.RAMBudget across every file. All methods are safe for
+// concurrent use.
 type Corpus struct {
-	f         *os.File
-	total     uint64
-	addrN     int
-	chunkRecs int
-	dir       []dirEntry
-	budget    int64
-	met       *Metrics
+	budget int64
+	met    *Metrics
+
+	// files is the base followed by the runs, oldest first. attach
+	// publishes a new slice under mu; Get reads whichever slice is
+	// current without taking mu.
+	files atomic.Pointer[[]*tierFile]
 
 	mu            sync.Mutex
+	chunks        int // chunks over every file: the cache's id space
 	res           map[int][]byte
 	lruPrev       []int32
 	lruNext       []int32
@@ -115,24 +132,76 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Open opens a tier file. Only the resident sections — meta and
-// directory — are read; chunk offsets are derived from the directory's
-// record counts, so opening a corpus far larger than RAM touches none
-// of its chunk data.
+// Open opens a tier file as the base of a corpus. Only the resident
+// sections — meta and directory — are read; chunk offsets are derived
+// from the directory's record counts, so opening a corpus far larger
+// than RAM touches none of its chunk data.
 func Open(path string, o Options) (*Corpus, error) {
+	tf, err := openTierFile(path)
+	if err != nil {
+		return nil, err
+	}
+	met := o.Metrics
+	if met == nil {
+		met = NewMetrics(telemetry.NewRegistry())
+	}
+	c := &Corpus{
+		budget:   o.RAMBudget,
+		met:      met,
+		res:      make(map[int][]byte),
+		lruHead:  -1,
+		lruTail:  -1,
+		inflight: make(map[int]*inflightLoad),
+	}
+	c.files.Store(&[]*tierFile{})
+	c.attach(tf)
+	return c, nil
+}
+
+// AddRun opens the tier file at path — a run, the same format as a base
+// (see WriteTierRun) — and puts it in front of every file the corpus
+// holds: from its return on, a Get of a key the run holds answers from
+// the run. Resident chunks stay resident, and a Get running meanwhile
+// sees the corpus either with the run or without it.
+func (c *Corpus) AddRun(path string) error {
+	tf, err := openTierFile(path)
+	if err != nil {
+		return err
+	}
+	c.attach(tf)
+	return nil
+}
+
+// attach numbers tf's chunks after every chunk the corpus has and
+// publishes tf as its newest file.
+func (c *Corpus) attach(tf *tierFile) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tf.first = c.chunks
+	c.chunks += len(tf.dir)
+	c.lruPrev = append(c.lruPrev, make([]int32, len(tf.dir))...)
+	c.lruNext = append(c.lruNext, make([]int32, len(tf.dir))...)
+	files := *c.files.Load()
+	next := append(files[:len(files):len(files)], tf)
+	c.files.Store(&next)
+	c.setGauges()
+}
+
+func openTierFile(path string) (*tierFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	c, err := open(f, o)
+	tf, err := readTierFile(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return c, nil
+	return tf, nil
 }
 
-func open(f *os.File, o Options) (*Corpus, error) {
+// readTierFile reads and validates one file's meta and directory.
+func readTierFile(f *os.File) (*tierFile, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -179,8 +248,7 @@ func open(f *os.File, o Options) (*Corpus, error) {
 
 	// Directory. Each entry's shape is validated as it streams in; the
 	// fences must be internally ordered and disjoint ascending across
-	// chunks, every chunk but the last exactly full (the global index ->
-	// chunk mapping is pure arithmetic).
+	// chunks, every chunk but the last exactly full.
 	if _, err := sr.Expect(secTierDir, snapfmt.AnySize); err != nil {
 		return nil, fmt.Errorf("pager: tier directory: %w", err)
 	}
@@ -238,41 +306,40 @@ func open(f *os.File, o Options) (*Corpus, error) {
 	if off+12 != fileSize {
 		return nil, fmt.Errorf("pager: tier is %d bytes, chunks end at %d", fileSize, off)
 	}
-
-	met := o.Metrics
-	if met == nil {
-		met = NewMetrics(telemetry.NewRegistry())
-	}
-	c := &Corpus{
-		f:         f,
-		total:     total,
-		addrN:     int(addrN),
-		chunkRecs: int(chunkRecs),
-		dir:       dir,
-		budget:    o.RAMBudget,
-		met:       met,
-		res:       make(map[int][]byte),
-		lruPrev:   make([]int32, len(dir)),
-		lruNext:   make([]int32, len(dir)),
-		lruHead:   -1,
-		lruTail:   -1,
-		inflight:  make(map[int]*inflightLoad),
-	}
-	c.setGauges()
-	return c, nil
+	return &tierFile{f: f, total: total, addrN: int(addrN), dir: dir}, nil
 }
 
-// Close releases the tier file. Outstanding readers must be done.
-func (c *Corpus) Close() error { return c.f.Close() }
+// Close releases every file of the corpus. Outstanding readers must be
+// done.
+func (c *Corpus) Close() error {
+	var errs []error
+	for _, tf := range *c.files.Load() {
+		errs = append(errs, tf.f.Close())
+	}
+	return errors.Join(errs...)
+}
 
-// NumAddrs returns the corpus's unique address count.
-func (c *Corpus) NumAddrs() int { return c.addrN }
+// base returns the corpus's base file.
+func (c *Corpus) base() *tierFile { return (*c.files.Load())[0] }
 
-// TotalObservations returns the corpus's raw sighting count.
-func (c *Corpus) TotalObservations() uint64 { return c.total }
+// NumAddrs returns the base file's unique address count. Runs hold
+// addresses the base holds too, so no sum over files counts a corpus
+// with runs; its writer knows the count.
+func (c *Corpus) NumAddrs() int { return c.base().addrN }
 
-// NumChunks returns the chunk count.
-func (c *Corpus) NumChunks() int { return len(c.dir) }
+// TotalObservations returns the raw sighting count the base file was
+// written at.
+func (c *Corpus) TotalObservations() uint64 { return c.base().total }
+
+// NumRuns returns how many runs are attached to the base.
+func (c *Corpus) NumRuns() int { return len(*c.files.Load()) - 1 }
+
+// NumChunks returns the chunk count over every file.
+func (c *Corpus) NumChunks() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.chunks
+}
 
 // ResidentChunks returns how many chunks are currently resident.
 func (c *Corpus) ResidentChunks() int {
@@ -288,11 +355,10 @@ func (c *Corpus) ResidentBytes() int64 {
 	return c.residentBytes
 }
 
-// setGauges publishes the residency split; callers hold c.mu (or, at
-// construction, exclusive ownership).
+// setGauges publishes the residency split; callers hold c.mu.
 func (c *Corpus) setGauges() {
 	c.met.Resident.Set(int64(len(c.res)))
-	c.met.Cold.Set(int64(len(c.dir) - len(c.res)))
+	c.met.Cold.Set(int64(c.chunks - len(c.res)))
 }
 
 // ---- LRU cache ----
@@ -340,35 +406,35 @@ func (c *Corpus) evictLocked() {
 	}
 }
 
-// chunk returns chunk ci's payload, loading it off the tier file if
-// cold. Concurrent requests for the same cold chunk coalesce into one
-// read.
-func (c *Corpus) chunk(ci int) ([]byte, error) {
+// chunk returns chunk ci of tf, loading it off the file if cold.
+// Concurrent requests for the same cold chunk coalesce into one read.
+func (c *Corpus) chunk(tf *tierFile, ci int) ([]byte, error) {
+	id := tf.first + ci
 	c.mu.Lock()
-	if p, ok := c.res[ci]; ok {
-		c.lruUnlink(ci)
-		c.lruPushFront(ci)
+	if p, ok := c.res[id]; ok {
+		c.lruUnlink(id)
+		c.lruPushFront(id)
 		c.mu.Unlock()
 		return p, nil
 	}
-	if fl, ok := c.inflight[ci]; ok {
+	if fl, ok := c.inflight[id]; ok {
 		c.mu.Unlock()
 		<-fl.done
 		return fl.payload, fl.err
 	}
 	fl := &inflightLoad{done: make(chan struct{})}
-	c.inflight[ci] = fl
+	c.inflight[id] = fl
 	c.mu.Unlock()
 
-	p, err := c.readChunk(ci)
+	p, err := c.readChunk(tf, ci)
 
 	c.mu.Lock()
-	delete(c.inflight, ci)
+	delete(c.inflight, id)
 	if err == nil {
-		if _, ok := c.res[ci]; !ok {
-			c.res[ci] = p
+		if _, ok := c.res[id]; !ok {
+			c.res[id] = p
 			c.residentBytes += int64(len(p))
-			c.lruPushFront(ci)
+			c.lruPushFront(id)
 			c.evictLocked()
 		}
 		c.setGauges()
@@ -383,12 +449,12 @@ func (c *Corpus) chunk(ci int) ([]byte, error) {
 // readChunk preads and verifies one chunk section: header shape, then
 // CRC-32C over the payload against the trailer. Damage is an error,
 // never a partial payload.
-func (c *Corpus) readChunk(ci int) ([]byte, error) {
+func (c *Corpus) readChunk(tf *tierFile, ci int) ([]byte, error) {
 	start := time.Now()
-	d := &c.dir[ci]
+	d := &tf.dir[ci]
 	payload := chunkPayloadSize(d.n)
 	buf := make([]byte, tierSectionOverhead+payload)
-	if _, err := c.f.ReadAt(buf, d.off); err != nil {
+	if _, err := tf.f.ReadAt(buf, d.off); err != nil {
 		return nil, fmt.Errorf("pager: chunk %d: %w", ci, err)
 	}
 	if id := binary.BigEndian.Uint32(buf[0:]); id != secTierChunk {
@@ -409,26 +475,38 @@ func (c *Corpus) readChunk(ci int) ([]byte, error) {
 
 // ---- point lookups ----
 
-// Get returns the record for an address without loading any chunk the
-// filters can rule out: the fence search names the only chunk whose key
-// range could hold a, and its bloom filter then vetoes the load for
-// almost every absent key.
+// Get returns the record for an address from the newest file that holds
+// it: runs newest first, then the base. A run carries every record its
+// delta dirtied, so the newest holder has the freshest value. The
+// address is hashed once; each file then costs a fence search and a
+// bloom probe, and a chunk load only when both admit the key.
 func (c *Corpus) Get(a addr.Addr) (collector.AddrRecord, bool, error) {
-	ci := sort.Search(len(c.dir), func(i int) bool { return !c.dir[i].max.Less(a) })
+	h := a.Hash64()
+	files := *c.files.Load()
+	for i := len(files) - 1; i >= 0; i-- {
+		if rec, ok, err := c.getIn(files[i], a, h); ok || err != nil {
+			return rec, ok, err
+		}
+	}
+	return collector.AddrRecord{}, false, nil
+}
+
+// getIn looks a (hashing to h) up in one file without loading any chunk
+// the filters can rule out: the fence search names the only chunk whose
+// key range could hold a, and its bloom filter then vetoes the load for
+// almost every absent key.
+func (c *Corpus) getIn(tf *tierFile, a addr.Addr, h uint64) (collector.AddrRecord, bool, error) {
+	ci := sort.Search(len(tf.dir), func(i int) bool { return !tf.dir[i].max.Less(a) })
 	c.met.Probes.Inc()
-	if ci == len(c.dir) || a.Less(c.dir[ci].min) {
+	if ci == len(tf.dir) || a.Less(tf.dir[ci].min) || !bloomHas(tf.dir[ci].bloom, h) {
 		c.met.Skips.Inc()
 		return collector.AddrRecord{}, false, nil
 	}
-	if !bloomHas(c.dir[ci].bloom, a) {
-		c.met.Skips.Inc()
-		return collector.AddrRecord{}, false, nil
-	}
-	p, err := c.chunk(ci)
+	p, err := c.chunk(tf, ci)
 	if err != nil {
 		return collector.AddrRecord{}, false, err
 	}
-	n := int(c.dir[ci].n)
+	n := int(tf.dir[ci].n)
 	j := sort.Search(n, func(j int) bool {
 		return bytes.Compare(p[j*tierRecWire:j*tierRecWire+16], a[:]) >= 0
 	})
@@ -437,36 +515,4 @@ func (c *Corpus) Get(a addr.Addr) (collector.AddrRecord, bool, error) {
 	}
 	_, rec := collector.DecodeAddrRecord(p[j*tierRecWire : (j+1)*tierRecWire])
 	return rec, true, nil
-}
-
-// ---- range scans ----
-
-// AddrsRange iterates the records with canonical-order indices in
-// [lo, hi), loading chunks through the cache like Get does; fn returning
-// false ends the walk. A chunk that fails to load ends it with the
-// error, after every record before that chunk has been delivered.
-func (c *Corpus) AddrsRange(lo, hi int, fn func(a addr.Addr, r collector.AddrRecord) bool) error {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > c.addrN {
-		hi = c.addrN
-	}
-	for g := lo; g < hi; {
-		ci := g / c.chunkRecs
-		p, err := c.chunk(ci)
-		if err != nil {
-			return err
-		}
-		base := ci * c.chunkRecs
-		end := min(hi, base+int(c.dir[ci].n))
-		for ; g < end; g++ {
-			j := g - base
-			a, rec := collector.DecodeAddrRecord(p[j*tierRecWire : (j+1)*tierRecWire])
-			if !fn(a, rec) {
-				return nil
-			}
-		}
-	}
-	return nil
 }

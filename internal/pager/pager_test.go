@@ -94,9 +94,9 @@ const chunkBytes = int64(TierChunkRecs) * tierRecWire
 
 // The pager's integrity bar, held by the tests rather than by library
 // code: a tier must hand back exactly the records of the collector it
-// was written from, in canonical order. recDigest hashes one such walk;
-// walkSum takes it over the tier's range walk, corpusSum over the
-// collector's own canonical walk.
+// was written from. recDigest hashes a canonical-order sequence of
+// records; lookupSum takes it over the tier's answers for the
+// collector's addresses, corpusSum over the collector's own records.
 type recDigest struct {
 	h   hash.Hash
 	buf []byte
@@ -115,10 +115,20 @@ func (d *recDigest) sum() (out [32]byte) {
 	return out
 }
 
-func walkSum(pc *Corpus) ([32]byte, error) {
+// lookupSum looks every address of c up in pc, in canonical order, and
+// digests the answers — a miss as a zero record, which no address
+// holds. It equals corpusSum(c) exactly when pc answers c's record for
+// each of c's addresses. The first lookup error ends it.
+func lookupSum(pc *Corpus, c *collector.Collector) ([32]byte, error) {
 	d := newRecDigest()
-	err := pc.AddrsRange(0, pc.NumAddrs(), d.add)
-	return d.sum(), err
+	for a := range c.CanonicalOrder() {
+		r, _, err := pc.Get(a)
+		if err != nil {
+			return d.sum(), err
+		}
+		d.add(a, r)
+	}
+	return d.sum(), nil
 }
 
 func corpusSum(c *collector.Collector) [32]byte {
@@ -130,7 +140,8 @@ func corpusSum(c *collector.Collector) [32]byte {
 func TestTierRoundTrip(t *testing.T) {
 	c := buildCorpus(t, 30000)
 	path := writeTierFile(t, c)
-	pc := openOrDie(t, path, Options{})
+	met := NewMetrics(telemetry.NewRegistry())
+	pc := openOrDie(t, path, Options{Metrics: met})
 
 	if pc.NumAddrs() != c.NumAddrs() {
 		t.Fatalf("tier holds %d addrs, collector %d", pc.NumAddrs(), c.NumAddrs())
@@ -141,15 +152,8 @@ func TestTierRoundTrip(t *testing.T) {
 	if pc.NumChunks() != (c.NumAddrs()+TierChunkRecs-1)/TierChunkRecs {
 		t.Fatalf("tier cut %d chunks for %d addrs", pc.NumChunks(), c.NumAddrs())
 	}
-	sum, err := walkSum(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != corpusSum(c) {
-		t.Fatalf("tier walk diverges from collector")
-	}
-
-	// Every record, both point-looked-up and range-scanned, must match.
+	// Every record must match; with the counts equal, every address
+	// found means the tier holds the collector's set.
 	scanned := 0
 	c.AddrsCanonical(func(a addr.Addr, want collector.AddrRecord) bool {
 		got, ok, err := pc.Get(a)
@@ -164,6 +168,12 @@ func TestTierRoundTrip(t *testing.T) {
 	})
 	if scanned != c.NumAddrs() {
 		t.Fatalf("scanned %d of %d", scanned, c.NumAddrs())
+	}
+	if loads := met.Loads.Value(); loads < uint64(pc.NumChunks()) {
+		t.Fatalf("looked up every record on %d loads of %d chunks", loads, pc.NumChunks())
+	}
+	if sum, err := lookupSum(pc, c); err != nil || sum != corpusSum(c) {
+		t.Fatalf("lookups diverge from the collector (%v)", err)
 	}
 
 	for i := 0; i < 2000; i++ {
@@ -186,16 +196,9 @@ func TestTierEmptyCorpus(t *testing.T) {
 	if _, ok, err := pc.Get(addr.FromParts(1, 2)); err != nil || ok {
 		t.Fatalf("empty tier Get = %v, %v", ok, err)
 	}
-	sum, err := walkSum(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != corpusSum(c) {
-		t.Fatalf("empty tier walk diverges")
-	}
 }
 
-// TestTierEquivalenceAcrossBudgets: the range walk must hand back the
+// TestTierEquivalenceAcrossBudgets: lookups must hand back the
 // collector's records whether the corpus is fully resident, budget
 // -constrained, or effectively all-cold.
 func TestTierEquivalenceAcrossBudgets(t *testing.T) {
@@ -211,7 +214,7 @@ func TestTierEquivalenceAcrossBudgets(t *testing.T) {
 	for name, budget := range budgets {
 		t.Run(name, func(t *testing.T) {
 			pc := openOrDie(t, path, Options{RAMBudget: budget})
-			sum, err := walkSum(pc)
+			sum, err := lookupSum(pc, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +222,7 @@ func TestTierEquivalenceAcrossBudgets(t *testing.T) {
 				t.Fatalf("walk diverges at budget %d", budget)
 			}
 			// Walk twice: the second pass finds some chunks resident.
-			again, err := walkSum(pc)
+			again, err := lookupSum(pc, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,22 +274,21 @@ func TestTierBudgetHolds(t *testing.T) {
 		t.Fatalf("histogram saw %d loads, counter %d", met.LoadSeconds.Count(), met.Loads.Value())
 	}
 
-	// Range scans page chunks through the same cache and the same
-	// budget, which must hold at every chunk the walk crosses.
+	// A walk in canonical order pages every chunk in turn through the
+	// same cache and the same budget, which must hold at every chunk the
+	// walk crosses.
 	n := 0
-	if err := pc.AddrsRange(0, pc.NumAddrs(), func(addr.Addr, collector.AddrRecord) bool {
+	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+		if _, ok, err := pc.Get(a); err != nil || !ok {
+			t.Fatalf("Get: %v, %v", ok, err)
+		}
 		if n%TierChunkRecs == 0 {
-			checkBudget(fmt.Sprintf("scan at record %d", n))
+			checkBudget(fmt.Sprintf("walk at record %d", n))
 		}
 		n++
 		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != pc.NumAddrs() {
-		t.Fatalf("range scan saw %d of %d", n, pc.NumAddrs())
-	}
-	checkBudget("scan")
+	})
+	checkBudget("walk")
 }
 
 // TestTierFilterSkips is the satellite acceptance bar: point probes for
@@ -369,7 +371,7 @@ func TestTierConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sum, err := walkSum(pc)
+			sum, err := lookupSum(pc, c)
 			if err != nil {
 				errs <- err
 				return
@@ -388,10 +390,8 @@ func TestTierConcurrentReads(t *testing.T) {
 
 func tierBytes(tb testing.TB, events int) []byte {
 	tb.Helper()
-	c := collector.New()
-	feedEvents(c, 0, events)
 	var buf bytes.Buffer
-	if err := WriteTier(c, &buf); err != nil {
+	if err := WriteTier(buildCorpus(tb, events), &buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -425,9 +425,10 @@ func TestTierTruncationTorture(t *testing.T) {
 
 // TestTierBitFlipTorture: a flipped bit must surface as an error at
 // Open or on chunk load — or, if it lands in dead framing (the end
-// marker), leave the walked records byte-identical. Silent record
+// marker), leave every looked-up record byte-identical. Silent record
 // corruption is the one forbidden outcome.
 func TestTierBitFlipTorture(t *testing.T) {
+	c := buildCorpus(t, 6000)
 	raw := tierBytes(t, 6000)
 	orig := append([]byte(nil), raw...)
 	path := filepath.Join(t.TempDir(), "flip.tier")
@@ -435,7 +436,7 @@ func TestTierBitFlipTorture(t *testing.T) {
 	if err := os.WriteFile(path, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want, err := walkSum(openOrDie(t, path, Options{}))
+	want, err := lookupSum(openOrDie(t, path, Options{}), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +450,7 @@ func TestTierBitFlipTorture(t *testing.T) {
 			}
 			pc, err := Open(path, Options{RAMBudget: chunkBytes})
 			if err == nil {
-				sum, cerr := walkSum(pc)
+				sum, cerr := lookupSum(pc, c)
 				if cerr == nil && sum != want {
 					t.Fatalf("flip at %d bit %d silently changed the corpus", off, bit)
 				}

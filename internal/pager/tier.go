@@ -1,28 +1,37 @@
 // Package pager implements the tiered corpus's probe index: a sealed
 // collector's address records serialized as fixed-size canonical-order
-// chunks that live resident in RAM or cold on the tier file, paged in
-// on demand under a configurable budget. The tier file "h6tier01",
-// version 2, is a snapfmt stream:
+// chunks that live resident in RAM or cold on disk, paged in on demand
+// under a configurable budget. The tier file "h6tier01", version 2, is
+// a snapfmt stream:
 //
 //	meta      — total, address count, chunk geometry
 //	directory — per chunk: record count, key-range fence, bloom filter
 //	chunk*    — per chunk: the address records in canonical order
 //	end
 //
-// That is all its reader reads. The file holds no derived state: every
-// per-IID figure is a fold of the address records, and the durable copy
-// of the corpus is the checkpoint chain — a tier file is rebuilt from
-// the corpus by every checkpoint, so a reader that rejects one (an
-// older version, damage) costs a rewrite, never data. Version 1 also
-// embedded the canonical IID table, 48.1 % of the file on the
-// benchmark's corpus and read by nothing in production; it is rejected
-// by the version check.
+// That is all its reader reads. A tier is one base file (WriteTier: the
+// whole corpus) plus runs (WriteTierRun: the records one delta
+// checkpoint carried), each a file of that same format; a Corpus opens
+// the base and attaches runs as they are written, and a lookup answers
+// from the newest file holding the key. Records only grow — first is a
+// min, last a max, count a sum, servers an or — and a record dirtied
+// after a run was cut is in the next run too, so the newest holder is
+// the freshest. A full checkpoint rewrites the base and drops the runs,
+// which bounds their number by the checkpoint chain's compaction.
 //
-// Only chunks are paged; the directory stays resident. Chunk payload
+// The files hold no derived state: every per-IID figure is a fold of
+// the address records, and the durable copy of the corpus is the
+// checkpoint chain — a tier is rebuilt from the corpus whenever its
+// files cannot be trusted, so a reader that rejects one (an older
+// version, damage) costs a rewrite, never data. Version 1 also embedded
+// the canonical IID table, read by nothing in production; it is
+// rejected by the version check.
+//
+// Only chunks are paged; directories stay resident. Chunk payload
 // offsets are not stored — they are arithmetic over the directory's
-// record counts, so Open reads only meta and directory and never
-// touches chunk data. Each chunk section carries its own CRC, verified
-// on every cold load.
+// record counts, so opening a file reads only meta and directory and
+// never touches chunk data. Each chunk section carries its own CRC,
+// verified on every cold load.
 //
 //lint:durable-path the tier file is the cold half of the corpus
 package pager
@@ -30,6 +39,7 @@ package pager
 import (
 	"encoding/binary"
 	"io"
+	"iter"
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
@@ -57,8 +67,8 @@ const (
 	tierDirFixed = 40
 
 	// TierChunkRecs is the number of address records per chunk: small
-	// enough that a cold point lookup reads ~160KB, large enough that a
-	// range walk is a handful of sequential preads per MB.
+	// enough that a cold point lookup reads ~160KB, large enough that the
+	// directory costs a few hundred bytes per MB of records.
 	TierChunkRecs = 4096
 
 	// tierSectionOverhead frames every chunk section: 12-byte header plus
@@ -66,17 +76,31 @@ const (
 	tierSectionOverhead = 16
 )
 
-// WriteTier serializes c as a tier file. Chunks are cut from the
-// canonical address order, so chunk key ranges are disjoint and sorted
-// — the property the directory fence search relies on. The order is
-// computed once and walked twice: the first walk builds the directory
-// (counts, fences, blooms), the second streams the chunk payloads, so
-// nothing but the order and the directory is buffered. Both exist
-// before the first byte reaches w — a caller timing its first Write has
-// timed the ordering.
+// WriteTier serializes c as a tier file: the base of a tier. Chunks are
+// cut from the canonical address order, so chunk key ranges are
+// disjoint and sorted — the property the directory fence search relies
+// on. The order is computed once and walked twice: the first walk
+// builds the directory (counts, fences, blooms), the second streams the
+// chunk payloads, so nothing but the order and the directory is
+// buffered. Both exist before the first byte reaches w — a caller
+// timing its first Write has timed the ordering.
 func WriteTier(c *collector.Collector, w io.Writer) error {
-	order := c.CanonicalOrder()
-	n := c.NumAddrs()
+	return writeTier(w, c.CanonicalOrder(), c.NumAddrs(), c.TotalObservations())
+}
+
+// WriteTierRun serializes, as a tier file, the records of the slab
+// blocks c's last delta checkpoint carried (Collector.LastDeltaOrder):
+// a run, which Corpus.AddRun puts in front of the base and the runs
+// before it. It costs O(records the delta carried), not O(corpus). The
+// meta's total is c's at the call, as WriteTier's is.
+func WriteTierRun(c *collector.Collector, w io.Writer) error {
+	order, n := c.LastDeltaOrder()
+	return writeTier(w, order, n, c.TotalObservations())
+}
+
+// writeTier is the one encoder: the n records order yields, with total
+// in the meta.
+func writeTier(w io.Writer, order iter.Seq2[addr.Addr, collector.AddrRecord], n int, total uint64) error {
 	chunks := (n + TierChunkRecs - 1) / TierChunkRecs
 
 	type dirEnt struct {
@@ -108,7 +132,7 @@ func WriteTier(c *collector.Collector, w io.Writer) error {
 		return err
 	}
 	var meta [tierMetaWire]byte
-	binary.BigEndian.PutUint64(meta[0:], c.TotalObservations())
+	binary.BigEndian.PutUint64(meta[0:], total)
 	binary.BigEndian.PutUint64(meta[8:], uint64(n))
 	binary.BigEndian.PutUint32(meta[16:], TierChunkRecs)
 	binary.BigEndian.PutUint32(meta[20:], uint32(chunks))

@@ -3,7 +3,7 @@
 // checkpoint-mid-stream split through the determinism assertion, and
 // the tier legs re-read the asserted corpus through internal/pager —
 // fully resident, budget-constrained, and all-cold — requiring the
-// collector's records, pairwise and in canonical order, from every
+// collector's record for every one of its addresses from every
 // residency mode, the RAM budget held throughout the walk, plus the
 // cold path's filter-skip bar.
 package matrix
@@ -86,12 +86,12 @@ func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*in
 
 // tierLegs writes the asserted cell's corpus as a tier file and re-reads
 // it through internal/pager at three residency regimes. Each leg must
-// walk exactly the collector's address records in canonical order —
-// the on-disk walk is the same corpus, however little of it is in RAM —
-// loading every chunk through the cache and never holding more than the
-// budget (or the one-chunk floor) while it does, and the all-cold leg
-// must additionally skip at least 90% of absent probes on its per-chunk
-// filters without chunk I/O.
+// hand back exactly the collector's address records, looked up in
+// canonical order — the tier is the same corpus, however little of it
+// is in RAM — loading every chunk through the cache and never holding
+// more than the budget (or the one-chunk floor) while it does, and the
+// all-cold leg must additionally skip at least 90% of absent probes on
+// its per-chunk filters without chunk I/O.
 func tierLegs(st *workload.Stream, want *cellOutcome) ([]Cell, error) {
 	col := want.col
 	dir, err := os.MkdirTemp("", "matrix-tier-*")
@@ -167,36 +167,29 @@ func tierLeg(path string, col *collector.Collector, order iter.Seq2[addr.Addr, c
 	return nil
 }
 
-// walkTier range-walks the whole tier beside the collector's canonical
-// order and requires the same (address, record) at every index. At each
-// chunk boundary — the moment a load and its eviction pass have just
-// run — residency must be within budget, or down to the one chunk the
-// cache never evicts.
+// walkTier looks up every address of the collector's canonical order
+// in the tier and requires the collector's record for each. With the
+// address counts equal, every key found means the two hold the same
+// set. Every 4096th lookup — a chunk's worth, so a load and its
+// eviction pass have just run — residency must be within budget, or
+// down to the one chunk the cache never evicts.
 func walkTier(tc *pager.Corpus, order iter.Seq2[addr.Addr, collector.AddrRecord], budget int64) error {
-	next, stop := iter.Pull2(order)
-	defer stop()
-	var (
-		i       int
-		walkErr error
-	)
-	err := tc.AddrsRange(0, tc.NumAddrs(), func(a addr.Addr, r collector.AddrRecord) bool {
-		wantA, wantR, ok := next()
-		if !ok || a != wantA || r != wantR {
-			walkErr = fmt.Errorf("record %d is %v %+v, the asserted cell holds %v %+v", i, a, r, wantA, wantR)
-			return false
+	i := 0
+	for a, want := range order {
+		got, ok, err := tc.Get(a)
+		if err != nil {
+			return fmt.Errorf("walk: %w", err)
+		}
+		if !ok || got != want {
+			return fmt.Errorf("record %d: the tier holds %v %+v (found %v), the asserted cell %+v", i, a, got, ok, want)
 		}
 		if budget > 0 && i%pager.TierChunkRecs == 0 && tc.ResidentChunks() > 1 && tc.ResidentBytes() > budget {
-			walkErr = fmt.Errorf("resident %d bytes in %d chunks over the %d budget at record %d",
+			return fmt.Errorf("resident %d bytes in %d chunks over the %d budget at record %d",
 				tc.ResidentBytes(), tc.ResidentChunks(), budget, i)
-			return false
 		}
 		i++
-		return true
-	})
-	if err != nil {
-		return fmt.Errorf("walk: %w", err)
 	}
-	return walkErr
+	return nil
 }
 
 // probeAbsent drives the cold corpus with absent keys manufactured to
