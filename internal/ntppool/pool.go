@@ -7,9 +7,7 @@ package ntppool
 
 import (
 	"fmt"
-	"time"
 
-	"hitlist6/internal/collector"
 	"hitlist6/internal/simnet"
 )
 
@@ -26,10 +24,17 @@ type Vantage struct {
 
 // Pool is the DNS round-robin selector over the study's vantage servers.
 type Pool struct {
-	vantages    []Vantage
-	byCountry   map[string][]int
-	byContinent map[string][]int
-	rrState     map[string]int // round-robin cursor per selection pool key
+	vantages []Vantage
+	tiers    map[string]*tier // by key: "c:"+country, "k:"+continent, "g"
+	byClient map[string]*tier // each client country's resolved tier
+}
+
+// tier is one selection list and its round-robin cursor. Client
+// countries that resolve to the same list share the tier, and so the
+// cursor.
+type tier struct {
+	idxs []int
+	cur  int
 }
 
 // continentOf maps the countries used by the study and the simulator to
@@ -79,14 +84,22 @@ func New(vantages []Vantage) (*Pool, error) {
 		return nil, fmt.Errorf("ntppool: no vantages")
 	}
 	p := &Pool{
-		vantages:    append([]Vantage(nil), vantages...),
-		byCountry:   make(map[string][]int),
-		byContinent: make(map[string][]int),
-		rrState:     make(map[string]int),
+		vantages: append([]Vantage(nil), vantages...),
+		tiers:    make(map[string]*tier),
+		byClient: make(map[string]*tier),
+	}
+	add := func(key string, i int) {
+		t := p.tiers[key]
+		if t == nil {
+			t = &tier{}
+			p.tiers[key] = t
+		}
+		t.idxs = append(t.idxs, i)
 	}
 	for i, v := range p.vantages {
-		p.byCountry[v.Country] = append(p.byCountry[v.Country], i)
-		p.byContinent[v.Continent] = append(p.byContinent[v.Continent], i)
+		add("c:"+v.Country, i)
+		add("k:"+v.Continent, i)
+		add("g", i)
 	}
 	return p, nil
 }
@@ -97,26 +110,26 @@ func (p *Pool) Vantages() []Vantage { return p.vantages }
 // Select returns the vantage a client from the given country is directed
 // to. Selection follows the pool's geo DNS behaviour: same-country servers
 // first, then same-continent, then the global pool, rotating round-robin
-// within the chosen tier.
+// within the chosen tier. A country's tier is resolved on its first
+// Select; after that a Select is one map read.
 func (p *Pool) Select(clientCountry string) Vantage {
-	if idxs, ok := p.byCountry[clientCountry]; ok && len(idxs) > 0 {
-		return p.pick("c:"+clientCountry, idxs)
+	t := p.byClient[clientCountry]
+	if t == nil {
+		t = p.tiers["c:"+clientCountry]
+		if t == nil {
+			t = p.tiers["k:"+ContinentOf(clientCountry)]
+		}
+		if t == nil {
+			t = p.tiers["g"]
+		}
+		p.byClient[clientCountry] = t
 	}
-	cont := ContinentOf(clientCountry)
-	if idxs, ok := p.byContinent[cont]; ok && len(idxs) > 0 {
-		return p.pick("k:"+cont, idxs)
+	v := p.vantages[t.idxs[t.cur]]
+	t.cur++
+	if t.cur == len(t.idxs) {
+		t.cur = 0
 	}
-	all := make([]int, len(p.vantages))
-	for i := range all {
-		all[i] = i
-	}
-	return p.pick("g", all)
-}
-
-func (p *Pool) pick(key string, idxs []int) Vantage {
-	cur := p.rrState[key]
-	p.rrState[key] = (cur + 1) % len(idxs)
-	return p.vantages[idxs[cur%len(idxs)]]
+	return v
 }
 
 // VendorZone returns the pool zone a device kind's software would query
@@ -142,31 +155,4 @@ type RunStats struct {
 	PerVantage    []uint64
 	PerZone       map[string]uint64
 	UniqueClients int
-}
-
-// Run replays the world's NTP client behaviour through the pool into the
-// collector. An optional dayCollector receives only queries within
-// [dayStart, dayStart+24h), reproducing the paper's single-day slice
-// (1 July 2022) used by Figures 4b and 5.
-func Run(w *simnet.World, p *Pool, c *collector.Collector,
-	dayCollector *collector.Collector, dayStart time.Time) RunStats {
-
-	stats := RunStats{
-		PerVantage: make([]uint64, len(p.vantages)),
-		PerZone:    make(map[string]uint64),
-	}
-	dayEnd := dayStart.Add(24 * time.Hour)
-	w.GenerateQueries(func(q simnet.Query) {
-		country := w.Geo.Country(q.Addr)
-		v := p.Select(country)
-		c.Observe(q.Addr, q.Time, v.ID)
-		if dayCollector != nil && !q.Time.Before(dayStart) && q.Time.Before(dayEnd) {
-			dayCollector.Observe(q.Addr, q.Time, v.ID)
-		}
-		stats.Queries++
-		stats.PerVantage[v.ID]++
-		stats.PerZone[VendorZone(q.Device.Kind)]++
-	})
-	stats.UniqueClients = c.NumAddrs()
-	return stats
 }

@@ -1,6 +1,11 @@
 package ntppool
 
 import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,4 +145,103 @@ func TestRunCollectsQueries(t *testing.T) {
 		}
 		return true
 	})
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/select_sequence.golden")
+
+// TestSelectSequenceGolden pins the vantage sequence Select hands out
+// for an interleaved country mix: same-country tiers (US, IN),
+// continent fallbacks (CN and FR share tiers with other Asian and
+// European clients), and the global tier (ZZ, ""). Every cursor must
+// advance exactly as it always has, or every corpus's server bits move.
+func TestSelectSequenceGolden(t *testing.T) {
+	p, err := New(StudyVantages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := []string{"US", "IN", "CN", "FR", "ZZ", ""}
+	rng := rand.New(rand.NewSource(7))
+	var b strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "%d", p.Select(mix[rng.Intn(len(mix))]).ID)
+		if i%20 == 19 {
+			b.WriteByte('\n')
+		} else {
+			b.WriteByte(' ')
+		}
+	}
+	const path = "testdata/select_sequence.golden"
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("vantage sequence differs from %s (run with -update only if the change is intended)", path)
+	}
+}
+
+// selectMix returns the client countries of a small world's queries in
+// generation order: the mix Select sees on the study's producer.
+func selectMix(tb testing.TB) []string {
+	cfg := simnet.DefaultConfig(3, 0.02)
+	cfg.Days = 14
+	w, err := simnet.Build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var mix []string
+	w.GenerateQueries(func(q simnet.Query) {
+		if len(mix) < 1<<16 {
+			mix = append(mix, w.Geo.Country(q.Addr))
+		}
+	})
+	if len(mix) == 0 {
+		tb.Fatal("world generated no queries")
+	}
+	return mix
+}
+
+var selectSink Vantage
+
+// BenchmarkPoolSelect measures vantage selection over the study's
+// client-country mix.
+func BenchmarkPoolSelect(b *testing.B) {
+	mix := selectMix(b)
+	p, err := New(StudyVantages())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		selectSink = p.Select(mix[i%len(mix)])
+	}
+}
+
+// TestSelectAllocatesNothing pins Select at zero allocations once each
+// client country has been seen.
+func TestSelectAllocatesNothing(t *testing.T) {
+	mix := append(selectMix(t), "US", "IN", "CN", "FR", "ZZ", "")
+	p, err := New(StudyVantages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range mix {
+		p.Select(cc)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(10_000, func() {
+		p.Select(mix[i%len(mix)])
+		i++
+	}); n != 0 {
+		t.Errorf("Select makes %v allocations per call, want 0", n)
+	}
 }

@@ -193,7 +193,7 @@ func NewStudy(cfg Config) (*Study, error) {
 // datasets. The replay producer is sequential (vantage selection is
 // order-dependent round-robin), but all per-sighting collector and
 // enrichment work runs across Config.IngestShards shards; the merged
-// corpus is identical to a serial ntppool.Run for any shard count.
+// corpus is identical to a serial replay's for any shard count.
 //
 // This is the study's single pass over the world: the full corpus, the
 // single-day slice and the outage series all fall out of it, so every
