@@ -802,6 +802,6 @@ func simReplay(pipe *ingest.Pipeline, log *slog.Logger, seed int64, scale float6
 		log.Error("sim pool", "error", err)
 		return 0
 	}
-	stats := ntppool.RunIngest(w, pool, pipe)
+	stats := ntppool.RunIngest(w, pool, pipe, nil)
 	return stats.Queries
 }

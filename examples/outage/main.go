@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ntppool.RunIngest(w, pool, pipe)
+	ntppool.RunIngest(w, pool, pipe, nil)
 	corpus := pipe.Close()
 	stage, ok := pipe.Stage("outage").(*ingest.OutageSeriesStage)
 	if !ok {

@@ -107,6 +107,8 @@ func BuildActiveHitlist(w *simnet.World, cfg ActiveConfig) (*ActiveResult, error
 	}
 	window := cfg.End.Sub(cfg.Start)
 	responsive := make(map[addr.Addr]struct{})
+	// A /64's alias canaries depend on its seed alone: drawn once.
+	canaries := make(map[addr.Prefix64][]uint64)
 
 	// Loop-invariant seeds, built once: public traceroute archives
 	// (routers) and systematic ::1 probing of routed /48s. The world's
@@ -207,10 +209,16 @@ func BuildActiveHitlist(w *simnet.World, cfg ActiveConfig) (*ActiveResult, error
 			if res.Aliases.Contains(p) {
 				continue
 			}
-			if scan.DetectAlias(w, p, at, cfg.AliasProbes, cfg.AliasThreshold,
-				int64(cfg.Seed)+int64(uint64(p))) {
+			c, ok := canaries[p]
+			if !ok {
+				c = scan.AliasCanaries(cfg.AliasProbes, int64(cfg.Seed)+int64(uint64(p)))
+				canaries[p] = c
+			}
+			if scan.DetectAlias(w, p, at, c, cfg.AliasThreshold) {
 				res.Aliases.Add(p)
 			}
+			// ProbesSent counts every canary: the modelled campaign sends
+			// the ones DetectAlias skips too.
 			res.ProbesSent += uint64(cfg.AliasProbes)
 		}
 	}

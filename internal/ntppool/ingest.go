@@ -16,7 +16,10 @@ import (
 // tallies only; UniqueClients is left zero because it is unknowable
 // until the final snapshots merge — derive it from the merged
 // collector after Close (NumAddrs), as Study.CollectPassive does.
-func RunIngest(w *simnet.World, p *Pool, pipe *ingest.Pipeline) RunStats {
+// A non-nil tap sees every query after the pipeline, in generation
+// order on the producer goroutine, so a raw-stream consumer needs no
+// replay of its own.
+func RunIngest(w *simnet.World, p *Pool, pipe *ingest.Pipeline, tap func(simnet.Query)) RunStats {
 	stats := RunStats{
 		PerVantage: make([]uint64, len(p.vantages)),
 		PerZone:    make(map[string]uint64),
@@ -29,6 +32,9 @@ func RunIngest(w *simnet.World, p *Pool, pipe *ingest.Pipeline) RunStats {
 		stats.PerVantage[v.ID]++
 		stats.PerZone[VendorZone(q.Device.Kind)]++
 		b.Add(ingest.Event{Addr: q.Addr, Time: q.Time.Unix(), Server: int32(v.ID)})
+		if tap != nil {
+			tap(q)
+		}
 	})
 	b.Flush()
 	return stats

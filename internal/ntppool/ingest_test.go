@@ -45,7 +45,8 @@ func TestRunIngestMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := RunIngest(w2, p2, pipe)
+	var tapped uint64
+	stats := RunIngest(w2, p2, pipe, func(simnet.Query) { tapped++ })
 	merged := pipe.Close()
 	day := pipe.Stage("dayslice").(*ingest.DaySliceStage).Col
 
@@ -57,6 +58,9 @@ func TestRunIngestMatchesRun(t *testing.T) {
 	}
 	if stats.Queries != legacyStats.Queries {
 		t.Errorf("queries %d vs %d", stats.Queries, legacyStats.Queries)
+	}
+	if tapped != stats.Queries {
+		t.Errorf("the tap saw %d queries, the producer %d", tapped, stats.Queries)
 	}
 	for i := range stats.PerVantage {
 		if stats.PerVantage[i] != legacyStats.PerVantage[i] {

@@ -79,7 +79,7 @@ func TestOutageStageEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		RunIngest(w, p, pipe)
+		RunIngest(w, p, pipe, nil)
 		pipe.Close()
 		stage, ok := pipe.Stage("outage").(*ingest.OutageSeriesStage)
 		if !ok {
@@ -120,7 +120,7 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		RunIngest(w, p2, pipe)
+		RunIngest(w, p2, pipe, nil)
 
 		// Live read: snapshot every shard, wait for the merger to fold
 		// them all in, then analyze the store mid-life.

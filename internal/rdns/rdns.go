@@ -22,16 +22,6 @@ import (
 	"hitlist6/internal/simnet"
 )
 
-// RCode is the subset of DNS response codes the walk distinguishes.
-type RCode uint8
-
-const (
-	// NXDomain: nothing exists at or below this name (RFC 8020).
-	NXDomain RCode = iota
-	// NoError: the name exists (an empty non-terminal or a PTR owner).
-	NoError
-)
-
 // Zone is a nibble-tree of PTR records, queried the way an
 // authoritative ip6.arpa server would answer.
 type Zone struct {
@@ -79,75 +69,53 @@ func nibbleAt(a addr.Addr, i int) int {
 	return int(b & 0xf)
 }
 
-// Query answers for the name formed by the first len(nibbles) labels:
-// the rcode, and the PTR target when the name is a full 32-nibble owner.
-func (z *Zone) Query(nibbles []int) (RCode, bool) {
-	z.Queries++
-	n := z.root
-	for _, nib := range nibbles {
-		if nib < 0 || nib > 15 {
-			return NXDomain, false
-		}
-		if n.children[nib] == nil {
-			return NXDomain, false
-		}
-		n = n.children[nib]
-	}
-	return NoError, n.ptr && len(nibbles) == 32
-}
-
 // Walk enumerates every PTR record under the given prefix by NXDOMAIN
 // tree walking. maxQueries bounds the cost (0 = unlimited); the walk
 // stops early when exhausted. Results are in nibble-lexicographic order.
+//
+// A query names the delegation (rounded down to a nibble boundary), then
+// each child of every name that answered NOERROR; z.Queries counts them
+// across walks of one zone, and maxQueries bounds that count. The walk
+// carries the node of the name it steps from, so a query is one child
+// read, not a resolution from the root.
 func Walk(z *Zone, under addr.Prefix, maxQueries uint64) []addr.Addr {
-	if under.Bits()%4 != 0 {
-		// ip6.arpa delegations are nibble-aligned; round down.
-		under = addr.MustPrefix(under.Addr(), under.Bits()/4*4)
-	}
-	start := make([]int, under.Bits()/4)
-	for i := range start {
-		start[i] = nibbleAt(under.Addr(), i)
-	}
-	var out []addr.Addr
 	budget := func() bool {
 		return maxQueries == 0 || z.Queries < maxQueries
 	}
-	var rec func(nibbles []int)
-	rec = func(nibbles []int) {
-		if !budget() {
-			return
-		}
-		rcode, isPTR := z.Query(nibbles)
-		if rcode == NXDomain {
-			return
-		}
-		if len(nibbles) == 32 {
-			if isPTR {
-				out = append(out, addrFromNibbles(nibbles))
+	if !budget() {
+		return nil
+	}
+	depth := under.Bits() / 4
+	name := addr.Mask(under.Addr(), depth*4)
+	n := z.root
+	z.Queries++
+	for i := 0; i < depth && n != nil; i++ {
+		n = n.children[nibbleAt(name, i)]
+	}
+	if n == nil {
+		return nil
+	}
+	var out []addr.Addr
+	// rec walks below n, the node of name's first depth nibbles.
+	var rec func(n *zoneNode, depth int, name addr.Addr)
+	rec = func(n *zoneNode, depth int, name addr.Addr) {
+		if depth == 32 {
+			if n.ptr {
+				out = append(out, name)
 			}
 			return
 		}
-		for nib := 0; nib < 16; nib++ {
-			rec(append(nibbles, nib))
-			if !budget() {
-				return
+		for nib := 0; nib < 16 && budget(); nib++ {
+			z.Queries++
+			if c := n.children[nib]; c != nil {
+				child := name
+				child[depth/2] |= byte(nib) << (4 * (1 - depth%2)) // nibble depth, high first
+				rec(c, depth+1, child)
 			}
 		}
 	}
-	rec(start)
+	rec(n, depth, name)
 	return out
-}
-
-func addrFromNibbles(nibbles []int) addr.Addr {
-	var a addr.Addr
-	for i, nib := range nibbles {
-		if i%2 == 0 {
-			a[i/2] |= byte(nib) << 4
-		} else {
-			a[i/2] |= byte(nib)
-		}
-	}
-	return a
 }
 
 // BuildZone populates a zone from the world at a point in time: servers

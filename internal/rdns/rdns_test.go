@@ -1,6 +1,7 @@
 package rdns
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +9,143 @@ import (
 	"hitlist6/internal/addr"
 	"hitlist6/internal/simnet"
 )
+
+// RCode is the subset of DNS response codes a query distinguishes.
+type RCode uint8
+
+const (
+	// NXDomain: nothing exists at or below this name (RFC 8020).
+	NXDomain RCode = iota
+	// NoError: the name exists (an empty non-terminal or a PTR owner).
+	NoError
+)
+
+// Query answers for the name formed by the first len(nibbles) labels,
+// resolved from the root the way an authoritative server would: the
+// rcode, and whether the name is a full 32-nibble PTR owner. It counts
+// itself in z.Queries, as Walk counts its queries.
+func (z *Zone) Query(nibbles []int) (RCode, bool) {
+	z.Queries++
+	n := z.root
+	for _, nib := range nibbles {
+		if nib < 0 || nib > 15 {
+			return NXDomain, false
+		}
+		if n.children[nib] == nil {
+			return NXDomain, false
+		}
+		n = n.children[nib]
+	}
+	return NoError, n.ptr && len(nibbles) == 32
+}
+
+// walkFromRoot is the walk as a client of a real server makes it: every
+// name is one Query resolved from the root. Walk must return the same
+// records and leave z.Queries where this leaves it.
+func walkFromRoot(z *Zone, under addr.Prefix, maxQueries uint64) []addr.Addr {
+	if under.Bits()%4 != 0 {
+		under = addr.MustPrefix(under.Addr(), under.Bits()/4*4)
+	}
+	start := make([]int, under.Bits()/4)
+	for i := range start {
+		start[i] = nibbleAt(under.Addr(), i)
+	}
+	var out []addr.Addr
+	budget := func() bool {
+		return maxQueries == 0 || z.Queries < maxQueries
+	}
+	var rec func(nibbles []int)
+	rec = func(nibbles []int) {
+		if !budget() {
+			return
+		}
+		rcode, isPTR := z.Query(nibbles)
+		if rcode == NXDomain {
+			return
+		}
+		if len(nibbles) == 32 {
+			if isPTR {
+				out = append(out, addrFromNibbles(nibbles))
+			}
+			return
+		}
+		for nib := 0; nib < 16; nib++ {
+			rec(append(nibbles, nib))
+			if !budget() {
+				return
+			}
+		}
+	}
+	rec(start)
+	return out
+}
+
+func addrFromNibbles(nibbles []int) addr.Addr {
+	var a addr.Addr
+	for i, nib := range nibbles {
+		if i%2 == 0 {
+			a[i/2] |= byte(nib) << 4
+		} else {
+			a[i/2] |= byte(nib)
+		}
+	}
+	return a
+}
+
+// FuzzWalk holds Walk to the root-resolving walk: on an arbitrary zone of
+// up to 64 names sharing stems of any length, for 1–3 walks of one zone
+// over any prefix (/0–/128, nibble-aligned or not) under budgets 0–500,
+// every call must return the same records and leave the same cumulative
+// z.Queries.
+func FuzzWalk(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1,
+		2, 7, 9, 15, 4, 1, 2, 3, 4, 0, 2, 0, 32, 0, 0, 0, 0, 1, 64, 1, 0, 0, 0, 200})
+	f.Add([]byte{64, 0xfe, 0x80, 0, 0, 0, 0, 0, 0, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0,
+		3, 0x11, 0x22, 0x33, 8, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x00, 0x11, 2,
+		1, 33, 2, 0, 0, 255, 2, 0, 127, 1, 1, 1, 0, 0, 90})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		var stem addr.Addr
+		for i := range stem {
+			stem[i] = next()
+		}
+		got, want := NewZone(), NewZone()
+		names := []addr.Addr{stem}
+		for n := int(next()) % 65; n > 0; n-- {
+			a := stem
+			for i := 15 - int(next())%16; i < 16; i++ {
+				a[i] = next()
+			}
+			got.Add(a)
+			want.Add(a)
+			names = append(names, a)
+		}
+		for walks := 1 + int(next())%3; walks > 0; walks-- {
+			base := names[int(next())%len(names)]
+			if i := next(); i != 0 {
+				base[i%16] ^= next()
+			}
+			under := addr.MustPrefix(base, int(next())%129)
+			budget := (uint64(next())<<8 | uint64(next())) % 501
+			g := Walk(got, under, budget)
+			w := walkFromRoot(want, under, budget)
+			if !slices.Equal(g, w) {
+				t.Fatalf("Walk(%s, %d) = %v, root-resolving walk gives %v", under, budget, g, w)
+			}
+			if got.Queries != want.Queries {
+				t.Fatalf("Walk(%s, %d): %d queries, root-resolving walk %d", under, budget, got.Queries, want.Queries)
+			}
+		}
+	})
+}
 
 func TestZoneAddQuery(t *testing.T) {
 	z := NewZone()

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,87 +79,82 @@ func (s *BackscanStats) RandomResponseRate() float64 {
 	return float64(s.RandomResponses) / float64(s.RandomProbes)
 }
 
-// Backscan replays the world's NTP queries through the configured window,
-// batches clients per interval at the participating vantages, and probes
-// back. It returns the campaign aggregate.
+// BackscanClients is the campaign's recording half: of a query stream,
+// in generation order, it keeps the queries inside [cfg.Start, cfg.End)
+// that the pool steers to a participating vantage, in input order. Each
+// in-window query costs one pool Select, so the pool must be in the state
+// the campaign starts from; a nil pool keeps every in-window query.
+func BackscanClients(queries []simnet.Query, pool PoolSelector, cfg BackscanConfig) []simnet.Query {
+	var out []simnet.Query
+	for _, q := range queries {
+		if !q.Time.Before(cfg.Start) && q.Time.Before(cfg.End) &&
+			(pool == nil || slices.Contains(cfg.Vantages, pool.Select(q.Addr))) {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// Backscan is the campaign's probing half: it batches the recorded
+// clients (BackscanClients' output) per interval of the window and
+// probes each batch back at the interval's end, in canonical address
+// order, each client plus one random address in its /64 as the alias
+// canary. Clients outside [cfg.Start, cfg.End) are not probed.
 //
 // Within an interval no address is probed more than once, matching the
 // paper's rate-limiting ("no IP was probed more than once during a 10
 // minute interval").
-func Backscan(w *simnet.World, pool PoolSelector, cfg BackscanConfig) *BackscanStats {
+func Backscan(w *simnet.World, clients []simnet.Query, cfg BackscanConfig) *BackscanStats {
 	stats := &BackscanStats{AliasedPrefixes: make(map[addr.Prefix64]struct{})}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	participating := make(map[int]bool, len(cfg.Vantages))
-	for _, v := range cfg.Vantages {
-		participating[v] = true
+
+	// Order the (interval, client) pairs: the rng pairs each client with
+	// its canary in this order, so it must not depend on the input's.
+	type probe struct {
+		k      int64 // interval index
+		client addr.Addr
 	}
-
-	// Batch clients into intervals.
-	type batchKey int64
-	batches := make(map[batchKey]map[addr.Addr]time.Time)
-	w.GenerateQueries(func(q simnet.Query) {
-		if q.Time.Before(cfg.Start) || !q.Time.Before(cfg.End) {
-			return
+	probes := make([]probe, 0, len(clients))
+	for _, q := range clients {
+		if !q.Time.Before(cfg.Start) && q.Time.Before(cfg.End) {
+			probes = append(probes, probe{int64(q.Time.Sub(cfg.Start) / cfg.Interval), q.Addr})
 		}
-		if pool != nil {
-			v := pool.Select(w.Geo.Country(q.Addr))
-			if !participating[v] {
-				return
-			}
+	}
+	sort.Slice(probes, func(i, j int) bool {
+		if probes[i].k != probes[j].k {
+			return probes[i].k < probes[j].k
 		}
-		k := batchKey(q.Time.Sub(cfg.Start) / cfg.Interval)
-		b, ok := batches[k]
-		if !ok {
-			b = make(map[addr.Addr]time.Time)
-			batches[k] = b
-		}
-		if _, seen := b[q.Addr]; !seen {
-			b[q.Addr] = q.Time
-		}
+		return probes[i].client.Less(probes[j].client)
 	})
-
-	// Probe each batch at its interval end, in batch order.
-	maxK := batchKey(cfg.End.Sub(cfg.Start) / cfg.Interval)
-	for k := batchKey(0); k <= maxK; k++ {
-		b, ok := batches[k]
-		if !ok {
+	for i, pr := range probes {
+		if i > 0 && probes[i-1] == pr {
 			continue
 		}
-		probeAt := cfg.Start.Add(time.Duration(k+1) * cfg.Interval)
-		// Probe in canonical address order: the batch is a map, and
-		// pairing clients with rng draws in map iteration order would
-		// make the campaign nondeterministic across runs of one seed.
-		clients := make([]addr.Addr, 0, len(b))
-		for client := range b {
-			clients = append(clients, client)
+		client, probeAt := pr.client, cfg.Start.Add(time.Duration(pr.k+1)*cfg.Interval)
+		res := w.Probe(client, probeAt)
+		outcome := BackscanOutcome{
+			Client:          client,
+			ClientResponded: res.Responded,
+			ClientAliased:   res.FromAlias,
+			At:              probeAt,
 		}
-		sort.Slice(clients, func(i, j int) bool { return clients[i].Less(clients[j]) })
-		for _, client := range clients {
-			res := w.Probe(client, probeAt)
-			outcome := BackscanOutcome{
-				Client:          client,
-				ClientResponded: res.Responded,
-				ClientAliased:   res.FromAlias,
-				At:              probeAt,
-			}
-			stats.ClientsProbed++
-			if res.Responded {
-				stats.ClientResponses++
-			}
-			// The alias canary: a random IID in the same /64.
-			randAddr := addr.FromParts(uint64(client.P64()), rng.Uint64())
-			if randAddr != client {
-				rres := w.Probe(randAddr, probeAt)
-				outcome.Random = randAddr
-				outcome.RandomResponded = rres.Responded
-				stats.RandomProbes++
-				if rres.Responded {
-					stats.RandomResponses++
-					stats.AliasedPrefixes[randAddr.P64()] = struct{}{}
-				}
-			}
-			stats.Outcomes = append(stats.Outcomes, outcome)
+		stats.ClientsProbed++
+		if res.Responded {
+			stats.ClientResponses++
 		}
+		// The alias canary: a random IID in the same /64.
+		randAddr := addr.FromParts(uint64(client.P64()), rng.Uint64())
+		if randAddr != client {
+			rres := w.Probe(randAddr, probeAt)
+			outcome.Random = randAddr
+			outcome.RandomResponded = rres.Responded
+			stats.RandomProbes++
+			if rres.Responded {
+				stats.RandomResponses++
+				stats.AliasedPrefixes[randAddr.P64()] = struct{}{}
+			}
+		}
+		stats.Outcomes = append(stats.Outcomes, outcome)
 	}
 	return stats
 }
@@ -166,25 +162,45 @@ func Backscan(w *simnet.World, pool PoolSelector, cfg BackscanConfig) *BackscanS
 // PoolSelector abstracts the NTP pool's geo selection so scan does not
 // import ntppool (which imports collector).
 type PoolSelector interface {
-	// Select returns the vantage server ID for a client country.
-	Select(country string) int
+	// Select returns the vantage server ID the pool steers a client to.
+	Select(client addr.Addr) int
 }
 
-// DetectAlias probes n random IIDs within a /64 and infers aliasing when
-// at least threshold respond — the standard alias-resolution pre-filter
-// active campaigns run (§2.1, §4.2).
-func DetectAlias(w *simnet.World, p addr.Prefix64, t time.Time, n, threshold int, seed int64) bool {
+// AliasCanaries returns the n random IIDs an alias test draws from seed,
+// in draw order. A campaign that tests one /64 under one seed in several
+// rounds draws its canaries once and hands them to every DetectAlias.
+func AliasCanaries(n int, seed int64) []uint64 {
 	if n <= 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = rng.Uint64()
+	}
+	return out
+}
+
+// DetectAlias probes the canary IIDs within a /64 in order and infers
+// aliasing when at least threshold respond (threshold <= 0 means all of
+// them) — the standard alias-resolution pre-filter active campaigns run
+// (§2.1, §4.2). It stops at the threshold-th hit, or as soon as the
+// canaries left cannot reach the threshold; Probe is pure, so the
+// verdict is the one probing every canary would give.
+func DetectAlias(w *simnet.World, p addr.Prefix64, t time.Time, canaries []uint64, threshold int) bool {
+	n := len(canaries)
+	if n == 0 {
 		return false
 	}
 	if threshold <= 0 {
 		threshold = n
 	}
-	rng := rand.New(rand.NewSource(seed))
 	hits := 0
-	for i := 0; i < n; i++ {
-		probe := addr.FromParts(uint64(p), rng.Uint64())
-		if w.Probe(probe, t).Responded {
+	for i, iid := range canaries {
+		if hits+n-i < threshold {
+			return false
+		}
+		if w.Probe(addr.FromParts(uint64(p), iid), t).Responded {
 			hits++
 			if hits >= threshold {
 				return true

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -258,7 +259,7 @@ func TestDetectAlias(t *testing.T) {
 	if len(aliased) == 0 {
 		t.Fatal("no aliased prefixes")
 	}
-	if !DetectAlias(w, aliased[0], tm, 16, 16, 1) {
+	if !DetectAlias(w, aliased[0], tm, AliasCanaries(16, 1), 16) {
 		t.Error("aliased prefix not detected")
 	}
 	// A regular customer /64 must not be flagged.
@@ -269,17 +270,125 @@ func TestDetectAlias(t *testing.T) {
 			break
 		}
 	}
-	if DetectAlias(w, normal, tm, 16, 2, 1) {
+	if DetectAlias(w, normal, tm, AliasCanaries(16, 1), 2) {
 		t.Error("normal prefix flagged aliased")
 	}
-	if DetectAlias(w, aliased[0], tm, 0, 0, 1) {
+	if DetectAlias(w, aliased[0], tm, AliasCanaries(0, 1), 0) {
 		t.Error("n=0 should never detect")
+	}
+}
+
+// TestAliasCanariesPinned pins the canary draws to the values
+// math/rand's source gives each seed, so memoising or re-drawing them
+// can never move an alias verdict.
+func TestAliasCanariesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want []uint64
+	}{
+		{1, []uint64{0x4d65822107fcfd52, 0x78629a0f5f3f164f, 0xd5104dc76695721d, 0xb80704bb7b4d7c03, 0x365a858149c6e2d1}},
+		{-7, []uint64{0x8a5e41e14552000b, 0xe2520710aa2adde6, 0x6115c8521a52b428, 0x8b4e12409954e1fb, 0x269fc7bbbc7186f4}},
+		{0x20010db800000001 + 0xac, []uint64{0xe63fbf502e3caa5c, 0xf50d60c5c2070d41, 0xf7c7ff8740fc3e4f, 0x2f0b0988995a3413, 0xbb3504c2a0997150}},
+	} {
+		if got := AliasCanaries(len(tc.want), tc.seed); !slices.Equal(got, tc.want) {
+			t.Errorf("AliasCanaries(%d, %#x) = %#x, want %#x", len(tc.want), tc.seed, got, tc.want)
+		}
+		if got := AliasCanaries(0, tc.seed); got != nil {
+			t.Errorf("AliasCanaries(0, %#x) = %#x, want none", tc.seed, got)
+		}
+	}
+}
+
+// canaryHits probes every canary in p and counts the answers.
+func canaryHits(w *simnet.World, p addr.Prefix64, tm time.Time, canaries []uint64) int {
+	hits := 0
+	for _, iid := range canaries {
+		if w.Probe(addr.FromParts(uint64(p), iid), tm).Responded {
+			hits++
+		}
+	}
+	return hits
+}
+
+// detectAliasAll is the alias test without its shortcuts: probe every
+// canary, then compare the hits with the threshold.
+func detectAliasAll(w *simnet.World, p addr.Prefix64, tm time.Time, canaries []uint64, threshold int) bool {
+	if len(canaries) == 0 {
+		return false
+	}
+	if threshold <= 0 {
+		threshold = len(canaries)
+	}
+	return canaryHits(w, p, tm, canaries) >= threshold
+}
+
+// TestDetectAliasMatchesFullProbe holds DetectAlias's early exits to the
+// probe-everything verdict for every canary count 0–16 and threshold
+// 0..n+1, on an aliased /64 (every canary answers), a customer /64 and
+// a router /64 of the infrastructure half. In the last two, some canaries
+// are the IID of the host that answers there, so the hit counts fall
+// between none and all.
+func TestDetectAliasMatchesFullProbe(t *testing.T) {
+	w := tinyWorld(t, 34)
+	tm := w.Origin.Add(time.Hour)
+	aliased := w.AliasedPrefixes()
+	if len(aliased) == 0 {
+		t.Fatal("no aliased prefixes")
+	}
+	router := w.Routers()[0]
+	var client addr.Addr
+	for _, d := range w.Devices() {
+		if a := d.AddressAt(tm); w.Probe(a, tm).Responded && !w.IsAliased(a.P64()) {
+			client = a
+			break
+		}
+	}
+	if client == (addr.Addr{}) {
+		t.Fatal("no responsive customer address")
+	}
+	for _, tc := range []struct {
+		name  string
+		p     addr.Prefix64
+		host  addr.IID // answers in p; the zero IID for none
+		every int      // every every-th canary is host
+	}{
+		{"aliased", aliased[0], 0, 0},
+		{"customer", client.P64(), client.IID(), 3},
+		{"router", router.P64(), router.IID(), 2},
+	} {
+		canaries := AliasCanaries(16, int64(uint64(tc.p)))
+		for i := range canaries {
+			if tc.every > 0 && i%tc.every == 0 {
+				canaries[i] = uint64(tc.host)
+			}
+		}
+		hits := canaryHits(w, tc.p, tm, canaries)
+		if tc.every > 0 && (hits == 0 || hits == len(canaries)) {
+			t.Fatalf("%s: %d of %d canaries answer; the mixed case is vacuous", tc.name, hits, len(canaries))
+		}
+		for n := 0; n <= 16; n++ {
+			for threshold := 0; threshold <= n+1; threshold++ {
+				got := DetectAlias(w, tc.p, tm, canaries[:n], threshold)
+				if want := detectAliasAll(w, tc.p, tm, canaries[:n], threshold); got != want {
+					t.Errorf("%s: DetectAlias(n=%d, threshold=%d) = %v, probing every canary gives %v",
+						tc.name, n, threshold, got, want)
+				}
+			}
+		}
 	}
 }
 
 type fixedSelector struct{ id int }
 
-func (f fixedSelector) Select(string) int { return f.id }
+func (f fixedSelector) Select(addr.Addr) int { return f.id }
+
+// backscanReplay records a campaign from a full replay of the world's
+// queries and probes it back.
+func backscanReplay(w *simnet.World, pool PoolSelector, cfg BackscanConfig) *BackscanStats {
+	var queries []simnet.Query
+	w.GenerateQueries(func(q simnet.Query) { queries = append(queries, q) })
+	return Backscan(w, BackscanClients(queries, pool, cfg), cfg)
+}
 
 func TestBackscan(t *testing.T) {
 	w := tinyWorld(t, 35)
@@ -287,7 +396,7 @@ func TestBackscan(t *testing.T) {
 	end := start.Add(24 * time.Hour)
 	cfg := DefaultBackscanConfig(start, end, 77)
 	// Route every query to vantage 0 so the campaign sees all clients.
-	stats := Backscan(w, fixedSelector{0}, cfg)
+	stats := backscanReplay(w, fixedSelector{0}, cfg)
 
 	if stats.ClientsProbed == 0 {
 		t.Fatal("no clients probed")
@@ -314,20 +423,27 @@ func TestBackscan(t *testing.T) {
 
 // TestBackscanDeterministic pins the campaign's reproducibility: one
 // seed must pair the same clients with the same random canaries on
-// every run. The batches are maps, so an implementation that probes in
-// map iteration order consumes the rng in a different order each run —
-// the regression this guards against.
+// every run, whatever order the clients arrive in. An implementation
+// that probes in any but a canonical order (input order, a map's
+// iteration order) consumes the rng differently — the regression this
+// guards against.
 func TestBackscanDeterministic(t *testing.T) {
 	w := tinyWorld(t, 35)
 	start := w.Origin.Add(5 * 24 * time.Hour)
 	end := start.Add(24 * time.Hour)
 	cfg := DefaultBackscanConfig(start, end, 77)
-	ref := Backscan(w, fixedSelector{0}, cfg)
+	var queries []simnet.Query
+	w.GenerateQueries(func(q simnet.Query) { queries = append(queries, q) })
+	clients := BackscanClients(queries, fixedSelector{0}, cfg)
+	ref := Backscan(w, clients, cfg)
 	if len(ref.Outcomes) == 0 {
 		t.Fatal("no outcomes; determinism check vacuous")
 	}
 	for run := 0; run < 3; run++ {
-		got := Backscan(w, fixedSelector{0}, cfg)
+		if run == 1 {
+			slices.Reverse(clients)
+		}
+		got := Backscan(w, clients, cfg)
 		if len(got.Outcomes) != len(ref.Outcomes) {
 			t.Fatalf("run %d: %d outcomes, want %d", run, len(got.Outcomes), len(ref.Outcomes))
 		}
@@ -344,14 +460,14 @@ func TestBackscanVantageFiltering(t *testing.T) {
 	start := w.Origin.Add(5 * 24 * time.Hour)
 	end := start.Add(12 * time.Hour)
 	cfg := DefaultBackscanConfig(start, end, 1)
-	all := Backscan(w, fixedSelector{0}, cfg)  // vantage 0 participates
-	none := Backscan(w, fixedSelector{1}, cfg) // vantage 1 does not... it does (in list)
-	_ = none
-	off := Backscan(w, fixedSelector{3}, cfg) // vantage 3 not in the list
+	// The participating vantages are 0, 6, 8, 12 and 20.
+	all := backscanReplay(w, fixedSelector{0}, cfg)
 	if all.ClientsProbed == 0 {
 		t.Fatal("participating vantage saw nothing")
 	}
-	if off.ClientsProbed != 0 {
-		t.Errorf("non-participating vantage probed %d clients", off.ClientsProbed)
+	for _, v := range []int{1, 3} {
+		if off := backscanReplay(w, fixedSelector{v}, cfg); off.ClientsProbed != 0 {
+			t.Errorf("non-participating vantage %d probed %d clients", v, off.ClientsProbed)
+		}
 	}
 }

@@ -35,8 +35,8 @@ func (w *World) GenerateQueries(fn func(Query)) {
 // Replays returns how many times the world's query stream has been
 // generated (GenerateQueries / GenerateQueriesParallel calls). Replays
 // are the O(world) cost a single-pass architecture amortizes: the study
-// asserts one replay feeds collection, outage detection and tracking
-// alike.
+// asserts one replay feeds everything it reports — collection, outage
+// detection, tracking and the backscan campaign alike.
 func (w *World) Replays() uint64 { return w.replays.Load() }
 
 func (w *World) generateDeviceQueries(d *Device, fn func(Query)) {

@@ -63,10 +63,10 @@ func goldenReportAt(t *testing.T, seed int64, path string) {
 		t.Fatalf("reading golden report: %v", err)
 	}
 
-	// A fresh study per worker count: the NTP pool's round-robin vantage
-	// state advances on every backscan, so consecutive Report calls on
-	// one study legitimately see different campaigns (pre-existing
-	// behaviour). Worker equivalence is about the same inputs.
+	// A fresh study per worker count, so each report is built from
+	// inputs no earlier worker count has touched. (Consecutive Report
+	// calls on one study print the same bytes too: the backscan campaign
+	// is selected once, during the pass; see TestBackscanIsOneCampaign.)
 	for _, workers := range []int{1, 4, 16} {
 		s := runStudy(t, seed)
 		s.Config.AnalysisWorkers = workers

@@ -23,6 +23,7 @@ import (
 	"hitlist6/internal/analysis"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/fold"
+	"hitlist6/internal/geodb"
 	"hitlist6/internal/geoloc"
 	"hitlist6/internal/hitlist"
 	"hitlist6/internal/ingest"
@@ -125,6 +126,11 @@ type Study struct {
 	NTPDay  *hitlist.Dataset
 	Hitlist *hitlist.ActiveResult
 	CAIDA   *hitlist.Dataset
+
+	// backscanClients is the study's one backscan campaign, recorded by
+	// the pass from backscanFrom on (see CollectPassive).
+	backscanFrom    time.Time
+	backscanClients []simnet.Query
 }
 
 // normalizeOutageBin is the single owner of the Config.OutageBin rule:
@@ -196,9 +202,10 @@ func NewStudy(cfg Config) (*Study, error) {
 // corpus is identical to a serial replay's for any shard count.
 //
 // This is the study's single pass over the world: the full corpus, the
-// single-day slice and the outage series all fall out of it, so every
-// later analysis — DetectOutages, Tracking, Geolocation, the figures —
-// reads pipeline outputs without replaying.
+// single-day slice, the outage series and the backscan campaign's
+// clients all fall out of it, so every later analysis — DetectOutages,
+// Tracking, Geolocation, Backscan, the figures — reads pass outputs
+// without replaying.
 func (s *Study) CollectPassive() error {
 	// NewStudy already normalized Config.OutageBin; re-normalizing here
 	// only guards against the exported field being mutated afterwards
@@ -219,7 +226,17 @@ func (s *Study) CollectPassive() error {
 	if err != nil {
 		return fmt.Errorf("hitlist6: ingest pipeline: %w", err)
 	}
-	s.RunStats = ntppool.RunIngest(s.World, s.Pool, pipe)
+	// The tap keeps the backscan window in generation order; selecting
+	// its vantages after the pass is the Select sequence a replay makes.
+	bcfg := s.backscanWindow()
+	var window []simnet.Query
+	s.RunStats = ntppool.RunIngest(s.World, s.Pool, pipe, func(q simnet.Query) {
+		if !q.Time.Before(bcfg.Start) {
+			window = append(window, q)
+		}
+	})
+	s.backscanFrom = bcfg.Start
+	s.backscanClients = scan.BackscanClients(window, poolAdapter{s.Pool, s.World.Geo}, bcfg)
 	s.Collector = pipe.Close()
 	day, ok := pipe.Stage("dayslice").(*ingest.DaySliceStage)
 	if !ok {
@@ -367,14 +384,17 @@ func (s *Study) Figure5() (*analysis.Figure5, error) {
 }
 
 // poolAdapter bridges the ntppool geo selector to scan.PoolSelector.
-type poolAdapter struct{ p *ntppool.Pool }
+type poolAdapter struct {
+	p   *ntppool.Pool
+	geo *geodb.DB
+}
 
-func (a poolAdapter) Select(country string) int { return a.p.Select(country).ID }
+func (a poolAdapter) Select(client addr.Addr) int { return a.p.Select(a.geo.Country(client)).ID }
 
-// Backscan runs the §4.2 backscanning campaign over the final
-// BackscanDays of the window and returns its statistics together with
-// Figure 3's entropy distributions.
-func (s *Study) Backscan() (*scan.BackscanStats, error) {
+// backscanWindow is the single owner of the Config.BackscanDays rule:
+// the campaign runs over the final BackscanDays of the window (7 when
+// the value is not positive), clamped to the world's origin.
+func (s *Study) backscanWindow() scan.BackscanConfig {
 	days := s.Config.BackscanDays
 	if days <= 0 {
 		days = 7
@@ -383,8 +403,23 @@ func (s *Study) Backscan() (*scan.BackscanStats, error) {
 	if start.Before(s.World.Origin) {
 		start = s.World.Origin
 	}
-	cfg := scan.DefaultBackscanConfig(start, s.World.End, s.Config.Seed+0xb5)
-	return scan.Backscan(s.World, poolAdapter{s.Pool}, cfg), nil
+	return scan.DefaultBackscanConfig(start, s.World.End, s.Config.Seed+0xb5)
+}
+
+// Backscan runs the §4.2 backscanning campaign over the final
+// BackscanDays of the window and returns its statistics together with
+// Figure 3's entropy distributions. Every call probes the clients
+// CollectPassive recorded; a BackscanDays raised since is an error.
+func (s *Study) Backscan() (*scan.BackscanStats, error) {
+	if s.Collector == nil {
+		return nil, fmt.Errorf("hitlist6: passive collection has not run")
+	}
+	cfg := s.backscanWindow()
+	if cfg.Start.Before(s.backscanFrom) {
+		return nil, fmt.Errorf("hitlist6: BackscanDays %d starts before the backscan window CollectPassive recorded (%s)",
+			s.Config.BackscanDays, s.backscanFrom.Format(time.DateOnly))
+	}
+	return scan.Backscan(s.World, s.backscanClients, cfg), nil
 }
 
 // Figure3 derives the hit/miss/random entropy distributions from a
