@@ -57,6 +57,13 @@ func (c Category) String() string {
 // AS-level corroboration; use Categorize with a confirmed v4 set, or
 // V4MappedCandidate to extract candidates.
 func (iid IID) StructuralCategory() Category {
+	return iid.CategoryFromEntropy(iid.NormalizedEntropy())
+}
+
+// CategoryFromEntropy is StructuralCategory for a caller that already
+// holds the IID's normalized entropy e, so the nibble loop runs once per
+// IID: a structural category if one applies, else e's entropy band.
+func (iid IID) CategoryFromEntropy(e float64) Category {
 	v := uint64(iid)
 	switch {
 	case v == 0:
@@ -66,14 +73,8 @@ func (iid IID) StructuralCategory() Category {
 	case v&^0xffff == 0:
 		return CatLow2Bytes
 	}
-	switch iid.EntropyClass() {
-	case LowEntropy:
-		return CatLowEntropy
-	case MediumEntropy:
-		return CatMediumEntropy
-	default:
-		return CatHighEntropy
-	}
+	// The entropy bands are the EntropyClass order, shifted.
+	return CatLowEntropy + Category(ClassOf(e))
 }
 
 // Categorize classifies the IID, treating it as v4-mapped when confirmedV4

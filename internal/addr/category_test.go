@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -204,5 +205,81 @@ func TestNibbleCountsSum(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// NibbleCounts returns the IID's nibble histogram.
+func (iid IID) NibbleCounts() [16]int {
+	var counts [16]int
+	v := uint64(iid)
+	for i := 0; i < 16; i++ {
+		counts[v&0xf]++
+		v >>= 4
+	}
+	return counts
+}
+
+// refNormalizedEntropy is the nibble entropy with a branch per symbol
+// and math.Log2 for every term, as ShannonEntropy computed it before its
+// term table.
+func refNormalizedEntropy(iid IID) float64 {
+	var acc float64
+	for _, c := range iid.NibbleCounts() {
+		if c > 0 {
+			acc += float64(c) * math.Log2(float64(c))
+		}
+	}
+	h := math.Log2(16) - acc/16
+	if h < 0 {
+		h = 0
+	}
+	return math.Min(h/math.Log2(16), 1)
+}
+
+// refStructuralCategory is StructuralCategory in its original form, a
+// switch over the entropy class.
+func refStructuralCategory(iid IID) Category {
+	v := uint64(iid)
+	switch {
+	case v == 0:
+		return CatZeroes
+	case v&^0xff == 0:
+		return CatLowByte
+	case v&^0xffff == 0:
+		return CatLow2Bytes
+	}
+	switch ClassOf(refNormalizedEntropy(iid)) {
+	case LowEntropy:
+		return CatLowEntropy
+	case MediumEntropy:
+		return CatMediumEntropy
+	default:
+		return CatHighEntropy
+	}
+}
+
+// TestEntropyMatchesReference checks NormalizedEntropy's bits and
+// StructuralCategory against the reference over 4 Mi IIDs: uniformly
+// random ones, low-2-byte ones, and sparse ones (the AND of three random
+// words, a quarter of the nibbles' bits set) whose repeated nibbles
+// reach every entropy band.
+func TestEntropyMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	for i := 0; i < 1<<22; i++ {
+		var iid IID
+		switch i % 3 {
+		case 0:
+			iid = IID(r.Uint64())
+		case 1:
+			iid = IID(r.Uint64() & 0xffff)
+		default:
+			iid = IID(r.Uint64() & r.Uint64() & r.Uint64())
+		}
+		if g, w := iid.NormalizedEntropy(), refNormalizedEntropy(iid); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("NormalizedEntropy(%#x) = %v, reference %v", uint64(iid), g, w)
+		}
+		if g, w := iid.StructuralCategory(), refStructuralCategory(iid); g != w {
+			t.Fatalf("StructuralCategory(%#x) = %v, reference %v", uint64(iid), g, w)
+		}
 	}
 }

@@ -62,15 +62,3 @@ func (iid IID) NormalizedEntropy() float64 {
 func (iid IID) EntropyClass() EntropyClass {
 	return ClassOf(iid.NormalizedEntropy())
 }
-
-// NibbleCounts returns the IID's nibble histogram; exposed for the ablation
-// benchmarks comparing entropy implementations.
-func (iid IID) NibbleCounts() [16]int {
-	var counts [16]int
-	v := uint64(iid)
-	for i := 0; i < 16; i++ {
-		counts[v&0xf]++
-		v >>= 4
-	}
-	return counts
-}

@@ -74,9 +74,10 @@ func BuildSidecar(d *hitlist.Dataset, db *asdb.DB, workers int) *Sidecar {
 		for i := lo; i < hi; i++ {
 			a := view[i]
 			iid := a.IID()
-			sc.Entropy[i] = iid.NormalizedEntropy()
+			e := iid.NormalizedEntropy()
+			sc.Entropy[i] = e
 			sc.V4Cand[i] = len(iid.V4AnyCandidate()) > 0
-			sc.Cat[i] = iid.Categorize(false)
+			sc.Cat[i] = iid.CategoryFromEntropy(e) // Categorize(false)
 			if as := db.Lookup(a); as != nil {
 				sc.HasAS[i] = true
 				sc.ASN[i] = as.ASN

@@ -9,6 +9,7 @@ import (
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/rdns"
+	"hitlist6/internal/rng"
 	"hitlist6/internal/scan"
 	"hitlist6/internal/simnet"
 	"hitlist6/internal/tga"
@@ -181,8 +182,8 @@ func BuildActiveHitlist(w *simnet.World, cfg ActiveConfig) (*ActiveResult, error
 			train = append(train, respSorted...)
 			train = append(train, discSorted...)
 			if model, err := tga.NewEntropyIP(train); err == nil {
-				rng := rand.New(rand.NewSource(int64(cfg.Seed) + int64(round)))
-				candidates = append(candidates, model.Generate(cfg.EntropyIPBudget, rng)...)
+				rnd := rand.New(rng.NewSource(int64(cfg.Seed) + int64(round)))
+				candidates = append(candidates, model.Generate(cfg.EntropyIPBudget, rnd)...)
 			}
 		}
 

@@ -203,12 +203,18 @@ func (s *OutageSeriesStage) Process(ev Event) {
 	if idx < 0 || (s.bins > 0 && idx >= s.bins) {
 		return
 	}
+	// The map is written only when a bucket grows: in window mode once
+	// per AS, at the full window (the length Series returns anyway).
 	bucket := s.counts[as.ASN]
 	if len(bucket) <= idx {
-		bucket = append(bucket, make([]int, idx+1-len(bucket))...)
+		n := idx + 1
+		if s.bins > 0 {
+			n = s.bins
+		}
+		bucket = append(bucket, make([]int, n-len(bucket))...)
+		s.counts[as.ASN] = bucket
 	}
 	bucket[idx]++
-	s.counts[as.ASN] = bucket
 }
 
 func (s *OutageSeriesStage) anchor(origin int64) {

@@ -24,18 +24,24 @@ func RunIngest(w *simnet.World, p *Pool, pipe *ingest.Pipeline, tap func(simnet.
 		PerVantage: make([]uint64, len(p.vantages)),
 		PerZone:    make(map[string]uint64),
 	}
+	var perKind [simnet.NumDeviceKinds]uint64
 	b := pipe.NewBatcher()
 	w.GenerateQueries(func(q simnet.Query) {
 		country := w.Geo.Country(q.Addr)
 		v := p.Select(country)
 		stats.Queries++
 		stats.PerVantage[v.ID]++
-		stats.PerZone[VendorZone(q.Device.Kind)]++
+		perKind[q.Device.Kind]++
 		b.Add(ingest.Event{Addr: q.Addr, Time: q.Time.Unix(), Server: int32(v.ID)})
 		if tap != nil {
 			tap(q)
 		}
 	})
 	b.Flush()
+	for k, n := range perKind {
+		if n > 0 {
+			stats.PerZone[VendorZone(simnet.DeviceKind(k))] += n
+		}
+	}
 	return stats
 }

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"hitlist6/internal/addr"
+	"hitlist6/internal/rng"
 )
 
 // Unlisted is the vendor name returned for MACs whose OUI has no registry
@@ -98,13 +99,13 @@ func NewRegistry(syntheticVendors int) *Registry {
 	for _, v := range table2Vendors {
 		r.add(v)
 	}
-	rng := rand.New(rand.NewSource(0x0111)) // fixed: the registry is a fixture
+	rnd := rand.New(rng.NewSource(0x0111)) // fixed: the registry is a fixture
 	for i := 0; i < syntheticVendors; i++ {
 		v := Vendor{Name: fmt.Sprintf("Synthetic Devices %03d Corp.", i)}
 		for j := 0; j < 3; j++ {
-			o := randomOUI(rng)
+			o := randomOUI(rnd)
 			for r.vendors[o] != "" || r.isPhantom(o) {
-				o = randomOUI(rng)
+				o = randomOUI(rnd)
 			}
 			v.OUIs = append(v.OUIs, o)
 		}

@@ -1,12 +1,12 @@
 package scan
 
 import (
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
 
 	"hitlist6/internal/addr"
+	"hitlist6/internal/rng"
 	"hitlist6/internal/simnet"
 )
 
@@ -106,9 +106,9 @@ func BackscanClients(queries []simnet.Query, pool PoolSelector, cfg BackscanConf
 // minute interval").
 func Backscan(w *simnet.World, clients []simnet.Query, cfg BackscanConfig) *BackscanStats {
 	stats := &BackscanStats{AliasedPrefixes: make(map[addr.Prefix64]struct{})}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := rng.NewSource(cfg.Seed)
 
-	// Order the (interval, client) pairs: the rng pairs each client with
+	// Order the (interval, client) pairs: the stream pairs each client with
 	// its canary in this order, so it must not depend on the input's.
 	type probe struct {
 		k      int64 // interval index
@@ -143,7 +143,7 @@ func Backscan(w *simnet.World, clients []simnet.Query, cfg BackscanConfig) *Back
 			stats.ClientResponses++
 		}
 		// The alias canary: a random IID in the same /64.
-		randAddr := addr.FromParts(uint64(client.P64()), rng.Uint64())
+		randAddr := addr.FromParts(uint64(client.P64()), src.Uint64())
 		if randAddr != client {
 			rres := w.Probe(randAddr, probeAt)
 			outcome.Random = randAddr
@@ -173,10 +173,10 @@ func AliasCanaries(n int, seed int64) []uint64 {
 	if n <= 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	src := rng.NewSource(seed)
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = rng.Uint64()
+		out[i] = src.Uint64()
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hitlist6/internal/addr"
+	"hitlist6/internal/rng"
 )
 
 // Query is one NTP request arriving at a pool server: the client's source
@@ -27,8 +28,9 @@ type Query struct {
 // against prefix rotation, roaming and ephemeral-IID schedules.
 func (w *World) GenerateQueries(fn func(Query)) {
 	w.replays.Add(1)
+	rnd := rand.New(rng.NewSource(0))
 	for _, d := range w.devices {
-		w.generateDeviceQueries(d, fn)
+		w.generateDeviceQueries(d, rnd, fn)
 	}
 }
 
@@ -39,20 +41,22 @@ func (w *World) GenerateQueries(fn func(Query)) {
 // detection, tracking and the backscan campaign alike.
 func (w *World) Replays() uint64 { return w.replays.Load() }
 
-func (w *World) generateDeviceQueries(d *Device, fn func(Query)) {
+// generateDeviceQueries replays one device's queries, reseeding rnd
+// (a caller-owned stream, reused across devices) with the device's seed.
+func (w *World) generateDeviceQueries(d *Device, rnd *rand.Rand, fn func(Query)) {
 	if d.rate <= 0 || !d.usesPool {
 		return
 	}
-	rng := rand.New(rand.NewSource(int64(hash2(d.seed, 0x47e9))))
+	rnd.Seed(int64(hash2(d.seed, 0x47e9)))
 	meanGap := time.Duration(float64(24*time.Hour) / d.rate)
 	t := d.activeFrom
 	// First query shortly after power-on (boot-time sync).
-	t = t.Add(time.Duration(rng.ExpFloat64() * float64(10*time.Minute)))
+	t = t.Add(time.Duration(rnd.ExpFloat64() * float64(10*time.Minute)))
 	for t.Before(d.activeTo) && t.Before(w.End) {
 		if d.ActiveAt(t) {
 			fn(Query{Time: t, Addr: d.AddressAt(t), Device: d})
 		}
-		gap := time.Duration(rng.ExpFloat64() * float64(meanGap))
+		gap := time.Duration(rnd.ExpFloat64() * float64(meanGap))
 		if gap < time.Minute {
 			gap = time.Minute
 		}
@@ -84,8 +88,9 @@ func (w *World) GenerateQueriesParallel(shards int, fn func(shard int, q Query))
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
+			rnd := rand.New(rng.NewSource(0))
 			for i := shard; i < len(w.devices); i += shards {
-				w.generateDeviceQueries(w.devices[i], func(q Query) {
+				w.generateDeviceQueries(w.devices[i], rnd, func(q Query) {
 					fn(shard, q)
 				})
 			}

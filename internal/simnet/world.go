@@ -11,6 +11,7 @@ import (
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/geodb"
 	"hitlist6/internal/oui"
+	"hitlist6/internal/rng"
 )
 
 // World is a fully built simulated Internet. All methods are safe for
@@ -104,22 +105,22 @@ func Build(cfg Config) (*World, error) {
 		OUI:     oui.NewRegistry(cfg.SyntheticVendors),
 		asByASN: make(map[asdb.ASN]*asNet),
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rnd := rand.New(rng.NewSource(cfg.Seed))
 
 	for i, ac := range cfg.ASes {
 		if err := validateASConfig(ac); err != nil {
 			return nil, fmt.Errorf("simnet: AS %d (%s): %w", ac.ASN, ac.Name, err)
 		}
-		n, err := w.buildAS(i, ac, rng)
+		n, err := w.buildAS(i, ac, rnd)
 		if err != nil {
 			return nil, err
 		}
 		w.ases = append(w.ases, n)
 		w.asByASN[ac.ASN] = n
 	}
-	w.linkRoaming(rng)
-	w.applyProviderChurn(rng)
-	w.applyMACReuse(rng)
+	w.linkRoaming(rnd)
+	w.applyProviderChurn(rnd)
+	w.applyMACReuse(rnd)
 	// Freeze each AS's slot window now that all sites (including cellular
 	// attachments and churned-in sites) are placed: delegations permute
 	// within a window ~4x the site count, packing customers into few /48s

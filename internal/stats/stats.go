@@ -17,11 +17,14 @@ import (
 
 // log2Table caches log2(k) for small k so that entropy over a 16-symbol
 // alphabet never calls math.Log2 at runtime. Index 0 is unused.
-var log2Table [65]float64
+// termTable[k] is k*log2(k), the symbol term ShannonEntropy sums; it is
+// 0 for k <= 1, so an absent symbol adds an exact +0.
+var log2Table, termTable [65]float64
 
 func init() {
 	for i := 1; i < len(log2Table); i++ {
 		log2Table[i] = math.Log2(float64(i))
+		termTable[i] = float64(i) * log2Table[i]
 	}
 }
 
@@ -36,15 +39,14 @@ func ShannonEntropy(counts []int) float64 {
 	if total <= 1 {
 		return 0
 	}
-	// H = log2(N) - (1/N) * sum(c * log2(c))
+	// H = log2(N) - (1/N) * sum(c * log2(c)). Every count a table
+	// covers takes the first branch, so it predicts perfectly; negative
+	// counts wrap past the table and add nothing.
 	var acc float64
 	for _, c := range counts {
-		switch {
-		case c <= 0:
-			// no contribution
-		case c < len(log2Table):
-			acc += float64(c) * log2Table[c]
-		default:
+		if uint(c) < uint(len(termTable)) {
+			acc += termTable[c]
+		} else if c > 0 {
 			acc += float64(c) * math.Log2(float64(c))
 		}
 	}

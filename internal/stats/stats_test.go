@@ -383,3 +383,79 @@ func contains(s, sub string) bool {
 		return false
 	})()
 }
+
+// refShannonEntropy is ShannonEntropy's original formulation, a branch
+// per symbol: the reference the table-driven loop must match bit for bit.
+func refShannonEntropy(counts []int) float64 {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total <= 1 {
+		return 0
+	}
+	var acc float64
+	for _, c := range counts {
+		switch {
+		case c <= 0:
+			// no contribution
+		case c < len(log2Table):
+			acc += float64(c) * log2Table[c]
+		default:
+			acc += float64(c) * math.Log2(float64(c))
+		}
+	}
+	n := float64(total)
+	var logN float64
+	if total < len(log2Table) {
+		logN = log2Table[total]
+	} else {
+		logN = math.Log2(n)
+	}
+	h := logN - acc/n
+	if h < 0 {
+		return 0
+	}
+	return h
+}
+
+// refNormalizedEntropy is NormalizedEntropy over refShannonEntropy.
+func refNormalizedEntropy(counts []int, alphabet int) float64 {
+	if alphabet < 2 {
+		return 0
+	}
+	h := refShannonEntropy(counts)
+	var maxH float64
+	if alphabet < len(log2Table) {
+		maxH = log2Table[alphabet]
+	} else {
+		maxH = math.Log2(float64(alphabet))
+	}
+	v := h / maxH
+	if v > 1 {
+		return 1
+	}
+	return v
+}
+
+// FuzzShannonEntropy decodes data as little-endian int16 counts — so
+// negatives, zeros and counts past the log2 table all occur — and
+// requires both entropies to equal the reference's bits.
+func FuzzShannonEntropy(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 0, 0, 0, 3, 0}, uint8(16))
+	f.Add([]byte{0xff, 0xff, 64, 0, 65, 0, 0, 1}, uint8(4))
+	f.Add([]byte{16, 0}, uint8(200))
+	f.Fuzz(func(t *testing.T, data []byte, alphabet uint8) {
+		counts := make([]int, len(data)/2)
+		for i := range counts {
+			counts[i] = int(int16(uint16(data[2*i]) | uint16(data[2*i+1])<<8))
+		}
+		if g, w := ShannonEntropy(counts), refShannonEntropy(counts); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("ShannonEntropy(%v) = %v, reference %v", counts, g, w)
+		}
+		a := int(alphabet)
+		if g, w := NormalizedEntropy(counts, a), refNormalizedEntropy(counts, a); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("NormalizedEntropy(%v, %d) = %v, reference %v", counts, a, g, w)
+		}
+	})
+}

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"hitlist6/internal/addr"
+	"hitlist6/internal/rng"
 	"hitlist6/internal/simnet"
 )
 
@@ -145,7 +146,7 @@ func SiteLocation(s *simnet.Site) Location {
 // OUI.
 func Build(w *simnet.World, cfg BuildConfig) *DB {
 	db := NewDB()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rnd := rand.New(rng.NewSource(cfg.Seed))
 	coveredOUIs := make(map[addr.OUI]bool)
 
 	consider := func(d *simnet.Device, site *simnet.Site, prob float64) {
@@ -153,7 +154,7 @@ func Build(w *simnet.World, cfg BuildConfig) *DB {
 		if !ok {
 			return
 		}
-		if rng.Float64() >= prob {
+		if rnd.Float64() >= prob {
 			return
 		}
 		bssid := mac.AddOffset(VendorOffset(mac.OUI()))
@@ -173,19 +174,19 @@ func Build(w *simnet.World, cfg BuildConfig) *DB {
 	}
 
 	// Noise: wardriven APs whose wired twin never queried our servers.
-	// The OUIs go in sorted order: each draws from rng, so map order here
+	// The OUIs go in sorted order: each draws from rnd, so map order here
 	// would make the database differ between runs at one seed.
 	ouis := slices.SortedFunc(maps.Keys(coveredOUIs), func(a, b addr.OUI) int { return bytes.Compare(a[:], b[:]) })
 	for _, o := range ouis {
 		for i := 0; i < cfg.Noise; i++ {
 			var m addr.MAC
 			m[0], m[1], m[2] = o[0], o[1], o[2]
-			suffix := uint32(rng.Int63n(1 << 24))
+			suffix := uint32(rnd.Int63n(1 << 24))
 			m = m.WithNICSuffix(suffix)
 			if _, dup := db.Lookup(m); dup {
 				continue
 			}
-			loc := Location{Lat: rng.Float64()*140 - 70, Lon: rng.Float64()*360 - 180}
+			loc := Location{Lat: rnd.Float64()*140 - 70, Lon: rnd.Float64()*360 - 180}
 			db.Add(m, loc)
 		}
 	}
