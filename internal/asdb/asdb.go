@@ -114,6 +114,10 @@ func (db *DB) Lookup(a addr.Addr) *AS {
 	return db.byASN[asn]
 }
 
+// NewMemo returns a one-segment memo over the routing table (see Memo):
+// its Lookup answers as OriginASN does. Not safe for concurrent use.
+func (db *DB) NewMemo() *Memo[ASN] { return db.table.NewMemo() }
+
 // Get returns the AS metadata for an ASN, or nil.
 func (db *DB) Get(asn ASN) *AS { return db.byASN[asn] }
 

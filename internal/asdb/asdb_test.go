@@ -170,6 +170,38 @@ func TestDBBasics(t *testing.T) {
 	}
 }
 
+// TestDBMemo walks a memo between nested, sibling and unrouted
+// addresses, before and after a registration changes the table; every
+// answer must be the database's own.
+func TestDBMemo(t *testing.T) {
+	db := NewDB()
+	if err := db.AddAS(AS{ASN: 100, Prefixes: []addr.Prefix{addr.MustParsePrefix("2001:db8::/32")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddAS(AS{ASN: 200, Prefixes: []addr.Prefix{addr.MustParsePrefix("2001:db8:1::/48")}}); err != nil {
+		t.Fatal(err)
+	}
+	m := db.NewMemo()
+	walk := []addr.Addr{
+		addr.MustParse("2001:db8::1"), addr.MustParse("2001:db8::2"),
+		addr.MustParse("2001:db8:1::1"), addr.MustParse("2001:db8:2::1"),
+		addr.MustParse("2a00::1"), addr.MustParse("2a00::2"), addr.MustParse("2001:db8::3"),
+	}
+	for round := 0; round < 2; round++ {
+		for _, a := range walk {
+			gotASN, gotOK := m.Lookup(a)
+			if wantASN, wantOK := db.OriginASN(a); gotASN != wantASN || gotOK != wantOK {
+				t.Errorf("round %d: memo Lookup(%s) = %d/%v, want %d/%v", round, a, gotASN, gotOK, wantASN, wantOK)
+			}
+		}
+		if round == 0 {
+			if err := db.AddAS(AS{ASN: 300, Prefixes: []addr.Prefix{addr.MustParsePrefix("2a00::/16")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestDBAnnounce(t *testing.T) {
 	db := NewDB()
 	if err := db.Announce(64512, addr.MustParsePrefix("2001:db8::/32")); err == nil {

@@ -39,11 +39,20 @@ type u128 struct{ hi, lo uint64 }
 
 func (x u128) lessEq(y u128) bool { return x.hi < y.hi || (x.hi == y.hi && x.lo <= y.lo) }
 
-// lpmSeg is the answer for every address from its segment's start up to
-// the next segment's.
+// sub returns x - y modulo 2^128.
+func (x u128) sub(y u128) u128 {
+	lo, borrow := bits.Sub64(x.lo, y.lo, 0)
+	hi, _ := bits.Sub64(x.hi, y.hi, borrow)
+	return u128{hi, lo}
+}
+
+// lpmSeg is the answer for every address from start to start+span. The
+// bounds sit beside the answer, so the line a search compares in is the
+// line it answers from, and a Memo learns the segment from that line.
 type lpmSeg[V any] struct {
-	val   V
-	found bool
+	start, span u128
+	val         V
+	found       bool
 }
 
 type lpmRoute[V any] struct {
@@ -51,8 +60,8 @@ type lpmRoute[V any] struct {
 	v V
 }
 
-// lpmTable is the compiled form of a Trie. starts[i] is the first address
-// of segment i (starts[0] is ::) and segs[i] its answer. routes are
+// lpmTable is the compiled form of a Trie. segs[i] is segment i, whose
+// start is its first address (segs[0] starts at ::). routes are
 // sorted by (address, length), which is the trie's pre-order.
 //
 // The bucket index keys an address by the k bits just below the leading
@@ -60,10 +69,9 @@ type lpmRoute[V any] struct {
 // of the space (as allocations are) still spread over the buckets. An
 // address below that shared prefix keys 0, one above it 2^k+1, one inside
 // it 1 plus its k bits; the key never decreases as the address grows.
-// bucket[b] counts the starts keyed below b, so the segment holding an
+// bucket[b] counts the segments keyed below b, so the segment holding an
 // address keyed b lies in [bucket[b]-1, bucket[b+1]).
 type lpmTable[V any] struct {
-	starts []u128
 	segs   []lpmSeg[V]
 	bucket []uint32
 	base   uint64 // the shared prefix, low bits zero
@@ -99,20 +107,58 @@ func (t *Trie[V]) Insert(p addr.Prefix, v V) {
 // any prefix matched.
 func (t *Trie[V]) Lookup(a addr.Addr) (V, bool) {
 	tab := t.table()
-	x := u128{a.Hi(), a.Lo()}
+	s := &tab.segs[tab.find(u128{a.Hi(), a.Lo()})]
+	return s.val, s.found
+}
+
+// find returns the index of the segment holding x.
+func (tab *lpmTable[V]) find(x u128) int {
 	b := tab.key(x.hi)
 	lo, hi := int(tab.bucket[b]), int(tab.bucket[b+1])
 	// Find the first start above x; x is in the segment before it, which
-	// exists because starts[0] is ::.
+	// exists because segs[0] starts at ::.
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if tab.starts[m].lessEq(x) {
+		if tab.segs[m].start.lessEq(x) {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	s := &tab.segs[lo-1]
+	return lo - 1
+}
+
+// Memo is a Trie's Lookup for callers whose consecutive lookups mostly
+// fall in one segment, as a device's sightings do. It keeps the compiled
+// table it last searched and the segment it found there: a lookup inside
+// that segment of the current table is an atomic load, a subtraction and
+// a compare; any other is Lookup's search. An Insert replaces the table,
+// so no answer is stale. A Memo is not safe for concurrent use.
+type Memo[V any] struct {
+	t   *Trie[V]
+	tab *lpmTable[V]
+	i   int // the segment last found in tab
+}
+
+// NewMemo returns a memo over t.
+func (t *Trie[V]) NewMemo() *Memo[V] { return &Memo[V]{t: t} }
+
+// Lookup equals the trie's Lookup.
+func (m *Memo[V]) Lookup(a addr.Addr) (V, bool) {
+	x := u128{a.Hi(), a.Lo()}
+	tab := m.t.compiled.Load()
+	if tab != nil && tab == m.tab {
+		// start <= x <= start+span as one unsigned compare: no branch on
+		// which side of the segment a miss falls.
+		if s := &tab.segs[m.i]; x.sub(s.start).lessEq(s.span) {
+			return s.val, s.found
+		}
+	} else {
+		tab = m.t.table()
+		m.tab = tab
+	}
+	m.i = tab.find(x)
+	s := &tab.segs[m.i]
 	return s.val, s.found
 }
 
@@ -162,16 +208,14 @@ func compile[V any](routes map[addr.Prefix]V) *lpmTable[V] {
 		return cmp.Or(bytes.Compare(xa[:], ya[:]), cmp.Compare(x.p.Bits(), y.p.Bits()))
 	})
 
-	tab.starts = make([]u128, 1, 2*len(routes)+1)
 	tab.segs = make([]lpmSeg[V], 1, 2*len(routes)+1)
 	// open starts a segment; one opened at the previous one's start
-	// replaces it.
-	open := func(s u128, seg lpmSeg[V]) {
-		if n := len(tab.starts) - 1; tab.starts[n] == s {
+	// replaces it. Spans are filled in once every start is known.
+	open := func(seg lpmSeg[V]) {
+		if n := len(tab.segs) - 1; tab.segs[n].start == seg.start {
 			tab.segs[n] = seg
 			return
 		}
-		tab.starts = append(tab.starts, s)
 		tab.segs = append(tab.segs, seg)
 	}
 	type frame struct {
@@ -189,11 +233,11 @@ func compile[V any](routes map[addr.Prefix]V) *lpmTable[V] {
 		if next.lo == 0 {
 			next.hi++
 		}
-		var seg lpmSeg[V]
+		seg := lpmSeg[V]{start: next}
 		if n := len(stack); n > 0 {
-			seg = lpmSeg[V]{stack[n-1].v, true}
+			seg.val, seg.found = stack[n-1].v, true
 		}
-		open(next, seg)
+		open(seg)
 	}
 	for _, r := range tab.routes {
 		a, n := r.p.Addr(), r.p.Bits()
@@ -201,7 +245,7 @@ func compile[V any](routes map[addr.Prefix]V) *lpmTable[V] {
 		for len(stack) > 0 && !first.lessEq(stack[len(stack)-1].last) {
 			pop()
 		}
-		open(first, lpmSeg[V]{r.v, true})
+		open(lpmSeg[V]{start: first, val: r.v, found: true})
 		last := u128{first.hi | ^uint64(0)>>min(n, 64), first.lo | ^uint64(0)>>max(n-64, 0)}
 		stack = append(stack, frame{last, r.v})
 	}
@@ -209,17 +253,25 @@ func compile[V any](routes map[addr.Prefix]V) *lpmTable[V] {
 		pop()
 	}
 
+	for i := range tab.segs {
+		next := u128{} // 2^128 after the last segment, mod 2^128
+		if i+1 < len(tab.segs) {
+			next = tab.segs[i+1].start
+		}
+		tab.segs[i].span = next.sub(tab.segs[i].start).sub(u128{0, 1})
+	}
+
 	var common uint
-	if n := len(tab.starts); n > 1 {
-		first, last := tab.starts[1].hi, tab.starts[n-1].hi
+	if n := len(tab.segs); n > 1 {
+		first, last := tab.segs[1].start.hi, tab.segs[n-1].start.hi
 		common = uint(bits.LeadingZeros64(first ^ last))
 		tab.base = first &^ (^uint64(0) >> common)
 	}
-	k := min(uint(bits.Len(uint(len(tab.starts)-1))), 16, 64-common)
+	k := min(uint(bits.Len(uint(len(tab.segs)-1))), 16, 64-common)
 	tab.shift, tab.width = 64-common-k, 1<<k
 	tab.bucket = make([]uint32, 1<<k+3)
-	for _, s := range tab.starts {
-		tab.bucket[tab.key(s.hi)+1]++
+	for _, s := range tab.segs {
+		tab.bucket[tab.key(s.start.hi)+1]++
 	}
 	for b := 1; b < len(tab.bucket); b++ {
 		tab.bucket[b] += tab.bucket[b-1]

@@ -189,6 +189,73 @@ func FuzzTrieLPM(f *testing.F) {
 	})
 }
 
+// FuzzTrieMemo runs FuzzTrieLPM's op sequences against a Memo kept
+// across the whole run and requires every memo answer to equal Lookup's.
+// Before each insert the memo looks up the prefix's first address, so
+// the insert lands on a memo holding the segment it changes; the checks
+// right after it fail if the memo answers from the replaced table.
+// After every op it checks :: and the last address, and at the end every
+// segment edge of the final table from both sides.
+func FuzzTrieMemo(f *testing.F) {
+	f.Add([]byte{})
+	var seed []byte
+	op := func(o int, x, y, z byte) { seed = append(seed, byte(o), x, y, z) }
+	op(lpmOpLookup, 0x20, 0x01, 128) // memo an empty table's one segment
+	op(lpmOpInsert, 0x20, 0x01, 8)   // 2000::/8 inside it
+	op(lpmOpInsert, 0x20, 0x01, 128) // a /128 inside that
+	op(lpmOpLookup, 0x20, 0x01, 128)
+	op(lpmOpInsert, 0x00, 0x00, 0)   // ::/0
+	op(lpmOpInsert, 0xff, 0xff, 128) // the last address
+	op(lpmOpInsert, 0x00, 0x00, 128) // the first address
+	f.Add(seed)
+	seed = nil
+	for i := 0; i < 40; i++ {
+		op(lpmOpInsert, byte(i*7), byte(i), byte(i*13))
+		op(lpmOpLookup, byte(i*7), byte(i+1), byte(i*5))
+	}
+	f.Add(seed)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := NewTrie[int]()
+		m := tr.NewMemo()
+		if len(data) > 4*128 {
+			data = data[:4*128]
+		}
+		check := func(a addr.Addr) {
+			t.Helper()
+			gotV, gotOK := m.Lookup(a)
+			if wantV, wantOK := tr.Lookup(a); gotOK != wantOK || gotV != wantV {
+				t.Fatalf("Memo.Lookup(%s): got %d/%v want %d/%v", a, gotV, gotOK, wantV, wantOK)
+			}
+		}
+		top := addr.FromParts(^uint64(0), ^uint64(0))
+		for i := 0; i+4 <= len(data); i += 4 {
+			x, y, z := data[i+1], data[i+2], data[i+3]
+			switch int(data[i]) % lpmNumOps {
+			case lpmOpInsert:
+				p := addr.MustPrefix(fuzzAddr(x, y, z), int(z)%129)
+				first, last := prefixEnds(p)
+				m.Lookup(first)
+				tr.Insert(p, i)
+				for _, a := range []addr.Addr{first, last, step(first, -1), step(last, 1)} {
+					check(a)
+				}
+			case lpmOpLookup:
+				check(fuzzAddr(x, y, z))
+				check(fuzzAddr(x, z, y))
+			}
+			check(addr.Addr{})
+			check(top)
+		}
+		for _, s := range tr.table().segs {
+			a := addr.FromParts(s.start.hi, s.start.lo)
+			check(a)
+			check(step(a, -1))
+			check(a)
+		}
+	})
+}
+
 // TestTrieConcurrentFirstLookup has eight goroutines make the first
 // Lookup on a freshly filled table at once, then again after an Insert
 // cleared the compiled table. Run under -race it checks that the lazy

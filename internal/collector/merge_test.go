@@ -147,7 +147,8 @@ func TestMergeDeepCopies(t *testing.T) {
 }
 
 // TestParallelReplayMatchesSerial is the scalability correctness check:
-// a sharded parallel replay merged together must equal the serial corpus.
+// the query stream dealt to shard collectors by device, as a sharded
+// replay partitions it, and merged back must equal the serial corpus.
 func TestParallelReplayMatchesSerial(t *testing.T) {
 	cfg := simnet.DefaultConfig(13, 0.04)
 	cfg.Days = 15
@@ -166,8 +167,12 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 	for i := range parts {
 		parts[i] = New()
 	}
-	w.GenerateQueriesParallel(shards, func(shard int, q simnet.Query) {
-		parts[shard].Observe(q.Addr, q.Time, 0)
+	shardOf := make(map[*simnet.Device]int)
+	for i, d := range w.Devices() {
+		shardOf[d] = i % shards
+	}
+	w.GenerateQueries(func(q simnet.Query) {
+		parts[shardOf[q.Device]].Observe(q.Addr, q.Time, 0)
 	})
 	merged := New()
 	for _, p := range parts {

@@ -32,6 +32,11 @@ func (db *DB) Country(a addr.Addr) string {
 	return c
 }
 
+// NewMemo returns a one-segment memo over the country table (see
+// asdb.Memo): its Lookup returns Country's answer and whether any prefix
+// matched. Not safe for concurrent use.
+func (db *DB) NewMemo() *asdb.Memo[string] { return db.table.NewMemo() }
+
 // FromASDB builds a country database from AS registration countries: every
 // routed prefix geolocates to its origin AS's country. This mirrors how
 // country-level IP geolocation behaves in practice for eyeball networks.

@@ -22,6 +22,22 @@ func TestCountryLookup(t *testing.T) {
 	}
 }
 
+func TestCountryMemo(t *testing.T) {
+	db := New()
+	db.Add(addr.MustParsePrefix("2001:db8::/32"), "DE")
+	db.Add(addr.MustParsePrefix("2001:db8:1::/48"), "FR")
+	m := db.NewMemo()
+	for round := 0; round < 2; round++ {
+		for _, s := range []string{"2001:db8::1", "2001:db8:1::1", "2001:db8:1::2", "2a00::1", "2001:db8::2"} {
+			a := addr.MustParse(s)
+			if got, _ := m.Lookup(a); got != db.Country(a) {
+				t.Errorf("round %d: memo Lookup(%s) = %q, want %q", round, s, got, db.Country(a))
+			}
+		}
+		db.Add(addr.MustParsePrefix("2a00::/16"), "NL")
+	}
+}
+
 func TestFromASDB(t *testing.T) {
 	adb := asdb.NewDB()
 	if err := adb.AddAS(asdb.AS{

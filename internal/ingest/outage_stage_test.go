@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -151,6 +152,89 @@ func TestOutageSeriesStageLive(t *testing.T) {
 	adopt.Merge(st)
 	if !reflect.DeepEqual(adopt.Series(), st.Series()) {
 		t.Error("merging into an unanchored instance should adopt the other")
+	}
+}
+
+// TestOutageSeriesStageCachesMatchReference feeds stages events that
+// alternate between ASes in runs, with unrouted addresses between them,
+// in live mode with rewinds, and a Merge in mid-stream that lengthens
+// buckets, after which the target keeps processing. Every Series must equal a count made with
+// the database's own Lookup, so a lookup memo or bucket cache read
+// across a reallocated bucket fails here.
+func TestOutageSeriesStageCachesMatchReference(t *testing.T) {
+	db := stageRoutes(t)
+	addrs := []addr.Addr{
+		addr.MustParse("2001:db8::1"), addr.MustParse("2001:db8:ffff::2"),
+		addr.MustParse("2001:db9::3"), addr.MustParse("2a00::4"),
+	}
+	base := time.Date(2022, 1, 25, 0, 0, 0, 0, time.UTC).Unix()
+	events := func(seed, shift int64) []Event {
+		rng := rand.New(rand.NewSource(seed))
+		var evs []Event
+		for len(evs) < 400 {
+			a := addrs[rng.Intn(len(addrs))]
+			at := base + shift + rng.Int63n(48*3600)
+			if rng.Intn(20) == 0 {
+				at -= 30 * 3600 // before the live origin: a rewind
+			}
+			for n := rng.Intn(6); n >= 0; n-- {
+				evs = append(evs, Event{Addr: a, Time: at + int64(n)*600})
+			}
+		}
+		return evs
+	}
+	for _, mode := range []string{"window", "live"} {
+		factory := OutageSeriesLive(db, time.Hour)
+		if mode == "window" {
+			origin := time.Unix(base, 0).UTC()
+			factory = OutageSeries(db, origin, origin.Add(48*time.Hour), time.Hour)
+		}
+		st := factory().(*OutageSeriesStage)
+		want := map[asdb.ASN]map[int64]int{} // AS -> bin start -> count
+		feed := func(s *OutageSeriesStage, evs []Event) {
+			for _, ev := range evs {
+				s.Process(ev)
+				as := db.Lookup(ev.Addr)
+				bin := ev.Time / 3600 * 3600
+				if mode == "window" {
+					// Truncated toward zero, as BuildSeries bins.
+					idx := (ev.Time - base) / 3600
+					if idx < 0 || idx > 48 {
+						continue
+					}
+					bin = base + idx*3600
+				}
+				if as == nil {
+					continue
+				}
+				if want[as.ASN] == nil {
+					want[as.ASN] = map[int64]int{}
+				}
+				want[as.ASN][bin]++
+			}
+		}
+		feed(st, events(1, 0))
+		// The merged-in stage runs later, so the merge lengthens buckets.
+		other := factory().(*OutageSeriesStage)
+		feed(other, events(2, 24*3600))
+		st.Merge(other)
+		feed(st, events(3, 0))
+
+		s := st.Series()
+		got := map[asdb.ASN]map[int64]int{}
+		for asn, bins := range s.ByAS {
+			for i, n := range bins {
+				if n > 0 {
+					if got[asn] == nil {
+						got[asn] = map[int64]int{}
+					}
+					got[asn][s.Origin.Unix()+int64(i)*3600] = n
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s mode: series %v, want %v", mode, got, want)
+		}
 	}
 }
 

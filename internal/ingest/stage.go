@@ -116,7 +116,6 @@ func (s *HLLStage) Merge(other Stage) {
 // the series grows with the stream — the rolling shape a serving daemon
 // detects over.
 type OutageSeriesStage struct {
-	db     *asdb.DB
 	binSec int64
 	// origin is the Unix second of bin 0; anchored reports whether it
 	// has been chosen (window mode: at construction; live: first event).
@@ -128,6 +127,12 @@ type OutageSeriesStage struct {
 	bins    int
 	endUnix int64
 	counts  map[asdb.ASN][]int
+	// routes is this instance's origin-AS lookup; lastBucket is
+	// counts[lastASN], nil when unknown. Merge, rewind and anchor, which
+	// may replace buckets, clear it.
+	routes     *asdb.Memo[asdb.ASN]
+	lastASN    asdb.ASN
+	lastBucket []int
 }
 
 // outageBinSeconds validates the stage's bin width. The event stream
@@ -150,7 +155,6 @@ func OutageSeries(db *asdb.DB, origin, end time.Time, bin time.Duration) StageFa
 	bins := int(end.Sub(origin)/bin) + 1
 	return func() Stage {
 		return &OutageSeriesStage{
-			db:       db,
 			binSec:   binSec,
 			origin:   origin.Unix(),
 			originT:  origin,
@@ -158,6 +162,7 @@ func OutageSeries(db *asdb.DB, origin, end time.Time, bin time.Duration) StageFa
 			bins:     bins,
 			endUnix:  end.Unix(),
 			counts:   make(map[asdb.ASN][]int),
+			routes:   db.NewMemo(),
 		}
 	}
 }
@@ -169,9 +174,9 @@ func OutageSeriesLive(db *asdb.DB, bin time.Duration) StageFactory {
 	binSec := outageBinSeconds(bin)
 	return func() Stage {
 		return &OutageSeriesStage{
-			db:     db,
 			binSec: binSec,
 			counts: make(map[asdb.ASN][]int),
+			routes: db.NewMemo(),
 		}
 	}
 }
@@ -181,8 +186,8 @@ func (s *OutageSeriesStage) Name() string { return "outage" }
 
 // Process implements Stage.
 func (s *OutageSeriesStage) Process(ev Event) {
-	as := s.db.Lookup(ev.Addr)
-	if as == nil {
+	asn, routed := s.routes.Lookup(ev.Addr)
+	if !routed {
 		return // unrouted, like BuildSeries
 	}
 	if !s.anchored {
@@ -203,21 +208,27 @@ func (s *OutageSeriesStage) Process(ev Event) {
 	if idx < 0 || (s.bins > 0 && idx >= s.bins) {
 		return
 	}
-	// The map is written only when a bucket grows: in window mode once
-	// per AS, at the full window (the length Series returns anyway).
-	bucket := s.counts[as.ASN]
+	// The map is read when the AS changes and written only when a bucket
+	// grows: in window mode once per AS, at the full window (the length
+	// Series returns anyway).
+	bucket := s.lastBucket
+	if bucket == nil || s.lastASN != asn {
+		bucket = s.counts[asn]
+	}
 	if len(bucket) <= idx {
 		n := idx + 1
 		if s.bins > 0 {
 			n = s.bins
 		}
 		bucket = append(bucket, make([]int, n-len(bucket))...)
-		s.counts[as.ASN] = bucket
+		s.counts[asn] = bucket
 	}
+	s.lastASN, s.lastBucket = asn, bucket
 	bucket[idx]++
 }
 
 func (s *OutageSeriesStage) anchor(origin int64) {
+	s.lastBucket = nil
 	s.origin = origin
 	s.originT = time.Unix(origin, 0).UTC()
 	s.anchored = true
@@ -244,6 +255,7 @@ func (s *OutageSeriesStage) rewind(newOrigin int64) {
 // associative.
 func (s *OutageSeriesStage) Merge(other Stage) {
 	o := other.(*OutageSeriesStage)
+	s.lastBucket = nil
 	if !o.anchored {
 		return
 	}

@@ -26,9 +26,17 @@ func RunIngest(w *simnet.World, p *Pool, pipe *ingest.Pipeline, tap func(simnet.
 	}
 	var perKind [simnet.NumDeviceKinds]uint64
 	b := pipe.NewBatcher()
+	// Consecutive queries mostly share a device and so a routed prefix:
+	// the country comes from a memo, and the tier is resolved again only
+	// when the country changes.
+	geo := w.Geo.NewMemo()
+	var country string
+	var t *tier
 	w.GenerateQueries(func(q simnet.Query) {
-		country := w.Geo.Country(q.Addr)
-		v := p.Select(country)
+		if c, _ := geo.Lookup(q.Addr); t == nil || c != country {
+			country, t = c, p.tierFor(c)
+		}
+		v := p.pick(t)
 		stats.Queries++
 		stats.PerVantage[v.ID]++
 		perKind[q.Device.Kind]++

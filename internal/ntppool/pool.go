@@ -113,6 +113,11 @@ func (p *Pool) Vantages() []Vantage { return p.vantages }
 // within the chosen tier. A country's tier is resolved on its first
 // Select; after that a Select is one map read.
 func (p *Pool) Select(clientCountry string) Vantage {
+	return p.pick(p.tierFor(clientCountry))
+}
+
+// tierFor returns the tier a client country selects from.
+func (p *Pool) tierFor(clientCountry string) *tier {
 	t := p.byClient[clientCountry]
 	if t == nil {
 		t = p.tiers["c:"+clientCountry]
@@ -124,6 +129,11 @@ func (p *Pool) Select(clientCountry string) Vantage {
 		}
 		p.byClient[clientCountry] = t
 	}
+	return t
+}
+
+// pick returns the tier's next vantage and advances its cursor.
+func (p *Pool) pick(t *tier) Vantage {
 	v := p.vantages[t.idxs[t.cur]]
 	t.cur++
 	if t.cur == len(t.idxs) {

@@ -15,7 +15,6 @@
 package rdns
 
 import (
-	"sort"
 	"time"
 
 	"hitlist6/internal/addr"
@@ -26,7 +25,6 @@ import (
 // authoritative ip6.arpa server would answer.
 type Zone struct {
 	root *zoneNode
-	n    int
 	// Queries counts lookups served, for cost accounting.
 	Queries uint64
 }
@@ -49,14 +47,8 @@ func (z *Zone) Add(a addr.Addr) {
 		}
 		n = n.children[nib]
 	}
-	if !n.ptr {
-		z.n++
-	}
 	n.ptr = true
 }
-
-// Len returns the number of PTR records.
-func (z *Zone) Len() int { return z.n }
 
 // nibbleAt returns the i-th nibble of the address, most significant
 // first (the label order is reversed in actual ip6.arpa names; the walk
@@ -152,17 +144,4 @@ func hasPTRBit(d *simnet.Device) bool {
 		return (uint32(m[5])+uint32(m[4]))%4 == 0
 	}
 	return d.QueryRate() != 0 && int(d.QueryRate()*100)%4 == 0
-}
-
-// SortAddrs orders addresses lexicographically; exported for tests and
-// callers comparing walk output with expectations.
-func SortAddrs(as []addr.Addr) {
-	sort.Slice(as, func(i, j int) bool {
-		for k := 0; k < 16; k++ {
-			if as[i][k] != as[j][k] {
-				return as[i][k] < as[j][k]
-			}
-		}
-		return false
-	})
 }

@@ -1,6 +1,7 @@
 package rdns
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -204,7 +205,7 @@ func TestWalkEnumeratesExactly(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("walked %d records, want %d: %v", len(got), len(want), got)
 	}
-	SortAddrs(want)
+	sortAddrs(want)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("record %d: got %s want %s", i, got[i], want[i])
@@ -321,4 +322,26 @@ func TestBuildZoneFromWorld(t *testing.T) {
 			t.Errorf("walk escaped prefix: %s", a)
 		}
 	}
+}
+
+// Len returns the number of PTR records in the zone.
+func (z *Zone) Len() int { return countPTRs(z.root) }
+
+func countPTRs(n *zoneNode) int {
+	if n == nil {
+		return 0
+	}
+	c := 0
+	if n.ptr {
+		c = 1
+	}
+	for _, ch := range n.children {
+		c += countPTRs(ch)
+	}
+	return c
+}
+
+// sortAddrs orders addresses lexicographically.
+func sortAddrs(as []addr.Addr) {
+	slices.SortFunc(as, func(x, y addr.Addr) int { return bytes.Compare(x[:], y[:]) })
 }

@@ -22,7 +22,10 @@
 // reproduces one Internet.
 package simnet
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // mix64 is a SplitMix64-style finalizer: a fast, high-quality 64-bit mixing
 // function used to derive all per-entity randomness from (seed, counter)
@@ -55,9 +58,34 @@ func epochOf(t time.Time, origin time.Time, interval time.Duration) uint64 {
 	if interval <= 0 {
 		return 0
 	}
-	d := t.Sub(origin)
-	if d < 0 {
+	return epochAt(t.Sub(origin), interval)
+}
+
+// epochAt is epochOf on an offset from the origin.
+func epochAt(off, interval time.Duration) uint64 {
+	if interval <= 0 || off < 0 {
 		return 0
 	}
-	return uint64(d / interval)
+	return uint64(off / interval)
+}
+
+// epochClock is epochAt for an offset that walks forward: it keeps its
+// epoch's offsets, [from, to), so a step inside them divides nothing.
+// Any offset gets the exact epoch; the zero range makes at derive it.
+type epochClock struct {
+	interval, from, to time.Duration
+	e                  uint64
+}
+
+// at returns the epoch of off and whether it was derived anew.
+func (c *epochClock) at(off time.Duration) (uint64, bool) {
+	if c.from <= off && off < c.to {
+		return c.e, false
+	}
+	c.e, c.from, c.to = epochAt(off, c.interval), 0, math.MaxInt64
+	if c.interval > 0 {
+		c.from = time.Duration(c.e) * c.interval
+		c.to = c.from + c.interval
+	}
+	return c.e, true
 }

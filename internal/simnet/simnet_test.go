@@ -424,9 +424,16 @@ func TestGenerateQueriesRespectsWindows(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no queries generated")
 	}
-	if got := w.CountQueries(); got != n {
-		t.Errorf("CountQueries: got %d want %d", got, n)
+	if got := countQueries(w); got != n {
+		t.Errorf("countQueries: got %d want %d", got, n)
 	}
+}
+
+// countQueries returns the number of queries GenerateQueries emits.
+func countQueries(w *World) int {
+	n := 0
+	w.GenerateQueries(func(Query) { n++ })
+	return n
 }
 
 func TestGenerateQueriesDeterministic(t *testing.T) {

@@ -18,10 +18,12 @@ type Site struct {
 	idx  int
 
 	// Provider change (Fig 7c): after switchAt the site lives in as2 at
-	// slot idx2. A zero switchAt means the site never moves.
-	as2      *asNet
-	idx2     int
-	switchAt time.Time
+	// slot idx2, switchOff after the world's origin. A zero switchAt
+	// means the site never moves.
+	as2       *asNet
+	idx2      int
+	switchAt  time.Time
+	switchOff time.Duration
 
 	// aliased sites live inside one of the AS's aliased /64s.
 	aliased bool
@@ -68,22 +70,33 @@ func affinePermInv(seed, epoch uint64, slot uint64, bits int) uint64 {
 	return ((slot - b) * inv) & mask
 }
 
+// slotFor returns the customer slot of site index idx in rotation
+// epoch e.
+func (n *asNet) slotFor(idx int, e uint64) uint64 {
+	return affinePerm(n.seed, e, uint64(idx), n.permBits())
+}
+
 // slotAt returns the customer slot the site occupies at time t within the
 // AS serving it then.
 func (s *Site) slotAt(t time.Time, origin time.Time) (n *asNet, slot uint64) {
 	n, idx := s.asAt(t)
-	e := epochOf(t, origin, n.cfg.RotationInterval)
-	return n, affinePerm(n.seed, e, uint64(idx), n.permBits())
+	return n, n.slotFor(idx, epochOf(t, origin, n.cfg.RotationInterval))
 }
 
 // Subnet64 returns the /64 holding the given site subnet at time t.
 // For /64-delegation (mobile) sites the subnet argument must be 0.
 func (s *Site) Subnet64(t time.Time, origin time.Time, subnet byte) addr.Prefix64 {
+	n, idx := s.asAt(t)
+	return s.prefix64For(n, idx, epochOf(t, origin, n.cfg.RotationInterval), subnet)
+}
+
+// prefix64For is Subnet64 while the site is slot index idx of AS n, in
+// n's rotation epoch e.
+func (s *Site) prefix64For(n *asNet, idx int, e uint64, subnet byte) addr.Prefix64 {
 	if s.aliased {
 		return s.alias64
 	}
-	n, slot := s.slotAt(t, origin)
-	hi := n.baseHi | slot<<n.slotShift
+	hi := n.baseHi | n.slotFor(idx, e)<<n.slotShift
 	if n.cfg.DelegationBits == 56 {
 		hi |= uint64(subnet)
 	}

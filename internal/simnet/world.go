@@ -58,13 +58,14 @@ type asNet struct {
 	outages []outageSpan
 }
 
-// outageSpan is a resolved outage window.
-type outageSpan struct{ from, to time.Time }
+// outageSpan is a resolved outage window, as offsets from the world's
+// origin.
+type outageSpan struct{ from, to time.Duration }
 
-// downAt reports whether the AS is suffering an outage at t.
-func (n *asNet) downAt(t time.Time) bool {
+// downAt reports whether the AS is suffering an outage at Origin+off.
+func (n *asNet) downAt(off time.Duration) bool {
 	for _, o := range n.outages {
-		if !t.Before(o.from) && t.Before(o.to) {
+		if o.from <= off && off < o.to {
 			return true
 		}
 	}
@@ -231,10 +232,10 @@ func (w *World) buildAS(idx int, ac ASConfig, rng *rand.Rand) (*asNet, error) {
 	n.alias48Hi = n.infra48Hi | (half48s/2)<<16
 
 	for _, o := range ac.Outages {
-		from := w.Origin.AddDate(0, 0, o.StartDay)
+		from := w.Origin.AddDate(0, 0, o.StartDay).Sub(w.Origin)
 		n.outages = append(n.outages, outageSpan{
 			from: from,
-			to:   from.Add(time.Duration(o.Hours) * time.Hour),
+			to:   from + time.Duration(o.Hours)*time.Hour,
 		})
 	}
 
@@ -585,7 +586,8 @@ func (w *World) applyProviderChurn(rng *rand.Rand) {
 			target.sites = append(target.sites, site)
 			// Switch somewhere in the middle 60% of the study.
 			frac := 0.2 + 0.6*rng.Float64()
-			site.switchAt = w.Origin.Add(time.Duration(frac*studySec) * time.Second)
+			site.switchOff = time.Duration(frac*studySec) * time.Second
+			site.switchAt = w.Origin.Add(site.switchOff)
 		}
 	}
 }
