@@ -607,6 +607,25 @@ func BenchmarkRDNSWalk(b *testing.B) {
 	}
 }
 
+// BenchmarkRDNSBuildWalk measures one active round's rDNS work: building
+// the zone and walking every routed prefix.
+func BenchmarkRDNSBuildWalk(b *testing.B) {
+	s := sharedStudy(b)
+	at := s.World.Origin.Add(24 * time.Hour)
+	prefixes := s.World.ASDB.RoutedPrefixes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	found := 0
+	for i := 0; i < b.N; i++ {
+		zone := rdns.BuildZone(s.World, at)
+		found = 0
+		for _, rp := range prefixes {
+			found += len(rdns.Walk(zone, rp.Prefix, 0))
+		}
+	}
+	b.ReportMetric(float64(found), "ptr_records")
+}
+
 // BenchmarkTGAEntropyIP measures model training plus candidate generation
 // on the passive corpus.
 func BenchmarkTGAEntropyIP(b *testing.B) {

@@ -199,9 +199,8 @@ func TestComputeFigure2b(t *testing.T) {
 	obsAt(c, "2001:db8::abcd:ef01:2345:6789", t0)
 
 	f := ComputeFigure2bWorkers(c.IIDTable(), 1)
-	low := f.ByClass[addr.LowEntropy]
-	if low == nil || low.N() != 1 {
-		t.Fatalf("low class: %+v", low)
+	if low, ok := f.ByClass[addr.LowEntropy]; !ok || low != 1 {
+		t.Fatalf("low class: %d IIDs (present %v), want 1", low, ok)
 	}
 	if f.WeekOrLonger[addr.LowEntropy] != 1 {
 		t.Errorf("low week+: %v", f.WeekOrLonger[addr.LowEntropy])

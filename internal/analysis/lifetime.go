@@ -15,24 +15,42 @@ var LifetimeMarks = []time.Duration{
 	24 * time.Hour, 7 * 24 * time.Hour, 30 * 24 * time.Hour, 180 * 24 * time.Hour,
 }
 
-// appendFloats is the fold merge for sample gathering: concatenation in
-// range order reproduces the serial scan's sample sequence exactly.
-func appendFloats(dst, src []float64) []float64 { return append(dst, src...) }
+// The headline thresholds, in seconds: "a week or longer" is a lifetime
+// above a week less one second, and likewise for a month.
+var (
+	weekLess1  = (7*24*time.Hour - time.Second).Seconds()
+	monthLess1 = (30*24*time.Hour - time.Second).Seconds()
+	sixMonths  = (180 * 24 * time.Hour).Seconds()
+)
 
-// AddressLifetimes builds the distribution of observed address lifetimes
-// in seconds (Figure 2a's CCDF input) as a parallel fold over the
-// corpus's address records.
-func AddressLifetimes(c *collector.Collector, workers int) *stats.Distribution {
-	samples := fold.Map(c.NumAddrs(), workers,
-		func(lo, hi int) []float64 {
-			part := make([]float64, 0, hi-lo)
-			c.AddrsRange(lo, hi, func(_ addr.Addr, r collector.AddrRecord) bool {
-				part = append(part, r.Lifetime().Seconds())
-				return true
-			})
-			return part
-		}, appendFloats)
-	return stats.TakeDistribution(samples)
+// countAtMost adds one sample v to a counting fold's partial: le[i]
+// counts the samples <= xs[i], and le[len(xs)] counts every sample.
+// That is all a CDF read at fixed points needs, so Figure 2 never
+// gathers or sorts its samples.
+func countAtMost(le []int, xs []float64, v float64) {
+	for i, x := range xs {
+		if v <= x {
+			le[i]++
+		}
+	}
+	le[len(xs)]++
+}
+
+// addCounts is the counting folds' merge.
+func addCounts(dst, src []int) []int {
+	for i, v := range src {
+		dst[i] += v
+	}
+	return dst
+}
+
+// fraction is Distribution.CDF's arithmetic over counts: le of n
+// samples, or 0 when there are none. 1 − fraction is its CCDF.
+func fraction(le, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(le) / float64(n)
 }
 
 // Figure2a is the CCDF of address lifetimes evaluated at the paper's
@@ -48,29 +66,47 @@ type Figure2a struct {
 }
 
 // ComputeFigure2aWorkers evaluates Figure 2a from a collector on the
-// given worker count.
+// given worker count: one counting fold over the address records'
+// lifetimes in seconds, at the marks and the headline thresholds.
 func ComputeFigure2aWorkers(c *collector.Collector, workers int) *Figure2a {
-	dist := AddressLifetimes(c, workers)
-	marks := make([]float64, len(LifetimeMarks))
+	marks := len(LifetimeMarks)
+	xs := make([]float64, marks, marks+4)
 	for i, m := range LifetimeMarks {
-		marks[i] = m.Seconds()
+		xs[i] = m.Seconds()
 	}
-	f := &Figure2a{CCDF: dist.CCDFAt(marks)}
-	n := float64(dist.N())
+	xs = append(xs, 0, weekLess1, monthLess1, sixMonths)
+	le := fold.Map(c.NumAddrs(), workers,
+		func(lo, hi int) []int {
+			part := make([]int, len(xs)+1)
+			c.AddrsRange(lo, hi, func(_ addr.Addr, r collector.AddrRecord) bool {
+				countAtMost(part, xs, r.Lifetime().Seconds())
+				return true
+			})
+			return part
+		}, addCounts)
+	if le == nil {
+		le = make([]int, len(xs)+1)
+	}
+	n := le[len(xs)]
+	f := &Figure2a{CCDF: make([]stats.CDFPoint, marks)}
+	for i := range f.CCDF {
+		f.CCDF[i] = stats.CDFPoint{X: xs[i], Y: 1 - fraction(le[i], n)}
+	}
 	if n == 0 {
 		return f
 	}
-	f.ObservedOnce = dist.CDF(0)
-	f.WeekOrLonger = dist.CCDF((7*24*time.Hour - time.Second).Seconds())
-	f.MonthOrLonger = dist.CCDF((30*24*time.Hour - time.Second).Seconds())
-	f.SixMonthsOrLonger = dist.CCDF((180 * 24 * time.Hour).Seconds())
+	h := le[marks:]
+	f.ObservedOnce = fraction(h[0], n)
+	f.WeekOrLonger = 1 - fraction(h[1], n)
+	f.MonthOrLonger = 1 - fraction(h[2], n)
+	f.SixMonthsOrLonger = 1 - fraction(h[3], n)
 	return f
 }
 
 // Figure2b is the CDF of IID lifetimes split by entropy class.
 type Figure2b struct {
-	// ByClass maps each entropy class to its lifetime distribution.
-	ByClass map[addr.EntropyClass]*stats.Distribution
+	// ByClass maps each entropy class seen to its number of IIDs.
+	ByClass map[addr.EntropyClass]int
 	// ObservedOnce per class (paper: low-entropy IIDs are seen once ~10%
 	// more often, yet persist longer).
 	ObservedOnce map[addr.EntropyClass]float64
@@ -82,48 +118,38 @@ type Figure2b struct {
 // High).
 const numEntropyClasses = int(addr.HighEntropy) + 1
 
-// ComputeFigure2bWorkers evaluates Figure 2b as a parallel fold over a
-// corpus's IID table. Each class's samples are sorted into a
-// distribution, so the table's slot order never reaches the result.
+// ComputeFigure2bWorkers evaluates Figure 2b as a counting fold over a
+// corpus's IID table: per entropy class, the IIDs seen and those whose
+// lifetime is at most zero or at most a week less one second. Counts
+// commute, so the table's slot order never reaches the result.
 func ComputeFigure2bWorkers(t *collector.IIDTable, workers int) *Figure2b {
-	samples := fold.Map(t.NumIIDSlots(), workers,
-		func(lo, hi int) *[numEntropyClasses][]float64 {
-			part := &[numEntropyClasses][]float64{}
+	xs := []float64{0, weekLess1}
+	w := len(xs) + 1 // one class's counts
+	le := fold.Map(t.NumIIDSlots(), workers,
+		func(lo, hi int) []int {
+			part := make([]int, numEntropyClasses*w)
 			t.IIDSlotsRange(lo, hi, func(iid addr.IID, r collector.IIDView) bool {
-				cls := iid.EntropyClass()
-				part[cls] = append(part[cls], r.Lifetime().Seconds())
+				cls := int(iid.EntropyClass())
+				countAtMost(part[cls*w:(cls+1)*w], xs, r.Lifetime().Seconds())
 				return true
 			})
 			return part
-		},
-		func(dst, src *[numEntropyClasses][]float64) *[numEntropyClasses][]float64 {
-			if dst == nil {
-				return src
-			}
-			if src != nil {
-				for i := range dst {
-					dst[i] = append(dst[i], src[i]...)
-				}
-			}
-			return dst
-		})
+		}, addCounts)
 	f := &Figure2b{
-		ByClass:      make(map[addr.EntropyClass]*stats.Distribution),
+		ByClass:      make(map[addr.EntropyClass]int),
 		ObservedOnce: make(map[addr.EntropyClass]float64),
 		WeekOrLonger: make(map[addr.EntropyClass]float64),
 	}
-	if samples == nil {
-		return f
-	}
-	week := (7*24*time.Hour - time.Second).Seconds()
-	for cls, s := range samples {
-		if len(s) == 0 {
+	for cls := 0; cls < len(le)/w; cls++ {
+		c := le[cls*w : (cls+1)*w]
+		n := c[len(xs)]
+		if n == 0 {
 			continue
 		}
-		d := stats.TakeDistribution(s)
-		f.ByClass[addr.EntropyClass(cls)] = d
-		f.ObservedOnce[addr.EntropyClass(cls)] = d.CDF(0)
-		f.WeekOrLonger[addr.EntropyClass(cls)] = d.CCDF(week)
+		k := addr.EntropyClass(cls)
+		f.ByClass[k] = n
+		f.ObservedOnce[k] = fraction(c[0], n)
+		f.WeekOrLonger[k] = 1 - fraction(c[1], n)
 	}
 	return f
 }

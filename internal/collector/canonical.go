@@ -59,6 +59,46 @@ func sortCanonKeys(keys, tmp []canonKey) []canonKey {
 	return keys
 }
 
+// sortAddrs is sortCanonKeys over bare addresses: the same byte-wise
+// LSD radix sort, digit 15 (the last address byte) first, skipping the
+// digits every address shares.
+func sortAddrs(keys, tmp []addr.Addr) []addr.Addr {
+	var hist [16][256]uint32
+	for i := range keys {
+		for b, v := range &keys[i] {
+			hist[b][v]++
+		}
+	}
+	n := uint32(len(keys))
+	for b := 15; b >= 0; b-- {
+		h := &hist[b]
+		if slices.Contains(h[:], n) {
+			continue
+		}
+		sum := uint32(0)
+		for v, cnt := range h {
+			h[v], sum = sum, sum+cnt
+		}
+		for _, k := range keys {
+			tmp[h[k[b]]] = k
+			h[k[b]]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// SortedAddrs returns every observed address in canonical order, in a
+// new slice of exactly NumAddrs entries: the slab's keys, copied once
+// and radix-sorted against one scratch slice of the same size.
+func (c *Collector) SortedAddrs() []addr.Addr {
+	keys := make([]addr.Addr, c.addrRecs.n)
+	for i := range keys {
+		keys[i] = c.addrRecs.at(uint32(i)).key
+	}
+	return sortAddrs(keys, make([]addr.Addr, len(keys)))
+}
+
 // sortedAddrIdx returns the address slab indices in canonical order
 // (ascending by the 128-bit address value).
 func (c *Collector) sortedAddrIdx() []uint32 {

@@ -40,6 +40,11 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 	if !slices.Equal(gotAddrs, wantAddrs) {
 		t.Fatalf("sortedAddrIdx over %d addrs diverges from sort by Addr.Less", len(wantAddrs))
 	}
+	var walked []addr.Addr
+	c.AddrsCanonical(func(a addr.Addr, _ AddrRecord) bool { walked = append(walked, a); return true })
+	if got := c.SortedAddrs(); cap(got) != c.NumAddrs() || !slices.Equal(got, walked) {
+		t.Fatalf("SortedAddrs (%d of cap %d) diverges from the AddrsCanonical walk (%d)", len(got), cap(got), len(walked))
+	}
 
 	tb := c.IIDTable()
 	var wantIIDs []addr.IID

@@ -16,16 +16,11 @@ import (
 )
 
 // FromCollector converts a passive collector's corpus into a Dataset.
-// Addresses are inserted in canonical (sorted) order, so two runs over
-// the same corpus produce identically ordered datasets — and every
-// downstream Each/Addrs consumer inherits that determinism.
+// The dataset adopts the collector's canonically sorted address slice
+// (see Collector.SortedAddrs) — unique and sorted, so already sealed —
+// and two runs over the same corpus produce identical datasets.
 func FromCollector(name string, c *collector.Collector) *Dataset {
-	d := NewDataset(name)
-	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
-		d.Add(a)
-		return true
-	})
-	return d
+	return &Dataset{Name: name, addrs: c.SortedAddrs(), sealed: true}
 }
 
 // ActiveConfig parameterizes the IPv6-Hitlist-style active pipeline.

@@ -1,6 +1,7 @@
 package hitlist
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +138,32 @@ func TestFromCollector(t *testing.T) {
 	d := FromCollector("ntp", c)
 	if d.Len() != 2 {
 		t.Errorf("Len: %d", d.Len())
+	}
+}
+
+// TestFromCollectorAllocs gates the NTP datasets' build: on a corpus of
+// 120 k addresses, FromCollector allocates the sorted slice and one
+// scratch slice of the same size — 32 B per address — plus 64 KiB.
+func TestFromCollectorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	c := collector.New()
+	state := uint64(0xa110c)
+	for i := 0; i < 120_000; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		c.ObserveUnix(addr.FromParts(0x20010db8_00000000|state>>52<<16, state), int64(1_643_673_600+i), 0)
+	}
+	n := c.NumAddrs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := FromCollector("ntp", c)
+	runtime.ReadMemStats(&after)
+	if d.Len() != n {
+		t.Fatalf("dataset holds %d of %d addresses", d.Len(), n)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*n+64<<10); got > limit {
+		t.Errorf("FromCollector over %d addresses allocated %d B; limit %d", n, got, limit)
 	}
 }
 

@@ -2,7 +2,9 @@ package rdns
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -21,18 +23,40 @@ const (
 	NoError
 )
 
+// trie is the zone as a pointer nibble tree, one node per name: the
+// oracle the flat zone is held to.
+type trie struct {
+	root trieNode
+	// Queries counts lookups served, as Zone.Queries does.
+	Queries uint64
+}
+
+type trieNode struct {
+	children [16]*trieNode
+	ptr      bool // a PTR record terminates here (depth 32)
+}
+
+func (tr *trie) Add(a addr.Addr) {
+	n := &tr.root
+	for i := 0; i < 32; i++ {
+		nib := nibbleAt(a, i)
+		if n.children[nib] == nil {
+			n.children[nib] = &trieNode{}
+		}
+		n = n.children[nib]
+	}
+	n.ptr = true
+}
+
 // Query answers for the name formed by the first len(nibbles) labels,
 // resolved from the root the way an authoritative server would: the
 // rcode, and whether the name is a full 32-nibble PTR owner. It counts
-// itself in z.Queries, as Walk counts its queries.
-func (z *Zone) Query(nibbles []int) (RCode, bool) {
-	z.Queries++
-	n := z.root
+// itself in tr.Queries, as Walk counts its queries.
+func (tr *trie) Query(nibbles []int) (RCode, bool) {
+	tr.Queries++
+	n := &tr.root
 	for _, nib := range nibbles {
-		if nib < 0 || nib > 15 {
-			return NXDomain, false
-		}
-		if n.children[nib] == nil {
+		if nib < 0 || nib > 15 || n.children[nib] == nil {
 			return NXDomain, false
 		}
 		n = n.children[nib]
@@ -40,10 +64,38 @@ func (z *Zone) Query(nibbles []int) (RCode, bool) {
 	return NoError, n.ptr && len(nibbles) == 32
 }
 
-// walkFromRoot is the walk as a client of a real server makes it: every
-// name is one Query resolved from the root. Walk must return the same
-// records and leave z.Queries where this leaves it.
-func walkFromRoot(z *Zone, under addr.Prefix, maxQueries uint64) []addr.Addr {
+// Query is trie.Query answered from the flat zone: a name exists when
+// the root is asked for, or when some record starts with its nibbles.
+func (z *Zone) Query(nibbles []int) (RCode, bool) {
+	z.Queries++
+	z.seal()
+	if len(nibbles) > 32 {
+		return NXDomain, false
+	}
+	for _, nib := range nibbles {
+		if nib < 0 || nib > 15 {
+			return NXDomain, false
+		}
+	}
+	name := addrFromNibbles(nibbles)
+	i := sort.Search(len(z.addrs), func(i int) bool { return !z.addrs[i].Less(name) })
+	if len(nibbles) > 0 && (i == len(z.addrs) || addr.Mask(z.addrs[i], 4*len(nibbles)) != name) {
+		return NXDomain, false
+	}
+	return NoError, len(nibbles) == 32
+}
+
+// Len returns the number of PTR records in the zone.
+func (z *Zone) Len() int {
+	z.seal()
+	return len(z.addrs)
+}
+
+// walkFromRoot is the walk as a client of a real server makes it, over
+// the trie: every name is one Query resolved from the root. Walk must
+// return the same records and leave z.Queries where this leaves
+// tr.Queries.
+func walkFromRoot(tr *trie, under addr.Prefix, maxQueries uint64) []addr.Addr {
 	if under.Bits()%4 != 0 {
 		under = addr.MustPrefix(under.Addr(), under.Bits()/4*4)
 	}
@@ -53,14 +105,14 @@ func walkFromRoot(z *Zone, under addr.Prefix, maxQueries uint64) []addr.Addr {
 	}
 	var out []addr.Addr
 	budget := func() bool {
-		return maxQueries == 0 || z.Queries < maxQueries
+		return maxQueries == 0 || tr.Queries < maxQueries
 	}
 	var rec func(nibbles []int)
 	rec = func(nibbles []int) {
 		if !budget() {
 			return
 		}
-		rcode, isPTR := z.Query(nibbles)
+		rcode, isPTR := tr.Query(nibbles)
 		if rcode == NXDomain {
 			return
 		}
@@ -81,6 +133,35 @@ func walkFromRoot(z *Zone, under addr.Prefix, maxQueries uint64) []addr.Addr {
 	return out
 }
 
+// zonePair holds one set of records both as the zone and as the trie.
+type zonePair struct {
+	z  *Zone
+	tr *trie
+}
+
+func newZonePair() *zonePair { return &zonePair{NewZone(), &trie{}} }
+
+func (p *zonePair) Add(a addr.Addr) {
+	p.z.Add(a)
+	p.tr.Add(a)
+}
+
+// walk runs Walk and the trie's root-resolving walk side by side and
+// fails unless both return the same records in the same order and
+// leave the same cumulative query count.
+func (p *zonePair) walk(t testing.TB, under addr.Prefix, budget uint64) []addr.Addr {
+	t.Helper()
+	g := Walk(p.z, under, budget)
+	w := walkFromRoot(p.tr, under, budget)
+	if !slices.Equal(g, w) {
+		t.Fatalf("Walk(%s, %d) = %v, root-resolving walk gives %v", under, budget, g, w)
+	}
+	if p.z.Queries != p.tr.Queries {
+		t.Fatalf("Walk(%s, %d): %d queries, root-resolving walk %d", under, budget, p.z.Queries, p.tr.Queries)
+	}
+	return g
+}
+
 func addrFromNibbles(nibbles []int) addr.Addr {
 	var a addr.Addr
 	for i, nib := range nibbles {
@@ -93,10 +174,12 @@ func addrFromNibbles(nibbles []int) addr.Addr {
 	return a
 }
 
-// FuzzWalk holds Walk to the root-resolving walk: on an arbitrary zone of
-// up to 64 names sharing stems of any length, for 1–3 walks of one zone
-// over any prefix (/0–/128, nibble-aligned or not) under budgets 0–500,
-// every call must return the same records and leave the same cumulative
+// FuzzWalk holds Walk to the trie's root-resolving walk: on an
+// arbitrary zone of up to 64 names sharing stems of any length, for 1–3
+// walks of one zone over any prefix (/0–/128, nibble-aligned or not)
+// under budgets 0–500, with a name added before a walk now and then (so
+// a walk re-sorts a zone already walked), every call must return the
+// same records in the same order and leave the same cumulative
 // z.Queries.
 func FuzzWalk(f *testing.F) {
 	f.Add([]byte{})
@@ -118,16 +201,18 @@ func FuzzWalk(f *testing.F) {
 		for i := range stem {
 			stem[i] = next()
 		}
-		got, want := NewZone(), NewZone()
+		p := newZonePair()
 		names := []addr.Addr{stem}
-		for n := int(next()) % 65; n > 0; n-- {
+		add := func() {
 			a := stem
 			for i := 15 - int(next())%16; i < 16; i++ {
 				a[i] = next()
 			}
-			got.Add(a)
-			want.Add(a)
+			p.Add(a)
 			names = append(names, a)
+		}
+		for n := int(next()) % 65; n > 0; n-- {
+			add()
 		}
 		for walks := 1 + int(next())%3; walks > 0; walks-- {
 			base := names[int(next())%len(names)]
@@ -136,14 +221,10 @@ func FuzzWalk(f *testing.F) {
 			}
 			under := addr.MustPrefix(base, int(next())%129)
 			budget := (uint64(next())<<8 | uint64(next())) % 501
-			g := Walk(got, under, budget)
-			w := walkFromRoot(want, under, budget)
-			if !slices.Equal(g, w) {
-				t.Fatalf("Walk(%s, %d) = %v, root-resolving walk gives %v", under, budget, g, w)
+			if under.Bits()%7 == 3 {
+				add()
 			}
-			if got.Queries != want.Queries {
-				t.Fatalf("Walk(%s, %d): %d queries, root-resolving walk %d", under, budget, got.Queries, want.Queries)
-			}
+			p.walk(t, under, budget)
 		}
 	})
 }
@@ -177,18 +258,22 @@ func TestZoneAddQuery(t *testing.T) {
 	if rcode, _ := z.Query([]int{99}); rcode != NXDomain {
 		t.Errorf("bad label: %v", rcode)
 	}
-}
-
-func nibblesOf(a addr.Addr, n int) []int {
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = nibbleAt(a, i)
+	// The root always answers, and the trie agrees on every name.
+	var tr trie
+	tr.Add(a)
+	for _, q := range [][]int{nil, full, full[:8], sib, {99}, append(full, 0)} {
+		zr, zp := z.Query(q)
+		if tc, tp := tr.Query(q); zr != tc || zp != tp {
+			t.Errorf("query %v: zone %v %v, trie %v %v", q, zr, zp, tc, tp)
+		}
 	}
-	return out
+	if rcode, _ := NewZone().Query(nil); rcode != NoError {
+		t.Errorf("empty zone root: %v", rcode)
+	}
 }
 
 func TestWalkEnumeratesExactly(t *testing.T) {
-	z := NewZone()
+	p := newZonePair()
 	want := []addr.Addr{
 		addr.MustParse("2001:db8::1"),
 		addr.MustParse("2001:db8::2"),
@@ -196,16 +281,16 @@ func TestWalkEnumeratesExactly(t *testing.T) {
 		addr.MustParse("2001:db8:ffff::42"),
 	}
 	for _, a := range want {
-		z.Add(a)
+		p.Add(a)
 	}
 	// A record outside the walked prefix must not appear.
-	z.Add(addr.MustParse("2400:cb00::1"))
+	p.Add(addr.MustParse("2400:cb00::1"))
 
-	got := Walk(z, addr.MustParsePrefix("2001:db8::/32"), 0)
+	got := p.walk(t, addr.MustParsePrefix("2001:db8::/32"), 0)
 	if len(got) != len(want) {
 		t.Fatalf("walked %d records, want %d: %v", len(got), len(want), got)
 	}
-	sortAddrs(want)
+	slices.SortFunc(want, func(x, y addr.Addr) int { return bytes.Compare(x[:], y[:]) })
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("record %d: got %s want %s", i, got[i], want[i])
@@ -214,57 +299,64 @@ func TestWalkEnumeratesExactly(t *testing.T) {
 }
 
 func TestWalkQueryCostScalesWithNames(t *testing.T) {
-	z := NewZone()
+	p := newZonePair()
 	const names = 50
 	for i := 0; i < names; i++ {
-		z.Add(addr.FromParts(0x20010db8_00000000|uint64(i), uint64(i+1)))
+		p.Add(addr.FromParts(0x20010db8_00000000|uint64(i), uint64(i+1)))
 	}
-	z.Queries = 0
-	got := Walk(z, addr.MustParsePrefix("2001:db8::/32"), 0)
+	got := p.walk(t, addr.MustParsePrefix("2001:db8::/32"), 0)
 	if len(got) != names {
 		t.Fatalf("walked %d", len(got))
 	}
 	// The walk must be linear-ish in names (each name costs at most
 	// 32 levels x 16 siblings), nowhere near brute force.
 	maxQ := uint64(names * 32 * 16)
-	if z.Queries > maxQ {
-		t.Errorf("queries %d exceed linear bound %d", z.Queries, maxQ)
+	if p.z.Queries > maxQ {
+		t.Errorf("queries %d exceed linear bound %d", p.z.Queries, maxQ)
 	}
-	if z.Queries < names {
-		t.Errorf("implausibly few queries: %d", z.Queries)
+	if p.z.Queries < names {
+		t.Errorf("implausibly few queries: %d", p.z.Queries)
 	}
 }
 
 func TestWalkBudget(t *testing.T) {
-	z := NewZone()
+	p := newZonePair()
 	for i := 0; i < 100; i++ {
-		z.Add(addr.FromParts(0x20010db8_00000000|uint64(i), 1))
+		p.Add(addr.FromParts(0x20010db8_00000000|uint64(i), 1))
 	}
-	z.Queries = 0
-	full := Walk(z, addr.MustParsePrefix("2001:db8::/32"), 0)
-	z.Queries = 0
-	partial := Walk(z, addr.MustParsePrefix("2001:db8::/32"), 200)
+	under := addr.MustParsePrefix("2001:db8::/32")
+	full := p.walk(t, under, 0)
+	p.z.Queries, p.tr.Queries = 0, 0
+	partial := p.walk(t, under, 200)
 	if len(partial) >= len(full) {
 		t.Errorf("budgeted walk should find fewer: %d vs %d", len(partial), len(full))
 	}
-	if z.Queries > 200+16 {
-		t.Errorf("budget overrun: %d", z.Queries)
+	if p.z.Queries > 200+16 {
+		t.Errorf("budget overrun: %d", p.z.Queries)
+	}
+	// A spent budget answers nothing and asks nothing.
+	if again := p.walk(t, under, 200); len(again) != 0 {
+		t.Errorf("walk past the budget found %d", len(again))
 	}
 }
 
 func TestWalkEmptyZone(t *testing.T) {
-	z := NewZone()
-	if got := Walk(z, addr.MustParsePrefix("::/0"), 0); len(got) != 0 {
+	p := newZonePair()
+	if got := p.walk(t, addr.MustParsePrefix("::/0"), 0); len(got) != 0 {
 		t.Errorf("empty zone walk: %v", got)
+	}
+	// The root answered and its 16 children were asked.
+	if p.z.Queries != 17 {
+		t.Errorf("empty zone walk: %d queries, want 17", p.z.Queries)
 	}
 }
 
 func TestWalkNonNibbleAlignedPrefix(t *testing.T) {
-	z := NewZone()
+	p := newZonePair()
 	a := addr.MustParse("2001:db8::7")
-	z.Add(a)
+	p.Add(a)
 	// /33 rounds down to /32.
-	got := Walk(z, addr.MustParsePrefix("2001:db8::/33"), 0)
+	got := p.walk(t, addr.MustParsePrefix("2001:db8::/33"), 0)
 	if len(got) != 1 || got[0] != a {
 		t.Errorf("walk: %v", got)
 	}
@@ -272,14 +364,14 @@ func TestWalkNonNibbleAlignedPrefix(t *testing.T) {
 
 func TestWalkRoundTripProperty(t *testing.T) {
 	f := func(lo1, lo2, lo3 uint64) bool {
-		z := NewZone()
+		p := newZonePair()
 		in := map[addr.Addr]bool{}
 		for _, lo := range []uint64{lo1, lo2, lo3} {
 			a := addr.FromParts(0x20010db8_00000000, lo)
-			z.Add(a)
+			p.Add(a)
 			in[a] = true
 		}
-		got := Walk(z, addr.MustParsePrefix("2001:db8::/64"), 0)
+		got := p.walk(t, addr.MustParsePrefix("2001:db8::/64"), 0)
 		if len(got) != len(in) {
 			return false
 		}
@@ -295,17 +387,42 @@ func TestWalkRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestBuildZoneFromWorld(t *testing.T) {
-	cfg := simnet.DefaultConfig(21, 0.05)
+// testWorld builds a small world at the given scale for the zone tests.
+func testWorld(t testing.TB, scale float64) *simnet.World {
+	t.Helper()
+	cfg := simnet.DefaultConfig(21, scale)
 	cfg.Days = 10
 	w, err := simnet.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+// worldPair is BuildZone's records at a time, as a zone pair built by
+// hand: every router, then each device hasPTR keeps.
+func worldPair(w *simnet.World, at time.Time) *zonePair {
+	p := newZonePair()
+	for _, r := range w.Routers() {
+		p.Add(r)
+	}
+	for _, d := range w.Devices() {
+		if hasPTR(d) {
+			p.Add(d.AddressAt(at))
+		}
+	}
+	return p
+}
+
+func TestBuildZoneFromWorld(t *testing.T) {
+	w := testWorld(t, 0.05)
 	at := w.Origin.Add(24 * time.Hour)
 	z := BuildZone(w, at)
 	if z.Len() == 0 {
 		t.Fatal("empty zone")
+	}
+	if want := worldPair(w, at).z; want.Len() != z.Len() || !slices.Equal(z.addrs, want.addrs) {
+		t.Fatalf("BuildZone holds %d records, the hand-built zone %d", z.Len(), want.Len())
 	}
 	// All routers must be enumerable.
 	for _, r := range w.Routers()[:5] {
@@ -324,24 +441,64 @@ func TestBuildZoneFromWorld(t *testing.T) {
 	}
 }
 
-// Len returns the number of PTR records in the zone.
-func (z *Zone) Len() int { return countPTRs(z.root) }
-
-func countPTRs(n *zoneNode) int {
-	if n == nil {
-		return 0
+// TestWorldWalksMatchTrie walks every routed prefix of a world's zone,
+// as one active round does, against the trie: without a budget, and
+// under budgets that run out part way through the round.
+func TestWorldWalksMatchTrie(t *testing.T) {
+	w := testWorld(t, 0.05)
+	at := w.Origin.Add(48 * time.Hour)
+	prefixes := w.ASDB.RoutedPrefixes()
+	p := worldPair(w, at)
+	found := 0
+	for _, rp := range prefixes {
+		found += len(p.walk(t, rp.Prefix, 0))
 	}
-	c := 0
-	if n.ptr {
-		c = 1
+	if found == 0 {
+		t.Fatal("no record found")
 	}
-	for _, ch := range n.children {
-		c += countPTRs(ch)
+	total := p.z.Queries
+	for _, budget := range []uint64{total / 2, total / 7, 1} {
+		p.z.Queries, p.tr.Queries = 0, 0
+		for _, rp := range prefixes {
+			p.walk(t, rp.Prefix, budget)
+		}
 	}
-	return c
 }
 
-// sortAddrs orders addresses lexicographically.
-func sortAddrs(as []addr.Addr) {
-	slices.SortFunc(as, func(x, y addr.Addr) int { return bytes.Compare(x[:], y[:]) })
+// TestBuildZoneWalkAllocs gates one active round's rDNS memory: building
+// the zone and walking every routed prefix allocates the records once,
+// plus the walks' results, within 48 B per record and 64 KiB. The world
+// is large enough (≈3.9 k records) that the per-record term dominates.
+func TestBuildZoneWalkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	w := testWorld(t, 2)
+	at := w.Origin.Add(24 * time.Hour)
+	prefixes := w.ASDB.RoutedPrefixes()
+	var records, found int
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	z := BuildZone(w, at)
+	for _, rp := range prefixes {
+		found += len(Walk(z, rp.Prefix, 0))
+	}
+	runtime.ReadMemStats(&after)
+	records = z.Len()
+	if found == 0 {
+		t.Fatal("no record found")
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(48*records+64<<10)
+	t.Logf("BuildZone plus %d walks: %d B for %d records", len(prefixes), got, records)
+	if got > limit {
+		t.Errorf("BuildZone plus %d walks allocated %d B for %d records; limit %d", len(prefixes), got, records, limit)
+	}
+}
+
+func nibblesOf(a addr.Addr, n int) []int {
+	out := make([]int, n)
+	for i := 0; i < n; i++ {
+		out[i] = nibbleAt(a, i)
+	}
+	return out
 }

@@ -1,8 +1,7 @@
 // Package stats provides the numerical building blocks shared by every
 // analysis in the repository: Shannon entropy, empirical distribution
-// functions (CDF/CCDF), quantiles, histograms with linear and logarithmic
-// binning, and small formatting helpers used when rendering the paper's
-// tables and figures as text.
+// functions (CDF/CCDF), quantiles, and small formatting helpers used when
+// rendering the paper's tables and figures as text.
 //
 // All functions are deterministic and allocation-conscious; the hot paths
 // (entropy over nibbles, distribution construction) are exercised by the
@@ -10,7 +9,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -212,122 +210,4 @@ func (d *Distribution) CDFSeries(n int) []CDFPoint {
 		pts[i] = CDFPoint{X: x, Y: d.CDF(x)}
 	}
 	return pts
-}
-
-// CDFAt evaluates the CDF at each of the provided x values.
-func (d *Distribution) CDFAt(xs []float64) []CDFPoint {
-	pts := make([]CDFPoint, len(xs))
-	for i, x := range xs {
-		pts[i] = CDFPoint{X: x, Y: d.CDF(x)}
-	}
-	return pts
-}
-
-// CCDFAt evaluates the CCDF at each of the provided x values.
-func (d *Distribution) CCDFAt(xs []float64) []CDFPoint {
-	pts := make([]CDFPoint, len(xs))
-	for i, x := range xs {
-		pts[i] = CDFPoint{X: x, Y: d.CCDF(x)}
-	}
-	return pts
-}
-
-// Histogram is a fixed-bin histogram over float64 samples.
-type Histogram struct {
-	// Edges has len(Counts)+1 entries; bin i covers [Edges[i], Edges[i+1]).
-	// The final bin is closed on both ends.
-	Edges  []float64
-	Counts []int
-	// Under and Over count samples falling outside [Edges[0], Edges[len-1]].
-	Under, Over int
-}
-
-// NewLinearHistogram creates a histogram with bins evenly spaced across
-// [lo, hi]. bins must be >= 1 and hi > lo.
-func NewLinearHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: bins must be >= 1, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: need hi > lo, got [%v, %v]", lo, hi)
-	}
-	h := &Histogram{Edges: make([]float64, bins+1), Counts: make([]int, bins)}
-	step := (hi - lo) / float64(bins)
-	for i := 0; i <= bins; i++ {
-		h.Edges[i] = lo + float64(i)*step
-	}
-	h.Edges[bins] = hi // avoid accumulation error at the top edge
-	return h, nil
-}
-
-// NewLogHistogram creates a histogram with logarithmically spaced bins
-// across [lo, hi]. Both bounds must be positive.
-func NewLogHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: bins must be >= 1, got %d", bins)
-	}
-	if lo <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: need 0 < lo < hi, got [%v, %v]", lo, hi)
-	}
-	h := &Histogram{Edges: make([]float64, bins+1), Counts: make([]int, bins)}
-	llo, lhi := math.Log(lo), math.Log(hi)
-	step := (lhi - llo) / float64(bins)
-	for i := 0; i <= bins; i++ {
-		h.Edges[i] = math.Exp(llo + float64(i)*step)
-	}
-	h.Edges[0], h.Edges[bins] = lo, hi
-	return h, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	if x < h.Edges[0] {
-		h.Under++
-		return
-	}
-	if x > h.Edges[n] {
-		h.Over++
-		return
-	}
-	// Binary search for the bin.
-	i := sort.SearchFloat64s(h.Edges, x)
-	// Edges[i] >= x. Bin index is i-1 except when x is exactly an edge.
-	if i < len(h.Edges) && h.Edges[i] == x {
-		if i == n { // top edge belongs to the last bin
-			i = n - 1
-		}
-	} else {
-		i--
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of in-range samples recorded.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Fractions returns each bin count divided by the in-range total. For an
-// empty histogram it returns all zeros.
-func (h *Histogram) Fractions() []float64 {
-	t := h.Total()
-	out := make([]float64, len(h.Counts))
-	if t == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(t)
-	}
-	return out
 }

@@ -200,105 +200,6 @@ func TestCDFSeriesDegenerate(t *testing.T) {
 	}
 }
 
-func TestLinearHistogram(t *testing.T) {
-	h, err := NewLinearHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, 10} {
-		h.Add(x)
-	}
-	h.Add(-1) // under
-	h.Add(11) // over
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under/over: got %d/%d want 1/1", h.Under, h.Over)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total: got %d want 6", h.Total())
-	}
-	want := []int{2, 2, 1, 0, 1} // 0,1.9 | 2, (nothing in [4,6) except 5) ...
-	// bins: [0,2) [2,4) [4,6) [6,8) [8,10]: 0,1.9 -> bin0; 2 -> bin1; 5 -> bin2; 9.99,10 -> bin4
-	want = []int{2, 1, 1, 0, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bin %d: got %d want %d (%v)", i, c, want[i], h.Counts)
-		}
-	}
-}
-
-func TestLinearHistogramErrors(t *testing.T) {
-	if _, err := NewLinearHistogram(0, 10, 0); err == nil {
-		t.Error("expected error for 0 bins")
-	}
-	if _, err := NewLinearHistogram(10, 10, 3); err == nil {
-		t.Error("expected error for hi == lo")
-	}
-	if _, err := NewLinearHistogram(10, 0, 3); err == nil {
-		t.Error("expected error for hi < lo")
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h, err := NewLogHistogram(1, 1000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bins should be [1,10) [10,100) [100,1000].
-	for _, x := range []float64{1, 5, 10, 99, 100, 1000} {
-		h.Add(x)
-	}
-	want := []int{2, 2, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bin %d: got %d want %d (%v)", i, c, want[i], h.Counts)
-		}
-	}
-}
-
-func TestLogHistogramErrors(t *testing.T) {
-	if _, err := NewLogHistogram(0, 10, 3); err == nil {
-		t.Error("expected error for lo == 0")
-	}
-	if _, err := NewLogHistogram(5, 5, 3); err == nil {
-		t.Error("expected error for hi == lo")
-	}
-}
-
-func TestHistogramFractions(t *testing.T) {
-	h, _ := NewLinearHistogram(0, 1, 2)
-	fr := h.Fractions()
-	if fr[0] != 0 || fr[1] != 0 {
-		t.Errorf("empty fractions: %v", fr)
-	}
-	h.Add(0.1)
-	h.Add(0.2)
-	h.Add(0.8)
-	fr = h.Fractions()
-	if !almostEqual(fr[0], 2.0/3, 1e-12) || !almostEqual(fr[1], 1.0/3, 1e-12) {
-		t.Errorf("fractions: %v", fr)
-	}
-}
-
-func TestHistogramAddProperty(t *testing.T) {
-	// Every in-range sample lands in exactly one bin.
-	h, _ := NewLinearHistogram(0, 1, 7)
-	f := func(vals []float64) bool {
-		inRange := 0
-		for _, v := range vals {
-			v = math.Abs(math.Mod(v, 1.0))
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-			inRange++
-		}
-		return h.Total() >= inRange-h.Under-h.Over
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestComma(t *testing.T) {
 	cases := map[int64]string{
 		0:          "0",

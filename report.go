@@ -156,11 +156,11 @@ func (s *Study) Report() (string, error) {
 			f2b := analysis.ComputeFigure2bWorkers(s.IIDs, workers)
 			f2bTable := stats.NewTable("", "Entropy class", "IIDs", "Observed once", ">= 1 week")
 			for _, cls := range []addr.EntropyClass{addr.LowEntropy, addr.MediumEntropy, addr.HighEntropy} {
-				d := f2b.ByClass[cls]
-				if d == nil {
+				n, ok := f2b.ByClass[cls]
+				if !ok {
 					continue
 				}
-				f2bTable.AddRow(cls.String(), stats.Comma(int64(d.N())),
+				f2bTable.AddRow(cls.String(), stats.Comma(int64(n)),
 					stats.Pct(f2b.ObservedOnce[cls], 1), stats.Pct(f2b.WeekOrLonger[cls], 1))
 			}
 			return sec("Figure 2b: IID lifetime by entropy class (paper: 10%% of low-entropy IIDs last ≥1 week vs ≤5%% of others)") +
