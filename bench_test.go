@@ -277,26 +277,6 @@ func BenchmarkFigure5Categories(b *testing.B) {
 	b.ReportMetric(f5.Hitlist.Fractions[addr.CatLowByte], "hitlist_low_byte_frac")
 }
 
-func BenchmarkFigure6aEUI64Lifetime(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	var d *stats.Distribution
-	for i := 0; i < b.N; i++ {
-		d = tracking.Figure6a(s.IIDs)
-	}
-	b.ReportMetric(float64(d.N()), "eui64_iids")
-}
-
-func BenchmarkFigure6bPrefixSpread(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	var d *stats.Distribution
-	for i := 0; i < b.N; i++ {
-		d = tracking.Figure6b(s.IIDs)
-	}
-	b.ReportMetric(d.Max(), "max_p64s_per_iid")
-}
-
 func BenchmarkFigure7Timelines(b *testing.B) {
 	s := sharedStudy(b)
 	tr, err := s.Tracking()
@@ -648,9 +628,7 @@ func BenchmarkTGAEntropyIP(b *testing.B) {
 }
 
 // BenchmarkOutageDetection measures the replay-based outage path:
-// binning the full query stream plus detection. Compare with
-// BenchmarkOutageDetectionSinglePass, which reads the series the ingest
-// pipeline already recorded.
+// binning the full query stream plus detection.
 func BenchmarkOutageDetection(b *testing.B) {
 	s := sharedStudy(b)
 	b.ResetTimer()
@@ -661,23 +639,6 @@ func BenchmarkOutageDetection(b *testing.B) {
 			b.Fatal(err)
 		}
 		events = outage.Detect(series, outage.DefaultConfig())
-	}
-	b.ReportMetric(float64(len(events)), "events")
-}
-
-// BenchmarkOutageDetectionSinglePass measures Study.DetectOutages over
-// the series recorded during collection: rebin plus detection, no
-// replay — the cost every post-refactor detection call pays.
-func BenchmarkOutageDetectionSinglePass(b *testing.B) {
-	s := sharedStudy(b)
-	b.ResetTimer()
-	var events []outage.Event
-	for i := 0; i < b.N; i++ {
-		var err error
-		events, err = s.DetectOutages(6 * time.Hour)
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.ReportMetric(float64(len(events)), "events")
 }

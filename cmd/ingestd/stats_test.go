@@ -11,6 +11,7 @@ import (
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/ingest"
+	"hitlist6/internal/telemetry"
 	"hitlist6/internal/workload"
 )
 
@@ -201,6 +202,7 @@ func TestDaemonStages(t *testing.T) {
 	} {
 		cfg := ingest.DefaultConfig(2)
 		cfg.Stages = daemonStages(tc.routes, time.Hour)
+		cfg.Registry = telemetry.NewRegistry()
 		pipe, err := ingest.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +217,7 @@ func TestDaemonStages(t *testing.T) {
 			t.Errorf("outage detection %v: stages %v, want %v", tc.routes != nil, got, tc.want)
 		}
 		var exposition strings.Builder
-		if err := pipe.Registry().WritePrometheus(&exposition); err != nil {
+		if err := cfg.Registry.WritePrometheus(&exposition); err != nil {
 			t.Fatal(err)
 		}
 		if has := strings.Contains(exposition.String(), "ingest_stage_seconds"); has != (tc.want != nil) {

@@ -58,6 +58,23 @@ func TestBrokenJSON(t *testing.T) {
 	}
 }
 
+// TestBenchReferencesCount runs the whole-module suite over a fixture
+// module whose lib package has two exported funcs: one only its bench/
+// module calls, one nothing calls. deadsym must load bench/ and report
+// the second alone.
+func TestBenchReferencesCount(t *testing.T) {
+	t.Chdir("testdata/src/benchref")
+	var out, errb bytes.Buffer
+	code := run([]string{"./..."}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	want := "lib/lib.go:8:6: deadsym: func Dead is used only by tests or not at all"
+	if got := strings.TrimSpace(out.String()); !strings.HasPrefix(got, want) || strings.Count(got, "\n") != 0 {
+		t.Errorf("findings:\n%s\nwant exactly one, starting %q", got, want)
+	}
+}
+
 // TestCleanPackagePasses demands exit 0 and empty stdout on code with
 // nothing to flag.
 func TestCleanPackagePasses(t *testing.T) {

@@ -30,6 +30,8 @@ func Parse(s string) (Addr, error) {
 }
 
 // MustParse is Parse that panics on error; for tests and literals.
+//
+//lint:api the shared address literal of every package's tests
 func MustParse(s string) Addr {
 	a, err := Parse(s)
 	if err != nil {
@@ -106,9 +108,6 @@ type IID uint64
 
 // IID returns the address's Interface Identifier.
 func (a Addr) IID() IID { return IID(a.Lo()) }
-
-// IsZero reports whether the address is all zeros ("::").
-func (a Addr) IsZero() bool { return a == Addr{} }
 
 // Less reports whether a sorts before b in canonical (numeric) order:
 // the one definition of "sorted addresses" shared by the collector's

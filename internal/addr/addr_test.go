@@ -122,15 +122,6 @@ func TestWithIID(t *testing.T) {
 	}
 }
 
-func TestIsZero(t *testing.T) {
-	if !MustParse("::").IsZero() {
-		t.Error(":: should be zero")
-	}
-	if MustParse("::1").IsZero() {
-		t.Error("::1 should not be zero")
-	}
-}
-
 func TestMaskAndPrefix(t *testing.T) {
 	a := MustParse("2001:db8:abcd:ef01:2345:6789:abcd:ef01")
 	cases := []struct {
@@ -181,18 +172,6 @@ func TestPrefixErrors(t *testing.T) {
 		if _, err := ParsePrefix(s); err == nil {
 			t.Errorf("ParsePrefix(%q): expected error", s)
 		}
-	}
-}
-
-func TestPrefixOverlaps(t *testing.T) {
-	a := MustParsePrefix("2001:db8::/32")
-	b := MustParsePrefix("2001:db8:1::/48")
-	c := MustParsePrefix("2001:db9::/32")
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("nested prefixes should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("disjoint prefixes should not overlap")
 	}
 }
 

@@ -43,24 +43,12 @@ func MACFromEUI64(iid IID) (MAC, error) {
 	}, nil
 }
 
-// EUI64Addr builds a full address from a /64 prefix and a MAC.
-func EUI64Addr(p Prefix64, m MAC) Addr {
-	return FromParts(uint64(p), uint64(EUI64FromMAC(m)))
-}
-
 // OUI is the 24-bit Organizationally Unique Identifier: the vendor-assigned
 // first three bytes of a MAC address.
 type OUI [3]byte
 
 // OUI returns the MAC's vendor prefix.
 func (m MAC) OUI() OUI { return OUI{m[0], m[1], m[2]} }
-
-// IsLocal reports whether the MAC has the locally-administered bit set
-// (such addresses are not vendor-assigned and resolve to no OUI).
-func (m MAC) IsLocal() bool { return m[0]&ulBit != 0 }
-
-// IsMulticast reports whether the MAC's group bit is set.
-func (m MAC) IsMulticast() bool { return m[0]&0x01 != 0 }
 
 // String renders the MAC in colon-separated lowercase hex.
 func (m MAC) String() string {

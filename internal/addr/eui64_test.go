@@ -53,7 +53,7 @@ func TestIsEUI64Negative(t *testing.T) {
 func TestEUI64Addr(t *testing.T) {
 	p := MustParse("2001:db8:1:2::").P64()
 	m := MAC{0xa8, 0xaa, 0x20, 0x01, 0x02, 0x03}
-	a := EUI64Addr(p, m)
+	a := FromParts(uint64(p), uint64(EUI64FromMAC(m)))
 	if a.P64() != p {
 		t.Error("prefix not preserved")
 	}
@@ -64,18 +64,6 @@ func TestEUI64Addr(t *testing.T) {
 	// The U/L inversion must show in the textual address: a8 ^ 02 = aa.
 	if a.String() != "2001:db8:1:2:aaaa:20ff:fe01:203" {
 		t.Errorf("unexpected address %q", a)
-	}
-}
-
-func TestMACFlags(t *testing.T) {
-	if (MAC{0x00, 0, 0, 0, 0, 0}).IsLocal() {
-		t.Error("universal MAC reported local")
-	}
-	if !(MAC{0x02, 0, 0, 0, 0, 0}).IsLocal() {
-		t.Error("local MAC not reported local")
-	}
-	if !(MAC{0x01, 0, 0, 0, 0, 0}).IsMulticast() {
-		t.Error("multicast bit not detected")
 	}
 }
 

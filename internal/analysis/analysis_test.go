@@ -20,13 +20,13 @@ func mkDataset(name string, addrs ...string) *hitlist.Dataset {
 	return d
 }
 
-func TestEntropyDistribution(t *testing.T) {
+func TestEntropyDist(t *testing.T) {
 	d := mkDataset("d",
 		"2001:db8::1",                  // low entropy
 		"2001:db8::123:4567:89ab:cdef", // high-ish
 		"2001:db8::dead:beef:1234:5678",
 	)
-	dist := EntropyDistribution(d)
+	dist := BuildSidecar(d, nil, 1).EntropyDist()
 	if dist.N() != 3 {
 		t.Fatalf("N: %d", dist.N())
 	}
@@ -38,15 +38,16 @@ func TestEntropyDistribution(t *testing.T) {
 	}
 }
 
-func TestEntropyDistributionOfIntersection(t *testing.T) {
+func TestIntersectionEntropy(t *testing.T) {
 	a := mkDataset("a", "2001:db8::1", "2001:db8::2", "2001:db8::dead:beef:1:2")
 	b := mkDataset("b", "2001:db8::2", "2001:db8::dead:beef:1:2", "2001:db8::99")
-	dist := EntropyDistributionOfIntersection(a, b)
+	sa, sb := BuildSidecar(a, nil, 1), BuildSidecar(b, nil, 1)
+	dist := intersectionEntropy(sa, sb)
 	if dist.N() != 2 {
 		t.Fatalf("intersection N: %d", dist.N())
 	}
 	// Symmetric regardless of argument order.
-	dist2 := EntropyDistributionOfIntersection(b, a)
+	dist2 := intersectionEntropy(sb, sa)
 	if dist2.N() != 2 {
 		t.Fatalf("reverse N: %d", dist2.N())
 	}

@@ -21,17 +21,6 @@ import (
 	"hitlist6/internal/stats"
 )
 
-// EntropyDistribution builds the empirical distribution of normalized IID
-// Shannon entropy over a dataset (one curve of Figure 1).
-func EntropyDistribution(d *hitlist.Dataset) *stats.Distribution {
-	view := d.View()
-	samples := make([]float64, len(view))
-	for i, a := range view {
-		samples[i] = a.IID().NormalizedEntropy()
-	}
-	return stats.TakeDistribution(samples)
-}
-
 // EntropyDist builds the dataset-level entropy distribution from the
 // sidecar's precomputed column.
 func (sc *Sidecar) EntropyDist() *stats.Distribution {
@@ -40,21 +29,10 @@ func (sc *Sidecar) EntropyDist() *stats.Distribution {
 	return stats.NewDistribution(sc.Entropy)
 }
 
-// EntropyDistributionOfIntersection builds the entropy distribution over
-// the addresses common to two datasets (Figure 1's "NTP ∩ Hitlist" and
-// "NTP ∩ CAIDA" curves): a linear merge of the two sorted slabs.
-func EntropyDistributionOfIntersection(a, b *hitlist.Dataset) *stats.Distribution {
-	av := a.View()
-	var samples []float64
-	hitlist.EachCommon(a, b, func(ai, _ int) bool {
-		samples = append(samples, av[ai].IID().NormalizedEntropy())
-		return true
-	})
-	return stats.TakeDistribution(samples)
-}
-
-// intersectionEntropy is EntropyDistributionOfIntersection reading the
-// entropy from a's sidecar column instead of recomputing it.
+// intersectionEntropy builds the entropy distribution over the
+// addresses common to two datasets (Figure 1's "NTP ∩ Hitlist" and
+// "NTP ∩ CAIDA" curves): a linear merge of the two sorted slabs, reading
+// the entropy from a's sidecar column.
 func intersectionEntropy(a, b *Sidecar) *stats.Distribution {
 	var samples []float64
 	hitlist.EachCommon(a.D, b.D, func(ai, _ int) bool {

@@ -50,7 +50,7 @@ func sampleFigure2a(c *collector.Collector) *Figure2a {
 // CCDF.
 func sampleFigure2b(t *collector.IIDTable) *Figure2b {
 	var samples [numEntropyClasses][]float64
-	t.IIDs(func(iid addr.IID, r collector.IIDView) bool {
+	t.IIDSlotsRange(0, t.NumIIDSlots(), func(iid addr.IID, r collector.IIDView) bool {
 		cls := iid.EntropyClass()
 		samples[cls] = append(samples[cls], r.Lifetime().Seconds())
 		return true

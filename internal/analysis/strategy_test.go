@@ -108,7 +108,7 @@ func TestInferStrategiesEUI64(t *testing.T) {
 	d := hitlist.NewDataset("eui")
 	for i := 0; i < 30; i++ {
 		m := addr.MAC{0xc8, 0x0e, 0x14, byte(i), 1, 2}
-		d.Add(addr.EUI64Addr(addr.FromParts(0x2400_0300_0000_0000, 0).P64(), m))
+		d.Add(addr.FromParts(0x2400_0300_0000_0000, uint64(addr.EUI64FromMAC(m))))
 	}
 	profiles := InferStrategiesSidecar(BuildSidecar(d, db, 1), db, 1, 1)
 	if len(profiles) != 1 {

@@ -2,7 +2,6 @@ package asdb
 
 import (
 	"fmt"
-	"sort"
 
 	"hitlist6/internal/addr"
 )
@@ -89,17 +88,6 @@ func (db *DB) AddAS(as AS) error {
 	return nil
 }
 
-// Announce adds a routed prefix to an existing AS.
-func (db *DB) Announce(asn ASN, p addr.Prefix) error {
-	as, ok := db.byASN[asn]
-	if !ok {
-		return fmt.Errorf("asdb: unknown ASN %d", asn)
-	}
-	as.Prefixes = append(as.Prefixes, p)
-	db.table.Insert(p, asn)
-	return nil
-}
-
 // OriginASN returns the origin AS of an address via longest-prefix match.
 func (db *DB) OriginASN(a addr.Addr) (ASN, bool) {
 	return db.table.Lookup(a)
@@ -120,19 +108,6 @@ func (db *DB) NewMemo() *Memo[ASN] { return db.table.NewMemo() }
 
 // Get returns the AS metadata for an ASN, or nil.
 func (db *DB) Get(asn ASN) *AS { return db.byASN[asn] }
-
-// NumASes returns the number of registered ASes.
-func (db *DB) NumASes() int { return len(db.byASN) }
-
-// ASNs returns all registered ASNs in ascending order.
-func (db *DB) ASNs() []ASN {
-	out := make([]ASN, 0, len(db.byASN))
-	for asn := range db.byASN {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // RoutedPrefixes returns every routed prefix with its origin, in trie
 // order. CAIDA-style routed /48 probing iterates exactly this list.

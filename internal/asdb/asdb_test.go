@@ -165,8 +165,8 @@ func TestDBBasics(t *testing.T) {
 	if db.Lookup(addr.MustParse("2a00::1")) != nil {
 		t.Error("unrouted address should return nil")
 	}
-	if db.NumASes() != 1 {
-		t.Errorf("NumASes: got %d", db.NumASes())
+	if len(db.byASN) != 1 {
+		t.Errorf("registered ASes: got %d", len(db.byASN))
 	}
 }
 
@@ -199,38 +199,6 @@ func TestDBMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-}
-
-func TestDBAnnounce(t *testing.T) {
-	db := NewDB()
-	if err := db.Announce(64512, addr.MustParsePrefix("2001:db8::/32")); err == nil {
-		t.Error("Announce for unknown ASN should error")
-	}
-	if err := db.AddAS(AS{ASN: 64512, Name: "Test"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Announce(64512, addr.MustParsePrefix("2001:db8::/32")); err != nil {
-		t.Fatal(err)
-	}
-	if asn, ok := db.OriginASN(addr.MustParse("2001:db8::1")); !ok || asn != 64512 {
-		t.Errorf("after Announce: got %d/%v", asn, ok)
-	}
-	if got := len(db.Get(64512).Prefixes); got != 1 {
-		t.Errorf("prefix recorded: got %d", got)
-	}
-}
-
-func TestDBASNsSorted(t *testing.T) {
-	db := NewDB()
-	for _, asn := range []ASN{300, 100, 200} {
-		if err := db.AddAS(AS{ASN: asn}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := db.ASNs()
-	if len(got) != 3 || got[0] != 100 || got[1] != 200 || got[2] != 300 {
-		t.Errorf("ASNs: got %v", got)
 	}
 }
 

@@ -92,9 +92,6 @@ func NewTrie[V any]() *Trie[V] {
 	return &Trie[V]{routes: make(map[addr.Prefix]V)}
 }
 
-// Len returns the number of inserted prefixes.
-func (t *Trie[V]) Len() int { return len(t.routes) }
-
 // Insert adds or replaces the value for a prefix.
 func (t *Trie[V]) Insert(p addr.Prefix, v V) {
 	t.routes[p] = v
@@ -160,12 +157,6 @@ func (m *Memo[V]) Lookup(a addr.Addr) (V, bool) {
 	m.i = tab.find(x)
 	s := &tab.segs[m.i]
 	return s.val, s.found
-}
-
-// LookupPrefix returns the value stored for exactly p, if present.
-func (t *Trie[V]) LookupPrefix(p addr.Prefix) (V, bool) {
-	v, ok := t.routes[p]
-	return v, ok
 }
 
 // Walk visits every stored (prefix, value) pair in lexicographic bit

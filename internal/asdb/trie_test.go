@@ -310,3 +310,12 @@ func TestTrieConcurrentFirstLookup(t *testing.T) {
 		insert(addr.MustParsePrefix("::/0"), 1000+round)
 	}
 }
+
+// Len returns the number of inserted prefixes.
+func (t *Trie[V]) Len() int { return len(t.routes) }
+
+// LookupPrefix returns the value stored for exactly p, if present.
+func (t *Trie[V]) LookupPrefix(p addr.Prefix) (V, bool) {
+	v, ok := t.routes[p]
+	return v, ok
+}

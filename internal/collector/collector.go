@@ -502,6 +502,8 @@ func (t *IIDTable) allocPromoted(iid addr.IID, first, last int64, count uint32) 
 
 // Observe records one sighting of a at time t from the given vantage
 // server index (0-based; indexes >= MaxServers saturate onto the top bit).
+//
+//lint:api the time.Time form the tests of every corpus reader write sightings with
 func (c *Collector) Observe(a addr.Addr, t time.Time, server int) {
 	c.ObserveUnix(a, t.Unix(), server)
 }
@@ -647,12 +649,6 @@ func (v IIDView) Lifetime() time.Duration {
 	return time.Duration(l-f) * time.Second
 }
 
-// Tracked reports whether per-/64 spans are kept (EUI-64 IIDs only).
-func (v IIDView) Tracked() bool {
-	r := v.promoted()
-	return r != nil && r.spans != spanNone
-}
-
 // NumP64s returns the number of distinct /64s the IID appeared in
 // (0 for untracked IIDs). O(1): the count is kept as the table is built.
 func (v IIDView) NumP64s() int {
@@ -678,32 +674,6 @@ func (v IIDView) P64s(fn func(p addr.Prefix64, sp Span) bool) {
 	}
 }
 
-// Span returns the sighting window of the IID inside one /64.
-func (v IIDView) Span(p addr.Prefix64) (Span, bool) {
-	r := v.promoted()
-	if r == nil {
-		return Span{}, false
-	}
-	for i := r.spans; i != spanNone; {
-		n := v.t.spans.at(i)
-		if n.p64 == p {
-			return Span{First: n.first, Last: n.last}, true
-		}
-		i = n.next
-	}
-	return Span{}, false
-}
-
-// GetIID returns a view of the record for an IID; ok is false when the
-// IID was never observed.
-func (t *IIDTable) GetIID(iid addr.IID) (IIDView, bool) {
-	ref, _, ok := t.findIID(iid, mix64(uint64(iid)))
-	if !ok {
-		return IIDView{}, false
-	}
-	return IIDView{t: t, ref: ref}, true
-}
-
 // Addrs iterates every (address, record) pair in slab (insertion) order;
 // the callback returning false stops early. Records are handed out by
 // value. The order is not part of the contract — use AddrsCanonical for
@@ -723,17 +693,6 @@ func (c *Collector) Addrs(fn func(a addr.Addr, r AddrRecord) bool) {
 // "sorted corpus".
 func (c *Collector) AddrsCanonical(fn func(a addr.Addr, r AddrRecord) bool) {
 	c.CanonicalOrder()(fn)
-}
-
-// IIDs iterates every (IID, view) pair in unspecified order.
-func (t *IIDTable) IIDs(fn func(iid addr.IID, r IIDView) bool) {
-	t.IIDSlotsRange(0, len(t.iidIdx), fn)
-}
-
-// EUI64IIDs iterates only EUI-64 IIDs (those with /64 tracking). EUI-64
-// IIDs are always promoted, so this walks the promoted slab directly.
-func (t *IIDTable) EUI64IIDs(fn func(iid addr.IID, r IIDView) bool) {
-	t.EUI64IIDsRange(0, int(t.iidRecs.n), fn)
 }
 
 // AddressList materializes all observed addresses; prefer Addrs for large

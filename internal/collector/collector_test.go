@@ -387,3 +387,46 @@ func ownedBytes(v reflect.Value) uint64 {
 	}
 	return 0
 }
+
+// Tracked reports whether per-/64 spans are kept (EUI-64 IIDs only).
+func (v IIDView) Tracked() bool {
+	r := v.promoted()
+	return r != nil && r.spans != spanNone
+}
+
+// Span returns the sighting window of the IID inside one /64.
+func (v IIDView) Span(p addr.Prefix64) (Span, bool) {
+	r := v.promoted()
+	if r == nil {
+		return Span{}, false
+	}
+	for i := r.spans; i != spanNone; {
+		n := v.t.spans.at(i)
+		if n.p64 == p {
+			return Span{First: n.first, Last: n.last}, true
+		}
+		i = n.next
+	}
+	return Span{}, false
+}
+
+// GetIID returns a view of the record for an IID; ok is false when the
+// IID was never observed.
+func (t *IIDTable) GetIID(iid addr.IID) (IIDView, bool) {
+	ref, _, ok := t.findIID(iid, mix64(uint64(iid)))
+	if !ok {
+		return IIDView{}, false
+	}
+	return IIDView{t: t, ref: ref}, true
+}
+
+// IIDs iterates every (IID, view) pair in unspecified order.
+func (t *IIDTable) IIDs(fn func(iid addr.IID, r IIDView) bool) {
+	t.IIDSlotsRange(0, len(t.iidIdx), fn)
+}
+
+// EUI64IIDs iterates only EUI-64 IIDs (those with /64 tracking). EUI-64
+// IIDs are always promoted, so this walks the promoted slab directly.
+func (t *IIDTable) EUI64IIDs(fn func(iid addr.IID, r IIDView) bool) {
+	t.EUI64IIDsRange(0, int(t.iidRecs.n), fn)
+}

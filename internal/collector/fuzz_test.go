@@ -117,7 +117,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	tiny := New()
 	tiny.ObserveUnix(addr.MustParse("2001:db8::1"), 1650000000, 1)
-	tiny.ObserveUnix(addr.EUI64Addr(addr.MustParse("2001:db8:5::").P64(), addr.MAC{1, 2, 3, 4, 5, 6}), 1650000500, 2)
+	tiny.ObserveUnix(addr.FromParts(addr.MustParse("2001:db8:5::").Hi(), uint64(addr.EUI64FromMAC(addr.MAC{1, 2, 3, 4, 5, 6}))), 1650000500, 2)
 	var tinyBuf bytes.Buffer
 	if err := tiny.Snapshot(&tinyBuf); err == nil {
 		f.Add(tinyBuf.Bytes())

@@ -41,8 +41,7 @@ func (t *IIDTable) NumIIDSlots() int { return len(t.iidIdx) }
 
 // IIDSlotsRange iterates the (IID, view) pairs whose index-table slots
 // fall in [lo, hi), in slot order; the callback returning false stops.
-// Covering [0, NumIIDSlots()) visits exactly what IIDs does, in the same
-// order.
+// Covering [0, NumIIDSlots()) visits every IID.
 func (t *IIDTable) IIDSlotsRange(lo, hi int, fn func(iid addr.IID, r IIDView) bool) {
 	if lo < 0 {
 		lo = 0

@@ -50,18 +50,6 @@ func FromASDB(db *asdb.DB) *DB {
 	return g
 }
 
-// CountryCounts tallies addresses per country, for the paper's §3 vantage
-// point discussion (top countries: IN, CN, US, BR, ID with 76% combined).
-func (db *DB) CountryCounts(addrs []addr.Addr) map[string]int {
-	out := make(map[string]int)
-	for _, a := range addrs {
-		if c := db.Country(a); c != "" {
-			out[c]++
-		}
-	}
-	return out
-}
-
 // TopCountries returns the n countries with the most addresses, descending,
 // ties broken alphabetically for determinism.
 func TopCountries(counts map[string]int, n int) []CountryCount {

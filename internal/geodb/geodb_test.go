@@ -85,3 +85,15 @@ func TestCountryCountsAndTop(t *testing.T) {
 		t.Errorf("tie break: %v", top2)
 	}
 }
+
+// CountryCounts tallies addresses per country, for the paper's §3 vantage
+// point discussion (top countries: IN, CN, US, BR, ID with 76% combined).
+func (db *DB) CountryCounts(addrs []addr.Addr) map[string]int {
+	out := make(map[string]int)
+	for _, a := range addrs {
+		if c := db.Country(a); c != "" {
+			out[c]++
+		}
+	}
+	return out
+}

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"hitlist6/internal/addr"
-	"hitlist6/internal/asdb"
 )
 
 // Dataset is a named set of IPv6 addresses with set algebra and the
@@ -58,13 +57,6 @@ func (d *Dataset) Add(a addr.Addr) {
 	d.addrs = append(d.addrs, a)
 }
 
-// AddAll inserts every address of the slice.
-func (d *Dataset) AddAll(as []addr.Addr) {
-	for _, a := range as {
-		d.Add(a)
-	}
-}
-
 // seal sorts and deduplicates the slab in place. Reads call it before
 // touching the array; it is a no-op on an already canonical dataset.
 func (d *Dataset) seal() {
@@ -80,13 +72,6 @@ func (d *Dataset) seal() {
 	}
 	d.addrs = out
 	d.sealed = true
-}
-
-// Contains reports membership by binary search.
-func (d *Dataset) Contains(a addr.Addr) bool {
-	d.seal()
-	i := sort.Search(len(d.addrs), func(i int) bool { return !d.addrs[i].Less(a) })
-	return i < len(d.addrs) && d.addrs[i] == a
 }
 
 // Len returns the number of (distinct) addresses.
@@ -218,38 +203,6 @@ func CommonP48s(a, b *Dataset) int {
 		}
 	}
 	return n
-}
-
-// asnSet collects the distinct origin ASNs of a dataset.
-func asnSet(d *Dataset, db *asdb.DB) map[asdb.ASN]struct{} {
-	out := make(map[asdb.ASN]struct{})
-	for _, a := range d.View() {
-		if asn, ok := db.OriginASN(a); ok {
-			out[asn] = struct{}{}
-		}
-	}
-	return out
-}
-
-// ComputeStats derives a dataset's aggregate row. reference may be nil.
-func ComputeStats(d *Dataset, db *asdb.DB, reference *Dataset) Stats {
-	st := Stats{Name: d.Name, Addrs: d.Len(), P48s: d.CountP48s()}
-	asns := asnSet(d, db)
-	st.ASNs = len(asns)
-	if st.P48s > 0 {
-		st.AvgPer48 = float64(st.Addrs) / float64(st.P48s)
-	}
-	if reference != nil {
-		st.CommonAddrs = IntersectionSize(d, reference)
-		st.CommonP48s = CommonP48s(d, reference)
-		//lint:ordered counting set-intersection size is commutative; no order reaches the output
-		for asn := range asnSet(reference, db) {
-			if _, ok := asns[asn]; ok {
-				st.CommonASNs++
-			}
-		}
-	}
-	return st
 }
 
 // AliasList is the set of known aliased /64 prefixes a hitlist publishes

@@ -2,6 +2,7 @@ package hitlist
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hitlist6/internal/addr"
@@ -183,4 +184,18 @@ func TestDatasetSealing(t *testing.T) {
 	if !d.Contains(a1) {
 		t.Fatal("Addrs copy aliases the dataset slab")
 	}
+}
+
+// AddAll inserts every address of the slice.
+func (d *Dataset) AddAll(as []addr.Addr) {
+	for _, a := range as {
+		d.Add(a)
+	}
+}
+
+// Contains reports membership by binary search.
+func (d *Dataset) Contains(a addr.Addr) bool {
+	d.seal()
+	i := sort.Search(len(d.addrs), func(i int) bool { return !d.addrs[i].Less(a) })
+	return i < len(d.addrs) && d.addrs[i] == a
 }

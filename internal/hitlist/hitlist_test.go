@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hitlist6/internal/addr"
-	"hitlist6/internal/asdb"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/simnet"
 )
@@ -55,38 +54,6 @@ func TestIntersectionSize(t *testing.T) {
 	}
 	if got := IntersectionSize(a, NewDataset("empty")); got != 0 {
 		t.Errorf("empty intersection: %d", got)
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	db := asdb.NewDB()
-	if err := db.AddAS(asdb.AS{ASN: 100, Prefixes: []addr.Prefix{addr.MustParsePrefix("2001:db8::/32")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddAS(asdb.AS{ASN: 200, Prefixes: []addr.Prefix{addr.MustParsePrefix("2400::/24")}}); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDataset("d")
-	d.Add(addr.MustParse("2001:db8:1:1::1"))
-	d.Add(addr.MustParse("2001:db8:1:2::1")) // same /48 as above
-	d.Add(addr.MustParse("2400:0:1::1"))
-	ref := NewDataset("ref")
-	ref.Add(addr.MustParse("2001:db8:1:1::1")) // shares addr, ASN, /48
-
-	st := ComputeStats(d, db, ref)
-	if st.Addrs != 3 || st.ASNs != 2 || st.P48s != 2 {
-		t.Errorf("stats: %+v", st)
-	}
-	if st.AvgPer48 != 1.5 {
-		t.Errorf("avg per 48: %v", st.AvgPer48)
-	}
-	if st.CommonAddrs != 1 || st.CommonASNs != 1 || st.CommonP48s != 1 {
-		t.Errorf("common: %+v", st)
-	}
-	// No reference: commons zero.
-	st2 := ComputeStats(d, db, nil)
-	if st2.CommonAddrs != 0 || st2.CommonASNs != 0 {
-		t.Errorf("nil reference commons: %+v", st2)
 	}
 }
 

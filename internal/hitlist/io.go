@@ -145,30 +145,3 @@ func (l *AliasList) WriteTo(w io.Writer) (int64, error) {
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
 }
-
-// ReadAliasList parses the textual alias list format. Blank lines and
-// comments are skipped; entries must be /64 prefixes.
-func ReadAliasList(r io.Reader) (*AliasList, error) {
-	l := NewAliasList()
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		p, err := addr.ParsePrefix(line)
-		if err != nil {
-			return nil, fmt.Errorf("hitlist: alias list line %d: %w", lineNo, err)
-		}
-		if p.Bits() != 64 {
-			return nil, fmt.Errorf("hitlist: alias list line %d: /%d prefix, want /64", lineNo, p.Bits())
-		}
-		l.Add(p.Addr().P64())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}

@@ -32,9 +32,8 @@ type Pipeline struct {
 	stageMu      sync.Mutex
 	mergedStages []Stage
 
-	metrics  Metrics
-	tel      pipelineTelemetry
-	registry *telemetry.Registry
+	metrics Metrics
+	tel     pipelineTelemetry
 
 	workersWG sync.WaitGroup
 	mergerWG  sync.WaitGroup
@@ -116,11 +115,11 @@ func New(cfg Config) (*Pipeline, error) {
 			stages: newStages(cfg.Stages),
 		}
 	}
-	p.registry = cfg.Registry
-	if p.registry == nil {
-		p.registry = telemetry.NewRegistry()
+	reg := cfg.Registry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
-	p.initTelemetry(p.registry)
+	p.initTelemetry(reg)
 	for _, s := range p.shards {
 		p.workersWG.Add(1)
 		go p.runShard(s)
@@ -137,11 +136,6 @@ func New(cfg Config) (*Pipeline, error) {
 // Store returns the live merged view. It is empty until the first
 // snapshot lands (SnapshotInterval, SnapshotNow, or Close).
 func (p *Pipeline) Store() *collector.Store { return p.store }
-
-// Registry returns the telemetry registry the pipeline's metrics live
-// in: Config.Registry when one was supplied, else the pipeline's
-// private registry.
-func (p *Pipeline) Registry() *telemetry.Registry { return p.registry }
 
 // NumShards returns the shard count in effect.
 func (p *Pipeline) NumShards() int { return len(p.shards) }

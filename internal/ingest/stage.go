@@ -103,18 +103,17 @@ func (s *HLLStage) Merge(other Stage) {
 
 // OutageSeriesStage bins sightings into per-AS fixed-width time bins:
 // outage.BuildSeries as an enrichment stage, so the passive outage
-// detector consumes the same single ingest pass as every other analysis
-// instead of replaying the world. Per-AS bin counts commute across
+// detector consumes an ingest pass instead of replaying the world. Per-AS bin counts commute across
 // addresses — exactly like the collector's per-address records — so
 // shard instances merge by element-wise addition and the merged series
 // is independent of the shard count.
 //
 // The stage runs in one of two modes. Window mode (OutageSeries) fixes
 // [origin, end] up front and reproduces outage.BuildSeries over that
-// window exactly. Live mode (OutageSeriesLive) has no window: bin 0
-// anchors to the first event seen, aligned down to a bin boundary, and
-// the series grows with the stream — the rolling shape a serving daemon
-// detects over.
+// window exactly; the scenario matrix runs it. Live mode
+// (OutageSeriesLive) has no window: bin 0 anchors to the first event
+// seen, aligned down to a bin boundary, and the series grows with the
+// stream — the rolling shape ingestd's /outages detects over.
 type OutageSeriesStage struct {
 	binSec int64
 	// origin is the Unix second of bin 0; anchored reports whether it
@@ -149,7 +148,8 @@ func outageBinSeconds(bin time.Duration) int64 {
 // OutageSeries returns a window-mode OutageSeriesStage factory over
 // [origin, end] with the given bin width, resolving origin ASes against
 // db. The merged series equals outage.BuildSeries(w, bin) for the same
-// window and query stream.
+// window and query stream. It stays beside OutageSeriesLive because a
+// bounded stream knows its last complete bin and a live series cannot.
 func OutageSeries(db *asdb.DB, origin, end time.Time, bin time.Duration) StageFactory {
 	binSec := outageBinSeconds(bin)
 	bins := int(end.Sub(origin)/bin) + 1

@@ -2,10 +2,11 @@
 // analyzers that encode the properties this codebase's correctness
 // rests on — byte-identical output at any shard/worker count
 // (mapiter), a GC-invisible pointer-free corpus (noptrslab), the
-// crash-safe checkpoint protocol (syncdurable), and the telemetry
-// naming/registration discipline (telemetryreg) — so violations are
-// caught at review time instead of by the equivalence tests after the
-// fact. cmd/repolint runs the suite over the whole module and blocks CI.
+// crash-safe checkpoint protocol (syncdurable), the telemetry
+// naming/registration discipline (telemetryreg), and product code that
+// something outside tests runs (deadsym) — so violations are caught at
+// review time instead of by the equivalence tests after the fact.
+// cmd/repolint runs the suite over the whole module and blocks CI.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer/Pass/Diagnostic, analysistest-style "want"
@@ -24,10 +25,12 @@
 //	//lint:NAME justification text
 //
 // The justification is mandatory: a bare directive is itself a
-// diagnostic. The directives in use are //lint:ordered (mapiter) and
-// //lint:durable (syncdurable); //lint:slab (noptrslab) and the
-// file-scope markers //lint:deterministic and //lint:durable-path are
-// opt-in annotations, not suppressions, and take no justification.
+// diagnostic. The directives in use are //lint:ordered (mapiter),
+// //lint:durable (syncdurable) and //lint:api (deadsym: deliberate
+// surface tests drive, also above a package clause); //lint:slab
+// (noptrslab) and the file-scope markers //lint:deterministic and
+// //lint:durable-path are opt-in annotations, not suppressions, and
+// take no justification.
 package lint
 
 import (
@@ -59,7 +62,7 @@ type Analyzer struct {
 // All returns a fresh instance of every analyzer in the suite, in
 // stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter(), NoPtrSlab(), SyncDurable(), TelemetryReg()}
+	return []*Analyzer{MapIter(), NoPtrSlab(), SyncDurable(), TelemetryReg(), DeadSym()}
 }
 
 // Diagnostic is one finding.

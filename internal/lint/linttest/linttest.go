@@ -14,9 +14,13 @@
 // missing justification — the want rides a block comment before it:
 //
 //	/* want `requires a justification` */ //lint:ordered
+//
+//lint:api the analyzers' shared test driver
 package linttest
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -36,10 +40,18 @@ type expectation struct {
 // Run loads the package at pattern (relative to the test's working
 // directory, e.g. "./testdata/src/mapiter") and verifies analyzer's
 // findings against its want comments. The analyzer value must be
-// fresh — analyzers accumulate cross-package state.
+// fresh — analyzers accumulate cross-package state. A pattern naming a
+// directory with its own go.mod is a fixture module, loaded whole: the
+// form whole-program analyzers (deadsym) need.
+//
+//lint:api the analyzers' shared test driver
 func Run(t *testing.T, analyzer *lint.Analyzer, pattern string) {
 	t.Helper()
-	pkgs, err := lint.Load(".", pattern)
+	dir := "."
+	if _, err := os.Stat(filepath.Join(pattern, "go.mod")); err == nil {
+		dir, pattern = pattern, "./..."
+	}
+	pkgs, err := lint.Load(dir, pattern)
 	if err != nil {
 		t.Fatalf("loading %s: %v", pattern, err)
 	}

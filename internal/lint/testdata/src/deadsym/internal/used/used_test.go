@@ -1,0 +1,10 @@
+package used
+
+import "testing"
+
+func TestTestOnly(t *testing.T) {
+	if TestOnly() != 2 {
+		t.Fatal("TestOnly")
+	}
+	Helper()
+}

@@ -273,3 +273,10 @@ func within(a, b time.Time, eps time.Duration) bool {
 	d := a.Sub(b)
 	return d >= -eps && d <= eps
 }
+
+// Duration converts NTP short format to a duration.
+func (s Short) Duration() time.Duration {
+	secs := time.Duration(s>>16) * time.Second
+	frac := time.Duration(uint64(s&0xffff) * uint64(time.Second) >> 16)
+	return secs + frac
+}

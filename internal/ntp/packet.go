@@ -22,8 +22,6 @@ type LeapIndicator uint8
 // Leap indicator values (RFC 5905 §7.3).
 const (
 	LeapNone      LeapIndicator = 0
-	LeapAddSecond LeapIndicator = 1
-	LeapDelSecond LeapIndicator = 2
 	LeapNotInSync LeapIndicator = 3
 )
 
@@ -32,7 +30,6 @@ type Mode uint8
 
 // Association modes (RFC 5905 §7.3).
 const (
-	ModeReserved   Mode = 0
 	ModeSymActive  Mode = 1
 	ModeSymPassive Mode = 2
 	ModeClient     Mode = 3
@@ -108,13 +105,6 @@ func ShortFromDuration(d time.Duration) Short {
 	}
 	frac := uint64(d%time.Second) * (1 << 16) / uint64(time.Second)
 	return Short(uint64(secs)<<16 | frac)
-}
-
-// Duration converts NTP short format to a duration.
-func (s Short) Duration() time.Duration {
-	secs := time.Duration(s>>16) * time.Second
-	frac := time.Duration(uint64(s&0xffff) * uint64(time.Second) >> 16)
-	return secs + frac
 }
 
 // Packet is one NTP packet in decoded form. Field names follow RFC 5905.

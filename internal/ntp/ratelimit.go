@@ -72,13 +72,6 @@ func (rl *RateLimiter) evictStalest() {
 	}
 }
 
-// Tracked returns the number of sources currently tracked.
-func (rl *RateLimiter) Tracked() int {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return len(rl.last)
-}
-
 // KoDRate is the refid of a rate-limiting kiss-o'-death packet ("RATE").
 const KoDRate uint32 = 0x52415445
 
@@ -94,17 +87,4 @@ func NewKissOfDeath(req *Packet) Packet {
 		ReferenceID: KoDRate,
 		OriginTime:  req.TransmitTime,
 	}
-}
-
-// IsKissOfDeath reports whether a response is a kiss-o'-death and, if
-// so, its code (e.g. "RATE").
-func IsKissOfDeath(p *Packet) (code string, ok bool) {
-	if p.Stratum != 0 || p.Mode != ModeServer {
-		return "", false
-	}
-	b := []byte{
-		byte(p.ReferenceID >> 24), byte(p.ReferenceID >> 16),
-		byte(p.ReferenceID >> 8), byte(p.ReferenceID),
-	}
-	return string(b), true
 }

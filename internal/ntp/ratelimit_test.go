@@ -120,3 +120,26 @@ func TestServerRateLimitEndToEnd(t *testing.T) {
 		t.Fatalf("post-interval query: %v", err)
 	}
 }
+
+// Tracked returns the number of sources currently tracked.
+func (rl *RateLimiter) Tracked() int {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	return len(rl.last)
+}
+
+// IsKissOfDeath reports whether a response is a kiss-o'-death and, if
+// so, its code (e.g. "RATE").
+func IsKissOfDeath(p *Packet) (code string, ok bool) {
+	if p.Stratum != 0 || p.Mode != ModeServer {
+		return "", false
+	}
+	b := []byte{
+		byte(p.ReferenceID >> 24), byte(p.ReferenceID >> 16),
+		byte(p.ReferenceID >> 8), byte(p.ReferenceID),
+	}
+	return string(b), true
+}
+
+// KissOfDeaths returns how many rate-limit KoD responses were sent.
+func (s *Server) KissOfDeaths() uint64 { return s.kods.Load() }

@@ -87,9 +87,6 @@ func (s *Server) Stats() (requests, replies, dropped uint64) {
 	return s.requests.Load(), s.replies.Load(), s.dropped.Load()
 }
 
-// KissOfDeaths returns how many rate-limit KoD responses were sent.
-func (s *Server) KissOfDeaths() uint64 { return s.kods.Load() }
-
 // Close stops the server and waits for the serve loop to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()

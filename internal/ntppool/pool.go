@@ -104,9 +104,6 @@ func New(vantages []Vantage) (*Pool, error) {
 	return p, nil
 }
 
-// Vantages returns the pool's servers.
-func (p *Pool) Vantages() []Vantage { return p.vantages }
-
 // Select returns the vantage a client from the given country is directed
 // to. Selection follows the pool's geo DNS behaviour: same-country servers
 // first, then same-continent, then the global pool, rotating round-robin

@@ -106,7 +106,7 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 	}
 	serial := collector.New()
 	Run(w, p, serial, nil, time.Time{})
-	want := tracking.Analyze(serial.IIDTable(), w.ASDB, w.Geo, w.OUI)
+	want := tracking.AnalyzeWorkers(serial.IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
 	if len(want.MACs) == 0 {
 		t.Fatal("serial replay produced no EUI-64 MACs; the equivalence would be vacuous")
 	}
@@ -134,14 +134,14 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 		}
 		var live *tracking.Analysis
 		pipe.Store().View(func(c *collector.Collector) {
-			live = tracking.Analyze(c.IIDTable(), w.ASDB, w.Geo, w.OUI)
+			live = tracking.AnalyzeWorkers(c.IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
 		})
 		if !reflect.DeepEqual(want, live) {
 			t.Errorf("shards=%d: live store analysis differs from serial replay", shards)
 		}
 
 		// Closed read: the detached corpus must agree too.
-		closed := tracking.Analyze(pipe.Close().IIDTable(), w.ASDB, w.Geo, w.OUI)
+		closed := tracking.AnalyzeWorkers(pipe.Close().IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
 		if !reflect.DeepEqual(want, closed) {
 			t.Errorf("shards=%d: closed-corpus analysis differs from serial replay", shards)
 		}

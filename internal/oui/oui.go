@@ -158,26 +158,6 @@ func (r *Registry) Lookup(o addr.OUI) string {
 // LookupMAC resolves a MAC's vendor via its OUI.
 func (r *Registry) LookupMAC(m addr.MAC) string { return r.Lookup(m.OUI()) }
 
-// Vendors returns the registered vendor names, sorted.
-func (r *Registry) Vendors() []string {
-	out := make([]string, 0, len(r.byVendor))
-	for name := range r.byVendor {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// VendorOUIs returns the OUIs assigned to a vendor (nil if unknown).
-func (r *Registry) VendorOUIs(name string) []addr.OUI {
-	return r.byVendor[name]
-}
-
-// Phantoms returns the in-use but unregistered OUIs.
-func (r *Registry) Phantoms() []addr.OUI {
-	return append([]addr.OUI(nil), r.phantoms...)
-}
-
 // MintMAC draws a vendor-realistic MAC: a uniformly random NIC suffix under
 // one of the vendor's OUIs.
 func (r *Registry) MintMAC(rng *rand.Rand, vendor string) (addr.MAC, error) {
@@ -198,14 +178,4 @@ func (r *Registry) MintPhantomMAC(rng *rand.Rand) addr.MAC {
 func macUnder(rng *rand.Rand, o addr.OUI) addr.MAC {
 	s := uint32(rng.Int63n(1 << 24))
 	return addr.MAC{o[0], o[1], o[2], byte(s >> 16), byte(s >> 8), byte(s)}
-}
-
-// Table2VendorNames returns the nine listed manufacturers the paper's
-// Table 2 reports, in paper order, for the experiment harness.
-func Table2VendorNames() []string {
-	names := make([]string, 0, 9)
-	for _, v := range table2Vendors[:9] {
-		names = append(names, v.Name)
-	}
-	return names
 }

@@ -3,6 +3,7 @@ package oui
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hitlist6/internal/addr"
@@ -64,7 +65,7 @@ func TestMintPhantomMAC(t *testing.T) {
 		if got := r.LookupMAC(m); got != Unlisted {
 			t.Fatalf("phantom MAC %v resolved to %q", m, got)
 		}
-		if m.IsLocal() || m.IsMulticast() {
+		if m[0]&0x03 != 0 { // locally administered or group bit
 			t.Fatalf("phantom MAC %v has local/multicast bits", m)
 		}
 	}
@@ -135,4 +136,34 @@ func parseMAC(t *testing.T, s string) addr.MAC {
 		t.Fatalf("bad MAC literal %q: %v", s, err)
 	}
 	return m
+}
+
+// Vendors returns the registered vendor names, sorted.
+func (r *Registry) Vendors() []string {
+	out := make([]string, 0, len(r.byVendor))
+	for name := range r.byVendor {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// VendorOUIs returns the OUIs assigned to a vendor (nil if unknown).
+func (r *Registry) VendorOUIs(name string) []addr.OUI {
+	return r.byVendor[name]
+}
+
+// Phantoms returns the in-use but unregistered OUIs.
+func (r *Registry) Phantoms() []addr.OUI {
+	return append([]addr.OUI(nil), r.phantoms...)
+}
+
+// Table2VendorNames returns the nine listed manufacturers the paper's
+// Table 2 reports, in paper order, for the experiment harness.
+func Table2VendorNames() []string {
+	names := make([]string, 0, 9)
+	for _, v := range table2Vendors[:9] {
+		names = append(names, v.Name)
+	}
+	return names
 }

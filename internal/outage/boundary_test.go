@@ -1,6 +1,6 @@
 package outage_test
 
-// Boundary coverage for Rebin and Tail driven by the workload package's
+// Boundary coverage for Tail driven by the workload package's
 // outage-storm scenario: the engineered windows there end exactly on
 // bin edges (EndsOnBinEdge), include a single-bin blackout, and run
 // through the series tail, which is precisely the geometry where
@@ -90,84 +90,6 @@ func TestStormDetectBinEdgeAlignment(t *testing.T) {
 	}
 }
 
-// TestStormRebinMatchesBuildSeries: rebinning the fine recorded series
-// must reproduce BuildSeries at the coarser width bin-for-bin — the
-// contract that lets the ingest pipeline record once and detect at any
-// width. The storm windows sit exactly on 6h edges, so any rounding
-// error in the coarse index math shifts a dark bin and shows up here.
-func TestStormRebinMatchesBuildSeries(t *testing.T) {
-	w, _ := stormWorld(t)
-	fine, _ := stormSeries(t)
-
-	for _, coarse := range []time.Duration{12 * time.Hour, 24 * time.Hour} {
-		rebinned, err := outage.Rebin(fine, coarse)
-		if err != nil {
-			t.Fatalf("Rebin(%v): %v", coarse, err)
-		}
-		direct, err := outage.BuildSeries(w, coarse)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rebinned.Bins != direct.Bins || rebinned.Complete != direct.Complete ||
-			rebinned.Bin != direct.Bin || !rebinned.Origin.Equal(direct.Origin) {
-			t.Fatalf("Rebin(%v) shape {bins %d complete %d} != BuildSeries {bins %d complete %d}",
-				coarse, rebinned.Bins, rebinned.Complete, direct.Bins, direct.Complete)
-		}
-		if len(rebinned.ByAS) != len(direct.ByAS) {
-			t.Fatalf("Rebin(%v) has %d ASes, BuildSeries %d", coarse, len(rebinned.ByAS), len(direct.ByAS))
-		}
-		for asn, want := range direct.ByAS {
-			got := rebinned.ByAS[asn]
-			if len(got) != len(want) {
-				t.Fatalf("AS%d: rebinned %d bins, direct %d", asn, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("AS%d bin %d: rebinned %d, direct %d", asn, i, got[i], want[i])
-				}
-			}
-		}
-	}
-
-	// A width that is not a multiple of the recorded resolution must be
-	// refused, not silently rounded.
-	if _, err := outage.Rebin(fine, 9*time.Hour); err == nil {
-		t.Error("Rebin to a non-multiple width succeeded")
-	}
-	if _, err := outage.Rebin(fine, 0); err == nil {
-		t.Error("Rebin to zero width succeeded")
-	}
-	// k == 1 is a copy, not an alias.
-	same, err := outage.Rebin(fine, fine.Bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same == fine {
-		t.Error("Rebin at the recorded width returned the input series itself")
-	}
-}
-
-// TestStormRebinToSingleBin collapses the whole study into one complete
-// bin: the degenerate series no detector threshold can act on (MinBins
-// can never be met), which must come out shaped right, not panic.
-func TestStormRebinToSingleBin(t *testing.T) {
-	fine, _ := stormSeries(t)
-	whole := time.Duration(fine.Complete) * fine.Bin
-	s, err := outage.Rebin(fine, whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Complete != 1 {
-		t.Fatalf("single-bin rebin: Complete = %d, want 1", s.Complete)
-	}
-	if s.Bins < 1 || s.Bins > 2 {
-		t.Fatalf("single-bin rebin: Bins = %d, want 1 or 2 (trailing partial)", s.Bins)
-	}
-	if events := outage.Detect(s, outage.DefaultConfig()); len(events) != 0 {
-		t.Fatalf("single-bin series produced events: %v", events)
-	}
-}
-
 // TestStormTailWindow: Tail must slide the origin by whole bins, keep
 // the engineered tail-window outage detectable inside the rolling
 // window, and forget the earlier ones — with counts shared, not copied.
@@ -222,8 +144,8 @@ func TestStormTailWindow(t *testing.T) {
 // TestStormAllSilentAS: an AS that is present but never queries (all
 // bins zero — the shape of an AS known to the AS DB whose clients all
 // sit behind a firewall). It must be skipped by Detect's MinMedian
-// guard rather than reported as one long outage, and survive
-// Rebin/Tail with the right shapes. A short row (an AS first seen near
+// guard rather than reported as one long outage, and survive Tail
+// with the right shape. A short row (an AS first seen near
 // the end, recorded with fewer bins) exercises Tail's len<=drop guard.
 func TestStormAllSilentAS(t *testing.T) {
 	base, _ := stormSeries(t)
@@ -244,19 +166,6 @@ func TestStormAllSilentAS(t *testing.T) {
 		if e.ASN == silentASN || e.ASN == shortASN {
 			t.Fatalf("silent/short AS reported as an outage: %v", e)
 		}
-	}
-
-	reb, err := outage.Rebin(s, 2*s.Bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range reb.ByAS[silentASN] {
-		if n != 0 {
-			t.Fatal("rebinned all-silent AS grew counts from nowhere")
-		}
-	}
-	if len(reb.ByAS[silentASN]) != reb.Bins {
-		t.Fatalf("rebinned silent AS has %d bins, series has %d", len(reb.ByAS[silentASN]), reb.Bins)
 	}
 
 	tail := s.Tail(4)

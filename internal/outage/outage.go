@@ -32,6 +32,8 @@ type Series struct {
 }
 
 // BuildSeries replays the world's NTP queries into per-AS time bins.
+//
+//lint:api the reference replay the ingest stage's window series is held to
 func BuildSeries(w *simnet.World, bin time.Duration) (*Series, error) {
 	if bin <= 0 {
 		return nil, fmt.Errorf("outage: bin must be positive")
@@ -64,48 +66,6 @@ func BuildSeries(w *simnet.World, bin time.Duration) (*Series, error) {
 		counts[idx]++
 	})
 	return s, nil
-}
-
-// Rebin aggregates a series into coarser bins; bin must be a positive
-// multiple of s.Bin. Because both resolutions bin from the same origin,
-// floor(t/(k·b)) == floor(floor(t/b)/k), so rebinning the fine series
-// recorded by the ingest pipeline's outage stage reproduces BuildSeries
-// at the coarser width exactly — one recorded pass serves any detection
-// bin width. The input series is not modified.
-func Rebin(s *Series, bin time.Duration) (*Series, error) {
-	if bin <= 0 {
-		return nil, fmt.Errorf("outage: bin must be positive")
-	}
-	if s.Bin <= 0 || bin%s.Bin != 0 {
-		return nil, fmt.Errorf("outage: bin %v is not a multiple of the recorded resolution %v", bin, s.Bin)
-	}
-	k := int(bin / s.Bin)
-	if k == 1 {
-		out := *s
-		return &out, nil
-	}
-	out := &Series{
-		Origin:   s.Origin,
-		Bin:      bin,
-		Complete: s.Complete / k,
-		ByAS:     make(map[asdb.ASN][]int, len(s.ByAS)),
-	}
-	if s.Bins > 0 {
-		out.Bins = (s.Bins-1)/k + 1
-	}
-	//lint:ordered per-AS rebinning is independent per key; the output is a map
-	for asn, counts := range s.ByAS {
-		coarse := make([]int, out.Bins)
-		for i, n := range counts {
-			idx := i / k
-			if idx >= len(coarse) {
-				break
-			}
-			coarse[idx] += n
-		}
-		out.ByAS[asn] = coarse
-	}
-	return out, nil
 }
 
 // Tail restricts the series to its last n complete bins (plus any
@@ -230,12 +190,6 @@ func median(counts []int) float64 {
 		return float64(sorted[n/2])
 	}
 	return float64(sorted[n/2-1]+sorted[n/2]) / 2
-}
-
-// Overlaps reports whether the event overlaps [from, to): the ground
-// truth comparison helper.
-func (e Event) Overlaps(from, to time.Time) bool {
-	return e.From.Before(to) && from.Before(e.To)
 }
 
 // String renders the event.

@@ -44,11 +44,10 @@ func TestOutageSilencesQueriesAndProbes(t *testing.T) {
 	// Devices in the AS are unreachable mid-outage, reachable after.
 	checked := false
 	for _, d := range w.Devices() {
-		if d.Firewalled() || d.ASNAt(mid) != 4134 {
+		if as := w.ASDB.Lookup(d.AddressAt(mid)); as == nil || as.ASN != 4134 {
 			continue
 		}
-		af, at := d.ActiveWindow()
-		if af.After(from) || at.Before(to.Add(24*time.Hour)) {
+		if !d.ActiveAt(from.Add(-time.Hour)) || !d.ActiveAt(to.Add(24*time.Hour)) {
 			continue // device window doesn't span the comparison times
 		}
 		if w.Probe(d.AddressAt(mid), mid).Responded {
@@ -192,75 +191,6 @@ func TestDetectIgnoresIncompleteTrailingBin(t *testing.T) {
 	}
 }
 
-func TestRebin(t *testing.T) {
-	base := &Series{
-		Origin: time.Date(2022, 1, 25, 0, 0, 0, 0, time.UTC),
-		Bin:    time.Hour, Bins: 8, Complete: 7,
-		ByAS: map[asdb.ASN][]int{
-			1: {1, 2, 3, 4, 5, 6, 7, 8},
-			2: {1, 0, 0, 0, 0, 0, 0, 0},
-		},
-	}
-	got, err := Rebin(base, 3*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Bins != 3 || got.Complete != 2 || got.Bin != 3*time.Hour {
-		t.Fatalf("rebinned shape: bins %d complete %d bin %v", got.Bins, got.Complete, got.Bin)
-	}
-	if want := []int{6, 15, 15}; !equalInts(got.ByAS[1], want) {
-		t.Errorf("AS1 bins %v, want %v", got.ByAS[1], want)
-	}
-	if want := []int{1, 0, 0}; !equalInts(got.ByAS[2], want) {
-		t.Errorf("AS2 bins %v, want %v", got.ByAS[2], want)
-	}
-	if same, err := Rebin(base, time.Hour); err != nil || same.Bins != base.Bins {
-		t.Errorf("identity rebin: %v %v", same, err)
-	}
-	if _, err := Rebin(base, 0); err == nil {
-		t.Error("zero bin should fail")
-	}
-	if _, err := Rebin(base, 90*time.Minute); err == nil {
-		t.Error("non-multiple bin should fail")
-	}
-}
-
-// TestRebinMatchesBuildSeries pins the single-pass contract: rebinning
-// a fine recorded series reproduces building the coarse series from the
-// raw stream directly.
-func TestRebinMatchesBuildSeries(t *testing.T) {
-	w, _, _ := outageWorld(t)
-	base, err := BuildSeries(w, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bin := range []time.Duration{time.Hour, 6 * time.Hour, 7 * time.Hour, 24 * time.Hour} {
-		direct, err := BuildSeries(w, bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebinned, err := Rebin(base, bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rebinned.Bins != direct.Bins || rebinned.Complete != direct.Complete {
-			t.Errorf("bin %v: shape (%d,%d) vs direct (%d,%d)",
-				bin, rebinned.Bins, rebinned.Complete, direct.Bins, direct.Complete)
-		}
-		if !rebinned.Origin.Equal(direct.Origin) {
-			t.Errorf("bin %v: origin %v vs %v", bin, rebinned.Origin, direct.Origin)
-		}
-		if len(rebinned.ByAS) != len(direct.ByAS) {
-			t.Fatalf("bin %v: %d ASes vs %d", bin, len(rebinned.ByAS), len(direct.ByAS))
-		}
-		for asn, want := range direct.ByAS {
-			if !equalInts(rebinned.ByAS[asn], want) {
-				t.Errorf("bin %v AS%d: %v vs %v", bin, asn, rebinned.ByAS[asn], want)
-			}
-		}
-	}
-}
-
 func TestSeriesTail(t *testing.T) {
 	s := &Series{
 		Origin: time.Date(2022, 1, 25, 0, 0, 0, 0, time.UTC),
@@ -313,4 +243,10 @@ func TestMedian(t *testing.T) {
 	if m := median([]int{1, 2, 3, 4}); m != 2.5 {
 		t.Errorf("even: %v", m)
 	}
+}
+
+// Overlaps reports whether the event overlaps [from, to): the ground
+// truth comparison helper.
+func (e Event) Overlaps(from, to time.Time) bool {
+	return e.From.Before(to) && from.Before(e.To)
 }

@@ -31,19 +31,9 @@ import (
 // its nibbles, and the name exists exactly when that run is non-empty.
 type Zone struct {
 	addrs []addr.Addr
-	dirty bool // addrs has had an Add since it was last sorted
+	dirty bool // addrs may be unsorted or hold repeats
 	// Queries counts lookups served, for cost accounting.
 	Queries uint64
-}
-
-// NewZone returns an empty zone.
-func NewZone() *Zone { return &Zone{} }
-
-// Add inserts a PTR record for an address; a repeat is coalesced when
-// the next Walk sorts the zone.
-func (z *Zone) Add(a addr.Addr) {
-	z.addrs = append(z.addrs, a)
-	z.dirty = true
 }
 
 // seal sorts and deduplicates the records after an Add, in place.

@@ -432,7 +432,7 @@ func TestBuildZoneFromWorld(t *testing.T) {
 		}
 	}
 	// A walk over one AS's routed prefix discovers only in-prefix names.
-	routed := w.ASDB.Get(w.ASDB.ASNs()[0]).Prefixes[0]
+	routed := w.ASDB.Lookup(w.Routers()[0]).Prefixes[0]
 	found := Walk(z, routed, 0)
 	for _, a := range found {
 		if !routed.Contains(a) {
@@ -501,4 +501,14 @@ func nibblesOf(a addr.Addr, n int) []int {
 		out[i] = nibbleAt(a, i)
 	}
 	return out
+}
+
+// NewZone returns an empty zone.
+func NewZone() *Zone { return &Zone{} }
+
+// Add inserts a PTR record for an address; a repeat is coalesced when
+// the next Walk sorts the zone.
+func (z *Zone) Add(a addr.Addr) {
+	z.addrs = append(z.addrs, a)
+	z.dirty = true
 }

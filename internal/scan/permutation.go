@@ -16,7 +16,7 @@ import (
 // construction: the multiplicative cyclic group of integers modulo a safe
 // prime p >= n+1. The iteration x -> x*g (mod p) visits every element of
 // [1, p) exactly once when g is a generator; values above n are skipped.
-// State is three words, so scans can be sharded and resumed — the property
+// State is three words, so scans can be resumed — the property
 // ZMap relies on for statelessness.
 type Permutation struct {
 	p, g  uint64 // safe prime modulus and group generator
@@ -48,9 +48,6 @@ func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
 	return &Permutation{p: p, g: g, n: n, first: first, cur: first}, nil
 }
 
-// N returns the domain size.
-func (pm *Permutation) N() uint64 { return pm.n }
-
 // Next returns the next element of the permutation, and false when the
 // full cycle has been visited.
 func (pm *Permutation) Next() (uint64, bool) {
@@ -74,74 +71,6 @@ func (pm *Permutation) Next() (uint64, bool) {
 			return 0, false
 		}
 	}
-}
-
-// Reset restarts the iteration from the beginning.
-func (pm *Permutation) Reset() {
-	pm.cur = pm.first
-	pm.done = false
-}
-
-// Shard is one of n interleaved sub-iterations of a permutation: shard i
-// visits the i-th, (i+n)-th, … elements of the cycle. This is ZMap's
-// sharding scheme — independent probe machines split one scan without
-// coordination, because x -> x*g^n (mod p) jumps n cycle steps at once.
-type Shard struct {
-	p, step uint64 // modulus and g^n
-	n       uint64
-	first   uint64
-	cur     uint64
-	done    bool
-	single  bool // degenerate n==1 domain
-	emitted uint64
-	total   uint64 // cycle positions this shard owns
-}
-
-// Shard carves shard i of n from the permutation. The receiver is not
-// modified. i must be in [0, n) and n >= 1.
-func (pm *Permutation) Shard(i, n uint64) (*Shard, error) {
-	if n == 0 || i >= n {
-		return nil, fmt.Errorf("scan: invalid shard %d of %d", i, n)
-	}
-	if pm.p == 0 { // domain of size 1
-		return &Shard{single: true, done: i != 0, n: pm.n}, nil
-	}
-	cycle := pm.p - 1 // cycle length
-	total := cycle / n
-	if i < cycle%n {
-		total++
-	}
-	// Start at first * g^i, then step by g^n.
-	start := mulmod(pm.first, powmod(pm.g, i, pm.p), pm.p)
-	return &Shard{
-		p:     pm.p,
-		step:  powmod(pm.g, n, pm.p),
-		n:     pm.n,
-		first: start,
-		cur:   start,
-		total: total,
-	}, nil
-}
-
-// Next returns the shard's next element; ok is false when exhausted.
-func (s *Shard) Next() (uint64, bool) {
-	if s.done {
-		return 0, false
-	}
-	if s.single {
-		s.done = true
-		return 0, true
-	}
-	for s.emitted < s.total {
-		v := s.cur
-		s.cur = mulmod(s.cur, s.step, s.p)
-		s.emitted++
-		if v-1 < s.n {
-			return v - 1, true
-		}
-	}
-	s.done = true
-	return 0, false
 }
 
 // mulmod computes a*b mod m without overflow using 128-bit arithmetic.

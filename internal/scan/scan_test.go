@@ -471,3 +471,20 @@ func TestBackscanVantageFiltering(t *testing.T) {
 		}
 	}
 }
+
+// Reset restarts the iteration from the beginning.
+func (pm *Permutation) Reset() {
+	pm.cur = pm.first
+	pm.done = false
+}
+
+// Responsive filters a result set down to the addresses that answered.
+func Responsive(results []PingResult) []addr.Addr {
+	var out []addr.Addr
+	for _, r := range results {
+		if r.Responded {
+			out = append(out, r.Target)
+		}
+	}
+	return out
+}

@@ -52,17 +52,6 @@ func (z *ZMap6) Scan(targets []addr.Addr, t time.Time) ([]PingResult, error) {
 	return out, nil
 }
 
-// Responsive filters a result set down to the addresses that answered.
-func Responsive(results []PingResult) []addr.Addr {
-	var out []addr.Addr
-	for _, r := range results {
-		if r.Responded {
-			out = append(out, r.Target)
-		}
-	}
-	return out
-}
-
 // Yarrp is the stateless randomized traceroute engine. It traces to each
 // target and records every responding intermediate hop — this is how
 // active campaigns discover core infrastructure the paper's Figure 1 shows

@@ -43,27 +43,8 @@ func (d *Device) MAC() (addr.MAC, bool) { return d.mac, d.hasMAC }
 
 func (d *Device) setMAC(m addr.MAC) { d.mac, d.hasMAC = m, true }
 
-// HomeSite returns the device's home attachment.
-func (d *Device) HomeSite() *Site { return d.site }
-
-// Roams reports whether the device splits time between home WiFi and a
-// cellular carrier.
-func (d *Device) Roams() bool { return d.cellSite != nil }
-
-// Firewalled reports whether the device drops unsolicited probes.
-func (d *Device) Firewalled() bool { return d.firewalled }
-
 // QueryRate returns the device's mean NTP queries/day.
 func (d *Device) QueryRate() float64 { return d.rate }
-
-// UsesPool reports whether the device synchronizes against the NTP Pool
-// (as opposed to a vendor time service).
-func (d *Device) UsesPool() bool { return d.usesPool }
-
-// ActiveWindow returns the interval during which the device is powered on.
-func (d *Device) ActiveWindow() (from, to time.Time) {
-	return d.activeFrom, d.activeTo
-}
 
 // ActiveAt reports whether the device is powered on and connected at t:
 // inside its activity window and not cut off by an AS-wide outage.
@@ -152,11 +133,6 @@ func (d *Device) iidFor(e uint64, p64 addr.Prefix64) addr.IID {
 func (d *Device) AddressAt(t time.Time) addr.Addr {
 	p64 := d.Prefix64At(t)
 	return addr.FromParts(uint64(p64), uint64(d.IIDAt(t, p64)))
-}
-
-// ASNAt returns the origin ASN of the device's address at time t.
-func (d *Device) ASNAt(t time.Time) uint32 {
-	return d.SiteAt(t).ASNAt(t)
 }
 
 // addrCursor walks one device's address schedule forward on offsets from

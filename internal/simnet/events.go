@@ -38,6 +38,8 @@ func (w *World) GenerateQueries(fn func(Query)) {
 // single-pass architecture amortizes: the study asserts one replay feeds
 // everything it reports — collection, outage detection, tracking and
 // the backscan campaign alike.
+//
+//lint:api tests across packages pin the one-replay contract with it
 func (w *World) Replays() uint64 { return w.replays.Load() }
 
 // generateDeviceQueries replays one device's queries, reseeding rnd

@@ -86,6 +86,8 @@ func (w *World) asFor(a addr.Addr) *asNet {
 
 // IsAliased reports whether the /64 is one of the world's aliased
 // prefixes (ground truth, used to validate alias detection).
+//
+//lint:api the ground truth the alias-detection tests score against
 func (w *World) IsAliased(p addr.Prefix64) bool {
 	n := w.asFor(p.Addr())
 	return n != nil && n.aliasSet[p]

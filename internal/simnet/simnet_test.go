@@ -528,3 +528,57 @@ func TestDefaultInternetSane(t *testing.T) {
 		}
 	}
 }
+
+// HomeSite returns the device's home attachment.
+func (d *Device) HomeSite() *Site { return d.site }
+
+// Roams reports whether the device splits time between home WiFi and a
+// cellular carrier.
+func (d *Device) Roams() bool { return d.cellSite != nil }
+
+// Firewalled reports whether the device drops unsolicited probes.
+func (d *Device) Firewalled() bool { return d.firewalled }
+
+// UsesPool reports whether the device synchronizes against the NTP Pool
+// (as opposed to a vendor time service).
+func (d *Device) UsesPool() bool { return d.usesPool }
+
+// ActiveWindow returns the interval during which the device is powered on.
+func (d *Device) ActiveWindow() (from, to time.Time) {
+	return d.activeFrom, d.activeTo
+}
+
+// ASNAt returns the origin ASN of the device's address at time t.
+func (d *Device) ASNAt(t time.Time) uint32 {
+	return d.SiteAt(t).ASNAt(t)
+}
+
+// Delegated returns the site's full delegated prefix at time t (/56 or
+// /64 depending on the serving AS).
+func (s *Site) Delegated(t time.Time, origin time.Time) addr.Prefix {
+	n, slot := s.slotAt(t, origin)
+	if s.aliased {
+		return s.alias64.Prefix()
+	}
+	hi := n.baseHi | slot<<n.slotShift
+	return addr.MustPrefix(addr.FromParts(hi, 0), n.cfg.DelegationBits)
+}
+
+// Config returns the configuration the world was built from.
+func (w *World) Config() Config { return w.cfg }
+
+// IIDLifetime returns the privacy-address regeneration interval.
+func (w *World) IIDLifetime() time.Duration { return w.cfg.IIDLifetime }
+
+// ASNAt returns the site's origin ASN at time t.
+func (s *Site) ASNAt(t time.Time) uint32 {
+	n, _ := s.asAt(t)
+	return uint32(n.cfg.ASN)
+}
+
+// slotAt returns the customer slot the site occupies at time t within the
+// AS serving it then.
+func (s *Site) slotAt(t time.Time, origin time.Time) (n *asNet, slot uint64) {
+	n, idx := s.asAt(t)
+	return n, n.slotFor(idx, epochOf(t, origin, n.cfg.RotationInterval))
+}

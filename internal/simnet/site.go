@@ -41,12 +41,6 @@ func (s *Site) asAt(t time.Time) (*asNet, int) {
 	return s.as, s.idx
 }
 
-// ASNAt returns the site's origin ASN at time t.
-func (s *Site) ASNAt(t time.Time) uint32 {
-	n, _ := s.asAt(t)
-	return uint32(n.cfg.ASN)
-}
-
 // affinePerm maps a slot index through the epoch-keyed permutation
 // slot = (a*idx + b) mod 2^k with a odd (hence invertible mod 2^k).
 func affinePerm(seed, epoch uint64, idx uint64, bits int) uint64 {
@@ -76,13 +70,6 @@ func (n *asNet) slotFor(idx int, e uint64) uint64 {
 	return affinePerm(n.seed, e, uint64(idx), n.permBits())
 }
 
-// slotAt returns the customer slot the site occupies at time t within the
-// AS serving it then.
-func (s *Site) slotAt(t time.Time, origin time.Time) (n *asNet, slot uint64) {
-	n, idx := s.asAt(t)
-	return n, n.slotFor(idx, epochOf(t, origin, n.cfg.RotationInterval))
-}
-
 // Subnet64 returns the /64 holding the given site subnet at time t.
 // For /64-delegation (mobile) sites the subnet argument must be 0.
 func (s *Site) Subnet64(t time.Time, origin time.Time, subnet byte) addr.Prefix64 {
@@ -103,17 +90,6 @@ func (s *Site) prefix64For(n *asNet, idx int, e uint64, subnet byte) addr.Prefix
 	return addr.Prefix64(hi)
 }
 
-// Delegated returns the site's full delegated prefix at time t (/56 or
-// /64 depending on the serving AS).
-func (s *Site) Delegated(t time.Time, origin time.Time) addr.Prefix {
-	n, slot := s.slotAt(t, origin)
-	if s.aliased {
-		return s.alias64.Prefix()
-	}
-	hi := n.baseHi | slot<<n.slotShift
-	return addr.MustPrefix(addr.FromParts(hi, 0), n.cfg.DelegationBits)
-}
-
 // Devices returns the site's client devices (excluding the CPE).
 func (s *Site) Devices() []*Device { return s.devices }
 
@@ -132,9 +108,10 @@ func (s *Site) JitterUV() (float64, float64) {
 // CPE returns the site's CPE device, nil for cellular attachments.
 func (s *Site) CPE() *Device { return s.cpe }
 
-// siteForSlot inverts slotAt: given a slot observed at time t, return the
-// site occupying it, or nil. The caller must then verify the full address
-// matches, since unoccupied slots alias to out-of-range site indices.
+// siteForSlot inverts the slot assignment: given a slot observed at
+// time t, return the site occupying it, or nil. The caller must then
+// verify the full address matches, since unoccupied slots alias to
+// out-of-range site indices.
 func (n *asNet) siteForSlot(t time.Time, origin time.Time, slot uint64) *Site {
 	e := epochOf(t, origin, n.cfg.RotationInterval)
 	if slot >= 1<<n.permBits() {

@@ -657,9 +657,6 @@ func (w *World) applyMACReuse(rng *rand.Rand) {
 	}
 }
 
-// Config returns the configuration the world was built from.
-func (w *World) Config() Config { return w.cfg }
-
 // Devices returns every device (phones, computers, IoT, servers, CPE).
 func (w *World) Devices() []*Device { return w.devices }
 
@@ -677,6 +674,8 @@ func (w *World) Routers() []addr.Addr {
 }
 
 // AliasedPrefixes returns every aliased /64.
+//
+//lint:api the ground truth the alias-detection tests score against
 func (w *World) AliasedPrefixes() []addr.Prefix64 {
 	var out []addr.Prefix64
 	for _, n := range w.ases {
@@ -684,6 +683,3 @@ func (w *World) AliasedPrefixes() []addr.Prefix64 {
 	}
 	return out
 }
-
-// IIDLifetime returns the privacy-address regeneration interval.
-func (w *World) IIDLifetime() time.Duration { return w.cfg.IIDLifetime }

@@ -88,7 +88,6 @@ func NormalizedEntropy(counts []int, alphabet int) float64 {
 // statistics. The zero value is an empty distribution.
 type Distribution struct {
 	sorted []float64
-	sum    float64
 }
 
 // NewDistribution copies and sorts samples into a queryable Distribution.
@@ -102,15 +101,10 @@ func NewDistribution(samples []float64) *Distribution {
 // sorting them in place with no copy — the allocation-free form for
 // callers that built the slice themselves (the analysis engine's fold
 // partials). The caller must not use samples afterwards. The result is
-// identical to NewDistribution over the same values: the sum accumulates
-// in sorted order either way, so even the floating-point rounding
-// matches.
+// identical to NewDistribution over the same values.
 func TakeDistribution(samples []float64) *Distribution {
 	d := &Distribution{sorted: samples}
 	sort.Float64s(d.sorted)
-	for _, v := range d.sorted {
-		d.sum += v
-	}
 	return d
 }
 
@@ -131,14 +125,6 @@ func (d *Distribution) Max() float64 {
 		return 0
 	}
 	return d.sorted[len(d.sorted)-1]
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty distribution.
-func (d *Distribution) Mean() float64 {
-	if len(d.sorted) == 0 {
-		return 0
-	}
-	return d.sum / float64(len(d.sorted))
 }
 
 // CDF returns P(X <= x).

@@ -87,9 +87,6 @@ func TestDistributionBasics(t *testing.T) {
 	if d.Min() != 1 || d.Max() != 5 {
 		t.Errorf("min/max: got %v/%v want 1/5", d.Min(), d.Max())
 	}
-	if !almostEqual(d.Mean(), 3, 1e-12) {
-		t.Errorf("mean: got %v want 3", d.Mean())
-	}
 	if !almostEqual(d.Median(), 3, 1e-12) {
 		t.Errorf("median: got %v want 3", d.Median())
 	}
@@ -97,7 +94,7 @@ func TestDistributionBasics(t *testing.T) {
 
 func TestDistributionEmpty(t *testing.T) {
 	d := NewDistribution(nil)
-	if d.N() != 0 || d.Min() != 0 || d.Max() != 0 || d.Mean() != 0 {
+	if d.N() != 0 || d.Min() != 0 || d.Max() != 0 {
 		t.Errorf("empty distribution should return zeros")
 	}
 	if d.CDF(10) != 0 || d.CCDF(10) != 1 {

@@ -18,6 +18,8 @@ var expositionLine = regexp.MustCompile(
 // family's TYPE block, and histogram families must carry the full
 // _bucket/_sum/_count triplet. The handler tests and the CI telemetry
 // smoke test share this check.
+//
+//lint:api the exposition check the handler tests of every package share
 func LintExposition(text string) []string {
 	var problems []string
 	typed := map[string]string{}

@@ -188,3 +188,6 @@ func TestMetricsHandlerContentType(t *testing.T) {
 	}
 	ValidateExposition(t, rec.Body.String())
 }
+
+// Add adjusts the gauge by delta.
+func (g *Gauge) Add(delta int64) { g.v.Add(delta) }

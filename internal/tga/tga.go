@@ -4,14 +4,10 @@
 // the biases of its training hitlist — which is exactly what the
 // repository's ablation benchmarks measure.
 //
-// Two generators are provided:
-//
-//   - EntropyIP, after Foremski et al.'s Entropy/IP: segments the IID's
-//     sixteen nibbles by positional entropy, memorizes observed values of
-//     low-entropy segments and empirical distributions for high-entropy
-//     segments, and samples candidates per known /64;
-//   - LowByte, the classic operator-convention sweep (::1, ::2, …,
-//     ::1:1) that finds manually numbered infrastructure.
+// EntropyIP, after Foremski et al.'s Entropy/IP, segments the IID's
+// sixteen nibbles by positional entropy, memorizes observed values of
+// low-entropy segments and empirical distributions for high-entropy
+// segments, and samples candidates per known /64.
 package tga
 
 import (
@@ -22,14 +18,6 @@ import (
 	"hitlist6/internal/addr"
 	"hitlist6/internal/stats"
 )
-
-// Generator emits candidate scan targets.
-type Generator interface {
-	// Generate returns up to n candidate addresses.
-	Generate(n int, rng *rand.Rand) []addr.Addr
-	// Name identifies the generator in reports.
-	Name() string
-}
 
 // segment is a run of IID nibble positions treated as one unit.
 type segment struct {
@@ -138,31 +126,9 @@ func segPlace(v uint64, lo, hi int) uint64 {
 	return v << shift
 }
 
-// Name implements Generator.
-func (m *EntropyIP) Name() string { return "entropy-ip" }
-
-// TrainedOn returns the training set size.
-func (m *EntropyIP) TrainedOn() int { return m.trained }
-
-// Segments returns a human-readable model summary ("F" fixed, "V"
-// variable), e.g. "F[0,8) V[8,16)".
-func (m *EntropyIP) Segments() string {
-	out := ""
-	for _, s := range m.segments {
-		kind := "V"
-		if s.fixed {
-			kind = "F"
-		}
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("%s[%d,%d)", kind, s.lo, s.hi)
-	}
-	return out
-}
-
-// Generate implements Generator: candidates cycle through the known /64s
-// with IIDs assembled segment-by-segment from the learned distributions.
+// Generate returns up to n candidate addresses: they cycle through the
+// known /64s with IIDs assembled segment-by-segment from the learned
+// distributions.
 func (m *EntropyIP) Generate(n int, rng *rand.Rand) []addr.Addr {
 	if n <= 0 || len(m.prefixes) == 0 {
 		return nil
@@ -182,51 +148,6 @@ func (m *EntropyIP) Generate(n int, rng *rand.Rand) []addr.Addr {
 		}
 		dedupe[a] = struct{}{}
 		out = append(out, a)
-	}
-	return out
-}
-
-// LowByte sweeps operator-convention IIDs across known /64s.
-type LowByte struct {
-	prefixes []addr.Prefix64
-	// Max is the highest low-byte IID to emit per prefix (default 8).
-	Max int
-}
-
-// NewLowByte builds the sweep generator over the /64s of the seeds.
-func NewLowByte(seeds []addr.Addr, maxIID int) *LowByte {
-	if maxIID <= 0 {
-		maxIID = 8
-	}
-	seen := make(map[addr.Prefix64]struct{})
-	g := &LowByte{Max: maxIID}
-	for _, a := range seeds {
-		if _, dup := seen[a.P64()]; !dup {
-			seen[a.P64()] = struct{}{}
-			g.prefixes = append(g.prefixes, a.P64())
-		}
-	}
-	sort.Slice(g.prefixes, func(i, j int) bool { return g.prefixes[i] < g.prefixes[j] })
-	return g
-}
-
-// Name implements Generator.
-func (g *LowByte) Name() string { return "low-byte" }
-
-// Generate implements Generator (rng is unused; the sweep is exhaustive
-// and deterministic).
-func (g *LowByte) Generate(n int, _ *rand.Rand) []addr.Addr {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]addr.Addr, 0, n)
-	for _, p := range g.prefixes {
-		for i := 1; i <= g.Max; i++ {
-			out = append(out, addr.FromParts(uint64(p), uint64(i)))
-			if len(out) == n {
-				return out
-			}
-		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package tga
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -114,45 +115,6 @@ func TestEntropyIPGenerateBounds(t *testing.T) {
 	}
 }
 
-func TestLowByteSweep(t *testing.T) {
-	seeds := []addr.Addr{
-		addr.MustParse("2001:db8:1:1::dead"),
-		addr.MustParse("2001:db8:1:2::beef"),
-		addr.MustParse("2001:db8:1:1::aaaa"), // duplicate /64
-	}
-	g := NewLowByte(seeds, 3)
-	cands := g.Generate(100, nil)
-	if len(cands) != 6 { // 2 prefixes x 3 IIDs
-		t.Fatalf("candidates: %d want 6", len(cands))
-	}
-	want := map[string]bool{
-		"2001:db8:1:1::1": true, "2001:db8:1:1::2": true, "2001:db8:1:1::3": true,
-		"2001:db8:1:2::1": true, "2001:db8:1:2::2": true, "2001:db8:1:2::3": true,
-	}
-	for _, c := range cands {
-		if !want[c.String()] {
-			t.Errorf("unexpected candidate %s", c)
-		}
-	}
-	// n cap respected.
-	if got := g.Generate(4, nil); len(got) != 4 {
-		t.Errorf("cap: %d", len(got))
-	}
-	if got := g.Generate(0, nil); got != nil {
-		t.Errorf("n=0: %v", got)
-	}
-	if g.Name() == "" || (&EntropyIP{}).Name() == "" {
-		t.Error("generators must be named")
-	}
-}
-
-func TestLowByteDefaultMax(t *testing.T) {
-	g := NewLowByte([]addr.Addr{addr.MustParse("2001:db8::5")}, 0)
-	if g.Max != 8 {
-		t.Errorf("default max: %d", g.Max)
-	}
-}
-
 // TestEntropyIPAgainstWorld trains on passive observations from one AS
 // and checks the model emits plausible candidates (the pipeline use).
 func TestEntropyIPAgainstWorld(t *testing.T) {
@@ -185,4 +147,24 @@ func TestEntropyIPAgainstWorld(t *testing.T) {
 			t.Fatalf("candidate %s unrouted", c)
 		}
 	}
+}
+
+// TrainedOn returns the training set size.
+func (m *EntropyIP) TrainedOn() int { return m.trained }
+
+// Segments returns a human-readable model summary ("F" fixed, "V"
+// variable), e.g. "F[0,8) V[8,16)".
+func (m *EntropyIP) Segments() string {
+	out := ""
+	for _, s := range m.segments {
+		kind := "V"
+		if s.fixed {
+			kind = "F"
+		}
+		if out != "" {
+			out += " "
+		}
+		out += fmt.Sprintf("%s[%d,%d)", kind, s.lo, s.hi)
+	}
+	return out
 }

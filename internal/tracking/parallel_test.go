@@ -33,7 +33,7 @@ func TestAnalyzeWorkerEquivalence(t *testing.T) {
 			base.AddDate(0, 0, rng.Intn(90)), rng.Intn(3))
 	}
 
-	want := Analyze(c.IIDTable(), db, geo, reg)
+	want := AnalyzeWorkers(c.IIDTable(), db, geo, reg, 1)
 	if len(want.MACs) == 0 || want.Trackable == 0 {
 		t.Fatal("degenerate fixture: no trackable MACs")
 	}

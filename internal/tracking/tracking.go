@@ -17,7 +17,6 @@ import (
 	"hitlist6/internal/fold"
 	"hitlist6/internal/geodb"
 	"hitlist6/internal/oui"
-	"hitlist6/internal/stats"
 )
 
 // Class is the §5.2 explanation for an EUI-64 IID's re-occurrence
@@ -99,11 +98,6 @@ type MACInfo struct {
 	Class       Class
 }
 
-// Lifetime returns the identifier's observed lifetime.
-func (m *MACInfo) Lifetime() time.Duration {
-	return time.Duration(m.Last-m.First) * time.Second
-}
-
 // Classify applies the paper's heuristic to one identifier's footprint.
 func Classify(numASes, numCountries, transitions int) Class {
 	if transitions < 1 {
@@ -147,15 +141,10 @@ type Analysis struct {
 	VendorCounts map[string]int
 }
 
-// Analyze runs the full EUI-64 privacy analysis over a corpus's IID
-// table.
-func Analyze(t *collector.IIDTable, db *asdb.DB, geo *geodb.DB, reg *oui.Registry) *Analysis {
-	return AnalyzeWorkers(t, db, geo, reg, 1)
-}
-
-// AnalyzeWorkers is Analyze as two parallel folds: the EUI-64 address
-// prevalence count over the address slab, and the per-MAC footprint
-// construction over the promoted IID slab. Per-MAC work (span copy, AS
+// AnalyzeWorkers runs the full EUI-64 privacy analysis over a corpus's
+// IID table as two parallel folds: the EUI-64 address prevalence count
+// over the address slab, and the per-MAC footprint construction over
+// the promoted IID slab. Per-MAC work (span copy, AS
 // and country attribution, classification) is independent, partials
 // merge by concatenation plus counter addition, and the final MAC sort
 // makes the result identical at every worker count.
@@ -297,27 +286,6 @@ func (a *Analysis) UnlistedShare() float64 {
 		return 0
 	}
 	return float64(a.VendorCounts[oui.Unlisted]) / float64(len(a.MACs))
-}
-
-// Figure6a builds the CDF of EUI-64 IID lifetimes.
-func Figure6a(t *collector.IIDTable) *stats.Distribution {
-	var samples []float64
-	t.EUI64IIDs(func(_ addr.IID, r collector.IIDView) bool {
-		samples = append(samples, r.Lifetime().Seconds())
-		return true
-	})
-	return stats.NewDistribution(samples)
-}
-
-// Figure6b builds the distribution of the number of /64s each EUI-64 IID
-// appears in (the paper plots its CCDF).
-func Figure6b(t *collector.IIDTable) *stats.Distribution {
-	var samples []float64
-	t.EUI64IIDs(func(_ addr.IID, r collector.IIDView) bool {
-		samples = append(samples, float64(r.NumP64s()))
-		return true
-	})
-	return stats.NewDistribution(samples)
 }
 
 // TimelineEntry is one prefix residence of a tracked identifier.

@@ -60,9 +60,6 @@ func (db *DB) ByOUI(o addr.OUI) []addr.MAC {
 	return out
 }
 
-// Len returns the number of geolocated BSSIDs.
-func (db *DB) Len() int { return len(db.locs) }
-
 // VendorOffset is the deterministic wired-to-wireless MAC suffix offset a
 // vendor uses within one OUI. Offsets are small and nonzero, matching the
 // empirical structure (wired and wireless interfaces of one device get

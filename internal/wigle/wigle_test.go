@@ -150,3 +150,6 @@ func TestBuildIsAFunctionOfItsSeed(t *testing.T) {
 		}
 	}
 }
+
+// Len returns the number of geolocated BSSIDs.
+func (db *DB) Len() int { return len(db.locs) }

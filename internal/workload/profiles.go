@@ -140,7 +140,7 @@ type StormWindow struct {
 	// partially-dark trailing bin must not.
 	ShouldTrip bool
 	// EndsOnBinEdge marks windows whose end lands exactly on a StormBin
-	// boundary — the Rebin/Tail edge cases.
+	// boundary — the Tail edge cases.
 	EndsOnBinEdge bool
 }
 
@@ -187,7 +187,7 @@ func outageStormConfig(seed int64, size Size) (simnet.Config, []StormWindow) {
 			// Exactly one bin dark: below MinBins, must NOT trip.
 			stormAS(70302, "Storm Single Bin", simnet.OutageWindow{StartDay: 3, Hours: 6}),
 			// Two dark bins ending exactly on a bin edge: trips, and the
-			// end boundary is the Rebin/Tail edge case.
+			// end boundary is the Tail edge case.
 			stormAS(70303, "Storm Edge End", simnet.OutageWindow{StartDay: 4, Hours: 12}),
 			// One full dark bin plus half of the next: the half-dark bin
 			// keeps ~50% of its volume, so the dark run stays at one bin
@@ -229,6 +229,8 @@ func stormMix() simnet.StrategyMix {
 
 // OutageStormSpec exposes the storm scenario's world config and ground
 // truth for the boundary tests (internal/outage) and the matrix report.
+//
+//lint:api the storm's ground truth, which the outage and matrix tests score detection against
 func OutageStormSpec(seed int64, size Size) (simnet.Config, []StormWindow) {
 	return outageStormConfig(seed, size)
 }

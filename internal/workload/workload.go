@@ -61,9 +61,6 @@ type Size struct {
 // structural pressure shows, small enough for race-enabled sweeps.
 var SizeSmall = Size{Scale: 0.02, Days: 8}
 
-// SizeDefault is the local-run default.
-var SizeDefault = Size{Scale: 0.03, Days: 12}
-
 func (s Size) validate() error {
 	if s.Scale <= 0 {
 		return fmt.Errorf("workload: Scale must be positive, got %g", s.Scale)

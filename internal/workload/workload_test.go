@@ -229,7 +229,7 @@ func TestOutageStormGroundTruth(t *testing.T) {
 	for _, w := range windows {
 		hit := false
 		for _, ev := range events {
-			if ev.ASN == w.ASN && ev.Overlaps(w.From, w.To) {
+			if ev.ASN == w.ASN && ev.From.Before(w.To) && w.From.Before(ev.To) {
 				hit = true
 			}
 		}

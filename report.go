@@ -403,9 +403,13 @@ func (s *Study) TopCountries(n int) ([]geodb.CountryCount, error) {
 
 // Vendors exposes the embedded OUI registry (for examples that want to
 // resolve manufacturers).
+//
+//lint:api the Study's public figure API, which the paper-shape tests drive
 func (s *Study) Vendors() *oui.Registry { return s.World.OUI }
 
 // StudyWindow returns the passive collection window.
+//
+//lint:api the Study's public figure API, which the paper-shape tests drive
 func (s *Study) StudyWindow() (start, end time.Time) {
 	return s.World.Origin, s.World.End
 }

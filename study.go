@@ -28,7 +28,6 @@ import (
 	"hitlist6/internal/hitlist"
 	"hitlist6/internal/ingest"
 	"hitlist6/internal/ntppool"
-	"hitlist6/internal/outage"
 	"hitlist6/internal/scan"
 	"hitlist6/internal/simnet"
 	"hitlist6/internal/telemetry"
@@ -60,11 +59,6 @@ type Config struct {
 	// selects an automatic per-machine value. The merged corpus is
 	// byte-identical for every shard count, so this only affects speed.
 	IngestShards int
-	// OutageBin is the base resolution of the per-AS outage series
-	// recorded during CollectPassive; DetectOutages accepts any multiple
-	// of it. It must be a positive whole number of seconds. 0 selects
-	// one hour.
-	OutageBin time.Duration
 	// AnalysisWorkers is the per-fold worker count of the parallel
 	// analysis engine: every figure, Table 1, the strategy inference,
 	// tracking and Report's section orchestration each fan out across
@@ -95,7 +89,6 @@ func DefaultConfig() Config {
 		SliceDay:      157,
 		HitlistRounds: 4,
 		BackscanDays:  7,
-		OutageBin:     time.Hour,
 	}
 }
 
@@ -107,12 +100,9 @@ type Study struct {
 	Pool   *ntppool.Pool
 
 	// Collector holds the full passive corpus; DayCollector the
-	// single-day slice. OutageSeries is the per-AS time-binned query
-	// series at Config.OutageBin resolution — all three are outputs of
-	// the same single ingest pass.
+	// single-day slice — both outputs of the same single ingest pass.
 	Collector    *collector.Collector
 	DayCollector *collector.Collector
-	OutageSeries *outage.Series
 	DayStart     time.Time
 	RunStats     ntppool.RunStats
 
@@ -133,19 +123,6 @@ type Study struct {
 	backscanClients []simnet.Query
 }
 
-// normalizeOutageBin is the single owner of the Config.OutageBin rule:
-// 0 selects one hour; the result must be a positive whole number of
-// seconds (the event stream's timestamp resolution).
-func normalizeOutageBin(bin time.Duration) (time.Duration, error) {
-	if bin == 0 {
-		bin = time.Hour
-	}
-	if bin < 0 || bin%time.Second != 0 {
-		return 0, fmt.Errorf("hitlist6: OutageBin %v must be a positive whole number of seconds", bin)
-	}
-	return bin, nil
-}
-
 // NewStudy builds the simulated Internet for a configuration.
 func NewStudy(cfg Config) (*Study, error) {
 	if cfg.Days <= 0 {
@@ -157,11 +134,6 @@ func NewStudy(cfg Config) (*Study, error) {
 	if cfg.AnalysisWorkers < 0 {
 		return nil, fmt.Errorf("hitlist6: AnalysisWorkers must be >= 0")
 	}
-	bin, err := normalizeOutageBin(cfg.OutageBin)
-	if err != nil {
-		return nil, err
-	}
-	cfg.OutageBin = bin
 	if cfg.SliceDay < 0 || cfg.SliceDay >= cfg.Days {
 		cfg.SliceDay = cfg.Days / 2
 	}
@@ -202,24 +174,15 @@ func NewStudy(cfg Config) (*Study, error) {
 // corpus is identical to a serial replay's for any shard count.
 //
 // This is the study's single pass over the world: the full corpus, the
-// single-day slice, the outage series and the backscan campaign's
-// clients all fall out of it, so every later analysis — DetectOutages,
-// Tracking, Geolocation, Backscan, the figures — reads pass outputs
-// without replaying.
+// single-day slice and the backscan campaign's clients all fall out of
+// it, so every later analysis — Tracking, Geolocation, Backscan, the
+// figures — reads pass outputs without replaying.
 func (s *Study) CollectPassive() error {
-	// NewStudy already normalized Config.OutageBin; re-normalizing here
-	// only guards against the exported field being mutated afterwards
-	// (the stage factory would otherwise panic on an invalid bin).
-	bin, err := normalizeOutageBin(s.Config.OutageBin)
-	if err != nil {
-		return err
-	}
 	dayEnd := s.DayStart.Add(24 * time.Hour)
 	cfg := ingest.DefaultConfig(s.Config.IngestShards)
 	cfg.Registry = s.Config.Telemetry
 	cfg.Stages = []ingest.StageFactory{
 		ingest.DaySlice(s.DayStart.Unix(), dayEnd.Unix()),
-		ingest.OutageSeries(s.World.ASDB, s.World.Origin, s.World.End, bin),
 	}
 
 	pipe, err := ingest.New(cfg)
@@ -243,11 +206,6 @@ func (s *Study) CollectPassive() error {
 		return fmt.Errorf("hitlist6: ingest pipeline returned no day-slice stage")
 	}
 	s.DayCollector = day.Col
-	series, ok := pipe.Stage("outage").(*ingest.OutageSeriesStage)
-	if !ok {
-		return fmt.Errorf("hitlist6: ingest pipeline returned no outage-series stage")
-	}
-	s.OutageSeries = series.Series()
 	s.RunStats.UniqueClients = s.Collector.NumAddrs()
 	s.IIDs = s.Collector.IIDTable()
 	s.NTP = hitlist.FromCollector("NTP Pool (passive)", s.Collector)
@@ -337,6 +295,8 @@ func (s *Study) Figure2a() (*analysis.Figure2a, error) {
 }
 
 // Figure2b computes the IID-lifetime CDFs by entropy class.
+//
+//lint:api the Study's public figure API, which the paper-shape tests drive
 func (s *Study) Figure2b() (*analysis.Figure2b, error) {
 	if s.IIDs == nil {
 		return nil, fmt.Errorf("hitlist6: passive collection has not run")
@@ -345,6 +305,8 @@ func (s *Study) Figure2b() (*analysis.Figure2b, error) {
 }
 
 // Figure4a computes the per-AS entropy curves over the full window.
+//
+//lint:api the Study's public figure API, which the paper-shape tests drive
 func (s *Study) Figure4a(topN int) ([]analysis.ASEntropy, error) {
 	if s.NTP == nil {
 		return nil, fmt.Errorf("hitlist6: passive collection has not run")
@@ -354,6 +316,8 @@ func (s *Study) Figure4a(topN int) ([]analysis.ASEntropy, error) {
 }
 
 // Figure4b computes the per-AS entropy curves for the single-day slice.
+//
+//lint:api the Study's public figure API, which the paper-shape tests drive
 func (s *Study) Figure4b(topN int) ([]analysis.ASEntropy, error) {
 	if s.NTPDay == nil {
 		return nil, fmt.Errorf("hitlist6: passive collection has not run")
@@ -364,6 +328,8 @@ func (s *Study) Figure4b(topN int) ([]analysis.ASEntropy, error) {
 
 // Strategies runs the §4.3 per-AS addressing-strategy inference over the
 // full NTP corpus (top-N ASes).
+//
+//lint:api the Study's public figure API, which the paper-shape tests drive
 func (s *Study) Strategies(topN int) ([]analysis.StrategyProfile, error) {
 	if s.NTP == nil {
 		return nil, fmt.Errorf("hitlist6: passive collection has not run")
@@ -437,22 +403,6 @@ func Figure3(stats *scan.BackscanStats) (hit, miss, random []float64) {
 		}
 	}
 	return hit, miss, random
-}
-
-// DetectOutages runs the passive outage detector (a §1 application of
-// large hitlists) over the outage series recorded during the single
-// CollectPassive pass — no replay. bin must be a multiple of
-// Config.OutageBin; the rebinned series (and hence the detected events)
-// are identical to binning the raw query stream at that width directly.
-func (s *Study) DetectOutages(bin time.Duration) ([]outage.Event, error) {
-	if s.OutageSeries == nil {
-		return nil, fmt.Errorf("hitlist6: passive collection has not run")
-	}
-	series, err := outage.Rebin(s.OutageSeries, bin)
-	if err != nil {
-		return nil, err
-	}
-	return outage.Detect(series, outage.DefaultConfig()), nil
 }
 
 // Tracking runs the §5.1/§5.2 EUI-64 analysis over the passive corpus —

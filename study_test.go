@@ -3,7 +3,6 @@ package hitlist6
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/tracking"
@@ -44,16 +43,6 @@ func TestNewStudyValidation(t *testing.T) {
 	if _, err := NewStudy(cfg); err == nil {
 		t.Error("IngestShards=-1 should fail")
 	}
-	cfg = testConfig(1)
-	cfg.OutageBin = -time.Hour
-	if _, err := NewStudy(cfg); err == nil {
-		t.Error("negative OutageBin should fail")
-	}
-	cfg = testConfig(1)
-	cfg.OutageBin = 1500 * time.Millisecond
-	if _, err := NewStudy(cfg); err == nil {
-		t.Error("sub-second OutageBin should fail")
-	}
 	// Out-of-range slice day is clamped, not an error.
 	cfg = testConfig(1)
 	cfg.SliceDay = 999
@@ -79,9 +68,6 @@ func TestExperimentsRequireRun(t *testing.T) {
 	}
 	if _, err := s.Tracking(); err == nil {
 		t.Error("Tracking before Run should fail")
-	}
-	if _, err := s.DetectOutages(time.Hour); err == nil {
-		t.Error("DetectOutages before Run should fail")
 	}
 	if _, err := s.Report(); err == nil {
 		t.Error("Report before Run should fail")

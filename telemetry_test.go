@@ -57,7 +57,6 @@ func TestStudyTelemetry(t *testing.T) {
 		"ingest_events_processed_total",
 		`ingest_batch_seconds_bucket{shard="0",le=`,
 		`ingest_stage_seconds_bucket{stage="dayslice",le=`,
-		`ingest_stage_seconds_bucket{stage="outage",le=`,
 		// The analysis engine's dispatch timing.
 		"fold_dispatch_seconds_count",
 		// Report sections and shared-input builds, by name.
