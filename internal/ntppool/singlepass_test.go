@@ -93,6 +93,41 @@ func TestOutageStageEquivalence(t *testing.T) {
 	}
 }
 
+// TestOutageStageMatchesBuildSeriesAtEachWidth: the window stage is the
+// only producer of a coarse series (nothing rebins a fine one), so it
+// must reproduce the reference replay at every width it may be given —
+// divisors of a day, a width that is not (7h: the last bin straddles
+// the window's end), and a whole day — not only at the 6h the
+// equivalence test above uses.
+func TestOutageStageMatchesBuildSeriesAtEachWidth(t *testing.T) {
+	w := singlePassWorld(t)
+	for _, bin := range []time.Duration{time.Hour, 3 * time.Hour, 7 * time.Hour, 24 * time.Hour} {
+		t.Run(bin.String(), func(t *testing.T) {
+			ref, err := outage.BuildSeries(w, bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.ByAS) == 0 {
+				t.Fatal("reference replay binned no AS; the equivalence would be vacuous")
+			}
+			p, err := New(StudyVantages())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := ingest.DefaultConfig(2)
+			cfg.Stages = []ingest.StageFactory{ingest.OutageSeries(w.ASDB, w.Origin, w.End, bin)}
+			pipe, err := ingest.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			RunIngest(w, p, pipe, nil)
+			pipe.Close()
+			got := pipe.Stage("outage").(*ingest.OutageSeriesStage).Series()
+			assertSeriesEqual(t, "bin="+bin.String(), ref, got)
+		})
+	}
+}
+
 // TestTrackingStoreEquivalence pins the other half of the single pass:
 // the §5 tracking analysis over the pipeline's merged Store — read live
 // after a snapshot, and again from the detached corpus after Close — is

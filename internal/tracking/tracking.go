@@ -1,8 +1,7 @@
 // Package tracking implements the paper's §5 privacy analyses over the
 // passive corpus: EUI-64 prevalence and manufacturer attribution (§5.1,
-// Table 2), the five-way device-tracking classifier (§5.2), the lifetime
-// and prefix-spread distributions of Figure 6, and the Figure 7 exemplar
-// timelines.
+// Table 2), the five-way device-tracking classifier (§5.2), and the
+// Figure 7 exemplar timelines.
 package tracking
 
 import (

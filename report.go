@@ -298,7 +298,7 @@ func RenderBackscan(bs *scan.BackscanStats, s *Study) string {
 }
 
 // RenderTracking formats §5.1's prevalence numbers, Table 2, the §5.2
-// class shares, Figure 6 summaries and one Figure 7 exemplar per class.
+// class shares and one Figure 7 exemplar per class.
 func RenderTracking(tr *tracking.Analysis, db *asdb.DB) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Section 5.1: EUI-64 prevalence\n")
