@@ -76,13 +76,9 @@ func feed(t *testing.T, d *daemon) {
 	b := d.pipe.NewBatcher()
 	ingestDatagram(b, []byte("1643673600 2001:db8::1 3\n1643673601 2001:db8::2 4\n"), &d.badLines)
 	b.Flush()
-	d.pipe.SnapshotNow()
-	deadline := time.Now().Add(5 * time.Second)
-	for d.pipe.Store().NumAddrs() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("store never saw the ingested events")
-		}
-		time.Sleep(time.Millisecond)
+	d.pipe.Quiesce()
+	if n := d.pipe.Store().NumAddrs(); n != 2 {
+		t.Fatalf("store holds %d addresses after the quiesce, want 2", n)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Command ingestd runs the sharded ingest pipeline as a daemon: it
 // consumes an NTP query-event stream — a file (or stdin), a UDP socket,
-// or a simulated replay — fans it out across collector shards (the
-// per-AS outage series the one inline enrichment), and serves live
-// summaries over HTTP, read from the merged corpus. It is the
-// single-vantage deployment shape of the paper's 27-server passive
-// collection: one ingestd per pool server, snapshots merging into the
-// live store that the stat endpoints read.
+// or a simulated replay — fans it out across shard workers that fold
+// each batch into the one live corpus (the per-AS outage series the one
+// inline enrichment), and serves live summaries over HTTP, read from
+// that corpus. It is the single-vantage deployment shape of the paper's
+// 27-server passive collection: one ingestd per pool server.
 //
 // The outage detector is the paper's headline hitlist application run
 // live: the same single pass that builds the corpus feeds a per-AS
@@ -309,7 +308,7 @@ func main() {
 		batch       = flag.Int("batch", 0, "events per batch (0 = default)")
 		queue       = flag.Int("queue", 0, "per-shard queue depth in batches (0 = default)")
 		drop        = flag.Bool("drop", false, "shed events when a shard queue is full instead of blocking")
-		snapshot    = flag.Duration("snapshot", 2*time.Second, "live-view snapshot interval")
+		snapshot    = flag.Duration("snapshot", 2*time.Second, "how often shard workers merge their outage series into the one /outages reads (the corpus needs no snapshot)")
 		serverCp    = flag.Int("servers", collector.MaxServers, "vantage-server attribution cap")
 		outBin      = flag.Duration("outage.bin", time.Hour, "outage series bin width (whole seconds; 0 disables the outage consumer)")
 		outEvery    = flag.Duration("outage.every", 30*time.Second, "how often the live outage detector rescans the series")
@@ -506,7 +505,7 @@ func main() {
 		// quiesces and checkpoints around it without waiting.
 		go func() {
 			n := simReplay(pipe, logger, *simSeed, *simScale, *simDays)
-			pipe.SnapshotNow()
+			pipe.Quiesce()
 			logger.Info("sim replay done; still serving", "events", n)
 		}()
 	case *udp != "":
@@ -603,7 +602,7 @@ type statsReply struct {
 
 // buildStats assembles one /stats reply. One View, one lock hold: the
 // counters are read and the tally brought up to the same corpus inside
-// it, so no shard merge lands between them and the reply describes a
+// it, so no batch lands between them and the reply describes a
 // corpus that existed — its categories sum to its unique_addrs.
 func (d *daemon) buildStats() statsReply {
 	reply := statsReply{
@@ -757,7 +756,7 @@ func ingestStream(pipe *ingest.Pipeline, in io.Reader, badLines *atomic.Uint64) 
 		}
 	}
 	b.Flush()
-	pipe.SnapshotNow()
+	pipe.Quiesce()
 	if err == io.EOF {
 		return nil
 	}

@@ -139,7 +139,7 @@ func TestIngestDatagramZeroAlloc(t *testing.T) {
 		ingestDatagram(b, events, &bad)
 	}
 	b.Flush()
-	pipe.SnapshotNow()
+	pipe.Quiesce()
 	if avg := testing.AllocsPerRun(500, func() {
 		if ingestDatagram(b, events, &bad) != 25 {
 			t.Fatal("datagram of events not fully accepted")

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,7 +107,7 @@ func TestStatsDescribesRestoredCorpus(t *testing.T) {
 }
 
 // TestTallyResumesTheFold: over three workload profiles at 1 and 4
-// shards, with merges landing every few batches and one checkpoint →
+// shards, with batches landing while it folds and one checkpoint →
 // restore split mid-stream, a tally brought up to the store after every
 // merge request holds exactly what one fold over [0, NumAddrs()) of the
 // same view yields — same watermark, same counts, same registers, and
@@ -165,8 +167,7 @@ func TestTallyResumesTheFold(t *testing.T) {
 					tally = new(corpusTally)
 					foldAndCompare("on the restored corpus")
 				}
-				pipe.Ingest(st.Events[at:min(at+96, len(st.Events))])
-				pipe.SnapshotNow() // merges land while the next folds run
+				pipe.Ingest(st.Events[at:min(at+96, len(st.Events))]) // batches land while the next folds run
 				foldAndCompare("mid-stream")
 			}
 			pipe.Quiesce()
@@ -224,5 +225,43 @@ func TestDaemonStages(t *testing.T) {
 			t.Errorf("outage detection %v: ingest_stage_seconds on /metrics = %v", tc.routes != nil, has)
 		}
 		pipe.Close()
+	}
+}
+
+// TestStatsFreshWithoutSnapshot: with the snapshot interval an hour
+// away, /stats already counts every processed event — the shard workers
+// write the store itself, so the corpus needs no snapshot tick to catch
+// up with them.
+func TestStatsFreshWithoutSnapshot(t *testing.T) {
+	d := newConfiguredDaemon(t, "", func(cfg *ingest.Config) { cfg.SnapshotInterval = time.Hour })
+	defer d.pipe.Close()
+	srv := httptest.NewServer(d.newMux())
+	defer srv.Close()
+
+	const n = 1000
+	b := d.pipe.NewBatcher()
+	for i := range n {
+		b.Add(ingest.Event{Addr: addr.FromParts(0x20010db8_00000000, uint64(i)+1), Time: 1643673600})
+	}
+	b.Flush()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, _, body := get(t, srv.URL, "/stats")
+		var reply statsReply
+		if err := json.Unmarshal([]byte(body), &reply); err != nil {
+			t.Fatalf("/stats not JSON: %v\n%s", err, body)
+		}
+		if reply.Metrics.Processed == n {
+			// Metrics are read before the corpus, and a batch is counted
+			// processed only once it is in the store.
+			if reply.Observations != n || reply.UniqueAddrs != n {
+				t.Fatalf("processed %d, but /stats counts %d observations of %d addresses", n, reply.Observations, reply.UniqueAddrs)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("processed stuck at %d of %d", reply.Metrics.Processed, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

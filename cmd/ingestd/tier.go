@@ -133,21 +133,20 @@ func (s *stampWriter) Write(p []byte) (int, error) {
 // of the blocks the last delta carried as corpus.tier.NNNNNN (NNNNNN
 // the delta's sequence number) and attaches it in front of the base and
 // the runs before it — O(records the delta carried), and the base's
-// resident chunks stay warm. Either file goes through AtomicWriteFile
-// and is encoded under the store's read lock, not tierMu: probes keep
-// answering off the tier as it was until the new file is in place. A
-// failure marks the tier stale, so the next checkpoint rewrites the
-// base. Callers hold ckptMu, so a run always follows the checkpoint
-// whose blocks it holds. It returns the phase durations as log
-// attributes (tier_order_s, ...).
+// resident chunks stay warm. Either file goes through AtomicWriteFile,
+// outside tierMu: probes keep answering off the tier as it was until
+// the new file is in place, and the store's read lock is held only
+// while the records are copied (see encodeTier). A failure marks the
+// tier stale, so the next checkpoint rewrites the base. Callers hold
+// ckptMu, so a run always follows the checkpoint whose blocks it holds.
+// It returns the phase durations as log attributes (tier_order_s, ...).
 //
 //lint:durable-path the tier file must survive a crash mid-rewrite
 func (d *daemon) refreshTier(kind string) (phases []any, err error) {
-	path := d.tierPath
-	write, k := pager.WriteTier, 0
+	path, take, k := d.tierPath, (*collector.Collector).CopyRecords, 0
 	if kind == tierRun {
 		seq, _ := d.pipe.Store().CheckpointSeq()
-		path, write, k = tierRunPath(d.tierPath, seq), pager.WriteTierRun, 1
+		path, take, k = tierRunPath(d.tierPath, seq), (*collector.Collector).LastDeltaRecords, 1
 	}
 	defer func() {
 		if err != nil {
@@ -160,10 +159,7 @@ func (d *daemon) refreshTier(kind string) (phases []any, err error) {
 	if _, err = ingest.AtomicWriteFile(path, func(w io.Writer) error {
 		sw := &stampWriter{Writer: w}
 		var inner error
-		d.pipe.Store().View(func(c *collector.Collector) {
-			addrs = c.NumAddrs()
-			inner = write(c, sw)
-		})
+		addrs, inner = encodeTier(d.pipe.Store(), take, sw)
 		first, encoded = sw.first, time.Now()
 		return inner
 	}); err != nil {
@@ -191,6 +187,17 @@ func (d *daemon) refreshTier(kind string) (phases []any, err error) {
 		phases = append(phases, "tier_"+tierPhases[i]+"_s", dur.Seconds())
 	}
 	return phases, nil
+}
+
+// encodeTier writes to w the tier file of the records take copies out
+// of the store's corpus and returns the corpus's address count. The
+// read lock is held only for the copy: the sort and the encode run
+// after it, so shard workers, and the socket reader behind them, never
+// wait on a tier rewrite.
+func encodeTier(store *collector.Store, take func(*collector.Collector) *collector.Records, w io.Writer) (addrs int, err error) {
+	var recs *collector.Records
+	store.View(func(c *collector.Collector) { addrs, recs = c.NumAddrs(), take(c) })
+	return addrs, pager.WriteTier(recs, w)
 }
 
 // openBase opens the base file at the daemon's budget and metrics.

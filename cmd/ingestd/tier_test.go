@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,13 +20,14 @@ import (
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
 	"hitlist6/internal/ingest"
+	"hitlist6/internal/pager"
 )
 
-// TestStatsIsOneView hammers the /stats builder while shard snapshots
-// merge. Every address is distinct, seen once and has its own IID, so
-// any corpus that ever existed has observations == unique_addrs ==
-// unique_iids; a reply assembled from separately locked reads breaks the
-// equality whenever a merge lands between them, and so does a category
+// TestStatsIsOneView hammers the /stats builder while shard workers
+// write the store. Every address is distinct, seen once and has its own
+// IID, so any corpus that ever existed has observations == unique_addrs
+// == unique_iids; a reply assembled from separately locked reads breaks
+// the equality whenever a batch lands between them, and so does a category
 // tally folded from another view than the counters: the categories of
 // every reply sum to its unique_addrs. The issue's form of the
 // assertion — observations == fed implies unique_addrs == want — is the
@@ -50,11 +52,11 @@ func TestStatsIsOneView(t *testing.T) {
 			b.Add(ingest.Event{Addr: addr.FromParts(0x20010db8_00000000|uint64(i>>6), uint64(i)+1), Time: 1643673600})
 			if i%256 == 255 {
 				b.Flush()
-				d.pipe.SnapshotNow()
+				d.pipe.Quiesce()
 			}
 		}
 		b.Flush()
-		d.pipe.SnapshotNow()
+		d.pipe.Quiesce()
 	}()
 	singleView := func(replies int) statsReply {
 		t.Helper()
@@ -72,7 +74,7 @@ func TestStatsIsOneView(t *testing.T) {
 		}
 	}
 
-	<-done // the feeder's last SnapshotNow has returned
+	<-done // the feeder's last Quiesce has returned
 	d.pipe.Store().Detach()
 	small := make([]ingest.Event, 100)
 	for i := range small {
@@ -508,4 +510,72 @@ func wantRecord(t *testing.T, d *daemon, url, a string) probeReply {
 		t.Fatalf("/probe %s = %+v (found %v), the corpus holds %+v", a, got, r.Found, want)
 	}
 	return r
+}
+
+// blockedWriter blocks its first Write until release closes, after
+// closing started, and keeps every byte.
+type blockedWriter struct {
+	started, release chan struct{}
+	once             sync.Once
+	buf              bytes.Buffer
+}
+
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.started)
+		<-w.release
+	})
+	return w.buf.Write(p)
+}
+
+// TestStoreWritableDuringBaseRewrite: a tier base rewrite holds the
+// store's lock only while it copies the records, so a store write —
+// a shard worker's next batch — completes while the rewrite is blocked
+// on its first output byte, and the base still holds the corpus as it
+// was copied.
+func TestStoreWritableDuringBaseRewrite(t *testing.T) {
+	store := collector.NewStore()
+	want := collector.New()
+	store.Update(func(c *collector.Collector) {
+		for i := range 10_000 {
+			a := addr.FromParts(0x20010db8_00000000|uint64(i>>8), uint64(i)+1)
+			c.ObserveUnix(a, 1643673600+int64(i), i%27)
+			want.ObserveUnix(a, 1643673600+int64(i), i%27)
+		}
+	})
+	w := &blockedWriter{started: make(chan struct{}), release: make(chan struct{})}
+	type result struct {
+		addrs int
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := encodeTier(store, (*collector.Collector).CopyRecords, w)
+		done <- result{n, err}
+	}()
+	<-w.started
+
+	wrote := make(chan struct{})
+	go func() {
+		store.Update(func(c *collector.Collector) { c.ObserveUnix(addr.MustParse("2001:db8:ffff::1"), 1643673600, 0) })
+		close(wrote)
+	}()
+	select {
+	case <-wrote:
+	case <-time.After(10 * time.Second):
+		close(w.release)
+		t.Fatal("a store write waited on a tier base rewrite blocked in its first Write")
+	}
+	close(w.release)
+	res := <-done
+	if res.err != nil || res.addrs != want.NumAddrs() {
+		t.Fatalf("encodeTier = %d addresses, %v; want %d, nil", res.addrs, res.err, want.NumAddrs())
+	}
+	var direct bytes.Buffer
+	if err := pager.WriteTier(want, &direct); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.buf.Bytes(), direct.Bytes()) {
+		t.Error("the base written from the copy differs from WriteTier over the corpus it copied")
+	}
 }

@@ -11,27 +11,24 @@ import (
 	"hitlist6/internal/addr"
 )
 
-// canonKey is one extracted sort key: the 128-bit value a record orders
-// by (IIDs leave hi zero) and the slab reference it stands for. Keys are
-// pulled out of the slabs once, so the sort never chases a slab pointer.
-type canonKey struct {
-	hi, lo uint64
-	ref    uint32
+// iidKey is one extracted IID sort key: the IID and the table
+// reference it stands for. Keys are pulled out of the table once, so the
+// sort never chases a slab pointer.
+type iidKey struct {
+	iid uint64
+	ref uint32
 }
 
-// sortCanonKeys orders keys ascending by (hi, lo): a byte-wise LSD radix
-// sort — one sweep histograms all 16 digits, then each digit that
-// actually varies gets one stable scatter between keys and tmp (same
-// length). Digits every key shares (an IID's zero hi, a corpus's common
-// prefix bytes) cost nothing. The result is whichever of the two slices
-// the last scatter landed in.
-func sortCanonKeys(keys, tmp []canonKey) []canonKey {
-	var hist [16][256]uint32
+// sortIIDKeys orders keys ascending by IID: a byte-wise LSD radix sort —
+// one sweep histograms all 8 digits, then each digit that actually
+// varies gets one stable scatter between keys and tmp (same length).
+// Digits every key shares cost nothing. The result is whichever of the
+// two slices the last scatter landed in.
+func sortIIDKeys(keys, tmp []iidKey) []iidKey {
+	var hist [8][256]uint32
 	for i := range keys {
-		k := &keys[i]
-		for b := 0; b < 8; b++ {
-			hist[b][byte(k.lo>>(8*b))]++
-			hist[8+b][byte(k.hi>>(8*b))]++
+		for b := range hist {
+			hist[b][byte(keys[i].iid>>(8*b))]++
 		}
 	}
 	n := uint32(len(keys))
@@ -44,13 +41,8 @@ func sortCanonKeys(keys, tmp []canonKey) []canonKey {
 		for v, cnt := range h {
 			h[v], sum = sum, sum+cnt
 		}
-		shift := 8 * uint(d&7)
 		for _, k := range keys {
-			w := k.lo
-			if d >= 8 {
-				w = k.hi
-			}
-			v := byte(w >> shift)
+			v := byte(k.iid >> (8 * d))
 			tmp[h[v]] = k
 			h[v]++
 		}
@@ -59,8 +51,8 @@ func sortCanonKeys(keys, tmp []canonKey) []canonKey {
 	return keys
 }
 
-// sortAddrs is sortCanonKeys over bare addresses: the same byte-wise
-// LSD radix sort, digit 15 (the last address byte) first, skipping the
+// sortAddrs is sortIIDKeys over bare addresses: the same byte-wise LSD
+// radix sort, digit 15 (the last address byte) first, skipping the
 // digits every address shares.
 func sortAddrs(keys, tmp []addr.Addr) []addr.Addr {
 	var hist [16][256]uint32
@@ -99,77 +91,125 @@ func (c *Collector) SortedAddrs() []addr.Addr {
 	return sortAddrs(keys, make([]addr.Addr, len(keys)))
 }
 
-// sortedAddrIdx returns the address slab indices in canonical order
-// (ascending by the 128-bit address value).
-func (c *Collector) sortedAddrIdx() []uint32 {
-	keys := make([]canonKey, 0, c.addrRecs.n)
-	return c.sortAddrKeys(c.appendAddrKeys(keys, 0, c.addrRecs.n))
-}
-
-// appendAddrKeys appends the sort keys of slab records [lo, hi).
-func (c *Collector) appendAddrKeys(keys []canonKey, lo, hi uint32) []canonKey {
-	for i := lo; i < hi; i++ {
-		a := &c.addrRecs.at(i).key
-		keys = append(keys, canonKey{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:]), i})
-	}
-	return keys
-}
-
-// sortAddrKeys sorts address keys and returns their slab indices in
-// that order.
-func (c *Collector) sortAddrKeys(keys []canonKey) []uint32 {
-	keys = sortCanonKeys(keys, make([]canonKey, len(keys)))
-	idx := make([]uint32, len(keys))
-	for i, k := range keys {
-		idx[i] = k.ref
-	}
-	return idx
-}
-
 // sortedIIDRefs returns every IID (promoted and singleton) as a key
-// whose lo is the IID and whose ref is its table reference, in
-// ascending IID order.
-func (t *IIDTable) sortedIIDRefs() []canonKey {
-	keys := make([]canonKey, 0, t.iidUsed)
+// with its table reference, in ascending IID order.
+func (t *IIDTable) sortedIIDRefs() []iidKey {
+	keys := make([]iidKey, 0, t.iidUsed)
 	for _, v := range t.iidIdx {
 		if v == 0 {
 			continue
 		}
-		keys = append(keys, canonKey{lo: uint64(t.iidKeyOf(v - 1)), ref: v - 1})
+		keys = append(keys, iidKey{uint64(t.iidKeyOf(v - 1)), v - 1})
 	}
-	return sortCanonKeys(keys, make([]canonKey, len(keys)))
+	return sortIIDKeys(keys, make([]iidKey, len(keys)))
 }
 
-// CanonicalOrder computes the canonical address order (ascending by
-// address value) once and returns a walk over it that can run any
-// number of times — the tier writer's directory and chunk passes share
-// one. The walk reads the collector's slab: valid until the next write.
+// CanonicalOrder is the canonical address order (ascending by address
+// value) over a copy of c's records (see Records.CanonicalOrder): a
+// walk that can run any number of times — the tier writer's directory
+// and chunk passes share one — and stays valid after c is next written.
 func (c *Collector) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
-	return c.walkIdx(c.sortedAddrIdx())
+	return c.CopyRecords().CanonicalOrder()
 }
 
-// LastDeltaOrder is CanonicalOrder restricted to the slab blocks the
-// last delta checkpoint carried (see MarkCheckpointedDelta), with the
-// number of records the walk yields: the content of one tier run. Each
-// block is read up to the slab count at that checkpoint, with the
-// values the records hold now — a record mutated since is dirty for the
-// next delta too, so a later run carries it again, never staler.
-func (c *Collector) LastDeltaOrder() (iter.Seq2[addr.Addr, AddrRecord], int) {
-	var keys []canonKey
-	for _, bl := range deltaBlocks(c.ckpt.lastBase, c.ckpt.lastN, &c.ckpt.lastDirty) {
-		keys = c.appendAddrKeys(keys, bl.lo, bl.hi)
+// Records is a copy of a corpus's address records and observation
+// total: taken under the corpus's lock at 40 bytes a record, sorted and
+// encoded after it is released.
+type Records struct {
+	recs  []addrEntry
+	total uint64
+}
+
+// CopyRecords copies c's address records, in slab order, and its total.
+func (c *Collector) CopyRecords() *Records {
+	r := &Records{recs: make([]addrEntry, c.addrRecs.n), total: c.total}
+	n := copy(r.recs, c.addrRecs.head)
+	for _, ch := range c.addrRecs.chunks {
+		n += copy(r.recs[n:], ch)
 	}
-	idx := c.sortAddrKeys(keys)
-	return c.walkIdx(idx), len(idx)
+	return r
 }
 
-// walkIdx walks the slab records at idx, in that order.
-func (c *Collector) walkIdx(idx []uint32) iter.Seq2[addr.Addr, AddrRecord] {
+// LastDeltaRecords copies the records of the slab blocks the last delta
+// checkpoint carried (see MarkCheckpointedDelta), and c's total: the
+// content of one tier run. Each block is read up to the slab count at
+// that checkpoint, with the values the records hold now — a record
+// mutated since is dirty for the next delta too, so a later run carries
+// it again, never staler.
+func (c *Collector) LastDeltaRecords() *Records {
+	blocks := deltaBlocks(c.ckpt.lastBase, c.ckpt.lastN, &c.ckpt.lastDirty)
+	r := &Records{recs: make([]addrEntry, 0, len(blocks)<<deltaBlockBits), total: c.total}
+	for _, bl := range blocks {
+		for i := bl.lo; i < bl.hi; i++ {
+			r.recs = append(r.recs, *c.addrRecs.at(i))
+		}
+	}
+	return r
+}
+
+// NumAddrs returns the number of records copied.
+func (r *Records) NumAddrs() int { return len(r.recs) }
+
+// TotalObservations returns the copied corpus's raw sighting count.
+func (r *Records) TotalObservations() uint64 { return r.total }
+
+// CanonicalOrder sorts the copy by address, in place, and returns a
+// walk over it that can run any number of times.
+func (r *Records) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
+	sortEntries(r.recs, 0)
 	return func(yield func(addr.Addr, AddrRecord) bool) {
-		for _, i := range idx {
-			if e := c.addrRecs.at(i); !yield(e.key, e.rec) {
+		for i := range r.recs {
+			if e := &r.recs[i]; !yield(e.key, e.rec) {
 				return
 			}
+		}
+	}
+}
+
+// sortEntries sorts recs ascending by address, in place, given that
+// they agree on the key bytes before d: an MSD radix sort (American
+// flag sort), one counting pass and one 256-way in-place partition per
+// key byte, recursing into each bucket on the next byte, and insertion
+// sort once a bucket is small. A byte every record shares costs the
+// counting pass alone.
+func sortEntries(recs []addrEntry, d int) {
+	for ; len(recs) > 32 && d < len(addr.Addr{}); d++ {
+		var count [256]int
+		for i := range recs {
+			count[recs[i].key[d]]++
+		}
+		if count[recs[0].key[d]] == len(recs) {
+			continue
+		}
+		var next, end [256]int
+		sum := 0
+		for v, n := range count {
+			next[v], sum = sum, sum+n
+			end[v] = sum
+		}
+		for v := range next {
+			for next[v] < end[v] {
+				w := recs[next[v]].key[d]
+				if int(w) == v {
+					next[v]++
+					continue
+				}
+				recs[next[v]], recs[next[w]] = recs[next[w]], recs[next[v]]
+				next[w]++
+			}
+		}
+		lo := 0
+		for _, hi := range end {
+			if hi-lo > 1 {
+				sortEntries(recs[lo:hi], d+1)
+			}
+			lo = hi
+		}
+		return
+	}
+	for i := 1; i < len(recs); i++ {
+		for j := i; j > 0 && recs[j].key.Less(recs[j-1].key); j-- {
+			recs[j], recs[j-1] = recs[j-1], recs[j]
 		}
 	}
 }
@@ -192,15 +232,13 @@ func (c *Collector) WriteCanonical(w io.Writer) (err error) {
 	buf := make([]byte, 0, canonFlush+1024)
 	buf = binary.BigEndian.AppendUint64(buf, c.total)
 
-	addrIdx := c.sortedAddrIdx()
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(addrIdx)))
-	for _, ri := range addrIdx {
-		e := c.addrRecs.at(ri)
-		buf = append(buf, e.key[:]...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.First))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.Last))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.Count))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.rec.Servers))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(c.addrRecs.n))
+	for a, r := range c.CanonicalOrder() {
+		buf = append(buf, a[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.First))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Last))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Count))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Servers))
 		if buf, err = spill(buf, w); err != nil {
 			return err
 		}
@@ -235,7 +273,7 @@ func (t *IIDTable) appendCanonicalIIDs(buf []byte, w io.Writer) (_ []byte, err e
 		}
 		v := IIDView{t: t, ref: p.ref}
 		first, last, count := v.summary()
-		buf = binary.BigEndian.AppendUint64(buf, p.lo)
+		buf = binary.BigEndian.AppendUint64(buf, p.iid)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(first))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(last))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(count))

@@ -9,22 +9,21 @@ import (
 	"hitlist6/internal/addr"
 )
 
-// checkCanonicalOrder is the kernel's differential: the radix order over
-// raw keys (duplicates allowed — the sort must be stable), and through a
-// collector built from the same keys the address order against a plain
-// sort by Addr.Less and the IID order against a plain sort by IID.
+// checkCanonicalOrder is the kernels' differential: the IID radix order
+// over the addresses' raw IIDs (duplicates allowed — the sort must be
+// stable), and through a collector built from the addresses the address
+// order against a plain sort by Addr.Less and the IID order against a
+// plain sort by IID.
 func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 	t.Helper()
-	keys := make([]canonKey, len(addrs))
+	keys := make([]iidKey, len(addrs))
 	for i, a := range addrs {
-		keys[i] = canonKey{a.Hi(), a.Lo(), uint32(i)}
+		keys[i] = iidKey{a.Lo(), uint32(i)}
 	}
 	want := slices.Clone(keys)
-	sort.SliceStable(want, func(i, j int) bool {
-		return addrs[want[i].ref].Less(addrs[want[j].ref])
-	})
-	if got := sortCanonKeys(keys, make([]canonKey, len(keys))); !slices.Equal(got, want) {
-		t.Fatalf("sortCanonKeys over %d keys diverges from a stable sort by Addr.Less", len(addrs))
+	sort.SliceStable(want, func(i, j int) bool { return want[i].iid < want[j].iid })
+	if got := sortIIDKeys(keys, make([]iidKey, len(keys))); !slices.Equal(got, want) {
+		t.Fatalf("sortIIDKeys over %d keys diverges from a stable sort by IID", len(addrs))
 	}
 
 	c := New()
@@ -33,17 +32,23 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 	}
 	wantAddrs := c.AddressList()
 	sort.Slice(wantAddrs, func(i, j int) bool { return wantAddrs[i].Less(wantAddrs[j]) })
-	var gotAddrs []addr.Addr
-	for _, i := range c.sortedAddrIdx() {
-		gotAddrs = append(gotAddrs, c.addrRecs.at(i).key)
-	}
-	if !slices.Equal(gotAddrs, wantAddrs) {
-		t.Fatalf("sortedAddrIdx over %d addrs diverges from sort by Addr.Less", len(wantAddrs))
-	}
 	var walked []addr.Addr
-	c.AddrsCanonical(func(a addr.Addr, _ AddrRecord) bool { walked = append(walked, a); return true })
+	c.AddrsCanonical(func(a addr.Addr, r AddrRecord) bool {
+		if want, _ := c.Get(a); r != want {
+			t.Fatalf("the canonical walk hands out %+v for %v, the collector holds %+v", r, a, want)
+		}
+		walked = append(walked, a)
+		return true
+	})
+	if !slices.Equal(walked, wantAddrs) {
+		t.Fatalf("the canonical walk over %d addrs diverges from sort by Addr.Less", len(wantAddrs))
+	}
 	if got := c.SortedAddrs(); cap(got) != c.NumAddrs() || !slices.Equal(got, walked) {
 		t.Fatalf("SortedAddrs (%d of cap %d) diverges from the AddrsCanonical walk (%d)", len(got), cap(got), len(walked))
+	}
+	if recs := c.CopyRecords(); recs.NumAddrs() != c.NumAddrs() || recs.TotalObservations() != c.TotalObservations() {
+		t.Fatalf("CopyRecords holds %d addrs / %d observations, the collector %d / %d",
+			recs.NumAddrs(), recs.TotalObservations(), c.NumAddrs(), c.TotalObservations())
 	}
 
 	tb := c.IIDTable()
@@ -52,10 +57,10 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 	slices.Sort(wantIIDs)
 	var gotIIDs []addr.IID
 	for _, k := range tb.sortedIIDRefs() {
-		if k.hi != 0 || tb.iidKeyOf(k.ref) != addr.IID(k.lo) {
+		if tb.iidKeyOf(k.ref) != addr.IID(k.iid) {
 			t.Fatalf("IID key %+v does not match its reference", k)
 		}
-		gotIIDs = append(gotIIDs, addr.IID(k.lo))
+		gotIIDs = append(gotIIDs, addr.IID(k.iid))
 	}
 	if !slices.Equal(gotIIDs, wantIIDs) {
 		t.Fatalf("sortedIIDRefs over %d IIDs diverges from sort by IID", len(wantIIDs))
@@ -65,7 +70,8 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 // TestCanonicalOrderDifferential runs the differential over the key
 // sets a byte-wise radix sort can get wrong: degenerate sizes, digits
 // that never vary (skipped passes), a single varying digit at either
-// end, the extreme values, and more keys than one 16-bit digit counts.
+// end, a digit most keys share, the extreme values, and more keys than
+// one 16-bit digit counts.
 func TestCanonicalOrderDifferential(t *testing.T) {
 	state := uint64(0xc0ffee)
 	rnd := func() uint64 { return splitmix64(&state) }
@@ -91,6 +97,13 @@ func TestCanonicalOrderDifferential(t *testing.T) {
 		{"byte 15 only", gen(256, func(i int) addr.Addr { return addr.FromParts(0x20010db8_00000000, uint64(255-i)) })},
 		{"extremes", append(gen(500, func(int) addr.Addr { return addr.FromParts(rnd(), rnd()) }), ones, zero, ones, zero)},
 		{"repeats", gen(5000, func(int) addr.Addr { return addr.FromParts(rnd()%7, rnd()%11) })},
+		{"skewed digit", gen(3000, func(i int) addr.Addr {
+			hi := uint64(0x20010db8_00000000)
+			if i%10 == 9 {
+				hi |= 1 + rnd()%4096
+			}
+			return addr.FromParts(hi, rnd())
+		})},
 		{"70k", gen(70_000, func(int) addr.Addr { return addr.FromParts(0x20010db8_00000000|rnd()%4096, rnd()) })},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkCanonicalOrder(t, tc.addrs) })

@@ -32,8 +32,8 @@
 // out of the picture entirely — the property that lets a single machine
 // hold hundreds of millions of records without GC pressure becoming the
 // throughput ceiling. A collector has one writer at a time — a shard
-// worker, the Store's merger, a replay — and readers that do not run
-// concurrently with it (Store is that boundary for live ingest).
+// worker holding the Store's write lock, a replay — and readers that do
+// not run concurrently with it (Store is that boundary for live ingest).
 package collector
 
 import (
@@ -90,7 +90,7 @@ type Span struct {
 // ---- chunked record slabs ----
 
 // Slab geometry: the first chunk grows by appending (so small collectors
-// — shard epochs, day slices, tests — stay small), and once it reaches
+// — day slices, tests — stay small), and once it reaches
 // chunkSize further chunks are allocated at full capacity and never
 // moved. Growth therefore copies at most chunkSize records ever, and
 // cumulative allocation stays within a small constant of the final
@@ -730,7 +730,7 @@ func (c *Collector) Merge(o *Collector) {
 //   - An empty donor contributes only its observation total.
 //   - Into an empty c, the donor's slab and index move over wholesale:
 //     O(1), no record is touched. Restore-on-start (ingest.Config.Seed)
-//     and a shard epoch landing in an empty store end here.
+//     ends here.
 //   - Otherwise Merge runs record by record.
 //
 // The result is observation-identical to Merge in every case (pinned by

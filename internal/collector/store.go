@@ -5,17 +5,16 @@ import (
 	"sync"
 )
 
-// Store is the single-writer merged view of sharded collection: ingest
-// shards accumulate address records into private Collectors and
-// periodically hand them to one merger goroutine, which absorbs them
-// here under the write lock. Readers (HTTP stat endpoints, checkpoints,
-// the tier writer) take the read lock and see a consistent,
-// slightly-stale corpus of address records; a reader that needs IID
-// state builds a Collector.IIDTable inside View.
+// Store is the live corpus of sharded collection: ingest's shard
+// workers fold each batch into it with Update, one write-lock hold per
+// batch, and a restored seed lands with ApplyShard. Readers (HTTP stat
+// endpoints, checkpoints, the tier writer) take the read lock and see a
+// consistent corpus holding every finished batch; a reader that needs
+// IID state builds a Collector.IIDTable inside View.
 //
-// The Collector itself stays single-writer — Store adds the concurrency
-// boundary around it instead of pushing locks into the per-sighting hot
-// path, which the sharded pipeline keeps lock-free.
+// The Collector itself stays single-writer: Store adds the lock around
+// it, and sightings commute, so the corpus does not depend on which
+// worker's batch lands first; only slab order follows the interleaving.
 type Store struct {
 	mu sync.RWMutex
 	c  *Collector
@@ -26,10 +25,17 @@ func NewStore() *Store {
 	return &Store{c: New()}
 }
 
-// ApplyShard folds a whole collector — a shard epoch, a restored seed,
-// a corpus built elsewhere — into the merged view. The store takes
-// ownership: part must not be used again (see Collector.Absorb for the
-// cases).
+// Update runs fn with write access to the corpus: the ingest write
+// path, one call per batch. fn must not retain the *Collector.
+func (s *Store) Update(fn func(*Collector)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn(s.c)
+}
+
+// ApplyShard folds a whole collector — a restored seed, a corpus built
+// elsewhere — into the store. The store takes ownership: part must not
+// be used again (see Collector.Absorb for the cases).
 func (s *Store) ApplyShard(part *Collector) {
 	if part == nil {
 		return
@@ -39,22 +45,22 @@ func (s *Store) ApplyShard(part *Collector) {
 	s.mu.Unlock()
 }
 
-// View runs fn with read access to the merged corpus. fn must not retain
-// the *Collector or mutate it; writes are the merger's alone.
+// View runs fn with read access to the corpus. fn must not retain the
+// *Collector or mutate it; writes go through Update and ApplyShard.
 func (s *Store) View(fn func(*Collector)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	fn(s.c)
 }
 
-// NumAddrs returns the merged unique-address count.
+// NumAddrs returns the unique-address count.
 func (s *Store) NumAddrs() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.c.NumAddrs()
 }
 
-// MemoryFootprint estimates the merged corpus's resident bytes (see
+// MemoryFootprint estimates the corpus's resident bytes (see
 // Collector.MemoryFootprint): the number stat endpoints export as
 // corpus_bytes.
 func (s *Store) MemoryFootprint() uint64 {
@@ -63,7 +69,7 @@ func (s *Store) MemoryFootprint() uint64 {
 	return s.c.MemoryFootprint()
 }
 
-// Snapshot writes the merged corpus's durable encoding (see
+// Snapshot writes the corpus's durable encoding (see
 // Collector.Snapshot) under the read lock: writers are held off for the
 // duration, readers proceed. This is the daemon checkpoint path — pair
 // it with OpenSnapshot and ApplyShard (or ingest.Config.Seed) to
@@ -75,7 +81,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 }
 
 // CheckpointFull writes a full snapshot and advances the delta-chain
-// watermark to sequence 0, atomically with respect to ApplyShard: the
+// watermark to sequence 0, atomically with respect to Update: the
 // write lock is held across both, so no observation can land between
 // the bytes and the mark and silently escape the next delta. The caller
 // must make the bytes durable before relying on the chain (the ingest
@@ -109,7 +115,7 @@ func (s *Store) CheckpointDelta(w io.Writer) error {
 	return nil
 }
 
-// CheckpointSeq returns the merged corpus's checkpoint chain position
+// CheckpointSeq returns the corpus's checkpoint chain position
 // (see Collector.CheckpointSeq).
 func (s *Store) CheckpointSeq() (uint64, bool) {
 	s.mu.RLock()
@@ -117,7 +123,7 @@ func (s *Store) CheckpointSeq() (uint64, bool) {
 	return s.c.CheckpointSeq()
 }
 
-// Detach returns the merged Collector and resets the store to empty. It
+// Detach returns the Collector and resets the store to empty. It
 // is how a finished ingest run hands the corpus to the (single-threaded)
 // analysis layer without copying: after Detach the caller owns the
 // Collector exclusively.

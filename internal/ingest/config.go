@@ -1,15 +1,15 @@
 // Package ingest implements the sharded concurrent ingestion pipeline:
 // the production seam between a raw NTP query stream and the passive
-// observation store. Events fan out to N collector shards by address
-// hash — per-address updates commute, so same-address sightings always
-// land on the same shard and every shard runs lock-free on private
-// state. Batched channels — the one shard queue — amortize
-// synchronization, an admission policy provides backpressure (block) or
-// load-shedding (drop), pluggable enrichment stages run inline on each
-// shard, and shard snapshots merge into a single-writer collector.Store
-// that readers can query live. Only the first snapshot into an empty
-// store is a handover; every later one is folded into the store's
-// address table record by record (collector.Absorb).
+// observation store. Events fan out to N shard workers by address hash,
+// so same-address sightings always land on the same worker. Batched
+// channels — the one shard queue — amortize synchronization and an
+// admission policy provides backpressure (block) or load-shedding
+// (drop). Each worker folds a whole batch into the one collector.Store
+// under its write lock, so every sighting is written once, into the
+// corpus readers query live; sightings commute, so the corpus does not
+// depend on which worker's batch lands first. Pluggable enrichment
+// stages run inline on each worker, lock-free on private instances
+// that snapshots merge into the pipeline-level view.
 //
 // The paper's deployment is 27 vantage servers each feeding one stream;
 // this pipeline is what one high-volume vantage (or a central
@@ -27,8 +27,8 @@ import (
 
 // Config parameterizes a Pipeline.
 type Config struct {
-	// Shards is the number of collector shards (and worker goroutines).
-	// 0 selects GOMAXPROCS capped at 8. Same-address events always hash
+	// Shards is the number of shard queues and worker goroutines. 0
+	// selects GOMAXPROCS capped at 8. Same-address events always hash
 	// to the same shard, so results are independent of the shard count.
 	Shards int
 	// BatchSize is how many events a Batcher accumulates per shard
@@ -43,10 +43,12 @@ type Config struct {
 	// true sheds the batch and counts it in Metrics.Dropped, which is
 	// what a live UDP collector wants instead of kernel buffer bloat.
 	DropOnFull bool
-	// SnapshotInterval is how often shard snapshots are merged into the
-	// live Store view. 0 disables periodic snapshots: the store is then
-	// only populated by SnapshotNow and Close. Replay-style batch runs
-	// want 0; serving daemons want something like a few seconds.
+	// SnapshotInterval is how often the shards merge their stage
+	// instances into the pipeline-level view StageView reads. The Store
+	// needs no snapshot: every batch a worker finishes is in it. 0
+	// disables periodic snapshots: the merged stages then change only
+	// at Quiesce and Close. Replay-style batch runs want 0; serving
+	// daemons want something like a few seconds.
 	SnapshotInterval time.Duration
 	// ServerCap is the highest vantage-server count the deployment
 	// attributes distinctly; events with Server >= ServerCap saturate

@@ -21,16 +21,14 @@ type Event struct {
 	Server int32
 }
 
-// shardOf maps an address to its shard via addr.Hash64. All sightings
-// of one address land on one shard, which is what makes per-shard state
-// lock-free and the merged result independent of the shard count. The
-// shard is the hash scaled into [0, shards) — its high bits. The shard's
-// address table picks home slots with the low bits of the same hash, so
-// taking the shard from the low end too (hash % shards) would leave a
-// shard at a power-of-two count holding keys that agree in exactly the
-// bits its table spreads by, and only one slot in `shards` a home slot.
-// The table's one-byte slot tags take bits 32..38, which neither end
-// uses.
+// shardOf maps an address to its shard via addr.Hash64, so all
+// sightings of one address land on one shard. The shard is the hash
+// scaled into [0, shards) — its high bits. An address table picks home
+// slots with the low bits of the same hash, so taking the shard from the
+// low end too (hash % shards) would leave a table of one shard's
+// addresses, at a power-of-two count, holding keys that agree in
+// exactly the bits it spreads by. The table's one-byte slot tags take
+// bits 32..38, which neither end uses.
 func shardOf(a addr.Addr, shards int) int {
 	if shards <= 1 {
 		return 0

@@ -2,9 +2,9 @@ package ingest
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
@@ -90,22 +90,53 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSnapshotNowLiveView(t *testing.T) {
+// TestResightWritesInPlace: re-sighting a preloaded corpus through a
+// 2-shard pipeline folds every batch into the Store's records in place.
+// Nothing is written a second time — no per-epoch shard corpus, no
+// merge — so the re-sight allocates a small fraction of the corpus's
+// footprint (a design that staged each record in a shard collector
+// first allocates several times the footprint here).
+func TestResightWritesInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	events := make([]Event, 50000)
+	for i := range events {
+		events[i] = Event{Addr: addr.FromParts(0x20010db8_00000000|uint64(i>>8), uint64(i)+1), Time: 1643673600, Server: int32(i % 27)}
+	}
+	p, err := New(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Ingest(events)
+	p.Quiesce()
+	footprint := p.Store().MemoryFootprint()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.Ingest(events)
+	p.Quiesce()
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if allocated*20 >= footprint {
+		t.Errorf("re-sighting %d addresses allocated %d B, not under 5%% of the corpus's %d B", len(events), allocated, footprint)
+	}
+	if got := storeTotal(p.Store()); got != 2*uint64(len(events)) {
+		t.Errorf("store holds %d observations, want %d", got, 2*len(events))
+	}
+}
+
+func TestQuiesceLiveView(t *testing.T) {
 	events := testEvents(t, 0.03, 10)
 	p, err := New(DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Ingest(events[:len(events)/2])
-	p.SnapshotNow()
-	// The merge is asynchronous after the shard handoff; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for storeTotal(p.Store()) < uint64(len(events)/2) {
-		if time.Now().After(deadline) {
-			t.Fatalf("live store stuck at %d/%d observations",
-				storeTotal(p.Store()), len(events)/2)
-		}
-		time.Sleep(time.Millisecond)
+	p.Quiesce()
+	if got := storeTotal(p.Store()); got != uint64(len(events)/2) {
+		t.Fatalf("live store holds %d/%d observations after the quiesce", got, len(events)/2)
 	}
 	p.Ingest(events[len(events)/2:])
 	merged := p.Close()

@@ -15,9 +15,9 @@ import (
 type Metrics struct {
 	enqueued  *telemetry.Counter // events admitted into shard queues
 	dropped   *telemetry.Counter // events shed at admission (DropOnFull)
-	processed *telemetry.Counter // events folded into shard state
+	processed *telemetry.Counter // events folded into the store and the shard stages
 	batches   *telemetry.Counter // batches handed to shard queues
-	snapshots *telemetry.Counter // shard snapshots merged into the store
+	snapshots *telemetry.Counter // shard snapshots: stage instances merged
 	// Durable-checkpoint telemetry (CheckpointFile and CheckpointChain).
 	checkpoints         *telemetry.Counter
 	deltaCheckpoints    *telemetry.Counter
@@ -30,7 +30,7 @@ type Metrics struct {
 
 // pipelineTelemetry is the per-shard/per-stage instrumentation beyond
 // the counter block: latency and size distributions, queue gauges, and
-// the merger/checkpoint timings. The hot-path pieces are gated by
+// the stage-merge and checkpoint timings. The hot-path pieces are gated by
 // enabled so BenchmarkTelemetryOverhead can measure the uninstrumented
 // observe loop as its baseline; production pipelines always run
 // enabled.
@@ -44,7 +44,7 @@ type pipelineTelemetry struct {
 	stageSeconds []*telemetry.Histogram
 	// Global distributions.
 	batchEvents      *telemetry.Histogram // events per batch
-	mergeSeconds     *telemetry.Histogram // ApplyShard wall time in the merger
+	mergeSeconds     *telemetry.Histogram // stage-merge wall time per shard snapshot
 	checkpointTime   *telemetry.Histogram // CheckpointFile wall time
 	checkpointVolume *telemetry.Histogram // CheckpointFile bytes written
 }
@@ -59,9 +59,9 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	m := &p.metrics
 	m.enqueued = reg.Counter("ingest_events_enqueued_total", "Events admitted into shard queues.")
 	m.dropped = reg.Counter("ingest_events_dropped_total", "Events shed at admission (DropOnFull).")
-	m.processed = reg.Counter("ingest_events_processed_total", "Events folded into shard state.")
+	m.processed = reg.Counter("ingest_events_processed_total", "Events folded into the store and the shard stages.")
 	m.batches = reg.Counter("ingest_batches_total", "Batches handed to shard queues.")
-	m.snapshots = reg.Counter("ingest_snapshots_merged_total", "Shard snapshots merged into the store.")
+	m.snapshots = reg.Counter("ingest_snapshots_merged_total", "Shard snapshots: one shard's stage instances merged into the pipeline-level view.")
 	m.checkpoints = reg.Counter("ingest_checkpoints_total", "Durable corpus checkpoints written.")
 	m.deltaCheckpoints = reg.Counter("ingest_delta_checkpoints_total", "Checkpoints written as chain deltas (subset of the total).")
 	m.checkpointErrors = reg.Counter("ingest_checkpoint_errors_total", "Failed checkpoint attempts.")
@@ -73,7 +73,7 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	t.batchEvents = reg.Histogram("ingest_batch_events",
 		"Events per processed batch.", telemetry.CountBuckets())
 	t.mergeSeconds = reg.Histogram("ingest_merge_seconds",
-		"Wall time merging one shard snapshot into the store.", telemetry.DurationBuckets())
+		"Wall time of one shard snapshot: merging its stage instances into the pipeline-level view.", telemetry.DurationBuckets())
 	t.checkpointTime = reg.Histogram("ingest_checkpoint_seconds",
 		"Wall time writing one durable checkpoint (includes the quiesce).", telemetry.DurationBuckets())
 	t.checkpointVolume = reg.Histogram("ingest_checkpoint_written_bytes",
@@ -85,7 +85,7 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	for i, s := range p.shards {
 		shard := telemetry.L("shard", strconv.Itoa(i))
 		t.batchSeconds[i] = reg.Histogram("ingest_batch_seconds",
-			"Observe-loop wall time per batch (collector + stages).", telemetry.DurationBuckets(), shard)
+			"Observe-loop wall time per batch (store write + stages).", telemetry.DurationBuckets(), shard)
 		t.shardEvents[i] = reg.Counter("ingest_shard_events_total",
 			"Events folded, per shard.", shard)
 		t.queueHighWater[i] = reg.Gauge("ingest_queue_high_water",
@@ -105,10 +105,10 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 
 	store := p.store
 	reg.GaugeFunc("ingest_corpus_addresses",
-		"Unique addresses in the merged store.",
+		"Unique addresses in the store.",
 		func() float64 { return float64(store.NumAddrs()) })
 	reg.GaugeFunc("ingest_corpus_bytes",
-		"Estimated resident bytes of the merged store.",
+		"Estimated resident bytes of the store.",
 		func() float64 { return float64(store.MemoryFootprint()) })
 }
 
@@ -127,7 +127,7 @@ type MetricsSnapshot struct {
 	// should watch — the lifetime average goes stale within hours.
 	EventsPerSec       float64 `json:"events_per_sec"`
 	RecentEventsPerSec float64 `json:"recent_events_per_sec"`
-	// CorpusBytes estimates the merged store's resident size under the
+	// CorpusBytes estimates the store's resident size under the
 	// flat-slab layout; BytesPerAddr divides it by unique addresses.
 	CorpusBytes  uint64  `json:"corpus_bytes"`
 	BytesPerAddr float64 `json:"bytes_per_addr"`

@@ -1,9 +1,6 @@
 package ingest
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestMetricsCorpusTelemetry(t *testing.T) {
 	events := testEvents(t, 0.03, 8)
@@ -12,14 +9,7 @@ func TestMetricsCorpusTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Ingest(events)
-	p.SnapshotNow()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Store().NumAddrs() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("store never populated")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	p.Quiesce()
 	m := p.Metrics()
 	if m.CorpusBytes == 0 {
 		t.Error("CorpusBytes zero on populated store")

@@ -11,23 +11,22 @@ import (
 
 // Pipeline is the sharded ingestion engine. Producers obtain Batchers
 // and push Events; each event hashes to one of N shards, whose worker
-// goroutine folds it into a private Collector plus the configured
-// enrichment stages, entirely lock-free. Snapshots (periodic, on
-// demand, and at Close) hand the private state to a single merger
-// goroutine that absorbs it into the Store — the one writer the
-// concurrency model allows — so readers always have a consistent,
-// slightly-stale corpus of address records without ever touching the
-// hot path. Nothing per IID is kept while ingesting: readers that need
-// it build a Collector.IIDTable.
+// goroutine folds every batch straight into the Store, under its write
+// lock, once per batch, and then runs the batch through its private
+// instances of the configured enrichment stages, lock-free. Each
+// sighting is written once, into the one corpus, so readers see every
+// finished batch. Stage instances reach the pipeline-level view at
+// snapshots (periodic, on demand, and at Close). Nothing per IID is
+// kept while ingesting: readers that need it build a
+// Collector.IIDTable.
 type Pipeline struct {
 	cfg   Config
 	store *collector.Store
 
 	shards []*shard
-	merge  chan shardSnapshot
 
 	// mergedStages[i] accumulates every shard's instance of
-	// cfg.Stages[i]; guarded by stageMu (written by the merger, read by
+	// cfg.Stages[i]; guarded by stageMu (written by handOff, read by
 	// StageView).
 	stageMu      sync.Mutex
 	mergedStages []Stage
@@ -36,7 +35,6 @@ type Pipeline struct {
 	tel     pipelineTelemetry
 
 	workersWG sync.WaitGroup
-	mergerWG  sync.WaitGroup
 	tickerWG  sync.WaitGroup
 	stopTick  chan struct{}
 
@@ -61,24 +59,13 @@ type Pipeline struct {
 }
 
 // shard is one worker's private world: its inbound batch queue, a
-// snapshot doorbell, and the lock-free state it owns. idx is the
+// snapshot doorbell, and the stage instances it owns. idx is the
 // shard's index, the label its telemetry series carry.
 type shard struct {
 	idx    int
 	in     chan []Event
 	snap   chan chan struct{}
-	buf    *collector.Collector
 	stages []Stage
-}
-
-// shardSnapshot is the unit handed to the merger goroutine. A non-nil
-// barrier (and nothing else) marks a merger fence: the merge channel is
-// FIFO and the merger is the only consumer, so the barrier closing
-// proves every snapshot enqueued before it has been folded in.
-type shardSnapshot struct {
-	buf     *collector.Collector
-	stages  []Stage
-	barrier chan struct{}
 }
 
 // New builds and starts a pipeline. The returned pipeline is running:
@@ -90,7 +77,6 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:      cfg,
 		store:    collector.NewStore(),
-		merge:    make(chan shardSnapshot, cfg.Shards),
 		stopTick: make(chan struct{}),
 	}
 	p.metrics.start = time.Now()
@@ -111,7 +97,6 @@ func New(cfg Config) (*Pipeline, error) {
 			idx:    i,
 			in:     make(chan []Event, cfg.QueueDepth),
 			snap:   make(chan chan struct{}, 1),
-			buf:    collector.New(),
 			stages: newStages(cfg.Stages),
 		}
 	}
@@ -124,8 +109,6 @@ func New(cfg Config) (*Pipeline, error) {
 		p.workersWG.Add(1)
 		go p.runShard(s)
 	}
-	p.mergerWG.Add(1)
-	go p.runMerger()
 	if cfg.SnapshotInterval > 0 {
 		p.tickerWG.Add(1)
 		go p.runTicker(cfg.SnapshotInterval)
@@ -133,8 +116,9 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Store returns the live merged view. It is empty until the first
-// snapshot lands (SnapshotInterval, SnapshotNow, or Close).
+// Store returns the live corpus: every batch a shard worker has
+// finished is in it. Quiesce makes it hold every event flushed before
+// the call.
 func (p *Pipeline) Store() *collector.Store { return p.store }
 
 // NumShards returns the shard count in effect.
@@ -154,7 +138,7 @@ func (p *Pipeline) runShard(s *shard) {
 			p.processBatch(s, batch)
 		case done := <-s.snap:
 			// Drain already-queued batches first so everything flushed
-			// before SnapshotNow was called is part of the handoff.
+			// before Quiesce was called is folded before the handoff.
 			open := true
 		drain:
 			for open {
@@ -177,15 +161,22 @@ func (p *Pipeline) runShard(s *shard) {
 	}
 }
 
-// handOff pushes the shard's accumulated state to the merger. While the
-// queue is still open the shard starts its next epoch on fresh state;
-// once the producer side has closed this was the final handoff and the
-// shard keeps nothing.
+// handOff merges the shard's stage instances into the pipeline-level
+// ones; its records need no handoff, processBatch wrote them to the
+// Store. While the queue is still open the shard starts its next epoch
+// on fresh instances; once the producer side has closed this was the
+// final handoff and the shard keeps nothing.
 func (p *Pipeline) handOff(s *shard, open bool) {
-	p.merge <- shardSnapshot{buf: s.buf, stages: s.stages}
-	s.buf, s.stages = nil, nil
+	start := time.Now()
+	p.stageMu.Lock()
+	for i, st := range s.stages {
+		p.mergedStages[i].Merge(st)
+	}
+	p.stageMu.Unlock()
+	p.tel.mergeSeconds.ObserveDuration(time.Since(start))
+	p.metrics.snapshots.Add(1)
+	s.stages = nil
 	if open {
-		s.buf = collector.New()
 		s.stages = newStages(p.cfg.Stages)
 	}
 }
@@ -199,14 +190,15 @@ func newStages(factories []StageFactory) []Stage {
 	return stages
 }
 
-// processBatch folds one batch into the shard's collector and stages.
-// The loop is structured stage-major (collector pass, then one pass
-// per stage) so each stage's wall time is measurable with two clock
-// reads per batch instead of two per event — the whole point of the
-// telemetry being affordable at line rate. Timing costs amortize over
-// BatchSize events; the timed and untimed paths share the same loop
-// shape so BenchmarkTelemetryOverhead isolates the instrumentation
-// cost alone.
+// processBatch folds one batch into the Store, under one write-lock
+// hold, and then into the shard's stages. The loop is structured
+// stage-major (corpus pass, then one pass per stage) so the lock is
+// held for the corpus pass alone and each stage's wall time is
+// measurable with two clock reads per batch instead of two per event —
+// the whole point of the telemetry being affordable at line rate.
+// Timing costs amortize over BatchSize events; the timed and untimed
+// paths share the same loop shape so BenchmarkTelemetryOverhead
+// isolates the instrumentation cost alone.
 func (p *Pipeline) processBatch(s *shard, batch []Event) {
 	cap32 := int32(p.cfg.ServerCap)
 	timed := p.tel.enabled
@@ -214,16 +206,18 @@ func (p *Pipeline) processBatch(s *shard, batch []Event) {
 	if timed {
 		start = time.Now()
 	}
-	for i := range batch {
-		ev := &batch[i]
-		if ev.Server >= cap32 {
-			// Deployment-level saturation: attribute to the last
-			// distinct index the config allows (collector.ServerBit
-			// would otherwise saturate at MaxServers-1 regardless).
-			ev.Server = cap32 - 1
+	p.store.Update(func(c *collector.Collector) {
+		for i := range batch {
+			ev := &batch[i]
+			if ev.Server >= cap32 {
+				// Deployment-level saturation: attribute to the last
+				// distinct index the config allows (collector.ServerBit
+				// would otherwise saturate at MaxServers-1 regardless).
+				ev.Server = cap32 - 1
+			}
+			c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 		}
-		s.buf.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
-	}
+	})
 	for si, st := range s.stages {
 		var stageStart time.Time
 		if timed {
@@ -265,30 +259,6 @@ func (p *Pipeline) putBatch(batch []Event) {
 	}
 }
 
-// runMerger is the single writer of the Store and the merged stages.
-func (p *Pipeline) runMerger() {
-	defer p.mergerWG.Done()
-	for snap := range p.merge {
-		if snap.barrier != nil {
-			close(snap.barrier)
-			continue
-		}
-		if snap.buf != nil {
-			mergeStart := time.Now()
-			p.store.ApplyShard(snap.buf)
-			p.tel.mergeSeconds.ObserveDuration(time.Since(mergeStart))
-		}
-		if len(snap.stages) > 0 {
-			p.stageMu.Lock()
-			for i, st := range snap.stages {
-				p.mergedStages[i].Merge(st)
-			}
-			p.stageMu.Unlock()
-		}
-		p.metrics.snapshots.Add(1)
-	}
-}
-
 func (p *Pipeline) runTicker(every time.Duration) {
 	defer p.tickerWG.Done()
 	t := time.NewTicker(every)
@@ -296,18 +266,20 @@ func (p *Pipeline) runTicker(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			p.SnapshotNow()
+			p.Quiesce()
 		case <-p.stopTick:
 			return
 		}
 	}
 }
 
-// SnapshotNow asks every shard to hand its accumulated state to the
-// merger and blocks until all have done so; every event Flushed before
-// the call is covered by the handoff (the merge itself completes
-// asynchronously, in snapshot order). Must not race with Close.
-func (p *Pipeline) SnapshotNow() {
+// Quiesce asks every shard to drain its queue and merge its stage
+// instances into the pipeline-level ones, and blocks until all have:
+// on return, every event Flushed before the call is in the Store and
+// the merged stages. This is the read-your-writes barrier the durable
+// paths need — a checkpoint taken after Quiesce provably contains
+// everything flushed before it. Must not race with Close.
+func (p *Pipeline) Quiesce() {
 	acks := make([]chan struct{}, len(p.shards))
 	for i, s := range p.shards {
 		ack := make(chan struct{})
@@ -317,18 +289,6 @@ func (p *Pipeline) SnapshotNow() {
 	for _, ack := range acks {
 		<-ack
 	}
-}
-
-// Quiesce is SnapshotNow plus a merger fence: on return, every event
-// Flushed before the call is not merely handed off but folded into the
-// Store and the merged stages. This is the read-your-writes barrier the
-// durable paths need — a checkpoint taken after Quiesce provably
-// contains everything flushed before it. Must not race with Close.
-func (p *Pipeline) Quiesce() {
-	p.SnapshotNow()
-	barrier := make(chan struct{})
-	p.merge <- shardSnapshot{barrier: barrier}
-	<-barrier
 }
 
 // SeedStage folds a restored stage state into the pipeline-level merged
@@ -349,7 +309,7 @@ func (p *Pipeline) SeedStage(name string, from Stage) error {
 }
 
 // StageView runs fn over the pipeline-level merged enrichment stages,
-// in Config.Stages order. The view reflects state up to the last merged
+// in Config.Stages order. The view reflects state up to the last
 // snapshot; after Close it is complete. fn must not retain the slice.
 func (p *Pipeline) StageView(fn func(stages []Stage)) {
 	p.stageMu.Lock()
@@ -372,8 +332,8 @@ func (p *Pipeline) Stage(name string) Stage {
 }
 
 // Close finishes ingestion: all producers must have Flushed and stopped
-// first. Every queued batch is drained, final shard snapshots merge,
-// and the merged corpus is detached from the Store and returned. The
+// first. Every queued batch is drained, the final stage instances
+// merge, and the corpus is detached from the Store and returned. The
 // Store remains usable (empty) and further Close calls return the same
 // collector.
 func (p *Pipeline) Close() *collector.Collector {
@@ -384,8 +344,6 @@ func (p *Pipeline) Close() *collector.Collector {
 			close(s.in)
 		}
 		p.workersWG.Wait()
-		close(p.merge)
-		p.mergerWG.Wait()
 		p.result = p.store.Detach()
 	})
 	return p.result

@@ -37,10 +37,10 @@ func TestShardMergeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		feedConcurrently(p, events, 4)
-		// Fold a mid-run snapshot into the mix for shards=4 so the
-		// snapshot/merge path is also covered by the equivalence claim.
+		// Fold a mid-run quiesce into the mix for shards=4 so the
+		// snapshot path is also covered by the equivalence claim.
 		if shards == 4 {
-			p.SnapshotNow()
+			p.Quiesce()
 		}
 		merged := p.Close()
 
@@ -57,10 +57,10 @@ func TestShardMergeEquivalence(t *testing.T) {
 
 // TestSnapshotDuringIngest rings the snapshot doorbell repeatedly while
 // three producers are still feeding the pipeline: the mid-stream
-// handoffs — each one a drain racing live enqueues, then a merge into a
-// store that already holds the shard's earlier epochs — must not lose,
-// duplicate or stall events, and must leave the serial collector's exact
-// corpus (run with -race).
+// handoffs — each one a drain racing live enqueues while the other
+// shards keep writing the store — must not lose, duplicate or stall
+// events, and must leave the serial collector's exact corpus (run with
+// -race).
 func TestSnapshotDuringIngest(t *testing.T) {
 	events := testEvents(t, 0.02, 6)
 	serial := collector.New()
@@ -80,7 +80,7 @@ func TestSnapshotDuringIngest(t *testing.T) {
 		feedConcurrently(p, events, 3)
 	}()
 	for i := 0; i < 8; i++ {
-		p.SnapshotNow()
+		p.Quiesce()
 	}
 	<-fed
 	merged := p.Close()
@@ -128,7 +128,7 @@ func TestStoreConcurrentReaders(t *testing.T) {
 
 	half := len(events) / 2
 	p.Ingest(events[:half])
-	p.SnapshotNow()
+	p.Quiesce()
 	p.Ingest(events[half:])
 	merged := p.Close()
 	close(stop)

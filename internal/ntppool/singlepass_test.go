@@ -157,16 +157,9 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 		}
 		RunIngest(w, p2, pipe, nil)
 
-		// Live read: snapshot every shard, wait for the merger to fold
-		// them all in, then analyze the store mid-life.
-		pipe.SnapshotNow()
-		deadline := time.Now().Add(10 * time.Second)
-		for pipe.Metrics().Snapshots < uint64(shards) {
-			if time.Now().After(deadline) {
-				t.Fatalf("shards=%d: merger never applied %d snapshots", shards, shards)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		// Live read: quiesce every shard, then analyze the store
+		// mid-life.
+		pipe.Quiesce()
 		var live *tracking.Analysis
 		pipe.Store().View(func(c *collector.Collector) {
 			live = tracking.AnalyzeWorkers(c.IIDTable(), w.ASDB, w.Geo, w.OUI, 1)

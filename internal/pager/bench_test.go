@@ -170,16 +170,16 @@ func BenchmarkWriteTierRun(b *testing.B) {
 		c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 	}
 	c.MarkCheckpointedDelta()
-	_, n := c.LastDeltaOrder()
+	n := c.LastDeltaRecords().NumAddrs()
 	var w countWriter
-	if err := WriteTierRun(c, &w); err != nil {
+	if err := WriteTier(c.LastDeltaRecords(), &w); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(w.n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteTierRun(c, io.Discard); err != nil {
+		if err := WriteTier(c.LastDeltaRecords(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -159,7 +159,7 @@ func Open(path string, o Options) (*Corpus, error) {
 }
 
 // AddRun opens the tier file at path — a run, the same format as a base
-// (see WriteTierRun) — and puts it in front of every file the corpus
+// (see WriteTier) — and puts it in front of every file the corpus
 // holds: from its return on, a Get of a key the run holds answers from
 // the run. Resident chunks stay resident, and a Get running meanwhile
 // sees the corpus either with the run or without it.

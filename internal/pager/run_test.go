@@ -110,9 +110,8 @@ func (m *tierModel) delta(lo, hi int) {
 	m.observe(lo, hi)
 	m.runs++
 	path := fmt.Sprintf("%s.%06d", m.basePath(), m.runs)
-	m.write(path, func(c *collector.Collector, f *os.File) error { return WriteTierRun(c, f) })
-	order, _ := m.c.LastDeltaOrder()
-	for a, r := range order {
+	m.write(path, func(c *collector.Collector, f *os.File) error { return WriteTier(c.LastDeltaRecords(), f) })
+	for a, r := range m.c.LastDeltaRecords().CanonicalOrder() {
 		m.want[a] = r
 	}
 	for _, pc := range m.tiers {

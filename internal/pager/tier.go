@@ -9,9 +9,9 @@
 //	chunk*    — per chunk: the address records in canonical order
 //	end
 //
-// That is all its reader reads. A tier is one base file (WriteTier: the
-// whole corpus) plus runs (WriteTierRun: the records one delta
-// checkpoint carried), each a file of that same format; a Corpus opens
+// That is all its reader reads. A tier is one base file (the whole
+// corpus) plus runs (the records one delta checkpoint carried), each a
+// file of that same format written by WriteTier; a Corpus opens
 // the base and attaches runs as they are written, and a lookup answers
 // from the newest file holding the key. Records only grow — first is a
 // min, last a max, count a sum, servers an or — and a record dirtied
@@ -76,7 +76,16 @@ const (
 	tierSectionOverhead = 16
 )
 
-// WriteTier serializes c as a tier file: the base of a tier. Chunks are
+// Source is what WriteTier encodes: a collector, or a collector.Records
+// copy — the whole corpus for a base (CopyRecords), a delta's records
+// for a run (LastDeltaRecords).
+type Source interface {
+	CanonicalOrder() iter.Seq2[addr.Addr, collector.AddrRecord]
+	NumAddrs() int
+	TotalObservations() uint64
+}
+
+// WriteTier serializes c as a tier file: a tier's base or a run. Chunks are
 // cut from the canonical address order, so chunk key ranges are
 // disjoint and sorted — the property the directory fence search relies
 // on. The order is computed once and walked twice: the first walk
@@ -84,18 +93,8 @@ const (
 // chunk payloads, so nothing but the order and the directory is
 // buffered. Both exist before the first byte reaches w — a caller
 // timing its first Write has timed the ordering.
-func WriteTier(c *collector.Collector, w io.Writer) error {
+func WriteTier(c Source, w io.Writer) error {
 	return writeTier(w, c.CanonicalOrder(), c.NumAddrs(), c.TotalObservations())
-}
-
-// WriteTierRun serializes, as a tier file, the records of the slab
-// blocks c's last delta checkpoint carried (Collector.LastDeltaOrder):
-// a run, which Corpus.AddRun puts in front of the base and the runs
-// before it. It costs O(records the delta carried), not O(corpus). The
-// meta's total is c's at the call, as WriteTier's is.
-func WriteTierRun(c *collector.Collector, w io.Writer) error {
-	order, n := c.LastDeltaOrder()
-	return writeTier(w, order, n, c.TotalObservations())
 }
 
 // writeTier is the one encoder: the n records order yields, with total

@@ -11,7 +11,6 @@ import (
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/fold"
 	"hitlist6/internal/geodb"
-	"hitlist6/internal/oui"
 	"hitlist6/internal/scan"
 	"hitlist6/internal/stats"
 	"hitlist6/internal/telemetry"
@@ -399,17 +398,4 @@ func (s *Study) TopCountries(n int) ([]geodb.CountryCount, error) {
 		return true
 	})
 	return geodb.TopCountries(counts, n), nil
-}
-
-// Vendors exposes the embedded OUI registry (for examples that want to
-// resolve manufacturers).
-//
-//lint:api the Study's public figure API, which the paper-shape tests drive
-func (s *Study) Vendors() *oui.Registry { return s.World.OUI }
-
-// StudyWindow returns the passive collection window.
-//
-//lint:api the Study's public figure API, which the paper-shape tests drive
-func (s *Study) StudyWindow() (start, end time.Time) {
-	return s.World.Origin, s.World.End
 }
