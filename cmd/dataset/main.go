@@ -13,8 +13,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hitlist6/internal/addr"
@@ -23,35 +23,42 @@ import (
 )
 
 func main() {
-	flag.Parse()
-	args := flag.Args()
-	if len(args) < 1 {
-		usage()
-	}
-	var err error
-	switch args[0] {
-	case "stats":
-		err = cmdStats(args[1:])
-	case "diff":
-		err = cmdDiff(args[1:])
-	case "merge":
-		err = cmdMerge(args[1:])
-	case "release":
-		err = cmdRelease(args[1:])
-	case "export":
-		err = cmdExport(args[1:])
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dataset:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dataset stats|diff|merge|release|export ...")
-	os.Exit(2)
+// commands maps each subcommand to its argument-count bounds (max < 0:
+// unbounded) and its body.
+var commands = map[string]struct {
+	min, max int
+	run      func(args []string, stdout io.Writer) error
+}{
+	"stats":   {1, 1, cmdStats},
+	"diff":    {2, 2, cmdDiff},
+	"merge":   {3, -1, cmdMerge},
+	"release": {1, 1, cmdRelease},
+	"export":  {1, 1, cmdExport},
+}
+
+// run is the whole command: a subcommand missing from the table or
+// given the wrong number of arguments exits 2, a failing one 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		return usage(stderr)
+	}
+	cmd, ok := commands[args[0]]
+	if n := len(args) - 1; !ok || n < cmd.min || (cmd.max >= 0 && n > cmd.max) {
+		return usage(stderr)
+	}
+	if err := cmd.run(args[1:], stdout); err != nil {
+		fmt.Fprintln(stderr, "dataset:", err)
+		return 1
+	}
+	return 0
+}
+
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, "usage: dataset stats FILE | diff A B | merge OUT A B [C..] | release FILE | export FILE")
+	return 2
 }
 
 func load(path string) (*hitlist.Dataset, error) {
@@ -63,10 +70,7 @@ func load(path string) (*hitlist.Dataset, error) {
 	return hitlist.ReadDataset(f)
 }
 
-func cmdStats(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("stats needs exactly one file")
-	}
+func cmdStats(args []string, stdout io.Writer) error {
 	d, err := load(args[0])
 	if err != nil {
 		return err
@@ -83,21 +87,18 @@ func cmdStats(args []string) error {
 		return true
 	})
 	dist := stats.NewDistribution(entropies)
-	fmt.Printf("name:            %s\n", d.Name)
-	fmt.Printf("addresses:       %s\n", stats.Comma(int64(d.Len())))
-	fmt.Printf("distinct /48s:   %s\n", stats.Comma(int64(len(p48s))))
+	fmt.Fprintf(stdout, "name:            %s\n", d.Name)
+	fmt.Fprintf(stdout, "addresses:       %s\n", stats.Comma(int64(d.Len())))
+	fmt.Fprintf(stdout, "distinct /48s:   %s\n", stats.Comma(int64(len(p48s))))
 	if len(p48s) > 0 {
-		fmt.Printf("addrs per /48:   %.1f\n", float64(d.Len())/float64(len(p48s)))
+		fmt.Fprintf(stdout, "addrs per /48:   %.1f\n", float64(d.Len())/float64(len(p48s)))
 	}
-	fmt.Printf("median entropy:  %.3f\n", dist.Median())
-	fmt.Printf("EUI-64 share:    %s\n", stats.Pct(float64(euis)/float64(max(1, d.Len())), 2))
+	fmt.Fprintf(stdout, "median entropy:  %.3f\n", dist.Median())
+	fmt.Fprintf(stdout, "EUI-64 share:    %s\n", stats.Pct(float64(euis)/float64(max(1, d.Len())), 2))
 	return nil
 }
 
-func cmdDiff(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("diff needs exactly two files")
-	}
+func cmdDiff(args []string, stdout io.Writer) error {
 	a, err := load(args[0])
 	if err != nil {
 		return err
@@ -107,21 +108,18 @@ func cmdDiff(args []string) error {
 		return err
 	}
 	common := hitlist.IntersectionSize(a, b)
-	fmt.Printf("%s: %s addresses\n", a.Name, stats.Comma(int64(a.Len())))
-	fmt.Printf("%s: %s addresses\n", b.Name, stats.Comma(int64(b.Len())))
-	fmt.Printf("common: %s (%s of A, %s of B)\n",
+	fmt.Fprintf(stdout, "%s: %s addresses\n", a.Name, stats.Comma(int64(a.Len())))
+	fmt.Fprintf(stdout, "%s: %s addresses\n", b.Name, stats.Comma(int64(b.Len())))
+	fmt.Fprintf(stdout, "common: %s (%s of A, %s of B)\n",
 		stats.Comma(int64(common)),
 		stats.Pct(float64(common)/float64(max(1, a.Len())), 2),
 		stats.Pct(float64(common)/float64(max(1, b.Len())), 2))
-	fmt.Printf("only in A: %s\n", stats.Comma(int64(a.Len()-common)))
-	fmt.Printf("only in B: %s\n", stats.Comma(int64(b.Len()-common)))
+	fmt.Fprintf(stdout, "only in A: %s\n", stats.Comma(int64(a.Len()-common)))
+	fmt.Fprintf(stdout, "only in B: %s\n", stats.Comma(int64(b.Len()-common)))
 	return nil
 }
 
-func cmdMerge(args []string) error {
-	if len(args) < 3 {
-		return fmt.Errorf("merge needs OUT plus at least two inputs")
-	}
+func cmdMerge(args []string, stdout io.Writer) error {
 	out := hitlist.NewDataset("merged")
 	for _, path := range args[1:] {
 		d, err := load(path)
@@ -147,32 +145,26 @@ func cmdMerge(args []string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s addresses to %s\n", stats.Comma(int64(out.Len())), args[0])
+	fmt.Fprintf(stdout, "wrote %s addresses to %s\n", stats.Comma(int64(out.Len())), args[0])
 	return nil
 }
 
-func cmdRelease(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("release needs exactly one file")
-	}
+func cmdRelease(args []string, stdout io.Writer) error {
 	d, err := load(args[0])
 	if err != nil {
 		return err
 	}
-	fmt.Print(hitlist.Release(d))
+	fmt.Fprint(stdout, hitlist.Release(d))
 	return nil
 }
 
-func cmdExport(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("export needs exactly one file")
-	}
+func cmdExport(args []string, stdout io.Writer) error {
 	d, err := load(args[0])
 	if err != nil {
 		return err
 	}
 	for _, a := range d.Addrs() {
-		fmt.Println(a)
+		fmt.Fprintln(stdout, a)
 	}
 	return nil
 }

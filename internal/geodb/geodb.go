@@ -5,8 +5,6 @@
 package geodb
 
 import (
-	"sort"
-
 	"hitlist6/internal/addr"
 	"hitlist6/internal/asdb"
 )
@@ -48,29 +46,4 @@ func FromASDB(db *asdb.DB) *DB {
 		}
 	}
 	return g
-}
-
-// TopCountries returns the n countries with the most addresses, descending,
-// ties broken alphabetically for determinism.
-func TopCountries(counts map[string]int, n int) []CountryCount {
-	out := make([]CountryCount, 0, len(counts))
-	for c, k := range counts {
-		out = append(out, CountryCount{Country: c, Count: k})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Country < out[j].Country
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
-
-// CountryCount is one row of a per-country tally.
-type CountryCount struct {
-	Country string
-	Count   int
 }

@@ -60,40 +60,3 @@ func TestFromASDB(t *testing.T) {
 		t.Errorf("got %q want US", got)
 	}
 }
-
-func TestCountryCountsAndTop(t *testing.T) {
-	db := New()
-	db.Add(addr.MustParsePrefix("2001:db8::/32"), "IN")
-	db.Add(addr.MustParsePrefix("2001:db9::/32"), "US")
-	addrs := []addr.Addr{
-		addr.MustParse("2001:db8::1"),
-		addr.MustParse("2001:db8::2"),
-		addr.MustParse("2001:db9::1"),
-		addr.MustParse("2a00::1"), // unknown, not counted
-	}
-	counts := db.CountryCounts(addrs)
-	if counts["IN"] != 2 || counts["US"] != 1 || len(counts) != 2 {
-		t.Errorf("counts: %v", counts)
-	}
-	top := TopCountries(counts, 1)
-	if len(top) != 1 || top[0].Country != "IN" || top[0].Count != 2 {
-		t.Errorf("top: %v", top)
-	}
-	// Tie-break alphabetically.
-	top2 := TopCountries(map[string]int{"ZZ": 5, "AA": 5}, 2)
-	if top2[0].Country != "AA" {
-		t.Errorf("tie break: %v", top2)
-	}
-}
-
-// CountryCounts tallies addresses per country, for the paper's §3 vantage
-// point discussion (top countries: IN, CN, US, BR, ID with 76% combined).
-func (db *DB) CountryCounts(addrs []addr.Addr) map[string]int {
-	out := make(map[string]int)
-	for _, a := range addrs {
-		if c := db.Country(a); c != "" {
-			out[c]++
-		}
-	}
-	return out
-}

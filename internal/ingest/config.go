@@ -45,10 +45,10 @@ type Config struct {
 	DropOnFull bool
 	// SnapshotInterval is how often the shards merge their stage
 	// instances into the pipeline-level view StageView reads. The Store
-	// needs no snapshot: every batch a worker finishes is in it. 0
-	// disables periodic snapshots: the merged stages then change only
-	// at Quiesce and Close. Replay-style batch runs want 0; serving
-	// daemons want something like a few seconds.
+	// needs no snapshot: every batch a worker finishes is in it. 0, or
+	// no Stages, disables periodic snapshots: the merged stages then
+	// change only at Quiesce and Close. Replay-style batch runs want 0;
+	// serving daemons want something like a few seconds.
 	SnapshotInterval time.Duration
 	// ServerCap is the highest vantage-server count the deployment
 	// attributes distinctly; events with Server >= ServerCap saturate

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
@@ -146,6 +147,38 @@ func TestQuiesceLiveView(t *testing.T) {
 	}
 	if got, want := merged.Checksum(), serialChecksum(events); got != want {
 		t.Error("mid-run snapshot changed the final corpus")
+	}
+}
+
+// TestTickerOnlyWithStages: a SnapshotInterval starts a ticker only
+// when there are stages to merge. A pipeline with a stage serves as the
+// clock: once its ticker has rung a few rounds, a stage-less pipeline
+// on the same interval, alive the whole time, must have merged only at
+// its two Quiesce calls and its Close, once per shard each.
+func TestTickerOnlyWithStages(t *testing.T) {
+	events := testEvents(t, 0.01, 3)
+	const shards = 2
+	cfg := DefaultConfig(shards)
+	cfg.SnapshotInterval = time.Microsecond
+	bare, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Stages = []StageFactory{Categories()}
+	clock, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.Ingest(events)
+	bare.Quiesce()
+	for clock.Metrics().Snapshots < 10*shards {
+		runtime.Gosched()
+	}
+	clock.Close()
+	bare.Quiesce()
+	bare.Close()
+	if got, want := bare.Metrics().Snapshots, uint64(3*shards); got != want {
+		t.Errorf("stage-less pipeline merged %d times, want %d (2 quiesces + close, per shard)", got, want)
 	}
 }
 

@@ -109,7 +109,8 @@ func New(cfg Config) (*Pipeline, error) {
 		p.workersWG.Add(1)
 		go p.runShard(s)
 	}
-	if cfg.SnapshotInterval > 0 {
+	// With no stages a snapshot has nothing to merge: no ticker.
+	if cfg.SnapshotInterval > 0 && len(cfg.Stages) > 0 {
 		p.tickerWG.Add(1)
 		go p.runTicker(cfg.SnapshotInterval)
 	}

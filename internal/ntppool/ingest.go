@@ -10,12 +10,11 @@ import (
 // geo lookup, vantage selection, zone accounting) stays on one
 // goroutine — Pool's round-robin state is deliberately sequential so
 // vantage assignment is identical to a serial replay's — while the
-// per-sighting collector and enrichment work fans out across the
-// pipeline's shards. The caller owns the pipeline: install stages
-// before, Close after. The returned stats carry the producer-side
-// tallies only; UniqueClients is left zero because it is unknowable
-// until the final snapshots merge — derive it from the merged
-// collector after Close (NumAddrs), as Study.CollectPassive does.
+// pipeline's shard workers fold the sightings into its one Store and
+// run its enrichment stages. The caller owns the pipeline: install
+// stages before, Close after. The returned stats carry the
+// producer-side tallies only; the unique-client count is the corpus's
+// NumAddrs.
 // A non-nil tap sees every query after the pipeline, in generation
 // order on the producer goroutine, so a raw-stream consumer needs no
 // replay of its own.

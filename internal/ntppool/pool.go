@@ -158,8 +158,7 @@ func VendorZone(kind simnet.DeviceKind) string {
 
 // RunStats summarizes a study replay.
 type RunStats struct {
-	Queries       uint64
-	PerVantage    []uint64
-	PerZone       map[string]uint64
-	UniqueClients int
+	Queries    uint64
+	PerVantage []uint64
+	PerZone    map[string]uint64
 }

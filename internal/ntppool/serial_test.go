@@ -34,7 +34,6 @@ func Run(w *simnet.World, p *Pool, c *collector.Collector,
 		stats.PerVantage[v.ID]++
 		stats.PerZone[VendorZone(q.Device.Kind)]++
 	})
-	stats.UniqueClients = c.NumAddrs()
 	return stats
 }
 

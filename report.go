@@ -10,7 +10,6 @@ import (
 	"hitlist6/internal/analysis"
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/fold"
-	"hitlist6/internal/geodb"
 	"hitlist6/internal/scan"
 	"hitlist6/internal/stats"
 	"hitlist6/internal/telemetry"
@@ -382,20 +381,4 @@ func (s *Study) ReleaseNTP() (string, error) {
 		return "", fmt.Errorf("hitlist6: passive collection has not run")
 	}
 	return releaseDataset(s.NTP), nil
-}
-
-// TopCountries returns the geolocated query origins (§3: top-5 countries
-// carried 76% of the corpus).
-func (s *Study) TopCountries(n int) ([]geodb.CountryCount, error) {
-	if s.NTP == nil {
-		return nil, fmt.Errorf("hitlist6: passive collection has not run")
-	}
-	counts := make(map[string]int)
-	s.NTP.Each(func(a addr.Addr) bool {
-		if c := s.World.Geo.Country(a); c != "" {
-			counts[c]++
-		}
-		return true
-	})
-	return geodb.TopCountries(counts, n), nil
 }

@@ -54,10 +54,11 @@ type Config struct {
 	// BackscanDays is the length of the backscanning campaign, run at
 	// the end of the window (the paper ran one week in January 2023).
 	BackscanDays int
-	// IngestShards is the passive-collection shard count: replay fans
-	// out across this many collector shards (see internal/ingest). 0
-	// selects an automatic per-machine value. The merged corpus is
-	// byte-identical for every shard count, so this only affects speed.
+	// IngestShards is the passive-collection shard count: this many
+	// ingest workers fold the replay into the one corpus and run its
+	// stages (see internal/ingest). 0 selects an automatic per-machine
+	// value. The corpus is byte-identical for every shard count, so
+	// this only affects speed.
 	IngestShards int
 	// AnalysisWorkers is the per-fold worker count of the parallel
 	// analysis engine: every figure, Table 1, the strategy inference,
@@ -169,9 +170,10 @@ func NewStudy(cfg Config) (*Study, error) {
 // CollectPassive replays the study window's NTP traffic through the
 // pool into the sharded ingest pipeline and materializes the NTP
 // datasets. The replay producer is sequential (vantage selection is
-// order-dependent round-robin), but all per-sighting collector and
-// enrichment work runs across Config.IngestShards shards; the merged
-// corpus is identical to a serial replay's for any shard count.
+// order-dependent round-robin), but Config.IngestShards workers fold
+// the sightings into the pipeline's one corpus and run the day-slice
+// stage; the corpus is identical to a serial replay's for any shard
+// count.
 //
 // This is the study's single pass over the world: the full corpus, the
 // single-day slice and the backscan campaign's clients all fall out of
@@ -206,7 +208,6 @@ func (s *Study) CollectPassive() error {
 		return fmt.Errorf("hitlist6: ingest pipeline returned no day-slice stage")
 	}
 	s.DayCollector = day.Col
-	s.RunStats.UniqueClients = s.Collector.NumAddrs()
 	s.IIDs = s.Collector.IIDTable()
 	s.NTP = hitlist.FromCollector("NTP Pool (passive)", s.Collector)
 	s.NTPDay = hitlist.FromCollector("NTP Pool (1-day slice)", s.DayCollector)

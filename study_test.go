@@ -276,36 +276,6 @@ func TestReleaseNTP(t *testing.T) {
 	}
 }
 
-func TestTopCountries(t *testing.T) {
-	s := runStudy(t, 9)
-	top, err := s.TopCountries(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 5 {
-		t.Fatalf("got %d countries", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Count > top[i-1].Count {
-			t.Error("not sorted")
-		}
-	}
-	// The paper's top-5 (IN, CN, US, BR, ID) should be well represented.
-	seen := make(map[string]bool)
-	for _, c := range top {
-		seen[c.Country] = true
-	}
-	hits := 0
-	for _, cc := range []string{"IN", "CN", "US", "BR", "ID"} {
-		if seen[cc] {
-			hits++
-		}
-	}
-	if hits < 3 {
-		t.Errorf("paper's top countries underrepresented: %v", top)
-	}
-}
-
 func TestStudyDeterminism(t *testing.T) {
 	a := runStudy(t, 10)
 	b := runStudy(t, 10)
