@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -158,13 +159,19 @@ func cmdRelease(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// cmdExport writes through one buffer, so a large dataset costs a
+// write per buffer-full rather than one per address, and the first
+// write error (a closed pipe, a full disk) fails the command.
 func cmdExport(args []string, stdout io.Writer) error {
 	d, err := load(args[0])
 	if err != nil {
 		return err
 	}
+	w := bufio.NewWriter(stdout)
 	for _, a := range d.Addrs() {
-		fmt.Fprintln(stdout, a)
+		if _, err := fmt.Fprintln(w, a); err != nil {
+			return err
+		}
 	}
-	return nil
+	return w.Flush()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,6 +117,35 @@ func TestUsageAndFailureCodes(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {
 			t.Errorf("dataset %v exited %d, want %d", tc.args, code, tc.code)
+		}
+	}
+}
+
+// failingWriter fails every write, as a closed pipe or a full disk does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("write failed") }
+
+// TestExportWriteError holds export to its writer's errors: a failed
+// write exits 1 and says why, whether it surfaces when the buffer first
+// fills (1,000 addresses) or only at the final flush (one address).
+func TestExportWriteError(t *testing.T) {
+	for _, n := range []int{1, 1000} {
+		d := hitlist.NewDataset("export")
+		for i := range n {
+			d.Add(addr.FromParts(0x2001_0db8_0000_0000, uint64(i+1)))
+		}
+		var buf bytes.Buffer
+		if _, err := d.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "export.hl6")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		if code := run([]string{"export", path}, failingWriter{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "write failed") {
+			t.Errorf("export of %d addresses to a failing writer exited %d with %q, want 1 and the write error", n, code, stderr.String())
 		}
 	}
 }

@@ -11,7 +11,10 @@
 // time-binned series, and a periodic detector scans its rolling window
 // for ASes that went dark — served at /outages, no probes sent.
 //
-// Event lines are `<unix-seconds> <ipv6-address> [<server-index>]`.
+// Event lines are `<unix-seconds> <ipv6-address> [<server-index>]`, the
+// seconds in the corpus's time domain [0, 4294967295] (1970-01-01 to
+// 2106-02-07 UTC): a line outside it is malformed, counted in
+// ingestd_malformed_lines and dropped, never stored wrapped.
 //
 // Usage:
 //

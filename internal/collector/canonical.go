@@ -113,8 +113,8 @@ func (c *Collector) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
 }
 
 // Records is a copy of a corpus's address records and observation
-// total: taken under the corpus's lock at 40 bytes a record, sorted and
-// encoded after it is released.
+// total: taken under the corpus's lock at 32 bytes a record (the slab's
+// addrEntry), sorted and encoded after it is released.
 type Records struct {
 	recs  []addrEntry
 	total uint64
@@ -159,7 +159,7 @@ func (r *Records) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
 	sortEntries(r.recs, 0)
 	return func(yield func(addr.Addr, AddrRecord) bool) {
 		for i := range r.recs {
-			if e := &r.recs[i]; !yield(e.key, e.rec) {
+			if e := &r.recs[i]; !yield(e.key, e.rec.record()) {
 				return
 			}
 		}

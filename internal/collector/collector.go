@@ -37,6 +37,7 @@
 package collector
 
 import (
+	"math"
 	"time"
 	"unsafe"
 
@@ -63,9 +64,16 @@ func ServerBit(server int) uint32 {
 	return 1 << uint(server)
 }
 
+// InTimeDomain reports whether ts lies in the time domain: every time a
+// corpus holds is a Unix second in [0, 2^32-1], 1970-01-01 to 2106-02-07
+// 06:28:15 UTC, so the slabs keep it in a uint32. Each edge that admits
+// a time — the event-line parser, ObserveUnix, a checkpoint restore —
+// rejects one outside the domain instead of wrapping it.
+func InTimeDomain(ts int64) bool { return ts >= 0 && ts <= math.MaxUint32 }
+
 // AddrRecord summarizes all sightings of one source address. It is a
-// plain value: the collector stores records inline and hands out copies,
-// so holding one never pins collector internals.
+// plain value: the collector stores records inline (as a slabRec) and
+// hands out copies, so holding one never pins collector internals.
 type AddrRecord struct {
 	// First and Last are Unix seconds of the first and last sighting.
 	First, Last int64
@@ -85,6 +93,25 @@ func (r AddrRecord) Lifetime() time.Duration {
 // Span is a first/last sighting window.
 type Span struct {
 	First, Last int64
+}
+
+// slabRec is an AddrRecord as the slabs hold it: the times narrowed to
+// uint32 seconds, which the time domain makes lossless. 16 bytes where
+// an AddrRecord takes 24.
+type slabRec struct {
+	first, last    uint32
+	count, servers uint32
+}
+
+// record widens r to the public AddrRecord.
+func (r *slabRec) record() AddrRecord {
+	return AddrRecord{First: int64(r.first), Last: int64(r.last), Count: r.count, Servers: r.servers}
+}
+
+// narrow is record's inverse for a record whose times are in the time
+// domain; the caller checks that.
+func narrow(r AddrRecord) slabRec {
+	return slabRec{first: uint32(r.First), last: uint32(r.Last), count: r.Count, servers: r.Servers}
 }
 
 // ---- chunked record slabs ----
@@ -190,12 +217,13 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// addrEntry is one inline (address, record) pair in the address slab.
+// addrEntry is one inline (address, record) pair in the address slab:
+// 32 bytes.
 //
 //lint:slab
 type addrEntry struct {
 	key addr.Addr
-	rec AddrRecord
+	rec slabRec
 }
 
 // spanNone marks an IID record without /64 tracking (non-EUI-64 IIDs).
@@ -203,27 +231,29 @@ type addrEntry struct {
 // doubles as the "tracked?" flag.
 const spanNone = ^uint32(0)
 
-// iidEntry is one inline promoted IID record. first/last/count summarize
-// all sightings; spans heads the IID's chain in the shared span slab
-// (spanNone when the IID is not EUI-64); p64n counts distinct /64s so
-// prefix-spread queries are O(1).
+// iidEntry is one inline promoted IID record, 32 bytes. first/last/count
+// summarize all sightings, the times in uint32 seconds as in slabRec;
+// spans heads the IID's chain in the shared span slab (spanNone when the
+// IID is not EUI-64); p64n counts distinct /64s so prefix-spread queries
+// are O(1).
 //
 //lint:slab
 type iidEntry struct {
 	key         addr.IID
-	first, last int64
+	first, last uint32
 	count       uint32
 	spans       uint32
 	p64n        uint32
 }
 
-// spanNode is one /64 sighting window in the shared span slab. next
-// chains the nodes of one IID by slab index, terminated by spanNone.
+// spanNode is one /64 sighting window in the shared span slab, 24
+// bytes. next chains the nodes of one IID by slab index, terminated by
+// spanNone.
 //
 //lint:slab
 type spanNode struct {
 	p64         addr.Prefix64
-	first, last int64
+	first, last uint32
 	next        uint32
 }
 
@@ -381,7 +411,7 @@ func (t *addrTable) resizeAddrIdx(slots int) {
 // Servers — into a's record, creating it when a is new (fresh). The
 // write core takes a and in by pointer: it is three calls deep, and a
 // merge reads both straight out of the donor's slab.
-func (t *addrTable) foldAddr(a *addr.Addr, in *AddrRecord) (ai uint32, fresh bool) {
+func (t *addrTable) foldAddr(a *addr.Addr, in *slabRec) (ai uint32, fresh bool) {
 	h := a.Hash64()
 	ai, slot, ok := t.findAddr(*a, h)
 	if !ok {
@@ -390,14 +420,10 @@ func (t *addrTable) foldAddr(a *addr.Addr, in *AddrRecord) (ai uint32, fresh boo
 		return ai, true
 	}
 	r := &t.addrRecs.at(ai).rec
-	if in.First < r.First {
-		r.First = in.First
-	}
-	if in.Last > r.Last {
-		r.Last = in.Last
-	}
-	r.Count += in.Count
-	r.Servers |= in.Servers
+	r.first = min(r.first, in.first)
+	r.last = max(r.last, in.last)
+	r.count += in.count
+	r.servers |= in.servers
 	return ai, false
 }
 
@@ -491,7 +517,7 @@ func (t *IIDTable) setIIDSlot(slot uint32, ref uint32, h uint64) {
 // aggregate and returns its slab index and entry. The caller wires the
 // table slot: setIIDSlot for a new IID, or an in-place overwrite when
 // promoting an existing singleton.
-func (t *IIDTable) allocPromoted(iid addr.IID, first, last int64, count uint32) (uint32, *iidEntry) {
+func (t *IIDTable) allocPromoted(iid addr.IID, first, last, count uint32) (uint32, *iidEntry) {
 	ri := t.iidRecs.alloc()
 	e := t.iidRecs.at(ri)
 	e.key = iid
@@ -510,10 +536,15 @@ func (c *Collector) Observe(a addr.Addr, t time.Time, server int) {
 
 // ObserveUnix is Observe with a pre-converted Unix-seconds timestamp: the
 // form the ingest pipeline's Event carries, avoiding a time.Time round
-// trip per sighting on the hot path.
+// trip per sighting on the hot path. A sighting outside the time domain
+// (see InTimeDomain) is dropped, neither folded nor counted: the
+// parsers in front of the pipeline have rejected it already.
 func (c *Collector) ObserveUnix(a addr.Addr, ts int64, server int) {
+	if !InTimeDomain(ts) {
+		return
+	}
 	c.total++
-	c.observe(&a, &AddrRecord{First: ts, Last: ts, Count: 1, Servers: ServerBit(server)})
+	c.observe(&a, &slabRec{first: uint32(ts), last: uint32(ts), count: 1, servers: ServerBit(server)})
 }
 
 // observe is the one write core: fold in.Count sightings of a over
@@ -521,7 +552,7 @@ func (c *Collector) ObserveUnix(a addr.Addr, ts int64, server int) {
 // Count == 1, First == Last; Merge feeds it a donor's whole record.
 // Sightings commute, so the result depends only on what was folded,
 // never on the batching.
-func (c *Collector) observe(a *addr.Addr, in *AddrRecord) {
+func (c *Collector) observe(a *addr.Addr, in *slabRec) {
 	if ai, fresh := c.foldAddr(a, in); !fresh {
 		c.markAddrDirty(ai)
 	}
@@ -531,13 +562,13 @@ func (c *Collector) observe(a *addr.Addr, in *AddrRecord) {
 // the table: IID index, promoted records and span chains. Each address
 // is derived once, so a singleton reference found here is always
 // another address's.
-func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *AddrRecord) {
+func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *slabRec) {
 	iid := a.IID()
 	h := mix64(uint64(iid))
 	ref, slot, found := t.findIID(iid, h)
 	if !found {
 		if iid.IsEUI64() {
-			ri, e := t.allocPromoted(iid, in.First, in.Last, in.Count)
+			ri, e := t.allocPromoted(iid, in.first, in.last, in.count)
 			t.addSpan(e, a.P64(), in)
 			t.setIIDSlot(slot, ri|promotedTag, h)
 			return
@@ -549,13 +580,9 @@ func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *AddrRecord) {
 	}
 	if ref&promotedTag != 0 {
 		r := t.iidRecs.at(ref &^ promotedTag)
-		if in.First < r.first {
-			r.first = in.First
-		}
-		if in.Last > r.last {
-			r.last = in.Last
-		}
-		r.count += in.Count
+		r.first = min(r.first, in.first)
+		r.last = max(r.last, in.last)
+		r.count += in.count
 		if r.spans != spanNone {
 			t.addSpan(r, a.P64(), in)
 		}
@@ -564,15 +591,8 @@ func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *AddrRecord) {
 	// A second address sharing a singleton's IID (a random-IID collision
 	// across /64s) promotes it; EUI-64 IIDs are promoted at first sight,
 	// so no span handling is needed.
-	base := t.c.addrRecs.at(ref).rec
-	first, last := base.First, base.Last
-	if in.First < first {
-		first = in.First
-	}
-	if in.Last > last {
-		last = in.Last
-	}
-	ri, _ := t.allocPromoted(iid, first, last, base.Count+in.Count)
+	base := &t.c.addrRecs.at(ref).rec
+	ri, _ := t.allocPromoted(iid, min(base.first, in.first), max(base.last, in.last), base.count+in.count)
 	t.iidIdx[slot] = (ri | promotedTag) + 1 // same IID: the tag stands
 }
 
@@ -581,10 +601,10 @@ func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *AddrRecord) {
 // /64, and each address is derived once, so p is never on the chain
 // yet. r points into the IID slab; appending to the span slab never
 // moves it.
-func (t *IIDTable) addSpan(r *iidEntry, p addr.Prefix64, in *AddrRecord) {
+func (t *IIDTable) addSpan(r *iidEntry, p addr.Prefix64, in *slabRec) {
 	i := t.spans.alloc()
 	n := t.spans.at(i)
-	n.p64, n.first, n.last, n.next = p, in.First, in.Last, r.spans
+	n.p64, n.first, n.last, n.next = p, in.first, in.last, r.spans
 	r.spans = i
 	r.p64n++
 }
@@ -605,7 +625,7 @@ func (c *Collector) Get(a addr.Addr) (AddrRecord, bool) {
 	if !ok {
 		return AddrRecord{}, false
 	}
-	return c.addrRecs.at(i).rec, true
+	return c.addrRecs.at(i).rec.record(), true
 }
 
 // IIDView is a read handle onto one IID's record (inline promoted record
@@ -628,10 +648,10 @@ func (v IIDView) promoted() *iidEntry {
 // summary returns the IID's (first, last, count) aggregate.
 func (v IIDView) summary() (int64, int64, uint32) {
 	if r := v.promoted(); r != nil {
-		return r.first, r.last, r.count
+		return int64(r.first), int64(r.last), r.count
 	}
 	rec := &v.t.c.addrRecs.at(v.ref).rec
-	return rec.First, rec.Last, rec.Count
+	return int64(rec.first), int64(rec.last), rec.count
 }
 
 // First returns the Unix second of the IID's first sighting.
@@ -667,7 +687,7 @@ func (v IIDView) P64s(fn func(p addr.Prefix64, sp Span) bool) {
 	}
 	for i := r.spans; i != spanNone; {
 		n := v.t.spans.at(i)
-		if !fn(n.p64, Span{First: n.first, Last: n.last}) {
+		if !fn(n.p64, Span{First: int64(n.first), Last: int64(n.last)}) {
 			return
 		}
 		i = n.next
@@ -681,7 +701,7 @@ func (v IIDView) P64s(fn func(p addr.Prefix64, sp Span) bool) {
 func (c *Collector) Addrs(fn func(a addr.Addr, r AddrRecord) bool) {
 	for i := uint32(0); i < c.addrRecs.n; i++ {
 		e := c.addrRecs.at(i)
-		if !fn(e.key, e.rec) {
+		if !fn(e.key, e.rec.record()) {
 			return
 		}
 	}

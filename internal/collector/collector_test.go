@@ -403,7 +403,7 @@ func (v IIDView) Span(p addr.Prefix64) (Span, bool) {
 	for i := r.spans; i != spanNone; {
 		n := v.t.spans.at(i)
 		if n.p64 == p {
-			return Span{First: n.first, Last: n.last}, true
+			return Span{First: int64(n.first), Last: int64(n.last)}, true
 		}
 		i = n.next
 	}

@@ -28,7 +28,7 @@ func (c *Collector) AddrsRange(lo, hi int, fn func(a addr.Addr, r AddrRecord) bo
 	}
 	for i := lo; i < hi; i++ {
 		e := c.addrRecs.at(uint32(i))
-		if !fn(e.key, e.rec) {
+		if !fn(e.key, e.rec.record()) {
 			return
 		}
 	}

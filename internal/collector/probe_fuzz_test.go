@@ -198,7 +198,7 @@ func FuzzProbeTable(f *testing.F) {
 				var tb addrTable
 				for _, a := range pool {
 					if r, ok := ref[a]; ok {
-						*tb.addrRecs.at(tb.addrRecs.alloc()) = addrEntry{key: a, rec: r}
+						*tb.addrRecs.at(tb.addrRecs.alloc()) = addrEntry{key: a, rec: narrow(r)}
 					}
 				}
 				_, dup := ref[k]
@@ -229,7 +229,7 @@ func checkProbeTable(t *testing.T, tb *addrTable, ref map[addr.Addr]AddrRecord, 
 	for _, a := range pool {
 		i, _, ok := tb.findAddr(a, a.Hash64())
 		want, wok := ref[a]
-		if ok != wok || ok && tb.addrRecs.at(i).rec != want {
+		if ok != wok || ok && tb.addrRecs.at(i).rec.record() != want {
 			t.Fatalf("table lookup %v: found %v, want %v %+v", a, ok, wok, want)
 		}
 	}

@@ -102,7 +102,7 @@ func writeMeta(sw *snapfmt.Writer, fields ...uint64) error {
 func (c *Collector) writeAddrs(sw *snapfmt.Writer, buf []byte, lo, hi uint32) ([]byte, error) {
 	for i := lo; i < hi; i++ {
 		e := c.addrRecs.at(i)
-		buf = AppendAddrRecord(buf, e.key, e.rec)
+		buf = AppendAddrRecord(buf, e.key, e.rec.record())
 		if len(buf) >= wireBatch*AddrRecordWire/2 {
 			if _, err := sw.Write(buf); err != nil {
 				return buf, err
@@ -277,7 +277,9 @@ func (rs *Restore) readSnapshot(sr *snapfmt.Reader) error {
 // readAddrs reads address records [lo, hi) from the open section into
 // the slab, lo at most the slab's length. Records past the slab's end
 // are appended; one the chain already holds is overwritten and must
-// carry the same key, because a record never changes address.
+// carry the same key, because a record never changes address. A record
+// whose times leave the time domain or run backwards (First > Last) is
+// damage: no writer emits one, and the slab could not hold it.
 func (rs *Restore) readAddrs(sr *snapfmt.Reader, lo, hi uint64) error {
 	for lo < hi {
 		b := rs.buf[:min(hi-lo, wireBatch)*AddrRecordWire]
@@ -286,13 +288,16 @@ func (rs *Restore) readAddrs(sr *snapfmt.Reader, lo, hi uint64) error {
 		}
 		for ; len(b) > 0; b, lo = b[AddrRecordWire:], lo+1 {
 			key, rec := DecodeAddrRecord(b)
+			if !InTimeDomain(rec.First) || !InTimeDomain(rec.Last) || rec.First > rec.Last {
+				return fmt.Errorf("record %d spans [%d, %d]: outside the time domain or inverted", lo, rec.First, rec.Last)
+			}
 			i := uint32(lo)
 			if lo >= uint64(rs.addrRecs.n) {
 				i = rs.addrRecs.alloc()
 			} else if rs.addrRecs.at(i).key != key {
 				return fmt.Errorf("block rewrites address key at %d", lo)
 			}
-			*rs.addrRecs.at(i) = addrEntry{key: key, rec: rec}
+			*rs.addrRecs.at(i) = addrEntry{key: key, rec: narrow(rec)}
 		}
 	}
 	return nil

@@ -45,9 +45,10 @@ var (
 	// nothing wrong.
 	ErrNoEvent = errors.New("ingest: blank line or comment")
 
-	errFields    = errors.New("ingest: want 'ts addr [server]'")
-	errTimestamp = errors.New("ingest: bad timestamp")
-	errServer    = errors.New("ingest: bad server index")
+	errFields     = errors.New("ingest: want 'ts addr [server]'")
+	errTimestamp  = errors.New("ingest: bad timestamp")
+	errTimeDomain = errors.New("ingest: timestamp outside [0, 2^32-1]")
+	errServer     = errors.New("ingest: bad server index")
 )
 
 // Byte classes of the line framing. Fields are separated the way
@@ -144,6 +145,9 @@ func decode(b []byte, cls *[256]uint8) (Event, int, error) {
 	if !ok {
 		return Event{}, i, errTimestamp
 	}
+	if !collector.InTimeDomain(ts) {
+		return Event{}, i, errTimeDomain
+	}
 	// A field ends at whitespace and nowhere else: "12x" is one bad
 	// field, and a line that stops after the timestamp is one short.
 	j := skipSpace(b, i, cls)
@@ -185,8 +189,10 @@ func decode(b []byte, cls *[256]uint8) (Event, int, error) {
 //
 //	<unix-seconds> <ipv6-address> [<server-index>]
 //
-// A missing server index means no vantage attribution (-1). This is the
-// format `ingestd` accepts on files, stdin and UDP datagrams. Every byte
+// The timestamp must lie in the corpus's time domain, [0, 2^32-1]
+// (1970-01-01 to 2106-02-07 UTC; see collector.InTimeDomain). A missing
+// server index means no vantage attribution (-1). This is the format
+// `ingestd` accepts on files, stdin and UDP datagrams. Every byte
 // of line is the line, newlines included (they are whitespace here), and
 // a blank or comment line is an error: ErrNoEvent. No allocation on any
 // input, accepted or rejected.
@@ -199,7 +205,9 @@ func ParseEventBytes(line []byte) (Event, error) {
 // file, and returns how many bytes the line spans, its newline included,
 // so that buf[n:] is the next line. err is nil with an event,
 // ErrNoEvent for a blank line or '#' comment, and a reject reason for a
-// malformed line — which is skipped whole, up to its newline.
+// malformed line — which is skipped whole, up to its newline. A
+// timestamp outside the time domain, [0, 2^32-1] Unix seconds
+// (1970-01-01 to 2106-02-07 UTC), is malformed with its own reason.
 func DecodeLine(buf []byte) (Event, int, error) {
 	ev, n, err := decode(buf, &linesClass)
 	if err != nil {

@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,9 +14,9 @@ import (
 )
 
 // parseEventLegacy is the string parser the byte decoder replaced, kept
-// verbatim as the reference grammar: strings.Fields splitting,
-// strconv-backed strict decimals, then the address field parsed on its
-// own. FuzzParseEventBytes holds the one-pass decoder to it on every
+// as the reference grammar: strings.Fields splitting, strconv-backed
+// strict decimals, the timestamp held to the time domain [0, 2^32-1],
+// then the address field parsed on its own. FuzzParseEventBytes holds the one-pass decoder to it on every
 // input. (The address field goes through addr.Parse, which is the
 // production grammar too; what this oracle adds is that scanning the
 // address in the middle of a line equals splitting first, and
@@ -46,6 +48,9 @@ func parseEventLegacy(line string) (Event, error) {
 	ts, err := strictInt(fields[0], 64)
 	if err != nil {
 		return ev, fmt.Errorf("ingest: bad timestamp %q: %v", fields[0], err)
+	}
+	if ts < 0 || ts > math.MaxUint32 {
+		return ev, fmt.Errorf("ingest: timestamp %d outside [0, 2^32-1]", ts)
 	}
 	a, err := addr.Parse(fields[1])
 	if err != nil {
@@ -83,8 +88,8 @@ func legacyLines(data string) (events []Event, malformed int) {
 
 // eventCorners are the inputs whose handling the single pass owns:
 // separators (ASCII, U+0085, U+00A0, U+2003, invalid UTF-8), decimal
-// spellings at the int64 and server-range edges, what may follow each
-// field, and line framing. They seed both fuzzers and are checked one by
+// spellings at the int64, time-domain and server-range edges, what may
+// follow each field, and line framing. They seed both fuzzers and are checked one by
 // one in TestDecodeCorners.
 var eventCorners = []string{
 	"1643068800 2001:db8::1 3",
@@ -105,10 +110,12 @@ var eventCorners = []string{
 	// Separators.
 	"1\u20032001:db8::1\u00a07", "\u00a01 ::1", "1\u0085::1\u00853\u0085", "1\v::1\f3\r",
 	"1\xc2::1", "1 ::1\xe2\x80", "1 ::1 \xa0", "1\x00::1", "1 ::1\x003",
-	// Timestamps: 18, 19 and 20 digits, leading zeros, signs.
+	// Timestamps: the time domain's edges; 18, 19 and 20 digits, valid
+	// int64 spellings all outside the domain; leading zeros, signs.
+	"0 ::", "4294967295 ::", "4294967296 ::", "0004294967295 ::", "-4294967296 ::",
 	"999999999999999999 ::", "1000000000000000000 ::", "9223372036854775807 ::",
 	"9223372036854775808 ::", "18446744073709551616 ::", "99999999999999999999 ::",
-	"00000000000000000000000001643068800 ::", "0 ::", "-1 ::", "-9223372036854775809 ::",
+	"00000000000000000000000001643068800 ::", "-1 ::", "-9223372036854775809 ::",
 	"-00 ::", "-0000000001 ::", "- ::", "+1 ::", "1- ::", "1x ::", "0x10 ::", "1_0 ::", "1.5 ::",
 	// Server index: -1 and [0, 32), by value.
 	"1 :: -1", "1 :: -01", "1 :: -0", "1 :: -2", "1 :: 0", "1 :: 31", "1 :: 32", "1 :: 007",
@@ -183,11 +190,11 @@ func TestDecodeCorners(t *testing.T) {
 	}
 	// The notable ones, pinned to a side.
 	for line, want := range map[string]Event{
-		"1\u20032001:db8::1\u00a07":               {Addr: addr.MustParse("2001:db8::1"), Time: 1, Server: 7},
-		"00000000000000000000000001643068800 ::":  {Time: 1643068800, Server: -1},
-		"-9223372036854775808 :: -01":             {Time: -1 << 63, Server: -1},
-		"9223372036854775807 2001:DB8::A 007\r\n": {Addr: addr.MustParse("2001:db8::a"), Time: 1<<63 - 1, Server: 7},
-		"1\n::1": {Addr: addr.MustParse("::1"), Time: 1, Server: -1},
+		"1\u20032001:db8::1\u00a07":              {Addr: addr.MustParse("2001:db8::1"), Time: 1, Server: 7},
+		"00000000000000000000000001643068800 ::": {Time: 1643068800, Server: -1},
+		"0 :: -01":                               {Time: 0, Server: -1},
+		"4294967295 2001:DB8::A 007\r\n":         {Addr: addr.MustParse("2001:db8::a"), Time: 1<<32 - 1, Server: 7},
+		"1\n::1":                                 {Addr: addr.MustParse("::1"), Time: 1, Server: -1},
 	} {
 		if ev, err := ParseEventBytes([]byte(line)); err != nil || ev != want {
 			t.Errorf("ParseEventBytes(%q) = %+v, %v; want %+v", line, ev, err, want)
@@ -198,6 +205,20 @@ func TestDecodeCorners(t *testing.T) {
 	} {
 		if ev, err := ParseEventBytes([]byte(line)); err == nil {
 			t.Errorf("ParseEventBytes(%q) accepted: %+v", line, ev)
+		}
+	}
+	// Well-formed int64 timestamps outside the time domain: rejected with
+	// their own reason, in both framings, never wrapped into range.
+	for _, line := range []string{
+		"-9223372036854775808 :: -01", "9223372036854775807 2001:DB8::A 007\r\n",
+		"999999999999999999 ::", "1000000000000000000 ::", "-1 ::", "-0000000001 ::",
+		"-86400 ::1 0", "4294967296 ::", "-4294967296 ::",
+	} {
+		if ev, err := ParseEventBytes([]byte(line)); !errors.Is(err, errTimeDomain) {
+			t.Errorf("ParseEventBytes(%q) = %+v, %v; want errTimeDomain", line, ev, err)
+		}
+		if ev, _, err := DecodeLine([]byte(line)); !errors.Is(err, errTimeDomain) {
+			t.Errorf("DecodeLine(%q) = %+v, %v; want errTimeDomain", line, ev, err)
 		}
 	}
 }
@@ -221,6 +242,7 @@ func TestParseEventBytesZeroAlloc(t *testing.T) {
 		{"1643068800 2001:0db8:85a3:0000:0000:8a2e:0370:7334", true},
 		{"1643068800 ::ffff:192.0.2.1 26\n", true},
 		{"99999999999999999999999999 2001:db8::1", false},
+		{"4294967296 2001:db8::1 3", false},
 		{"1643068800 2001:db8::zz 3", false},
 		{"GET / HTTP/1.1", false},
 		{"1643068800 2001:db8::1 32", false},

@@ -12,7 +12,7 @@ import (
 //
 //   - never panic, on any input;
 //   - every accepted line satisfies the event invariants (server in
-//     [-1, MaxServers));
+//     [-1, MaxServers), time in the domain [0, 2^32-1]);
 //   - accepted events round-trip: AppendText(ParseEventBytes(line)) parses
 //     back to the identical event — the codec accepts nothing it could
 //     not itself have written (modulo IPv6 textual aliases and
@@ -29,6 +29,8 @@ func FuzzParseEvent(f *testing.F) {
 	f.Add("1643068800 2001:db8::1 -1")
 	f.Add("1643068800 2001:db8::1 31")
 	f.Add("1643068800 2001:db8::1 32")
+	f.Add("4294967295 ff02::fb 26")
+	f.Add("4294967296 ff02::fb 26")
 	f.Add("9223372036854775807 ff02::fb 26")
 	f.Add("9223372036854775808 ::")
 	f.Add("   ")
@@ -48,6 +50,9 @@ func FuzzParseEvent(f *testing.F) {
 		}
 		if ev.Server < -1 || ev.Server >= collector.MaxServers {
 			t.Fatalf("accepted server index %d from %q", ev.Server, line)
+		}
+		if !collector.InTimeDomain(ev.Time) {
+			t.Fatalf("accepted timestamp %d outside the time domain from %q", ev.Time, line)
 		}
 		// Round trip: what we accepted must re-encode and re-parse to the
 		// same event.
@@ -84,6 +89,9 @@ func TestParseEventStrict(t *testing.T) {
 		"1643068800 not-an-address",
 		"1643068800 2001:db8::1 three",
 		"99999999999999999999 2001:db8::1", // i64 overflow
+		"-86400 ::1 0",                     // before 1970: outside the time domain
+		"4294967296 2001:db8::1",           // past 2106-02-07: outside the time domain
+		"9223372036854775807 ff02::fb 26",  // int64 max: outside the time domain
 	}
 	for _, line := range bad {
 		if ev, err := ParseEventBytes([]byte(line)); err == nil {
@@ -95,7 +103,8 @@ func TestParseEventStrict(t *testing.T) {
 		"1643068800 2001:db8::1 3":  {Addr: addr.MustParse("2001:db8::1"), Time: 1643068800, Server: 3},
 		"1643068800 2001:db8::1":    {Addr: addr.MustParse("2001:db8::1"), Time: 1643068800, Server: -1},
 		"1643068800 2001:db8::1 -1": {Addr: addr.MustParse("2001:db8::1"), Time: 1643068800, Server: -1},
-		"-86400 ::1 0":              {Addr: addr.MustParse("::1"), Time: -86400, Server: 0},
+		"0 ::1 0":                   {Addr: addr.MustParse("::1"), Time: 0, Server: 0},
+		"4294967295 ::1 0":          {Addr: addr.MustParse("::1"), Time: 1<<32 - 1, Server: 0},
 		"007 2001:db8::1 031":       {Addr: addr.MustParse("2001:db8::1"), Time: 7, Server: 31},
 		" 1643068800\t2001:db8::1 ": {Addr: addr.MustParse("2001:db8::1"), Time: 1643068800, Server: -1},
 	}
