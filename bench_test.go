@@ -103,30 +103,6 @@ func BenchmarkPassiveCollection(b *testing.B) {
 	b.ReportMetric(float64(s.RunStats.Queries), "queries")
 }
 
-// BenchmarkPassiveCollectionSharded measures the full passive replay at
-// increasing ingest shard counts (see internal/ingest for the pure
-// pipeline benchmarks over a pre-materialized stream; this one includes
-// query generation and pool selection on the producer side).
-func BenchmarkPassiveCollectionSharded(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.IngestShards = shards
-			s, err := NewStudy(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.CollectPassive(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(s.RunStats.Queries)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
-}
-
 func BenchmarkActiveHitlistBuild(b *testing.B) {
 	s := sharedStudy(b)
 	b.ResetTimer()
@@ -764,8 +740,7 @@ func engineFixture(b *testing.B) {
 // sidecar builds, Table 1, Figures 1/2/4/5, strategy inference, EUI-64
 // tracking, HLL — over the paper-shaped ~1M-address fixture, at 1 vs 8
 // workers (compare ns/op between the workers=1 and workers=8 rows of
-// this bench file; single-core CI runners will show no wall-clock win,
-// the same caveat as BenchmarkPassiveCollectionSharded).
+// this bench file; single-core CI runners will show no wall-clock win).
 //
 // full runs Study.Report() end to end on the shared simulated study:
 // the same worker sweep including the world-bound sections (backscan,

@@ -45,7 +45,7 @@ func newChainDaemon(t *testing.T, snapDir string, compact int) *daemon {
 func newConfiguredDaemon(t *testing.T, snapDir string, set func(*ingest.Config)) *daemon {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	cfg := ingest.DefaultConfig(2)
+	cfg := ingest.DefaultConfig()
 	cfg.Registry = reg
 	set(&cfg)
 	pipe, err := ingest.New(cfg)
@@ -172,7 +172,7 @@ func TestStatsEndpointShape(t *testing.T) {
 }
 
 // TestMetricsEndpoint checks the exposition end to end: well-formed
-// 0.0.4 text carrying the pipeline's per-shard and distribution
+// 0.0.4 text carrying the pipeline's queue and distribution
 // families plus the daemon's own gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	d := newTestDaemon(t, t.TempDir())
@@ -190,9 +190,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		`ingest_events_processed_total 2`,
-		`ingest_queue_depth{shard="0"}`,
-		`ingest_queue_depth{shard="1"}`,
-		`ingest_batch_seconds_bucket{shard="0",le=`,
+		"\ningest_queue_depth 0\n",
+		`ingest_queue_high_water `,
+		`ingest_batch_seconds_bucket{le=`,
 		`ingest_batch_events_sum`,
 		`ingest_checkpoint_seconds_count 1`,
 		`ingest_checkpoint_written_bytes_count 1`,

@@ -1,10 +1,11 @@
-// Command ingestd runs the sharded ingest pipeline as a daemon: it
-// consumes an NTP query-event stream — a file (or stdin), a UDP socket,
-// or a simulated replay — fans it out across shard workers that fold
-// each batch into the one live corpus (the per-AS outage series the one
-// inline enrichment), and serves live summaries over HTTP, read from
-// that corpus. It is the single-vantage deployment shape of the paper's
-// 27-server passive collection: one ingestd per pool server.
+// Command ingestd runs the ingest pipeline as a daemon: it consumes an
+// NTP query-event stream — a file (or stdin), a UDP socket, or a
+// simulated replay — hands it in batches to the pipeline's worker,
+// which folds each batch into the one live corpus (the per-AS outage
+// series the one inline enrichment), and serves live summaries over
+// HTTP, read from that corpus. It is the single-vantage deployment
+// shape of the paper's 27-server passive collection: one ingestd per
+// pool server.
 //
 // The outage detector is the paper's headline hitlist application run
 // live: the same single pass that builds the corpus feeds a per-AS
@@ -307,11 +308,8 @@ func main() {
 		simScale    = flag.Float64("sim.scale", 0.1, "simnet population scale")
 		simDays     = flag.Int("sim.days", 30, "simnet study window in days")
 		simSeed     = flag.Int64("sim.seed", 1, "simnet world seed")
-		shards      = flag.Int("shards", 0, "collector shards (0 = one per CPU, capped at 8)")
-		batch       = flag.Int("batch", 0, "events per batch (0 = default)")
-		queue       = flag.Int("queue", 0, "per-shard queue depth in batches (0 = default)")
-		drop        = flag.Bool("drop", false, "shed events when a shard queue is full instead of blocking")
-		snapshot    = flag.Duration("snapshot", 2*time.Second, "how often shard workers merge their outage series into the one /outages reads (the corpus needs no snapshot)")
+		drop        = flag.Bool("drop", false, "shed events when the ingest queue is full instead of blocking")
+		snapshot    = flag.Duration("snapshot", 2*time.Second, "how often the ingest worker merges its outage series into the one /outages reads (the corpus needs no snapshot)")
 		serverCp    = flag.Int("servers", collector.MaxServers, "vantage-server attribution cap")
 		outBin      = flag.Duration("outage.bin", time.Hour, "outage series bin width (whole seconds; 0 disables the outage consumer)")
 		outEvery    = flag.Duration("outage.every", 30*time.Second, "how often the live outage detector rescans the series")
@@ -401,9 +399,6 @@ func main() {
 	health := telemetry.NewHealth()
 
 	cfg := ingest.Config{
-		Shards:           *shards,
-		BatchSize:        *batch,
-		QueueDepth:       *queue,
 		DropOnFull:       *drop,
 		SnapshotInterval: *snapshot,
 		ServerCap:        *serverCp,
@@ -466,7 +461,7 @@ func main() {
 			logger.Error("http", "error", err)
 		}
 	}()
-	logger.Info("serving", "addr", httpLn.Addr().String(), "shards", pipe.NumShards())
+	logger.Info("serving", "addr", httpLn.Addr().String())
 
 	if routes != nil {
 		go func() {
@@ -590,7 +585,9 @@ type snapshotReply struct {
 	Millis int64  `json:"millis"`
 }
 
-// statsReply is the /stats JSON shape.
+// statsReply is the /stats JSON shape. Shards is always 1, the one
+// ingest worker; it stays because the benchmark (bench/) divides the
+// worker's busy time by it.
 type statsReply struct {
 	Shards       int                    `json:"shards"`
 	Metrics      ingest.MetricsSnapshot `json:"metrics"`
@@ -609,7 +606,7 @@ type statsReply struct {
 // corpus that existed — its categories sum to its unique_addrs.
 func (d *daemon) buildStats() statsReply {
 	reply := statsReply{
-		Shards:     d.pipe.NumShards(),
+		Shards:     1,
 		Metrics:    d.pipe.Metrics(),
 		UDP:        d.udp.statsReply(),
 		Tier:       d.tierStats(),

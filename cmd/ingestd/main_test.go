@@ -18,7 +18,7 @@ import (
 // error. CRLF framing, whitespace-only lines and comments are equally
 // benign; only genuinely malformed lines are bad.
 func TestIngestDatagramSkipsBlankFragments(t *testing.T) {
-	pipe, err := ingest.New(ingest.DefaultConfig(1))
+	pipe, err := ingest.New(ingest.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestIngestStreamSkipsOverlongLine(t *testing.T) {
 		{"one byte over the buffer", first + garbage[:1<<16] + "\n" + second, 1},
 		{"twice, the last unterminated", first + garbage + "\n" + second + garbage, 2},
 	} {
-		pipe, err := ingest.New(ingest.DefaultConfig(1))
+		pipe, err := ingest.New(ingest.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestIngestStreamReassemblesLines(t *testing.T) {
 		"timeout":  func(r io.Reader) io.Reader { return iotest.TimeoutReader(iotest.HalfReader(r)) },
 	}
 	for name, mk := range readers {
-		pipe, err := ingest.New(ingest.DefaultConfig(2))
+		pipe, err := ingest.New(ingest.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestIngestDatagramZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	pipe, err := ingest.New(ingest.DefaultConfig(2))
+	pipe, err := ingest.New(ingest.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestStatsCarriesCorpusTelemetry(t *testing.T) {
 // against a pipeline with no outage stage (detection disabled path) —
 // it must degrade to an empty reply rather than panic.
 func TestDetectOutagesEndpointShape(t *testing.T) {
-	pipe, err := ingest.New(ingest.DefaultConfig(1))
+	pipe, err := ingest.New(ingest.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

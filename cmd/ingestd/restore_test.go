@@ -38,7 +38,7 @@ func TestRestoreOrEmpty(t *testing.T) {
 	}
 
 	// Write a real checkpoint through the pipeline.
-	pipe, err := ingest.New(ingest.DefaultConfig(2))
+	pipe, err := ingest.New(ingest.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func FuzzIngestDatagram(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0xff})
 	f.Add([]byte("1643673600 ::ffff:192.0.2.1 31\r\n"))
 
-	pipe, err := ingest.New(ingest.DefaultConfig(1))
+	pipe, err := ingest.New(ingest.DefaultConfig())
 	if err != nil {
 		f.Fatal(err)
 	}

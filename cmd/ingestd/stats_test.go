@@ -106,13 +106,14 @@ func TestStatsDescribesRestoredCorpus(t *testing.T) {
 	}
 }
 
-// TestTallyResumesTheFold: over three workload profiles at 1 and 4
-// shards, with batches landing while it folds and one checkpoint →
-// restore split mid-stream, a tally brought up to the store after every
-// merge request holds exactly what one fold over [0, NumAddrs()) of the
+// TestTallyResumesTheFold: over three workload profiles, with batches
+// landing while it folds and one checkpoint → restore split
+// mid-stream, a tally brought up to the store after every merge
+// request holds exactly what one fold over [0, NumAddrs()) of the
 // same view yields — same watermark, same counts, same registers, and
-// the IID count an IIDTable of the view holds — and never re-reads what
-// it has folded. A store holding less than was folded starts it over.
+// the IID count an IIDTable of the view holds — and never re-reads
+// what it has folded. A store holding less than was folded starts it
+// over.
 func TestTallyResumesTheFold(t *testing.T) {
 	for _, name := range []string{"paper", "collision", "churn"} {
 		p, _ := workload.Lookup(name)
@@ -120,72 +121,70 @@ func TestTallyResumesTheFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4} {
-			cfg := ingest.DefaultConfig(shards)
-			cfg.BatchSize = 32
-			pipe, err := ingest.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tally := new(corpusTally)
-			advanced := 0
-			foldAndCompare := func(when string) {
-				t.Helper()
-				pipe.Store().View(func(c *collector.Collector) {
-					before := tally.folded
-					tally.fold(c)
-					if tally.folded > before {
-						advanced++
-					}
-					scratch := new(corpusTally)
-					scratch.fold(c)
-					if tally.folded != c.NumAddrs() || tally.cats != scratch.cats || !reflect.DeepEqual(tally.sketch, scratch.sketch) {
-						t.Fatalf("%s/shards=%d %s: resumed tally (folded %d, %v) is not the fold from scratch (folded %d, %v)",
-							name, shards, when, tally.folded, tally.cats, scratch.folded, scratch.cats)
-					}
-					if n := c.IIDTable().NumIIDs(); tally.iids.Len() != n || scratch.iids.Len() != n {
-						t.Fatalf("%s/shards=%d %s: resumed tally counts %d IIDs, from scratch %d, the IID table %d",
-							name, shards, when, tally.iids.Len(), scratch.iids.Len(), n)
-					}
-				})
-			}
-			half := len(st.Events) / 2
-			for at := 0; at < len(st.Events); at += 96 {
-				if at <= half && half < at+96 {
-					// The restore split: a restarted daemon has a new tally
-					// and folds the restored slab on its first reply.
-					path := snapshotPath(t.TempDir())
-					if _, err := pipe.CheckpointFile(path); err != nil {
-						t.Fatal(err)
-					}
-					foldAndCompare("at the checkpoint")
-					pipe.Close()
-					cfg.Seed = restoreOrEmpty(path, t.Logf)
-					if pipe, err = ingest.New(cfg); err != nil {
-						t.Fatal(err)
-					}
-					tally = new(corpusTally)
-					foldAndCompare("on the restored corpus")
-				}
-				pipe.Ingest(st.Events[at:min(at+96, len(st.Events))]) // batches land while the next folds run
-				foldAndCompare("mid-stream")
-			}
-			pipe.Quiesce()
-			foldAndCompare("at the end")
-			if advanced < 4 {
-				t.Errorf("%s/shards=%d: the tally advanced %d times; the fold was never resumed", name, shards, advanced)
-			}
-
-			small := collector.New()
-			small.ObserveUnix(addr.MustParse("2001:db8::1"), 1643673600, 0)
-			tally.fold(small)
-			scratch := new(corpusTally)
-			scratch.fold(small)
-			if tally.folded != 1 || tally.cats != scratch.cats || !reflect.DeepEqual(tally.sketch, scratch.sketch) || tally.iids.Len() != 1 {
-				t.Errorf("%s/shards=%d: a smaller store left the tally at folded %d, %v", name, shards, tally.folded, tally.cats)
-			}
-			pipe.Close()
+		cfg := ingest.DefaultConfig()
+		cfg.BatchSize = 32
+		pipe, err := ingest.New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tally := new(corpusTally)
+		advanced := 0
+		foldAndCompare := func(when string) {
+			t.Helper()
+			pipe.Store().View(func(c *collector.Collector) {
+				before := tally.folded
+				tally.fold(c)
+				if tally.folded > before {
+					advanced++
+				}
+				scratch := new(corpusTally)
+				scratch.fold(c)
+				if tally.folded != c.NumAddrs() || tally.cats != scratch.cats || !reflect.DeepEqual(tally.sketch, scratch.sketch) {
+					t.Fatalf("%s %s: resumed tally (folded %d, %v) is not the fold from scratch (folded %d, %v)",
+						name, when, tally.folded, tally.cats, scratch.folded, scratch.cats)
+				}
+				if n := c.IIDTable().NumIIDs(); tally.iids.Len() != n || scratch.iids.Len() != n {
+					t.Fatalf("%s %s: resumed tally counts %d IIDs, from scratch %d, the IID table %d",
+						name, when, tally.iids.Len(), scratch.iids.Len(), n)
+				}
+			})
+		}
+		half := len(st.Events) / 2
+		for at := 0; at < len(st.Events); at += 96 {
+			if at <= half && half < at+96 {
+				// The restore split: a restarted daemon has a new tally
+				// and folds the restored slab on its first reply.
+				path := snapshotPath(t.TempDir())
+				if _, err := pipe.CheckpointFile(path); err != nil {
+					t.Fatal(err)
+				}
+				foldAndCompare("at the checkpoint")
+				pipe.Close()
+				cfg.Seed = restoreOrEmpty(path, t.Logf)
+				if pipe, err = ingest.New(cfg); err != nil {
+					t.Fatal(err)
+				}
+				tally = new(corpusTally)
+				foldAndCompare("on the restored corpus")
+			}
+			pipe.Ingest(st.Events[at:min(at+96, len(st.Events))]) // batches land while the next folds run
+			foldAndCompare("mid-stream")
+		}
+		pipe.Quiesce()
+		foldAndCompare("at the end")
+		if advanced < 4 {
+			t.Errorf("%s: the tally advanced %d times; the fold was never resumed", name, advanced)
+		}
+
+		small := collector.New()
+		small.ObserveUnix(addr.MustParse("2001:db8::1"), 1643673600, 0)
+		tally.fold(small)
+		scratch := new(corpusTally)
+		scratch.fold(small)
+		if tally.folded != 1 || tally.cats != scratch.cats || !reflect.DeepEqual(tally.sketch, scratch.sketch) || tally.iids.Len() != 1 {
+			t.Errorf("%s: a smaller store left the tally at folded %d, %v", name, tally.folded, tally.cats)
+		}
+		pipe.Close()
 	}
 }
 
@@ -201,7 +200,7 @@ func TestDaemonStages(t *testing.T) {
 		{nil, nil},
 		{new(asdb.DB), []string{"outage"}},
 	} {
-		cfg := ingest.DefaultConfig(2)
+		cfg := ingest.DefaultConfig()
 		cfg.Stages = daemonStages(tc.routes, time.Hour)
 		cfg.Registry = telemetry.NewRegistry()
 		pipe, err := ingest.New(cfg)
@@ -229,8 +228,8 @@ func TestDaemonStages(t *testing.T) {
 }
 
 // TestStatsFreshWithoutSnapshot: with the snapshot interval an hour
-// away, /stats already counts every processed event — the shard workers
-// write the store itself, so the corpus needs no snapshot tick to catch
+// away, /stats already counts every processed event — the ingest worker
+// writes the store itself, so the corpus needs no snapshot tick to catch
 // up with them.
 func TestStatsFreshWithoutSnapshot(t *testing.T) {
 	d := newConfiguredDaemon(t, "", func(cfg *ingest.Config) { cfg.SnapshotInterval = time.Hour })

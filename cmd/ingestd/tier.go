@@ -192,7 +192,7 @@ func (d *daemon) refreshTier(kind string) (phases []any, err error) {
 // encodeTier writes to w the tier file of the records take copies out
 // of the store's corpus and returns the corpus's address count. The
 // read lock is held only for the copy: the sort and the encode run
-// after it, so shard workers, and the socket reader behind them, never
+// after it, so the ingest worker, and the socket reader behind it, never
 // wait on a tier rewrite.
 func encodeTier(store *collector.Store, take func(*collector.Collector) *collector.Records, w io.Writer) (addrs int, err error) {
 	var recs *collector.Records

@@ -23,8 +23,8 @@ import (
 	"hitlist6/internal/pager"
 )
 
-// TestStatsIsOneView hammers the /stats builder while shard workers
-// write the store. Every address is distinct, seen once and has its own
+// TestStatsIsOneView hammers the /stats builder while the ingest worker
+// writes the store. Every address is distinct, seen once and has its own
 // IID, so any corpus that ever existed has observations == unique_addrs
 // == unique_iids; a reply assembled from separately locked reads breaks
 // the equality whenever a batch lands between them, and so does a category
@@ -530,7 +530,7 @@ func (w *blockedWriter) Write(p []byte) (int, error) {
 
 // TestStoreWritableDuringBaseRewrite: a tier base rewrite holds the
 // store's lock only while it copies the records, so a store write —
-// a shard worker's next batch — completes while the rewrite is blocked
+// the ingest worker's next batch — completes while the rewrite is blocked
 // on its first output byte, and the base still holds the corpus as it
 // was copied.
 func TestStoreWritableDuringBaseRewrite(t *testing.T) {

@@ -20,14 +20,14 @@ const (
 	// udpBufSize accepts any UDP payload (64 KiB covers the maximum).
 	udpBufSize = 1 << 16
 	// udpFlushEvery bounds how long parsed events may sit in the
-	// producer's partial batches before the live view sees them. Under
+	// producer's partial batch before the live view sees them. Under
 	// load, batches flush themselves at BatchSize and this only trims
 	// the tail; when traffic trickles, the read deadline fires at this
 	// cadence and flushes whatever arrived.
 	udpFlushEvery = 50 * time.Millisecond
-	// udpIdleFlush is how long the socket may stay empty before pending
-	// partial batches are flushed without waiting for the cadence: the
-	// end of a burst reaches the workers at once. A socket with
+	// udpIdleFlush is how long the socket may stay empty before a pending
+	// partial batch is flushed without waiting for the cadence: the end
+	// of a burst reaches the worker at once. A socket with
 	// datagrams queued never waits this long, so never flushes early.
 	udpIdleFlush = time.Millisecond
 )

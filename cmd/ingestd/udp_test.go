@@ -63,7 +63,7 @@ func runUDPIngest(t *testing.T, mkReader func(net.PacketConn) datagramReader, pa
 	}
 	sender.Close()
 
-	cfg := ingest.DefaultConfig(2)
+	cfg := ingest.DefaultConfig()
 	pipe, err := ingest.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestUDPReaderEquivalence(t *testing.T) {
 // ticks — the old per-datagram-Flush behavior is gone, so only the
 // deadline-driven flush can publish it.
 func TestIngestUDPIdleFlush(t *testing.T) {
-	cfg := ingest.DefaultConfig(1)
+	cfg := ingest.DefaultConfig()
 	cfg.SnapshotInterval = 10 * time.Millisecond
 	pipe, sender, stop := startUDPIngest(t, cfg)
 	defer stop()
@@ -220,7 +220,7 @@ func startUDPIngest(t *testing.T, cfg ingest.Config) (*ingest.Pipeline, net.Conn
 // it to a worker. The best of five must be well inside the cadence; on
 // the cadence alone every trial takes those 45 ms.
 func TestIngestUDPFlushesWhenSocketRunsDry(t *testing.T) {
-	pipe, sender, stop := startUDPIngest(t, ingest.DefaultConfig(1))
+	pipe, sender, stop := startUDPIngest(t, ingest.DefaultConfig())
 	defer stop()
 	best := time.Hour
 	for trial := uint64(1); trial <= 5; trial++ {
@@ -249,7 +249,7 @@ func TestIngestUDPFlushesWhenSocketRunsDry(t *testing.T) {
 // reach a worker while it is still sending, in a handful of batches,
 // not one per datagram.
 func TestIngestUDPTrickleKeepsCadence(t *testing.T) {
-	pipe, sender, stop := startUDPIngest(t, ingest.DefaultConfig(1))
+	pipe, sender, stop := startUDPIngest(t, ingest.DefaultConfig())
 	defer stop()
 	const span, gap = 160 * time.Millisecond, 100 * time.Microsecond
 	start := time.Now()
@@ -293,7 +293,7 @@ func BenchmarkUDPIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipe, err := ingest.New(ingest.DefaultConfig(0))
+	pipe, err := ingest.New(ingest.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

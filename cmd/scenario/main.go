@@ -4,16 +4,16 @@
 //
 //	scenario list [-json]
 //	scenario describe <profile> [-json]
-//	scenario run [-json] [-full] [-profiles a,b | -all] [-shards 1,16]
-//	             [-seeds 1,2] [-scale 0.02] [-days 8]
+//	scenario run [-json] [-full] [-profiles a,b | -all] [-seeds 1,2]
+//	             [-scale 0.02] [-days 8]
 //
-// run executes every selected (profile, shards, seed) cell
-// through the real ingest pipeline and asserts the determinism
-// invariant: byte-identical canonical corpus checksums and scenario
-// reports per (profile, seed), including the checkpoint-mid-stream →
-// restore leg on durable profiles. Any divergence exits non-zero
-// naming the cell. The default slice is the reduced per-PR matrix
-// (shard-count extremes, two seeds); -full selects the nightly matrix.
+// run executes every selected (profile, seed) cell through the real
+// ingest pipeline and asserts the determinism invariant: byte-identical
+// canonical corpus checksums and scenario reports per (profile, seed),
+// across the straight run and the checkpoint-mid-stream → restore legs
+// of durable profiles. Any divergence exits non-zero naming the cell.
+// The default slice is the reduced per-PR matrix (two seeds); -full
+// selects the nightly matrix (three seeds).
 package main
 
 import (
@@ -63,10 +63,9 @@ func usage(w io.Writer) {
 
 run flags:
   -all            run every profile (default when none named)
-  -full           the nightly matrix ({1,4,16} shards, 3 seeds)
-                  instead of the reduced per-PR slice ({1,16}, 2 seeds)
+  -full           the nightly matrix (3 seeds) instead of the
+                  reduced per-PR slice (2 seeds)
   -json           emit the full matrix result as JSON
-  -shards LIST    comma-separated shard counts, each >= 1 (e.g. 1,16)
   -seeds LIST     comma-separated seeds (e.g. 1,2,3)
   -scale F        simnet site-scale multiplier (default 0.02)
   -days N         study window length in days (default 8)
@@ -157,7 +156,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit the matrix result as JSON")
 	all := fs.Bool("all", false, "run every profile")
 	full := fs.Bool("full", false, "nightly matrix instead of the reduced slice")
-	shardsFlag := fs.String("shards", "", "comma-separated shard counts")
 	seedsFlag := fs.String("seeds", "", "comma-separated seeds")
 	scale := fs.Float64("scale", 0, "simnet site-scale multiplier")
 	days := fs.Int("days", 0, "study window length in days")
@@ -177,21 +175,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		opts.Profiles = fs.Args()
 	}
 	var err error
-	if *shardsFlag != "" {
-		if opts.Shards, err = parseInts(*shardsFlag); err != nil {
-			fmt.Fprintln(stderr, "scenario run: -shards:", err)
-			return 2
-		}
-		for _, n := range opts.Shards {
-			// 0 would mean "one per CPU" to the pipeline: a cell whose
-			// shape depends on the machine, under a label that hides it.
-			if n < 1 {
-				fmt.Fprintf(stderr, "scenario run: -shards: %d is not a shard count (need >= 1)\n", n)
-				usage(stderr)
-				return 2
-			}
-		}
-	}
 	if *seedsFlag != "" {
 		if opts.Seeds, err = parseInt64s(*seedsFlag); err != nil {
 			fmt.Fprintln(stderr, "scenario run: -seeds:", err)
@@ -226,19 +209,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "\nPASS: all cells byte-identical per (profile, seed)")
 	return 0
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parseInt64s(s string) ([]int64, error) {

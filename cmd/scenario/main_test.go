@@ -57,10 +57,10 @@ func TestUnknownCommand(t *testing.T) {
 }
 
 // TestRunSingleCell drives the CLI end to end over the smallest slice:
-// one profile, one shard count, one seed.
+// one profile, one seed.
 func TestRunSingleCell(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"run", "-shards", "2", "-seeds", "7", "paper"}, &out, &errb)
+	code := run([]string{"run", "-seeds", "7", "paper"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, errb.String())
 	}
@@ -73,7 +73,7 @@ func TestRunSingleCell(t *testing.T) {
 // matrix package's own types.
 func TestRunJSON(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"run", "-json", "-shards", "1,2", "-seeds", "3", "collision"}, &out, &errb)
+	code := run([]string{"run", "-json", "-seeds", "3", "collision"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run -json exited %d: %s", code, errb.String())
 	}
@@ -98,8 +98,8 @@ func TestRunFlagConflict(t *testing.T) {
 		stderr string
 	}{
 		{"-all with explicit profiles", []string{"run", "-all", "paper"}, "mutually exclusive"},
-		{"zero shard count", []string{"run", "-shards", "0", "paper"}, "usage:"},
-		{"negative shard count", []string{"run", "-shards", "1,-4", "paper"}, "usage:"},
+		{"no shard axis", []string{"run", "-shards", "1", "paper"}, "flag provided but not defined: -shards"},
+		{"bad seed list", []string{"run", "-seeds", "1,x", "paper"}, "-seeds"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != 2 {

@@ -17,7 +17,7 @@ func murmurMix(x uint64) uint64 {
 // both halves pass through the finalizer and combine with a rotate so
 // structured networks (low-entropy IIDs, shared prefixes) still spread
 // uniformly. It is the one address hash shared by consumers that need
-// dispersion — HLL cardinality sketching, ingest shard selection.
+// dispersion — HLL cardinality sketching, the collector's index tables.
 func (a Addr) Hash64() uint64 {
 	return murmurMix(a.Hi()) ^ bits.RotateLeft64(murmurMix(a.Lo()), 31)
 }

@@ -85,7 +85,7 @@ func studyCorpus(t testing.TB, seed int64, scale float64) *collector.Collector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := ingest.New(ingest.DefaultConfig(2))
+	pipe, err := ingest.New(ingest.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

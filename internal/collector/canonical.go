@@ -223,10 +223,10 @@ const canonFlush = 1 << 16
 // every (address, record) pair sorted by address, then every (IID,
 // record) pair sorted by IID with per-/64 spans sorted by prefix. Two
 // collectors hold identical observations if and only if their canonical
-// encodings are byte-identical — regardless of insertion order, shard
-// count, merge schedule or storage layout (the encoding predates the
-// flat-slab engine and is pinned by a golden-checksum test). This is the
-// ground truth the sharded-ingest equivalence tests assert on. The IID
+// encodings are byte-identical — regardless of insertion order, merge
+// schedule or storage layout (the encoding predates the flat-slab
+// engine and is pinned by a golden-checksum test). This is the ground
+// truth the ingest equivalence tests assert on. The IID
 // half is read from an IIDTable built for the call.
 func (c *Collector) WriteCanonical(w io.Writer) (err error) {
 	buf := make([]byte, 0, canonFlush+1024)

@@ -31,7 +31,7 @@
 // No slab entry contains a pointer, which keeps the garbage collector
 // out of the picture entirely — the property that lets a single machine
 // hold hundreds of millions of records without GC pressure becoming the
-// throughput ceiling. A collector has one writer at a time — a shard
+// throughput ceiling. A collector has one writer at a time — the ingest
 // worker holding the Store's write lock, a replay — and readers that do
 // not run concurrently with it (Store is that boundary for live ingest).
 package collector
@@ -189,10 +189,9 @@ func growTable(used uint64, slots int) bool {
 
 // hashTag is the byte an index table keeps per slot beside the slab
 // reference: 0 marks an empty slot, any other value is 0x80 | bits 32..38
-// of the key's hash — bits that neither the home slot (the low bits, on
-// tables under 2^32 slots) nor ingest's shard choice (the high bits)
-// spends, so keys sharing a home slot and a shard still differ in the
-// tag 127 times in 128.
+// of the key's hash — bits the home slot (the low bits, on tables under
+// 2^32 slots) does not spend, so keys sharing a home slot still differ
+// in the tag 127 times in 128.
 func hashTag(h uint64) uint8 { return 0x80 | uint8(h>>32) }
 
 // freeSlot returns the first empty slot on h's probe path: where a key
@@ -431,7 +430,7 @@ func (t *addrTable) foldAddr(a *addr.Addr, in *slabRec) (ai uint32, fresh bool) 
 // and reads must not run concurrently with writes (see Store for the
 // concurrency boundary). Slab indices are uint32s whose top bit an
 // IIDTable reference reserves: one collector holds at most ~2.1 billion
-// unique addresses — beyond that, shard.
+// unique addresses — beyond that, partition the corpus.
 type Collector struct {
 	addrTable
 	total uint64
@@ -728,8 +727,10 @@ func (c *Collector) AddressList() []addr.Addr {
 // Merge folds another collector's observations into c, as if every
 // sighting had been recorded here: first/last spans widen, counts add,
 // server masks union. The copy is deep — c never aliases o's slabs, so
-// o may keep being written afterwards. This is how per-vantage (or
-// per-shard) collectors combine into the study corpus.
+// o may keep being written afterwards. Absorb runs it when both sides
+// hold records, the case the benchmark's merge layer (bench/layers)
+// times through Store.ApplyShard; ingest itself writes each sighting
+// into the Store once and merges nothing.
 //
 // The walk is in o's slab (insertion) order, which is uncorrelated with
 // hash order: walking an index in slot order instead would insert into

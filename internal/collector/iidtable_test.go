@@ -10,8 +10,8 @@ import (
 
 // TestIIDTableBuildPaths: an IID table is a fold of address records, so
 // it answers the same however the corpus holding them was built —
-// serially, through the ingest pipeline at 1 and 4 shards (slab order
-// then follows the merges), or restored from a snapshot plus a delta.
+// serially, through the ingest pipeline, or restored from a snapshot
+// plus a delta.
 // The stream is the head of the collector benchmark stream with as many
 // addresses as the repository benchmark's: EUI-64 interfaces spread
 // over many /64s, re-sightings, and random IIDs.
@@ -30,14 +30,12 @@ func TestIIDTableBuildPaths(t *testing.T) {
 	for i := range addrs {
 		events[i] = ingest.Event{Addr: addrs[i], Time: times[i], Server: int32(servers[i])}
 	}
-	for _, shards := range []int{1, 4} {
-		p, err := ingest.New(ingest.DefaultConfig(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Ingest(events)
-		collector.SameIIDTables(t, p.Close().IIDTable(), want)
+	p, err := ingest.New(ingest.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	p.Ingest(events)
+	collector.SameIIDTables(t, p.Close().IIDTable(), want)
 
 	c := collector.New()
 	var base, delta bytes.Buffer

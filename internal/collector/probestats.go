@@ -12,7 +12,7 @@ import "sort"
 // with the cluster instead of staying O(1).
 //
 // Probe distances depend on insertion order and table history, which
-// vary across shard counts and merge orders — these are observability
+// vary across merge orders and restore splits — these are observability
 // numbers, never part of a determinism assertion.
 type AddrIndexStats struct {
 	// Slots is the table's current capacity; Used its occupied slots

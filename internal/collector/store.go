@@ -5,16 +5,17 @@ import (
 	"sync"
 )
 
-// Store is the live corpus of sharded collection: ingest's shard
-// workers fold each batch into it with Update, one write-lock hold per
-// batch, and a restored seed lands with ApplyShard. Readers (HTTP stat
+// Store is the live corpus of pipeline collection: ingest's worker
+// folds each batch into it with Update, one write-lock hold per batch,
+// and a restored seed lands with ApplyShard. Readers (HTTP stat
 // endpoints, checkpoints, the tier writer) take the read lock and see a
 // consistent corpus holding every finished batch; a reader that needs
 // IID state builds a Collector.IIDTable inside View.
 //
-// The Collector itself stays single-writer: Store adds the lock around
-// it, and sightings commute, so the corpus does not depend on which
-// worker's batch lands first; only slab order follows the interleaving.
+// The Collector itself stays single-writer: Store adds the lock that
+// separates the one writer from its readers. Batches land in queue
+// order, so slab order — which snapshot, delta and tier files inherit —
+// follows the stream.
 type Store struct {
 	mu sync.RWMutex
 	c  *Collector

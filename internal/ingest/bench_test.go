@@ -9,17 +9,16 @@ import (
 	"hitlist6/internal/simnet"
 )
 
-// The ingest benchmarks answer the scaling question directly: how fast
-// can one machine fold the simnet event stream into the observation
-// store, single-threaded versus sharded? The stream is materialized
-// once (vantage pre-assigned) so every variant measures pure ingestion,
-// not simulation. Run with
+// The ingest benchmarks answer what the pipeline costs over a bare
+// fold: how fast can one machine fold the simnet event stream into the
+// observation store, in one goroutine versus through the pipeline's
+// batches, queue and worker? The stream is materialized once (vantage
+// pre-assigned) so every variant measures pure ingestion, not
+// simulation. Run with
 //
 //	go test -bench BenchmarkIngest ./internal/ingest
 //
-// and compare the events/sec metric across shard counts; speedup over
-// BenchmarkIngestSerial tracks the core count (on a single-core
-// machine the sharded variants only add scheduling overhead).
+// and compare the events/sec metric against BenchmarkIngestSerial.
 var (
 	benchOnce   sync.Once
 	benchStream []Event
@@ -73,22 +72,15 @@ func BenchmarkIngestSerial(b *testing.B) {
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkIngest measures the sharded pipeline end to end (producers,
-// batching, shard workers, final merge) at increasing shard counts.
+// BenchmarkIngest measures the pipeline end to end (producers,
+// batching, the worker, Close) with one and with four producers.
 func BenchmarkIngest(b *testing.B) {
 	events := benchEvents(b)
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			producers := shards / 2
-			if producers < 1 {
-				producers = 1
-			}
-			if producers > 4 {
-				producers = 4
-			}
+	for _, producers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := New(DefaultConfig(shards))
+				p, err := New(DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -109,22 +101,18 @@ func BenchmarkIngest(b *testing.B) {
 // vantage runs.
 func BenchmarkIngestEnriched(b *testing.B) {
 	events := benchEvents(b)
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(shards)
-				cfg.Stages = []StageFactory{Categories(), Cardinality(14)}
-				p, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				feedConcurrently(p, events, max(1, shards/2))
-				p.Close()
-			}
-			b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig()
+		cfg.Stages = []StageFactory{Categories(), Cardinality(14)}
+		p, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Ingest(events)
+		p.Close()
 	}
+	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkParseEventBytes is the zero-allocation claim of the wire
@@ -173,7 +161,7 @@ func feedConcurrently(p *Pipeline, events []Event, producers int) {
 	wg.Wait()
 }
 
-// BenchmarkTelemetryOverhead proves the per-shard/per-stage
+// BenchmarkTelemetryOverhead proves the per-batch/per-stage
 // instrumentation budget: the telemetry=off variant runs the identical
 // pipeline with the unexported noHotPathTelemetry knob set — the same
 // loop shape minus the clock reads and histogram observations — so the
@@ -193,7 +181,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(4)
+				cfg := DefaultConfig()
 				cfg.Stages = []StageFactory{Categories(), Cardinality(14)}
 				cfg.noHotPathTelemetry = tc.off
 				p, err := New(cfg)

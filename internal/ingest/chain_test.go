@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,7 +26,7 @@ func TestCheckpointChain(t *testing.T) {
 	events := testEvents(t, 0.03, 12)
 	path := filepath.Join(t.TempDir(), "corpus.snap")
 
-	cfg := DefaultConfig(4)
+	cfg := DefaultConfig()
 	cfg.CompactEvery = 3
 	p, err := New(cfg)
 	if err != nil {
@@ -164,7 +165,7 @@ func TestRestoreDropsSupersededChain(t *testing.T) {
 	events := testEvents(t, 0.03, 12)
 	third := len(events) / 3
 	path := filepath.Join(t.TempDir(), "corpus.snap")
-	cfg := DefaultConfig(2)
+	cfg := DefaultConfig()
 	cfg.CompactEvery = 2
 	p, err := New(cfg)
 	if err != nil {
@@ -227,7 +228,7 @@ func TestCheckpointFileSupersedesChain(t *testing.T) {
 	events := testEvents(t, 0.02, 6)
 	half := len(events) / 2
 	path := filepath.Join(t.TempDir(), "corpus.snap")
-	p, err := New(DefaultConfig(2))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +268,9 @@ func TestCheckpointFileSupersedesChain(t *testing.T) {
 // TestCheckpointChainDeltaSize is the size-ratio acceptance bar at the
 // pipeline level: on a corpus spanning many dirty-tracking blocks, a
 // checkpoint after touching a small contiguous slice of it must be at
-// least 10x smaller than the full base. One shard keeps the store's
-// record order equal to feed order, so the touched records stay in one
-// block.
+// least 10x smaller than the full base. The one worker keeps the
+// store's record order equal to feed order, so the touched records stay
+// in one block.
 func TestCheckpointChainDeltaSize(t *testing.T) {
 	const n = 60000
 	mk := func(i int) Event {
@@ -282,7 +283,7 @@ func TestCheckpointChainDeltaSize(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "corpus.snap")
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -319,5 +320,58 @@ func TestCheckpointChainDeltaSize(t *testing.T) {
 	}
 	if restored.Checksum() != storeChecksum(p.Store()) {
 		t.Fatal("chain restore diverges from the live corpus")
+	}
+}
+
+// TestCheckpointFilesReproducible: one producer feeding the same stream
+// into two fresh pipelines must leave byte-identical checkpoint files —
+// a full file, then a chain base and one delta. The worker folds
+// batches in queue order, so the corpus's slab order, which every file
+// inherits, follows the stream alone and not the scheduler.
+func TestCheckpointFilesReproducible(t *testing.T) {
+	events := testEvents(t, 0.02, 6)
+	split := len(events) * 2 / 3
+	write := func(dir string) map[string][]byte {
+		p, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		p.Ingest(events[:split])
+		if _, err := p.CheckpointFile(filepath.Join(dir, "corpus.snap")); err != nil {
+			t.Fatal(err)
+		}
+		chain := filepath.Join(dir, "chain.snap")
+		if _, err := p.CheckpointChain(chain); err != nil {
+			t.Fatal(err)
+		}
+		p.Ingest(events[split:])
+		if _, err := p.CheckpointChain(chain); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = b
+		}
+		return files
+	}
+	first, second := write(t.TempDir()), write(t.TempDir())
+	if len(first) != 3 || len(second) != 3 {
+		t.Fatalf("wrote %d and %d files, want 3 each: a full file, a chain base and one delta", len(first), len(second))
+	}
+	for name, want := range first {
+		if got, ok := second[name]; !ok {
+			t.Errorf("%s written by the first ingest only", name)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s differs between two ingests of one stream (%d and %d bytes)", name, len(want), len(got))
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"hitlist6/internal/collector"
 )
 
-// TestCheckpointRestoreEquivalence is the durable-path extension of the
-// 1/4/16-shard equivalence suite (run with -race): ingest half a stream
+// TestCheckpointRestoreEquivalence is the durable-path extension of
+// TestConcurrentProducersMatchSerial (run with -race): ingest half a stream
 // from three concurrent producers, checkpoint mid-ingest, restore the
 // checkpoint into a fresh pipeline, finish the stream there — and the
 // final corpus must be byte-identical (canonical Checksum) to an
@@ -28,41 +28,38 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 
 	// One subtest, under the id this leg has always reported as.
 	t.Run("queue=chan", func(t *testing.T) {
-		for _, shards := range []int{1, 4, 16} {
-			cfg := DefaultConfig(shards)
-			cfg.BatchSize = 32
-			first, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedConcurrently(first, events[:len(events)/2], 3)
+		cfg := DefaultConfig()
+		cfg.BatchSize = 32
+		first, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedConcurrently(first, events[:len(events)/2], 3)
 
-			var ckpt bytes.Buffer
-			bw := bufio.NewWriter(&ckpt)
-			if err := first.Checkpoint(bw); err != nil {
-				t.Fatalf("shards=%d: checkpoint: %v", shards, err)
-			}
-			first.Close() // the interrupted process
+		var ckpt bytes.Buffer
+		bw := bufio.NewWriter(&ckpt)
+		if err := first.Checkpoint(bw); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		first.Close() // the interrupted process
 
-			restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
-			if err != nil {
-				t.Fatalf("shards=%d: restore: %v", shards, err)
-			}
-			cfg.Seed = restored
-			second, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedConcurrently(second, events[len(events)/2:], 3)
-			merged := second.Close()
+		restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		cfg.Seed = restored
+		second, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedConcurrently(second, events[len(events)/2:], 3)
+		merged := second.Close()
 
-			if got := merged.Checksum(); got != want {
-				t.Errorf("shards=%d: checkpoint/restore corpus differs from serial run", shards)
-			}
-			if merged.TotalObservations() != uint64(len(events)) {
-				t.Errorf("shards=%d: %d observations, want %d", shards,
-					merged.TotalObservations(), len(events))
-			}
+		if got := merged.Checksum(); got != want {
+			t.Error("checkpoint/restore corpus differs from serial run")
+		}
+		if merged.TotalObservations() != uint64(len(events)) {
+			t.Errorf("%d observations, want %d", merged.TotalObservations(), len(events))
 		}
 	})
 }
@@ -71,7 +68,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 // every event flushed before the call, not merely handed to queues.
 func TestCheckpointCoversFlushed(t *testing.T) {
 	events := testEvents(t, 0.02, 6)
-	p, err := New(DefaultConfig(4))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +100,7 @@ func TestCheckpointFileAtomicAndRestore(t *testing.T) {
 	}
 
 	events := testEvents(t, 0.02, 6)
-	p, err := New(DefaultConfig(2))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +201,7 @@ func TestAtomicWriteFileSyncsDir(t *testing.T) {
 // against a state the disk may not hold.
 func TestCheckpointErrorsCounted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.snap")
-	p, err := New(DefaultConfig(2))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +249,7 @@ func TestCheckpointErrorsCounted(t *testing.T) {
 
 // TestSeedStage errors on unknown stages and seeds known ones.
 func TestSeedStage(t *testing.T) {
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.Stages = []StageFactory{Categories()}
 	p, err := New(cfg)
 	if err != nil {

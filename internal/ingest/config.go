@@ -1,24 +1,24 @@
-// Package ingest implements the sharded concurrent ingestion pipeline:
-// the production seam between a raw NTP query stream and the passive
-// observation store. Events fan out to N shard workers by address hash,
-// so same-address sightings always land on the same worker. Batched
-// channels — the one shard queue — amortize synchronization and an
-// admission policy provides backpressure (block) or load-shedding
-// (drop). Each worker folds a whole batch into the one collector.Store
-// under its write lock, so every sighting is written once, into the
-// corpus readers query live; sightings commute, so the corpus does not
-// depend on which worker's batch lands first. Pluggable enrichment
-// stages run inline on each worker, lock-free on private instances
-// that snapshots merge into the pipeline-level view.
+// Package ingest implements the concurrent ingestion pipeline: the
+// production seam between a raw NTP query stream and the passive
+// observation store. Any number of producers hand batches of events to
+// one queue; one worker goroutine folds each batch into the one
+// collector.Store under its write lock, so every sighting is written
+// once, into the corpus readers query live. Batched channels amortize
+// synchronization, and an admission policy provides backpressure
+// (block) or load-shedding (drop). Pluggable enrichment stages run
+// inline on the worker, lock-free on its own instances that snapshots
+// merge into the pipeline-level view.
 //
 // The paper's deployment is 27 vantage servers each feeding one stream;
-// this pipeline is what one high-volume vantage (or a central
-// aggregator receiving all 27) runs to keep up with line rate.
+// this pipeline is what one vantage (or a central aggregator receiving
+// all 27) runs. One worker is the design, not a default: the Store's
+// write lock would serialize several anyway, and with one the corpus's
+// slab order — and with it every checkpoint file — follows the queue
+// order alone.
 package ingest
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"hitlist6/internal/collector"
@@ -27,23 +27,22 @@ import (
 
 // Config parameterizes a Pipeline.
 type Config struct {
-	// Shards is the number of shard queues and worker goroutines. 0
-	// selects GOMAXPROCS capped at 8. Same-address events always hash
-	// to the same shard, so results are independent of the shard count.
+	// Shards must be 0 or 1: the pipeline runs one worker. The field
+	// stays only because the benchmark module (bench/layers) still sets
+	// it; it goes with the benchmark's next revision (ROADMAP item 1).
 	Shards int
-	// BatchSize is how many events a Batcher accumulates per shard
-	// before handing the batch to the shard's queue. Larger batches
-	// amortize channel synchronization; smaller ones reduce latency.
-	// 0 selects 256.
+	// BatchSize is how many events a Batcher accumulates before handing
+	// the batch to the queue. Larger batches amortize channel
+	// synchronization; smaller ones reduce latency. 0 selects 256.
 	BatchSize int
-	// QueueDepth is the per-shard queue capacity in batches. 0 selects 8.
+	// QueueDepth is the queue's capacity in batches. 0 selects 8.
 	QueueDepth int
-	// DropOnFull selects the admission policy when a shard queue is
-	// full: false (default) blocks the producer — backpressure — while
-	// true sheds the batch and counts it in Metrics.Dropped, which is
-	// what a live UDP collector wants instead of kernel buffer bloat.
+	// DropOnFull selects the admission policy when the queue is full:
+	// false (default) blocks the producer — backpressure — while true
+	// sheds the batch and counts it in Metrics.Dropped, which is what a
+	// live UDP collector wants instead of kernel buffer bloat.
 	DropOnFull bool
-	// SnapshotInterval is how often the shards merge their stage
+	// SnapshotInterval is how often the worker merges its stage
 	// instances into the pipeline-level view StageView reads. The Store
 	// needs no snapshot: every batch a worker finishes is in it. 0, or
 	// no Stages, disables periodic snapshots: the merged stages then
@@ -55,8 +54,8 @@ type Config struct {
 	// onto index ServerCap-1. It cannot exceed collector.MaxServers
 	// (the AddrRecord.Servers bitmask width). 0 selects the maximum.
 	ServerCap int
-	// Stages are enrichment-stage factories; each shard gets a private
-	// instance of every stage, and snapshots merge them into the
+	// Stages are enrichment-stage factories; the worker gets its own
+	// instance of every stage, and snapshots merge it into the
 	// pipeline-level results readable via StageView. Each is one more
 	// pass over every batch: for what needs the event's time (see Stage).
 	Stages []StageFactory
@@ -72,7 +71,7 @@ type Config struct {
 	// CheckpointChain reads it.
 	CompactEvery int
 	// Registry, when non-nil, is the telemetry registry the pipeline
-	// registers its metric families in — per-shard queue gauges, batch
+	// registers its metric families in — queue gauges, batch
 	// latency and size histograms, per-stage timings, checkpoint
 	// duration/bytes — so a daemon's /metrics endpoint exposes them.
 	// nil selects a private registry: the pipeline is always fully
@@ -88,21 +87,15 @@ type Config struct {
 	noHotPathTelemetry bool
 }
 
-// DefaultConfig returns a replay-tuned configuration (blocking
-// admission, snapshot only on Close) with n shards (0 = auto).
-func DefaultConfig(n int) Config {
-	return Config{Shards: n}
+// DefaultConfig returns a replay-tuned configuration: blocking
+// admission, snapshot only on Close.
+func DefaultConfig() Config {
+	return Config{}
 }
 
 func (c *Config) fillDefaults() error {
-	if c.Shards == 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 8 {
-			c.Shards = 8
-		}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("ingest: Shards %d negative", c.Shards)
+	if c.Shards != 0 && c.Shards != 1 {
+		return fmt.Errorf("ingest: Shards %d: the pipeline runs one worker (0 or 1)", c.Shards)
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 256

@@ -3,7 +3,6 @@ package ingest
 import (
 	"bytes"
 	"errors"
-	"math/bits"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -19,22 +18,6 @@ type Event struct {
 	Addr   addr.Addr
 	Time   int64
 	Server int32
-}
-
-// shardOf maps an address to its shard via addr.Hash64, so all
-// sightings of one address land on one shard. The shard is the hash
-// scaled into [0, shards) — its high bits. An address table picks home
-// slots with the low bits of the same hash, so taking the shard from the
-// low end too (hash % shards) would leave a table of one shard's
-// addresses, at a power-of-two count, holding keys that agree in
-// exactly the bits it spreads by. The table's one-byte slot tags take
-// bits 32..38, which neither end uses.
-func shardOf(a addr.Addr, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	hi, _ := bits.Mul64(a.Hash64(), uint64(shards))
-	return int(hi)
 }
 
 // What a line can be besides an event. Sentinels, not formatted

@@ -64,39 +64,36 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	events := testEvents(t, 0.03, 10)
 	want := serialChecksum(events)
 
-	for _, shards := range []int{1, 3, 8} {
-		cfg := DefaultConfig(shards)
-		cfg.BatchSize = 64
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Ingest(events)
-		merged := p.Close()
-		if got := merged.Checksum(); got != want {
-			t.Errorf("shards=%d: merged corpus differs from serial", shards)
-		}
-		if merged.TotalObservations() != uint64(len(events)) {
-			t.Errorf("shards=%d: %d observations, want %d",
-				shards, merged.TotalObservations(), len(events))
-		}
-		m := p.Metrics()
-		if m.Processed != uint64(len(events)) || m.Enqueued != uint64(len(events)) {
-			t.Errorf("shards=%d: metrics processed=%d enqueued=%d, want %d",
-				shards, m.Processed, m.Enqueued, len(events))
-		}
-		if m.Dropped != 0 {
-			t.Errorf("shards=%d: %d drops under blocking admission", shards, m.Dropped)
-		}
+	cfg := DefaultConfig()
+	cfg.BatchSize = 64
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Ingest(events)
+	merged := p.Close()
+	if got := merged.Checksum(); got != want {
+		t.Error("pipeline corpus differs from serial")
+	}
+	if merged.TotalObservations() != uint64(len(events)) {
+		t.Errorf("%d observations, want %d", merged.TotalObservations(), len(events))
+	}
+	m := p.Metrics()
+	if m.Processed != uint64(len(events)) || m.Enqueued != uint64(len(events)) {
+		t.Errorf("metrics processed=%d enqueued=%d, want %d",
+			m.Processed, m.Enqueued, len(events))
+	}
+	if m.Dropped != 0 {
+		t.Errorf("%d drops under blocking admission", m.Dropped)
 	}
 }
 
-// TestResightWritesInPlace: re-sighting a preloaded corpus through a
-// 2-shard pipeline folds every batch into the Store's records in place.
-// Nothing is written a second time — no per-epoch shard corpus, no
+// TestResightWritesInPlace: re-sighting a preloaded corpus through the
+// pipeline folds every batch into the Store's records in place.
+// Nothing is written a second time — no per-epoch worker corpus, no
 // merge — so the re-sight allocates a small fraction of the corpus's
-// footprint (a design that staged each record in a shard collector
-// first allocates several times the footprint here).
+// footprint (a design that staged each record in a worker-private
+// collector first allocates several times the footprint here).
 func TestResightWritesInPlace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -105,7 +102,7 @@ func TestResightWritesInPlace(t *testing.T) {
 	for i := range events {
 		events[i] = Event{Addr: addr.FromParts(0x20010db8_00000000|uint64(i>>8), uint64(i)+1), Time: 1643673600, Server: int32(i % 27)}
 	}
-	p, err := New(DefaultConfig(2))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestResightWritesInPlace(t *testing.T) {
 
 func TestQuiesceLiveView(t *testing.T) {
 	events := testEvents(t, 0.03, 10)
-	p, err := New(DefaultConfig(4))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +151,10 @@ func TestQuiesceLiveView(t *testing.T) {
 // when there are stages to merge. A pipeline with a stage serves as the
 // clock: once its ticker has rung a few rounds, a stage-less pipeline
 // on the same interval, alive the whole time, must have merged only at
-// its two Quiesce calls and its Close, once per shard each.
+// its two Quiesce calls and its Close.
 func TestTickerOnlyWithStages(t *testing.T) {
 	events := testEvents(t, 0.01, 3)
-	const shards = 2
-	cfg := DefaultConfig(shards)
+	cfg := DefaultConfig()
 	cfg.SnapshotInterval = time.Microsecond
 	bare, err := New(cfg)
 	if err != nil {
@@ -171,14 +167,14 @@ func TestTickerOnlyWithStages(t *testing.T) {
 	}
 	bare.Ingest(events)
 	bare.Quiesce()
-	for clock.Metrics().Snapshots < 10*shards {
+	for clock.Metrics().Snapshots < 10 {
 		runtime.Gosched()
 	}
 	clock.Close()
 	bare.Quiesce()
 	bare.Close()
-	if got, want := bare.Metrics().Snapshots, uint64(3*shards); got != want {
-		t.Errorf("stage-less pipeline merged %d times, want %d (2 quiesces + close, per shard)", got, want)
+	if got, want := bare.Metrics().Snapshots, uint64(3); got != want {
+		t.Errorf("stage-less pipeline merged %d times, want %d (2 quiesces + close)", got, want)
 	}
 }
 
@@ -187,7 +183,7 @@ func TestStages(t *testing.T) {
 	day0 := events[0].Time
 	dayEnd := day0 + 86400
 
-	cfg := DefaultConfig(4)
+	cfg := DefaultConfig()
 	cfg.Stages = []StageFactory{
 		Categories(),
 		Cardinality(12),
@@ -241,7 +237,7 @@ func TestStages(t *testing.T) {
 
 func TestServerCapSaturation(t *testing.T) {
 	a := addr.MustParse("2001:db8::1")
-	cfg := DefaultConfig(1)
+	cfg := DefaultConfig()
 	cfg.ServerCap = 8
 	p, err := New(cfg)
 	if err != nil {
@@ -266,6 +262,7 @@ func TestServerCapSaturation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Shards: -1},
+		{Shards: 2},
 		{BatchSize: -2},
 		{QueueDepth: -3},
 		{ServerCap: collector.MaxServers + 1},
@@ -277,7 +274,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // gateStage blocks the first Process call until released: a way to wedge
-// a shard worker so admission-policy behaviour is deterministic, and a
+// the worker so admission-policy behaviour is deterministic, and a
 // proof the Stage plug point accepts outside implementations.
 type gateStage struct {
 	once    sync.Once
@@ -313,7 +310,7 @@ func TestDropOnFullShedsLoad(t *testing.T) {
 	b.Flush()
 	m := p.Metrics()
 	if m.Dropped == 0 {
-		t.Error("no drops despite a wedged shard and full queue")
+		t.Error("no drops despite a wedged worker and full queue")
 	}
 	if m.Enqueued+m.Dropped != 10 {
 		t.Errorf("enqueued %d + dropped %d != 10", m.Enqueued, m.Dropped)
@@ -352,46 +349,6 @@ func TestParseEventRoundTrip(t *testing.T) {
 	} {
 		if _, err := ParseEventBytes([]byte(bad)); err == nil {
 			t.Errorf("ParseEventBytes(%q) should fail", bad)
-		}
-	}
-}
-
-// TestShardOfLeavesTableBitsAlone: the addresses one of 16 shards is
-// handed must probe its address table like any 100,000 addresses would.
-// With the shard taken from the hash's low bits (hash % 16) they shared
-// the four bits the table spreads by first, and the mean probe length
-// read 4.05 against 1.31.
-func TestShardOfLeavesTableBitsAlone(t *testing.T) {
-	const n, shards = 100_000, 16
-	state := uint64(0x5eed)
-	next := func() addr.Addr {
-		state += 0x9e3779b97f4a7c15
-		return addr.FromParts(0x2001_0db8_0000_0000|state>>40, state*0xbf58476d1ce4e5b9)
-	}
-	serial, shard := collector.New(), collector.New()
-	for serial.NumAddrs() < n {
-		serial.ObserveUnix(next(), 1643068800, 0)
-	}
-	perShard := make([]int, shards)
-	for shard.NumAddrs() < n {
-		a := next()
-		sh := shardOf(a, shards)
-		perShard[sh]++
-		if sh == 0 {
-			shard.ObserveUnix(a, 1643068800, 0)
-		}
-	}
-	want, got := serial.AddrIndexStats(), shard.AddrIndexStats()
-	if got.Slots != want.Slots {
-		t.Fatalf("tables differ in size: %d vs %d slots", got.Slots, want.Slots)
-	}
-	if got.MeanProbe > want.MeanProbe*1.10 {
-		t.Errorf("a 1-of-%d shard's table probes %.2f slots a key (p99 %d), any %d addresses' %.2f (p99 %d)",
-			shards, got.MeanProbe, got.P99Probe, n, want.MeanProbe, want.P99Probe)
-	}
-	for sh, k := range perShard {
-		if k < n*9/10 || k > n*11/10 {
-			t.Errorf("shard %d was handed %d addresses while shard 0 took %d: not an even split", sh, k, n)
 		}
 	}
 }

@@ -1,23 +1,22 @@
 package ingest
 
 import (
-	"strconv"
 	"time"
 
 	"hitlist6/internal/telemetry"
 )
 
 // Metrics is the pipeline's counter block, now a set of handles into a
-// telemetry.Registry: producers and shard workers update lock-free
+// telemetry.Registry: producers and the worker update lock-free
 // atomics exactly as before, while the same state renders as
 // Prometheus series on /metrics and as the JSON MetricsSnapshot on
 // /stats — one source of truth, two views.
 type Metrics struct {
-	enqueued  *telemetry.Counter // events admitted into shard queues
+	enqueued  *telemetry.Counter // events admitted into the queue
 	dropped   *telemetry.Counter // events shed at admission (DropOnFull)
-	processed *telemetry.Counter // events folded into the store and the shard stages
-	batches   *telemetry.Counter // batches handed to shard queues
-	snapshots *telemetry.Counter // shard snapshots: stage instances merged
+	processed *telemetry.Counter // events folded into the store and the worker's stages
+	batches   *telemetry.Counter // batches handed to the queue
+	snapshots *telemetry.Counter // snapshots: the worker's stage instances merged
 	// Durable-checkpoint telemetry (CheckpointFile and CheckpointChain).
 	checkpoints         *telemetry.Counter
 	deltaCheckpoints    *telemetry.Counter
@@ -28,40 +27,38 @@ type Metrics struct {
 	recent              telemetry.RateWindow
 }
 
-// pipelineTelemetry is the per-shard/per-stage instrumentation beyond
+// pipelineTelemetry is the per-batch/per-stage instrumentation beyond
 // the counter block: latency and size distributions, queue gauges, and
 // the stage-merge and checkpoint timings. The hot-path pieces are gated by
 // enabled so BenchmarkTelemetryOverhead can measure the uninstrumented
 // observe loop as its baseline; production pipelines always run
 // enabled.
 type pipelineTelemetry struct {
-	enabled bool
-	// Per shard, indexed by shard.idx.
-	batchSeconds   []*telemetry.Histogram // observe-loop wall time per batch
-	shardEvents    []*telemetry.Counter   // events folded, per shard
-	queueHighWater []*telemetry.Gauge     // deepest queue seen, in batches
+	enabled        bool
+	batchSeconds   *telemetry.Histogram // observe-loop wall time per batch
+	queueHighWater *telemetry.Gauge     // deepest queue seen, in batches
 	// Per stage, in Config.Stages order.
 	stageSeconds []*telemetry.Histogram
 	// Global distributions.
 	batchEvents      *telemetry.Histogram // events per batch
-	mergeSeconds     *telemetry.Histogram // stage-merge wall time per shard snapshot
+	mergeSeconds     *telemetry.Histogram // stage-merge wall time per snapshot
 	checkpointTime   *telemetry.Histogram // CheckpointFile wall time
 	checkpointVolume *telemetry.Histogram // CheckpointFile bytes written
 }
 
 // initTelemetry registers the pipeline's metric families in reg and
 // wires the counter block. Called once from New, after the store and
-// shards exist. Registration is idempotent per series (see
+// queue exist. Registration is idempotent per series (see
 // telemetry.Registry), so a daemon that rebuilds its pipeline keeps
 // accumulating into the same counters and its scrape-time gauges
-// re-bind to the live shards.
+// re-bind to the live queue.
 func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	m := &p.metrics
-	m.enqueued = reg.Counter("ingest_events_enqueued_total", "Events admitted into shard queues.")
+	m.enqueued = reg.Counter("ingest_events_enqueued_total", "Events admitted into the queue.")
 	m.dropped = reg.Counter("ingest_events_dropped_total", "Events shed at admission (DropOnFull).")
-	m.processed = reg.Counter("ingest_events_processed_total", "Events folded into the store and the shard stages.")
-	m.batches = reg.Counter("ingest_batches_total", "Batches handed to shard queues.")
-	m.snapshots = reg.Counter("ingest_snapshots_merged_total", "Shard snapshots: one shard's stage instances merged into the pipeline-level view.")
+	m.processed = reg.Counter("ingest_events_processed_total", "Events folded into the store and the worker's stages.")
+	m.batches = reg.Counter("ingest_batches_total", "Batches handed to the queue.")
+	m.snapshots = reg.Counter("ingest_snapshots_merged_total", "Snapshots: the worker's stage instances merged into the pipeline-level view.")
 	m.checkpoints = reg.Counter("ingest_checkpoints_total", "Durable corpus checkpoints written.")
 	m.deltaCheckpoints = reg.Counter("ingest_delta_checkpoints_total", "Checkpoints written as chain deltas (subset of the total).")
 	m.checkpointErrors = reg.Counter("ingest_checkpoint_errors_total", "Failed checkpoint attempts.")
@@ -73,28 +70,20 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	t.batchEvents = reg.Histogram("ingest_batch_events",
 		"Events per processed batch.", telemetry.CountBuckets())
 	t.mergeSeconds = reg.Histogram("ingest_merge_seconds",
-		"Wall time of one shard snapshot: merging its stage instances into the pipeline-level view.", telemetry.DurationBuckets())
+		"Wall time of one snapshot: merging the worker's stage instances into the pipeline-level view.", telemetry.DurationBuckets())
 	t.checkpointTime = reg.Histogram("ingest_checkpoint_seconds",
 		"Wall time writing one durable checkpoint (includes the quiesce).", telemetry.DurationBuckets())
 	t.checkpointVolume = reg.Histogram("ingest_checkpoint_written_bytes",
 		"Bytes written per durable checkpoint.", telemetry.SizeBuckets())
 
-	t.batchSeconds = make([]*telemetry.Histogram, len(p.shards))
-	t.shardEvents = make([]*telemetry.Counter, len(p.shards))
-	t.queueHighWater = make([]*telemetry.Gauge, len(p.shards))
-	for i, s := range p.shards {
-		shard := telemetry.L("shard", strconv.Itoa(i))
-		t.batchSeconds[i] = reg.Histogram("ingest_batch_seconds",
-			"Observe-loop wall time per batch (store write + stages).", telemetry.DurationBuckets(), shard)
-		t.shardEvents[i] = reg.Counter("ingest_shard_events_total",
-			"Events folded, per shard.", shard)
-		t.queueHighWater[i] = reg.Gauge("ingest_queue_high_water",
-			"Deepest queue depth seen, in batches, per shard.", shard)
-		sh := s
-		reg.GaugeFunc("ingest_queue_depth",
-			"Current queue depth in batches, per shard.",
-			func() float64 { return float64(len(sh.in)) }, shard)
-	}
+	t.batchSeconds = reg.Histogram("ingest_batch_seconds",
+		"Observe-loop wall time per batch (store write + stages).", telemetry.DurationBuckets())
+	t.queueHighWater = reg.Gauge("ingest_queue_high_water",
+		"Deepest queue depth seen, in batches.")
+	in := p.in
+	reg.GaugeFunc("ingest_queue_depth",
+		"Current queue depth in batches.",
+		func() float64 { return float64(len(in)) })
 
 	t.stageSeconds = make([]*telemetry.Histogram, len(p.mergedStages))
 	for i, st := range p.mergedStages {
@@ -148,15 +137,11 @@ type MetricsSnapshot struct {
 }
 
 // Metrics returns a point-in-time reading of the counter block.
-// QueuedBatches sums the current depth of every shard queue (the
-// backpressure signal). Each call contributes a sample to the recent-
+// QueuedBatches is the queue's current depth (the backpressure
+// signal). Each call contributes a sample to the recent-
 // rate window, so periodic pollers (the /stats endpoint) get a rolling
 // rate for free.
 func (p *Pipeline) Metrics() MetricsSnapshot {
-	depth := 0
-	for _, s := range p.shards {
-		depth += len(s.in)
-	}
 	now := time.Now()
 	processed := p.metrics.processed.Value()
 	elapsed := now.Sub(p.metrics.start).Seconds()
@@ -182,7 +167,7 @@ func (p *Pipeline) Metrics() MetricsSnapshot {
 		Processed:           processed,
 		Batches:             p.metrics.batches.Value(),
 		Snapshots:           p.metrics.snapshots.Value(),
-		QueuedBatches:       depth,
+		QueuedBatches:       len(p.in),
 		EventsPerSec:        rate,
 		RecentEventsPerSec:  recent,
 		CorpusBytes:         corpusBytes,

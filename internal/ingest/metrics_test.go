@@ -4,7 +4,7 @@ import "testing"
 
 func TestMetricsCorpusTelemetry(t *testing.T) {
 	events := testEvents(t, 0.03, 8)
-	p, err := New(DefaultConfig(2))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestMetricsCorpusTelemetry(t *testing.T) {
 // interval yet, so RecentEventsPerSec must fall back to the lifetime
 // average rather than reporting zero on a busy pipeline.
 func TestMetricsSingleSampleFallback(t *testing.T) {
-	p, err := New(DefaultConfig(1))
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestOutageSeriesStageLive(t *testing.T) {
 		t.Errorf("live bins %v, want %v", s.ByAS[100], want)
 	}
 
-	// Merging shards anchored at different origins reconciles to the
+	// Merging instances anchored at different origins reconciles to the
 	// earliest; empty instances merge as no-ops in either direction.
 	late := factory().(*OutageSeriesStage)
 	late.Process(Event{Addr: a, Time: base + 5*3600})

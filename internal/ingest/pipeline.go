@@ -9,23 +9,28 @@ import (
 	"hitlist6/internal/telemetry"
 )
 
-// Pipeline is the sharded ingestion engine. Producers obtain Batchers
-// and push Events; each event hashes to one of N shards, whose worker
-// goroutine folds every batch straight into the Store, under its write
-// lock, once per batch, and then runs the batch through its private
-// instances of the configured enrichment stages, lock-free. Each
-// sighting is written once, into the one corpus, so readers see every
-// finished batch. Stage instances reach the pipeline-level view at
-// snapshots (periodic, on demand, and at Close). Nothing per IID is
-// kept while ingesting: readers that need it build a
-// Collector.IIDTable.
+// Pipeline is the ingestion engine. Producers obtain Batchers and push
+// Events; full batches queue for the one worker goroutine, which folds
+// every batch straight into the Store, under its write lock, once per
+// batch, and then runs the batch through its instances of the
+// configured enrichment stages, lock-free. Each sighting is written
+// once, into the one corpus, so readers see every finished batch, and
+// batches land in the order they were queued. The worker's stage
+// instances reach the pipeline-level view at snapshots (periodic, on
+// demand, and at Close). Nothing per IID is kept while ingesting:
+// readers that need it build a Collector.IIDTable.
 type Pipeline struct {
 	cfg   Config
 	store *collector.Store
 
-	shards []*shard
+	// in is the batch queue the worker drains; snap is its snapshot
+	// doorbell. stages are the worker's own stage instances, touched
+	// only by the worker goroutine.
+	in     chan []Event
+	snap   chan chan struct{}
+	stages []Stage
 
-	// mergedStages[i] accumulates every shard's instance of
+	// mergedStages[i] accumulates every epoch's instance of
 	// cfg.Stages[i]; guarded by stageMu (written by handOff, read by
 	// StageView).
 	stageMu      sync.Mutex
@@ -34,9 +39,9 @@ type Pipeline struct {
 	metrics Metrics
 	tel     pipelineTelemetry
 
-	workersWG sync.WaitGroup
-	tickerWG  sync.WaitGroup
-	stopTick  chan struct{}
+	workerWG sync.WaitGroup
+	tickerWG sync.WaitGroup
+	stopTick chan struct{}
 
 	closeOnce sync.Once
 	result    *collector.Collector
@@ -49,23 +54,13 @@ type Pipeline struct {
 	ckptMu      sync.Mutex
 	chainBroken bool
 
-	// free recycles batch backing arrays between producers and workers.
-	// A plain channel, not a sync.Pool: Put-ting a slice into a Pool
-	// boxes the slice header into an interface — one heap allocation per
-	// batch, exactly the garbage the recycling exists to avoid. A
-	// buffered channel of slice headers allocates nothing in steady
-	// state; when it runs empty the producer falls back to make.
+	// free recycles batch backing arrays between producers and the
+	// worker. A plain channel, not a sync.Pool: Put-ting a slice into a
+	// Pool boxes the slice header into an interface — one heap
+	// allocation per batch, exactly the garbage the recycling exists to
+	// avoid. A buffered channel of slice headers allocates nothing in
+	// steady state; when it runs empty the producer falls back to make.
 	free chan []Event
-}
-
-// shard is one worker's private world: its inbound batch queue, a
-// snapshot doorbell, and the stage instances it owns. idx is the
-// shard's index, the label its telemetry series carry.
-type shard struct {
-	idx    int
-	in     chan []Event
-	snap   chan chan struct{}
-	stages []Stage
 }
 
 // New builds and starts a pipeline. The returned pipeline is running:
@@ -78,6 +73,9 @@ func New(cfg Config) (*Pipeline, error) {
 		cfg:      cfg,
 		store:    collector.NewStore(),
 		stopTick: make(chan struct{}),
+		in:       make(chan []Event, cfg.QueueDepth),
+		snap:     make(chan chan struct{}, 1),
+		stages:   newStages(cfg.Stages),
 	}
 	p.metrics.start = time.Now()
 	if cfg.Seed != nil {
@@ -89,26 +87,15 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	// Enough recycled batches for every queue slot plus one in flight on
 	// each side; beyond that, putBatch lets extras go to the GC.
-	p.free = make(chan []Event, cfg.Shards*(cfg.QueueDepth+2))
+	p.free = make(chan []Event, cfg.QueueDepth+2)
 	p.mergedStages = newStages(cfg.Stages)
-	p.shards = make([]*shard, cfg.Shards)
-	for i := range p.shards {
-		p.shards[i] = &shard{
-			idx:    i,
-			in:     make(chan []Event, cfg.QueueDepth),
-			snap:   make(chan chan struct{}, 1),
-			stages: newStages(cfg.Stages),
-		}
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	p.initTelemetry(reg)
-	for _, s := range p.shards {
-		p.workersWG.Add(1)
-		go p.runShard(s)
-	}
+	p.workerWG.Add(1)
+	go p.runWorker()
 	// With no stages a snapshot has nothing to merge: no ticker.
 	if cfg.SnapshotInterval > 0 && len(cfg.Stages) > 0 {
 		p.tickerWG.Add(1)
@@ -117,43 +104,39 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Store returns the live corpus: every batch a shard worker has
-// finished is in it. Quiesce makes it hold every event flushed before
-// the call.
+// Store returns the live corpus: every batch the worker has finished is
+// in it. Quiesce makes it hold every event flushed before the call.
 func (p *Pipeline) Store() *collector.Store { return p.store }
 
-// NumShards returns the shard count in effect.
-func (p *Pipeline) NumShards() int { return len(p.shards) }
-
-// runShard is one worker loop: drain batches, fold events, answer
+// runWorker is the worker loop: drain batches, fold events, answer
 // snapshot doorbells.
-func (p *Pipeline) runShard(s *shard) {
-	defer p.workersWG.Done()
+func (p *Pipeline) runWorker() {
+	defer p.workerWG.Done()
 	for {
 		select {
-		case batch, ok := <-s.in:
+		case batch, ok := <-p.in:
 			if !ok {
-				p.handOff(s, false)
+				p.handOff(false)
 				return
 			}
-			p.processBatch(s, batch)
-		case done := <-s.snap:
+			p.processBatch(batch)
+		case done := <-p.snap:
 			// Drain already-queued batches first so everything flushed
 			// before Quiesce was called is folded before the handoff.
 			open := true
 		drain:
 			for open {
 				select {
-				case batch, ok := <-s.in:
+				case batch, ok := <-p.in:
 					if ok {
-						p.processBatch(s, batch)
+						p.processBatch(batch)
 					}
 					open = ok
 				default:
 					break drain
 				}
 			}
-			p.handOff(s, open)
+			p.handOff(open)
 			close(done)
 			if !open {
 				return
@@ -162,23 +145,23 @@ func (p *Pipeline) runShard(s *shard) {
 	}
 }
 
-// handOff merges the shard's stage instances into the pipeline-level
+// handOff merges the worker's stage instances into the pipeline-level
 // ones; its records need no handoff, processBatch wrote them to the
-// Store. While the queue is still open the shard starts its next epoch
-// on fresh instances; once the producer side has closed this was the
-// final handoff and the shard keeps nothing.
-func (p *Pipeline) handOff(s *shard, open bool) {
+// Store. While the queue is still open the worker starts its next
+// epoch on fresh instances; once the producer side has closed this was
+// the final handoff and the worker keeps nothing.
+func (p *Pipeline) handOff(open bool) {
 	start := time.Now()
 	p.stageMu.Lock()
-	for i, st := range s.stages {
+	for i, st := range p.stages {
 		p.mergedStages[i].Merge(st)
 	}
 	p.stageMu.Unlock()
 	p.tel.mergeSeconds.ObserveDuration(time.Since(start))
 	p.metrics.snapshots.Add(1)
-	s.stages = nil
+	p.stages = nil
 	if open {
-		s.stages = newStages(p.cfg.Stages)
+		p.stages = newStages(p.cfg.Stages)
 	}
 }
 
@@ -192,7 +175,7 @@ func newStages(factories []StageFactory) []Stage {
 }
 
 // processBatch folds one batch into the Store, under one write-lock
-// hold, and then into the shard's stages. The loop is structured
+// hold, and then into the worker's stages. The loop is structured
 // stage-major (corpus pass, then one pass per stage) so the lock is
 // held for the corpus pass alone and each stage's wall time is
 // measurable with two clock reads per batch instead of two per event —
@@ -200,7 +183,7 @@ func newStages(factories []StageFactory) []Stage {
 // Timing costs amortize over BatchSize events; the timed and untimed
 // paths share the same loop shape so BenchmarkTelemetryOverhead
 // isolates the instrumentation cost alone.
-func (p *Pipeline) processBatch(s *shard, batch []Event) {
+func (p *Pipeline) processBatch(batch []Event) {
 	cap32 := int32(p.cfg.ServerCap)
 	timed := p.tel.enabled
 	var start time.Time
@@ -219,7 +202,7 @@ func (p *Pipeline) processBatch(s *shard, batch []Event) {
 			c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 		}
 	})
-	for si, st := range s.stages {
+	for si, st := range p.stages {
 		var stageStart time.Time
 		if timed {
 			stageStart = time.Now()
@@ -233,8 +216,7 @@ func (p *Pipeline) processBatch(s *shard, batch []Event) {
 	}
 	p.metrics.processed.Add(uint64(len(batch)))
 	if timed {
-		p.tel.shardEvents[s.idx].Add(uint64(len(batch)))
-		p.tel.batchSeconds[s.idx].ObserveDuration(time.Since(start))
+		p.tel.batchSeconds.ObserveDuration(time.Since(start))
 		p.tel.batchEvents.Observe(float64(len(batch)))
 	}
 	p.putBatch(batch)
@@ -274,22 +256,16 @@ func (p *Pipeline) runTicker(every time.Duration) {
 	}
 }
 
-// Quiesce asks every shard to drain its queue and merge its stage
-// instances into the pipeline-level ones, and blocks until all have:
-// on return, every event Flushed before the call is in the Store and
-// the merged stages. This is the read-your-writes barrier the durable
-// paths need — a checkpoint taken after Quiesce provably contains
-// everything flushed before it. Must not race with Close.
+// Quiesce asks the worker to drain its queue and merge its stage
+// instances into the pipeline-level ones, and blocks until it has: on
+// return, every event Flushed before the call is in the Store and the
+// merged stages. This is the read-your-writes barrier the durable paths
+// need — a checkpoint taken after Quiesce provably contains everything
+// flushed before it. Must not race with Close.
 func (p *Pipeline) Quiesce() {
-	acks := make([]chan struct{}, len(p.shards))
-	for i, s := range p.shards {
-		ack := make(chan struct{})
-		acks[i] = ack
-		s.snap <- ack
-	}
-	for _, ack := range acks {
-		<-ack
-	}
+	ack := make(chan struct{})
+	p.snap <- ack
+	<-ack
 }
 
 // SeedStage folds a restored stage state into the pipeline-level merged
@@ -341,10 +317,8 @@ func (p *Pipeline) Close() *collector.Collector {
 	p.closeOnce.Do(func() {
 		close(p.stopTick)
 		p.tickerWG.Wait()
-		for _, s := range p.shards {
-			close(s.in)
-		}
-		p.workersWG.Wait()
+		close(p.in)
+		p.workerWG.Wait()
 		p.result = p.store.Detach()
 	})
 	return p.result
@@ -352,61 +326,51 @@ func (p *Pipeline) Close() *collector.Collector {
 
 // ---- Producer side ----
 
-// Batcher is a producer handle: per-shard buffers that flush to the
-// shard queues as they fill. A Batcher is not safe for concurrent use —
-// each producer goroutine takes its own; any number may feed one
-// pipeline concurrently.
+// Batcher is a producer handle: a buffer that flushes to the queue as
+// it fills. A Batcher is not safe for concurrent use — each producer
+// goroutine takes its own; any number may feed one pipeline
+// concurrently.
 type Batcher struct {
-	p    *Pipeline
-	bufs [][]Event
+	p   *Pipeline
+	buf []Event
 }
 
 // NewBatcher returns a producer handle.
 func (p *Pipeline) NewBatcher() *Batcher {
-	b := &Batcher{p: p, bufs: make([][]Event, len(p.shards))}
-	for i := range b.bufs {
-		b.bufs[i] = p.getBatch()
-	}
-	return b
+	return &Batcher{p: p, buf: p.getBatch()}
 }
 
-// Add enqueues one event, flushing the destination shard's batch if it
-// just filled.
+// Add enqueues one event, flushing the batch if it just filled.
 func (b *Batcher) Add(ev Event) {
-	sh := shardOf(ev.Addr, len(b.p.shards))
-	buf := append(b.bufs[sh], ev)
-	if len(buf) >= b.p.cfg.BatchSize {
-		b.p.submit(sh, buf)
-		buf = b.p.getBatch()
+	b.buf = append(b.buf, ev)
+	if len(b.buf) >= b.p.cfg.BatchSize {
+		b.p.submit(b.buf)
+		b.buf = b.p.getBatch()
 	}
-	b.bufs[sh] = buf
 }
 
-// Flush pushes every non-empty buffered batch. Call when the producer's
-// stream ends (and before Pipeline.Close).
+// Flush pushes the buffered batch, if it holds any event. Call when the
+// producer's stream ends (and before Pipeline.Close).
 func (b *Batcher) Flush() {
-	for sh, buf := range b.bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		b.p.submit(sh, buf)
-		b.bufs[sh] = b.p.getBatch()
+	if len(b.buf) == 0 {
+		return
 	}
+	b.p.submit(b.buf)
+	b.buf = b.p.getBatch()
 }
 
 // submit applies the admission policy for one full batch.
-func (p *Pipeline) submit(sh int, batch []Event) {
-	s := p.shards[sh]
+func (p *Pipeline) submit(batch []Event) {
 	if p.cfg.DropOnFull {
 		select {
-		case s.in <- batch:
+		case p.in <- batch:
 		default:
 			p.metrics.dropped.Add(uint64(len(batch)))
 			p.putBatch(batch)
 			return
 		}
 	} else {
-		s.in <- batch
+		p.in <- batch
 	}
 	p.metrics.enqueued.Add(uint64(len(batch)))
 	p.metrics.batches.Add(1)
@@ -414,7 +378,7 @@ func (p *Pipeline) submit(sh int, batch []Event) {
 		// The post-send depth is the backpressure high-water signal: a
 		// queue that keeps brushing QueueDepth is a pipeline one burst
 		// away from blocking (or shedding) producers.
-		p.tel.queueHighWater[sh].SetMax(int64(len(s.in)))
+		p.tel.queueHighWater.SetMax(int64(len(p.in)))
 	}
 }
 

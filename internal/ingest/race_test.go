@@ -9,14 +9,14 @@ import (
 	"hitlist6/internal/collector"
 )
 
-// TestShardMergeEquivalence is the concurrency correctness contract of
-// the pipeline (run it with -race): the same event stream, ingested
-// into 1, 4 and 16 shards by several concurrent producers, must merge
-// into byte-identical stores — and match the serial single-collector
-// corpus. Per-address updates commute, so neither the shard count, the
-// producer interleaving, nor the snapshot schedule may leave a trace in
-// the result.
-func TestShardMergeEquivalence(t *testing.T) {
+// TestConcurrentProducersMatchSerial is the concurrency correctness
+// contract of the pipeline (run it with -race): the same event stream,
+// ingested by four concurrent producers with a quiesce after the feed,
+// must give the serial single-collector corpus byte for byte.
+// Per-address updates commute, so neither the producer interleaving
+// nor the snapshot schedule may leave a trace in the canonical
+// encoding.
+func TestConcurrentProducersMatchSerial(t *testing.T) {
 	events := testEvents(t, 0.03, 12)
 	var serial bytes.Buffer
 	func() {
@@ -29,38 +29,32 @@ func TestShardMergeEquivalence(t *testing.T) {
 		}
 	}()
 
-	for _, shards := range []int{1, 4, 16} {
-		cfg := DefaultConfig(shards)
-		cfg.BatchSize = 32 // small batches: more queue traffic under -race
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedConcurrently(p, events, 4)
-		// Fold a mid-run quiesce into the mix for shards=4 so the
-		// snapshot path is also covered by the equivalence claim.
-		if shards == 4 {
-			p.Quiesce()
-		}
-		merged := p.Close()
+	cfg := DefaultConfig()
+	cfg.BatchSize = 32 // small batches: more queue traffic under -race
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedConcurrently(p, events, 4)
+	// A quiesce before Close covers the snapshot path too.
+	p.Quiesce()
+	merged := p.Close()
 
-		var got bytes.Buffer
-		if err := merged.WriteCanonical(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), serial.Bytes()) {
-			t.Errorf("shards=%d: canonical encoding differs from serial (%d vs %d bytes)",
-				shards, got.Len(), serial.Len())
-		}
+	var got bytes.Buffer
+	if err := merged.WriteCanonical(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), serial.Bytes()) {
+		t.Errorf("canonical encoding differs from serial (%d vs %d bytes)",
+			got.Len(), serial.Len())
 	}
 }
 
 // TestSnapshotDuringIngest rings the snapshot doorbell repeatedly while
 // three producers are still feeding the pipeline: the mid-stream
-// handoffs — each one a drain racing live enqueues while the other
-// shards keep writing the store — must not lose, duplicate or stall
-// events, and must leave the serial collector's exact corpus (run with
-// -race).
+// handoffs — each one a drain racing live enqueues — must not lose,
+// duplicate or stall events, and must leave the serial collector's
+// exact corpus (run with -race).
 func TestSnapshotDuringIngest(t *testing.T) {
 	events := testEvents(t, 0.02, 6)
 	serial := collector.New()
@@ -68,7 +62,7 @@ func TestSnapshotDuringIngest(t *testing.T) {
 		serial.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 	}
 
-	cfg := DefaultConfig(4)
+	cfg := DefaultConfig()
 	cfg.BatchSize = 16
 	p, err := New(cfg)
 	if err != nil {
@@ -95,7 +89,7 @@ func TestSnapshotDuringIngest(t *testing.T) {
 // many-reader contract of collector.Store under -race.
 func TestStoreConcurrentReaders(t *testing.T) {
 	events := testEvents(t, 0.03, 8)
-	cfg := DefaultConfig(4)
+	cfg := DefaultConfig()
 	cfg.Stages = []StageFactory{Categories()}
 	p, err := New(cfg)
 	if err != nil {

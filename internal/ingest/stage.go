@@ -11,12 +11,12 @@ import (
 	"hitlist6/internal/outage"
 )
 
-// Stage is a per-shard enrichment stage: Process runs inline on the
-// shard worker for every event (no locking needed — each instance is
-// private to one shard), and Merge folds another shard's instance into
-// this one when snapshots land on the pipeline-level view. Merge must
-// be commutative and associative so results are shard-count independent,
-// and must leave the other instance unused afterwards.
+// Stage is an enrichment stage: Process runs inline on the worker for
+// every event (no locking needed — the worker's instance is its own),
+// and Merge folds another instance into this one when a snapshot lands
+// the worker's epoch on the pipeline-level view. Merge must be
+// commutative and associative so results do not depend on where the
+// snapshots fall, and must leave the other instance unused afterwards.
 //
 // A stage is for what needs the event's time, which the corpus does not
 // keep: the outage series bins by it, the day slice filters on it. A
@@ -27,7 +27,7 @@ type Stage interface {
 	Merge(other Stage)
 }
 
-// StageFactory builds one private Stage instance per shard (plus one
+// StageFactory builds one Stage instance per worker epoch (plus one
 // pipeline-level instance snapshots merge into).
 type StageFactory func() Stage
 
@@ -64,7 +64,7 @@ func (s *CategoryStage) Merge(other Stage) {
 
 // ---- Cardinality stage ----
 
-// HLLStage sketches unique-address cardinality per shard. This module's
+// HLLStage sketches unique-address cardinality. This module's
 // readers sketch the corpus's address set instead (same addresses, same
 // registers: analysis.AddressSketch); like CategoryStage it stays as
 // that fold's per-event oracle and for bench/layers.
@@ -105,8 +105,8 @@ func (s *HLLStage) Merge(other Stage) {
 // outage.BuildSeries as an enrichment stage, so the passive outage
 // detector consumes an ingest pass instead of replaying the world. Per-AS bin counts commute across
 // addresses — exactly like the collector's per-address records — so
-// shard instances merge by element-wise addition and the merged series
-// is independent of the shard count.
+// instances merge by element-wise addition and the merged series is
+// independent of where the snapshots fall.
 //
 // The stage runs in one of two modes. Window mode (OutageSeries) fixes
 // [origin, end] up front and reproduces outage.BuildSeries over that
@@ -249,7 +249,7 @@ func (s *OutageSeriesStage) rewind(newOrigin int64) {
 	s.anchor(newOrigin)
 }
 
-// Merge implements Stage. Live-mode shards may have anchored to
+// Merge implements Stage. Live-mode instances may have anchored to
 // different (bin-aligned) origins; counts are keyed by absolute time,
 // so reconciling to the earliest origin keeps Merge commutative and
 // associative.

@@ -1,6 +1,6 @@
 // Package lint is the repo's invariant enforcement suite: custom static
 // analyzers that encode the properties this codebase's correctness
-// rests on — byte-identical output at any shard/worker count
+// rests on — byte-identical output at any worker count
 // (mapiter), a GC-invisible pointer-free corpus (noptrslab), the
 // crash-safe checkpoint protocol (syncdurable), the telemetry
 // naming/registration discipline (telemetryreg), and product code that

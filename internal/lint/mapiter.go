@@ -8,7 +8,7 @@ import (
 )
 
 // deterministicPkgs are the packages whose outputs must be
-// byte-identical run to run and at any shard/worker count: every
+// byte-identical run to run and at any worker count: every
 // figure, table and hitlist is computed here, and the PR 3 Backscan
 // incident showed how one stray map iteration quietly breaks that.
 var deterministicPkgs = map[string]bool{

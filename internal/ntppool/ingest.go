@@ -6,12 +6,12 @@ import (
 )
 
 // RunIngest replays the world's NTP client behaviour through the pool
-// into a sharded ingest pipeline. The producer side (query generation,
-// geo lookup, vantage selection, zone accounting) stays on one
-// goroutine — Pool's round-robin state is deliberately sequential so
-// vantage assignment is identical to a serial replay's — while the
-// pipeline's shard workers fold the sightings into its one Store and
-// run its enrichment stages. The caller owns the pipeline: install
+// into an ingest pipeline. The producer side (query generation, geo
+// lookup, vantage selection, zone accounting) stays on one goroutine —
+// Pool's round-robin state is deliberately sequential so vantage
+// assignment is identical to a serial replay's — while the pipeline's
+// worker folds the sightings into its one Store and runs its
+// enrichment stages on a second. The caller owns the pipeline: install
 // stages before, Close after. The returned stats carry the
 // producer-side tallies only; the unique-client count is the corpus's
 // NumAddrs.

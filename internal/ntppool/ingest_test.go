@@ -9,7 +9,7 @@ import (
 	"hitlist6/internal/simnet"
 )
 
-// TestRunIngestMatchesRun pins the rewiring contract: the sharded
+// TestRunIngestMatchesRun pins the rewiring contract: the pipeline
 // replay driver must produce the same corpus, the same day slice and
 // the same producer-side statistics as the legacy single-goroutine Run,
 // because vantage selection stays on one goroutine in replay order.
@@ -36,7 +36,7 @@ func TestRunIngestMatchesRun(t *testing.T) {
 	legacyStats := Run(w, p, legacy, legacyDay, dayStart)
 
 	w2, p2 := build()
-	pcfg := ingest.DefaultConfig(4)
+	pcfg := ingest.DefaultConfig()
 	pcfg.Stages = []ingest.StageFactory{
 		ingest.DaySlice(dayStart.Unix(), dayStart.Add(24*time.Hour).Unix()),
 	}
@@ -50,7 +50,7 @@ func TestRunIngestMatchesRun(t *testing.T) {
 	day := pipe.Stage("dayslice").(*ingest.DaySliceStage).Col
 
 	if merged.Checksum() != legacy.Checksum() {
-		t.Error("sharded corpus differs from legacy Run")
+		t.Error("pipeline corpus differs from legacy Run")
 	}
 	if day.Checksum() != legacyDay.Checksum() {
 		t.Error("day slice differs from legacy Run")

@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the serial oracle for RunIngest: the single-goroutine
-// replay the sharded driver must reproduce.
+// replay the pipeline driver must reproduce.
 
 // Run replays the world's NTP client behaviour through the pool into the
 // collector. An optional dayCollector receives only queries within

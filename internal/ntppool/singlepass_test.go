@@ -2,7 +2,6 @@ package ntppool
 
 import (
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 
@@ -49,10 +48,10 @@ func assertSeriesEqual(t *testing.T, label string, want, got *outage.Series) {
 	}
 }
 
-// TestOutageStageEquivalence pins the tentpole contract: the per-AS
-// series accumulated by the ingest pipeline's outage stage — at any
-// shard count — is identical to replaying the world through
-// outage.BuildSeries, and so are the detected events.
+// TestOutageStageEquivalence pins the single-pass contract: the per-AS
+// series accumulated by the ingest pipeline's outage stage is identical
+// to replaying the world through outage.BuildSeries, and so are the
+// detected events.
 func TestOutageStageEquivalence(t *testing.T) {
 	w := singlePassWorld(t)
 	const bin = 6 * time.Hour
@@ -66,30 +65,28 @@ func TestOutageStageEquivalence(t *testing.T) {
 		t.Fatal("reference replay detected nothing; the equivalence would be vacuous")
 	}
 
-	for _, shards := range []int{1, 4, 16} {
-		p, err := New(StudyVantages())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := ingest.DefaultConfig(shards)
-		cfg.Stages = []ingest.StageFactory{
-			ingest.OutageSeries(w.ASDB, w.Origin, w.End, bin),
-		}
-		pipe, err := ingest.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		RunIngest(w, p, pipe, nil)
-		pipe.Close()
-		stage, ok := pipe.Stage("outage").(*ingest.OutageSeriesStage)
-		if !ok {
-			t.Fatal("outage stage missing")
-		}
-		got := stage.Series()
-		assertSeriesEqual(t, "shards="+strconv.Itoa(shards), ref, got)
-		if events := outage.Detect(got, outage.DefaultConfig()); !reflect.DeepEqual(events, refEvents) {
-			t.Errorf("shards=%d: events %v vs %v", shards, events, refEvents)
-		}
+	p, err := New(StudyVantages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ingest.DefaultConfig()
+	cfg.Stages = []ingest.StageFactory{
+		ingest.OutageSeries(w.ASDB, w.Origin, w.End, bin),
+	}
+	pipe, err := ingest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	RunIngest(w, p, pipe, nil)
+	pipe.Close()
+	stage, ok := pipe.Stage("outage").(*ingest.OutageSeriesStage)
+	if !ok {
+		t.Fatal("outage stage missing")
+	}
+	got := stage.Series()
+	assertSeriesEqual(t, "pipeline", ref, got)
+	if events := outage.Detect(got, outage.DefaultConfig()); !reflect.DeepEqual(events, refEvents) {
+		t.Errorf("events %v vs %v", events, refEvents)
 	}
 }
 
@@ -114,7 +111,7 @@ func TestOutageStageMatchesBuildSeriesAtEachWidth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := ingest.DefaultConfig(2)
+			cfg := ingest.DefaultConfig()
 			cfg.Stages = []ingest.StageFactory{ingest.OutageSeries(w.ASDB, w.Origin, w.End, bin)}
 			pipe, err := ingest.New(cfg)
 			if err != nil {
@@ -146,32 +143,30 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 		t.Fatal("serial replay produced no EUI-64 MACs; the equivalence would be vacuous")
 	}
 
-	for _, shards := range []int{1, 4, 16} {
-		p2, err := New(StudyVantages())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe, err := ingest.New(ingest.DefaultConfig(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		RunIngest(w, p2, pipe, nil)
+	p2, err := New(StudyVantages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := ingest.New(ingest.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RunIngest(w, p2, pipe, nil)
 
-		// Live read: quiesce every shard, then analyze the store
-		// mid-life.
-		pipe.Quiesce()
-		var live *tracking.Analysis
-		pipe.Store().View(func(c *collector.Collector) {
-			live = tracking.AnalyzeWorkers(c.IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
-		})
-		if !reflect.DeepEqual(want, live) {
-			t.Errorf("shards=%d: live store analysis differs from serial replay", shards)
-		}
+	// Live read: quiesce the pipeline, then analyze the store
+	// mid-life.
+	pipe.Quiesce()
+	var live *tracking.Analysis
+	pipe.Store().View(func(c *collector.Collector) {
+		live = tracking.AnalyzeWorkers(c.IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
+	})
+	if !reflect.DeepEqual(want, live) {
+		t.Error("live store analysis differs from serial replay")
+	}
 
-		// Closed read: the detached corpus must agree too.
-		closed := tracking.AnalyzeWorkers(pipe.Close().IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
-		if !reflect.DeepEqual(want, closed) {
-			t.Errorf("shards=%d: closed-corpus analysis differs from serial replay", shards)
-		}
+	// Closed read: the detached corpus must agree too.
+	closed := tracking.AnalyzeWorkers(pipe.Close().IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
+	if !reflect.DeepEqual(want, closed) {
+		t.Error("closed-corpus analysis differs from serial replay")
 	}
 }

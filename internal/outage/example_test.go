@@ -14,8 +14,8 @@ import (
 // applications a large passive hitlist enables. This example injects a
 // 36-hour outage into Telefonica Brasil and recovers the window purely
 // from the passive feed — no probes sent — using a single replay: the
-// per-AS outage series is an enrichment stage of the same sharded ingest
-// pass that builds the address corpus, not a second pass over the world.
+// per-AS outage series is an enrichment stage of the same ingest pass
+// that builds the address corpus, not a second pass over the world.
 func Example() {
 	cfg := simnet.DefaultConfig(7, 0.1)
 	cfg.Days = 30
@@ -33,9 +33,9 @@ func Example() {
 		panic(err)
 	}
 
-	// One pass feeds everything: the pipeline shards the replay into the
+	// One pass feeds everything: the pipeline folds the replay into the
 	// collector corpus while the outage stage bins the same events per AS.
-	pcfg := ingest.DefaultConfig(0)
+	pcfg := ingest.DefaultConfig()
 	pcfg.Stages = []ingest.StageFactory{
 		ingest.OutageSeries(w.ASDB, w.Origin, w.End, 6*time.Hour),
 	}

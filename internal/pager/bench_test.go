@@ -158,8 +158,8 @@ func BenchmarkWriteTier(b *testing.B) {
 // BenchmarkWriteTierRun measures what a delta checkpoint publishes
 // instead of BenchmarkWriteTier's rewrite: one run over the same corpus,
 // holding the records of the blocks a delta carries. A serve-durable
-// cycle's delta carries about 12k records (its daemon's shards dirty
-// blocks all over the slab as their merges land); fed in stream order
+// cycle's delta carries about 12k records (its re-sightings dirty
+// blocks all over the slab); fed in stream order
 // to one collector, the slice from 80 % to 84.5 % of the stream dirties
 // and grows as many. The records metric is the run's size.
 func BenchmarkWriteTierRun(b *testing.B) {

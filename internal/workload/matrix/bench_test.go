@@ -6,8 +6,8 @@ import (
 	"hitlist6/internal/workload"
 )
 
-// BenchmarkScenario runs each profile's designated cell (4 shards,
-// seed 1) through the real pipeline and reports the per-scenario
+// BenchmarkScenario runs each profile's designated cell (seed 1)
+// through the real pipeline and reports the per-scenario
 // headline numbers: events/sec through the cell, live bytes per
 // address, the probe-run p99/max of the final index layout, and (for
 // drop-hinted profiles) the events shed by the load-shedding cell. One row per profile keeps the
@@ -27,7 +27,7 @@ func BenchmarkScenario(b *testing.B) {
 			b.ResetTimer()
 			var out *cellOutcome
 			for i := 0; i < b.N; i++ {
-				out, err = runCell(p, st, 4, mode)
+				out, err = runCell(p, st, mode)
 				if err != nil {
 					b.Fatal(err)
 				}

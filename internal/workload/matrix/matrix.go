@@ -1,9 +1,9 @@
 // Package matrix executes workload scenarios through the real ingest
-// pipeline across the determinism axes — shard count × seed, plus a
-// checkpoint-mid-stream → restore split for durable profiles — and
-// asserts the repo's standing invariant cell by cell:
-// every cell of one (profile, seed) must produce the byte-identical
-// canonical corpus checksum and the byte-identical scenario report.
+// pipeline across the determinism axes — seeds, and for durable
+// profiles a checkpoint-mid-stream → restore split beside the straight
+// run — and asserts the repo's standing invariant cell by cell: every
+// cell of one (profile, seed) must produce the byte-identical canonical
+// corpus checksum and the byte-identical scenario report.
 //
 // Alongside the assertions it measures the headline numbers the bench
 // trajectory tracks per scenario (events/sec, B/addr, probe-run
@@ -30,11 +30,9 @@ import (
 )
 
 // Options selects the matrix slice to run. Zero-value fields take the
-// full-matrix defaults (all profiles, {1,4,16} shards, seeds 1–3,
-// workload.SizeSmall).
+// full-matrix defaults (all profiles, seeds 1–3, workload.SizeSmall).
 type Options struct {
 	Profiles []string
-	Shards   []int
 	Seeds    []int64
 	Size     workload.Size
 	// SkipDurable disables the checkpoint/restore leg durable profiles
@@ -50,17 +48,14 @@ type Options struct {
 func Default() Options {
 	return Options{
 		Profiles: workload.Names(),
-		Shards:   []int{1, 4, 16},
 		Seeds:    []int64{1, 2, 3},
 		Size:     workload.SizeSmall,
 	}
 }
 
-// Reduced returns the per-PR CI slice: every profile, the shard-count
-// extremes, two seeds.
+// Reduced returns the per-PR CI slice: every profile, two seeds.
 func Reduced() Options {
 	o := Default()
-	o.Shards = []int{1, 16}
 	o.Seeds = []int64{1, 2}
 	return o
 }
@@ -69,9 +64,6 @@ func (o *Options) fillDefaults() {
 	d := Default()
 	if len(o.Profiles) == 0 {
 		o.Profiles = d.Profiles
-	}
-	if len(o.Shards) == 0 {
-		o.Shards = d.Shards
 	}
 	if len(o.Seeds) == 0 {
 		o.Seeds = d.Seeds
@@ -84,7 +76,6 @@ func (o *Options) fillDefaults() {
 // Cell is one executed matrix cell.
 type Cell struct {
 	Profile string `json:"profile"`
-	Shards  int    `json:"shards"`
 	Seed    int64  `json:"seed"`
 	// Mode is "stream" (straight run), "restore" (checkpoint-mid-stream
 	// → restore → finish), or "drop" (DropOnFull load-shedding; excluded
@@ -121,7 +112,7 @@ type Scenario struct {
 
 // Headline is the per-scenario block the bench trajectory tracks. The
 // throughput/probe numbers come from the designated cell (first seed,
-// max shard count); drops from that seed's drop cell.
+// stream mode); drops from that seed's drop cell.
 type Headline struct {
 	Events       int     `json:"events"`
 	Addrs        int     `json:"addrs"`
@@ -165,12 +156,6 @@ func Run(opts Options) (*Result, error) {
 // (profile, seed) equivalence classes.
 func runScenario(p *workload.Profile, opts Options) (*Scenario, error) {
 	sc := &Scenario{Profile: p.Name, Description: p.Description, Seeds: opts.Seeds}
-	maxShards := opts.Shards[0]
-	for _, s := range opts.Shards {
-		if s > maxShards {
-			maxShards = s
-		}
-	}
 	// Seed-distinctness guard: two seeds collapsing to one corpus means
 	// a generator is ignoring its seed.
 	bySeed := make(map[int64]string)
@@ -209,25 +194,18 @@ func runScenario(p *workload.Profile, opts Options) (*Scenario, error) {
 			return nil
 		}
 
-		type leg struct {
-			shards int
-			mode   string
-		}
-		var legs []leg
-		for _, shards := range opts.Shards {
-			legs = append(legs, leg{shards, "stream"})
-		}
+		legs := []string{"stream"}
 		if p.Durable && !opts.SkipDurable {
-			legs = append(legs, leg{maxShards, "restore"})
+			legs = append(legs, "restore")
 		}
 		if p.Tiered && !opts.SkipDurable {
-			legs = append(legs, leg{maxShards, "delta-restore"})
+			legs = append(legs, "delta-restore")
 		}
 		if p.Hints.DropRun && !opts.SkipDrop {
-			legs = append(legs, leg{maxShards, "drop"})
+			legs = append(legs, "drop")
 		}
-		for _, l := range legs {
-			out, err := runCell(p, st, l.shards, l.mode)
+		for _, mode := range legs {
+			out, err := runCell(p, st, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -260,16 +238,16 @@ func runScenario(p *workload.Profile, opts Options) (*Scenario, error) {
 		seen[sum] = seed
 	}
 
-	sc.Headline = headline(sc, maxShards, opts.Seeds[0])
+	sc.Headline = headline(sc, opts.Seeds[0])
 	return sc, nil
 }
 
-// headline picks the designated cell's numbers: first seed, max shard
-// count, stream mode — plus the drop cell's shed count.
-func headline(sc *Scenario, maxShards int, firstSeed int64) Headline {
+// headline picks the designated cell's numbers: first seed, stream mode
+// — plus the drop cell's shed count.
+func headline(sc *Scenario, firstSeed int64) Headline {
 	var h Headline
 	for _, c := range sc.Cells {
-		if c.Seed == firstSeed && c.Shards == maxShards && c.Mode == "stream" {
+		if c.Seed == firstSeed && c.Mode == "stream" {
 			h.Events = c.Events
 			h.Addrs = c.Addrs
 			h.EventsPerSec = c.EventsPerSec
@@ -286,7 +264,7 @@ func headline(sc *Scenario, maxShards int, firstSeed int64) Headline {
 }
 
 func cellID(c Cell) string {
-	return fmt.Sprintf("%s/shards=%d/seed=%d/%s", c.Profile, c.Shards, c.Seed, c.Mode)
+	return fmt.Sprintf("%s/seed=%d/%s", c.Profile, c.Seed, c.Mode)
 }
 
 // cellOutcome carries one cell's full result between assertion and
@@ -301,9 +279,8 @@ type cellOutcome struct {
 // cellConfig builds the pipeline config for one cell. Its one stage is
 // the outage series, the part of a scenario report that needs the
 // events' times; synthetic streams without a routing DB have none.
-func cellConfig(p *workload.Profile, st *workload.Stream, shards int, drop bool) ingest.Config {
+func cellConfig(p *workload.Profile, st *workload.Stream, drop bool) ingest.Config {
 	cfg := ingest.Config{
-		Shards:     shards,
 		BatchSize:  p.Hints.BatchSize,
 		QueueDepth: p.Hints.QueueDepth,
 		DropOnFull: drop,
@@ -329,30 +306,27 @@ func carryOutage(first, second *ingest.Pipeline) error {
 // All modes feed through Pipeline.Ingest on the calling goroutine, a
 // single producer (the multi-producer legs live in the ingest package's
 // own equivalence suite).
-func runCell(p *workload.Profile, st *workload.Stream, shards int, mode string) (*cellOutcome, error) {
-	cell := Cell{
-		Profile: p.Name, Shards: shards, Seed: st.Seed,
-		Mode: mode, Events: len(st.Events),
-	}
+func runCell(p *workload.Profile, st *workload.Stream, mode string) (*cellOutcome, error) {
+	cell := Cell{Profile: p.Name, Seed: st.Seed, Mode: mode, Events: len(st.Events)}
 	start := time.Now()
 
 	var final *ingest.Pipeline
 	switch mode {
 	case "stream", "drop":
-		pl, err := ingest.New(cellConfig(p, st, shards, mode == "drop"))
+		pl, err := ingest.New(cellConfig(p, st, mode == "drop"))
 		if err != nil {
 			return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 		}
 		pl.Ingest(st.Events)
 		final = pl
 	case "restore":
-		pl, err := restoreCell(p, st, shards)
+		pl, err := restoreCell(p, st)
 		if err != nil {
 			return nil, err
 		}
 		final = pl
 	case "delta-restore":
-		pl, err := deltaRestoreCell(p, st, shards)
+		pl, err := deltaRestoreCell(p, st)
 		if err != nil {
 			return nil, err
 		}
@@ -404,11 +378,11 @@ func runCell(p *workload.Profile, st *workload.Stream, shards int, mode string) 
 // into a fresh pipeline (corpus via Config.Seed, the outage series via
 // SeedStage), feed the rest, and hand the second pipeline back for
 // closing. Its result must be byte-identical to the straight run's.
-func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.Pipeline, error) {
-	cell := Cell{Profile: p.Name, Shards: shards, Seed: st.Seed, Mode: "restore"}
+func restoreCell(p *workload.Profile, st *workload.Stream) (*ingest.Pipeline, error) {
+	cell := Cell{Profile: p.Name, Seed: st.Seed, Mode: "restore"}
 	half := len(st.Events) / 2
 
-	first, err := ingest.New(cellConfig(p, st, shards, false))
+	first, err := ingest.New(cellConfig(p, st, false))
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
@@ -418,7 +392,7 @@ func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.
 	if err := first.Checkpoint(bw); err != nil {
 		return nil, fmt.Errorf("matrix: %s: checkpoint: %w", cellID(cell), err)
 	}
-	// Close stops the first pipeline's workers and completes its merged
+	// Close stops the first pipeline's worker and completes its merged
 	// stages; no events flowed after the checkpoint, so the merged stage
 	// state is exactly the checkpoint-time state. The corpus it returns
 	// is discarded — the restore leg's corpus comes from the snapshot
@@ -429,7 +403,7 @@ func restoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: restore: %w", cellID(cell), err)
 	}
-	cfg := cellConfig(p, st, shards, false)
+	cfg := cellConfig(p, st, false)
 	cfg.Seed = restored
 	second, err := ingest.New(cfg)
 	if err != nil {

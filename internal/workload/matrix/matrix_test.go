@@ -15,14 +15,12 @@ import (
 	"hitlist6/internal/workload"
 )
 
-// testOptions is the in-repo slice of the matrix: every profile, the
-// shard-count extremes, two seeds. CI's
-// scenario-matrix job runs the same slice through cmd/scenario with
-// -race; the nightly trigger runs Default().
+// testOptions is the in-repo slice of the matrix: every profile, two
+// seeds. CI's scenario-matrix job runs the same slice through
+// cmd/scenario with -race; the nightly trigger runs Default().
 func testOptions() Options {
 	o := Reduced()
 	if testing.Short() {
-		o.Shards = []int{1, 4}
 		o.Seeds = []int64{1}
 	}
 	return o
@@ -30,8 +28,8 @@ func testOptions() Options {
 
 // TestMatrixReduced is the tentpole assertion: the reduced matrix runs
 // clean — every (profile, seed) produces byte-identical corpus
-// checksums and scenario reports across shard counts and the
-// checkpoint/restore split.
+// checksums and scenario reports across the straight run and the
+// checkpoint/restore splits.
 func TestMatrixReduced(t *testing.T) {
 	res, err := Run(testOptions())
 	if err != nil {
@@ -84,7 +82,6 @@ func TestMatrixReduced(t *testing.T) {
 func TestMatrixTierLegsCrossChunks(t *testing.T) {
 	res, err := Run(Options{
 		Profiles: []string{"cold-replay"},
-		Shards:   []int{4},
 		Seeds:    []int64{1},
 		Size:     workload.Size{Scale: 0.5, Days: 8},
 	})
@@ -111,7 +108,6 @@ func TestMatrixTierLegsCrossChunks(t *testing.T) {
 func TestMatrixCollisionSkew(t *testing.T) {
 	opts := Options{
 		Profiles:    []string{"paper", "collision"},
-		Shards:      []int{4},
 		Seeds:       []int64{1},
 		SkipDurable: true,
 	}
@@ -142,7 +138,6 @@ func TestMatrixCollisionSkew(t *testing.T) {
 func TestMatrixStormDetects(t *testing.T) {
 	opts := Options{
 		Profiles: []string{"outage-storm"},
-		Shards:   []int{4},
 		Seeds:    []int64{1},
 	}
 	res, err := Run(opts)
@@ -178,52 +173,49 @@ func TestFingerprintFoldsMatchPerEventStages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4} {
-			cfg := cellConfig(p, st, shards, false)
-			cfg.Stages = append(cfg.Stages, ingest.Categories(), ingest.Cardinality(14))
-			pl, err := ingest.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl.Ingest(st.Events)
-			col := pl.Close()
-			id := fmt.Sprintf("%s/shards=%d", name, shards)
+		cfg := cellConfig(p, st, false)
+		cfg.Stages = append(cfg.Stages, ingest.Categories(), ingest.Cardinality(14))
+		pl, err := ingest.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.Ingest(st.Events)
+		col := pl.Close()
 
-			var want bytes.Buffer
-			want.WriteString("categories")
-			for i, n := range pl.Stage("categories").(*ingest.CategoryStage).Counts {
-				fmt.Fprintf(&want, " %d=%d", i, n)
+		var want bytes.Buffer
+		want.WriteString("categories")
+		for i, n := range pl.Stage("categories").(*ingest.CategoryStage).Counts {
+			fmt.Fprintf(&want, " %d=%d", i, n)
+		}
+		sketch := pl.Stage("cardinality").(*ingest.HLLStage).H
+		fmt.Fprintf(&want, "\ncardinality %.1f\n", sketch.Estimate())
+		if st.ASDB != nil {
+			perAS := make(map[asdb.ASN]uint64)
+			for _, ev := range st.Events {
+				asn, _ := st.ASDB.OriginASN(ev.Addr)
+				perAS[asn]++
 			}
-			sketch := pl.Stage("cardinality").(*ingest.HLLStage).H
-			fmt.Fprintf(&want, "\ncardinality %.1f\n", sketch.Estimate())
-			if st.ASDB != nil {
-				perAS := make(map[asdb.ASN]uint64)
-				for _, ev := range st.Events {
-					asn, _ := st.ASDB.OriginASN(ev.Addr)
-					perAS[asn]++
-				}
-				keys := make([]asdb.ASN, 0, len(perAS))
-				for asn := range perAS {
-					keys = append(keys, asn)
-				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				want.WriteString("asns")
-				for _, asn := range keys {
-					fmt.Fprintf(&want, " AS%d=%d", asn, perAS[asn])
-				}
-				want.WriteByte('\n')
+			keys := make([]asdb.ASN, 0, len(perAS))
+			for asn := range perAS {
+				keys = append(keys, asn)
 			}
-			report := renderReport(st, col, pl, &Cell{})
-			if !bytes.Contains(report, want.Bytes()) {
-				t.Errorf("%s: report lacks the per-event stages' lines\n--- want\n%s--- report\n%s", id, want.Bytes(), report)
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			want.WriteString("asns")
+			for _, asn := range keys {
+				fmt.Fprintf(&want, " AS%d=%d", asn, perAS[asn])
 			}
-			if hasASNs := bytes.Contains(report, []byte("\nasns ")); hasASNs != (st.ASDB != nil) {
-				t.Errorf("%s: asns line present = %v, routing DB present = %v", id, hasASNs, st.ASDB != nil)
-			}
-			if got := analysis.AddressSketch(nil, col, 0, col.NumAddrs(), 1); !reflect.DeepEqual(got, sketch) {
-				t.Errorf("%s: corpus sketch is not the per-event sketch: estimates %.1f vs %.1f",
-					id, got.Estimate(), sketch.Estimate())
-			}
+			want.WriteByte('\n')
+		}
+		report := renderReport(st, col, pl, &Cell{})
+		if !bytes.Contains(report, want.Bytes()) {
+			t.Errorf("%s: report lacks the per-event stages' lines\n--- want\n%s--- report\n%s", name, want.Bytes(), report)
+		}
+		if hasASNs := bytes.Contains(report, []byte("\nasns ")); hasASNs != (st.ASDB != nil) {
+			t.Errorf("%s: asns line present = %v, routing DB present = %v", name, hasASNs, st.ASDB != nil)
+		}
+		if got := analysis.AddressSketch(nil, col, 0, col.NumAddrs(), 1); !reflect.DeepEqual(got, sketch) {
+			t.Errorf("%s: corpus sketch is not the per-event sketch: estimates %.1f vs %.1f",
+				name, got.Estimate(), sketch.Estimate())
 		}
 	}
 }

@@ -29,12 +29,12 @@ import (
 // dirtied blocks, restore base+delta into a fresh pipeline (the outage
 // series carried over exactly like restoreCell), and feed the rest. Its
 // corpus and report must be byte-identical to the straight run's.
-func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*ingest.Pipeline, error) {
-	cell := Cell{Profile: p.Name, Shards: shards, Seed: st.Seed, Mode: "delta-restore"}
+func deltaRestoreCell(p *workload.Profile, st *workload.Stream) (*ingest.Pipeline, error) {
+	cell := Cell{Profile: p.Name, Seed: st.Seed, Mode: "delta-restore"}
 	half := len(st.Events) / 2
 	threeQ := half + len(st.Events)/4
 
-	first, err := ingest.New(cellConfig(p, st, shards, false))
+	first, err := ingest.New(cellConfig(p, st, false))
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
 	}
@@ -71,7 +71,7 @@ func deltaRestoreCell(p *workload.Profile, st *workload.Stream, shards int) (*in
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s: chain restore: %w", cellID(cell), err)
 	}
-	cfg := cellConfig(p, st, shards, false)
+	cfg := cellConfig(p, st, false)
 	cfg.Seed = restored
 	second, err := ingest.New(cfg)
 	if err != nil {

@@ -244,10 +244,9 @@ func outageStormStream(seed int64, size Size) (*Stream, error) {
 
 // collisionBits is how many low bits of addr.Hash64 every cluster
 // address shares. The collector's open-addressing tables index by
-// Hash64 & (slots-1) and the pipeline shards by Hash64 % shards, so a
-// shared 14-bit residue puts the whole cluster in one home slot for
-// every table up to 2^14 slots (worst-case probe runs) and on one
-// shard at 4 and 16 shards (maximal skew).
+// Hash64 & (slots-1), so a shared 14-bit residue puts the whole cluster
+// in one home slot for every table up to 2^14 slots: worst-case probe
+// runs.
 const collisionBits = 14
 
 // splitmix advances the generator state and returns the next value:
@@ -264,8 +263,8 @@ func splitmix(state *uint64) uint64 {
 
 // collisionStream fabricates the adversarial cluster: addresses mined
 // (deterministically, by counter scan) to share the low collisionBits
-// of their hash, plus a small uniform background population so the
-// non-skewed shards are not empty. Timestamps walk the window at fixed
+// of their hash, plus a small uniform background population that probes
+// like any other addresses do. Timestamps walk the window at fixed
 // stride; every address is sighted three times so records are not all
 // singletons.
 func collisionStream(seed int64, size Size) (*Stream, error) {

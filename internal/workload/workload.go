@@ -1,7 +1,7 @@
 // Package workload generates named, seeded scenario streams for the
 // matrix harness: the adversarial and regime-shifted worlds the
 // standing determinism invariant (same seed ⇒ byte-identical corpus and
-// report at any shard/worker count) must survive, not just the one
+// report across checkpoint/restore splits) must survive, not just the one
 // paper-shaped stream the benches replay.
 //
 // Every profile is a pure function of (seed, Size): no wall clock, no
@@ -9,8 +9,8 @@
 // backed profiles delegate to simnet (itself deterministic in its
 // seed); synthetic profiles (collision) derive every address and
 // timestamp from seeded counters. That purity is what lets the matrix
-// runner assert byte-identical results across shard counts and
-// checkpoint/restore splits — any divergence is a pipeline bug, never
+// runner assert byte-identical results across the straight run and
+// the checkpoint/restore splits — any divergence is a pipeline bug, never
 // generator noise.
 //
 // The profile catalog (see Profiles) covers the regimes the ingest,
@@ -26,8 +26,7 @@
 //   - outage-storm: bursty per-AS silence windows engineered around
 //     outage.Detect's bin and run-length boundaries.
 //   - collision: addresses engineered to share open-addressing home
-//     slots and shard-hash residues — worst-case probe runs and
-//     maximal shard skew.
+//     slots — worst-case probe runs.
 //   - backpressure: arrival far above drain rate at tiny queue depths,
 //     exercising both admission policies (block and drop-on-full).
 package workload
@@ -174,8 +173,8 @@ var profiles = []*Profile{
 	{
 		Name: "collision",
 		Description: "Synthetic stream whose addresses share low hash bits: " +
-			"worst-case open-addressing probe runs in the collector index and " +
-			"maximal shard-hash skew (the cluster lands on one shard).",
+			"worst-case open-addressing probe runs in the collector index " +
+			"(the cluster shares one home slot).",
 		generate: collisionStream,
 	},
 	{

@@ -177,7 +177,7 @@ func TestEUI64DenseShape(t *testing.T) {
 // TestCollisionShape asserts the adversarial cluster holds the
 // properties the profile is named for: a dominant address mass sharing
 // the low collisionBits of Hash64 (one open-addressing home slot on
-// tables up to 2^collisionBits slots, one shard at 4 and 16 shards).
+// tables up to 2^collisionBits slots).
 func TestCollisionShape(t *testing.T) {
 	p, _ := Lookup("collision")
 	st, err := p.Stream(1, SizeSmall)

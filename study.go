@@ -54,12 +54,6 @@ type Config struct {
 	// BackscanDays is the length of the backscanning campaign, run at
 	// the end of the window (the paper ran one week in January 2023).
 	BackscanDays int
-	// IngestShards is the passive-collection shard count: this many
-	// ingest workers fold the replay into the one corpus and run its
-	// stages (see internal/ingest). 0 selects an automatic per-machine
-	// value. The corpus is byte-identical for every shard count, so
-	// this only affects speed.
-	IngestShards int
 	// AnalysisWorkers is the per-fold worker count of the parallel
 	// analysis engine: every figure, Table 1, the strategy inference,
 	// tracking and Report's section orchestration each fan out across
@@ -70,7 +64,7 @@ type Config struct {
 	AnalysisWorkers int
 	// Telemetry, when non-nil, is the metrics registry the study
 	// instruments itself in: CollectPassive's ingest pipeline registers
-	// its per-shard/per-stage families there (see ingest.Config.Registry),
+	// its per-batch/per-stage families there (see ingest.Config.Registry),
 	// Report times each section into report_section_seconds, and NewStudy
 	// installs the process-wide fold dispatch timing hook feeding
 	// fold_dispatch_seconds. A daemon exposes the registry on /metrics;
@@ -129,9 +123,6 @@ func NewStudy(cfg Config) (*Study, error) {
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("hitlist6: Days must be positive")
 	}
-	if cfg.IngestShards < 0 {
-		return nil, fmt.Errorf("hitlist6: IngestShards must be >= 0")
-	}
 	if cfg.AnalysisWorkers < 0 {
 		return nil, fmt.Errorf("hitlist6: AnalysisWorkers must be >= 0")
 	}
@@ -168,12 +159,11 @@ func NewStudy(cfg Config) (*Study, error) {
 }
 
 // CollectPassive replays the study window's NTP traffic through the
-// pool into the sharded ingest pipeline and materializes the NTP
-// datasets. The replay producer is sequential (vantage selection is
-// order-dependent round-robin), but Config.IngestShards workers fold
-// the sightings into the pipeline's one corpus and run the day-slice
-// stage; the corpus is identical to a serial replay's for any shard
-// count.
+// pool into the ingest pipeline and materializes the NTP datasets. The
+// replay producer is sequential (vantage selection is order-dependent
+// round-robin); the pipeline's worker folds the sightings into its one
+// corpus and runs the day-slice stage beside the replay, and the corpus
+// is identical to a serial replay's.
 //
 // This is the study's single pass over the world: the full corpus, the
 // single-day slice and the backscan campaign's clients all fall out of
@@ -181,7 +171,7 @@ func NewStudy(cfg Config) (*Study, error) {
 // figures — reads pass outputs without replaying.
 func (s *Study) CollectPassive() error {
 	dayEnd := s.DayStart.Add(24 * time.Hour)
-	cfg := ingest.DefaultConfig(s.Config.IngestShards)
+	cfg := ingest.DefaultConfig()
 	cfg.Registry = s.Config.Telemetry
 	cfg.Stages = []ingest.StageFactory{
 		ingest.DaySlice(s.DayStart.Unix(), dayEnd.Unix()),

@@ -38,11 +38,6 @@ func TestNewStudyValidation(t *testing.T) {
 	if _, err := NewStudy(cfg); err == nil {
 		t.Error("Days=0 should fail")
 	}
-	cfg = testConfig(1)
-	cfg.IngestShards = -1
-	if _, err := NewStudy(cfg); err == nil {
-		t.Error("IngestShards=-1 should fail")
-	}
 	// Out-of-range slice day is clamped, not an error.
 	cfg = testConfig(1)
 	cfg.SliceDay = 999

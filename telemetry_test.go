@@ -53,9 +53,9 @@ func TestStudyTelemetry(t *testing.T) {
 		t.Errorf("exposition not well-formed: %v", problems)
 	}
 	for _, want := range []string{
-		// The pipeline's counter block and per-shard families.
+		// The pipeline's counter block and per-batch families.
 		"ingest_events_processed_total",
-		`ingest_batch_seconds_bucket{shard="0",le=`,
+		`ingest_batch_seconds_bucket{le=`,
 		`ingest_stage_seconds_bucket{stage="dayslice",le=`,
 		// The analysis engine's dispatch timing.
 		"fold_dispatch_seconds_count",
