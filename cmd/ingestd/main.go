@@ -309,7 +309,6 @@ func main() {
 		simDays     = flag.Int("sim.days", 30, "simnet study window in days")
 		simSeed     = flag.Int64("sim.seed", 1, "simnet world seed")
 		drop        = flag.Bool("drop", false, "shed events when the ingest queue is full instead of blocking")
-		snapshot    = flag.Duration("snapshot", 2*time.Second, "how often the ingest worker merges its outage series into the one /outages reads (the corpus needs no snapshot)")
 		serverCp    = flag.Int("servers", collector.MaxServers, "vantage-server attribution cap")
 		outBin      = flag.Duration("outage.bin", time.Hour, "outage series bin width (whole seconds; 0 disables the outage consumer)")
 		outEvery    = flag.Duration("outage.every", 30*time.Second, "how often the live outage detector rescans the series")
@@ -323,6 +322,7 @@ func main() {
 		logFormat   = flag.String("log.format", "text", "log encoding: text or json")
 		eventsCap   = flag.Int("debug.events", telemetry.DefaultEventRingSize, "recent-events ring capacity for /debug/events")
 	)
+	flag.Duration("snapshot", 0, "ignored; kept until bench/ stops passing it (ROADMAP item 1(g))")
 	flag.Parse()
 
 	ring := telemetry.NewEventRing(*eventsCap)
@@ -399,11 +399,10 @@ func main() {
 	health := telemetry.NewHealth()
 
 	cfg := ingest.Config{
-		DropOnFull:       *drop,
-		SnapshotInterval: *snapshot,
-		ServerCap:        *serverCp,
-		Registry:         reg,
-		Stages:           daemonStages(routes, *outBin),
+		DropOnFull: *drop,
+		ServerCap:  *serverCp,
+		Registry:   reg,
+		Stages:     daemonStages(routes, *outBin),
 	}
 	snapPath := ""
 	if *snapDir != "" {
@@ -683,9 +682,9 @@ type outageEventReply struct {
 	Summary      string    `json:"summary"`
 }
 
-// detectOutages scans the live outage series' rolling window. The stage
-// view hands out a deep-copied series, so detection runs entirely off
-// the merge lock.
+// detectOutages scans the live outage series' rolling window, current
+// to the worker's last batch. The stage view hands out a deep-copied
+// series, so detection runs entirely off the stage lock.
 func detectOutages(pipe *ingest.Pipeline, windowBins int) *outagesReply {
 	var series *outage.Series
 	pipe.StageView(func(stages []ingest.Stage) {

@@ -227,12 +227,11 @@ func TestDaemonStages(t *testing.T) {
 	}
 }
 
-// TestStatsFreshWithoutSnapshot: with the snapshot interval an hour
-// away, /stats already counts every processed event — the ingest worker
-// writes the store itself, so the corpus needs no snapshot tick to catch
-// up with them.
+// TestStatsFreshWithoutSnapshot: with no quiesce, /stats already counts
+// every processed event — the ingest worker writes the store itself, so
+// the corpus needs no snapshot to catch up with them.
 func TestStatsFreshWithoutSnapshot(t *testing.T) {
-	d := newConfiguredDaemon(t, "", func(cfg *ingest.Config) { cfg.SnapshotInterval = time.Hour })
+	d := newTestDaemon(t, "")
 	defer d.pipe.Close()
 	srv := httptest.NewServer(d.newMux())
 	defer srv.Close()

@@ -167,9 +167,7 @@ func TestUDPReaderEquivalence(t *testing.T) {
 // ticks — the old per-datagram-Flush behavior is gone, so only the
 // deadline-driven flush can publish it.
 func TestIngestUDPIdleFlush(t *testing.T) {
-	cfg := ingest.DefaultConfig()
-	cfg.SnapshotInterval = 10 * time.Millisecond
-	pipe, sender, stop := startUDPIngest(t, cfg)
+	pipe, sender, stop := startUDPIngest(t, ingest.DefaultConfig())
 	defer stop()
 	if _, err := sender.Write([]byte("1643068800 2001:db8::1 3\n")); err != nil {
 		t.Fatal(err)

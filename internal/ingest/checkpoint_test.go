@@ -247,25 +247,57 @@ func TestCheckpointErrorsCounted(t *testing.T) {
 	}
 }
 
-// TestSeedStage errors on unknown stages and seeds known ones.
+// TestSeedStage: seeding installs the given instance in place of the
+// named one, which the worker then feeds; an unknown name is an error,
+// and so is a seed after the worker has processed a batch, which an
+// install would silently throw away.
 func TestSeedStage(t *testing.T) {
+	events := testEvents(t, 0.01, 3)
 	cfg := DefaultConfig()
 	cfg.Stages = []StageFactory{Categories()}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	seed := &CategoryStage{}
-	seed.Counts[0] = 41
-	if err := p.SeedStage("categories", seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SeedStage("nonesuch", &CategoryStage{}); err == nil {
-		t.Fatal("seeding an unknown stage succeeded")
-	}
-	st := p.Stage("categories").(*CategoryStage)
-	if st.Counts[0] != 41 {
-		t.Fatalf("seeded count %d, want 41", st.Counts[0])
-	}
+
+	t.Run("install-then-read", func(t *testing.T) {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := &CategoryStage{}
+		seed.Counts[0] = 41
+		if err := p.SeedStage("categories", seed); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SeedStage("nonesuch", &CategoryStage{}); err == nil {
+			t.Fatal("seeding an unknown stage succeeded")
+		}
+		if got := p.Stage("categories"); got != Stage(seed) {
+			t.Fatalf("Stage returned %p, not the installed seed %p", got, seed)
+		}
+		p.Ingest(events)
+		p.Close()
+		var sum uint64
+		for _, n := range seed.Counts {
+			sum += n
+		}
+		if want := 41 + uint64(len(events)); sum != want {
+			t.Fatalf("installed stage counts %d sightings, want %d", sum, want)
+		}
+	})
+
+	t.Run("seed-after-ingest", func(t *testing.T) {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		p.Ingest(events)
+		p.Quiesce()
+		seed := &CategoryStage{}
+		seed.Counts[0] = 41
+		if err := p.SeedStage("categories", seed); err == nil {
+			t.Fatal("seeding after the worker processed events succeeded")
+		}
+		if got := p.Stage("categories"); got == Stage(seed) {
+			t.Fatal("a refused seed replaced the stage")
+		}
+	})
 }

@@ -6,8 +6,8 @@
 // once, into the corpus readers query live. Batched channels amortize
 // synchronization, and an admission policy provides backpressure
 // (block) or load-shedding (drop). Pluggable enrichment stages run
-// inline on the worker, lock-free on its own instances that snapshots
-// merge into the pipeline-level view.
+// inline on the worker, one instance each, under a lock their readers
+// share, so a reader sees them current to the last finished batch.
 //
 // The paper's deployment is 27 vantage servers each feeding one stream;
 // this pipeline is what one vantage (or a central aggregator receiving
@@ -42,22 +42,20 @@ type Config struct {
 	// sheds the batch and counts it in Metrics.Dropped, which is what a
 	// live UDP collector wants instead of kernel buffer bloat.
 	DropOnFull bool
-	// SnapshotInterval is how often the worker merges its stage
-	// instances into the pipeline-level view StageView reads. The Store
-	// needs no snapshot: every batch a worker finishes is in it. 0, or
-	// no Stages, disables periodic snapshots: the merged stages then
-	// change only at Quiesce and Close. Replay-style batch runs want 0;
-	// serving daemons want something like a few seconds.
+	// SnapshotInterval is ignored: the Store and the stages are current
+	// to the last finished batch, so there is nothing to snapshot. It
+	// stays only because the benchmark module (bench/layers) still sets
+	// it; it goes with the benchmark's next revision (ROADMAP item 1).
 	SnapshotInterval time.Duration
 	// ServerCap is the highest vantage-server count the deployment
 	// attributes distinctly; events with Server >= ServerCap saturate
 	// onto index ServerCap-1. It cannot exceed collector.MaxServers
 	// (the AddrRecord.Servers bitmask width). 0 selects the maximum.
 	ServerCap int
-	// Stages are enrichment-stage factories; the worker gets its own
-	// instance of every stage, and snapshots merge it into the
-	// pipeline-level results readable via StageView. Each is one more
-	// pass over every batch: for what needs the event's time (see Stage).
+	// Stages are enrichment-stage factories; the pipeline builds one
+	// instance of each, which the worker feeds every batch and StageView
+	// reads. Each is one more pass over every batch: for what needs the
+	// event's time (see Stage).
 	Stages []StageFactory
 	// Seed, when non-nil, is a corpus the pipeline starts from — the
 	// restore half of checkpointing, typically collector.OpenSnapshot's
@@ -88,7 +86,7 @@ type Config struct {
 }
 
 // DefaultConfig returns a replay-tuned configuration: blocking
-// admission, snapshot only on Close.
+// admission, no stages.
 func DefaultConfig() Config {
 	return Config{}
 }

@@ -147,34 +147,38 @@ func TestQuiesceLiveView(t *testing.T) {
 	}
 }
 
-// TestTickerOnlyWithStages: a SnapshotInterval starts a ticker only
-// when there are stages to merge. A pipeline with a stage serves as the
-// clock: once its ticker has rung a few rounds, a stage-less pipeline
-// on the same interval, alive the whole time, must have merged only at
-// its two Quiesce calls and its Close.
-func TestTickerOnlyWithStages(t *testing.T) {
+// TestStageFreshWithoutQuiesce: the stages are current to the worker's
+// last batch. Once Metrics counts every flushed event processed, a
+// StageView read with no Quiesce in between already holds them all.
+func TestStageFreshWithoutQuiesce(t *testing.T) {
 	events := testEvents(t, 0.01, 3)
 	cfg := DefaultConfig()
-	cfg.SnapshotInterval = time.Microsecond
-	bare, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.Stages = []StageFactory{Categories()}
-	clock, err := New(cfg)
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare.Ingest(events)
-	bare.Quiesce()
-	for clock.Metrics().Snapshots < 10 {
-		runtime.Gosched()
+	defer p.Close()
+	b := p.NewBatcher()
+	for _, ev := range events {
+		b.Add(ev)
 	}
-	clock.Close()
-	bare.Quiesce()
-	bare.Close()
-	if got, want := bare.Metrics().Snapshots, uint64(3); got != want {
-		t.Errorf("stage-less pipeline merged %d times, want %d (2 quiesces + close)", got, want)
+	b.Flush()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Metrics().Processed != uint64(len(events)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker processed %d of %d events", p.Metrics().Processed, len(events))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var sum uint64
+	p.StageView(func(stages []Stage) {
+		for _, n := range stages[0].(*CategoryStage).Counts {
+			sum += n
+		}
+	})
+	if sum != uint64(len(events)) {
+		t.Errorf("stage view counts %d sightings, want the %d processed", sum, len(events))
 	}
 }
 
@@ -285,7 +289,6 @@ func (g *gateStage) Name() string { return "gate" }
 func (g *gateStage) Process(Event) {
 	g.once.Do(func() { <-g.release })
 }
-func (g *gateStage) Merge(Stage) {}
 
 func TestDropOnFullShedsLoad(t *testing.T) {
 	gate := &gateStage{release: make(chan struct{})}

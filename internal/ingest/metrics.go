@@ -14,9 +14,8 @@ import (
 type Metrics struct {
 	enqueued  *telemetry.Counter // events admitted into the queue
 	dropped   *telemetry.Counter // events shed at admission (DropOnFull)
-	processed *telemetry.Counter // events folded into the store and the worker's stages
+	processed *telemetry.Counter // events folded into the store and the stages
 	batches   *telemetry.Counter // batches handed to the queue
-	snapshots *telemetry.Counter // snapshots: the worker's stage instances merged
 	// Durable-checkpoint telemetry (CheckpointFile and CheckpointChain).
 	checkpoints         *telemetry.Counter
 	deltaCheckpoints    *telemetry.Counter
@@ -29,10 +28,9 @@ type Metrics struct {
 
 // pipelineTelemetry is the per-batch/per-stage instrumentation beyond
 // the counter block: latency and size distributions, queue gauges, and
-// the stage-merge and checkpoint timings. The hot-path pieces are gated by
-// enabled so BenchmarkTelemetryOverhead can measure the uninstrumented
-// observe loop as its baseline; production pipelines always run
-// enabled.
+// the checkpoint timings. The hot-path pieces are gated by enabled so
+// BenchmarkTelemetryOverhead can measure the uninstrumented observe
+// loop as its baseline; production pipelines always run enabled.
 type pipelineTelemetry struct {
 	enabled        bool
 	batchSeconds   *telemetry.Histogram // observe-loop wall time per batch
@@ -41,7 +39,6 @@ type pipelineTelemetry struct {
 	stageSeconds []*telemetry.Histogram
 	// Global distributions.
 	batchEvents      *telemetry.Histogram // events per batch
-	mergeSeconds     *telemetry.Histogram // stage-merge wall time per snapshot
 	checkpointTime   *telemetry.Histogram // CheckpointFile wall time
 	checkpointVolume *telemetry.Histogram // CheckpointFile bytes written
 }
@@ -56,9 +53,8 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	m := &p.metrics
 	m.enqueued = reg.Counter("ingest_events_enqueued_total", "Events admitted into the queue.")
 	m.dropped = reg.Counter("ingest_events_dropped_total", "Events shed at admission (DropOnFull).")
-	m.processed = reg.Counter("ingest_events_processed_total", "Events folded into the store and the worker's stages.")
+	m.processed = reg.Counter("ingest_events_processed_total", "Events folded into the store and the stages.")
 	m.batches = reg.Counter("ingest_batches_total", "Batches handed to the queue.")
-	m.snapshots = reg.Counter("ingest_snapshots_merged_total", "Snapshots: the worker's stage instances merged into the pipeline-level view.")
 	m.checkpoints = reg.Counter("ingest_checkpoints_total", "Durable corpus checkpoints written.")
 	m.deltaCheckpoints = reg.Counter("ingest_delta_checkpoints_total", "Checkpoints written as chain deltas (subset of the total).")
 	m.checkpointErrors = reg.Counter("ingest_checkpoint_errors_total", "Failed checkpoint attempts.")
@@ -69,8 +65,6 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 	t.enabled = !p.cfg.noHotPathTelemetry
 	t.batchEvents = reg.Histogram("ingest_batch_events",
 		"Events per processed batch.", telemetry.CountBuckets())
-	t.mergeSeconds = reg.Histogram("ingest_merge_seconds",
-		"Wall time of one snapshot: merging the worker's stage instances into the pipeline-level view.", telemetry.DurationBuckets())
 	t.checkpointTime = reg.Histogram("ingest_checkpoint_seconds",
 		"Wall time writing one durable checkpoint (includes the quiesce).", telemetry.DurationBuckets())
 	t.checkpointVolume = reg.Histogram("ingest_checkpoint_written_bytes",
@@ -85,8 +79,8 @@ func (p *Pipeline) initTelemetry(reg *telemetry.Registry) {
 		"Current queue depth in batches.",
 		func() float64 { return float64(len(in)) })
 
-	t.stageSeconds = make([]*telemetry.Histogram, len(p.mergedStages))
-	for i, st := range p.mergedStages {
+	t.stageSeconds = make([]*telemetry.Histogram, len(p.stages))
+	for i, st := range p.stages {
 		t.stageSeconds[i] = reg.Histogram("ingest_stage_seconds",
 			"Per-batch wall time of one enrichment stage.", telemetry.DurationBuckets(),
 			telemetry.L("stage", st.Name()))
@@ -108,7 +102,6 @@ type MetricsSnapshot struct {
 	Dropped       uint64 `json:"dropped"`
 	Processed     uint64 `json:"processed"`
 	Batches       uint64 `json:"batches"`
-	Snapshots     uint64 `json:"snapshots"`
 	QueuedBatches int    `json:"queued_batches"`
 	// EventsPerSec is the lifetime average processing rate;
 	// RecentEventsPerSec the rate over the trailing sample window (up to
@@ -166,7 +159,6 @@ func (p *Pipeline) Metrics() MetricsSnapshot {
 		Dropped:             p.metrics.dropped.Value(),
 		Processed:           processed,
 		Batches:             p.metrics.batches.Value(),
-		Snapshots:           p.metrics.snapshots.Value(),
 		QueuedBatches:       len(p.in),
 		EventsPerSec:        rate,
 		RecentEventsPerSec:  recent,

@@ -79,33 +79,6 @@ func TestOutageSeriesStageWindow(t *testing.T) {
 	}
 }
 
-func TestOutageSeriesStageMergeCommutes(t *testing.T) {
-	db := stageRoutes(t)
-	origin := time.Date(2022, 1, 25, 0, 0, 0, 0, time.UTC)
-	end := origin.Add(4 * time.Hour)
-	factory := OutageSeries(db, origin, end, time.Hour)
-
-	build := func(events []Event) *OutageSeriesStage {
-		st := factory().(*OutageSeriesStage)
-		for _, ev := range events {
-			st.Process(ev)
-		}
-		return st
-	}
-	a := addr.MustParse("2001:db8::1")
-	b := addr.MustParse("2001:db9::2")
-	evA := []Event{{Addr: a, Time: origin.Unix()}, {Addr: a, Time: origin.Unix() + 3600}}
-	evB := []Event{{Addr: b, Time: origin.Unix() + 2*3600}, {Addr: b, Time: origin.Unix()}}
-
-	ab := build(evA)
-	ab.Merge(build(evB))
-	ba := build(evB)
-	ba.Merge(build(evA))
-	if !reflect.DeepEqual(ab.Series(), ba.Series()) {
-		t.Errorf("merge is not commutative: %v vs %v", ab.Series().ByAS, ba.Series().ByAS)
-	}
-}
-
 func TestOutageSeriesStageLive(t *testing.T) {
 	db := stageRoutes(t)
 	factory := OutageSeriesLive(db, time.Hour)
@@ -133,34 +106,14 @@ func TestOutageSeriesStageLive(t *testing.T) {
 	if !reflect.DeepEqual(s.ByAS[100], want) {
 		t.Errorf("live bins %v, want %v", s.ByAS[100], want)
 	}
-
-	// Merging instances anchored at different origins reconciles to the
-	// earliest; empty instances merge as no-ops in either direction.
-	late := factory().(*OutageSeriesStage)
-	late.Process(Event{Addr: a, Time: base + 5*3600})
-	st.Merge(late)
-	s = st.Series()
-	if s.Bins != 9 || s.ByAS[100][8] != 1 {
-		t.Fatalf("cross-origin merge: bins %d counts %v", s.Bins, s.ByAS[100])
-	}
-	empty := factory().(*OutageSeriesStage)
-	st.Merge(empty)
-	if got := st.Series(); got.Bins != 9 {
-		t.Errorf("empty merge changed the series: %v", got)
-	}
-	adopt := factory().(*OutageSeriesStage)
-	adopt.Merge(st)
-	if !reflect.DeepEqual(adopt.Series(), st.Series()) {
-		t.Error("merging into an unanchored instance should adopt the other")
-	}
 }
 
 // TestOutageSeriesStageCachesMatchReference feeds stages events that
 // alternate between ASes in runs, with unrouted addresses between them,
-// in live mode with rewinds, and a Merge in mid-stream that lengthens
-// buckets, after which the target keeps processing. Every Series must equal a count made with
-// the database's own Lookup, so a lookup memo or bucket cache read
-// across a reallocated bucket fails here.
+// in live mode with rewinds, and a later stretch in mid-stream that
+// lengthens buckets, after which earlier events follow. Every Series
+// must equal a count made with the database's own Lookup, so a lookup
+// memo or bucket cache read across a reallocated bucket fails here.
 func TestOutageSeriesStageCachesMatchReference(t *testing.T) {
 	db := stageRoutes(t)
 	addrs := []addr.Addr{
@@ -214,10 +167,7 @@ func TestOutageSeriesStageCachesMatchReference(t *testing.T) {
 			}
 		}
 		feed(st, events(1, 0))
-		// The merged-in stage runs later, so the merge lengthens buckets.
-		other := factory().(*OutageSeriesStage)
-		feed(other, events(2, 24*3600))
-		st.Merge(other)
+		feed(st, events(2, 24*3600)) // later events lengthen the buckets
 		feed(st, events(3, 0))
 
 		s := st.Series()

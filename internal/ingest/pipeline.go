@@ -11,37 +11,32 @@ import (
 
 // Pipeline is the ingestion engine. Producers obtain Batchers and push
 // Events; full batches queue for the one worker goroutine, which folds
-// every batch straight into the Store, under its write lock, once per
-// batch, and then runs the batch through its instances of the
-// configured enrichment stages, lock-free. Each sighting is written
-// once, into the one corpus, so readers see every finished batch, and
-// batches land in the order they were queued. The worker's stage
-// instances reach the pipeline-level view at snapshots (periodic, on
-// demand, and at Close). Nothing per IID is kept while ingesting:
-// readers that need it build a Collector.IIDTable.
+// every batch straight into the Store, under its write lock, and then
+// runs it through the pipeline's one instance of each configured
+// enrichment stage, under stageMu. Each sighting is written once, into
+// the one corpus, so readers of the Store and of the stages see every
+// finished batch, and batches land in the order they were queued.
+// Nothing per IID is kept while ingesting: readers that need it build a
+// Collector.IIDTable.
 type Pipeline struct {
 	cfg   Config
 	store *collector.Store
 
-	// in is the batch queue the worker drains; snap is its snapshot
-	// doorbell. stages are the worker's own stage instances, touched
-	// only by the worker goroutine.
-	in     chan []Event
-	snap   chan chan struct{}
-	stages []Stage
+	// in is the batch queue the worker drains; snap is its Quiesce
+	// doorbell.
+	in   chan []Event
+	snap chan chan struct{}
 
-	// mergedStages[i] accumulates every epoch's instance of
-	// cfg.Stages[i]; guarded by stageMu (written by handOff, read by
-	// StageView).
-	stageMu      sync.Mutex
-	mergedStages []Stage
+	// stages holds the one instance of each cfg.Stages entry, in order.
+	// stageMu guards it: the worker holds it for a batch's stage pass,
+	// readers (StageView, Stage, SeedStage) for theirs.
+	stageMu sync.Mutex
+	stages  []Stage
 
 	metrics Metrics
 	tel     pipelineTelemetry
 
 	workerWG sync.WaitGroup
-	tickerWG sync.WaitGroup
-	stopTick chan struct{}
 
 	closeOnce sync.Once
 	result    *collector.Collector
@@ -70,12 +65,14 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		cfg:      cfg,
-		store:    collector.NewStore(),
-		stopTick: make(chan struct{}),
-		in:       make(chan []Event, cfg.QueueDepth),
-		snap:     make(chan chan struct{}, 1),
-		stages:   newStages(cfg.Stages),
+		cfg:    cfg,
+		store:  collector.NewStore(),
+		in:     make(chan []Event, cfg.QueueDepth),
+		snap:   make(chan chan struct{}, 1),
+		stages: make([]Stage, len(cfg.Stages)),
+	}
+	for i, f := range cfg.Stages {
+		p.stages[i] = f()
 	}
 	p.metrics.start = time.Now()
 	if cfg.Seed != nil {
@@ -88,7 +85,6 @@ func New(cfg Config) (*Pipeline, error) {
 	// Enough recycled batches for every queue slot plus one in flight on
 	// each side; beyond that, putBatch lets extras go to the GC.
 	p.free = make(chan []Event, cfg.QueueDepth+2)
-	p.mergedStages = newStages(cfg.Stages)
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -96,11 +92,6 @@ func New(cfg Config) (*Pipeline, error) {
 	p.initTelemetry(reg)
 	p.workerWG.Add(1)
 	go p.runWorker()
-	// With no stages a snapshot has nothing to merge: no ticker.
-	if cfg.SnapshotInterval > 0 && len(cfg.Stages) > 0 {
-		p.tickerWG.Add(1)
-		go p.runTicker(cfg.SnapshotInterval)
-	}
 	return p, nil
 }
 
@@ -109,75 +100,33 @@ func New(cfg Config) (*Pipeline, error) {
 func (p *Pipeline) Store() *collector.Store { return p.store }
 
 // runWorker is the worker loop: drain batches, fold events, answer
-// snapshot doorbells.
+// Quiesce doorbells.
 func (p *Pipeline) runWorker() {
 	defer p.workerWG.Done()
 	for {
 		select {
 		case batch, ok := <-p.in:
 			if !ok {
-				p.handOff(false)
 				return
 			}
 			p.processBatch(batch)
 		case done := <-p.snap:
 			// Drain already-queued batches first so everything flushed
-			// before Quiesce was called is folded before the handoff.
-			open := true
-		drain:
-			for open {
-				select {
-				case batch, ok := <-p.in:
-					if ok {
-						p.processBatch(batch)
-					}
-					open = ok
-				default:
-					break drain
-				}
+			// before Quiesce was called is folded before the ack. The
+			// worker is the queue's only receiver, so a non-empty queue
+			// never blocks it.
+			for len(p.in) > 0 {
+				p.processBatch(<-p.in)
 			}
-			p.handOff(open)
 			close(done)
-			if !open {
-				return
-			}
 		}
 	}
 }
 
-// handOff merges the worker's stage instances into the pipeline-level
-// ones; its records need no handoff, processBatch wrote them to the
-// Store. While the queue is still open the worker starts its next
-// epoch on fresh instances; once the producer side has closed this was
-// the final handoff and the worker keeps nothing.
-func (p *Pipeline) handOff(open bool) {
-	start := time.Now()
-	p.stageMu.Lock()
-	for i, st := range p.stages {
-		p.mergedStages[i].Merge(st)
-	}
-	p.stageMu.Unlock()
-	p.tel.mergeSeconds.ObserveDuration(time.Since(start))
-	p.metrics.snapshots.Add(1)
-	p.stages = nil
-	if open {
-		p.stages = newStages(p.cfg.Stages)
-	}
-}
-
-// newStages instantiates one private instance of every configured stage.
-func newStages(factories []StageFactory) []Stage {
-	stages := make([]Stage, len(factories))
-	for i, f := range factories {
-		stages[i] = f()
-	}
-	return stages
-}
-
 // processBatch folds one batch into the Store, under one write-lock
-// hold, and then into the worker's stages. The loop is structured
-// stage-major (corpus pass, then one pass per stage) so the lock is
-// held for the corpus pass alone and each stage's wall time is
+// hold, and then into the stages, under one stageMu hold. The loop is
+// structured stage-major (corpus pass, then one pass per stage) so each
+// lock is held for its own pass alone and each stage's wall time is
 // measurable with two clock reads per batch instead of two per event —
 // the whole point of the telemetry being affordable at line rate.
 // Timing costs amortize over BatchSize events; the timed and untimed
@@ -202,6 +151,7 @@ func (p *Pipeline) processBatch(batch []Event) {
 			c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 		}
 	})
+	p.stageMu.Lock()
 	for si, st := range p.stages {
 		var stageStart time.Time
 		if timed {
@@ -214,7 +164,10 @@ func (p *Pipeline) processBatch(batch []Event) {
 			p.tel.stageSeconds[si].ObserveDuration(time.Since(stageStart))
 		}
 	}
+	// Counted under stageMu, so SeedStage sees a batch as processed
+	// exactly when the stages hold it.
 	p.metrics.processed.Add(uint64(len(batch)))
+	p.stageMu.Unlock()
 	if timed {
 		p.tel.batchSeconds.ObserveDuration(time.Since(start))
 		p.tel.batchEvents.Observe(float64(len(batch)))
@@ -242,24 +195,9 @@ func (p *Pipeline) putBatch(batch []Event) {
 	}
 }
 
-func (p *Pipeline) runTicker(every time.Duration) {
-	defer p.tickerWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.Quiesce()
-		case <-p.stopTick:
-			return
-		}
-	}
-}
-
-// Quiesce asks the worker to drain its queue and merge its stage
-// instances into the pipeline-level ones, and blocks until it has: on
-// return, every event Flushed before the call is in the Store and the
-// merged stages. This is the read-your-writes barrier the durable paths
+// Quiesce asks the worker to drain its queue, and blocks until it has:
+// on return, every event Flushed before the call is in the Store and
+// the stages. This is the read-your-writes barrier the durable paths
 // need — a checkpoint taken after Quiesce provably contains everything
 // flushed before it. Must not race with Close.
 func (p *Pipeline) Quiesce() {
@@ -268,39 +206,45 @@ func (p *Pipeline) Quiesce() {
 	<-ack
 }
 
-// SeedStage folds a restored stage state into the pipeline-level merged
-// instance with the given name — the stage half of restore-on-start,
-// pairing with Config.Seed's corpus half. The pipeline takes ownership
-// of from. Call before events flow if byte-exact resume equivalence
-// matters (stage merges commute, so even that is ordering-insensitive).
+// SeedStage installs a restored stage state as the pipeline's instance
+// with the given name — the stage half of restore-on-start, pairing
+// with Config.Seed's corpus half. The pipeline takes ownership of from.
+// Call it before events flow: once the worker has processed a batch the
+// instance holds state an install would throw away, so SeedStage
+// returns an error instead. The test reads Metrics().Processed, which a
+// pipeline rebuilt on a shared Registry inherits: such a pipeline
+// refuses seeds from the start.
 func (p *Pipeline) SeedStage(name string, from Stage) error {
 	p.stageMu.Lock()
 	defer p.stageMu.Unlock()
-	for _, st := range p.mergedStages {
+	if n := p.metrics.processed.Value(); n > 0 {
+		return fmt.Errorf("ingest: stage %q seeded after %d events were processed", name, n)
+	}
+	for i, st := range p.stages {
 		if st.Name() == name {
-			st.Merge(from)
+			p.stages[i] = from
 			return nil
 		}
 	}
 	return fmt.Errorf("ingest: no stage named %q to seed", name)
 }
 
-// StageView runs fn over the pipeline-level merged enrichment stages,
-// in Config.Stages order. The view reflects state up to the last
-// snapshot; after Close it is complete. fn must not retain the slice.
+// StageView runs fn over the pipeline's stages, in Config.Stages order,
+// under stageMu: the view holds every batch the worker has finished,
+// and the worker waits while fn runs. fn must not retain the slice.
 func (p *Pipeline) StageView(fn func(stages []Stage)) {
 	p.stageMu.Lock()
 	defer p.stageMu.Unlock()
-	fn(p.mergedStages)
+	fn(p.stages)
 }
 
-// Stage returns the pipeline-level merged stage with the given name, or
-// nil. The same caveats as StageView apply; prefer calling it after
-// Close.
+// Stage returns the pipeline's stage with the given name, or nil. The
+// instance is the live one the worker feeds: read it after Close, or
+// through StageView while events flow.
 func (p *Pipeline) Stage(name string) Stage {
 	p.stageMu.Lock()
 	defer p.stageMu.Unlock()
-	for _, st := range p.mergedStages {
+	for _, st := range p.stages {
 		if st.Name() == name {
 			return st
 		}
@@ -309,14 +253,12 @@ func (p *Pipeline) Stage(name string) Stage {
 }
 
 // Close finishes ingestion: all producers must have Flushed and stopped
-// first. Every queued batch is drained, the final stage instances
-// merge, and the corpus is detached from the Store and returned. The
-// Store remains usable (empty) and further Close calls return the same
+// first. Every queued batch is drained, and the corpus is detached from
+// the Store and returned. The Store remains usable (empty), the stages
+// keep their final state, and further Close calls return the same
 // collector.
 func (p *Pipeline) Close() *collector.Collector {
 	p.closeOnce.Do(func() {
-		close(p.stopTick)
-		p.tickerWG.Wait()
 		close(p.in)
 		p.workerWG.Wait()
 		p.result = p.store.Detach()

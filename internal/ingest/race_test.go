@@ -85,8 +85,9 @@ func TestSnapshotDuringIngest(t *testing.T) {
 }
 
 // TestStoreConcurrentReaders hammers the live Store view from reader
-// goroutines while ingestion and snapshots run: the single-writer /
-// many-reader contract of collector.Store under -race.
+// goroutines while ingestion and a quiesce run: the single-writer /
+// many-reader contract of collector.Store, and the stage lock the
+// worker shares with StageView, under -race.
 func TestStoreConcurrentReaders(t *testing.T) {
 	events := testEvents(t, 0.03, 8)
 	cfg := DefaultConfig()
@@ -115,7 +116,15 @@ func TestStoreConcurrentReaders(t *testing.T) {
 				})
 				_ = p.Store().NumAddrs()
 				_ = p.Metrics()
-				p.StageView(func(stages []Stage) { _ = stages[0].Name() })
+				var sum uint64
+				p.StageView(func(stages []Stage) {
+					for _, n := range stages[0].(*CategoryStage).Counts {
+						sum += n
+					}
+				})
+				if sum > uint64(len(events)) {
+					t.Errorf("stage view counts %d sightings of %d", sum, len(events))
+				}
 			}
 		}()
 	}
@@ -130,5 +139,12 @@ func TestStoreConcurrentReaders(t *testing.T) {
 
 	if merged.TotalObservations() != uint64(len(events)) {
 		t.Errorf("observations %d, want %d", merged.TotalObservations(), len(events))
+	}
+	var sum uint64
+	for _, n := range p.Stage("categories").(*CategoryStage).Counts {
+		sum += n
+	}
+	if sum != uint64(len(events)) {
+		t.Errorf("stage counts %d sightings, want %d", sum, len(events))
 	}
 }

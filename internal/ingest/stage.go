@@ -12,11 +12,9 @@ import (
 )
 
 // Stage is an enrichment stage: Process runs inline on the worker for
-// every event (no locking needed — the worker's instance is its own),
-// and Merge folds another instance into this one when a snapshot lands
-// the worker's epoch on the pipeline-level view. Merge must be
-// commutative and associative so results do not depend on where the
-// snapshots fall, and must leave the other instance unused afterwards.
+// every event, under the pipeline's stageMu, so a stage needs no
+// locking of its own and readers (Pipeline.StageView) see it current to
+// the last finished batch.
 //
 // A stage is for what needs the event's time, which the corpus does not
 // keep: the outage series bins by it, the day slice filters on it. A
@@ -24,11 +22,10 @@ import (
 type Stage interface {
 	Name() string
 	Process(ev Event)
-	Merge(other Stage)
 }
 
-// StageFactory builds one Stage instance per worker epoch (plus one
-// pipeline-level instance snapshots merge into).
+// StageFactory builds a pipeline's one instance of a stage; New calls
+// it once.
 type StageFactory func() Stage
 
 // ---- Category stage ----
@@ -52,14 +49,6 @@ func (s *CategoryStage) Name() string { return "categories" }
 // Process implements Stage.
 func (s *CategoryStage) Process(ev Event) {
 	s.Counts[ev.Addr.IID().StructuralCategory()]++
-}
-
-// Merge implements Stage.
-func (s *CategoryStage) Merge(other Stage) {
-	o := other.(*CategoryStage)
-	for i, n := range o.Counts {
-		s.Counts[i] += n
-	}
 }
 
 // ---- Cardinality stage ----
@@ -92,21 +81,11 @@ func (s *HLLStage) Name() string { return "cardinality" }
 // Process implements Stage.
 func (s *HLLStage) Process(ev Event) { s.H.AddAddr(ev.Addr) }
 
-// Merge implements Stage.
-func (s *HLLStage) Merge(other Stage) {
-	// Same-precision by construction (one factory builds every
-	// instance), so the only Merge error is impossible here.
-	_ = s.H.Merge(other.(*HLLStage).H)
-}
-
 // ---- Outage-series stage ----
 
 // OutageSeriesStage bins sightings into per-AS fixed-width time bins:
 // outage.BuildSeries as an enrichment stage, so the passive outage
-// detector consumes an ingest pass instead of replaying the world. Per-AS bin counts commute across
-// addresses — exactly like the collector's per-address records — so
-// instances merge by element-wise addition and the merged series is
-// independent of where the snapshots fall.
+// detector consumes an ingest pass instead of replaying the world.
 //
 // The stage runs in one of two modes. Window mode (OutageSeries) fixes
 // [origin, end] up front and reproduces outage.BuildSeries over that
@@ -127,8 +106,8 @@ type OutageSeriesStage struct {
 	endUnix int64
 	counts  map[asdb.ASN][]int
 	// routes is this instance's origin-AS lookup; lastBucket is
-	// counts[lastASN], nil when unknown. Merge, rewind and anchor, which
-	// may replace buckets, clear it.
+	// counts[lastASN], nil when unknown. rewind and anchor, which may
+	// replace buckets, clear it.
 	routes     *asdb.Memo[asdb.ASN]
 	lastASN    asdb.ASN
 	lastBucket []int
@@ -147,7 +126,7 @@ func outageBinSeconds(bin time.Duration) int64 {
 
 // OutageSeries returns a window-mode OutageSeriesStage factory over
 // [origin, end] with the given bin width, resolving origin ASes against
-// db. The merged series equals outage.BuildSeries(w, bin) for the same
+// db. The series equals outage.BuildSeries(w, bin) for the same
 // window and query stream. It stays beside OutageSeriesLive because a
 // bounded stream knows its last complete bin and a live series cannot.
 func OutageSeries(db *asdb.DB, origin, end time.Time, bin time.Duration) StageFactory {
@@ -249,40 +228,9 @@ func (s *OutageSeriesStage) rewind(newOrigin int64) {
 	s.anchor(newOrigin)
 }
 
-// Merge implements Stage. Live-mode instances may have anchored to
-// different (bin-aligned) origins; counts are keyed by absolute time,
-// so reconciling to the earliest origin keeps Merge commutative and
-// associative.
-func (s *OutageSeriesStage) Merge(other Stage) {
-	o := other.(*OutageSeriesStage)
-	s.lastBucket = nil
-	if !o.anchored {
-		return
-	}
-	if !s.anchored {
-		s.anchor(o.origin)
-		s.counts = o.counts
-		return
-	}
-	if o.origin < s.origin {
-		s.rewind(o.origin)
-	}
-	off := int((o.origin - s.origin) / s.binSec)
-	for asn, oc := range o.counts {
-		mine := s.counts[asn]
-		if need := off + len(oc); len(mine) < need {
-			mine = append(mine, make([]int, need-len(mine))...)
-		}
-		for i, n := range oc {
-			mine[off+i] += n
-		}
-		s.counts[asn] = mine
-	}
-}
-
 // Series materializes the accumulated bins as an outage.Series, deep-
-// copied so callers may keep it while the pipeline merges further
-// snapshots. In window mode the result equals outage.BuildSeries over
+// copied so callers may keep it while the pipeline feeds the stage
+// further batches. In window mode the result equals outage.BuildSeries over
 // the same window; in live mode it spans bin 0 through the newest
 // observed bin, with that newest bin marked incomplete (it is still
 // filling).
@@ -340,12 +288,4 @@ func (s *DaySliceStage) Process(ev Event) {
 	if ev.Time >= s.start && ev.Time < s.end {
 		s.Col.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 	}
-}
-
-// Merge implements Stage. Stage merges own their operand (the contract
-// leaves other unused afterwards), so Absorb applies: the first slice
-// merged into the empty pipeline-level instance is stolen in O(1), the
-// rest are record Merges that leave the donor zeroed.
-func (s *DaySliceStage) Merge(other Stage) {
-	s.Col.Absorb(other.(*DaySliceStage).Col)
 }

@@ -291,8 +291,9 @@ func cellConfig(p *workload.Profile, st *workload.Stream, drop bool) ingest.Conf
 	return cfg
 }
 
-// carryOutage seeds second's outage stage with first's merged one: the
-// stage half of a restore leg. first is closed, so the stage is complete.
+// carryOutage installs first's outage stage as second's: the stage half
+// of a restore leg. first is closed, so the stage is complete, and
+// second has processed nothing yet, so the install loses nothing.
 func carryOutage(first, second *ingest.Pipeline) error {
 	stg := first.Stage("outage")
 	if stg == nil {
@@ -374,7 +375,7 @@ func runCell(p *workload.Profile, st *workload.Stream, mode string) (*cellOutcom
 }
 
 // restoreCell is the durable leg: feed half the stream, checkpoint
-// through the real Quiesce + snapshot protocol, restore the checkpoint
+// through the real Quiesce + checkpoint protocol, restore the checkpoint
 // into a fresh pipeline (corpus via Config.Seed, the outage series via
 // SeedStage), feed the rest, and hand the second pipeline back for
 // closing. Its result must be byte-identical to the straight run's.
@@ -392,9 +393,9 @@ func restoreCell(p *workload.Profile, st *workload.Stream) (*ingest.Pipeline, er
 	if err := first.Checkpoint(bw); err != nil {
 		return nil, fmt.Errorf("matrix: %s: checkpoint: %w", cellID(cell), err)
 	}
-	// Close stops the first pipeline's worker and completes its merged
-	// stages; no events flowed after the checkpoint, so the merged stage
-	// state is exactly the checkpoint-time state. The corpus it returns
+	// Close stops the first pipeline's worker; no events flowed after the
+	// checkpoint, so its outage stage holds exactly the checkpoint-time
+	// state. The corpus it returns
 	// is discarded — the restore leg's corpus comes from the snapshot
 	// bytes, the protocol a real crash recovery uses.
 	first.Close()

@@ -59,7 +59,7 @@ func deltaRestoreCell(p *workload.Profile, st *workload.Stream) (*ingest.Pipelin
 	if err := dw.Flush(); err != nil {
 		return nil, err
 	}
-	// Close after the delta: the first pipeline's merged outage series is
+	// Close after the delta: the first pipeline's outage series is
 	// exactly the restore point's, so carryOutage below hands the second
 	// pipeline what a crash recovery would rebuild.
 	first.Close()

@@ -397,7 +397,7 @@ func Figure3(stats *scan.BackscanStats) (hit, miss, random []float64) {
 }
 
 // Tracking runs the §5.1/§5.2 EUI-64 analysis over the passive corpus —
-// the merged output of the ingest pipeline, consumed directly with no
+// the ingest pipeline's output, consumed directly with no
 // further pass over the world.
 func (s *Study) Tracking() (*tracking.Analysis, error) {
 	if s.IIDs == nil {
