@@ -651,7 +651,7 @@ var (
 	benchEngineOnce sync.Once
 	benchEngine     struct {
 		db    *asdb.DB
-		col   *collector.Collector
+		col   *collector.Records
 		iids  *collector.IIDTable
 		ntp   *hitlistpkg.Dataset
 		day   *hitlistpkg.Dataset
@@ -709,9 +709,9 @@ func engineFixture(b *testing.B) {
 				col.Observe(a, ts.Add(time.Duration(rng.Intn(40*24*3600))*time.Second), rng.Intn(27))
 			}
 		}
-		benchEngine.col = col
-		benchEngine.iids = col.IIDTable()
-		benchEngine.ntp = hitlistpkg.FromCollector("NTP (bench)", col)
+		benchEngine.col = col.TakeRecords()
+		benchEngine.iids = benchEngine.col.IIDTable()
+		benchEngine.ntp = hitlistpkg.FromRecords("NTP (bench)", benchEngine.col)
 
 		day := hitlistpkg.NewDataset("NTP day (bench)")
 		hl := hitlistpkg.NewDataset("Hitlist (bench)")

@@ -75,7 +75,7 @@ func TestStatsDescribesRestoredCorpus(t *testing.T) {
 	d.pipe.Close()
 
 	restored := restoreOrEmpty(snapshotPath(dir), t.Logf)
-	wantIIDs := restored.IIDTable().NumIIDs()
+	wantIIDs := restored.CopyRecords().IIDTable().NumIIDs()
 	d = newSeededDaemon(t, dir, restored)
 	defer d.pipe.Close()
 	first := d.buildStats()
@@ -143,7 +143,7 @@ func TestTallyResumesTheFold(t *testing.T) {
 					t.Fatalf("%s %s: resumed tally (folded %d, %v) is not the fold from scratch (folded %d, %v)",
 						name, when, tally.folded, tally.cats, scratch.folded, scratch.cats)
 				}
-				if n := c.IIDTable().NumIIDs(); tally.iids.Len() != n || scratch.iids.Len() != n {
+				if n := c.CopyRecords().IIDTable().NumIIDs(); tally.iids.Len() != n || scratch.iids.Len() != n {
 					t.Fatalf("%s %s: resumed tally counts %d IIDs, from scratch %d, the IID table %d",
 						name, when, tally.iids.Len(), scratch.iids.Len(), n)
 				}

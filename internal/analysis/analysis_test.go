@@ -199,7 +199,7 @@ func TestComputeFigure2b(t *testing.T) {
 	obsAt(c, "2001:db8::1", t0.Add(30*24*time.Hour))
 	obsAt(c, "2001:db8::abcd:ef01:2345:6789", t0)
 
-	f := ComputeFigure2bWorkers(c.IIDTable(), 1)
+	f := ComputeFigure2bWorkers(c.CopyRecords().IIDTable(), 1)
 	if low, ok := f.ByClass[addr.LowEntropy]; !ok || low != 1 {
 		t.Fatalf("low class: %d IIDs (present %v), want 1", low, ok)
 	}

@@ -169,12 +169,12 @@ func TestFigure2WorkerEquivalence(t *testing.T) {
 		}
 	}
 	f2aBase := ComputeFigure2aWorkers(c, 1)
-	f2bBase := ComputeFigure2bWorkers(c.IIDTable(), 1)
+	f2bBase := ComputeFigure2bWorkers(c.CopyRecords().IIDTable(), 1)
 	for _, workers := range []int{4, 16} {
 		if got := ComputeFigure2aWorkers(c, workers); !reflect.DeepEqual(got, f2aBase) {
 			t.Errorf("Figure2a diverges at %d workers", workers)
 		}
-		if got := ComputeFigure2bWorkers(c.IIDTable(), workers); !reflect.DeepEqual(got, f2bBase) {
+		if got := ComputeFigure2bWorkers(c.CopyRecords().IIDTable(), workers); !reflect.DeepEqual(got, f2bBase) {
 			t.Errorf("Figure2b diverges at %d workers", workers)
 		}
 	}

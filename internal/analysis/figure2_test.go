@@ -20,7 +20,7 @@ import (
 // seconds: the samples Figure 2a was once read from.
 func addressLifetimes(c *collector.Collector) *stats.Distribution {
 	var samples []float64
-	c.Addrs(func(_ addr.Addr, r collector.AddrRecord) bool {
+	c.AddrsRange(0, c.NumAddrs(), func(_ addr.Addr, r collector.AddrRecord) bool {
 		samples = append(samples, r.Lifetime().Seconds())
 		return true
 	})
@@ -143,7 +143,7 @@ func TestFigure2MatchesSamples(t *testing.T) {
 	for _, cp := range corpora {
 		t.Run(cp.name, func(t *testing.T) {
 			c := cp.build()
-			tb := c.IIDTable()
+			tb := c.CopyRecords().IIDTable()
 			want2a, want2b := sampleFigure2a(c), sampleFigure2b(tb)
 			for _, workers := range []int{1, 2, 8} {
 				if got := ComputeFigure2aWorkers(c, workers); !reflect.DeepEqual(got, want2a) {
@@ -183,7 +183,7 @@ func TestFigure2Allocs(t *testing.T) {
 			c.ObserveUnix(a, ts+rng.Int63n(40*86400), 1)
 		}
 	}
-	tb := c.IIDTable()
+	tb := c.CopyRecords().IIDTable()
 	const limit = 64 << 10
 	if got := allocated(func() { ComputeFigure2aWorkers(c, 2) }); got >= limit {
 		t.Errorf("ComputeFigure2aWorkers over %d addresses allocated %d B, want < %d", c.NumAddrs(), got, limit)

@@ -65,10 +65,10 @@ type Figure2a struct {
 	WeekOrLonger, MonthOrLonger, SixMonthsOrLonger float64
 }
 
-// ComputeFigure2aWorkers evaluates Figure 2a from a collector on the
-// given worker count: one counting fold over the address records'
-// lifetimes in seconds, at the marks and the headline thresholds.
-func ComputeFigure2aWorkers(c *collector.Collector, workers int) *Figure2a {
+// ComputeFigure2aWorkers evaluates Figure 2a from a corpus on the given
+// worker count: one counting fold over the address records' lifetimes in
+// seconds, at the marks and the headline thresholds.
+func ComputeFigure2aWorkers(c Corpus, workers int) *Figure2a {
 	marks := len(LifetimeMarks)
 	xs := make([]float64, marks, marks+4)
 	for i, m := range LifetimeMarks {

@@ -7,7 +7,14 @@ import (
 	"hitlist6/internal/fold"
 )
 
-// AddressSketch adds the addresses at slab positions [lo, hi) of c to
+// Corpus is what a corpus fold reads a range at a time: a live
+// collector.Collector (ingestd's tally) or a study's collector.Records.
+type Corpus interface {
+	NumAddrs() int
+	AddrsRange(lo, hi int, fn func(a addr.Addr, r collector.AddrRecord) bool)
+}
+
+// AddressSketch adds the addresses at positions [lo, hi) of c to
 // sketch — nil for a new one, else an earlier call's result — and
 // returns it: the constant-space unique count a deployment too large
 // for exact sets would keep, filled as a parallel fold over the corpus's
@@ -15,7 +22,7 @@ import (
 // what serial insertion computes, so the registers depend on the set of
 // addresses added alone: not on workers, and not on how a caller
 // resuming the fold cut [0, NumAddrs()) into successive calls.
-func AddressSketch(sketch *cardinality.HLL, c *collector.Collector, lo, hi, workers int) *cardinality.HLL {
+func AddressSketch(sketch *cardinality.HLL, c Corpus, lo, hi, workers int) *cardinality.HLL {
 	if sketch == nil {
 		sketch = newSketch()
 	}

@@ -51,7 +51,7 @@ func absorbCase(t *testing.T, name string, mkDst, mkDonor func() *Collector, ser
 		// donor's events again and compare against the serial double-count.
 		// (Covers index-table consistency after the steal.)
 		probe := mkDonor()
-		probe.Addrs(func(a addr.Addr, r AddrRecord) bool {
+		probe.AddrsRange(0, probe.NumAddrs(), func(a addr.Addr, r AddrRecord) bool {
 			viaAbsorb.ObserveUnix(a, r.First, 0)
 			return true
 		})

@@ -306,18 +306,18 @@ func BenchmarkApplyShard(b *testing.B) {
 	}
 }
 
-// BenchmarkIIDTable times the read-time IID fold: one IIDTable built
-// over the corpus of both shard epochs, the repository benchmark's
-// address count.
+// BenchmarkIIDTable times the read-time IID fold: one IIDTable folded
+// from the sorted records of both shard epochs, the repository
+// benchmark's address count.
 func BenchmarkIIDTable(b *testing.B) {
 	own, other := shardEpochs()
-	c := fillShard(append(own, other...))
+	r := fillShard(append(own, other...)).TakeRecords()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tableSink = c.IIDTable()
+		tableSink = r.IIDTable()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumAddrs()), "ns/addr")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.NumAddrs()), "ns/addr")
 }
 
 // BenchmarkCanonicalOrder measures the canonical-order kernels alone on
@@ -343,7 +343,7 @@ func BenchmarkCanonicalOrder(b *testing.B) {
 		}
 	})
 	b.Run("iid", func(b *testing.B) {
-		t := c.IIDTable()
+		t := c.CopyRecords().IIDTable()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -51,46 +51,6 @@ func sortIIDKeys(keys, tmp []iidKey) []iidKey {
 	return keys
 }
 
-// sortAddrs is sortIIDKeys over bare addresses: the same byte-wise LSD
-// radix sort, digit 15 (the last address byte) first, skipping the
-// digits every address shares.
-func sortAddrs(keys, tmp []addr.Addr) []addr.Addr {
-	var hist [16][256]uint32
-	for i := range keys {
-		for b, v := range &keys[i] {
-			hist[b][v]++
-		}
-	}
-	n := uint32(len(keys))
-	for b := 15; b >= 0; b-- {
-		h := &hist[b]
-		if slices.Contains(h[:], n) {
-			continue
-		}
-		sum := uint32(0)
-		for v, cnt := range h {
-			h[v], sum = sum, sum+cnt
-		}
-		for _, k := range keys {
-			tmp[h[k[b]]] = k
-			h[k[b]]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys
-}
-
-// SortedAddrs returns every observed address in canonical order, in a
-// new slice of exactly NumAddrs entries: the slab's keys, copied once
-// and radix-sorted against one scratch slice of the same size.
-func (c *Collector) SortedAddrs() []addr.Addr {
-	keys := make([]addr.Addr, c.addrRecs.n)
-	for i := range keys {
-		keys[i] = c.addrRecs.at(uint32(i)).key
-	}
-	return sortAddrs(keys, make([]addr.Addr, len(keys)))
-}
-
 // sortedIIDRefs returns every IID (promoted and singleton) as a key
 // with its table reference, in ascending IID order.
 func (t *IIDTable) sortedIIDRefs() []iidKey {
@@ -104,29 +64,63 @@ func (t *IIDTable) sortedIIDRefs() []iidKey {
 	return sortIIDKeys(keys, make([]iidKey, len(keys)))
 }
 
-// CanonicalOrder is the canonical address order (ascending by address
-// value) over a copy of c's records (see Records.CanonicalOrder): a
-// walk that can run any number of times — the tier writer's directory
-// and chunk passes share one — and stays valid after c is next written.
+// CanonicalOrder is Records.CanonicalOrder over a copy of c's records:
+// it stays valid after c is next written.
 func (c *Collector) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
 	return c.CopyRecords().CanonicalOrder()
 }
 
-// Records is a copy of a corpus's address records and observation
-// total: taken under the corpus's lock at 32 bytes a record (the slab's
-// addrEntry), sorted and encoded after it is released.
+// Records is a corpus's address records as two columns — recs[i] is the
+// record of keys[i] — and its total: 32 bytes a record, no index.
+// CopyRecords and LastDeltaRecords copy one under the corpus's lock, in
+// slab order, to be sorted and encoded after it is released; TakeRecords
+// moves a closed corpus into one. A Records is sorted at most once and
+// never reordered, so its IIDTable and the column Keys hands out stay
+// valid.
 type Records struct {
-	recs  []addrEntry
-	total uint64
+	keys   []addr.Addr
+	recs   []slabRec
+	total  uint64
+	sorted bool
+}
+
+func newRecords(n int, total uint64) *Records {
+	return &Records{keys: make([]addr.Addr, 0, n), recs: make([]slabRec, 0, n), total: total}
+}
+
+// add appends slab entries to the columns.
+func (r *Records) add(es ...addrEntry) {
+	for i := range es {
+		r.keys = append(r.keys, es[i].key)
+		r.recs = append(r.recs, es[i].rec)
+	}
 }
 
 // CopyRecords copies c's address records, in slab order, and its total.
 func (c *Collector) CopyRecords() *Records {
-	r := &Records{recs: make([]addrEntry, c.addrRecs.n), total: c.total}
-	n := copy(r.recs, c.addrRecs.head)
+	r := newRecords(int(c.addrRecs.n), c.total)
+	r.add(c.addrRecs.head...)
 	for _, ch := range c.addrRecs.chunks {
-		n += copy(r.recs[n:], ch)
+		r.add(ch...)
 	}
+	return r
+}
+
+// TakeRecords moves c's records and total into a Records, sorted, and
+// leaves c empty. The index goes first and each slab chunk is released
+// once copied, so the move never holds the corpus twice over.
+func (c *Collector) TakeRecords() *Records {
+	c.addrTag, c.addrIdx = nil, nil
+	s := &c.addrRecs
+	r := newRecords(int(s.n), c.total)
+	r.add(s.head...)
+	s.head = nil
+	for i, ch := range s.chunks {
+		r.add(ch...)
+		s.chunks[i] = nil
+	}
+	*c = Collector{}
+	r.sort()
 	return r
 }
 
@@ -138,47 +132,57 @@ func (c *Collector) CopyRecords() *Records {
 // it again, never staler.
 func (c *Collector) LastDeltaRecords() *Records {
 	blocks := deltaBlocks(c.ckpt.lastBase, c.ckpt.lastN, &c.ckpt.lastDirty)
-	r := &Records{recs: make([]addrEntry, 0, len(blocks)<<deltaBlockBits), total: c.total}
+	r := newRecords(len(blocks)<<deltaBlockBits, c.total)
 	for _, bl := range blocks {
 		for i := bl.lo; i < bl.hi; i++ {
-			r.recs = append(r.recs, *c.addrRecs.at(i))
+			r.add(*c.addrRecs.at(i))
 		}
 	}
 	return r
 }
 
-// NumAddrs returns the number of records copied.
-func (r *Records) NumAddrs() int { return len(r.recs) }
+// NumAddrs returns the number of records held.
+func (r *Records) NumAddrs() int { return len(r.keys) }
 
-// TotalObservations returns the copied corpus's raw sighting count.
+// TotalObservations returns the corpus's raw sighting count.
 func (r *Records) TotalObservations() uint64 { return r.total }
 
-// CanonicalOrder sorts the copy by address, in place, and returns a
-// walk over it that can run any number of times.
+// Keys returns the address column in canonical order: r's own slice,
+// its capacity cut to its length so that an append reallocates instead
+// of writing it. Nothing may write the column; r's IIDTable reads it.
+func (r *Records) Keys() []addr.Addr {
+	r.sort()
+	return r.keys[:len(r.keys):len(r.keys)]
+}
+
+// CanonicalOrder sorts r by address, in place, and returns a walk over
+// it that can run any number of times.
 func (r *Records) CanonicalOrder() iter.Seq2[addr.Addr, AddrRecord] {
-	sortEntries(r.recs, 0)
-	return func(yield func(addr.Addr, AddrRecord) bool) {
-		for i := range r.recs {
-			if e := &r.recs[i]; !yield(e.key, e.rec.record()) {
-				return
-			}
-		}
+	r.sort()
+	return func(yield func(addr.Addr, AddrRecord) bool) { r.AddrsRange(0, len(r.keys), yield) }
+}
+
+// sort puts r in canonical order, once.
+func (r *Records) sort() {
+	if !r.sorted {
+		sortColumns(r.keys, r.recs, 0)
+		r.sorted = true
 	}
 }
 
-// sortEntries sorts recs ascending by address, in place, given that
-// they agree on the key bytes before d: an MSD radix sort (American
-// flag sort), one counting pass and one 256-way in-place partition per
-// key byte, recursing into each bucket on the next byte, and insertion
-// sort once a bucket is small. A byte every record shares costs the
-// counting pass alone.
-func sortEntries(recs []addrEntry, d int) {
-	for ; len(recs) > 32 && d < len(addr.Addr{}); d++ {
+// sortColumns sorts keys ascending, in place, moving recs[i] with
+// keys[i], given that the keys agree on their bytes before d: an MSD
+// radix sort (American flag sort), one counting pass and one 256-way
+// in-place partition per key byte, recursing into each bucket on the
+// next byte, and insertion sort once a bucket is small. A byte every key
+// shares costs the counting pass alone.
+func sortColumns(keys []addr.Addr, recs []slabRec, d int) {
+	for ; len(keys) > 32 && d < len(addr.Addr{}); d++ {
 		var count [256]int
-		for i := range recs {
-			count[recs[i].key[d]]++
+		for i := range keys {
+			count[keys[i][d]]++
 		}
-		if count[recs[0].key[d]] == len(recs) {
+		if count[keys[0][d]] == len(keys) {
 			continue
 		}
 		var next, end [256]int
@@ -189,26 +193,30 @@ func sortEntries(recs []addrEntry, d int) {
 		}
 		for v := range next {
 			for next[v] < end[v] {
-				w := recs[next[v]].key[d]
+				i := next[v]
+				w := keys[i][d]
 				if int(w) == v {
 					next[v]++
 					continue
 				}
-				recs[next[v]], recs[next[w]] = recs[next[w]], recs[next[v]]
+				j := next[w]
+				keys[i], keys[j] = keys[j], keys[i]
+				recs[i], recs[j] = recs[j], recs[i]
 				next[w]++
 			}
 		}
 		lo := 0
 		for _, hi := range end {
 			if hi-lo > 1 {
-				sortEntries(recs[lo:hi], d+1)
+				sortColumns(keys[lo:hi], recs[lo:hi], d+1)
 			}
 			lo = hi
 		}
 		return
 	}
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].key.Less(recs[j-1].key); j-- {
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j].Less(keys[j-1]); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
 			recs[j], recs[j-1] = recs[j-1], recs[j]
 		}
 	}
@@ -226,25 +234,27 @@ const canonFlush = 1 << 16
 // encodings are byte-identical — regardless of insertion order, merge
 // schedule or storage layout (the encoding predates the flat-slab
 // engine and is pinned by a golden-checksum test). This is the ground
-// truth the ingest equivalence tests assert on. The IID
-// half is read from an IIDTable built for the call.
+// truth the ingest equivalence tests assert on. Both halves are read
+// from one sorted copy of the records, the IID half through the
+// IIDTable folded from it.
 func (c *Collector) WriteCanonical(w io.Writer) (err error) {
+	r := c.CopyRecords()
 	buf := make([]byte, 0, canonFlush+1024)
-	buf = binary.BigEndian.AppendUint64(buf, c.total)
+	buf = binary.BigEndian.AppendUint64(buf, r.total)
 
-	buf = binary.BigEndian.AppendUint64(buf, uint64(c.addrRecs.n))
-	for a, r := range c.CanonicalOrder() {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(r.NumAddrs()))
+	for a, rec := range r.CanonicalOrder() {
 		buf = append(buf, a[:]...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.First))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Last))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Count))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Servers))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.First))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.Last))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.Count))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.Servers))
 		if buf, err = spill(buf, w); err != nil {
 			return err
 		}
 	}
 
-	if buf, err = c.IIDTable().appendCanonicalIIDs(buf, w); err != nil {
+	if buf, err = r.IIDTable().appendCanonicalIIDs(buf, w); err != nil {
 		return err
 	}
 	_, err = w.Write(buf)

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"encoding/binary"
+	"iter"
 	"slices"
 	"sort"
 	"testing"
@@ -30,10 +31,11 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 	for i, a := range addrs {
 		c.ObserveUnix(a, int64(1_600_000_000+i), i%MaxServers)
 	}
-	wantAddrs := c.AddressList()
+	wantAddrs := slices.Clone(addrs)
 	sort.Slice(wantAddrs, func(i, j int) bool { return wantAddrs[i].Less(wantAddrs[j]) })
+	wantAddrs = slices.Compact(wantAddrs)
 	var walked []addr.Addr
-	c.AddrsCanonical(func(a addr.Addr, r AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, r AddrRecord) bool {
 		if want, _ := c.Get(a); r != want {
 			t.Fatalf("the canonical walk hands out %+v for %v, the collector holds %+v", r, a, want)
 		}
@@ -43,15 +45,13 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 	if !slices.Equal(walked, wantAddrs) {
 		t.Fatalf("the canonical walk over %d addrs diverges from sort by Addr.Less", len(wantAddrs))
 	}
-	if got := c.SortedAddrs(); cap(got) != c.NumAddrs() || !slices.Equal(got, walked) {
-		t.Fatalf("SortedAddrs (%d of cap %d) diverges from the AddrsCanonical walk (%d)", len(got), cap(got), len(walked))
-	}
-	if recs := c.CopyRecords(); recs.NumAddrs() != c.NumAddrs() || recs.TotalObservations() != c.TotalObservations() {
+	copied := c.CopyRecords()
+	if copied.NumAddrs() != c.NumAddrs() || copied.TotalObservations() != c.TotalObservations() {
 		t.Fatalf("CopyRecords holds %d addrs / %d observations, the collector %d / %d",
-			recs.NumAddrs(), recs.TotalObservations(), c.NumAddrs(), c.TotalObservations())
+			copied.NumAddrs(), copied.TotalObservations(), c.NumAddrs(), c.TotalObservations())
 	}
 
-	tb := c.IIDTable()
+	tb := c.CopyRecords().IIDTable()
 	var wantIIDs []addr.IID
 	tb.IIDs(func(iid addr.IID, _ IIDView) bool { wantIIDs = append(wantIIDs, iid); return true })
 	slices.Sort(wantIIDs)
@@ -64,6 +64,39 @@ func checkCanonicalOrder(t *testing.T, addrs []addr.Addr) {
 	}
 	if !slices.Equal(gotIIDs, wantIIDs) {
 		t.Fatalf("sortedIIDRefs over %d IIDs diverges from sort by IID", len(wantIIDs))
+	}
+
+	// The move is the copy sorted: the same records in the same order,
+	// the same total, the key column capped at its length; and it leaves
+	// the collector empty.
+	total, n := c.TotalObservations(), c.NumAddrs()
+	taken := c.TakeRecords()
+	if c.NumAddrs() != 0 || c.TotalObservations() != 0 || c.MemoryFootprint() != 0 {
+		t.Fatalf("after TakeRecords the collector holds %d addrs / %d observations in %d B, want none",
+			c.NumAddrs(), c.TotalObservations(), c.MemoryFootprint())
+	}
+	if taken.NumAddrs() != n || taken.TotalObservations() != total {
+		t.Fatalf("TakeRecords holds %d addrs / %d observations, the collector held %d / %d",
+			taken.NumAddrs(), taken.TotalObservations(), n, total)
+	}
+	type pair struct {
+		a addr.Addr
+		r AddrRecord
+	}
+	collect := func(seq iter.Seq2[addr.Addr, AddrRecord]) (out []pair) {
+		for a, r := range seq {
+			out = append(out, pair{a, r})
+		}
+		return out
+	}
+	if got, want := collect(taken.CanonicalOrder()), collect(copied.CanonicalOrder()); !slices.Equal(got, want) {
+		t.Fatalf("TakeRecords (%d records) diverges from CopyRecords + CanonicalOrder (%d)", len(got), len(want))
+	}
+	var ranged []addr.Addr
+	taken.AddrsRange(0, n, func(a addr.Addr, _ AddrRecord) bool { ranged = append(ranged, a); return true })
+	if keys := taken.Keys(); cap(keys) != n || !slices.Equal(keys, walked) || !slices.Equal(ranged, walked) {
+		t.Fatalf("the moved key column (%d of cap %d) or its range walk (%d) diverges from the canonical walk (%d)",
+			len(keys), cap(keys), len(ranged), len(walked))
 	}
 }
 

@@ -12,17 +12,17 @@
 // matches, and the hot path performs no per-record heap allocation.
 //
 // Everything per IID is a fold of the address records, built when a
-// reader asks for it: Collector.IIDTable runs one pass over the slab
-// into an IIDTable. Two observations about the corpus shape keep that
-// table small:
+// reader asks for it: Records.IIDTable runs one pass over the records,
+// moved or copied out of the slab, into an IIDTable. Two observations
+// about the corpus shape keep that table small:
 //
 //   - Nearly every IID appears under exactly one address (random IIDs
 //     collide across /64s only by chance), and such an IID's aggregate
 //     — first/last/count — is definitionally identical to its address's
 //     record. Singleton IIDs therefore cost one 5-byte table slot
-//     pointing at the address entry; a real IID record is materialized
-//     ("promoted") only when a second address shares the IID or the IID
-//     is EUI-64 and needs /64 tracking.
+//     pointing at the address's position in the Records; a real IID
+//     record is materialized ("promoted") only when a second address
+//     shares the IID or the IID is EUI-64 and needs /64 tracking.
 //
 //   - Per-/64 spans for the EUI-64 subset (3% of the paper's corpus)
 //     live in a shared span slab chained by index: a few machine words
@@ -448,15 +448,15 @@ func New() *Collector {
 
 // IIDTable is the IID half of a corpus, folded from its address records:
 // the IID index, promoted records and /64 span chains. It is built whole
-// by Collector.IIDTable and never written after, and it reads singleton
-// IIDs' aggregates straight from the collector's address slab, so it is
-// valid only until the next write to that collector.
+// by Records.IIDTable and never written after, and it reads singleton
+// IIDs' aggregates straight from the Records' columns, which never
+// reorder once sorted.
 type IIDTable struct {
-	c       *Collector
+	r       *Records
 	iidRecs slab[iidEntry]
 	// iidTag and iidIdx are the IID index, slot for slot: the hashTag of
 	// the slot's IID (0 = empty), and ref+1 where ref is a promoted-slab
-	// index (with promotedTag) or the address-slab index of a singleton
+	// index (with promotedTag) or the Records position of a singleton
 	// IID's only address (0 = empty, so readers may skip the tags).
 	iidTag  []uint8
 	iidIdx  []uint32
@@ -464,28 +464,34 @@ type IIDTable struct {
 	spans   slab[spanNode]
 }
 
-// IIDTable folds c's address records, in slab order, into its IID
-// table. The index is sized once for one IID per address — the most
-// there can be — so it never grows.
-func (c *Collector) IIDTable() *IIDTable {
-	slots := tableSizeFor(uint64(c.addrRecs.n))
-	t := &IIDTable{c: c, iidTag: make([]uint8, slots), iidIdx: make([]uint32, slots)}
-	for i := uint32(0); i < c.addrRecs.n; i++ {
-		e := c.addrRecs.at(i)
-		t.derive(&e.key, i, &e.rec)
+// IIDTable folds r's records, in canonical order, into its IID table.
+func (r *Records) IIDTable() *IIDTable {
+	r.sort()
+	return r.foldIIDs()
+}
+
+// foldIIDs folds r's records in the order r holds them. That order sets
+// the table's layout (slots, promoted-slab positions, span-chain order),
+// never its answers. The index is sized once for one IID per address —
+// the most there can be — so it never grows.
+func (r *Records) foldIIDs() *IIDTable {
+	slots := tableSizeFor(uint64(len(r.keys)))
+	t := &IIDTable{r: r, iidTag: make([]uint8, slots), iidIdx: make([]uint32, slots)}
+	for i := range r.keys {
+		t.derive(&r.keys[i], uint32(i), &r.recs[i])
 	}
 	return t
 }
 
-// Collector returns the corpus t was folded from.
-func (t *IIDTable) Collector() *Collector { return t.c }
+// Records returns the corpus t was folded from.
+func (t *IIDTable) Records() *Records { return t.r }
 
 // iidKeyOf resolves the IID a table reference stands for.
 func (t *IIDTable) iidKeyOf(ref uint32) addr.IID {
 	if ref&promotedTag != 0 {
 		return t.iidRecs.at(ref &^ promotedTag).key
 	}
-	return t.c.addrRecs.at(ref).key.IID()
+	return t.r.keys[ref].IID()
 }
 
 // findIID returns iid's table reference, or with ok == false the empty
@@ -557,10 +563,10 @@ func (c *Collector) observe(a *addr.Addr, in *slabRec) {
 	}
 }
 
-// derive folds in, the whole record of address a at slab index ai, into
-// the table: IID index, promoted records and span chains. Each address
-// is derived once, so a singleton reference found here is always
-// another address's.
+// derive folds in, the whole record of address a at Records position
+// ai, into the table: IID index, promoted records and span chains. Each
+// address is derived once, so a singleton reference found here is
+// always another address's.
 func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *slabRec) {
 	iid := a.IID()
 	h := mix64(uint64(iid))
@@ -590,7 +596,7 @@ func (t *IIDTable) derive(a *addr.Addr, ai uint32, in *slabRec) {
 	// A second address sharing a singleton's IID (a random-IID collision
 	// across /64s) promotes it; EUI-64 IIDs are promoted at first sight,
 	// so no span handling is needed.
-	base := &t.c.addrRecs.at(ref).rec
+	base := &t.r.recs[ref]
 	ri, _ := t.allocPromoted(iid, min(base.first, in.first), max(base.last, in.last), base.count+in.count)
 	t.iidIdx[slot] = (ri | promotedTag) + 1 // same IID: the tag stands
 }
@@ -630,7 +636,7 @@ func (c *Collector) Get(a addr.Addr) (AddrRecord, bool) {
 // IIDView is a read handle onto one IID's record (inline promoted record
 // or singleton address record) and span chain. It is a two-word value —
 // copying it is free — but it borrows its table's slabs and the
-// collector's: a view is valid as long as its IIDTable is.
+// Records' columns: a view is valid as long as its IIDTable is.
 type IIDView struct {
 	t   *IIDTable
 	ref uint32
@@ -649,7 +655,7 @@ func (v IIDView) summary() (int64, int64, uint32) {
 	if r := v.promoted(); r != nil {
 		return int64(r.first), int64(r.last), r.count
 	}
-	rec := &v.t.c.addrRecs.at(v.ref).rec
+	rec := &v.t.r.recs[v.ref]
 	return int64(rec.first), int64(rec.last), rec.count
 }
 
@@ -693,34 +699,10 @@ func (v IIDView) P64s(fn func(p addr.Prefix64, sp Span) bool) {
 	}
 }
 
-// Addrs iterates every (address, record) pair in slab (insertion) order;
-// the callback returning false stops early. Records are handed out by
-// value. The order is not part of the contract — use AddrsCanonical for
-// determinism across differently built corpora.
-func (c *Collector) Addrs(fn func(a addr.Addr, r AddrRecord) bool) {
-	for i := uint32(0); i < c.addrRecs.n; i++ {
-		e := c.addrRecs.at(i)
-		if !fn(e.key, e.rec.record()) {
-			return
-		}
-	}
-}
-
-// AddrsCanonical iterates every (address, record) pair in canonical
-// order (ascending by address value) — the order WriteCanonical encodes,
-// so consumers that need run-to-run determinism share one definition of
-// "sorted corpus".
-func (c *Collector) AddrsCanonical(fn func(a addr.Addr, r AddrRecord) bool) {
-	c.CanonicalOrder()(fn)
-}
-
-// AddressList materializes all observed addresses; prefer Addrs for large
-// corpora.
+// AddressList materializes all observed addresses, in slab order.
 func (c *Collector) AddressList() []addr.Addr {
 	out := make([]addr.Addr, 0, c.addrRecs.n)
-	for i := uint32(0); i < c.addrRecs.n; i++ {
-		out = append(out, c.addrRecs.at(i).key)
-	}
+	c.AddrsRange(0, c.NumAddrs(), func(a addr.Addr, _ AddrRecord) bool { out = append(out, a); return true })
 	return out
 }
 

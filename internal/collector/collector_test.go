@@ -72,7 +72,7 @@ func TestIIDAggregation(t *testing.T) {
 	c.Observe(a1, t0, 0)
 	c.Observe(a2, t0.Add(48*time.Hour), 0)
 
-	r, ok := c.IIDTable().GetIID(iid)
+	r, ok := c.CopyRecords().IIDTable().GetIID(iid)
 	if !ok {
 		t.Fatal("IID record missing")
 	}
@@ -110,7 +110,7 @@ func TestNonEUI64IIDNoP64Tracking(t *testing.T) {
 	c := New()
 	a := addr.MustParse("2001:db8::dead:beef:1234:5678")
 	c.Observe(a, t0, 0)
-	r, ok := c.IIDTable().GetIID(a.IID())
+	r, ok := c.CopyRecords().IIDTable().GetIID(a.IID())
 	if !ok {
 		t.Fatal("IID record missing")
 	}
@@ -133,7 +133,7 @@ func TestEUI64IIDsIteration(t *testing.T) {
 	c.Observe(plain, t0, 0)
 
 	n := 0
-	c.IIDTable().EUI64IIDs(func(iid addr.IID, r IIDView) bool {
+	c.CopyRecords().IIDTable().EUI64IIDs(func(iid addr.IID, r IIDView) bool {
 		n++
 		if !iid.IsEUI64() {
 			t.Errorf("non-EUI-64 IID in EUI64IIDs iteration")
@@ -158,7 +158,7 @@ type iidRef struct {
 
 func recomputeIIDs(c *Collector) map[addr.IID]*iidRef {
 	out := make(map[addr.IID]*iidRef)
-	c.Addrs(func(a addr.Addr, r AddrRecord) bool {
+	c.AddrsRange(0, c.NumAddrs(), func(a addr.Addr, r AddrRecord) bool {
 		e := out[a.IID()]
 		if e == nil {
 			e = &iidRef{first: r.First, last: r.Last, p64s: make(map[addr.Prefix64]Span)}
@@ -178,7 +178,7 @@ func TestIIDCountsMatchRecompute(t *testing.T) {
 	check := func(label string, c *Collector) {
 		t.Helper()
 		want := recomputeIIDs(c)
-		tab := c.IIDTable()
+		tab := c.CopyRecords().IIDTable()
 		if tab.NumIIDs() != len(want) {
 			t.Errorf("%s: NumIIDs %d, recompute %d", label, tab.NumIIDs(), len(want))
 		}
@@ -247,19 +247,19 @@ func TestIterationEarlyStop(t *testing.T) {
 		c.Observe(addr.FromParts(0x20010db8_00000000, uint64(i+1)), t0, 0)
 	}
 	n := 0
-	c.Addrs(func(addr.Addr, AddrRecord) bool { n++; return n < 3 })
+	c.AddrsRange(0, c.NumAddrs(), func(addr.Addr, AddrRecord) bool { n++; return n < 3 })
 	if n != 3 {
-		t.Errorf("Addrs early stop: %d", n)
+		t.Errorf("AddrsRange early stop: %d", n)
 	}
 	n = 0
-	c.IIDTable().IIDs(func(addr.IID, IIDView) bool { n++; return false })
+	c.CopyRecords().IIDTable().IIDs(func(addr.IID, IIDView) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("IIDs early stop: %d", n)
 	}
 	n = 0
-	c.AddrsCanonical(func(addr.Addr, AddrRecord) bool { n++; return n < 2 })
+	c.CanonicalOrder()(func(addr.Addr, AddrRecord) bool { n++; return n < 2 })
 	if n != 2 {
-		t.Errorf("AddrsCanonical early stop: %d", n)
+		t.Errorf("CanonicalOrder early stop: %d", n)
 	}
 	if got := len(c.AddressList()); got != 10 {
 		t.Errorf("AddressList: %d", got)
@@ -274,7 +274,7 @@ func TestAddrsCanonicalOrder(t *testing.T) {
 	}
 	var prev addr.Addr
 	n := 0
-	c.AddrsCanonical(func(a addr.Addr, r AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, r AddrRecord) bool {
 		if n > 0 {
 			if prev.Hi() > a.Hi() || (prev.Hi() == a.Hi() && prev.Lo() >= a.Lo()) {
 				t.Fatalf("canonical order violated: %s then %s", prev, a)

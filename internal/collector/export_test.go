@@ -1,6 +1,12 @@
 package collector
 
-import "hitlist6/internal/addr"
+import (
+	"bytes"
+	"math/rand/v2"
+	"slices"
+
+	"hitlist6/internal/addr"
+)
 
 // GoldenStream hands goldenStream to the external test package, which
 // (unlike this one) may import internal/pager.
@@ -17,4 +23,28 @@ func BenchStreamHead(n int) (addrs []addr.Addr, times []int64, servers []int) {
 		addrs, times, servers = append(addrs, ev.a), append(times, ev.ts), append(servers, ev.server)
 	}
 	return addrs, times, servers
+}
+
+// Permuted returns a copy of r's records in a random order drawn from
+// seed, marked unsorted.
+func (r *Records) Permuted(seed uint64) *Records {
+	p := &Records{keys: slices.Clone(r.keys), recs: slices.Clone(r.recs), total: r.total}
+	rand.New(rand.NewPCG(seed, seed)).Shuffle(len(p.keys), func(i, j int) {
+		p.keys[i], p.keys[j] = p.keys[j], p.keys[i]
+		p.recs[i], p.recs[j] = p.recs[j], p.recs[i]
+	})
+	return p
+}
+
+// FoldIIDs folds r into an IID table in the order r holds its records,
+// sorted or not: the fold IIDTable runs once r is sorted.
+func (r *Records) FoldIIDs() *IIDTable { return r.foldIIDs() }
+
+// CanonicalIIDs is t's canonical IID encoding: the IID half of
+// WriteCanonical.
+func (t *IIDTable) CanonicalIIDs() []byte {
+	var w bytes.Buffer
+	buf, _ := t.appendCanonicalIIDs(nil, &w) // a bytes.Buffer never fails
+	w.Write(buf)
+	return w.Bytes()
 }

@@ -89,19 +89,19 @@ func TestCanonicalChecksumGolden(t *testing.T) {
 
 // iidSlotOrderSum is the FNV-64a sum of the IID values, big-endian, in
 // IIDs() order of the IIDTable over collectorBenchStream, and the same
-// for a collector fed one sighting at a time as for one fed the
-// stream's two halves as two shards (the first moved into the empty
-// collector, the second folded in). Both give the collector the same
-// slab order, and the table is a function of slab order alone. Figure
-// 2b's fold partitions the table by slot but sorts its samples
-// (stats.TakeDistribution), so slot order cannot reach the report; the
-// sum pins that the table is deterministic. The address table's slot
-// order is not pinned.
-const iidSlotOrderSum = 0x3efda90b77a0b3fe
+// for a collector fed one sighting at a time, for one fed the stream's
+// two halves as two shards (the first moved into the empty collector,
+// the second folded in), and for one fed the stream backwards. The
+// three slab orders differ, but the table is folded from the records in
+// canonical order, so it is a function of the record set alone. Figure
+// 2b's fold partitions the table by slot but only counts, so slot order
+// cannot reach the report; the sum pins that the table is
+// deterministic. The address table's slot order is not pinned.
+const iidSlotOrderSum = 0xee9a46988be482b6
 
 func TestIIDSlotOrderGolden(t *testing.T) {
 	events, _ := collectorBenchStream()
-	serial, sharded := New(), New()
+	serial, sharded, backwards := New(), New(), New()
 	part := New()
 	for i, ev := range events {
 		serial.ObserveUnix(ev.a, ev.ts, ev.server)
@@ -110,11 +110,13 @@ func TestIIDSlotOrderGolden(t *testing.T) {
 			sharded.Absorb(part)
 			part = New()
 		}
+		ev = events[len(events)-1-i]
+		backwards.ObserveUnix(ev.a, ev.ts, ev.server)
 	}
-	for i, c := range []*Collector{serial, sharded} {
+	for i, c := range []*Collector{serial, sharded, backwards} {
 		h := fnv.New64a()
 		var w [8]byte
-		c.IIDTable().IIDs(func(iid addr.IID, _ IIDView) bool {
+		c.TakeRecords().IIDTable().IIDs(func(iid addr.IID, _ IIDView) bool {
 			binary.BigEndian.PutUint64(w[:], uint64(iid))
 			h.Write(w[:])
 			return true

@@ -40,7 +40,7 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 	}
 	a.Merge(b)
 
-	at, st := a.IIDTable(), sequential.IIDTable()
+	at, st := a.CopyRecords().IIDTable(), sequential.CopyRecords().IIDTable()
 	if a.NumAddrs() != sequential.NumAddrs() || at.NumIIDs() != st.NumIIDs() {
 		t.Fatalf("counts differ: %d/%d vs %d/%d",
 			a.NumAddrs(), at.NumIIDs(), sequential.NumAddrs(), st.NumIIDs())
@@ -48,7 +48,7 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 	if a.TotalObservations() != sequential.TotalObservations() {
 		t.Errorf("total: %d vs %d", a.TotalObservations(), sequential.TotalObservations())
 	}
-	sequential.Addrs(func(ad addr.Addr, want AddrRecord) bool {
+	sequential.AddrsRange(0, sequential.NumAddrs(), func(ad addr.Addr, want AddrRecord) bool {
 		got, ok := a.Get(ad)
 		if !ok || got != want {
 			t.Errorf("record for %s: %+v vs %+v", ad, got, want)
@@ -110,7 +110,7 @@ func TestMergeDeepCopies(t *testing.T) {
 	dst.Merge(src)
 	sum := dst.Checksum()
 	wantAddr, _ := dst.Get(plain)
-	wantView, _ := dst.IIDTable().GetIID(eui)
+	wantView, _ := dst.CopyRecords().IIDTable().GetIID(eui)
 	wantSpan, _ := wantView.Span(euiAddr.P64())
 
 	// Hammer the source: widen the existing records, stretch the EUI-64
@@ -126,7 +126,7 @@ func TestMergeDeepCopies(t *testing.T) {
 	if got, _ := dst.Get(plain); got != wantAddr {
 		t.Errorf("address record aliased: %+v vs %+v", got, wantAddr)
 	}
-	gotView, _ := dst.IIDTable().GetIID(eui)
+	gotView, _ := dst.CopyRecords().IIDTable().GetIID(eui)
 	if gotView.NumP64s() != 1 {
 		t.Errorf("span chain aliased: %d /64s", gotView.NumP64s())
 	}
@@ -186,7 +186,7 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 		t.Fatalf("observations: %d vs %d", merged.TotalObservations(), serial.TotalObservations())
 	}
 	mismatches := 0
-	serial.Addrs(func(a addr.Addr, want AddrRecord) bool {
+	serial.AddrsRange(0, serial.NumAddrs(), func(a addr.Addr, want AddrRecord) bool {
 		got, ok := merged.Get(a)
 		if !ok || got.First != want.First || got.Last != want.Last || got.Count != want.Count {
 			mismatches++

@@ -11,24 +11,27 @@ import "hitlist6/internal/addr"
 // partials in ascending range order, which reproduces the serial scan's
 // element order exactly.
 //
-// All of them require the no-writer invariant that every read API here
-// already has: reads must not run concurrently with Observe/Merge/Absorb
-// (Store is the concurrency boundary for live ingest), and an IIDTable's
-// only until its collector is next written.
+// A collector's reads must not run concurrently with Observe/Merge/Absorb
+// (Store is the concurrency boundary for live ingest); a Records and the
+// IIDTable folded from it are never written once built.
 
 // AddrsRange iterates the (address, record) pairs with slab indices in
-// [lo, hi), in slab order; the callback returning false stops. The full
-// range [0, NumAddrs()) visits exactly what Addrs does.
+// [lo, hi), in slab (insertion) order; the callback returning false
+// stops. CanonicalOrder is the order-stable walk.
 func (c *Collector) AddrsRange(lo, hi int, fn func(a addr.Addr, r AddrRecord) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := int(c.addrRecs.n); hi > n {
-		hi = n
-	}
-	for i := lo; i < hi; i++ {
+	for i := max(lo, 0); i < min(hi, int(c.addrRecs.n)); i++ {
 		e := c.addrRecs.at(uint32(i))
 		if !fn(e.key, e.rec.record()) {
+			return
+		}
+	}
+}
+
+// AddrsRange is Collector.AddrsRange over r's columns, in the order r
+// holds them (canonical once sorted), so one corpus fold reads either.
+func (r *Records) AddrsRange(lo, hi int, fn func(a addr.Addr, rec AddrRecord) bool) {
+	for i := max(lo, 0); i < min(hi, len(r.keys)); i++ {
+		if !fn(r.keys[i], r.recs[i].record()) {
 			return
 		}
 	}
@@ -43,13 +46,7 @@ func (t *IIDTable) NumIIDSlots() int { return len(t.iidIdx) }
 // fall in [lo, hi), in slot order; the callback returning false stops.
 // Covering [0, NumIIDSlots()) visits every IID.
 func (t *IIDTable) IIDSlotsRange(lo, hi int, fn func(iid addr.IID, r IIDView) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := len(t.iidIdx); hi > n {
-		hi = n
-	}
-	for i := lo; i < hi; i++ {
+	for i := max(lo, 0); i < min(hi, len(t.iidIdx)); i++ {
 		v := t.iidIdx[i]
 		if v == 0 {
 			continue
@@ -70,13 +67,7 @@ func (t *IIDTable) NumPromotedIIDs() int { return int(t.iidRecs.n) }
 // stops. Covering [0, NumPromotedIIDs()) visits exactly what EUI64IIDs
 // does, in the same order.
 func (t *IIDTable) EUI64IIDsRange(lo, hi int, fn func(iid addr.IID, r IIDView) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := int(t.iidRecs.n); hi > n {
-		hi = n
-	}
-	for i := lo; i < hi; i++ {
+	for i := max(lo, 0); i < min(hi, int(t.iidRecs.n)); i++ {
 		e := t.iidRecs.at(uint32(i))
 		if e.spans == spanNone {
 			continue

@@ -61,7 +61,7 @@ func TestRangeIteratorsCoverSerialOrder(t *testing.T) {
 
 	// Addresses.
 	var serialA, rangedA []addr.Addr
-	c.Addrs(func(a addr.Addr, _ AddrRecord) bool { serialA = append(serialA, a); return true })
+	c.AddrsRange(0, c.NumAddrs(), func(a addr.Addr, _ AddrRecord) bool { serialA = append(serialA, a); return true })
 	for _, r := range splits(c.NumAddrs()) {
 		c.AddrsRange(r[0], r[1], func(a addr.Addr, _ AddrRecord) bool {
 			rangedA = append(rangedA, a)
@@ -78,7 +78,7 @@ func TestRangeIteratorsCoverSerialOrder(t *testing.T) {
 	}
 
 	// IIDs (slot order).
-	tb := c.IIDTable()
+	tb := c.CopyRecords().IIDTable()
 	var serialI, rangedI []addr.IID
 	tb.IIDs(func(iid addr.IID, _ IIDView) bool { serialI = append(serialI, iid); return true })
 	for _, r := range splits(tb.NumIIDSlots()) {
@@ -136,7 +136,7 @@ func TestRangeIteratorsClamp(t *testing.T) {
 		t.Fatalf("clamped address range visited %d of %d", n, c.NumAddrs())
 	}
 	n = 0
-	tb := c.IIDTable()
+	tb := c.CopyRecords().IIDTable()
 	tb.IIDSlotsRange(-1, tb.NumIIDSlots()+7, func(addr.IID, IIDView) bool { n++; return true })
 	if n != tb.NumIIDs() {
 		t.Fatalf("clamped IID range visited %d of %d", n, tb.NumIIDs())

@@ -282,7 +282,7 @@ func checkProbeCollector(t *testing.T, c *Collector, ref map[addr.Addr]AddrRecor
 			r.spans[a.P64()] = Span{First: min(sp.First, want.First), Last: max(sp.Last, want.Last)}
 		}
 	}
-	tb := c.IIDTable()
+	tb := c.CopyRecords().IIDTable()
 	if tb.NumIIDs() != len(iids) {
 		t.Fatalf("NumIIDs %d, reference %d", tb.NumIIDs(), len(iids))
 	}

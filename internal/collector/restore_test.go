@@ -36,7 +36,7 @@ func sameCorpus(t testing.TB, got, want *Collector) {
 		t.Fatalf("addrs/total %d/%d, want %d/%d",
 			got.NumAddrs(), got.TotalObservations(), want.NumAddrs(), want.TotalObservations())
 	}
-	sameIIDTables(t, got.IIDTable(), want.IIDTable())
+	sameIIDTables(t, got.CopyRecords().IIDTable(), want.CopyRecords().IIDTable())
 }
 
 // sameIIDTables holds got to want view for view.

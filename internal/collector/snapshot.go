@@ -14,7 +14,7 @@ import (
 // count) and the address slab verbatim, in slab order, as
 // length-prefixed CRC-checked sections (see internal/snapfmt).
 // A collector holds nothing else, and everything per IID is a fold of
-// those records that readers build when they need it (Collector.IIDTable),
+// those records that readers build when they need it (Records.IIDTable),
 // so no derived structure is ever decoded, trusted or validated from
 // bytes. The invariant pinned by the golden fixtures and the round-trip
 // fuzz target: a restored collector's Checksum equals the original's.

@@ -92,7 +92,7 @@ func TestSnapshotRoundTripEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
-	if got.NumAddrs() != 0 || got.IIDTable().NumIIDs() != 0 || got.TotalObservations() != 0 {
+	if got.NumAddrs() != 0 || got.CopyRecords().IIDTable().NumIIDs() != 0 || got.TotalObservations() != 0 {
 		t.Fatalf("restored empty corpus is not empty")
 	}
 	if got.Checksum() != New().Checksum() {

@@ -10,7 +10,7 @@ import (
 // and a restored seed lands with ApplyShard. Readers (HTTP stat
 // endpoints, checkpoints, the tier writer) take the read lock and see a
 // consistent corpus holding every finished batch; a reader that needs
-// IID state builds a Collector.IIDTable inside View.
+// IID state folds the IIDTable of a CopyRecords taken inside View.
 //
 // The Collector itself stays single-writer: Store adds the lock that
 // separates the one writer from its readers. Batches land in queue

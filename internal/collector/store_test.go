@@ -157,8 +157,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				}
 				_ = s.NumAddrs()
 				s.View(func(c *Collector) {
-					c.Addrs(func(addr.Addr, AddrRecord) bool { return false })
-					_ = c.IIDTable().NumIIDs()
+					c.AddrsRange(0, c.NumAddrs(), func(addr.Addr, AddrRecord) bool { return false })
+					_ = c.CopyRecords().IIDTable().NumIIDs()
 				})
 			}
 		}()

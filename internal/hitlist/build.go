@@ -15,12 +15,11 @@ import (
 	"hitlist6/internal/tga"
 )
 
-// FromCollector converts a passive collector's corpus into a Dataset.
-// The dataset adopts the collector's canonically sorted address slice
-// (see Collector.SortedAddrs) — unique and sorted, so already sealed —
-// and two runs over the same corpus produce identical datasets.
-func FromCollector(name string, c *collector.Collector) *Dataset {
-	return &Dataset{Name: name, addrs: c.SortedAddrs(), sealed: true}
+// FromRecords makes a passive corpus's addresses a Dataset, adopting its
+// key column with no copy (Records.Keys: unique, sorted, capacity cut to
+// length, so the dataset is sealed and an Add never writes the corpus).
+func FromRecords(name string, r *collector.Records) *Dataset {
+	return &Dataset{Name: name, addrs: r.Keys(), sealed: true}
 }
 
 // ActiveConfig parameterizes the IPv6-Hitlist-style active pipeline.

@@ -29,9 +29,9 @@ import (
 // Writes append; the slab is sort-deduplicated lazily on the first read
 // after a write ("seal"). Builders that insert in canonical order
 // (sorted serialized streams) keep the slab sorted as they go and never
-// pay the sort; FromCollector adopts the collector's sorted address
-// slice whole. A sealed dataset is safe for concurrent reads; Add must
-// not race with reads.
+// pay the sort; FromRecords adopts a corpus's sorted key column whole.
+// A sealed dataset is safe for concurrent reads; Add must not race with
+// reads.
 type Dataset struct {
 	Name   string
 	addrs  []addr.Addr

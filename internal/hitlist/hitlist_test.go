@@ -2,9 +2,11 @@ package hitlist
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hitlist6/internal/addr"
 	"hitlist6/internal/collector"
@@ -96,22 +98,43 @@ func TestRelease48Truncation(t *testing.T) {
 	}
 }
 
-func TestFromCollector(t *testing.T) {
+// TestFromRecords: the dataset is the corpus's key column itself, not a
+// copy, and writing the dataset never writes the column — an Add below
+// the smallest key (which unseals and re-sorts), one above the largest,
+// and one of a present key.
+func TestFromRecords(t *testing.T) {
 	c := collector.New()
 	t0 := time.Date(2022, 2, 1, 0, 0, 0, 0, time.UTC)
-	c.Observe(addr.MustParse("2001:db8::1"), t0, 0)
-	c.Observe(addr.MustParse("2001:db8::2"), t0, 1)
-	c.Observe(addr.MustParse("2001:db8::1"), t0.Add(time.Hour), 2)
-	d := FromCollector("ntp", c)
-	if d.Len() != 2 {
+	for i := 1; i <= 40; i++ {
+		c.Observe(addr.FromParts(0x20010db8_00000000, uint64(i)*0x101), t0.Add(time.Duration(i)*time.Minute), i%3)
+	}
+	c.Observe(addr.MustParse("2001:db8::101"), t0.Add(time.Hour), 2)
+	r := c.TakeRecords()
+	keys := r.Keys()
+	want := slices.Clone(keys)
+	d := FromRecords("ntp", r)
+	if d.Len() != 40 {
 		t.Errorf("Len: %d", d.Len())
+	}
+	if unsafe.SliceData(d.View()) != unsafe.SliceData(keys) {
+		t.Fatal("the dataset copied the key column instead of adopting it")
+	}
+	for _, a := range []addr.Addr{addr.MustParse("2001:db8::"), addr.MustParse("2001:db9::1"), keys[7]} {
+		d.Add(a)
+	}
+	if d.Len() != 42 || !d.Contains(addr.MustParse("2001:db8::")) {
+		t.Errorf("after the Adds the dataset holds %d addresses, want 42 with 2001:db8::", d.Len())
+	}
+	if !slices.Equal(r.Keys(), want) {
+		t.Error("Add on the dataset wrote the corpus's key column")
 	}
 }
 
-// TestFromCollectorAllocs gates the NTP datasets' build: on a corpus of
-// 120 k addresses, FromCollector allocates the sorted slice and one
-// scratch slice of the same size — 32 B per address — plus 64 KiB.
-func TestFromCollectorAllocs(t *testing.T) {
+// TestFromRecordsAllocs gates the NTP datasets' build: on a corpus of
+// 120 k addresses, moving the records out of the collector allocates the
+// two columns — 32 B per address — plus 64 KiB, and the dataset adopts
+// the key column without allocating another.
+func TestFromRecordsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
@@ -124,21 +147,21 @@ func TestFromCollectorAllocs(t *testing.T) {
 	n := c.NumAddrs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	d := FromCollector("ntp", c)
+	d := FromRecords("ntp", c.TakeRecords())
 	runtime.ReadMemStats(&after)
 	if d.Len() != n {
 		t.Fatalf("dataset holds %d of %d addresses", d.Len(), n)
 	}
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*n+64<<10); got > limit {
-		t.Errorf("FromCollector over %d addresses allocated %d B; limit %d", n, got, limit)
+		t.Errorf("TakeRecords + FromRecords over %d addresses allocated %d B; limit %d", n, got, limit)
 	}
 }
 
-// TestFromCollectorDeterministic pins the canonical-order contract: the
+// TestFromRecordsDeterministic pins the canonical-order contract: the
 // same corpus — even built in different insertion orders — must yield
 // identically ordered datasets on every run, so dataset-derived analyses
 // and serializations stop depending on map iteration order.
-func TestFromCollectorDeterministic(t *testing.T) {
+func TestFromRecordsDeterministic(t *testing.T) {
 	t0 := time.Date(2022, 2, 1, 0, 0, 0, 0, time.UTC)
 	var addrs []addr.Addr
 	state := uint64(0xd5)
@@ -161,10 +184,10 @@ func TestFromCollectorDeterministic(t *testing.T) {
 		reverse.Observe(addrs[i], t0.Add(time.Duration(i)*time.Second), 0)
 	}
 
-	want := FromCollector("ntp", forward).Addrs()
+	want := FromRecords("ntp", forward.CopyRecords()).Addrs()
 	for run := 0; run < 3; run++ {
 		for label, c := range map[string]*collector.Collector{"forward": forward, "reverse": reverse} {
-			got := FromCollector("ntp", c).Addrs()
+			got := FromRecords("ntp", c.CopyRecords()).Addrs()
 			if len(got) != len(want) {
 				t.Fatalf("%s run %d: %d addrs, want %d", label, run, len(got), len(want))
 			}

@@ -16,8 +16,8 @@ import (
 // enrichment stage, under stageMu. Each sighting is written once, into
 // the one corpus, so readers of the Store and of the stages see every
 // finished batch, and batches land in the order they were queued.
-// Nothing per IID is kept while ingesting: readers that need it build a
-// Collector.IIDTable.
+// Nothing per IID is kept while ingesting: readers that need it fold a
+// Records.IIDTable.
 type Pipeline struct {
 	cfg   Config
 	store *collector.Store

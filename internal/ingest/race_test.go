@@ -110,7 +110,7 @@ func TestStoreConcurrentReaders(t *testing.T) {
 				default:
 				}
 				p.Store().View(func(c *collector.Collector) {
-					c.Addrs(func(_ addr.Addr, _ collector.AddrRecord) bool {
+					c.AddrsRange(0, c.NumAddrs(), func(_ addr.Addr, _ collector.AddrRecord) bool {
 						return false
 					})
 				})

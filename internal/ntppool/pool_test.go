@@ -138,7 +138,7 @@ func TestRunCollectsQueries(t *testing.T) {
 	}
 	// The day collector must only contain sightings within the day.
 	dayEnd := dayStart.Add(24 * time.Hour)
-	day.Addrs(func(a addr.Addr, r collector.AddrRecord) bool {
+	day.AddrsRange(0, day.NumAddrs(), func(a addr.Addr, r collector.AddrRecord) bool {
 		if r.First < dayStart.Unix() || r.Last >= dayEnd.Unix() {
 			t.Errorf("day record for %s outside window: [%d, %d]", a, r.First, r.Last)
 			return false

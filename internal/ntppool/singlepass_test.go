@@ -138,7 +138,7 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 	}
 	serial := collector.New()
 	Run(w, p, serial, nil, time.Time{})
-	want := tracking.AnalyzeWorkers(serial.IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
+	want := tracking.AnalyzeWorkers(serial.CopyRecords().IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
 	if len(want.MACs) == 0 {
 		t.Fatal("serial replay produced no EUI-64 MACs; the equivalence would be vacuous")
 	}
@@ -158,14 +158,14 @@ func TestTrackingStoreEquivalence(t *testing.T) {
 	pipe.Quiesce()
 	var live *tracking.Analysis
 	pipe.Store().View(func(c *collector.Collector) {
-		live = tracking.AnalyzeWorkers(c.IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
+		live = tracking.AnalyzeWorkers(c.CopyRecords().IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
 	})
 	if !reflect.DeepEqual(want, live) {
 		t.Error("live store analysis differs from serial replay")
 	}
 
 	// Closed read: the detached corpus must agree too.
-	closed := tracking.AnalyzeWorkers(pipe.Close().IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
+	closed := tracking.AnalyzeWorkers(pipe.Close().CopyRecords().IIDTable(), w.ASDB, w.Geo, w.OUI, 1)
 	if !reflect.DeepEqual(want, closed) {
 		t.Error("closed-corpus analysis differs from serial replay")
 	}

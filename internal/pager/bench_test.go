@@ -73,7 +73,7 @@ func BenchmarkColdContains(b *testing.B) {
 	path := writeTierFile(b, c)
 
 	var present []addr.Addr
-	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, _ collector.AddrRecord) bool {
 		present = append(present, a)
 		return true
 	})

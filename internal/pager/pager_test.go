@@ -133,7 +133,7 @@ func lookupSum(pc *Corpus, c *collector.Collector) ([32]byte, error) {
 
 func corpusSum(c *collector.Collector) [32]byte {
 	d := newRecDigest()
-	c.AddrsCanonical(d.add)
+	c.CanonicalOrder()(d.add)
 	return d.sum()
 }
 
@@ -155,7 +155,7 @@ func TestTierRoundTrip(t *testing.T) {
 	// Every record must match; with the counts equal, every address
 	// found means the tier holds the collector's set.
 	scanned := 0
-	c.AddrsCanonical(func(a addr.Addr, want collector.AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, want collector.AddrRecord) bool {
 		got, ok, err := pc.Get(a)
 		if err != nil {
 			t.Fatalf("Get(%v): %v", a, err)
@@ -257,7 +257,7 @@ func TestTierBudgetHolds(t *testing.T) {
 
 	// Point lookups across the whole key space touch every chunk.
 	i := 0
-	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, _ collector.AddrRecord) bool {
 		if i%37 == 0 {
 			if _, ok, err := pc.Get(a); err != nil || !ok {
 				t.Fatalf("Get: %v, %v", ok, err)
@@ -278,7 +278,7 @@ func TestTierBudgetHolds(t *testing.T) {
 	// same cache and the same budget, which must hold at every chunk the
 	// walk crosses.
 	n := 0
-	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, _ collector.AddrRecord) bool {
 		if _, ok, err := pc.Get(a); err != nil || !ok {
 			t.Fatalf("Get: %v, %v", ok, err)
 		}
@@ -304,7 +304,7 @@ func TestTierFilterSkips(t *testing.T) {
 	// perturb its low bits, discarding accidental hits, so most probes
 	// land inside some chunk's fence and only the bloom can veto them.
 	var present []addr.Addr
-	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, _ collector.AddrRecord) bool {
 		present = append(present, a)
 		return true
 	})
@@ -344,7 +344,7 @@ func TestTierConcurrentReads(t *testing.T) {
 	pc := openOrDie(t, path, Options{RAMBudget: 2 * chunkBytes})
 
 	var present []addr.Addr
-	c.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+	c.CanonicalOrder()(func(a addr.Addr, _ collector.AddrRecord) bool {
 		present = append(present, a)
 		return true
 	})

@@ -78,7 +78,7 @@ func (m *tierModel) full() {
 	m.c.MarkCheckpointedFull()
 	m.write(m.basePath(), func(c *collector.Collector, f *os.File) error { return WriteTier(c, f) })
 	m.want = make(map[addr.Addr]collector.AddrRecord, m.c.NumAddrs())
-	m.c.Addrs(func(a addr.Addr, r collector.AddrRecord) bool {
+	m.c.AddrsRange(0, m.c.NumAddrs(), func(a addr.Addr, r collector.AddrRecord) bool {
 		m.want[a] = r
 		return true
 	})
@@ -147,7 +147,7 @@ func (m *tierModel) check(stage string) {
 			}
 			return got, ok
 		}
-		m.c.Addrs(func(a addr.Addr, r collector.AddrRecord) bool {
+		m.c.AddrsRange(0, m.c.NumAddrs(), func(a addr.Addr, r collector.AddrRecord) bool {
 			got, ok := get(a)
 			w, held := m.want[a]
 			if ok != held || got != w {
@@ -248,7 +248,7 @@ func TestTierAddRunUnderReads(t *testing.T) {
 	m.full()
 	pc := m.tiers[0]
 	var present []addr.Addr
-	m.c.Addrs(func(a addr.Addr, _ collector.AddrRecord) bool {
+	m.c.AddrsRange(0, m.c.NumAddrs(), func(a addr.Addr, _ collector.AddrRecord) bool {
 		present = append(present, a)
 		return true
 	})

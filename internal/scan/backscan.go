@@ -79,16 +79,28 @@ func (s *BackscanStats) RandomResponseRate() float64 {
 	return float64(s.RandomResponses) / float64(s.RandomProbes)
 }
 
+// Sighting is a query as a backscan campaign keeps it: its time in Unix
+// nanoseconds and its source address, all Backscan reads. 24 bytes and
+// no pointer, where a simnet.Query also holds its device.
+type Sighting struct {
+	At   int64
+	Addr addr.Addr
+}
+
+// inWindow reports whether s falls inside [cfg.Start, cfg.End).
+func (s Sighting) inWindow(cfg BackscanConfig) bool {
+	return s.At >= cfg.Start.UnixNano() && s.At < cfg.End.UnixNano()
+}
+
 // BackscanClients is the campaign's recording half: of a query stream,
-// in generation order, it keeps the queries inside [cfg.Start, cfg.End)
-// that the pool steers to a participating vantage, in input order. Each
-// in-window query costs one pool Select, so the pool must be in the state
-// the campaign starts from; a nil pool keeps every in-window query.
-func BackscanClients(queries []simnet.Query, pool PoolSelector, cfg BackscanConfig) []simnet.Query {
-	var out []simnet.Query
-	for _, q := range queries {
-		if !q.Time.Before(cfg.Start) && q.Time.Before(cfg.End) &&
-			(pool == nil || slices.Contains(cfg.Vantages, pool.Select(q.Addr))) {
+// in generation order, it keeps the sightings inside [cfg.Start,
+// cfg.End) that the pool steers to a participating vantage, in input
+// order. Each in-window sighting costs one pool Select, so the pool must
+// be in the state the campaign starts from.
+func BackscanClients(sightings []Sighting, pool PoolSelector, cfg BackscanConfig) []Sighting {
+	var out []Sighting
+	for _, q := range sightings {
+		if q.inWindow(cfg) && slices.Contains(cfg.Vantages, pool.Select(q.Addr)) {
 			out = append(out, q)
 		}
 	}
@@ -104,7 +116,7 @@ func BackscanClients(queries []simnet.Query, pool PoolSelector, cfg BackscanConf
 // Within an interval no address is probed more than once, matching the
 // paper's rate-limiting ("no IP was probed more than once during a 10
 // minute interval").
-func Backscan(w *simnet.World, clients []simnet.Query, cfg BackscanConfig) *BackscanStats {
+func Backscan(w *simnet.World, clients []Sighting, cfg BackscanConfig) *BackscanStats {
 	stats := &BackscanStats{AliasedPrefixes: make(map[addr.Prefix64]struct{})}
 	src := rng.NewSource(cfg.Seed)
 
@@ -116,8 +128,8 @@ func Backscan(w *simnet.World, clients []simnet.Query, cfg BackscanConfig) *Back
 	}
 	probes := make([]probe, 0, len(clients))
 	for _, q := range clients {
-		if !q.Time.Before(cfg.Start) && q.Time.Before(cfg.End) {
-			probes = append(probes, probe{int64(q.Time.Sub(cfg.Start) / cfg.Interval), q.Addr})
+		if q.inWindow(cfg) {
+			probes = append(probes, probe{(q.At - cfg.Start.UnixNano()) / int64(cfg.Interval), q.Addr})
 		}
 	}
 	sort.Slice(probes, func(i, j int) bool {

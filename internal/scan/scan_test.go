@@ -382,12 +382,18 @@ type fixedSelector struct{ id int }
 
 func (f fixedSelector) Select(addr.Addr) int { return f.id }
 
+// replaySightings is every query of the world as a campaign keeps it,
+// in generation order.
+func replaySightings(w *simnet.World) []Sighting {
+	var out []Sighting
+	w.GenerateQueries(func(q simnet.Query) { out = append(out, Sighting{At: q.Time.UnixNano(), Addr: q.Addr}) })
+	return out
+}
+
 // backscanReplay records a campaign from a full replay of the world's
 // queries and probes it back.
 func backscanReplay(w *simnet.World, pool PoolSelector, cfg BackscanConfig) *BackscanStats {
-	var queries []simnet.Query
-	w.GenerateQueries(func(q simnet.Query) { queries = append(queries, q) })
-	return Backscan(w, BackscanClients(queries, pool, cfg), cfg)
+	return Backscan(w, BackscanClients(replaySightings(w), pool, cfg), cfg)
 }
 
 func TestBackscan(t *testing.T) {
@@ -432,9 +438,7 @@ func TestBackscanDeterministic(t *testing.T) {
 	start := w.Origin.Add(5 * 24 * time.Hour)
 	end := start.Add(24 * time.Hour)
 	cfg := DefaultBackscanConfig(start, end, 77)
-	var queries []simnet.Query
-	w.GenerateQueries(func(q simnet.Query) { queries = append(queries, q) })
-	clients := BackscanClients(queries, fixedSelector{0}, cfg)
+	clients := BackscanClients(replaySightings(w), fixedSelector{0}, cfg)
 	ref := Backscan(w, clients, cfg)
 	if len(ref.Outcomes) == 0 {
 		t.Fatal("no outcomes; determinism check vacuous")

@@ -33,12 +33,12 @@ func TestAnalyzeWorkerEquivalence(t *testing.T) {
 			base.AddDate(0, 0, rng.Intn(90)), rng.Intn(3))
 	}
 
-	want := AnalyzeWorkers(c.IIDTable(), db, geo, reg, 1)
+	want := AnalyzeWorkers(c.CopyRecords().IIDTable(), db, geo, reg, 1)
 	if len(want.MACs) == 0 || want.Trackable == 0 {
 		t.Fatal("degenerate fixture: no trackable MACs")
 	}
 	for _, workers := range []int{2, 4, 16} {
-		got := AnalyzeWorkers(c.IIDTable(), db, geo, reg, workers)
+		got := AnalyzeWorkers(c.CopyRecords().IIDTable(), db, geo, reg, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("AnalyzeWorkers(%d) diverges from serial Analyze", workers)
 		}

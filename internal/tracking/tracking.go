@@ -142,14 +142,14 @@ type Analysis struct {
 
 // AnalyzeWorkers runs the full EUI-64 privacy analysis over a corpus's
 // IID table as two parallel folds: the EUI-64 address prevalence count
-// over the address slab, and the per-MAC footprint construction over
-// the promoted IID slab. Per-MAC work (span copy, AS
+// over the address records the table was folded from, and the per-MAC
+// footprint construction over the promoted IID slab. Per-MAC work (span copy, AS
 // and country attribution, classification) is independent, partials
 // merge by concatenation plus counter addition, and the final MAC sort
 // makes the result identical at every worker count.
 func AnalyzeWorkers(t *collector.IIDTable, db *asdb.DB, geo *geodb.DB, reg *oui.Registry, workers int) *Analysis {
 	a := &Analysis{VendorCounts: make(map[string]int)}
-	c := t.Collector()
+	c := t.Records()
 
 	// Count unique EUI-64 *addresses* for the prevalence headline.
 	a.EUI64Addresses = fold.Map(c.NumAddrs(), workers,

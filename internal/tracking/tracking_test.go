@@ -110,7 +110,7 @@ func TestAnalyzeClasses(t *testing.T) {
 	// A non-EUI-64 high-entropy client for contrast.
 	c.Observe(addr.MustParse("2400:100::1b2c:3d4e:5f60:7182"), base, 0)
 
-	a := AnalyzeWorkers(c.IIDTable(), db, geo, reg, 1)
+	a := AnalyzeWorkers(c.CopyRecords().IIDTable(), db, geo, reg, 1)
 
 	if a.EUI64Addresses == 0 {
 		t.Fatal("no EUI-64 addresses counted")
@@ -156,7 +156,7 @@ func TestTable2AndUnlisted(t *testing.T) {
 	observeEUI64(c, addr.MAC{0xf0, 0x02, 0x20, 9, 9, 4}, 0x2400_0100_0000_0004, 0)
 	observeEUI64(c, addr.MAC{0xf0, 0x02, 0x20, 9, 9, 5}, 0x2400_0100_0000_0005, 0)
 
-	a := AnalyzeWorkers(c.IIDTable(), db, geo, reg, 1)
+	a := AnalyzeWorkers(c.CopyRecords().IIDTable(), db, geo, reg, 1)
 	rows := a.Table2()
 	if len(rows) != 2 {
 		t.Fatalf("rows: %d", len(rows))
@@ -180,7 +180,7 @@ func TestTimelineAndExemplar(t *testing.T) {
 	observeEUI64(c, m, 0x2400_0100_0000_0001, 5)
 	observeEUI64(c, m, 0x2400_0200_0000_0001, 40)
 
-	a := AnalyzeWorkers(c.IIDTable(), db, geo, reg, 1)
+	a := AnalyzeWorkers(c.CopyRecords().IIDTable(), db, geo, reg, 1)
 	ex := a.Exemplar(ProviderChange)
 	if ex == nil || ex.MAC != m {
 		t.Fatalf("exemplar: %+v", ex)

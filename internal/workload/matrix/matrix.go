@@ -428,14 +428,14 @@ func renderReport(st *workload.Stream, col *collector.Collector, pl *ingest.Pipe
 		st.Origin.UTC().Format(time.RFC3339), st.End.UTC().Format(time.RFC3339), st.Bin)
 	fmt.Fprintf(&b, "events %d\n", len(st.Events))
 	fmt.Fprintf(&b, "addrs %d iids %d observations %d\n",
-		col.NumAddrs(), col.IIDTable().NumIIDs(), col.TotalObservations())
+		col.NumAddrs(), col.CopyRecords().IIDTable().NumIIDs(), col.TotalObservations())
 	fmt.Fprintf(&b, "corpus %s\n", cell.Checksum)
 
 	// Sightings per structural category and per origin AS are Σ rec.Count
 	// over the closed corpus; the sketch is of its address set.
 	var cats [addr.NumCategories]uint64
 	asns := make(map[asdb.ASN]uint64)
-	col.Addrs(func(a addr.Addr, r collector.AddrRecord) bool {
+	col.AddrsRange(0, col.NumAddrs(), func(a addr.Addr, r collector.AddrRecord) bool {
 		cats[a.IID().StructuralCategory()] += uint64(r.Count)
 		if st.ASDB != nil {
 			asn, _ := st.ASDB.OriginASN(a)

@@ -199,7 +199,7 @@ func walkTier(tc *pager.Corpus, order iter.Seq2[addr.Addr, collector.AddrRecord]
 // resolve without I/O.
 func probeAbsent(tc *pager.Corpus, col *collector.Collector, met *pager.Metrics) error {
 	present := make([]addr.Addr, 0, 2048)
-	col.AddrsCanonical(func(a addr.Addr, _ collector.AddrRecord) bool {
+	col.CanonicalOrder()(func(a addr.Addr, _ collector.AddrRecord) bool {
 		present = append(present, a)
 		return len(present) < cap(present)
 	})

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hitlist6/internal/ntppool"
 	"hitlist6/internal/scan"
@@ -45,6 +46,29 @@ func TestStudySinglePass(t *testing.T) {
 	}
 	if got := s.World.Replays(); got != 1 {
 		t.Errorf("analyses replayed the world: %d replays after the analyses, Report and Summarize, want 1", got)
+	}
+}
+
+// TestStudyHoldsCorpusOnce pins that the pass leaves one copy of the
+// corpus: the NTP dataset's addresses are the corpus's key column, not a
+// copy of it, and the IID table indexes the same records.
+func TestStudyHoldsCorpusOnce(t *testing.T) {
+	s, err := NewStudy(testConfig(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CollectPassive(); err != nil {
+		t.Fatal(err)
+	}
+	keys := s.Collector.Keys()
+	if len(keys) == 0 || s.NTP.Len() != len(keys) {
+		t.Fatalf("the NTP dataset holds %d addresses, the corpus %d", s.NTP.Len(), len(keys))
+	}
+	if unsafe.SliceData(s.NTP.View()) != unsafe.SliceData(keys) {
+		t.Error("the NTP dataset copied the corpus's key column")
+	}
+	if s.IIDs.Records() != s.Collector {
+		t.Error("the IID table was folded from another copy of the corpus")
 	}
 }
 
@@ -128,10 +152,10 @@ func TestBackscanWindowMatchesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var queries []simnet.Query
+			var queries []scan.Sighting
 			b.World.GenerateQueries(func(q simnet.Query) {
 				pool.Select(b.World.Geo.Country(q.Addr))
-				queries = append(queries, q)
+				queries = append(queries, scan.Sighting{At: q.Time.UnixNano(), Addr: q.Addr})
 			})
 			bcfg := b.backscanWindow()
 			clients := scan.BackscanClients(queries, poolAdapter{pool, b.World.Geo}, bcfg)

@@ -94,12 +94,11 @@ type Study struct {
 	World  *simnet.World
 	Pool   *ntppool.Pool
 
-	// Collector holds the full passive corpus; DayCollector the
-	// single-day slice — both outputs of the same single ingest pass.
-	Collector    *collector.Collector
-	DayCollector *collector.Collector
-	DayStart     time.Time
-	RunStats     ntppool.RunStats
+	// Collector is the passive corpus, moved out of the pass's collector:
+	// the study's one copy, which IIDs indexes and NTP adopts.
+	Collector *collector.Records
+	DayStart  time.Time
+	RunStats  ntppool.RunStats
 
 	// IIDs is Collector's IID table, folded once after collection for
 	// every reader of per-IID state: Figure 2b, tracking, the report.
@@ -115,7 +114,7 @@ type Study struct {
 	// backscanClients is the study's one backscan campaign, recorded by
 	// the pass from backscanFrom on (see CollectPassive).
 	backscanFrom    time.Time
-	backscanClients []simnet.Query
+	backscanClients []scan.Sighting
 }
 
 // NewStudy builds the simulated Internet for a configuration.
@@ -184,23 +183,22 @@ func (s *Study) CollectPassive() error {
 	// The tap keeps the backscan window in generation order; selecting
 	// its vantages after the pass is the Select sequence a replay makes.
 	bcfg := s.backscanWindow()
-	var window []simnet.Query
+	var window []scan.Sighting
 	s.RunStats = ntppool.RunIngest(s.World, s.Pool, pipe, func(q simnet.Query) {
 		if !q.Time.Before(bcfg.Start) {
-			window = append(window, q)
+			window = append(window, scan.Sighting{At: q.Time.UnixNano(), Addr: q.Addr})
 		}
 	})
 	s.backscanFrom = bcfg.Start
 	s.backscanClients = scan.BackscanClients(window, poolAdapter{s.Pool, s.World.Geo}, bcfg)
-	s.Collector = pipe.Close()
+	s.Collector = pipe.Close().TakeRecords()
 	day, ok := pipe.Stage("dayslice").(*ingest.DaySliceStage)
 	if !ok {
 		return fmt.Errorf("hitlist6: ingest pipeline returned no day-slice stage")
 	}
-	s.DayCollector = day.Col
 	s.IIDs = s.Collector.IIDTable()
-	s.NTP = hitlist.FromCollector("NTP Pool (passive)", s.Collector)
-	s.NTPDay = hitlist.FromCollector("NTP Pool (1-day slice)", s.DayCollector)
+	s.NTP = hitlist.FromRecords("NTP Pool (passive)", s.Collector)
+	s.NTPDay = hitlist.FromRecords("NTP Pool (1-day slice)", day.Col.TakeRecords())
 	return nil
 }
 
