@@ -10,8 +10,8 @@
 // run executes every selected (profile, seed) cell through the real
 // ingest pipeline and asserts the determinism invariant: byte-identical
 // canonical corpus checksums and scenario reports per (profile, seed),
-// across the straight run and the checkpoint-mid-stream → restore legs
-// of durable profiles. Any divergence exits non-zero naming the cell.
+// across the straight run and the restore legs (list and describe name
+// each profile's legs). Any divergence exits non-zero naming the cell.
 // The default slice is the reduced per-PR matrix (two seeds); -full
 // selects the nightly matrix (three seeds).
 package main
@@ -72,22 +72,21 @@ run flags:
 `)
 }
 
-// profileJSON is the list/describe JSON shape.
+// profileJSON is the list/describe JSON shape. Legs are the cell modes
+// the matrix runs per seed, from its own leg table.
 type profileJSON struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Durable     bool   `json:"durable"`
-	DropRun     bool   `json:"drop_run"`
-	BatchSize   int    `json:"batch_size,omitempty"`
-	QueueDepth  int    `json:"queue_depth,omitempty"`
+	Name        string   `json:"name"`
+	Description string   `json:"description"`
+	Legs        []string `json:"legs"`
+	BatchSize   int      `json:"batch_size,omitempty"`
+	QueueDepth  int      `json:"queue_depth,omitempty"`
 }
 
 func toJSON(p *workload.Profile) profileJSON {
 	return profileJSON{
 		Name:        p.Name,
 		Description: p.Description,
-		Durable:     p.Durable,
-		DropRun:     p.Hints.DropRun,
+		Legs:        matrix.Legs(p),
 		BatchSize:   p.Hints.BatchSize,
 		QueueDepth:  p.Hints.QueueDepth,
 	}
@@ -109,14 +108,7 @@ func cmdList(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	for _, p := range workload.Profiles() {
-		tags := ""
-		if p.Durable {
-			tags += " [durable]"
-		}
-		if p.Hints.DropRun {
-			tags += " [drop-leg]"
-		}
-		fmt.Fprintf(stdout, "%-14s%s\n    %s\n", p.Name, tags, p.Description)
+		fmt.Fprintf(stdout, "%-14s [%s]\n    %s\n", p.Name, strings.Join(matrix.Legs(p), " "), p.Description)
 	}
 	return 0
 }
@@ -142,8 +134,7 @@ func cmdDescribe(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	fmt.Fprintf(stdout, "%s\n  %s\n", p.Name, p.Description)
-	fmt.Fprintf(stdout, "  durable (checkpoint/restore leg): %v\n", p.Durable)
-	fmt.Fprintf(stdout, "  load-shedding leg:                %v\n", p.Hints.DropRun)
+	fmt.Fprintf(stdout, "  legs: %s\n", strings.Join(matrix.Legs(p), " "))
 	if p.Hints.BatchSize != 0 || p.Hints.QueueDepth != 0 {
 		fmt.Fprintf(stdout, "  pipeline hints: batch=%d queue-depth=%d\n", p.Hints.BatchSize, p.Hints.QueueDepth)
 	}

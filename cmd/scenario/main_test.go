@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,6 +47,35 @@ func TestDescribe(t *testing.T) {
 	}
 	if code := run([]string{"describe", "nope"}, &out, &errb); code != 1 {
 		t.Fatalf("describe of unknown profile exited %d, want 1", code)
+	}
+}
+
+// TestDescribeLegs: describe names every leg the matrix runs for a
+// profile — the tier legs of a tiered one and the drop leg of a
+// drop-hinted one included — in text and JSON.
+func TestDescribeLegs(t *testing.T) {
+	for profile, want := range map[string][]string{
+		"cold-replay":  {"stream", "restore", "delta-restore", "tier-resident", "tier-budget", "tier-cold"},
+		"backpressure": {"stream", "drop"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"describe", profile}, &out, &errb); code != 0 {
+			t.Fatalf("describe %s exited %d: %s", profile, code, errb.String())
+		}
+		if line := "  legs: " + strings.Join(want, " ") + "\n"; !strings.Contains(out.String(), line) {
+			t.Errorf("describe %s lacks %q:\n%s", profile, line, out.String())
+		}
+		out.Reset()
+		if code := run([]string{"describe", "-json", profile}, &out, &errb); code != 0 {
+			t.Fatalf("describe -json %s exited %d: %s", profile, code, errb.String())
+		}
+		var p profileJSON
+		if err := json.Unmarshal(out.Bytes(), &p); err != nil {
+			t.Fatalf("describe -json %s not valid JSON: %v\n%s", profile, err, out.String())
+		}
+		if !slices.Equal(p.Legs, want) {
+			t.Errorf("describe -json %s legs %v, want %v", profile, p.Legs, want)
+		}
 	}
 }
 

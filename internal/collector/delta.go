@@ -14,8 +14,9 @@ import (
 // the address-slab blocks dirtied since the last checkpoint plus every
 // block of new records past the watermark (see dirty.go). A chain is
 // one full snapshot (sequence 0) followed by deltas 1..k; restore is
-// RestoreChain, and folding a chain back into a single full snapshot
-// (compaction) is simply restoring it and writing Snapshot again.
+// NewRestore, ApplyDelta per delta, then Restore.Collector, and folding
+// a chain back into a single full snapshot (compaction) is simply
+// restoring it and writing Snapshot again.
 //
 // Like a snapshot, a delta holds address records and nothing derived
 // from them: restore overlays the blocks on the base's slab and indexes

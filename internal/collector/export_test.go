@@ -2,6 +2,8 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand/v2"
 	"slices"
 
@@ -47,4 +49,27 @@ func (t *IIDTable) CanonicalIIDs() []byte {
 	buf, _ := t.appendCanonicalIIDs(nil, &w) // a bytes.Buffer never fails
 	w.Write(buf)
 	return w.Bytes()
+}
+
+// OpenSnapshot restores a collector from a Snapshot stream alone: a
+// chain of no deltas.
+func OpenSnapshot(r io.Reader) (*Collector, error) {
+	return RestoreChain(r)
+}
+
+// RestoreChain restores a checkpoint chain held in memory: a full
+// snapshot stream followed by its deltas in sequence order, the steps
+// ingest.RestoreNewest takes over files. Any failure returns an error
+// and no collector.
+func RestoreChain(base io.Reader, deltas ...io.Reader) (*Collector, error) {
+	rs, err := NewRestore(base)
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range deltas {
+		if err := rs.ApplyDelta(d); err != nil {
+			return nil, fmt.Errorf("collector: chain delta %d: %w", i+1, err)
+		}
+	}
+	return rs.Collector()
 }

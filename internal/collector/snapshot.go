@@ -123,35 +123,6 @@ func endSection(sw *snapfmt.Writer, buf []byte) error {
 	return sw.End()
 }
 
-// OpenSnapshot restores a collector from a Snapshot stream. It reads
-// exactly the stream's bytes, so further streams may follow on the same
-// reader. Damage of any kind — truncation, bit flips, a duplicated
-// address — yields an error, never a panic and never a silently corrupt
-// corpus: every section is CRC-checked and duplicate keys are rejected
-// during the index rebuild; nothing else in the file can disagree with
-// the records, because nothing else is in the file. OpenSnapshot does
-// not buffer — hand it a *bufio.Reader when reading a raw file.
-func OpenSnapshot(r io.Reader) (*Collector, error) {
-	return RestoreChain(r)
-}
-
-// RestoreChain restores a checkpoint chain: a full snapshot stream
-// followed by its deltas in sequence order. Any failure — damage, wrong
-// order, wrong base — returns an error and no collector; a partially
-// applied chain never escapes.
-func RestoreChain(base io.Reader, deltas ...io.Reader) (*Collector, error) {
-	rs, err := NewRestore(base)
-	if err != nil {
-		return nil, err
-	}
-	for i, d := range deltas {
-		if err := rs.ApplyDelta(d); err != nil {
-			return nil, fmt.Errorf("collector: chain delta %d: %w", i+1, err)
-		}
-	}
-	return rs.Collector()
-}
-
 // Restore is a checkpoint chain being read back: the address slab of
 // the base with each delta's blocks overlaid, and nothing else. However
 // long the chain, the index is built once, in Collector — so no
@@ -237,7 +208,15 @@ func endStream(sr *snapfmt.Reader, lastV1 uint32) error {
 }
 
 // NewRestore starts a chain restore by reading its base, a Snapshot
-// stream.
+// stream; ApplyDelta reads each delta after it in sequence order, and
+// Collector finishes. The restore reads exactly the stream's bytes, so
+// further streams may follow on the same reader. Damage of any kind —
+// truncation, bit flips, a duplicated address — yields an error, never
+// a panic and never a silently corrupt corpus: every section is
+// CRC-checked and duplicate keys are rejected during the index rebuild;
+// nothing else in the file can disagree with the records, because
+// nothing else is in the file. NewRestore does not buffer — hand it a
+// *bufio.Reader when reading a raw file.
 func NewRestore(base io.Reader) (*Restore, error) {
 	sr, err := openStream(base, snapMagic, snapVersion, "snapshot")
 	if err != nil {

@@ -73,7 +73,7 @@ func (s *Store) MemoryFootprint() uint64 {
 // Snapshot writes the corpus's durable encoding (see
 // Collector.Snapshot) under the read lock: writers are held off for the
 // duration, readers proceed. This is the daemon checkpoint path — pair
-// it with OpenSnapshot and ApplyShard (or ingest.Config.Seed) to
+// it with NewRestore and ApplyShard (or ingest.Config.Seed) to
 // restore on the next start.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()

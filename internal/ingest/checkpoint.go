@@ -17,27 +17,18 @@ import (
 	"hitlist6/internal/collector"
 )
 
-// Checkpointing is the pipeline's durability seam: Checkpoint writes
-// the merged corpus's snapshot (see collector.Snapshot) after a full
-// Quiesce, so the artifact provably contains every event flushed before
-// the call; CheckpointFile adds the crash-safe file protocol (write to
-// a temp file in the same directory, fsync, rename, fsync the
-// directory) so a torn write can never shadow the previous good
-// checkpoint; RestoreFile is the other half, feeding Config.Seed on the
-// next start. When to checkpoint is the caller's decision — the
-// pipeline runs no checkpoint clock (cmd/ingestd owns the
-// -snapshot.every ticker, because a checkpoint there also refreshes the
-// tier file the pipeline knows nothing of).
-
-// Checkpoint quiesces the pipeline and writes the merged corpus
-// snapshot to w. Must not race with Close.
-func (p *Pipeline) Checkpoint(w *bufio.Writer) error {
-	p.Quiesce()
-	if err := p.store.Snapshot(w); err != nil {
-		return err
-	}
-	return w.Flush()
-}
+// Checkpointing is the pipeline's durability seam. Each protocol
+// writes the merged corpus after a full Quiesce, so the artifact
+// provably contains every event flushed before the call:
+// CheckpointFile a whole snapshot (see collector.Snapshot),
+// CheckpointChain a base and then deltas of the blocks dirtied since.
+// Both go through the crash-safe file protocol (AtomicWriteFile) so a
+// torn write can never shadow the previous good checkpoint;
+// RestoreNewest is the other half, feeding Config.Seed on the next
+// start. When to checkpoint is the caller's decision — the pipeline
+// runs no checkpoint clock (cmd/ingestd owns the -snapshot.every
+// ticker, because a checkpoint there also refreshes the tier file the
+// pipeline knows nothing of).
 
 // AtomicWriteFile writes a file via the crash-safe protocol every
 // durable artifact in this codebase shares: a temp file in the target's

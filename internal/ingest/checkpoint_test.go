@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -36,14 +34,13 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 		}
 		feedConcurrently(first, events[:len(events)/2], 3)
 
-		var ckpt bytes.Buffer
-		bw := bufio.NewWriter(&ckpt)
-		if err := first.Checkpoint(bw); err != nil {
+		path := filepath.Join(t.TempDir(), "corpus.snap")
+		if _, err := first.CheckpointFile(path); err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
 		first.Close() // the interrupted process
 
-		restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
+		restored, err := RestoreFile(path)
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}
@@ -74,16 +71,16 @@ func TestCheckpointCoversFlushed(t *testing.T) {
 	}
 	p.Ingest(events) // Ingest flushes
 
-	var ckpt bytes.Buffer
-	if err := p.Checkpoint(bufio.NewWriter(&ckpt)); err != nil {
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if _, err := p.CheckpointFile(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := collector.OpenSnapshot(bytes.NewReader(ckpt.Bytes()))
+	restored, err := RestoreFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.TotalObservations() != uint64(len(events)) {
-		t.Fatalf("checkpoint holds %d observations, want %d (flushed before Checkpoint)",
+		t.Fatalf("checkpoint holds %d observations, want %d (flushed before CheckpointFile)",
 			restored.TotalObservations(), len(events))
 	}
 	p.Close()

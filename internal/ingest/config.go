@@ -58,8 +58,7 @@ type Config struct {
 	// event's time (see Stage).
 	Stages []StageFactory
 	// Seed, when non-nil, is a corpus the pipeline starts from — the
-	// restore half of checkpointing, typically collector.OpenSnapshot's
-	// result. The pipeline takes ownership (the store absorbs it before
+	// restore half of checkpointing, typically RestoreNewest's result. The pipeline takes ownership (the store absorbs it before
 	// any event flows), so the merged corpus is the seed plus everything
 	// ingested, exactly as if the seed's observations had streamed first.
 	Seed *collector.Collector

@@ -39,8 +39,8 @@ type pipelineTelemetry struct {
 	stageSeconds []*telemetry.Histogram
 	// Global distributions.
 	batchEvents      *telemetry.Histogram // events per batch
-	checkpointTime   *telemetry.Histogram // CheckpointFile wall time
-	checkpointVolume *telemetry.Histogram // CheckpointFile bytes written
+	checkpointTime   *telemetry.Histogram // checkpoint wall time, either protocol
+	checkpointVolume *telemetry.Histogram // checkpoint bytes written, either protocol
 }
 
 // initTelemetry registers the pipeline's metric families in reg and

@@ -25,6 +25,21 @@ func handSnapshot(t *testing.T, total uint64, keys []addr.Addr, recs []collector
 	return handStream(t, "h6corps1", []uint64{total, uint64(len(keys))}, payload)
 }
 
+// restoreStreams restores a base stream and its deltas in order, the
+// steps RestoreNewest takes over files.
+func restoreStreams(base []byte, deltas ...[]byte) (*collector.Collector, error) {
+	rs, err := collector.NewRestore(bytes.NewReader(base))
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range deltas {
+		if err := rs.ApplyDelta(bytes.NewReader(d)); err != nil {
+			return nil, err
+		}
+	}
+	return rs.Collector()
+}
+
 // handDelta frames one delta block — block 0, holding every record of
 // a slab that starts at the base's records — over a base of baseN
 // records and baseTotal observations.
@@ -77,7 +92,7 @@ func TestNoEdgeWrapsTime(t *testing.T) {
 	a, b := addr.MustParse("2001:db8::1"), addr.MustParse("2001:db8::2")
 	goodRec := collector.AddrRecord{First: good, Last: good, Count: 1, Servers: 1}
 	base := handSnapshot(t, 1, []addr.Addr{a}, []collector.AddrRecord{goodRec})
-	if _, err := collector.OpenSnapshot(bytes.NewReader(base)); err != nil {
+	if _, err := restoreStreams(base); err != nil {
 		t.Fatalf("the hand-built base does not restore: %v", err)
 	}
 
@@ -102,12 +117,12 @@ func TestNoEdgeWrapsTime(t *testing.T) {
 				{First: good, Last: v, Count: 1},
 			} {
 				snap := handSnapshot(t, 2, []addr.Addr{a, b}, []collector.AddrRecord{goodRec, r})
-				if c, err := collector.OpenSnapshot(bytes.NewReader(snap)); err == nil {
+				if c, err := restoreStreams(snap); err == nil {
 					got, _ := c.Get(b)
 					t.Errorf("snapshot record %+v restored as %+v", r, got)
 				}
 				delta := handDelta(t, 1, 2, 1, []addr.Addr{a, b}, []collector.AddrRecord{goodRec, r})
-				if c, err := collector.RestoreChain(bytes.NewReader(base), bytes.NewReader(delta)); err == nil {
+				if c, err := restoreStreams(base, delta); err == nil {
 					got, _ := c.Get(b)
 					t.Errorf("delta record %+v restored as %+v", r, got)
 				}
@@ -117,7 +132,7 @@ func TestNoEdgeWrapsTime(t *testing.T) {
 
 	// An inverted record is damage even with both times in the domain.
 	inverted := collector.AddrRecord{First: good + 1, Last: good, Count: 1}
-	if _, err := collector.OpenSnapshot(bytes.NewReader(handSnapshot(t, 2, []addr.Addr{a, b}, []collector.AddrRecord{goodRec, inverted}))); err == nil {
+	if _, err := restoreStreams(handSnapshot(t, 2, []addr.Addr{a, b}, []collector.AddrRecord{goodRec, inverted})); err == nil {
 		t.Error("snapshot with an inverted record restored")
 	}
 
@@ -125,7 +140,7 @@ func TestNoEdgeWrapsTime(t *testing.T) {
 	// built the same way restores: the rejections above are the times'.
 	edge := collector.AddrRecord{First: 0, Last: math.MaxUint32, Count: 2}
 	delta := handDelta(t, 1, 3, 1, []addr.Addr{a, b}, []collector.AddrRecord{goodRec, edge})
-	c, err := collector.RestoreChain(bytes.NewReader(base), bytes.NewReader(delta))
+	c, err := restoreStreams(base, delta)
 	if err != nil {
 		t.Fatalf("delta with domain-edge times: %v", err)
 	}

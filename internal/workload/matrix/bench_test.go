@@ -10,8 +10,9 @@ import (
 // through the real pipeline and reports the per-scenario
 // headline numbers: events/sec through the cell, live bytes per
 // address, the probe-run p99/max of the final index layout, and (for
-// drop-hinted profiles) the events shed by the load-shedding cell. One row per profile keeps the
-// trajectory readable per scenario instead of only in aggregate.
+// drop-hinted profiles) the events shed by the load-shedding cell. One
+// row per profile keeps the trajectory readable per scenario instead of
+// only in aggregate.
 func BenchmarkScenario(b *testing.B) {
 	for _, p := range workload.Profiles() {
 		p := p
@@ -20,14 +21,16 @@ func BenchmarkScenario(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mode := "stream"
-			if p.Hints.DropRun {
-				mode = "drop"
+			lg := legTable[0] // stream
+			for _, l := range legsOf(p) {
+				if !l.deterministic {
+					lg = l // the load-shedding leg, where the profile has one
+				}
 			}
 			b.ResetTimer()
 			var out *cellOutcome
 			for i := 0; i < b.N; i++ {
-				out, err = runCell(p, st, mode)
+				out, err = runLeg(p, st, lg)
 				if err != nil {
 					b.Fatal(err)
 				}

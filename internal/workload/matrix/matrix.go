@@ -1,9 +1,9 @@
 // Package matrix executes workload scenarios through the real ingest
-// pipeline across the determinism axes — seeds, and for durable
-// profiles a checkpoint-mid-stream → restore split beside the straight
-// run — and asserts the repo's standing invariant cell by cell: every
-// cell of one (profile, seed) must produce the byte-identical canonical
-// corpus checksum and the byte-identical scenario report.
+// pipeline across the determinism axes — seeds, and the legs of its
+// table (legTable): the straight run, and restarts from ingestd's own
+// checkpoint files — and asserts the repo's standing invariant cell by
+// cell: every deterministic cell of one (profile, seed) must produce
+// the byte-identical canonical corpus checksum and scenario report.
 //
 // Alongside the assertions it measures the headline numbers the bench
 // trajectory tracks per scenario (events/sec, B/addr, probe-run
@@ -12,11 +12,12 @@
 package matrix
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -35,12 +36,6 @@ type Options struct {
 	Profiles []string
 	Seeds    []int64
 	Size     workload.Size
-	// SkipDurable disables the checkpoint/restore leg durable profiles
-	// otherwise get.
-	SkipDurable bool
-	// SkipDrop disables the load-shedding leg drop-hinted profiles
-	// otherwise get.
-	SkipDrop bool
 }
 
 // Default returns the full matrix the nightly CI trigger and local
@@ -77,9 +72,8 @@ func (o *Options) fillDefaults() {
 type Cell struct {
 	Profile string `json:"profile"`
 	Seed    int64  `json:"seed"`
-	// Mode is "stream" (straight run), "restore" (checkpoint-mid-stream
-	// → restore → finish), or "drop" (DropOnFull load-shedding; excluded
-	// from the determinism assertion by design).
+	// Mode names the cell's leg: a row of the leg table (stream,
+	// restore, delta-restore, drop) or a tier leg.
 	Mode string `json:"mode"`
 	// Checksum is the canonical corpus checksum; ReportSum the SHA-256
 	// of the rendered scenario report. Both must match across every
@@ -166,55 +160,34 @@ func runScenario(p *workload.Profile, opts Options) (*Scenario, error) {
 			return nil, fmt.Errorf("matrix: %s: %w", p.Name, err)
 		}
 		var want *cellOutcome
-		record := func(c Cell, out *cellOutcome) {
-			sc.Cells = append(sc.Cells, c)
-			if c.Mode == "drop" {
-				return
-			}
-			if want == nil {
-				want = out
-				bySeed[seed] = c.Checksum
-				if seed == opts.Seeds[0] {
-					sc.Report = string(out.report)
-				}
-			}
-		}
-		check := func(c Cell, out *cellOutcome) error {
-			if want == nil || c.Mode == "drop" {
-				return nil
-			}
-			if c.Checksum != want.cell.Checksum {
-				return fmt.Errorf("matrix: %s seed %d: cell %s diverged from %s: corpus checksum %s != %s",
-					p.Name, seed, cellID(c), cellID(want.cell), c.Checksum, want.cell.Checksum)
-			}
-			if !bytes.Equal(out.report, want.report) {
-				return fmt.Errorf("matrix: %s seed %d: cell %s diverged from %s: scenario reports differ:\n--- want\n%s\n--- got\n%s",
-					p.Name, seed, cellID(c), cellID(want.cell), want.report, out.report)
-			}
-			return nil
-		}
-
-		legs := []string{"stream"}
-		if p.Durable && !opts.SkipDurable {
-			legs = append(legs, "restore")
-		}
-		if p.Tiered && !opts.SkipDurable {
-			legs = append(legs, "delta-restore")
-		}
-		if p.Hints.DropRun && !opts.SkipDrop {
-			legs = append(legs, "drop")
-		}
-		for _, mode := range legs {
-			out, err := runCell(p, st, mode)
+		for _, lg := range legsOf(p) {
+			out, err := runLeg(p, st, lg)
 			if err != nil {
 				return nil, err
 			}
-			if err := check(out.cell, out); err != nil {
-				return nil, err
+			sc.Cells = append(sc.Cells, out.cell)
+			if !lg.deterministic {
+				continue
 			}
-			record(out.cell, out)
+			if want == nil {
+				want = out
+				bySeed[seed] = out.cell.Checksum
+				if seed == opts.Seeds[0] {
+					sc.Report = string(out.report)
+				}
+				continue
+			}
+			c := out.cell
+			if c.Checksum != want.cell.Checksum {
+				return nil, fmt.Errorf("matrix: %s seed %d: cell %s diverged from %s: corpus checksum %s != %s",
+					p.Name, seed, cellID(c), cellID(want.cell), c.Checksum, want.cell.Checksum)
+			}
+			if !bytes.Equal(out.report, want.report) {
+				return nil, fmt.Errorf("matrix: %s seed %d: cell %s diverged from %s: scenario reports differ:\n--- want\n%s\n--- got\n%s",
+					p.Name, seed, cellID(c), cellID(want.cell), want.report, out.report)
+			}
 		}
-		if p.Tiered && want != nil {
+		if p.Tiered {
 			cells, err := tierLegs(st, want)
 			if err != nil {
 				return nil, err
@@ -302,56 +275,131 @@ func carryOutage(first, second *ingest.Pipeline) error {
 	return second.SeedStage("outage", stg)
 }
 
-// runCell executes one matrix cell through the real pipeline.
+// leg is one row of the engine's table: the mode its cells carry, the
+// fractions of the stream after which it checkpoints, the protocol each
+// checkpoint runs, and whether its corpus and report join the
+// determinism assertion. A leg with cuts is the restart ingestd makes:
+// checkpoint to disk, stop, restore with ingest.RestoreNewest, finish the
+// stream on a new pipeline.
+type leg struct {
+	mode          string
+	cuts          []float64
+	checkpoint    func(p *ingest.Pipeline, path string) (int64, error)
+	deterministic bool
+	// dropOnFull sheds instead of blocking: which events land is timing.
+	dropOnFull bool
+	// when selects the profiles that run the leg; nil is every profile.
+	when func(p *workload.Profile) bool
+}
+
+// legTable is every leg a profile can run, in the order its cells run.
+var legTable = []leg{
+	{mode: "stream", deterministic: true},
+	{mode: "restore", cuts: []float64{0.5}, checkpoint: (*ingest.Pipeline).CheckpointFile,
+		deterministic: true, when: func(p *workload.Profile) bool { return p.Durable }},
+	{mode: "delta-restore", cuts: []float64{0.5, 0.75}, checkpoint: (*ingest.Pipeline).CheckpointChain,
+		deterministic: true, when: func(p *workload.Profile) bool { return p.Tiered }},
+	{mode: "drop", dropOnFull: true, when: func(p *workload.Profile) bool { return p.Hints.DropRun }},
+}
+
+// legsOf is the rows of legTable that p runs.
+func legsOf(p *workload.Profile) []leg {
+	var out []leg
+	for _, lg := range legTable {
+		if lg.when == nil || lg.when(p) {
+			out = append(out, lg)
+		}
+	}
+	return out
+}
+
+// Legs names every cell mode the matrix runs per seed of p, in order:
+// its rows of the leg table, then the tier legs of a tiered profile.
+func Legs(p *workload.Profile) []string {
+	var out []string
+	for _, lg := range legsOf(p) {
+		out = append(out, lg.mode)
+	}
+	if p.Tiered {
+		for _, tl := range tierTable {
+			out = append(out, tl.mode)
+		}
+	}
+	return out
+}
+
+// runLeg executes one matrix cell through the real pipeline: feed the
+// stream up to each cut and checkpoint to corpus.snap in a fresh
+// directory; after the last, close, restore the files as ingestd's
+// start does (ingest.RestoreNewest), seed a new pipeline with the corpus
+// and the outage stage, and feed the rest.
 //
-// All modes feed through Pipeline.Ingest on the calling goroutine, a
+// Every leg feeds through Pipeline.Ingest on the calling goroutine, a
 // single producer (the multi-producer legs live in the ingest package's
 // own equivalence suite).
-func runCell(p *workload.Profile, st *workload.Stream, mode string) (*cellOutcome, error) {
-	cell := Cell{Profile: p.Name, Seed: st.Seed, Mode: mode, Events: len(st.Events)}
+func runLeg(p *workload.Profile, st *workload.Stream, lg leg) (*cellOutcome, error) {
+	cell := Cell{Profile: p.Name, Seed: st.Seed, Mode: lg.mode, Events: len(st.Events)}
+	fail := func(err error) (*cellOutcome, error) {
+		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
+	}
 	start := time.Now()
 
-	var final *ingest.Pipeline
-	switch mode {
-	case "stream", "drop":
-		pl, err := ingest.New(cellConfig(p, st, mode == "drop"))
-		if err != nil {
-			return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-		}
-		pl.Ingest(st.Events)
-		final = pl
-	case "restore":
-		pl, err := restoreCell(p, st)
-		if err != nil {
-			return nil, err
-		}
-		final = pl
-	case "delta-restore":
-		pl, err := deltaRestoreCell(p, st)
-		if err != nil {
-			return nil, err
-		}
-		final = pl
-	default:
-		return nil, fmt.Errorf("matrix: unknown cell mode %q", mode)
+	cfg := cellConfig(p, st, lg.dropOnFull)
+	pl, err := ingest.New(cfg)
+	if err != nil {
+		return fail(err)
 	}
+	fed := 0
+	if len(lg.cuts) > 0 {
+		dir, err := os.MkdirTemp("", "matrix-leg-*")
+		if err != nil {
+			return fail(err)
+		}
+		defer os.RemoveAll(dir)
+		path := filepath.Join(dir, "corpus.snap")
+		for _, cut := range lg.cuts {
+			n := int(float64(len(st.Events)) * cut)
+			pl.Ingest(st.Events[fed:n])
+			fed = n
+			if _, err := lg.checkpoint(pl, path); err != nil {
+				return fail(err)
+			}
+		}
+		// The corpus Close returns is discarded: the restored one comes
+		// from the files. No event flowed after the last checkpoint, so
+		// the closed pipeline's outage stage is the restore point's.
+		pl.Close()
+		restored, _, err := ingest.RestoreNewest(path)
+		if err != nil {
+			return fail(err)
+		}
+		cfg.Seed = restored
+		next, err := ingest.New(cfg)
+		if err == nil {
+			err = carryOutage(pl, next)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		pl = next
+	}
+	pl.Ingest(st.Events[fed:])
 
-	col := final.Close()
+	col := pl.Close()
 	elapsed := time.Since(start)
-	m := final.Metrics()
+	m := pl.Metrics()
 
-	if mode == "drop" {
-		// The accounting invariant load shedding must keep: every fed
+	if !lg.deterministic {
+		// What a nondeterministic leg asserts instead of its bytes: the
+		// accounting invariant load shedding must keep: every fed
 		// event was either admitted or counted shed, and everything
 		// admitted was folded. Which side of the line an event lands on is
 		// timing-dependent — the counts' consistency is not.
 		if m.Enqueued+m.Dropped != uint64(len(st.Events)) {
-			return nil, fmt.Errorf("matrix: %s: enqueued %d + dropped %d != fed %d",
-				cellID(cell), m.Enqueued, m.Dropped, len(st.Events))
+			return fail(fmt.Errorf("enqueued %d + dropped %d != fed %d", m.Enqueued, m.Dropped, len(st.Events)))
 		}
 		if m.Processed != m.Enqueued {
-			return nil, fmt.Errorf("matrix: %s: processed %d != enqueued %d",
-				cellID(cell), m.Processed, m.Enqueued)
+			return fail(fmt.Errorf("processed %d != enqueued %d", m.Processed, m.Enqueued))
 		}
 	}
 
@@ -368,53 +416,10 @@ func runCell(p *workload.Profile, st *workload.Stream, mode string) (*cellOutcom
 	cell.ProbeP99, cell.ProbeMax = ps.P99Probe, ps.MaxProbe
 	cell.Enqueued, cell.Dropped = m.Enqueued, m.Dropped
 
-	report := renderReport(st, col, final, &cell)
+	report := renderReport(st, col, pl, &cell)
 	rs := sha256.Sum256(report)
 	cell.ReportSum = hex.EncodeToString(rs[:])
 	return &cellOutcome{cell: cell, report: report, col: col}, nil
-}
-
-// restoreCell is the durable leg: feed half the stream, checkpoint
-// through the real Quiesce + checkpoint protocol, restore the checkpoint
-// into a fresh pipeline (corpus via Config.Seed, the outage series via
-// SeedStage), feed the rest, and hand the second pipeline back for
-// closing. Its result must be byte-identical to the straight run's.
-func restoreCell(p *workload.Profile, st *workload.Stream) (*ingest.Pipeline, error) {
-	cell := Cell{Profile: p.Name, Seed: st.Seed, Mode: "restore"}
-	half := len(st.Events) / 2
-
-	first, err := ingest.New(cellConfig(p, st, false))
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-	}
-	first.Ingest(st.Events[:half])
-	var ckpt bytes.Buffer
-	bw := bufio.NewWriter(&ckpt)
-	if err := first.Checkpoint(bw); err != nil {
-		return nil, fmt.Errorf("matrix: %s: checkpoint: %w", cellID(cell), err)
-	}
-	// Close stops the first pipeline's worker; no events flowed after the
-	// checkpoint, so its outage stage holds exactly the checkpoint-time
-	// state. The corpus it returns
-	// is discarded — the restore leg's corpus comes from the snapshot
-	// bytes, the protocol a real crash recovery uses.
-	first.Close()
-
-	restored, err := collector.OpenSnapshot(bufio.NewReader(&ckpt))
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %s: restore: %w", cellID(cell), err)
-	}
-	cfg := cellConfig(p, st, false)
-	cfg.Seed = restored
-	second, err := ingest.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-	}
-	if err := carryOutage(first, second); err != nil {
-		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-	}
-	second.Ingest(st.Events[half:])
-	return second, nil
 }
 
 // renderReport writes the deterministic scenario report: everything in
@@ -427,8 +432,9 @@ func renderReport(st *workload.Stream, col *collector.Collector, pl *ingest.Pipe
 	fmt.Fprintf(&b, "window %s .. %s bin %s\n",
 		st.Origin.UTC().Format(time.RFC3339), st.End.UTC().Format(time.RFC3339), st.Bin)
 	fmt.Fprintf(&b, "events %d\n", len(st.Events))
-	fmt.Fprintf(&b, "addrs %d iids %d observations %d\n",
-		col.NumAddrs(), col.CopyRecords().IIDTable().NumIIDs(), col.TotalObservations())
+	var iids collector.IIDSet
+	iids.AddRange(col, 0, col.NumAddrs())
+	fmt.Fprintf(&b, "addrs %d iids %d observations %d\n", col.NumAddrs(), iids.Len(), col.TotalObservations())
 	fmt.Fprintf(&b, "corpus %s\n", cell.Checksum)
 
 	// Sightings per structural category and per origin AS are Σ rec.Count

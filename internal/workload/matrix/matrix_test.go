@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -29,7 +30,8 @@ func testOptions() Options {
 // TestMatrixReduced is the tentpole assertion: the reduced matrix runs
 // clean — every (profile, seed) produces byte-identical corpus
 // checksums and scenario reports across the straight run and the
-// checkpoint/restore splits.
+// checkpoint/restore splits — and each profile ran exactly the legs its
+// table names, seed by seed, in order.
 func TestMatrixReduced(t *testing.T) {
 	res, err := Run(testOptions())
 	if err != nil {
@@ -49,26 +51,21 @@ func TestMatrixReduced(t *testing.T) {
 		if sc.Report == "" {
 			t.Errorf("%s: no scenario report captured", sc.Profile)
 		}
-		modes := map[string]int{}
+		p, _ := workload.Lookup(sc.Profile)
+		var ran, want []string
+		for _, seed := range sc.Seeds {
+			for _, mode := range Legs(p) {
+				want = append(want, fmt.Sprintf("seed=%d/%s", seed, mode))
+			}
+		}
 		for _, c := range sc.Cells {
-			modes[c.Mode]++
-			if c.Mode != "drop" && c.Checksum == "" {
+			ran = append(ran, fmt.Sprintf("seed=%d/%s", c.Seed, c.Mode))
+			if c.Checksum == "" {
 				t.Errorf("%s: cell %s has no checksum", sc.Profile, cellID(c))
 			}
 		}
-		p, _ := workload.Lookup(sc.Profile)
-		if p.Durable && modes["restore"] == 0 {
-			t.Errorf("%s: durable profile ran no restore cells", sc.Profile)
-		}
-		if p.Hints.DropRun && modes["drop"] == 0 {
-			t.Errorf("%s: drop-hinted profile ran no drop cells", sc.Profile)
-		}
-		if p.Tiered {
-			for _, m := range []string{"delta-restore", "tier-resident", "tier-budget", "tier-cold"} {
-				if modes[m] == 0 {
-					t.Errorf("%s: tiered profile ran no %s cells", sc.Profile, m)
-				}
-			}
+		if !slices.Equal(ran, want) {
+			t.Errorf("%s ran cells %v, want its leg table's %v", sc.Profile, ran, want)
 		}
 	}
 }
@@ -106,12 +103,7 @@ func TestMatrixTierLegsCrossChunks(t *testing.T) {
 // TestMatrixCollisionSkew pins the collision profile's reason to
 // exist: its probe runs must dwarf the paper baseline's.
 func TestMatrixCollisionSkew(t *testing.T) {
-	opts := Options{
-		Profiles:    []string{"paper", "collision"},
-		Seeds:       []int64{1},
-		SkipDurable: true,
-	}
-	res, err := Run(opts)
+	res, err := Run(Options{Profiles: []string{"paper", "collision"}, Seeds: []int64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

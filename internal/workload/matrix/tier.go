@@ -1,17 +1,13 @@
-// The tiered-corpus matrix legs (profiles marked workload.Profile
-// .Tiered): the delta-restore cell runs the chain protocol's
-// checkpoint-mid-stream split through the determinism assertion, and
-// the tier legs re-read the asserted corpus through internal/pager —
-// fully resident, budget-constrained, and all-cold — requiring the
-// collector's record for every one of its addresses from every
-// residency mode, the RAM budget held throughout the walk, plus the
-// cold path's filter-skip bar.
+// The tier legs of profiles marked workload.Profile.Tiered: they re-read
+// the asserted corpus through internal/pager — fully resident,
+// budget-constrained, and all-cold — requiring the collector's record
+// for every one of its addresses from every residency mode, the RAM
+// budget held throughout the walk, plus the cold path's filter-skip bar.
 package matrix
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
+	"io"
 	"iter"
 	"os"
 	"path/filepath"
@@ -24,64 +20,16 @@ import (
 	"hitlist6/internal/workload"
 )
 
-// deltaRestoreCell is the chain-protocol leg: feed half the stream,
-// write a full checkpoint, feed to three quarters, write a delta of the
-// dirtied blocks, restore base+delta into a fresh pipeline (the outage
-// series carried over exactly like restoreCell), and feed the rest. Its
-// corpus and report must be byte-identical to the straight run's.
-func deltaRestoreCell(p *workload.Profile, st *workload.Stream) (*ingest.Pipeline, error) {
-	cell := Cell{Profile: p.Name, Seed: st.Seed, Mode: "delta-restore"}
-	half := len(st.Events) / 2
-	threeQ := half + len(st.Events)/4
-
-	first, err := ingest.New(cellConfig(p, st, false))
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-	}
-	first.Ingest(st.Events[:half])
-	first.Quiesce()
-	var base bytes.Buffer
-	bw := bufio.NewWriter(&base)
-	if err := first.Store().CheckpointFull(bw); err != nil {
-		return nil, fmt.Errorf("matrix: %s: full checkpoint: %w", cellID(cell), err)
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-
-	first.Ingest(st.Events[half:threeQ])
-	first.Quiesce()
-	var delta bytes.Buffer
-	dw := bufio.NewWriter(&delta)
-	if err := first.Store().CheckpointDelta(dw); err != nil {
-		return nil, fmt.Errorf("matrix: %s: delta checkpoint: %w", cellID(cell), err)
-	}
-	if err := dw.Flush(); err != nil {
-		return nil, err
-	}
-	// Close after the delta: the first pipeline's outage series is
-	// exactly the restore point's, so carryOutage below hands the second
-	// pipeline what a crash recovery would rebuild.
-	first.Close()
-	if delta.Len() == 0 {
-		return nil, fmt.Errorf("matrix: %s: empty delta checkpoint", cellID(cell))
-	}
-
-	restored, err := collector.RestoreChain(bufio.NewReader(&base), bufio.NewReader(&delta))
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %s: chain restore: %w", cellID(cell), err)
-	}
-	cfg := cellConfig(p, st, false)
-	cfg.Seed = restored
-	second, err := ingest.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-	}
-	if err := carryOutage(first, second); err != nil {
-		return nil, fmt.Errorf("matrix: %s: %w", cellID(cell), err)
-	}
-	second.Ingest(st.Events[threeQ:])
-	return second, nil
+// tierTable is the tier legs in the order they run, each with its RAM
+// budget as a function of the tier file's size: 0 is unlimited, 1 byte
+// the LRU's floor of one chunk.
+var tierTable = []struct {
+	mode   string
+	budget func(size int64) int64
+}{
+	{"tier-resident", func(int64) int64 { return 0 }},
+	{"tier-budget", func(size int64) int64 { return size / 2 }},
+	{"tier-cold", func(int64) int64 { return 1 }},
 }
 
 // tierLegs writes the asserted cell's corpus as a tier file and re-reads
@@ -100,41 +48,19 @@ func tierLegs(st *workload.Stream, want *cellOutcome) ([]Cell, error) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "corpus.tier")
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := pager.WriteTier(col, bw); err == nil {
-		err = bw.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	size, err := ingest.AtomicWriteFile(path, func(w io.Writer) error { return pager.WriteTier(col, w) })
 	if err != nil {
 		return nil, fmt.Errorf("matrix: %s seed %d: write tier: %w", st.Profile, st.Seed, err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
 
 	order := col.CanonicalOrder()
-	legs := []struct {
-		mode   string
-		budget int64 // 0 = unlimited; 1 byte = LRU floor of one chunk
-	}{
-		{"tier-resident", 0},
-		{"tier-budget", fi.Size() / 2},
-		{"tier-cold", 1},
-	}
 	var cells []Cell
-	for _, leg := range legs {
-		if err := tierLeg(path, col, order, leg.mode, leg.budget); err != nil {
-			return nil, fmt.Errorf("matrix: %s seed %d: %s: %w", st.Profile, st.Seed, leg.mode, err)
+	for _, tl := range tierTable {
+		if err := tierLeg(path, col, order, tl.mode, tl.budget(size)); err != nil {
+			return nil, fmt.Errorf("matrix: %s seed %d: %s: %w", st.Profile, st.Seed, tl.mode, err)
 		}
 		cells = append(cells, Cell{
-			Profile: st.Profile, Seed: st.Seed, Mode: leg.mode,
+			Profile: st.Profile, Seed: st.Seed, Mode: tl.mode,
 			Checksum: want.cell.Checksum, Events: len(st.Events), Addrs: col.NumAddrs(),
 		})
 	}

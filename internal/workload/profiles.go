@@ -261,12 +261,44 @@ func splitmix(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// collisionStream fabricates the adversarial cluster: addresses mined
-// (deterministically, by counter scan) to share the low collisionBits
-// of their hash, plus a small uniform background population that probes
-// like any other addresses do. Timestamps walk the window at fixed
-// stride; every address is sighted three times so records are not all
-// singletons.
+// collisionCluster draws the seed's target residue and builds n
+// distinct addresses whose Hash64 has it in its low collisionBits.
+// Hash64 is M(hi) ^ rotl(M(lo), 31), where M(hi) = Hash64(hi, 0) and M
+// is a bijection, so each address is
+// constructed, not searched for: lo = M⁻¹(y), where bits 33..46 of y —
+// the rotation's low collisionBits — are the residue hi still needs,
+// bits 0..32 the address's index (so no two y, and no two lo, are
+// equal) and the rest random.
+func collisionCluster(state *uint64, n int) (target uint64, addrs []addr.Addr) {
+	const mask = 1<<collisionBits - 1
+	target = splitmix(state) & mask
+	addrs = make([]addr.Addr, 0, n)
+	base := uint64(0x2ade<<48) | (splitmix(state) & 0xffff << 32)
+	for i := uint64(0); i < uint64(n); i++ {
+		// 64 /48s so prefix-set paths see structure too.
+		hi := base | (i&0x3f)<<16
+		need := (target ^ addr.FromParts(hi, 0).Hash64()) & mask
+		y := splitmix(state)&^(1<<47-1) | need<<33 | i
+		addrs = append(addrs, addr.FromParts(hi, unmix(y)))
+	}
+	return target, addrs
+}
+
+// unmix inverts the murmur3 finalizer behind addr.Hash64: xorshift-33
+// is its own inverse, and each odd multiplier has an inverse mod 2^64.
+func unmix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0x9cb4b2f8129337db // 0xc4ceb9fe1a85ec53⁻¹
+	x ^= x >> 33
+	x *= 0x4f74430c22a54005 // 0xff51afd7ed558ccd⁻¹
+	x ^= x >> 33
+	return x
+}
+
+// collisionStream fabricates the adversarial cluster (collisionCluster)
+// plus a small uniform background population that probes like any
+// other addresses do. Timestamps walk the window at fixed stride; every
+// address is sighted three times so records are not all singletons.
 func collisionStream(seed int64, size Size) (*Stream, error) {
 	cluster := int(50000 * size.Scale)
 	if cluster < 256 {
@@ -275,21 +307,7 @@ func collisionStream(seed int64, size Size) (*Stream, error) {
 	background := cluster / 4
 
 	state := uint64(seed) * 0x9e3779b97f4a7c15
-	target := splitmix(&state) & (1<<collisionBits - 1)
-
-	addrs := make([]addr.Addr, 0, cluster+background)
-	// The cluster: scan a seeded counter, keep addresses whose hash
-	// residue matches. ~2^collisionBits candidates per accept; the whole
-	// mine is a few tens of millions of hashes at matrix size.
-	base := uint64(0x2ade<<48) | (splitmix(&state) & 0xffff << 32)
-	for c := uint64(0); len(addrs) < cluster; c++ {
-		// 64 /48s so prefix-set paths see structure too.
-		hi := base | (c&0x3f)<<16
-		a := addr.FromParts(hi, splitmix(&state))
-		if a.Hash64()&(1<<collisionBits-1) == target {
-			addrs = append(addrs, a)
-		}
-	}
+	_, addrs := collisionCluster(&state, cluster)
 	// The background: uniform addresses, no residue constraint.
 	for i := 0; i < background; i++ {
 		hi := uint64(0x2bad<<48) | splitmix(&state)&0xffff_ffff

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hitlist6/internal/addr"
 	"hitlist6/internal/asdb"
 	"hitlist6/internal/outage"
 )
@@ -286,4 +287,28 @@ func binSeries(t *testing.T, st *Stream) *outage.Series {
 		c[idx]++
 	}
 	return s
+}
+
+// TestCollisionClusterResidue holds the constructed cluster to what the
+// search it replaced guaranteed: every address carries the seed's target
+// residue in the low collisionBits of Hash64, and no address repeats.
+func TestCollisionClusterResidue(t *testing.T) {
+	const mask = 1<<collisionBits - 1
+	for _, seed := range []int64{1, 2, 3} {
+		state := uint64(seed) * 0x9e3779b97f4a7c15
+		target, addrs := collisionCluster(&state, 5000)
+		if len(addrs) != 5000 {
+			t.Fatalf("seed %d: %d addresses, want 5000", seed, len(addrs))
+		}
+		seen := make(map[addr.Addr]bool, len(addrs))
+		for i, a := range addrs {
+			if r := a.Hash64() & mask; r != target {
+				t.Fatalf("seed %d: address %d %v has residue %#x, want %#x", seed, i, a, r, target)
+			}
+			if seen[a] {
+				t.Fatalf("seed %d: address %d %v repeats", seed, i, a)
+			}
+			seen[a] = true
+		}
+	}
 }
