@@ -460,13 +460,15 @@ func log2(x float64) float64 {
 	return mathLog2(x)
 }
 
-// BenchmarkAblationNTPTransport* compares the in-process NTP exchange the
-// simulator uses against a real UDP loopback round trip.
+// BenchmarkAblationNTPTransportInProcess is the NTP exchange without a
+// socket: a request encoded, decoded, answered and the reply encoded.
+// cmd/ingestd's BenchmarkNTPSource runs the same exchange over loopback
+// UDP through the daemon's NTP source.
 func BenchmarkAblationNTPTransportInProcess(b *testing.B) {
 	now := time.Now()
 	var buf [ntp.PacketSize]byte
 	for i := 0; i < b.N; i++ {
-		req := ntp.NewClientRequest(now)
+		req := ntp.Packet{Version: 4, Mode: ntp.ModeClient, TransmitTime: ntp.TimestampFromTime(now)}
 		if _, err := req.SerializeTo(buf[:]); err != nil {
 			b.Fatal(err)
 		}
@@ -476,21 +478,6 @@ func BenchmarkAblationNTPTransportInProcess(b *testing.B) {
 		}
 		reply := ntp.NewServerReply(&decoded, now, now, 2, 0x42)
 		if _, err := reply.SerializeTo(buf[:]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationNTPTransportUDP(b *testing.B) {
-	srv, err := ntp.NewServer(ntp.ServerConfig{Addr: "127.0.0.1:0"})
-	if err != nil {
-		b.Skipf("cannot bind: %v", err)
-	}
-	defer srv.Close()
-	addrStr := srv.LocalAddr().String()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ntp.Query(addrStr, time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

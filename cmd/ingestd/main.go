@@ -1,24 +1,33 @@
 // Command ingestd runs the ingest pipeline as a daemon: it consumes an
-// NTP query-event stream — a file (or stdin), a UDP socket, or a
-// simulated replay — hands it in batches to the pipeline's worker,
-// which folds each batch into the one live corpus (the per-AS outage
-// series the one inline enrichment), and serves live summaries over
-// HTTP, read from that corpus. It is the single-vantage deployment
-// shape of the paper's 27-server passive collection: one ingestd per
-// pool server.
+// NTP query-event stream — the clients of its own NTP server, a file
+// (or stdin) or UDP datagrams of event lines, or a simulated replay —
+// hands it in batches to the pipeline's worker, which folds each batch
+// into the one live corpus (the per-AS outage series the one inline
+// enrichment), and serves live summaries over HTTP, read from that
+// corpus. It is the single-vantage deployment shape of the paper's
+// 27-server passive collection: one ingestd per pool server, answering
+// NTP itself.
+//
+// With -ntp the daemon is a stratum-2 NTP server: it answers every
+// client-mode request and stores each IPv6 source address as a sighting
+// at the request's arrival, with no server attribution. IPv4 clients
+// are answered but not stored; datagrams that are not a client request
+// get no reply and are counted in ingest_ntp_rejected_total.
 //
 // The outage detector is the paper's headline hitlist application run
 // live: the same single pass that builds the corpus feeds a per-AS
 // time-binned series, and a periodic detector scans its rolling window
 // for ASes that went dark — served at /outages, no probes sent.
 //
-// Event lines are `<unix-seconds> <ipv6-address> [<server-index>]`, the
-// seconds in the corpus's time domain [0, 4294967295] (1970-01-01 to
-// 2106-02-07 UTC): a line outside it is malformed, counted in
-// ingestd_malformed_lines and dropped, never stored wrapped.
+// Event lines (-file, -udp) are
+// `<unix-seconds> <ipv6-address> [<server-index>]`, the seconds in the
+// corpus's time domain [0, 4294967295] (1970-01-01 to 2106-02-07 UTC): a
+// line outside it is malformed, counted in ingestd_malformed_lines and
+// dropped, never stored wrapped.
 //
 // Usage:
 //
+//	ingestd -ntp '[::]:123'             # answer NTP, store IPv6 clients
 //	ingestd -file events.log            # replay a file, then keep serving
 //	ingestd -file -                     # read stdin
 //	ingestd -udp :9123                  # ingest datagrams of event lines
@@ -57,7 +66,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -302,6 +310,7 @@ func (d *daemon) shutdown(srv *http.Server) {
 func main() {
 	var (
 		listen      = flag.String("listen", ":8629", "HTTP listen address")
+		ntpAddr     = flag.String("ntp", "", "UDP listen address to answer NTP on, storing each IPv6 client")
 		file        = flag.String("file", "", "event file to replay ('-' for stdin)")
 		udp         = flag.String("udp", "", "UDP listen address for event datagrams")
 		sim         = flag.Bool("sim", false, "generate a simnet replay stream instead of external input")
@@ -309,7 +318,6 @@ func main() {
 		simDays     = flag.Int("sim.days", 30, "simnet study window in days")
 		simSeed     = flag.Int64("sim.seed", 1, "simnet world seed")
 		drop        = flag.Bool("drop", false, "shed events when the ingest queue is full instead of blocking")
-		serverCp    = flag.Int("servers", collector.MaxServers, "vantage-server attribution cap")
 		outBin      = flag.Duration("outage.bin", time.Hour, "outage series bin width (whole seconds; 0 disables the outage consumer)")
 		outEvery    = flag.Duration("outage.every", 30*time.Second, "how often the live outage detector rescans the series")
 		outWindow   = flag.Int("outage.window", 0, "rolling detection window in complete bins (0 = whole series)")
@@ -335,13 +343,13 @@ func main() {
 	}
 
 	sources := 0
-	for _, on := range []bool{*file != "", *udp != "", *sim} {
+	for _, on := range []bool{*ntpAddr != "", *file != "", *udp != "", *sim} {
 		if on {
 			sources++
 		}
 	}
 	if sources != 1 {
-		fmt.Fprintln(os.Stderr, "ingestd: exactly one of -file, -udp, -sim required")
+		fmt.Fprintln(os.Stderr, "ingestd: exactly one of -ntp, -file, -udp, -sim required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -400,7 +408,6 @@ func main() {
 
 	cfg := ingest.Config{
 		DropOnFull: *drop,
-		ServerCap:  *serverCp,
 		Registry:   reg,
 		Stages:     daemonStages(routes, *outBin),
 	}
@@ -415,14 +422,7 @@ func main() {
 			"Wall time restoring the corpus checkpoint at startup.",
 			telemetry.DurationBuckets())
 		start := time.Now()
-		cfg.Seed = restoreOrEmpty(snapPath, func(format string, args ...any) {
-			msg := fmt.Sprintf(format, args...)
-			if strings.Contains(msg, "WARNING") {
-				logger.Warn(msg)
-			} else {
-				logger.Info(msg)
-			}
-		})
+		cfg.Seed = restoreOrEmpty(snapPath, logger)
 		restoreSeconds.ObserveDuration(time.Since(start))
 		cfg.CompactEvery = *snapCompact
 	}
@@ -474,6 +474,13 @@ func main() {
 	}
 
 	switch {
+	case *ntpAddr != "":
+		conn, err := net.ListenPacket("udp", *ntpAddr)
+		if err != nil {
+			logger.Error("ntp listen", "error", err)
+			os.Exit(1)
+		}
+		d.startNTP(conn.(*net.UDPConn), time.Now)
 	case *file != "":
 		in := os.Stdin
 		if *file != "-" {
@@ -559,21 +566,21 @@ func tierPath(dir string) string {
 // damaged — losing the corpus and re-accumulating beats refusing to
 // collect — so missing files start empty silently and unreadable/corrupt
 // files start empty with a logged warning.
-func restoreOrEmpty(path string, logf func(format string, args ...any)) *collector.Collector {
+func restoreOrEmpty(path string, log *slog.Logger) *collector.Collector {
 	c, superseded, err := ingest.RestoreNewest(path)
 	if err != nil {
-		logf("ingestd: WARNING: checkpoint %s unusable, starting with an empty corpus: %v", path, err)
+		log.Warn("checkpoint unusable; starting with an empty corpus", "path", path, "error", err)
 		return nil
 	}
 	if len(superseded) > 0 {
-		logf("ingestd: WARNING: removed %d delta files of a superseded chain (a checkpoint was interrupted): %s",
-			len(superseded), strings.Join(superseded, " "))
+		log.Warn("removed the delta files of a superseded chain (a checkpoint was interrupted)",
+			"path", path, "superseded", superseded)
 	}
 	if c == nil {
 		return nil
 	}
-	logf("ingestd: restored %d addresses (%d observations) from %s",
-		c.NumAddrs(), c.TotalObservations(), path)
+	log.Info("corpus restored", "path", path,
+		"addresses", c.NumAddrs(), "observations", c.TotalObservations())
 	return c
 }
 

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -21,20 +23,13 @@ func TestRestoreOrEmpty(t *testing.T) {
 	dir := t.TempDir()
 	path := snapshotPath(dir)
 
-	logged := func() (func(string, ...any), *[]string) {
-		var lines []string
-		return func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
-		}, &lines
-	}
-
-	// Missing: empty start, no warning.
-	logf, lines := logged()
-	if c := restoreOrEmpty(path, logf); c != nil {
+	// Missing: empty start, nothing logged.
+	log, records := recordingLogger(t)
+	if c := restoreOrEmpty(path, log); c != nil {
 		t.Fatalf("missing checkpoint restored something: %v", c)
 	}
-	if len(*lines) != 0 {
-		t.Fatalf("missing checkpoint warned: %v", *lines)
+	if len(*records) != 0 {
+		t.Fatalf("missing checkpoint logged %d records", len(*records))
 	}
 
 	// Write a real checkpoint through the pipeline.
@@ -53,17 +48,19 @@ func TestRestoreOrEmpty(t *testing.T) {
 	}
 	pipe.Close()
 
-	// Good: restores with an informational line.
-	logf, lines = logged()
-	c := restoreOrEmpty(path, logf)
+	// Good: restores with one informational record carrying the counts.
+	log, records = recordingLogger(t)
+	c := restoreOrEmpty(path, log)
 	if c == nil {
 		t.Fatal("good checkpoint did not restore")
 	}
 	if c.NumAddrs() != 100 || c.TotalObservations() != 100 {
 		t.Fatalf("restored %d addrs / %d obs, want 100/100", c.NumAddrs(), c.TotalObservations())
 	}
-	if len(*lines) != 1 || !strings.Contains((*lines)[0], "restored") {
-		t.Fatalf("restore logging off: %v", *lines)
+	if len(*records) != 1 || (*records)[0].Level != slog.LevelInfo ||
+		attr((*records)[0], "addresses") != "100" || attr((*records)[0], "observations") != "100" ||
+		attr((*records)[0], "path") != path {
+		t.Fatalf("restore logging off: %v", *records)
 	}
 
 	// Damaged, at every kind of cut: truncations at framing-ish offsets
@@ -90,12 +87,12 @@ func TestRestoreOrEmpty(t *testing.T) {
 		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		logf, lines = logged()
-		if c := restoreOrEmpty(path, logf); c != nil {
+		log, records = recordingLogger(t)
+		if c := restoreOrEmpty(path, log); c != nil {
 			t.Errorf("%s: damaged checkpoint restored (%d addrs)", name, c.NumAddrs())
 		}
-		if len(*lines) != 1 || !strings.Contains((*lines)[0], "WARNING") {
-			t.Errorf("%s: expected one warning, got %v", name, *lines)
+		if len(*records) != 1 || (*records)[0].Level != slog.LevelWarn || attr((*records)[0], "path") != path {
+			t.Errorf("%s: expected one warning naming the path, got %v", name, *records)
 		}
 	}
 }
@@ -126,7 +123,7 @@ func TestRestartWithoutDeltaFlag(t *testing.T) {
 		t.Fatalf("setup: delta files %v", deltas)
 	}
 
-	d = newSeededDaemon(t, dir, restoreOrEmpty(snapshotPath(dir), t.Logf))
+	d = newSeededDaemon(t, dir, restoreOrEmpty(snapshotPath(dir), testLogger(t)))
 	defer d.pipe.Close()
 	srv := httptest.NewServer(d.newMux())
 	defer srv.Close()
@@ -180,15 +177,14 @@ func TestRestoreOrEmptyReportsSuperseded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var lines []string
-	c := restoreOrEmpty(d.snapPath, func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
+	log, records := recordingLogger(t)
+	c := restoreOrEmpty(d.snapPath, log)
 	if c == nil || c.NumAddrs() != 3 {
-		t.Fatalf("restore beside a superseded delta: %v, log %v", c, lines)
+		t.Fatalf("restore beside a superseded delta: %v, log %v", c, *records)
 	}
-	if len(lines) != 2 || !strings.Contains(lines[0], "WARNING") || !strings.Contains(lines[0], "delta.000001") {
-		t.Fatalf("log = %v, want a warning naming the delta, then the restore line", lines)
+	if r := *records; len(r) != 2 || r[0].Level != slog.LevelWarn ||
+		!strings.Contains(attr(r[0], "superseded"), "delta.000001") || r[1].Level != slog.LevelInfo {
+		t.Fatalf("log = %v, want a warning naming the delta, then the restore record", r)
 	}
 	if _, err := os.Stat(d.snapPath + ".delta.000001"); !os.IsNotExist(err) {
 		t.Fatalf("superseded delta still on disk (%v)", err)
@@ -246,4 +242,54 @@ func FuzzIngestDatagram(f *testing.F) {
 				data, added, bad.Load(), wantAdded, wantBad)
 		}
 	})
+}
+
+// testLogger is a logger that writes to the test's log.
+func testLogger(t testing.TB) *slog.Logger {
+	log, _ := recordingLogger(t)
+	return log
+}
+
+// recordingLogger is testLogger that also keeps every record it
+// handles, in order, for a test to check levels and attributes.
+func recordingLogger(t testing.TB) (*slog.Logger, *[]slog.Record) {
+	h := &recorder{t: t}
+	return slog.New(h), &h.records
+}
+
+type recorder struct {
+	t       testing.TB
+	records []slog.Record
+}
+
+func (r *recorder) Enabled(context.Context, slog.Level) bool { return true }
+
+func (r *recorder) Handle(_ context.Context, rec slog.Record) error {
+	var b strings.Builder
+	b.WriteString(rec.Level.String() + " " + rec.Message)
+	rec.Attrs(func(a slog.Attr) bool {
+		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
+		return true
+	})
+	r.t.Log(b.String())
+	r.records = append(r.records, rec)
+	return nil
+}
+
+// WithAttrs and WithGroup drop what they are given: nothing that logs
+// through a recorder uses them.
+func (r *recorder) WithAttrs([]slog.Attr) slog.Handler { return r }
+func (r *recorder) WithGroup(string) slog.Handler      { return r }
+
+// attr renders the value of rec's attribute key, "" when it has none.
+func attr(rec slog.Record, key string) string {
+	v := ""
+	rec.Attrs(func(a slog.Attr) bool {
+		if a.Key == key {
+			v = a.Value.String()
+			return false
+		}
+		return true
+	})
+	return v
 }

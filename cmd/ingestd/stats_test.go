@@ -74,7 +74,7 @@ func TestStatsDescribesRestoredCorpus(t *testing.T) {
 	checkDescribesCorpus(t, "before the restart", d.buildStats(), 5000)
 	d.pipe.Close()
 
-	restored := restoreOrEmpty(snapshotPath(dir), t.Logf)
+	restored := restoreOrEmpty(snapshotPath(dir), testLogger(t))
 	wantIIDs := restored.CopyRecords().IIDTable().NumIIDs()
 	d = newSeededDaemon(t, dir, restored)
 	defer d.pipe.Close()
@@ -160,7 +160,7 @@ func TestTallyResumesTheFold(t *testing.T) {
 				}
 				foldAndCompare("at the checkpoint")
 				pipe.Close()
-				cfg.Seed = restoreOrEmpty(path, t.Logf)
+				cfg.Seed = restoreOrEmpty(path, testLogger(t))
 				if pipe, err = ingest.New(cfg); err != nil {
 					t.Fatal(err)
 				}

@@ -447,7 +447,7 @@ func TestTierRunPerDelta(t *testing.T) {
 // checkpoint, seed the store, then enable the tier.
 func restartTier(t *testing.T, dir string) (*daemon, *httptest.Server) {
 	t.Helper()
-	restored := restoreOrEmpty(snapshotPath(dir), t.Logf)
+	restored := restoreOrEmpty(snapshotPath(dir), testLogger(t))
 	if restored == nil {
 		t.Fatal("checkpoint did not restore")
 	}

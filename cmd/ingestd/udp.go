@@ -152,17 +152,41 @@ func (u *udpSource) statsReply() *udpStatsReply {
 
 // ingestUDP feeds datagrams into the pipeline until the socket closes
 // (a read error — the shutdown path closes the socket to get here).
-// Reads are batched (r decides how hard) and flushes are adaptive:
-// full batches flush themselves, and the read deadline pushes the
-// partial tail — udpFlushEvery after the last flush while datagrams
-// keep coming, udpIdleFlush after the socket runs dry — so the live
-// view lags the wire by at most one flush interval under load and by a
-// millisecond at the end of a burst. The final flush makes the last
-// partial batch durable before sourceDone releases the shutdown
-// sequence to checkpoint.
+// Reads are batched (r decides how hard); readLoop flushes.
 func ingestUDP(pipe *ingest.Pipeline, conn net.PacketConn, r datagramReader,
 	badLines *atomic.Uint64, log *slog.Logger, u *udpSource) {
 	b := pipe.NewBatcher()
+	err := readLoop(conn, b, func() (bool, error) {
+		n, err := r.readBatch()
+		if err != nil {
+			return false, err
+		}
+		added := 0
+		for i := 0; i < n; i++ {
+			added += ingestDatagram(b, r.datagram(i), badLines)
+		}
+		u.datagrams.Add(uint64(n))
+		u.batchSize.Observe(float64(n))
+		if added > 0 {
+			u.events.Add(uint64(added))
+		}
+		return added > 0, nil
+	})
+	log.Info("udp source closed", "error", err)
+}
+
+// readLoop is the socket sources' read loop and flush rule. It calls
+// read, which reads the socket once and adds what arrived to b,
+// reporting whether it added anything, until read fails with anything
+// but the read deadline. Full batches flush themselves; the deadline
+// pushes the partial tail — udpFlushEvery after the last flush while
+// datagrams keep coming, udpIdleFlush after the socket runs dry — so
+// the live view lags the wire by at most one flush interval under load
+// and by a millisecond at the end of a burst. The final flush makes the
+// last partial batch durable before sourceDone releases the shutdown
+// sequence to checkpoint. The deadlines run on the wall clock whatever
+// clock stamps the events.
+func readLoop(conn net.PacketConn, b *ingest.Batcher, read func() (added bool, err error)) error {
 	defer b.Flush()
 	now := time.Now()
 	lastFlush := now
@@ -173,10 +197,9 @@ func ingestUDP(pipe *ingest.Pipeline, conn net.PacketConn, r datagramReader,
 			deadline = idle
 		}
 		if err := conn.SetReadDeadline(deadline); err != nil {
-			log.Info("udp source closed", "error", err)
-			return
+			return err
 		}
-		n, err := r.readBatch()
+		added, err := read()
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -188,19 +211,9 @@ func ingestUDP(pipe *ingest.Pipeline, conn net.PacketConn, r datagramReader,
 				lastFlush = now
 				continue
 			}
-			log.Info("udp source closed", "error", err)
-			return
+			return err
 		}
-		added := 0
-		for i := 0; i < n; i++ {
-			added += ingestDatagram(b, r.datagram(i), badLines)
-		}
-		u.datagrams.Add(uint64(n))
-		u.batchSize.Observe(float64(n))
-		if added > 0 {
-			u.events.Add(uint64(added))
-			dirty = true
-		}
+		dirty = dirty || added
 		if now = time.Now(); now.Sub(lastFlush) >= udpFlushEvery {
 			if dirty {
 				b.Flush()

@@ -47,11 +47,6 @@ type Config struct {
 	// stays only because the benchmark module (bench/layers) still sets
 	// it; it goes with the benchmark's next revision (ROADMAP item 1).
 	SnapshotInterval time.Duration
-	// ServerCap is the highest vantage-server count the deployment
-	// attributes distinctly; events with Server >= ServerCap saturate
-	// onto index ServerCap-1. It cannot exceed collector.MaxServers
-	// (the AddrRecord.Servers bitmask width). 0 selects the maximum.
-	ServerCap int
 	// Stages are enrichment-stage factories; the pipeline builds one
 	// instance of each, which the worker feeds every batch and StageView
 	// reads. Each is one more pass over every batch: for what needs the
@@ -105,13 +100,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("ingest: QueueDepth %d negative", c.QueueDepth)
-	}
-	if c.ServerCap == 0 {
-		c.ServerCap = collector.MaxServers
-	}
-	if c.ServerCap < 1 || c.ServerCap > collector.MaxServers {
-		return fmt.Errorf("ingest: ServerCap %d out of [1,%d]",
-			c.ServerCap, collector.MaxServers)
 	}
 	if c.CompactEvery < 0 {
 		return fmt.Errorf("ingest: CompactEvery %d negative", c.CompactEvery)

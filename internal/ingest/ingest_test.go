@@ -239,37 +239,12 @@ func TestStages(t *testing.T) {
 	}
 }
 
-func TestServerCapSaturation(t *testing.T) {
-	a := addr.MustParse("2001:db8::1")
-	cfg := DefaultConfig()
-	cfg.ServerCap = 8
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Ingest([]Event{
-		{Addr: a, Time: 1000, Server: 3},
-		{Addr: a, Time: 1001, Server: 40}, // beyond the cap: saturates to 7
-		{Addr: a, Time: 1002, Server: -1}, // unattributed: no bit
-	})
-	merged := p.Close()
-	r, ok := merged.Get(a)
-	if !ok {
-		t.Fatal("address not recorded")
-	}
-	want := collector.ServerBit(3) | collector.ServerBit(7)
-	if r.Servers != want {
-		t.Errorf("server mask %#x, want %#x", r.Servers, want)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Shards: -1},
 		{Shards: 2},
 		{BatchSize: -2},
 		{QueueDepth: -3},
-		{ServerCap: collector.MaxServers + 1},
 	} {
 		if _, err := New(bad); err == nil {
 			t.Errorf("config %+v should be rejected", bad)

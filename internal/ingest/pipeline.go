@@ -133,7 +133,6 @@ func (p *Pipeline) runWorker() {
 // paths share the same loop shape so BenchmarkTelemetryOverhead
 // isolates the instrumentation cost alone.
 func (p *Pipeline) processBatch(batch []Event) {
-	cap32 := int32(p.cfg.ServerCap)
 	timed := p.tel.enabled
 	var start time.Time
 	if timed {
@@ -142,12 +141,6 @@ func (p *Pipeline) processBatch(batch []Event) {
 	p.store.Update(func(c *collector.Collector) {
 		for i := range batch {
 			ev := &batch[i]
-			if ev.Server >= cap32 {
-				// Deployment-level saturation: attribute to the last
-				// distinct index the config allows (collector.ServerBit
-				// would otherwise saturate at MaxServers-1 regardless).
-				ev.Server = cap32 - 1
-			}
 			c.ObserveUnix(ev.Addr, ev.Time, int(ev.Server))
 		}
 	})

@@ -1,10 +1,8 @@
-// Package ntp implements the NTP substrate: an RFC 5905 packet codec with
-// allocation-free decode/encode (gopacket's DecodingLayer idiom), a
-// stratum-2 UDP server of the kind the paper deployed 27 of, and a client.
-//
-// The server exposes a SourceObserver hook: the paper's entire methodology
-// is "run NTP servers, record source addresses", and that hook is where the
-// passive collector attaches.
+// Package ntp is the RFC 5905 packet codec: allocation-free
+// decode/encode (gopacket's DecodingLayer idiom) and the server reply to
+// a client request. The server that answers with it is ingestd's -ntp
+// source, which stores each client's source address: the paper's whole
+// methodology is "run NTP servers, record source addresses".
 package ntp
 
 import (
@@ -21,8 +19,7 @@ type LeapIndicator uint8
 
 // Leap indicator values (RFC 5905 §7.3).
 const (
-	LeapNone      LeapIndicator = 0
-	LeapNotInSync LeapIndicator = 3
+	LeapNone LeapIndicator = 0
 )
 
 // Mode is the 3-bit association mode.
@@ -77,17 +74,6 @@ func TimestampFromTime(t time.Time) Timestamp {
 	secs := uint64(t.Unix()) + ntpEpochOffset
 	frac := uint64(t.Nanosecond()) * (1 << 32) / 1e9
 	return Timestamp(secs<<32 | frac)
-}
-
-// Time converts an NTP timestamp to a time.Time (UTC). The zero timestamp
-// maps to the zero time.
-func (ts Timestamp) Time() time.Time {
-	if ts == 0 {
-		return time.Time{}
-	}
-	secs := int64(ts>>32) - ntpEpochOffset
-	nanos := (uint64(ts&0xffffffff) * 1e9) >> 32
-	return time.Unix(secs, int64(nanos)).UTC()
 }
 
 // Short is the 32-bit NTP short format (16.16 fixed point seconds) used
@@ -173,16 +159,6 @@ func (p *Packet) SerializeTo(buf []byte) (int, error) {
 	return PacketSize, nil
 }
 
-// NewClientRequest builds a client-mode request with TransmitTime set to
-// now, as real SNTP clients send.
-func NewClientRequest(now time.Time) Packet {
-	return Packet{
-		Version:      4,
-		Mode:         ModeClient,
-		TransmitTime: TimestampFromTime(now),
-	}
-}
-
 // NewServerReply builds the server response to a request, per RFC 5905:
 // the client's transmit timestamp is echoed as the origin, the server
 // stamps receive/transmit times, and stratum/reference describe the
@@ -203,13 +179,4 @@ func NewServerReply(req *Packet, recvAt, sendAt time.Time, stratum uint8, refID 
 		ReceiveTime:    TimestampFromTime(recvAt),
 		TransmitTime:   TimestampFromTime(sendAt),
 	}
-}
-
-// OffsetAndDelay computes the clock offset and round-trip delay from the
-// four timestamps of a completed exchange (RFC 5905 §8): t1 client send,
-// t2 server receive, t3 server send, t4 client receive.
-func OffsetAndDelay(t1, t2, t3, t4 time.Time) (offset, delay time.Duration) {
-	offset = (t2.Sub(t1) + t3.Sub(t4)) / 2
-	delay = t4.Sub(t1) - t3.Sub(t2)
-	return offset, delay
 }
